@@ -33,8 +33,6 @@ sequences.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +54,7 @@ from repro.errors import CertificateError
 from repro.net.prefix import Prefix
 from repro.obs.metrics import get_registry
 from repro.relationships.types import RelationshipMap
+from repro.runstate import read_state, write_state
 
 STORE_FORMAT = "repro/certificate-store/v1"
 
@@ -631,6 +630,8 @@ class CertificateStore:
         store = cls(relationships)
         try:
             for entry in certificates:
+                if not isinstance(entry, dict):
+                    raise TypeError("certificate entry must be an object")
                 certificate = SafetyCertificate.from_dict(entry)
                 store.certificates[certificate.key] = certificate
         except (KeyError, ValueError, TypeError) as exc:
@@ -641,13 +642,7 @@ class CertificateStore:
 
     def save(self, path: str | Path) -> None:
         """Atomically persist the store as JSON."""
-        target = Path(path)
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True),
-            encoding="ascii",
-        )
-        os.replace(tmp, target)
+        write_state(path, STORE_FORMAT, self.to_dict())
 
     @classmethod
     def load(
@@ -656,22 +651,7 @@ class CertificateStore:
         relationships: RelationshipMap | None = None,
     ) -> "CertificateStore":
         """Load a persisted store; raises :class:`CertificateError`."""
-        try:
-            text = Path(path).read_text(encoding="ascii")
-        except OSError as exc:
-            raise CertificateError(
-                f"cannot read certificate store {path}: {exc}"
-            ) from exc
-        try:
-            document = json.loads(text)
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise CertificateError(
-                f"certificate store {path} is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(document, dict):
-            raise CertificateError(
-                f"certificate store {path} must be a JSON object"
-            )
+        document = read_state(path, STORE_FORMAT, CertificateError)
         return cls.from_dict(document, relationships)
 
 

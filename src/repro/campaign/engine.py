@@ -9,21 +9,18 @@ poison/timeout instead of killing the campaign.  Sequentially, the same
 network per scenario (identical isolation), so the two paths produce
 bit-identical ranked reports.
 
-A JSON scenario checkpoint (atomic temp + ``os.replace``, fingerprinted
-over the campaign kind, scenario keys and baseline checksum) records
-every finished outcome: the sequential path persists it after each
-scenario and a SIGTERM'd campaign writes it again during the drain, so
-``resume`` skips the completed scenarios on the next run.
+A :mod:`repro.runstate` scenario checkpoint (fingerprinted over the
+campaign kind, scenario keys and baseline checksum) records every
+finished outcome: the sequential path persists it after each scenario
+and a SIGTERM'd campaign writes it again during the drain, so ``resume``
+skips the completed scenarios on the next run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-import os
 import pickle
-import signal
 import time
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -41,6 +38,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import EVENT_SCENARIO, get_tracer
 from repro.parallel.protocol import dump_network
 from repro.resilience.retry import POISON, RetryPolicy
+from repro.runstate import drain_signals, read_state, write_state
 from repro.serve.artifact import PredictionArtifact
 
 logger = logging.getLogger(__name__)
@@ -110,17 +108,12 @@ def write_checkpoint(
     outcomes: dict[str, ScenarioOutcome],
 ) -> None:
     """Atomically persist the finished scenario outcomes."""
-    target = Path(path)
-    document = {
-        "format": CHECKPOINT_FORMAT,
+    write_state(path, CHECKPOINT_FORMAT, {
         "fingerprint": fingerprint,
         "completed": {
             key: outcomes[key].to_dict() for key in sorted(outcomes)
         },
-    }
-    temp = target.with_name(target.name + ".tmp")
-    temp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    os.replace(temp, target)
+    })
 
 
 def load_checkpoint(
@@ -132,36 +125,15 @@ def load_checkpoint(
     space, different baseline) is a hard error, never silently ignored —
     resuming the wrong campaign would merge incomparable outcomes.
     """
-    target = Path(path)
-    try:
-        document = json.loads(target.read_text())
-    except OSError as error:
-        raise CheckpointError(
-            f"cannot read campaign checkpoint {path}: {error}"
-        ) from error
-    except json.JSONDecodeError as error:
-        raise CheckpointError(
-            f"campaign checkpoint {path} is corrupt: {error}"
-        ) from error
-    if document.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"{path} is not a campaign checkpoint "
-            f"(format {document.get('format')!r})"
-        )
-    if document.get("fingerprint") != fingerprint:
-        raise CheckpointError(
-            f"campaign checkpoint {path} belongs to a different campaign "
-            "(scenario space or baseline changed); delete it or rerun "
-            "without --resume"
-        )
+    document = read_state(path, CHECKPOINT_FORMAT, CheckpointError, fingerprint)
     try:
         return {
             key: ScenarioOutcome.from_dict(value)
             for key, value in (document.get("completed") or {}).items()
         }
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
         raise CheckpointError(
-            f"campaign checkpoint {path} has a malformed outcome: {error}"
+            f"campaign checkpoint {path} has a malformed outcome: {error!r}"
         ) from error
 
 
@@ -299,22 +271,11 @@ def _run_sequential(
     scenario, so even a SIGKILL'd campaign resumes from the last one.
     """
     blob = dump_network(model.network)
-    drain = {"signum": None}
-
-    def handle(signum, frame):  # noqa: ARG001 - signal signature
-        drain["signum"] = signum
-
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, handle)
-        except ValueError:  # pragma: no cover - non-main-thread embedding
-            break
-    try:
+    with drain_signals() as drain:
         for index, scenario in enumerate(todo):
-            if drain["signum"] is not None:
+            if drain.signum is not None:
                 pending = [s.key for s in todo[index:]]
-                raise ShutdownRequested(drain["signum"], None, pending)
+                raise ShutdownRequested(drain.signum, None, pending)
             network = pickle.loads(blob)
             try:
                 value = scenario.run(
@@ -336,9 +297,6 @@ def _run_sequential(
             completed[scenario.key] = _ok_outcome(scenario, value)
             if progress is not None:
                 progress()
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
 
 
 def _ok_outcome(scenario, value: dict) -> ScenarioOutcome:

@@ -10,9 +10,7 @@ Subcommands mirror the paper's workflow:
   streaming parse with typed record quarantine, sanitization passes
   (loops, bogon ASNs, martian prefixes, prepend collapse), a
   malformed-burst circuit breaker, periodic checkpoints with
-  ``--resume``, and an exact JSON/text ``IngestReport``.  Exit codes:
-  0 ok, 1 quality-gate failure, 2 bad args, 4 unreadable input,
-  5 interrupted.
+  ``--resume``, and an exact JSON/text ``IngestReport``.
 * ``repro analyze`` — Section 3 analysis of a dump: dataset summary,
   level-1 clique, classification, pruning, Figure 2 / Table 1 statistics.
 * ``repro refine`` — build and refine an AS-routing model from a dump,
@@ -67,15 +65,34 @@ partial results are merged (and checkpointed, for ``refine
 --checkpoint``), and the run exits 5 with ``interrupted: true`` in its
 health report.
 
-Exit codes follow :mod:`repro.resilience.health`: 0 ok, 1 refinement
-stalled (or, for ``repro lint``, error findings), 2 usage, 3 diverged
-prefixes quarantined (including poison/timeout prefixes the supervisor
-gave up on), 4 unusable data, 5 interrupted by a graceful shutdown.
+Exit codes, for every subcommand (constants in
+:mod:`repro.resilience.health`):
+
+====  ================================================================
+0     ok
+1     the run finished but failed its own verdict: refinement stalled,
+      ``lint`` error findings (``--diff``: new errors), an ingest
+      quality gate or strict-mode parse error, a ``bench-diff``
+      regression, a failed serve-chaos assertion, serve workers that
+      cannot boot
+2     usage: bad flag combinations, unknown ASNs or query targets
+3     degraded result: diverged / poison / timeout prefixes or scenarios
+      quarantined, or a query for a quarantined origin
+4     unusable input: an unreadable, corrupt, stale or mismatched dump,
+      model config, artifact, checkpoint, certificate store or report
+5     interrupted by SIGINT/SIGTERM after a graceful drain
+====  ================================================================
+
+4 and 5 are decided once, in :func:`main`: any load error a handler lets
+escape prints ``error: <message>`` and exits 4, and an escaping
+:class:`~repro.errors.ShutdownRequested` exits 5.  Handlers catch only
+what they map to a different code or must record first.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -93,6 +110,8 @@ from repro.data.dumps import read_table_dump, write_table_dump
 from repro.data.observation import collect_dataset, select_observation_points
 from repro.data.synthesis import SyntheticConfig, synthesize_internet
 from repro.errors import (
+    ArtifactError,
+    CertificateError,
     CheckpointError,
     DatasetError,
     ParseError,
@@ -107,6 +126,7 @@ from repro.obs.trace import JsonlTracer, tracing
 from repro.resilience.faults import FaultConfig
 from repro.resilience.health import EXIT_DATA, EXIT_INTERRUPTED, RunHealth
 from repro.resilience.retry import RetryPolicy
+from repro.runstate import drain_signals
 from repro.topology.classify import classify_ases
 from repro.topology.clique import infer_level1_clique
 from repro.topology.diversity import route_diversity_report
@@ -125,7 +145,31 @@ def main(argv: list[str] | None = None) -> int:
     if not hasattr(args, "handler"):
         parser.print_help()
         return 2
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (
+        OSError,
+        ParseError,
+        TopologyError,
+        DatasetError,
+        ArtifactError,
+        CertificateError,
+        CheckpointError,
+    ) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_DATA
+    except ShutdownRequested as shutdown:
+        message = f"interrupted by signal {shutdown.signum}"
+        if shutdown.pending:
+            message += f": {len(shutdown.pending)} unit(s) of work unfinished"
+        checkpoint = getattr(args, "checkpoint", None)
+        if checkpoint and os.path.exists(checkpoint):
+            hint = "--resume" if hasattr(args, "resume") else "the same --checkpoint"
+            message += (
+                f"; checkpoint saved to {checkpoint}; rerun with {hint} to continue"
+            )
+        print(message, file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -623,14 +667,11 @@ def _write_ingest_report(args, report) -> None:
 
 
 def cmd_ingest(args) -> int:
-    """Handle ``repro ingest``.
+    """Handle ``repro ingest`` (exit codes: module docstring).
 
-    Exit codes: 0 ok, 1 quality-gate failure (mostly-garbage feed,
-    malformed burst, or a strict-mode parse error), 2 bad arguments,
-    4 unreadable input, 5 interrupted (checkpoint saved).
+    1 here means a quality gate fired (mostly-garbage feed, malformed
+    burst) or strict mode hit a parse error; 5 leaves a checkpoint.
     """
-    import signal
-
     from repro.data.ingest import IngestConfig, ingest_table_dump
     from repro.data.sanitize import SanitizeConfig
     from repro.errors import IngestError
@@ -672,26 +713,16 @@ def cmd_ingest(args) -> int:
 
     # A SIGINT/SIGTERM mid-ingest drains gracefully: the loop notices at
     # the next line boundary, writes a final checkpoint, and exits 5.
-    received: dict[str, int] = {}
-
-    def _on_signal(signum, frame):  # pragma: no cover - exercised in subproc
-        received["signum"] = signum
-
-    previous_handlers = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous_handlers[signum] = signal.signal(signum, _on_signal)
-        except (ValueError, OSError):  # non-main thread / unsupported
-            pass
     try:
-        result = ingest_table_dump(
-            args.feed,
-            out_path=args.out,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            config=config,
-            should_stop=lambda: received.get("signum"),
-        )
+        with drain_signals() as drain:
+            result = ingest_table_dump(
+                args.feed,
+                out_path=args.out,
+                checkpoint_path=args.checkpoint,
+                resume=args.resume,
+                config=config,
+                should_stop=lambda: drain.signum,
+            )
     except IngestError as error:
         print(f"error: {error}", file=sys.stderr)
         if error.report is not None:
@@ -700,23 +731,6 @@ def cmd_ingest(args) -> int:
     except ParseError as error:  # strict mode names line + field
         print(f"error: {error}", file=sys.stderr)
         return 1
-    except CheckpointError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as error:
-        print(f"error: cannot read {args.feed}: {error}", file=sys.stderr)
-        return EXIT_DATA
-    except ShutdownRequested as shutdown:
-        print(
-            f"interrupted by signal {shutdown.signum}"
-            + (f"; checkpoint saved to {args.checkpoint}; rerun with "
-               "--resume to continue" if args.checkpoint else ""),
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
-    finally:
-        for signum, handler in previous_handlers.items():
-            signal.signal(signum, handler)
 
     if result.resumed_from_line:
         print(f"resumed from line {result.resumed_from_line}",
@@ -763,9 +777,6 @@ def _ingest_as_rel(args) -> int:
     except DatasetError as error:  # the mostly-garbage quality gate
         print(f"error: {error}", file=sys.stderr)
         return 1
-    except OSError as error:
-        print(f"error: cannot read {args.feed}: {error}", file=sys.stderr)
-        return EXIT_DATA
     graph = result.graph
     if args.prune:
         graph, dropped = restrict_to_largest_component(graph)
@@ -781,13 +792,9 @@ def _ingest_as_rel(args) -> int:
 
 def cmd_analyze(args) -> int:
     """Handle ``repro analyze``."""
-    try:
-        parsed, dataset, graph, level1, classification, pruned = _load_pruned(
-            args.dump, args.seeds
-        )
-    except DatasetError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_DATA
+    parsed, dataset, graph, level1, classification, pruned = _load_pruned(
+        args.dump, args.seeds
+    )
     print(f"parsed lines:      {parsed.lines} "
           f"(skipped: {parsed.skipped_as_set} AS_SET, "
           f"{parsed.skipped_malformed} malformed)")
@@ -974,7 +981,6 @@ def _lint_report(path, dataset, passes, relationships, certified):
     """
     if _is_artifact(path):
         from repro.analysis.certify import CertificateStore
-        from repro.errors import CertificateError
         from repro.serve import PredictionArtifact
 
         artifact = PredictionArtifact.load(path)
@@ -984,9 +990,7 @@ def _lint_report(path, dataset, passes, relationships, certified):
                 "it with this build of 'repro compile-artifact'"
             )
         return CertificateStore.from_dict(artifact.certificates).report()
-    with open(path, "r", encoding="ascii") as handle:
-        network = parse_script(handle)
-    model = ASRoutingModel.from_network(network)
+    model = _load_model(path)
     if certified:
         from repro.analysis import certify_network
 
@@ -1003,24 +1007,15 @@ def _lint_report(path, dataset, passes, relationships, certified):
 def cmd_lint(args) -> int:
     """Handle ``repro lint``."""
     from repro.analysis import ALL_PASSES, diff_reports
-    from repro.errors import ArtifactError, CertificateError
 
     relationships = None
     if args.relationships:
         from repro.data.caida import read_as_rel
 
-        try:
-            relationships = read_as_rel(args.relationships).relationships
-        except (OSError, DatasetError, ParseError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_DATA
+        relationships = read_as_rel(args.relationships).relationships
     dataset = None
     if args.dump:
-        try:
-            dataset = read_table_dump(args.dump).dataset.cleaned()
-        except (OSError, DatasetError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_DATA
+        dataset = read_table_dump(args.dump).dataset.cleaned()
     passes = tuple(args.passes) if args.passes else ALL_PASSES
     certified = _is_artifact(args.model) or (
         args.diff is not None and _is_artifact(args.diff)
@@ -1034,10 +1029,8 @@ def cmd_lint(args) -> int:
             base = _lint_report(
                 args.diff, dataset, passes, relationships, certified
             )
-    except (OSError, ParseError, TopologyError, ArtifactError,
-            CertificateError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_DATA
+    except ParseError:  # a ValueError too, but unusable data, not usage
+        raise
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -1123,10 +1116,8 @@ def cmd_chaos(args) -> int:
 
 
 def _cmd_chaos_serve(args) -> int:
-    """Handle ``repro chaos --serve``: the serve-resilience campaign.
-
-    Exit codes: 0 contract held, 1 an availability assertion failed.
-    """
+    """Handle ``repro chaos --serve``: the serve-resilience campaign
+    (exits 1 when an availability assertion fails)."""
     from repro.experiments.serve_chaos import (
         ServeChaosConfig,
         run,
@@ -1156,28 +1147,18 @@ def cmd_explain(args) -> int:
 
     from repro.obs.explain import explain_prefix
 
-    try:
-        with open(args.model, "r", encoding="ascii") as handle:
-            network = parse_script(handle)
-        model = ASRoutingModel.from_network(network)
-        prefix = Prefix(args.prefix)
-    except (OSError, ParseError, TopologyError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_DATA
+    model = _load_model(args.model)
+    prefix = Prefix(args.prefix)
     if args.observer is not None and args.observer not in model.network.ases:
         print(f"error: observer AS{args.observer} is not in the model",
               file=sys.stderr)
         return EXIT_DATA
-    try:
-        explanation = explain_prefix(
-            model,
-            prefix,
-            observer_asn=args.observer,
-            retry=RetryPolicy(max_attempts=max(1, args.retry_attempts)),
-        )
-    except TopologyError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_DATA
+    explanation = explain_prefix(
+        model,
+        prefix,
+        observer_asn=args.observer,
+        retry=RetryPolicy(max_attempts=max(1, args.retry_attempts)),
+    )
     if args.as_json:
         print(json.dumps(explanation.to_dict(), indent=2, sort_keys=True))
     else:
@@ -1191,11 +1172,7 @@ def cmd_stats(args) -> int:
 
     from repro.obs.stats import health_stats, load_health_report, render_stats
 
-    try:
-        report = load_health_report(args.report)
-    except DatasetError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_DATA
+    report = load_health_report(args.report)
     if args.as_json:
         print(json.dumps(health_stats(report), indent=2, sort_keys=True))
     else:
@@ -1212,11 +1189,7 @@ def _load_model(path: str) -> ASRoutingModel:
 
 def cmd_whatif(args) -> int:
     """Handle ``repro whatif``."""
-    try:
-        model = _load_model(args.model)
-    except (OSError, ParseError, TopologyError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_DATA
+    model = _load_model(args.model)
     asn_a, asn_b = args.remove
     try:
         # The library validates both endpoints up front: an ASN outside
@@ -1251,20 +1224,12 @@ def cmd_compile_artifact(args) -> int:
     from repro.serve import compile_artifact
     from repro.serve.compile import write_artifact
 
-    try:
-        model = _load_model(args.model)
-    except (OSError, ParseError, TopologyError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_DATA
+    model = _load_model(args.model)
     relationships = None
     if args.relationships:
         from repro.data.caida import read_as_rel
 
-        try:
-            relationships = read_as_rel(args.relationships).relationships
-        except (OSError, DatasetError, ParseError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_DATA
+        relationships = read_as_rel(args.relationships).relationships
     get_registry().reset()
     retry = RetryPolicy(max_attempts=max(1, args.retry_attempts))
     started = time.perf_counter()
@@ -1280,12 +1245,6 @@ def cmd_compile_artifact(args) -> int:
     except ModelError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except ShutdownRequested as shutdown:
-        print(
-            f"interrupted by signal {shutdown.signum} before the artifact "
-            "was compiled; nothing written", file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
     size = write_artifact(artifact, args.out)
     print(
         f"compiled {len(artifact.origins)} origins x "
@@ -1319,18 +1278,13 @@ def cmd_query(args) -> int:
     """Handle ``repro query``."""
     import json
 
-    from repro.errors import ArtifactError
     from repro.serve.engine import QUARANTINED, QueryError
 
     if (args.origin is None) == (args.lookup is None):
         print("error: give exactly one of --origin or --lookup",
               file=sys.stderr)
         return 2
-    try:
-        engine = _load_artifact_engine(args.artifact)
-    except ArtifactError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_DATA
+    engine = _load_artifact_engine(args.artifact)
     try:
         if args.lookup is not None:
             answer = engine.lookup(args.lookup, args.observer)
@@ -1365,7 +1319,6 @@ def cmd_query(args) -> int:
 
 def cmd_serve(args) -> int:
     """Handle ``repro serve``."""
-    from repro.errors import ArtifactError
     from repro.serve import AdmissionController, run_server, run_supervised
 
     get_registry().reset()
@@ -1373,7 +1326,7 @@ def cmd_serve(args) -> int:
         engine = _load_artifact_engine(
             args.artifact, cache_size=args.cache_size
         )
-    except (ArtifactError, ValueError) as error:
+    except ValueError as error:  # e.g. a non-positive --cache-size
         print(f"error: {error}", file=sys.stderr)
         return EXIT_DATA
     handler_delay = max(0.0, args.chaos_delay_ms) / 1000.0
@@ -1430,10 +1383,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    """Handle ``repro profile``.
-
-    Exit codes: 0 profiled, 2 bad arguments, 4 unusable input.
-    """
+    """Handle ``repro profile`` (exit codes: module docstring)."""
     from repro.experiments.profiling import (
         WORKLOAD_COMPILE,
         WORKLOAD_INGEST,
@@ -1454,20 +1404,16 @@ def cmd_profile(args) -> int:
         else:
             fn = refine_workload(args.dump, max_iterations=args.max_iterations)
     sample = args.sample or args.folded is not None
-    try:
-        run = run_profiled(
-            workload_info,
-            fn,
-            trace_memory=args.trace_memory,
-            sample=sample,
-            sample_mode=args.sample_mode,
-            sample_interval=args.sample_interval,
-            folded_path=args.folded,
-            meta=run_metadata(argv=getattr(args, "invocation", None)),
-        )
-    except (DatasetError, ParseError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_DATA
+    run = run_profiled(
+        workload_info,
+        fn,
+        trace_memory=args.trace_memory,
+        sample=sample,
+        sample_mode=args.sample_mode,
+        sample_interval=args.sample_interval,
+        folded_path=args.folded,
+        meta=run_metadata(argv=getattr(args, "invocation", None)),
+    )
     write_profile(run.document, args.out)
     print(render_profile(run.document))
     print(f"wrote profile to {args.out}", file=sys.stderr)
@@ -1481,11 +1427,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_bench_diff(args) -> int:
-    """Handle ``repro bench-diff``.
-
-    Exit codes: 0 no regressions, 1 regression(s), 2 bad arguments,
-    4 unreadable/invalid input documents.
-    """
+    """Handle ``repro bench-diff`` (exit codes: module docstring)."""
     from repro.obs.benchdiff import diff_files
 
     thresholds: dict[str, float] = {}
@@ -1501,17 +1443,13 @@ def cmd_bench_diff(args) -> int:
             print(f"error: --threshold {spec!r}: {pct!r} is not a number",
                   file=sys.stderr)
             return 2
-    try:
-        diff = diff_files(
-            args.base,
-            args.current,
-            default_threshold=args.default_threshold,
-            thresholds=thresholds,
-            skip=args.skip or [],
-        )
-    except DatasetError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_DATA
+    diff = diff_files(
+        args.base,
+        args.current,
+        default_threshold=args.default_threshold,
+        thresholds=thresholds,
+        skip=args.skip or [],
+    )
     if args.as_json:
         print(diff.to_json())
     else:
@@ -1560,36 +1498,20 @@ def cmd_campaign(args) -> int:
         run_campaign,
         validate_baseline,
     )
-    from repro.errors import ArtifactError, CheckpointError
     from repro.serve import PredictionArtifact
 
-    try:
-        model = _load_model(args.model)
-    except (OSError, ParseError, TopologyError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_DATA
+    model = _load_model(args.model)
     get_registry().reset()
     retry = RetryPolicy(max_attempts=max(1, args.retry_attempts))
     if args.baseline:
-        try:
-            artifact = PredictionArtifact.load(args.baseline)
-            validate_baseline(model, artifact)
-        except ArtifactError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_DATA
+        artifact = PredictionArtifact.load(args.baseline)
+        validate_baseline(model, artifact)
     else:
         from repro.serve import compile_artifact
 
         print("no --baseline given; compiling one in-process",
               file=sys.stderr)
-        try:
-            artifact, _ = compile_artifact(model, retry=retry)
-        except ShutdownRequested as shutdown:
-            print(
-                f"interrupted by signal {shutdown.signum} while compiling "
-                "the baseline; nothing to resume", file=sys.stderr,
-            )
-            return EXIT_INTERRUPTED
+        artifact, _ = compile_artifact(model, retry=retry)
         # Scenario workers and the baseline must not share routing state:
         # scenarios re-simulate from a cold network.
         model.network.clear_routing()
@@ -1616,31 +1538,16 @@ def cmd_campaign(args) -> int:
     context = context_from_artifact(artifact)
 
     def execute() -> int:
-        try:
-            report = run_campaign(
-                model,
-                args.kind,
-                scenarios,
-                context,
-                retry=retry,
-                parallel=_parallel_config(args),
-                checkpoint=args.checkpoint,
-                resume=args.resume,
-            )
-        except CheckpointError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_DATA
-        except ShutdownRequested as shutdown:
-            where = (
-                f"; checkpoint written to {args.checkpoint}"
-                if args.checkpoint else " (no --checkpoint, progress lost)"
-            )
-            print(
-                f"interrupted by signal {shutdown.signum}: "
-                f"{len(shutdown.pending)} scenario(s) unfinished{where}",
-                file=sys.stderr,
-            )
-            return EXIT_INTERRUPTED
+        report = run_campaign(
+            model,
+            args.kind,
+            scenarios,
+            context,
+            retry=retry,
+            parallel=_parallel_config(args),
+            checkpoint=args.checkpoint,
+            resume=args.resume,
+        )
         report.meta.update(
             run_metadata(argv=getattr(args, "invocation", None))
         )

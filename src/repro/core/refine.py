@@ -295,7 +295,7 @@ class Refiner:
         self, path: Path
     ) -> tuple[int, int, int, list[IterationStats]]:
         """Swap in a checkpointed model and return the saved loop state."""
-        saved = load_checkpoint(path)
+        saved = load_checkpoint(path, training_fingerprint(self.targets))
         model = saved.restore_model()
         missing = [o for o in self.targets if o not in model.prefix_by_origin]
         if missing:
@@ -303,16 +303,14 @@ class Refiner:
                 f"checkpoint {path} lacks training origins {missing[:5]}; "
                 "it was written for a different dataset"
             )
-        if saved.fingerprint and saved.fingerprint != training_fingerprint(
-            self.targets
-        ):
+        try:
+            iterations = [IterationStats(**fields) for fields in saved.iterations]
+        except TypeError as error:
             raise CheckpointError(
-                f"checkpoint {path} was written for a different training "
-                "dataset (fingerprint mismatch)"
-            )
+                f"checkpoint {path} has a malformed iteration record: {error}"
+            ) from error
         self.model = model
         self._restore_certificates(path)
-        iterations = [IterationStats(**fields) for fields in saved.iterations]
         return saved.iteration, saved.best_matched, saved.stale_iterations, iterations
 
     def _save_certificates(self, checkpoint_path: Path) -> None:

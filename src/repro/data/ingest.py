@@ -88,13 +88,9 @@ def _restore(
     checkpoint_path: Path, source: Path, out_path: Path | None
 ) -> IngestCheckpoint:
     """Validate a checkpoint against the feed it claims to describe."""
-    checkpoint = load_ingest_checkpoint(checkpoint_path)
-    fingerprint = ingest_fingerprint(source)
-    if checkpoint.fingerprint != fingerprint:
-        raise CheckpointError(
-            f"checkpoint {checkpoint_path} was taken against a different "
-            f"feed than {source} (fingerprint mismatch); refusing to resume"
-        )
+    checkpoint = load_ingest_checkpoint(
+        checkpoint_path, ingest_fingerprint(source)
+    )
     if out_path is None:
         raise CheckpointError(
             f"checkpoint {checkpoint_path} needs the clean output file to "

@@ -30,14 +30,13 @@ registry.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import pickle
-import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from multiprocessing import get_context
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.bgp.decision import DecisionConfig
 from repro.bgp.network import Network
@@ -73,6 +72,7 @@ from repro.resilience.retry import (
     ResilienceStats,
     RetryPolicy,
 )
+from repro.runstate import drain_signals
 
 logger = logging.getLogger(__name__)
 
@@ -165,6 +165,140 @@ class SupervisionLedger:
         }
 
 
+@dataclass
+class Worker:
+    """One supervised process, as the slot lifecycle sees it.
+
+    Supervisors subclass this to hang their own per-worker state (the
+    pool's in-flight task, the serve tier's ready flag) on the record.
+    """
+
+    index: int
+    generation: int
+    process: object
+    conn: object
+    pid: int
+    last_beat: float
+
+
+class WorkerSlots:
+    """The process lifecycle of a fixed set of supervised worker slots.
+
+    Owns what every supervisor does the same way: start a process on a
+    pipe and account the spawn, pump whatever the workers sent (EOF on a
+    pipe means the worker crashed), sweep for dead or silent workers,
+    kill one outright, and stop them all within a grace period.  Policy
+    stays with the owner: ``on_message(worker, message)`` interprets the
+    protocol, ``on_lost(worker, reason)`` decides what a loss costs and
+    whether the slot is respawned.
+    """
+
+    def __init__(
+        self,
+        ledger: SupervisionLedger,
+        target: Callable[..., None],
+        worker_args: Callable[[object], tuple],
+        name: str,
+        heartbeat_grace: float,
+        on_message: Callable[[Worker, tuple], None],
+        on_lost: Callable[[Worker, str], None],
+        start_method: str | None = None,
+        record: type[Worker] = Worker,
+    ) -> None:
+        if start_method is None:
+            methods = multiprocessing.get_all_start_methods()
+            start_method = "fork" if "fork" in methods else "spawn"
+        self._ctx = multiprocessing.get_context(start_method)
+        self.ledger = ledger
+        self._target = target
+        self._worker_args = worker_args
+        self._name = name
+        self._heartbeat_grace = heartbeat_grace
+        self._on_message = on_message
+        self._on_lost = on_lost
+        self._record = record
+        self._slots: list[Worker | None] = [None] * ledger.workers
+
+    def live(self) -> list[Worker]:
+        return [w for w in self._slots if w is not None]
+
+    def spawn(self, index: int) -> None:
+        """Start a process in slot ``index`` (initial spawn or restart)."""
+        parent_conn, child_conn = self._ctx.Pipe()
+        process = self._ctx.Process(
+            target=self._target,
+            args=self._worker_args(child_conn),
+            name=f"{self._name}-{index}",
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        generation, _ = self.ledger.record_spawn(index, process.pid)
+        self._slots[index] = self._record(
+            index=index,
+            generation=generation,
+            process=process,
+            conn=parent_conn,
+            pid=process.pid,
+            last_beat=time.monotonic(),
+        )
+
+    def spawn_all(self) -> None:
+        for index in range(len(self._slots)):
+            self.spawn(index)
+
+    def pump(self, tick: float) -> None:
+        """Receive everything the workers sent, blocking at most ``tick``."""
+        conns = {w.conn: w for w in self.live()}
+        if not conns:
+            time.sleep(tick)
+            return
+        for conn in mp_connection.wait(list(conns), timeout=tick):
+            worker = conns[conn]
+            # A slot an earlier message this sweep got replaced is skipped.
+            while self._slots[worker.index] is worker:
+                try:
+                    if not conn.poll():
+                        break
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    self._on_lost(worker, FAIL_CRASH)
+                    break
+                worker.last_beat = time.monotonic()
+                self._on_message(worker, message)
+
+    def sweep(self) -> None:
+        """Report workers that died or went silent past the grace."""
+        now = time.monotonic()
+        for worker in self.live():
+            if not worker.process.is_alive() and not worker.conn.poll():
+                self._on_lost(worker, FAIL_CRASH)
+            elif now - worker.last_beat > self._heartbeat_grace:
+                self._on_lost(worker, FAIL_STALLED)
+
+    def discard(self, worker: Worker) -> None:
+        """Forcibly empty ``worker``'s slot (SIGKILL, no goodbye)."""
+        if worker.process.is_alive():
+            worker.process.kill()
+        worker.process.join(2.0)
+        worker.conn.close()
+        self._slots[worker.index] = None
+
+    def stop(self, request: Callable[[Worker], None], grace: float) -> None:
+        """Ask every worker to stop; kill whoever outlives ``grace``."""
+        for worker in self.live():
+            request(worker)
+        deadline = time.monotonic() + grace
+        for worker in self.live():
+            worker.process.join(max(0.0, deadline - time.monotonic()))
+            if worker.process.is_alive():
+                logger.warning(
+                    "%s worker %d (pid %s) ignored the stop request; killing",
+                    self.ledger.prefix, worker.index, worker.pid,
+                )
+            self.discard(worker)
+
+
 @dataclass(frozen=True)
 class ParallelConfig:
     """How the supervised pool runs.
@@ -239,17 +373,18 @@ class GenericRunStats:
 
 
 @dataclass
-class _Worker:
-    """One supervised worker process."""
+class _Worker(Worker):
+    """One pool worker: the slot record plus its in-flight task."""
 
-    index: int
-    generation: int
-    process: object
-    conn: object
-    pid: int
     task_id: int | None = None
     dispatched_at: float = 0.0
-    last_beat: float = 0.0
+
+
+def _request_shutdown(worker: Worker) -> None:
+    try:
+        worker.conn.send((MSG_SHUTDOWN,))
+    except (BrokenPipeError, OSError):
+        pass
 
 
 class SupervisedPool:
@@ -277,22 +412,35 @@ class SupervisedPool:
         self.config = config
         self.policy = policy
         self.parallel = parallel
-        start_method = parallel.start_method
-        if start_method is None:
-            import multiprocessing
-
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = get_context(start_method)
-        self._blob = dump_network(network)
-        self._context_blob = (
-            pickle.dumps(context) if context is not None else None
-        )
-        self._workers: list[_Worker | None] = [None] * parallel.workers
+        blob = dump_network(network)
+        context_blob = pickle.dumps(context) if context is not None else None
         self._ledger = SupervisionLedger("parallel", parallel.workers)
+        self._slots = WorkerSlots(
+            self._ledger,
+            worker_main,
+            lambda conn: (
+                conn,
+                blob,
+                config,
+                policy,
+                parallel.faults,
+                parallel.heartbeat_interval,
+                context_blob,
+            ),
+            "repro-sim-worker",
+            parallel.heartbeat_grace,
+            self._handle_message,
+            self._fail_worker,
+            start_method=parallel.start_method,
+            record=_Worker,
+        )
+        self._drain = drain_signals()
+        self._tasks: dict[int, _Task] = {}
+        self._pending: deque[int] = deque()
+        self._results: dict[int, object] = {}
+        self._failed: dict[int, _Failure] = {}
         self._timeouts = 0
         self._resubmits = 0
-        self._drain_signum: int | None = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -321,13 +469,13 @@ class SupervisedPool:
         results, failed = self._run_loop(tasks)
 
         stats = self._merge(tasks, results, failed)
-        if self._drain_signum is not None:
+        if self._drain.signum is not None:
             unfinished = sorted(
                 task.payload
                 for task in tasks.values()
                 if task.task_id not in results and task.task_id not in failed
             )
-            raise ShutdownRequested(self._drain_signum, stats, unfinished)
+            raise ShutdownRequested(self._drain.signum, stats, unfinished)
         return stats
 
     def run_tasks(self, items: Iterable[object]) -> GenericRunStats:
@@ -365,148 +513,74 @@ class SupervisedPool:
                 failures=tuple(task.failures),
             )
         stats.supervision = self._supervision_summary()
-        if self._drain_signum is not None:
+        if self._drain.signum is not None:
             unfinished = sorted(
                 task.key
                 for task in tasks.values()
                 if task.task_id not in results and task.task_id not in failed
             )
-            raise ShutdownRequested(self._drain_signum, stats, unfinished)
+            raise ShutdownRequested(self._drain.signum, stats, unfinished)
         return stats
 
     def _run_loop(
         self, tasks: dict[int, _Task]
     ) -> tuple[dict[int, object], dict[int, _Failure]]:
         """Drive the shared dispatch/pump/watchdog loop to completion."""
-        pending: deque[int] = deque(sorted(tasks))
-        results: dict[int, object] = {}
-        failed: dict[int, _Failure] = {}
-
-        previous_handlers = self._install_signal_handlers()
-        drain_announced = False
+        self._tasks = tasks
+        self._pending.extend(sorted(tasks))
         drain_deadline: float | None = None
         try:
-            for index in range(self.parallel.workers):
-                self._workers[index] = self._spawn(index)
-            while True:
-                now = time.monotonic()
-                if self._drain_signum is not None and not drain_announced:
-                    drain_announced = True
-                    drain_deadline = now + self.parallel.drain_grace
-                    self._emit_drain(len(pending))
-                inflight = [w for w in self._live_workers() if w.task_id is not None]
-                if self._drain_signum is None:
-                    if not pending and not inflight:
+            with self._drain:
+                self._slots.spawn_all()
+                while True:
+                    now = time.monotonic()
+                    draining = self._drain.signum is not None
+                    if draining and drain_deadline is None:
+                        drain_deadline = now + self.parallel.drain_grace
+                        self._emit_drain(len(self._pending))
+                    inflight = [
+                        w for w in self._slots.live() if w.task_id is not None
+                    ]
+                    if not draining:
+                        if not self._pending and not inflight:
+                            break
+                        self._dispatch()
+                    elif not inflight or now >= drain_deadline:
                         break
-                    self._dispatch(pending, tasks)
-                else:
-                    if not inflight or (
-                        drain_deadline is not None and now >= drain_deadline
-                    ):
-                        break
-                self._pump_messages(tasks, pending, results, failed)
-                self._check_watchdogs(tasks, pending, results, failed)
+                    self._slots.pump(_TICK_SECONDS)
+                    self._check_watchdogs()
         finally:
-            self._restore_signal_handlers(previous_handlers)
             self.close()
-        return results, failed
+        return self._results, self._failed
 
     def close(self) -> None:
         """Tear down every worker (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        for worker in self._live_workers():
-            try:
-                worker.conn.send((MSG_SHUTDOWN,))
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + 1.0
-        for worker in self._live_workers():
-            worker.process.join(max(0.0, deadline - time.monotonic()))
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(1.0)
-            worker.conn.close()
-        self._workers = [None] * self.parallel.workers
+        self._slots.stop(_request_shutdown, grace=1.0)
 
     # ------------------------------------------------------------------
-    # Worker lifecycle
+    # Loss handling
     # ------------------------------------------------------------------
 
-    def _live_workers(self) -> list[_Worker]:
-        return [w for w in self._workers if w is not None]
-
-    def _spawn(self, index: int) -> _Worker:
-        """Start worker ``index`` (initial spawn or restart)."""
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(
-                child_conn,
-                self._blob,
-                self.config,
-                self.policy,
-                self.parallel.faults,
-                self.parallel.heartbeat_interval,
-                self._context_blob,
-            ),
-            name=f"repro-sim-worker-{index}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        generation, _ = self._ledger.record_spawn(index, process.pid)
-        now = time.monotonic()
-        return _Worker(
-            index=index,
-            generation=generation,
-            process=process,
-            conn=parent_conn,
-            pid=process.pid,
-            last_beat=now,
-        )
-
-    def _kill_worker(self, worker: _Worker) -> None:
-        """Forcibly remove ``worker`` from the pool (SIGKILL, no goodbye)."""
-        if worker.process.is_alive():
-            worker.process.kill()
-        worker.process.join(2.0)
-        worker.conn.close()
-        self._workers[worker.index] = None
-
-    def _fail_worker(
-        self,
-        worker: _Worker,
-        reason: str,
-        tasks: dict[int, _Task],
-        pending: deque[int],
-        failed: dict[int, _Failure],
-    ) -> None:
+    def _fail_worker(self, worker: _Worker, reason: str) -> None:
         """Handle a dead/hung worker: charge its task, kill, restart."""
+        task_id = worker.task_id
         self._ledger.record_death(
             worker.index,
             worker.pid,
             worker.generation,
             reason,
-            task=tasks[worker.task_id].key
-            if worker.task_id is not None
-            else None,
+            task=self._tasks[task_id].key if task_id is not None else None,
         )
-        task_id = worker.task_id
-        self._kill_worker(worker)
+        self._slots.discard(worker)
         if task_id is not None:
-            self._charge_task_failure(tasks[task_id], reason, pending, failed)
-        if self._drain_signum is None:
-            self._workers[worker.index] = self._spawn(worker.index)
+            self._charge_task_failure(self._tasks[task_id], reason)
+        if self._drain.signum is None:
+            self._slots.spawn(worker.index)
 
-    def _charge_task_failure(
-        self,
-        task: _Task,
-        reason: str,
-        pending: deque[int],
-        failed: dict[int, _Failure],
-    ) -> None:
+    def _charge_task_failure(self, task: _Task, reason: str) -> None:
         """Record one failed dispatch; resubmit or classify the task."""
         task.failures.append(reason)
         registry = get_registry()
@@ -527,7 +601,7 @@ class SupervisedPool:
                 task.key, reason, resubmits_used + 2,
                 self.parallel.max_resubmits + 1,
             )
-            pending.appendleft(task.task_id)
+            self._pending.appendleft(task.task_id)
             return
         status = (
             TIMEOUT
@@ -539,7 +613,7 @@ class SupervisedPool:
             if task.first_dispatched is not None
             else 0.0
         )
-        failed[task.task_id] = _Failure(status, resubmits_used, elapsed)
+        self._failed[task.task_id] = _Failure(status, resubmits_used, elapsed)
         registry.counter(f"parallel.{status}_prefixes").inc()
         if tracer.enabled:
             tracer.event(
@@ -557,15 +631,16 @@ class SupervisedPool:
     # Event loop pieces
     # ------------------------------------------------------------------
 
-    def _dispatch(self, pending: deque[int], tasks: dict[int, _Task]) -> None:
+    def _dispatch(self) -> None:
         """Hand queued tasks to idle workers (one outstanding task each)."""
-        for worker in self._live_workers():
+        pending = self._pending
+        for worker in self._slots.live():
             if not pending:
                 return
             if worker.task_id is not None:
                 continue
             task_id = pending.popleft()
-            task = tasks[task_id]
+            task = self._tasks[task_id]
             worker.task_id = task_id
             worker.dispatched_at = time.monotonic()
             if task.first_dispatched is None:
@@ -580,45 +655,7 @@ class SupervisedPool:
                 pending.appendleft(task_id)
                 return
 
-    def _pump_messages(
-        self,
-        tasks: dict[int, _Task],
-        pending: deque[int],
-        results: dict[int, object],
-        failed: dict[int, _Failure],
-    ) -> None:
-        """Receive everything the workers sent, blocking at most one tick."""
-        conns = {w.conn: w for w in self._live_workers()}
-        if not conns:
-            time.sleep(_TICK_SECONDS)
-            return
-        ready = mp_connection.wait(list(conns), timeout=_TICK_SECONDS)
-        for conn in ready:
-            worker = conns[conn]
-            if self._workers[worker.index] is not worker:
-                continue  # already replaced by an earlier message this sweep
-            while True:
-                try:
-                    if not conn.poll():
-                        break
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    self._fail_worker(worker, FAIL_CRASH, tasks, pending, failed)
-                    break
-                self._handle_message(worker, message, tasks, pending, failed, results)
-                if self._workers[worker.index] is not worker:
-                    break
-
-    def _handle_message(
-        self,
-        worker: _Worker,
-        message: tuple,
-        tasks: dict[int, _Task],
-        pending: deque[int],
-        failed: dict[int, _Failure],
-        results: dict[int, object],
-    ) -> None:
-        worker.last_beat = time.monotonic()
+    def _handle_message(self, worker: _Worker, message: tuple) -> None:
         kind = message[0]
         if kind in (MSG_HEARTBEAT, MSG_READY):
             return
@@ -627,7 +664,7 @@ class SupervisedPool:
             if worker.task_id != task_id:  # stale double-send; ignore
                 return
             worker.task_id = None
-            results[task_id] = result
+            self._results[task_id] = result
             registry = get_registry()
             registry.counter("parallel.tasks_completed").inc()
             registry.histogram("parallel.task_seconds").observe(
@@ -642,67 +679,35 @@ class SupervisedPool:
             get_registry().counter("parallel.task_errors").inc()
             logger.warning(
                 "task %s failed in worker %d: %s",
-                tasks[task_id].key, worker.index, detail,
+                self._tasks[task_id].key, worker.index, detail,
             )
-            self._charge_task_failure(tasks[task_id], FAIL_ERROR, pending, failed)
+            self._charge_task_failure(self._tasks[task_id], FAIL_ERROR)
 
-    def _check_watchdogs(
-        self,
-        tasks: dict[int, _Task],
-        pending: deque[int],
-        results: dict[int, object],
-        failed: dict[int, _Failure],
-    ) -> None:
+    def _check_watchdogs(self) -> None:
         """Kill workers that died, went silent, or blew the task deadline."""
+        self._slots.sweep()
+        timeout = self.parallel.task_timeout
+        if timeout is None:
+            return
         now = time.monotonic()
-        for worker in self._live_workers():
-            if not worker.process.is_alive() and not worker.conn.poll():
-                self._fail_worker(worker, FAIL_CRASH, tasks, pending, failed)
+        for worker in self._slots.live():
+            if worker.task_id is None or now - worker.dispatched_at <= timeout:
                 continue
-            if (
-                worker.task_id is not None
-                and self.parallel.task_timeout is not None
-                and now - worker.dispatched_at > self.parallel.task_timeout
-            ):
-                self._timeouts += 1
-                registry = get_registry()
-                registry.counter("parallel.task_timeouts").inc()
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        EVENT_TASK_TIMEOUT,
-                        prefix=tasks[worker.task_id].key,
-                        worker=worker.index,
-                        timeout=self.parallel.task_timeout,
-                    )
-                self._fail_worker(worker, FAIL_TIMEOUT, tasks, pending, failed)
-                continue
-            if now - worker.last_beat > self.parallel.heartbeat_grace:
-                self._fail_worker(worker, FAIL_STALLED, tasks, pending, failed)
+            self._timeouts += 1
+            get_registry().counter("parallel.task_timeouts").inc()
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event(
+                    EVENT_TASK_TIMEOUT,
+                    prefix=self._tasks[worker.task_id].key,
+                    worker=worker.index,
+                    timeout=timeout,
+                )
+            self._fail_worker(worker, FAIL_TIMEOUT)
 
     # ------------------------------------------------------------------
-    # Signals and merge
+    # Drain and merge
     # ------------------------------------------------------------------
-
-    def _install_signal_handlers(self):
-        """Route SIGINT/SIGTERM into the drain flag (main thread only)."""
-
-        def handle(signum, frame):  # noqa: ARG001 - signal signature
-            self._drain_signum = signum
-
-        previous = {}
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous[signum] = signal.signal(signum, handle)
-            except ValueError:
-                # Not the main thread: the drain path stays reachable via
-                # a caller setting _drain_signum, but signals pass by.
-                break
-        return previous
-
-    def _restore_signal_handlers(self, previous) -> None:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
 
     def _emit_drain(self, queued: int) -> None:
         get_registry().counter("parallel.drains").inc()
@@ -710,14 +715,14 @@ class SupervisedPool:
         if tracer.enabled:
             tracer.event(
                 EVENT_DRAIN,
-                signal=self._drain_signum,
+                signal=self._drain.signum,
                 queued=queued,
                 grace=self.parallel.drain_grace,
             )
         logger.warning(
             "draining on signal %s: %d task(s) still queued, %.1fs grace "
             "for in-flight work",
-            self._drain_signum, queued, self.parallel.drain_grace,
+            self._drain.signum, queued, self.parallel.drain_grace,
         )
 
     def _merge(
@@ -757,7 +762,7 @@ class SupervisedPool:
             **self._ledger.summary(),
             "task_timeouts": self._timeouts,
             "resubmits": self._resubmits,
-            "drained": self._drain_signum is not None,
+            "drained": self._drain.signum is not None,
         }
 
 

@@ -8,23 +8,23 @@ policies and duplicated quasi-routers round-trip through it already.
 Routing state (RIBs) is deliberately *not* stored: simulation is
 deterministic, so resume re-simulates and lands in the same state.
 
-Writes go to a temporary sibling file followed by ``os.replace``, so a
-crash mid-write can never leave a truncated checkpoint behind.
+Writing and the "is this a checkpoint at all" checks are
+:mod:`repro.runstate`'s; this module builds the bodies and validates the
+fields.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import json
 import logging
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.cbgp.export import export_network
 from repro.cbgp.parse import parse_script
-from repro.errors import CheckpointError, ParseError
+from repro.errors import CheckpointError
+from repro.runstate import read_state, write_state
 
 CHECKPOINT_FORMAT = "repro/refiner-checkpoint/v1"
 INGEST_CHECKPOINT_FORMAT = "repro/ingest-checkpoint/v1"
@@ -82,8 +82,12 @@ class RefinerCheckpoint:
 
         try:
             network = parse_script(io.StringIO(self.network_config))
-        except ParseError as error:
-            raise CheckpointError(f"checkpointed network is corrupt: {error}") from error
+        except (ValueError, IndexError) as error:
+            # ParseError is a ValueError; the config parser also lets bare
+            # unpacking/indexing errors out on lines it half-recognises.
+            raise CheckpointError(
+                f"checkpointed network is corrupt: {error}"
+            ) from error
         network.name = self.network_name
         return ASRoutingModel.from_network(network)
 
@@ -98,11 +102,9 @@ def save_checkpoint(
     fingerprint: str = "",
 ) -> None:
     """Atomically write a checkpoint for ``network`` + refiner loop state."""
-    path = Path(path)
     buffer = io.StringIO()
     export_network(network, buffer)
-    document = {
-        "format": CHECKPOINT_FORMAT,
+    write_state(path, CHECKPOINT_FORMAT, {
         "network_name": network.name,
         "fingerprint": fingerprint,
         "iteration": iteration,
@@ -110,30 +112,25 @@ def save_checkpoint(
         "stale_iterations": stale_iterations,
         "iterations": iterations,
         "network_config": buffer.getvalue(),
-    }
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(document), encoding="ascii")
-    os.replace(tmp, path)
+    })
     logger.debug("checkpointed iteration %d to %s", iteration, path)
 
 
-def load_checkpoint(path: str | Path) -> RefinerCheckpoint:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
-    path = Path(path)
+def load_checkpoint(
+    path: str | Path, fingerprint: str | None = None
+) -> RefinerCheckpoint:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    With ``fingerprint`` given, a checkpoint stamped for a different
+    training set is refused.
+    """
+    document = read_state(path, CHECKPOINT_FORMAT, CheckpointError, fingerprint)
     try:
-        document = json.loads(path.read_text(encoding="ascii"))
-    except OSError as error:
-        raise CheckpointError(f"cannot read checkpoint {path}: {error}") from error
-    except json.JSONDecodeError as error:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {error}") from error
-    if not isinstance(document, dict) or document.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"checkpoint {path} has unsupported format "
-            f"{document.get('format') if isinstance(document, dict) else type(document)}"
-        )
-    try:
+        config = document["network_config"]
+        if not isinstance(config, str):
+            raise TypeError("network_config must be a string")
         return RefinerCheckpoint(
-            network_config=document["network_config"],
+            network_config=config,
             network_name=str(document.get("network_name", "parsed")),
             fingerprint=str(document.get("fingerprint", "")),
             iteration=int(document["iteration"]),
@@ -142,7 +139,9 @@ def load_checkpoint(path: str | Path) -> RefinerCheckpoint:
             iterations=list(document["iterations"]),
         )
     except (KeyError, TypeError, ValueError) as error:
-        raise CheckpointError(f"checkpoint {path} is missing fields: {error}") from error
+        raise CheckpointError(
+            f"checkpoint {path} has missing or malformed fields: {error!r}"
+        ) from error
 
 
 # ---------------------------------------------------------------------------
@@ -190,44 +189,25 @@ class IngestCheckpoint:
 
 
 def save_ingest_checkpoint(path: str | Path, checkpoint: IngestCheckpoint) -> None:
-    """Atomically write an ingest checkpoint (tmp sibling + ``os.replace``)."""
-    path = Path(path)
-    document = {
-        "format": INGEST_CHECKPOINT_FORMAT,
-        "source": checkpoint.source,
-        "fingerprint": checkpoint.fingerprint,
-        "byte_offset": checkpoint.byte_offset,
-        "line_number": checkpoint.line_number,
-        "out_offset": checkpoint.out_offset,
-        "complete": checkpoint.complete,
-        "report": checkpoint.report,
-    }
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(document), encoding="ascii")
-    os.replace(tmp, path)
+    """Atomically write an ingest checkpoint."""
+    write_state(path, INGEST_CHECKPOINT_FORMAT, asdict(checkpoint))
     logger.debug(
         "ingest checkpoint at line %d (byte %d) to %s",
         checkpoint.line_number, checkpoint.byte_offset, path,
     )
 
 
-def load_ingest_checkpoint(path: str | Path) -> IngestCheckpoint:
-    """Read a checkpoint written by :func:`save_ingest_checkpoint`."""
-    path = Path(path)
-    try:
-        document = json.loads(path.read_text(encoding="ascii"))
-    except OSError as error:
-        raise CheckpointError(f"cannot read checkpoint {path}: {error}") from error
-    except json.JSONDecodeError as error:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {error}") from error
-    if (
-        not isinstance(document, dict)
-        or document.get("format") != INGEST_CHECKPOINT_FORMAT
-    ):
-        raise CheckpointError(
-            f"checkpoint {path} has unsupported format "
-            f"{document.get('format') if isinstance(document, dict) else type(document)}"
-        )
+def load_ingest_checkpoint(
+    path: str | Path, fingerprint: str | None = None
+) -> IngestCheckpoint:
+    """Read a checkpoint written by :func:`save_ingest_checkpoint`.
+
+    With ``fingerprint`` given, a checkpoint taken against a different
+    feed is refused.
+    """
+    document = read_state(
+        path, INGEST_CHECKPOINT_FORMAT, CheckpointError, fingerprint
+    )
     try:
         return IngestCheckpoint(
             source=str(document["source"]),
@@ -239,4 +219,6 @@ def load_ingest_checkpoint(path: str | Path) -> IngestCheckpoint:
             report=dict(document.get("report") or {}),
         )
     except (KeyError, TypeError, ValueError) as error:
-        raise CheckpointError(f"checkpoint {path} is missing fields: {error}") from error
+        raise CheckpointError(
+            f"checkpoint {path} has missing or malformed fields: {error!r}"
+        ) from error

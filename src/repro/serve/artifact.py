@@ -13,9 +13,9 @@ layout is deliberately boring and self-verifying::
 The header is read *before* the payload, so schema mismatches and
 truncation are detected without decompressing anything, and the SHA-256
 checksum makes bit rot a loud :class:`~repro.errors.ArtifactError`
-instead of a quietly wrong answer.  Writes go through a temp file +
-``os.replace`` like the refinement checkpoints, so a crash mid-write can
-never leave a half-written artifact behind.
+instead of a quietly wrong answer.  Writes go through
+:func:`repro.runstate.atomic_write` like every other state file, so a
+crash mid-write can never leave a half-written artifact behind.
 
 The payload stores, for every (origin ASN, observer ASN) pair with at
 least one selected route, the full AS-path set the refined model
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +38,7 @@ from typing import Iterable, Mapping
 from repro.errors import ArtifactError
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
+from repro.runstate import atomic_write
 
 MAGIC = b"REPRO-ARTIFACT\n"
 """First bytes of every artifact file."""
@@ -183,10 +183,7 @@ class PredictionArtifact:
             header["certificates"] = _certificate_summary(self.certificates)
         blob = MAGIC + json.dumps(header, sort_keys=True).encode("ascii") \
             + b"\n" + payload
-        target = Path(path)
-        temp = target.with_name(target.name + ".tmp")
-        temp.write_bytes(blob)
-        os.replace(temp, target)
+        atomic_write(path, blob)
         object.__setattr__(self, "checksum", header["payload_sha256"])
         return len(blob)
 
@@ -216,6 +213,11 @@ class PredictionArtifact:
             raise ArtifactError(
                 f"{path} has a corrupt header: {error}"
             ) from error
+        if not isinstance(header, dict):
+            raise ArtifactError(
+                f"{path} has a corrupt header: expected a JSON object, "
+                f"found {type(header).__name__}"
+            )
         schema = header.get("schema")
         if schema != SCHEMA_VERSION:
             raise ArtifactError(
@@ -266,19 +268,19 @@ class PredictionArtifact:
                     paths[(origin, int(observer_text))] = tuple(
                         sorted(tuple(int(hop) for hop in path) for path in path_lists)
                     )
+            return cls(
+                origins=origins,
+                observers=observers,
+                paths=paths,
+                quarantined=tuple(document.get("quarantined") or ()),
+                meta=dict(document.get("meta") or {}),
+                model_stats=dict(document.get("model") or {}),
+                certificates=dict(document.get("certificates") or {}),
+            )
         except (TypeError, ValueError, AttributeError) as error:
             raise ArtifactError(
                 f"artifact payload is malformed: {error}"
             ) from error
-        return cls(
-            origins=origins,
-            observers=observers,
-            paths=paths,
-            quarantined=tuple(document.get("quarantined") or ()),
-            meta=dict(document.get("meta") or {}),
-            model_stats=dict(document.get("model") or {}),
-            certificates=dict(document.get("certificates") or {}),
-        )
 
 
 def _certificate_summary(certificates: Mapping) -> dict:

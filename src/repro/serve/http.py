@@ -50,7 +50,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import signal
 import socket
 import threading
 import time
@@ -62,6 +61,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro import __version__
 from repro.obs.metrics import get_registry, render_prometheus
 from repro.obs.trace import get_tracer
+from repro.runstate import drain_signals
 from repro.serve.admission import AdmissionController, Rejection, Ticket
 from repro.serve.engine import (
     BAD_TARGET,
@@ -498,7 +498,6 @@ def run_server(
     port: int = DEFAULT_PORT,
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     ready: threading.Event | None = None,
-    install_signal_handlers: bool = True,
     artifact_path: str | Path | None = None,
     cache_size: int = 4096,
     admission: AdmissionController | None = None,
@@ -511,12 +510,13 @@ def run_server(
     """Serve until SIGINT/SIGTERM, then drain gracefully; returns 0.
 
     The accept loop runs in a worker thread while the calling thread
-    waits for the stop event, so a signal handler (which Python always
-    runs on the main thread) can trigger ``shutdown()`` without
-    deadlocking the loop it interrupts.  ``ready`` (if given) is set once
-    the socket is bound and accepting — tests use it to know when to
-    connect; ``on_ready`` (if given) receives the bound server — the
-    serve supervisor's workers use it to report their address upstream.
+    waits inside a :class:`~repro.runstate.drain_signals` scope, so a
+    signal handler (which Python always runs on the main thread) can
+    trigger ``shutdown()`` without deadlocking the loop it interrupts.
+    ``ready`` (if given) is set once the socket is bound and accepting —
+    tests use it to know when to connect; ``on_ready`` (if given)
+    receives the bound server — the serve supervisor's workers use it to
+    report their address upstream.
 
     When ``artifact_path`` is given the server supports hot-swap
     reloads: SIGHUP and ``POST /-/reload`` both re-stage the artifact
@@ -527,18 +527,10 @@ def run_server(
     bound) *before* any signal handler is touched, so a failed bind
     leaves the caller's handlers exactly as they were.
     """
-    stop = threading.Event()
-    received: list[int] = []
     hup_pending = threading.Event()
-
     wake = threading.Event()
 
-    def handle_stop(signum, frame):  # noqa: ARG001 - signal signature
-        received.append(signum)
-        stop.set()
-        wake.set()
-
-    def handle_hup(signum, frame):  # noqa: ARG001 - signal signature
+    def handle_hup() -> None:
         hup_pending.set()
         wake.set()
 
@@ -558,50 +550,41 @@ def run_server(
         )
         if watch_interval is not None:
             watcher = ArtifactWatcher(server.reloader, interval=watch_interval)
-    previous = {}
-    if install_signal_handlers:
-        handled = [(signal.SIGINT, handle_stop), (signal.SIGTERM, handle_stop)]
-        if server.reloader is not None and hasattr(signal, "SIGHUP"):
-            handled.append((signal.SIGHUP, handle_hup))
-        for signum, handler_fn in handled:
-            try:
-                previous[signum] = signal.signal(signum, handler_fn)
-            except ValueError:  # not the main thread
-                break
-    loop = threading.Thread(
-        target=server.serve_forever, name="repro-serve-accept", daemon=False
-    )
-    loop.start()
-    if watcher is not None:
-        watcher.start()
-    logger.info("serving predictions on http://%s", server.address)
-    if announce:
-        print(f"serving predictions on http://{server.address}", flush=True)
-    if on_ready is not None:
-        on_ready(server)
-    if ready is not None:
-        ready.set()
-    try:
-        while not stop.is_set():
-            wake.wait()
-            wake.clear()
-            if hup_pending.is_set() and server.reloader is not None:
-                hup_pending.clear()
-                server.reloader.reload(reason="sighup")
-    finally:
+    with drain_signals(
+        on_stop=lambda signum: wake.set(),
+        on_hup=handle_hup if server.reloader is not None else None,
+    ) as drain:
+        loop = threading.Thread(
+            target=server.serve_forever, name="repro-serve-accept", daemon=False
+        )
+        loop.start()
         if watcher is not None:
-            watcher.stop()
-        signum = received[0] if received else None
-        server.drain(signum)
-        loop.join()
-        for restored_signum, handler_fn in previous.items():
-            signal.signal(restored_signum, handler_fn)
-        stats = server.engine.cache_stats()
+            watcher.start()
+        logger.info("serving predictions on http://%s", server.address)
         if announce:
-            print(
-                f"drained on signal {signum}: served {stats['queries']} "
-                f"quer{'y' if stats['queries'] == 1 else 'ies'} "
-                f"({stats['hits']} cache hits), shut down cleanly",
-                flush=True,
-            )
+            print(f"serving predictions on http://{server.address}", flush=True)
+        if on_ready is not None:
+            on_ready(server)
+        if ready is not None:
+            ready.set()
+        try:
+            while drain.signum is None:
+                wake.wait()
+                wake.clear()
+                if hup_pending.is_set() and server.reloader is not None:
+                    hup_pending.clear()
+                    server.reloader.reload(reason="sighup")
+        finally:
+            if watcher is not None:
+                watcher.stop()
+            server.drain(drain.signum)
+            loop.join()
+    stats = server.engine.cache_stats()
+    if announce:
+        print(
+            f"drained on signal {drain.signum}: served {stats['queries']} "
+            f"quer{'y' if stats['queries'] == 1 else 'ies'} "
+            f"({stats['hits']} cache hits), shut down cleanly",
+            flush=True,
+        )
     return 0

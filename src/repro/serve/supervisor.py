@@ -14,8 +14,10 @@ between them), and then does nothing but watch:
 * **Liveness** — workers heartbeat over a pipe (reusing the PR-4 worker
   protocol's ``MSG_READY``/``MSG_HEARTBEAT``); a dead process or a
   silent one past the grace period is killed and replaced while its
-  siblings keep answering.  Spawns/deaths/restarts are accounted through
-  the shared :class:`~repro.parallel.supervisor.SupervisionLedger`
+  siblings keep answering.  The spawn / pump / sweep / kill mechanics
+  are the simulation pool's own
+  :class:`~repro.parallel.supervisor.WorkerSlots`, accounted through the
+  shared :class:`~repro.parallel.supervisor.SupervisionLedger`
   (``serve.workers_spawned`` / ``serve.worker_deaths`` /
   ``serve.worker_restarts``).
 * **Boot-loop protection** — a worker that keeps dying before it ever
@@ -36,12 +38,12 @@ import signal
 import socket
 import threading
 import time
-from multiprocessing import connection as mp_connection
-from multiprocessing import get_context
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.parallel.protocol import MSG_ERROR, MSG_HEARTBEAT, MSG_READY
-from repro.parallel.supervisor import SupervisionLedger
+from repro.parallel.supervisor import SupervisionLedger, Worker, WorkerSlots
+from repro.runstate import drain_signals
 
 logger = logging.getLogger(__name__)
 
@@ -52,18 +54,11 @@ BOOT_FAILURE_EXIT = 1
 """Supervisor exit code when workers cannot boot at all."""
 
 
-class _ServeWorker:
-    """Parent-side record of one serve worker process."""
+@dataclass
+class _ServeWorker(Worker):
+    """One serve worker: the slot record plus whether it ever booted."""
 
-    def __init__(self, index, generation, process, conn):
-        self.index = index
-        self.generation = generation
-        self.process = process
-        self.conn = conn
-        self.pid = process.pid
-        self.ready = False
-        self.spawned_at = time.monotonic()
-        self.last_beat = self.spawned_at
+    ready: bool = False
 
 
 def _serve_worker_main(
@@ -174,14 +169,21 @@ class ServeSupervisor:
         self.drain_grace = drain_grace
         self.max_boot_failures = max_boot_failures
         self.restart_backoff = restart_backoff
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = get_context("fork" if "fork" in methods else "spawn")
-        self._workers: list[_ServeWorker | None] = [None] * workers
         self._ledger = SupervisionLedger("serve", workers)
+        self._slots = WorkerSlots(
+            self._ledger,
+            _serve_worker_main,
+            lambda conn: (
+                conn, self.artifact_path, self.host, self.port, self.options
+            ),
+            "repro-serve-worker",
+            heartbeat_grace,
+            self._handle_message,
+            self._replace,
+            record=_ServeWorker,
+        )
+        self._drain = drain_signals(on_hup=self._note_hup)
         self._boot_failures = 0
-        self._stop_signum: int | None = None
         self._hup_pending = False
         self._announced = False
         self._placeholder: socket.socket | None = None
@@ -200,40 +202,41 @@ class ServeSupervisor:
         return {
             **self._ledger.summary(),
             "boot_failures": self._boot_failures,
-            "drained": self._stop_signum is not None,
+            "drained": self._drain.signum is not None,
         }
 
     def run(self) -> int:
         """Serve until SIGINT/SIGTERM; returns 0 on a clean drain."""
         self._reserve_port()
-        previous = self._install_signal_handlers()
         try:
-            for index in range(len(self._workers)):
-                self._workers[index] = self._spawn(index)
-            while self._stop_signum is None:
-                if self._hup_pending:
-                    self._hup_pending = False
-                    self._forward(signal.SIGHUP)
-                self._pump_messages()
-                if self._boot_failures >= self.max_boot_failures:
-                    logger.error(
-                        "giving up after %d consecutive worker boot "
-                        "failures; check the artifact and port",
-                        self._boot_failures,
-                    )
-                    self._shutdown_workers(signal.SIGTERM)
-                    return BOOT_FAILURE_EXIT
-                self._check_workers()
+            with self._drain:
+                self._slots.spawn_all()
+                while self._drain.signum is None:
+                    if self._hup_pending:
+                        self._hup_pending = False
+                        for worker in self._slots.live():
+                            self._signal(worker, signal.SIGHUP)
+                    self._slots.pump(_TICK_SECONDS)
+                    if self._boot_failures >= self.max_boot_failures:
+                        logger.error(
+                            "giving up after %d consecutive worker boot "
+                            "failures; check the artifact and port",
+                            self._boot_failures,
+                        )
+                        return BOOT_FAILURE_EXIT
+                    self._slots.sweep()
         finally:
-            self._restore_signal_handlers(previous)
-            if self._stop_signum is not None:
-                self._shutdown_workers(signal.SIGTERM)
+            # Drain every worker, bounded by ``drain_grace``, then kill.
+            self._slots.stop(
+                lambda worker: self._signal(worker, signal.SIGTERM),
+                self.drain_grace,
+            )
             if self._placeholder is not None:
                 self._placeholder.close()
                 self._placeholder = None
         summary = self.summary()
         print(
-            f"drained on signal {self._stop_signum}: supervised "
+            f"drained on signal {self._drain.signum}: supervised "
             f"{summary['workers']} worker(s), {summary['restarts']} "
             "restart(s), shut down cleanly",
             flush=True,
@@ -263,25 +266,6 @@ class ServeSupervisor:
         self._placeholder = placeholder
         self.port = placeholder.getsockname()[1]
 
-    def _spawn(self, index: int) -> _ServeWorker:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_serve_worker_main,
-            args=(
-                child_conn,
-                self.artifact_path,
-                self.host,
-                self.port,
-                self.options,
-            ),
-            name=f"repro-serve-worker-{index}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        generation, _ = self._ledger.record_spawn(index, process.pid)
-        return _ServeWorker(index, generation, process, parent_conn)
-
     def _replace(self, worker: _ServeWorker, reason: str) -> None:
         """Account one loss and restart the slot (unless stopping)."""
         self._ledger.record_death(
@@ -291,50 +275,16 @@ class ServeSupervisor:
             self._boot_failures += 1
         else:
             self._boot_failures = 0
-        if worker.process.is_alive():
-            worker.process.kill()
-        worker.process.join(2.0)
-        worker.conn.close()
-        self._workers[worker.index] = None
-        if self._stop_signum is not None:
+        self._slots.discard(worker)
+        if self._drain.signum is not None:
             return
         if self._boot_failures >= self.max_boot_failures:
             return  # the run loop turns this into BOOT_FAILURE_EXIT
         if self._boot_failures:
             time.sleep(self.restart_backoff * self._boot_failures)
-        self._workers[worker.index] = self._spawn(worker.index)
-
-    def _live_workers(self) -> list[_ServeWorker]:
-        return [w for w in self._workers if w is not None]
-
-    # ------------------------------------------------------------------
-    # Watch loop pieces
-    # ------------------------------------------------------------------
-
-    def _pump_messages(self) -> None:
-        conns = {w.conn: w for w in self._live_workers()}
-        if not conns:
-            time.sleep(_TICK_SECONDS)
-            return
-        ready = mp_connection.wait(list(conns), timeout=_TICK_SECONDS)
-        for conn in ready:
-            worker = conns[conn]
-            if self._workers[worker.index] is not worker:
-                continue
-            while True:
-                try:
-                    if not conn.poll():
-                        break
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    self._replace(worker, "crash")
-                    break
-                self._handle_message(worker, message)
-                if self._workers[worker.index] is not worker:
-                    break
+        self._slots.spawn(worker.index)
 
     def _handle_message(self, worker: _ServeWorker, message: tuple) -> None:
-        worker.last_beat = time.monotonic()
         kind = message[0]
         if kind == MSG_READY:
             worker.ready = True
@@ -355,64 +305,16 @@ class ServeSupervisor:
                 worker.index, worker.pid, message[2],
             )
 
-    def _check_workers(self) -> None:
-        now = time.monotonic()
-        for worker in self._live_workers():
-            if not worker.process.is_alive() and not worker.conn.poll():
-                self._replace(worker, "crash")
-                continue
-            if now - worker.last_beat > self.heartbeat_grace:
-                self._replace(worker, "stalled")
+    def _note_hup(self) -> None:
+        self._hup_pending = True
 
-    # ------------------------------------------------------------------
-    # Signals and shutdown
-    # ------------------------------------------------------------------
-
-    def _install_signal_handlers(self):
-        def handle_stop(signum, frame):  # noqa: ARG001
-            self._stop_signum = signum
-
-        def handle_hup(signum, frame):  # noqa: ARG001
-            self._hup_pending = True
-
-        previous = {}
-        handled = [(signal.SIGINT, handle_stop), (signal.SIGTERM, handle_stop)]
-        if hasattr(signal, "SIGHUP"):
-            handled.append((signal.SIGHUP, handle_hup))
-        for signum, handler in handled:
+    @staticmethod
+    def _signal(worker: _ServeWorker, signum: int) -> None:
+        if worker.process.is_alive():
             try:
-                previous[signum] = signal.signal(signum, handler)
-            except ValueError:  # not the main thread
-                break
-        return previous
-
-    def _restore_signal_handlers(self, previous) -> None:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-
-    def _forward(self, signum: int) -> None:
-        for worker in self._live_workers():
-            if worker.process.is_alive():
-                try:
-                    os.kill(worker.pid, signum)
-                except (ProcessLookupError, OSError):
-                    pass
-
-    def _shutdown_workers(self, signum: int) -> None:
-        """Drain every worker, bounded by ``drain_grace``, then kill."""
-        self._forward(signum)
-        deadline = time.monotonic() + self.drain_grace
-        for worker in self._live_workers():
-            worker.process.join(max(0.0, deadline - time.monotonic()))
-            if worker.process.is_alive():
-                logger.warning(
-                    "serve worker %d (pid %s) ignored the drain; killing",
-                    worker.index, worker.pid,
-                )
-                worker.process.kill()
-                worker.process.join(2.0)
-            worker.conn.close()
-        self._workers = [None] * len(self._workers)
+                os.kill(worker.pid, signum)
+            except (ProcessLookupError, OSError):
+                pass
 
 
 def run_supervised(

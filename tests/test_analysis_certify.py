@@ -275,10 +275,6 @@ class TestPersistence:
         with pytest.raises(CertificateError):
             CertificateStore.load(path)
 
-    def test_load_missing_file_raises(self, tmp_path):
-        with pytest.raises(CertificateError):
-            CertificateStore.load(tmp_path / "absent.certs")
-
 
 class TestMetrics:
     def test_hits_misses_and_invalidations_are_counted(self):
