@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Where do the collector's passes land in the pipeline benchmark?
+
+    python3 scripts/gc_stage_probe.py WORKLOAD [--world W] [--passes N]
+
+Runs ``benchmarks/pipeline``'s ``run_pass`` (imported, not modified) with
+a ``gc.callbacks`` hook installed and prints, per stage, how many gen-0 /
+gen-1 / gen-2 collections ran inside it and how long they took.  CPython
+starts a full (gen-2) collection by the count of surviving tracked
+objects, not by the clock, so a change that leaves more or fewer objects
+alive moves a ~0.1 s pass from one stage into another: a short stage that
+"regresses" by one gen-2 pass shows it here (see benchmarks/README.md).
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import sys
+import tempfile
+import time
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "benchmarks" / "pipeline"), str(ROOT / "src")]
+
+
+def main() -> int:
+    from pipeline import run_pass
+    from workloads import WORKLOADS
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", choices=sorted(WORKLOADS))
+    parser.add_argument("--world", type=int, default=0)
+    parser.add_argument("--passes", type=int, default=2,
+                        help="the benchmark repeats the pass in one process")
+    args = parser.parse_args()
+    workload = WORKLOADS[args.workload].offset(args.world)
+
+    collections: list[list[float]] = []  # [generation, started, seconds]
+
+    def hook(phase: str, info: dict) -> None:
+        if phase == "start":
+            collections.append([info["generation"], time.perf_counter(), 0.0])
+        else:
+            collections[-1][2] = time.perf_counter() - collections[-1][1]
+
+    with tempfile.TemporaryDirectory() as scratch:
+        for number in range(1, args.passes + 1):
+            collections.clear()
+            gc.callbacks.append(hook)
+            try:
+                result = run_pass(workload, 0, Path(scratch), traced=False)
+            finally:
+                gc.callbacks.remove(hook)
+            stages = [s for s in result.recorder.spans if s.name.startswith("stage.")]
+            wall: dict[str, float] = defaultdict(float)
+            for stage in stages:
+                wall[stage.name[6:]] += stage.end - stage.start
+            count: dict[tuple[str, int], int] = defaultdict(int)
+            spent: dict[tuple[str, int], float] = defaultdict(float)
+            for generation, started, seconds in collections:
+                inside = [s.name[6:] for s in stages if s.start <= started <= s.end]
+                key = (inside[0] if inside else "(between)", int(generation))
+                wall.setdefault(key[0], 0.0)
+                count[key] += 1
+                spent[key] += seconds
+            print(f"pass {number}: {args.workload} world={args.world}")
+            print(f"  {'stage':<10} {'stage_s':>8}"
+                  + "".join(f" {f'gen{g}':>6} {'s':>7}" for g in range(3)))
+            for name, seconds in wall.items():
+                print(f"  {name:<10} {seconds:8.3f}" + "".join(
+                    f" {count[name, g]:6d} {spent[name, g]:7.3f}" for g in range(3)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -199,34 +199,53 @@ def select_best(
     Behaviourally identical to ``run_decision(...).best``; the propagation
     engine calls this in its inner loop, while the metrics layer uses
     :func:`run_decision` when it needs to know *why* a route lost.
+
+    Consecutive steps that each keep the minimum of one attribute are one
+    lexicographic minimum, so steps 1-3 are a single pass and so are steps
+    6-8, after step 5 has settled the source (``igp_cost`` is asked only
+    about routes that survive step 5, exactly as in :func:`run_decision`).
+    Per-neighbour MED is not a total order — a route is only ever beaten
+    by a route from its own neighbour AS — so step 4 stays a filter
+    between the two.  Ties keep the earliest candidate, as ``min`` does.
     """
-    if not candidates:
-        return None
-    alive = list(candidates)
-    if len(alive) > 1:
-        best_lp = max(route.local_pref for route in alive)
-        alive = [r for r in alive if r.local_pref == best_lp]
-    if len(alive) > 1:
-        best_len = min(len(route.as_path) for route in alive)
-        alive = [r for r in alive if len(r.as_path) == best_len]
-    if len(alive) > 1:
-        best_origin = min(route.origin for route in alive)
-        alive = [r for r in alive if r.origin == best_origin]
-    if len(alive) > 1:
+    if len(candidates) < 2:
+        return candidates[0] if candidates else None
+    head = None
+    alive: list[Route] = []
+    for route in candidates:
+        key = (-route.local_pref, len(route.as_path), route.origin)
+        if head is None or key < head:
+            head = key
+            alive = [route]
+        elif key == head:
+            alive.append(route)
+    if len(alive) == 1:
+        return alive[0]
+    meds = [route.med for route in alive]
+    if min(meds) != max(meds):
         alive = _med_survivors(alive, config.med_always_compare)
-    if len(alive) > 1:
-        best_source = min(route.source for route in alive)
-        alive = [r for r in alive if r.source == best_source]
-    if len(alive) > 1 and config.use_igp_cost:
-        costs = [igp_cost(route) for route in alive]
-        best_cost = min(costs)
-        alive = [r for r, c in zip(alive, costs) if c == best_cost]
-    if len(alive) > 1:
-        best_cluster = min(len(route.cluster_list) for route in alive)
-        alive = [r for r in alive if len(r.cluster_list) == best_cluster]
-    if len(alive) > 1:
-        return min(alive, key=_router_id_key)
-    return alive[0]
+        if len(alive) == 1:
+            return alive[0]
+    sources = [route.source for route in alive]
+    best_source = min(sources)
+    if sources.count(best_source) == 1:
+        return alive[sources.index(best_source)]
+    use_igp_cost = config.use_igp_cost
+    best = tail = None
+    for route in alive:
+        if route.source != best_source:
+            continue
+        key = (
+            igp_cost(route) if use_igp_cost else 0.0,
+            len(route.cluster_list),
+            route.originator_id or route.peer_router,
+            route.peer_router,
+            route.next_hop,
+        )
+        if tail is None or key < tail:
+            best = route
+            tail = key
+    return best
 
 
 def _med_survivors(alive: Sequence[Route], always_compare: bool) -> list[Route]:
@@ -234,10 +253,12 @@ def _med_survivors(alive: Sequence[Route], always_compare: bool) -> list[Route]:
 
     With ``always_compare`` the MED is a global metric: keep the minimum.
     Otherwise MEDs are only comparable among routes from the same neighbour
-    AS: within each neighbour-AS group keep only that group's minimum.
+    AS: within each neighbour-AS group keep only that group's minimum —
+    which is again the global minimum when every route came from one
+    neighbour.
     """
-    if always_compare:
-        best_med = min(route.med for route in alive)
+    if always_compare or len({route.peer_asn for route in alive}) == 1:
+        best_med = min([route.med for route in alive])
         return [route for route in alive if route.med == best_med]
     best_per_asn: dict[int, int] = {}
     for route in alive:

@@ -23,11 +23,12 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, DEFAULT_MED, RouteSource
 from repro.bgp.decision import (
     DecisionConfig,
+    IgpCostFn,
     run_decision,
     select_best,
     step_name,
@@ -37,7 +38,7 @@ from repro.bgp.route import Route
 from repro.bgp.router import Router
 from repro.bgp.session import Session
 from repro.errors import ConvergenceError
-from repro.bgp.policy import MAP_STATS
+from repro.bgp.policy import MAP_STATS, Clause, RouteMap
 from repro.net.community import NO_ADVERTISE, NO_EXPORT
 from repro.net.prefix import Prefix
 from repro.obs.metrics import get_registry, labelled
@@ -58,6 +59,9 @@ from repro.obs.trace import (
 )
 
 logger = logging.getLogger(__name__)
+
+_EBGP = RouteSource.EBGP
+_IBGP = RouteSource.IBGP
 
 
 @dataclass
@@ -142,6 +146,66 @@ def simulate(
     return stats
 
 
+class _PrefixRun:
+    """The working set of one :func:`simulate_prefix` call.
+
+    Everything a message touches is reached from here by router id (an
+    ``int``) instead of through the routers' per-prefix dicts, whose keys
+    hash at Python level: ``rib_in`` / ``rib_out`` alias the routers' own
+    ``adj_rib_in[prefix]`` / ``adj_rib_out[prefix]`` dicts from first
+    touch on, ``loc_rib`` mirrors their ``loc_rib[prefix]`` entries (the
+    routers' dicts are written through on every change, so an exception
+    leaves the same partial state as ever), ``touched`` is the network's
+    own touched set, and ``clauses`` holds each route-map's clause list
+    resolved for this prefix.  All of it dies with the call: nothing is
+    memoised on ``RouteMap``, ``Session`` or ``Router``, which are
+    pickled into every campaign copy.
+    """
+
+    __slots__ = (
+        "prefix", "config", "queue", "stats", "tracer", "profiler",
+        "ases", "touched", "local", "rib_in", "loc_rib", "rib_out", "clauses",
+    )
+
+    def __init__(
+        self,
+        network: Network,
+        prefix: Prefix,
+        config: DecisionConfig,
+        stats: EngineStats,
+    ) -> None:
+        self.prefix = prefix
+        self.config = config
+        self.queue: deque[tuple[Session, Route | None]] = deque()
+        self.stats = stats
+        # One None check per hook point when tracing / profiling is off.
+        tracer = get_tracer()
+        self.tracer: Tracer | None = tracer if tracer.enabled else None
+        profiler = get_profiler()
+        self.profiler: PhaseProfiler | None = profiler if profiler.enabled else None
+        self.ases = network.ases
+        self.touched = network.touched_set(prefix)
+        self.local: dict[int, Route] = {}
+        self.rib_in: dict[int, dict[int, Route]] = {}
+        self.loc_rib: dict[int, Route] = {}
+        self.rib_out: dict[int, dict[int, Route]] = {}
+        self.clauses: dict[RouteMap, Sequence[tuple[int, Clause]]] = {}
+
+    def apply_map(self, route_map: RouteMap, route: Route) -> Route | None:
+        """``route_map.apply(route)``, resolving the clause list only once."""
+        profiler = self.profiler
+        if profiler is not None:
+            profiler.push(PHASE_ROUTE_MAP)
+        try:
+            entries = self.clauses.get(route_map)
+            if entries is None:
+                entries = self.clauses[route_map] = route_map.resolve(self.prefix)
+            return route_map.apply_resolved(entries, route)
+        finally:
+            if profiler is not None:
+                profiler.pop()
+
+
 def simulate_prefix(
     network: Network,
     prefix: Prefix,
@@ -157,69 +221,76 @@ def simulate_prefix(
         max_messages = default_message_budget(network)
     network.clear_prefix(prefix)
     stats = EngineStats(prefixes=1)
-    tracer = get_tracer()
-    profiler = get_profiler()
-    # The hot loop pays one None check per hook point when profiling is
-    # off (mirroring the tracer's `enabled` idiom).
-    prof = profiler if profiler.enabled else None
+    run = _PrefixRun(network, prefix, config, stats)
+    prof = run.profiler
     map_stats_before = MAP_STATS.snapshot()
-    queue: deque[tuple[Session, Route | None]] = deque()
 
+    # Only originators hold a local route: Network.originate/withdraw keep
+    # Router.local_routes and Network.originations in step.
     for router_id in sorted(network.originators(prefix)):
         router = network.routers[router_id]
-        router.local_routes[prefix] = Route.originate(prefix, router_id)
-        network.note_touched(prefix, router_id)
-        _decide_and_export(
-            network, router, prefix, config, queue, stats, tracer, prof
+        router.local_routes[prefix] = run.local[router_id] = Route.originate(
+            prefix, router_id
         )
+        run.touched.add(router_id)
+        _decide_and_export(run, router)
 
+    queue = run.queue
+    ribs_in = run.rib_in
+    messages = 0
     while queue:
-        stats.messages += 1
-        if stats.messages > max_messages:
+        messages += 1
+        if messages > max_messages:
+            stats.messages = messages
             get_registry().counter("engine.budget_exhausted").inc()
-            if tracer.enabled:
-                tracer.event(
+            if run.tracer is not None:
+                run.tracer.event(
                     EVENT_BUDGET_EXHAUSTED,
                     prefix=str(prefix),
-                    messages=stats.messages,
+                    messages=messages,
                     budget=max_messages,
                 )
             _account_route_map(stats, map_stats_before)
-            raise ConvergenceError(prefix, stats.messages, max_messages)
-        if prof:
+            raise ConvergenceError(prefix, messages, max_messages)
+        if prof is not None:
             prof.push(PHASE_DISPATCH)
-        session, announced = queue.popleft()
-        receiver = session.dst
-        accepted = _import_route(session, announced, prof)
-        if prof:
-            prof.switch(PHASE_RIB_MERGE)
-        rib_in = receiver.adj_rib_in.setdefault(prefix, {})
-        previous = rib_in.get(session.session_id)
-        changed = True
-        if accepted is None:
-            if previous is None:
-                changed = False
-            else:
-                del rib_in[session.session_id]
-        else:
-            if accepted.attributes_equal(previous) and (
+        try:
+            session, announced = queue.popleft()
+            receiver = session.dst
+            accepted = _import_route(run, session, announced)
+            if prof is not None:
+                prof.switch(PHASE_RIB_MERGE)
+            receiver_id = receiver.router_id
+            rib_in = ribs_in.get(receiver_id)
+            if rib_in is None:
+                rib_in = ribs_in[receiver_id] = receiver.adj_rib_in.setdefault(
+                    prefix, {}
+                )
+            session_id = session.session_id
+            previous = rib_in.get(session_id)
+            if accepted is None:
+                if previous is None:
+                    continue
+                del rib_in[session_id]
+            elif (
                 previous is not None
+                and accepted.attributes_equal(previous)
                 and accepted.source == previous.source
                 and accepted.peer_router == previous.peer_router
             ):
-                changed = False
+                continue
             else:
-                rib_in[session.session_id] = accepted
-        if prof:
-            prof.pop()
-        if not changed:
-            continue
-        network.note_touched(prefix, receiver.router_id)
-        _decide_and_export(
-            network, receiver, prefix, config, queue, stats, tracer, prof
-        )
+                rib_in[session_id] = accepted
+        finally:
+            # Also on an import map that raises (a malformed path_regex):
+            # a phase left on the stack would mis-attribute all later time.
+            if prof is not None:
+                prof.pop()
+        run.touched.add(receiver_id)
+        _decide_and_export(run, receiver)
 
-    stats.per_prefix_messages[prefix] = stats.messages
+    stats.messages = messages
+    stats.per_prefix_messages[prefix] = messages
     _account_route_map(stats, map_stats_before)
     registry = get_registry()
     registry.counter("engine.prefixes").inc()
@@ -228,7 +299,7 @@ def simulate_prefix(
     registry.counter("engine.clauses_evaluated").inc(stats.clauses_evaluated)
     registry.counter("engine.clauses_matched").inc(stats.clauses_matched)
     registry.histogram("engine.messages_per_prefix").observe(stats.messages)
-    if prof:
+    if prof is not None:
         # Per-prefix hot-path attribution is profiling-only: a labelled
         # instrument per prefix is exactly what `repro profile` wants and
         # exactly what a long refinement run must not accumulate.
@@ -255,22 +326,29 @@ def _account_route_map(
 
 
 def _import_route(
-    session: Session,
-    announced: Route | None,
-    profiler: PhaseProfiler | None = None,
+    run: _PrefixRun, session: Session, announced: Route | None
 ) -> Route | None:
     """Apply receive-side processing: loop rejection, defaults, import map."""
     if announced is None:
         return None
+    sender = session.src
     receiver = session.dst
-    if session.is_ebgp:
+    if sender.asn != receiver.asn:
         if receiver.asn in announced.as_path:
             return None
-        route = announced.replace(
-            local_pref=DEFAULT_LOCAL_PREF,
-            source=RouteSource.EBGP,
-            peer_router=session.src.router_id,
-            peer_asn=session.src.asn,
+        route = Route(
+            announced.prefix,
+            announced.as_path,
+            announced.next_hop,
+            DEFAULT_LOCAL_PREF,
+            announced.med,
+            announced.origin,
+            announced.communities,
+            _EBGP,
+            sender.router_id,
+            sender.asn,
+            announced.originator_id,
+            announced.cluster_list,
         )
     else:
         # RFC 4456 loop prevention: drop reflected routes that already
@@ -279,160 +357,191 @@ def _import_route(
             return None
         if receiver.router_id in announced.cluster_list:
             return None
-        route = announced.replace(
-            source=RouteSource.IBGP,
-            peer_router=session.src.router_id,
-            peer_asn=session.src.asn,
+        route = Route(
+            announced.prefix,
+            announced.as_path,
+            announced.next_hop,
+            announced.local_pref,
+            announced.med,
+            announced.origin,
+            announced.communities,
+            _IBGP,
+            sender.router_id,
+            sender.asn,
+            announced.originator_id,
+            announced.cluster_list,
         )
     if session.import_map is not None:
-        if profiler is not None:
-            with profiler.phase(PHASE_ROUTE_MAP):
-                return session.import_map.apply(route)
-        return session.import_map.apply(route)
+        return run.apply_map(session.import_map, route)
     return route
 
 
-def _decide_and_export(
-    network: Network,
-    router: Router,
-    prefix: Prefix,
-    config: DecisionConfig,
-    queue: deque,
-    stats: EngineStats,
-    tracer: Tracer,
-    profiler: PhaseProfiler | None = None,
-) -> None:
+def _decide_and_export(run: _PrefixRun, router: Router) -> None:
     """Re-run the decision process at ``router`` and propagate any change."""
-    stats.decisions += 1
+    run.stats.decisions += 1
+    profiler = run.profiler
     if profiler is not None:
         profiler.push(PHASE_DECISION)
     try:
-        candidates = router.candidates(prefix)
-        if candidates:
-            node = network.ases[router.asn]
+        router_id = router.router_id
+        rib_in = run.rib_in.get(router_id)
+        candidates = list(rib_in.values()) if rib_in else []
+        local = run.local.get(router_id)
+        if local is not None:
+            candidates.insert(0, local)
 
-            def igp_cost(route: Route) -> float:
-                if route.source is not RouteSource.IBGP:
-                    return 0.0
-                return node.igp.cost(router.router_id, route.next_hop)
-
-            if tracer.enabled:
-                # run_decision is behaviourally identical to select_best but
-                # keeps the per-candidate elimination bookkeeping the trace
-                # event reports; the slower path only runs while tracing.
-                outcome = run_decision(candidates, config, igp_cost)
-                best = outcome.best
-                tracer.event(
-                    EVENT_DECISION,
-                    router=router.name,
-                    prefix=str(prefix),
-                    candidates=len(candidates),
-                    best=list(best.as_path) if best is not None else None,
-                    step=step_name(
-                        outcome.decisive_step if len(candidates) > 1 else None
-                    ),
-                )
+        best = candidates[0] if candidates else None
+        tracer = run.tracer
+        if tracer is not None and best is not None:
+            # run_decision is behaviourally identical to select_best but
+            # keeps the per-candidate elimination bookkeeping the trace
+            # event reports; the slower path only runs while tracing.
+            outcome = run_decision(candidates, run.config, _igp_cost(run, router))
+            best = outcome.best
+            tracer.event(
+                EVENT_DECISION,
+                router=router.name,
+                prefix=str(run.prefix),
+                candidates=len(candidates),
+                best=list(best.as_path) if best is not None else None,
+                step=step_name(
+                    outcome.decisive_step if len(candidates) > 1 else None
+                ),
+            )
+        elif len(candidates) > 1:
+            if run.config.use_igp_cost:
+                best = select_best(candidates, run.config, _igp_cost(run, router))
             else:
-                best = select_best(candidates, config, igp_cost)
-        else:
-            best = None
+                best = select_best(candidates, run.config)
 
         if profiler is not None:
             profiler.switch(PHASE_RIB_MERGE)
-        previous_best = router.loc_rib.get(prefix)
-        if best is previous_best and best is not None:
+        loc_rib = run.loc_rib
+        previous_best = loc_rib.get(router_id)
+        if best is previous_best:
             return
-        if best is None and previous_best is None:
-            return
-        if (
-            best is not None
-            and previous_best is not None
-            and best.attributes_equal(previous_best)
-            and best.peer_router == previous_best.peer_router
-            and best.source == previous_best.source
-        ):
-            # Same announcement from the same place: nothing changed for peers,
-            # but keep the identical object in the Loc-RIB up to date.
-            router.loc_rib[prefix] = best
-            return
-
+        prefix = run.prefix
         if best is None:
+            del loc_rib[router_id]
             router.loc_rib.pop(prefix, None)
         else:
-            router.loc_rib[prefix] = best
-        network.note_touched(prefix, router.router_id)
+            loc_rib[router_id] = router.loc_rib[prefix] = best
+            if (
+                previous_best is not None
+                and best.attributes_equal(previous_best)
+                and best.peer_router == previous_best.peer_router
+                and best.source == previous_best.source
+            ):
+                # Same announcement from the same place: nothing changed
+                # for peers; the Loc-RIB now holds the current object.
+                return
+        run.touched.add(router_id)
 
         if profiler is not None:
             profiler.switch(PHASE_EXPORT)
-        rib_out = router.adj_rib_out.setdefault(prefix, {})
-        for session in router.sessions_out:
-            exported = _export_route(session, best, profiler)
-            previous = rib_out.get(session.session_id)
-            if exported is None and previous is None:
-                continue
-            if exported is not None and exported.attributes_equal(previous):
-                continue
-            if exported is None:
-                del rib_out[session.session_id]
-            else:
-                rib_out[session.session_id] = exported
-            queue.append((session, exported))
+        _export(run, router, best)
     finally:
         if profiler is not None:
             profiler.pop()
 
 
-def _export_route(
-    session: Session,
-    best: Route | None,
-    profiler: PhaseProfiler | None = None,
-) -> Route | None:
-    """Apply send-side processing: export rules, prepending, export map."""
-    if best is None:
-        return None
-    sender = session.src
-    if session.is_ibgp:
-        if NO_ADVERTISE in best.communities:
-            return None
-        if best.source is RouteSource.IBGP:
-            # Plain iBGP speakers never re-advertise internal routes; a
-            # route reflector (RFC 4456) reflects client routes to every
-            # internal peer and non-client routes to its clients only,
-            # stamping ORIGINATOR_ID and prepending itself (its router id
-            # doubles as the cluster id) to the CLUSTER_LIST.
-            if not sender.rr_clients:
-                return None
-            learned_from_client = best.peer_router in sender.rr_clients
-            sending_to_client = session.dst.router_id in sender.rr_clients
-            if not learned_from_client and not sending_to_client:
-                return None
-            originator = best.originator_id or best.peer_router
-            route = best.replace(
-                originator_id=originator,
-                cluster_list=(sender.router_id,) + best.cluster_list,
-            )
-        else:
-            # next-hop-self: the receiver's hot-potato step measures the
-            # IGP distance to this border router, not the external peer.
-            route = best.replace(next_hop=sender.router_id)
-    else:
-        if NO_ADVERTISE in best.communities or NO_EXPORT in best.communities:
-            return None
-        if session.dst.asn in best.as_path:
-            # The peer would reject the route anyway (loop); skip sending.
-            return None
-        route = best.replace(
-            as_path=(sender.asn,) + best.as_path,
-            next_hop=sender.router_id,
-            local_pref=DEFAULT_LOCAL_PREF,
-            med=DEFAULT_MED,
-            # ORIGINATOR_ID/CLUSTER_LIST are AS-internal attributes
-            originator_id=0,
-            cluster_list=(),
+def _igp_cost(run: _PrefixRun, router: Router) -> IgpCostFn:
+    """The hot-potato metric as seen from ``router``."""
+    cost = run.ases[router.asn].igp.cost
+    router_id = router.router_id
+
+    def igp_cost(route: Route) -> float:
+        if route.source is not _IBGP:
+            return 0.0
+        return cost(router_id, route.next_hop)
+
+    return igp_cost
+
+
+def _export(run: _PrefixRun, router: Router, best: Route | None) -> None:
+    """Send ``router``'s new best route (or its withdrawal) to every peer.
+
+    Send-side processing — export rules, prepending, export map — then
+    one queued message per session whose Adj-RIB-Out entry changes.  What
+    is announced before the export map depends only on the best route and
+    on whether the session is eBGP or iBGP, so those fields are worked
+    out once; each session still gets a ``Route`` object of its own (see
+    DESIGN.md, "Engine": sharing one moves the collector's schedule).
+    """
+    router_id = router.router_id
+    rib_out = run.rib_out.get(router_id)
+    if rib_out is None:
+        rib_out = run.rib_out[router_id] = router.adj_rib_out.setdefault(
+            run.prefix, {}
         )
-    if session.export_map is not None:
-        if profiler is not None:
-            with profiler.phase(PHASE_ROUTE_MAP):
-                return session.export_map.apply(route)
-        return session.export_map.apply(route)
-    return route
+    queue = run.queue
+    if best is None:
+        for session in router.sessions_out:
+            if rib_out.pop(session.session_id, None) is not None:
+                queue.append((session, None))
+        return
+
+    asn = router.asn
+    prefix = best.prefix
+    as_path = best.as_path
+    origin = best.origin
+    communities = best.communities
+    source = best.source
+    peer_router = best.peer_router
+    peer_asn = best.peer_asn
+    ebgp_ok = ibgp_ok = True
+    if communities:
+        ibgp_ok = NO_ADVERTISE not in communities
+        ebgp_ok = ibgp_ok and NO_EXPORT not in communities
+    # Plain iBGP speakers never re-advertise internal routes; a route
+    # reflector (RFC 4456) reflects client routes to every internal peer
+    # and non-client routes to its clients only, stamping ORIGINATOR_ID
+    # and prepending itself (its router id doubles as the cluster id) to
+    # the CLUSTER_LIST.
+    reflecting = source is _IBGP
+    rr_clients = router.rr_clients
+    from_client = peer_router in rr_clients
+    originator_id = best.originator_id or peer_router
+    if reflecting and not rr_clients:
+        ibgp_ok = False
+
+    for session in router.sessions_out:
+        receiver = session.dst
+        exported: Route | None = None
+        if receiver.asn != asn:
+            # The peer would reject a looped route anyway; skip sending.
+            if ebgp_ok and receiver.asn not in as_path:
+                # ORIGINATOR_ID/CLUSTER_LIST are AS-internal attributes.
+                exported = Route(
+                    prefix, (asn,) + as_path, router_id,
+                    DEFAULT_LOCAL_PREF, DEFAULT_MED, origin, communities,
+                    source, peer_router, peer_asn, 0, (),
+                )
+        elif ibgp_ok:
+            if not reflecting:
+                # next-hop-self: the receiver's hot-potato step measures the
+                # IGP distance to this border router, not the external peer.
+                exported = Route(
+                    prefix, as_path, router_id, best.local_pref, best.med,
+                    origin, communities, source, peer_router, peer_asn,
+                    best.originator_id, best.cluster_list,
+                )
+            elif from_client or receiver.router_id in rr_clients:
+                exported = Route(
+                    prefix, as_path, best.next_hop, best.local_pref, best.med,
+                    origin, communities, source, peer_router, peer_asn,
+                    originator_id, (router_id,) + best.cluster_list,
+                )
+        if exported is not None and session.export_map is not None:
+            exported = run.apply_map(session.export_map, exported)
+
+        session_id = session.session_id
+        if exported is None:
+            if rib_out.pop(session_id, None) is None:
+                continue
+        else:
+            previous = rib_out.get(session_id)
+            if previous is not None and exported.attributes_equal(previous):
+                continue
+            rib_out[session_id] = exported
+        queue.append((session, exported))

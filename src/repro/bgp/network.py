@@ -213,7 +213,15 @@ class Network:
 
     def note_touched(self, prefix: Prefix, router_id: int) -> None:
         """Record that ``router_id`` holds state for ``prefix``."""
-        self._touched.setdefault(prefix, set()).add(router_id)
+        self.touched_set(prefix).add(router_id)
+
+    def touched_set(self, prefix: Prefix) -> set[int]:
+        """The live set :meth:`note_touched` adds to, for ``prefix``.
+
+        The engine takes it once per prefix and adds router ids directly
+        rather than re-hashing the prefix on every message.
+        """
+        return self._touched.setdefault(prefix, set())
 
     def touched_routers(self, prefix: Prefix) -> frozenset[int]:
         """Router ids holding any state for ``prefix``.

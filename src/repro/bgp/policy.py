@@ -29,7 +29,7 @@ import enum
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.bgp.route import Route
 from repro.net.prefix import Prefix
@@ -236,21 +236,42 @@ class Clause:
         """
         if self.action is Action.DENY:
             return None
-        changes: dict = {}
+        local_pref = route.local_pref
+        med = route.med
+        as_path = route.as_path
+        communities = route.communities
+        unchanged = True
         if self.set_local_pref is not None:
-            changes["local_pref"] = self.set_local_pref
+            local_pref = self.set_local_pref
+            unchanged = False
         if self.set_med is not None:
-            changes["med"] = self.set_med
-        if self.prepend and route.as_path:
-            head = route.as_path[0]
-            changes["as_path"] = (head,) * self.prepend + route.as_path
+            med = self.set_med
+            unchanged = False
+        if self.prepend and as_path:
+            as_path = (as_path[0],) * self.prepend + as_path
+            unchanged = False
         if self.strip_communities:
-            changes["communities"] = frozenset(self.add_communities)
+            communities = frozenset(self.add_communities)
+            unchanged = False
         elif self.add_communities:
-            changes["communities"] = route.communities | self.add_communities
-        if not changes:
+            communities = communities | self.add_communities
+            unchanged = False
+        if unchanged:
             return route
-        return route.replace(**changes)
+        return Route(
+            route.prefix,
+            as_path,
+            route.next_hop,
+            local_pref,
+            med,
+            route.origin,
+            communities,
+            route.source,
+            route.peer_router,
+            route.peer_asn,
+            route.originator_id,
+            route.cluster_list,
+        )
 
 
 class RouteMap:
@@ -333,6 +354,23 @@ class RouteMap:
         """
         return list(self._clauses)
 
+    def resolve(self, prefix: Prefix) -> Sequence[tuple[int, Clause]]:
+        """The (position, clause) pairs :meth:`apply` walks for ``prefix``.
+
+        The prefix-indexed and the generic clauses merged in evaluation
+        order.  When only one kind exists the live bucket itself is
+        returned, not a copy: callers must not mutate it, and may hold it
+        only while the map is not edited.  The engine resolves once per
+        (route-map, prefix) and keeps the result in its per-call state —
+        never here, where it would be pickled with every network copy.
+        """
+        indexed = self._by_prefix.get(prefix)
+        if not indexed:
+            return self._generic
+        if not self._generic:
+            return indexed
+        return sorted(indexed + self._generic, key=lambda entry: entry[0])
+
     def entries_for_prefix(self, prefix: Prefix) -> list[tuple[int, Clause]]:
         """The (position, clause) pairs that could match ``prefix``, in order.
 
@@ -342,26 +380,24 @@ class RouteMap:
         clause — e.g. ``Match()`` — that makes every later per-prefix
         clause unreachable.
         """
-        indexed = self._by_prefix.get(prefix, [])
-        return sorted(indexed + self._generic, key=lambda entry: entry[0])
+        return list(self.resolve(prefix))
 
     def clauses_for_prefix(self, prefix: Prefix) -> Iterator[Clause]:
         """Iterate, in evaluation order, over clauses that could match ``prefix``."""
-        return (clause for _, clause in self.entries_for_prefix(prefix))
+        return (clause for _, clause in self.resolve(prefix))
 
     def apply(self, route: Route) -> Route | None:
         """Evaluate the route-map on ``route``; None means denied."""
+        return self.apply_resolved(self.resolve(route.prefix), route)
+
+    def apply_resolved(
+        self, entries: Sequence[tuple[int, Clause]], route: Route
+    ) -> Route | None:
+        """:meth:`apply` with ``entries = self.resolve(route.prefix)`` in hand."""
         stats = MAP_STATS
         stats.applications += 1
-        indexed = self._by_prefix.get(route.prefix)
-        if indexed and self._generic:
-            candidates = sorted(indexed + self._generic, key=lambda entry: entry[0])
-        elif indexed:
-            candidates = indexed
-        else:
-            candidates = self._generic
         evaluated = 0
-        for _, clause in candidates:
+        for _, clause in entries:
             evaluated += 1
             if clause.match.matches(route):
                 stats.clauses_evaluated += evaluated

@@ -82,35 +82,39 @@ class Route:
 
     def replace(self, **changes) -> "Route":
         """Return a copy of this route with the given attributes replaced."""
-        kwargs = {
-            "prefix": self.prefix,
-            "as_path": self.as_path,
-            "next_hop": self.next_hop,
-            "local_pref": self.local_pref,
-            "med": self.med,
-            "origin": self.origin,
-            "communities": self.communities,
-            "source": self.source,
-            "peer_router": self.peer_router,
-            "peer_asn": self.peer_asn,
-            "originator_id": self.originator_id,
-            "cluster_list": self.cluster_list,
-        }
-        kwargs.update(changes)
-        return Route(**kwargs)
+        route = Route(
+            self.prefix,
+            self.as_path,
+            self.next_hop,
+            self.local_pref,
+            self.med,
+            self.origin,
+            self.communities,
+            self.source,
+            self.peer_router,
+            self.peer_asn,
+            self.originator_id,
+            self.cluster_list,
+        )
+        for name, value in changes.items():
+            if name not in _FIELDS:
+                raise TypeError(f"Route.replace() got an unexpected field {name!r}")
+            setattr(route, name, value)
+        return route
 
     def attributes_equal(self, other: "Route | None") -> bool:
         """True if ``other`` carries the same announcement (ignoring bookkeeping).
 
         Used to suppress redundant UPDATE messages: a route needs to be
         re-sent over a session only if an attribute visible to the peer
-        changed.
+        changed.  The AS-path is compared first because it is what usually
+        differs, the prefix last and by identity first because within one
+        per-prefix simulation every route shares the prefix object.
         """
         if other is None:
             return False
         return (
-            self.prefix == other.prefix
-            and self.as_path == other.as_path
+            self.as_path == other.as_path
             and self.next_hop == other.next_hop
             and self.med == other.med
             and self.origin == other.origin
@@ -118,6 +122,7 @@ class Route:
             and self.local_pref == other.local_pref
             and self.originator_id == other.originator_id
             and self.cluster_list == other.cluster_list
+            and (self.prefix is other.prefix or self.prefix == other.prefix)
         )
 
     def path_str(self) -> str:
@@ -129,3 +134,6 @@ class Route:
             f"Route({self.prefix}, path=[{self.path_str()}], lp={self.local_pref}, "
             f"med={self.med}, src={self.source.name}, from={self.peer_router:#x})"
         )
+
+
+_FIELDS = frozenset(Route.__slots__)

@@ -1,7 +1,9 @@
 """Unit tests for the BGP decision process (repro.bgp.decision)."""
 
+import pytest
+
 from repro.bgp.attributes import Origin, RouteSource
-from repro.bgp.decision import DecisionConfig, Step, run_decision
+from repro.bgp.decision import DecisionConfig, Step, run_decision, select_best
 from repro.bgp.route import Route
 from repro.net.prefix import Prefix
 
@@ -153,3 +155,113 @@ class TestOutcomeIntrospection:
         for route in routes:
             if route is not outcome.best:
                 assert outcome.elimination_step(route) is not None
+
+
+def _next_hop_cost(route):
+    return {1: 1.0, 2: 9.0}[route.next_hop]
+
+
+ALWAYS_COMPARE = DecisionConfig(med_always_compare=True)
+
+CONFORMANCE = [
+    # (step, winner, loser, config, igp_cost).  Every attribute a LATER
+    # step looks at favours the loser, so a winner proves the step fired
+    # at its place in the order, not merely that it exists.
+    (
+        Step.LOCAL_PREF,
+        make_route(local_pref=120, as_path=(1, 2, 3), peer_router=200),
+        make_route(local_pref=80, as_path=(1,), peer_router=100),
+        DecisionConfig(), None,
+    ),
+    (
+        Step.PATH_LENGTH,
+        make_route(as_path=(1, 2), origin=Origin.INCOMPLETE, peer_router=200),
+        make_route(as_path=(1, 2, 3), origin=Origin.IGP, peer_router=100),
+        DecisionConfig(), None,
+    ),
+    (
+        Step.ORIGIN,
+        make_route(origin=Origin.IGP, med=9, peer_router=200),
+        make_route(origin=Origin.EGP, med=1, peer_router=100),
+        DecisionConfig(), None,
+    ),
+    (
+        # per-neighbour MED: both routes from neighbour AS 7
+        Step.MED,
+        make_route(med=5, peer_asn=7, source=RouteSource.IBGP, peer_router=200),
+        make_route(med=9, peer_asn=7, source=RouteSource.EBGP, peer_router=100),
+        DecisionConfig(), None,
+    ),
+    (
+        # different neighbour ASes: MED is skipped, the router id decides
+        Step.ROUTER_ID,
+        make_route(med=9, peer_asn=8, peer_router=100),
+        make_route(med=5, peer_asn=7, peer_router=200),
+        DecisionConfig(), None,
+    ),
+    (
+        # ... unless MED is always compared
+        Step.MED,
+        make_route(med=5, peer_asn=7, peer_router=200),
+        make_route(med=9, peer_asn=8, peer_router=100),
+        ALWAYS_COMPARE, None,
+    ),
+    (
+        Step.EBGP_OVER_IBGP,
+        make_route(source=RouteSource.EBGP, next_hop=2, peer_router=200),
+        make_route(source=RouteSource.IBGP, next_hop=1, peer_router=100),
+        DecisionConfig(), _next_hop_cost,
+    ),
+    (
+        Step.IGP_COST,
+        make_route(source=RouteSource.IBGP, next_hop=1, cluster_list=(5, 6),
+                   peer_router=200),
+        make_route(source=RouteSource.IBGP, next_hop=2, peer_router=100),
+        DecisionConfig(), _next_hop_cost,
+    ),
+    (
+        Step.CLUSTER_LIST,
+        make_route(source=RouteSource.IBGP, cluster_list=(5,), peer_router=200),
+        make_route(source=RouteSource.IBGP, cluster_list=(5, 6), peer_router=100),
+        DecisionConfig(), None,
+    ),
+    (
+        Step.ROUTER_ID,
+        make_route(peer_router=100, next_hop=2),
+        make_route(peer_router=200, next_hop=1),
+        DecisionConfig(), None,
+    ),
+    (
+        # a reflected route is ranked by its ORIGINATOR_ID, not by the
+        # reflector it was learned from
+        Step.ROUTER_ID,
+        make_route(source=RouteSource.IBGP, originator_id=50, cluster_list=(9,),
+                   peer_router=300),
+        make_route(source=RouteSource.IBGP, originator_id=60, cluster_list=(9,),
+                   peer_router=100),
+        DecisionConfig(), None,
+    ),
+]
+
+
+class TestConformanceTable:
+    """One hand-built case per step (ROADMAP item 2's table)."""
+
+    @pytest.mark.parametrize(
+        "step, winner, loser, config, igp_cost",
+        CONFORMANCE,
+        ids=[f"{row[0].name.lower()}-{index}" for index, row in enumerate(CONFORMANCE)],
+    )
+    def test_step_decides_at_its_place_in_the_order(
+        self, step, winner, loser, config, igp_cost
+    ):
+        extra = () if igp_cost is None else (igp_cost,)
+        for candidates in ([winner, loser], [loser, winner]):
+            outcome = run_decision(candidates, config, *extra)
+            assert outcome.best is winner
+            assert outcome.decisive_step is step
+            assert outcome.elimination_step(loser) is step
+            assert select_best(candidates, config, *extra) is winner
+
+    def test_every_step_has_a_case(self):
+        assert {row[0] for row in CONFORMANCE} == set(Step)

@@ -1,5 +1,7 @@
 """Unit tests for the Route value object."""
 
+import pytest
+
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, DEFAULT_MED, Origin, RouteSource
 from repro.bgp.route import Route
 from repro.net.prefix import Prefix
@@ -36,6 +38,21 @@ class TestReplace:
     def test_replace_returns_new_object(self):
         route = Route(P)
         assert route.replace(med=1) is not route
+
+    def test_replace_rejects_an_unknown_field(self):
+        """A typo must not become a silently ignored (or new) attribute."""
+        with pytest.raises(TypeError, match="bogus"):
+            Route(P).replace(bogus=1)
+
+    def test_replace_copies_every_field(self):
+        route = Route(
+            P, (1, 2), 7, 90, 5, Origin.EGP, frozenset((3,)), RouteSource.IBGP,
+            11, 12, 13, (14,),
+        )
+        clone = route.replace()
+        assert all(
+            getattr(clone, name) == getattr(route, name) for name in Route.__slots__
+        )
 
 
 class TestAttributesEqual:

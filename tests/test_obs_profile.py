@@ -1,12 +1,13 @@
 """Tests for phase profiling, stack sampling, and PROFILE documents."""
 
 import json
+import re
 import threading
 import time
 
 import pytest
 
-from repro.bgp import Network, simulate
+from repro.bgp import Clause, Match, Network, simulate
 from repro.net.prefix import Prefix
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.profile import (
@@ -179,6 +180,22 @@ class TestEngineIntegration:
             a = plain.routers[rid].best(prefix)
             b = profiled.routers[rid].best(prefix)
             assert (a.as_path if a else None) == (b.as_path if b else None)
+
+
+    def test_raising_import_map_leaves_the_phase_stack_balanced(self):
+        """An exception on the import side must not strand ``engine.dispatch``
+        on the stack: every later phase would be charged to it."""
+        net = self._diamond()
+        for session in net.sessions.values():
+            session.ensure_import_map().append(Clause(Match(path_regex="(")))
+        with profiling(PhaseProfiler()) as profiler:
+            with pytest.raises(re.error):
+                simulate(net)
+            profiler.push("after")
+            _spin(0.002)
+            profiler.pop()
+        assert profiler._stack == []
+        assert profiler.phases["after"].wall_seconds >= 0.002
 
 
 class TestStackSampler:

@@ -5,6 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bgp.attributes import Origin, RouteSource
 from repro.bgp.decision import DecisionConfig, Step, run_decision
 from repro.bgp.igp import IGPTopology
 from repro.bgp.policy import Action, Clause, Match, RouteMap
@@ -86,6 +87,24 @@ def route_strategy():
         med=st.integers(min_value=0, max_value=100),
         peer_router=st.integers(min_value=1, max_value=1 << 31),
         peer_asn=asns,
+    )
+
+
+def mixed_route_strategy():
+    """Small value ranges, so that every step both ties and decides."""
+    return st.builds(
+        Route,
+        prefix=st.just(Prefix("10.0.0.0/24")),
+        as_path=st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple),
+        next_hop=st.integers(min_value=1, max_value=6),
+        local_pref=st.sampled_from((100, 100, 100, 120)),
+        med=st.integers(min_value=0, max_value=2),
+        origin=st.sampled_from((Origin.IGP, Origin.IGP, Origin.INCOMPLETE)),
+        source=st.sampled_from((RouteSource.EBGP, RouteSource.IBGP)),
+        peer_router=st.integers(min_value=1, max_value=1 << 8),
+        peer_asn=st.integers(min_value=1, max_value=3),
+        originator_id=st.sampled_from((0, 0, 5, 9)),
+        cluster_list=st.lists(st.integers(1, 4), max_size=2).map(tuple),
     )
 
 
@@ -252,3 +271,34 @@ class TestSelectBestEquivalence:
             select_best(routes, config, cost)
             is run_decision(routes, config, cost).best
         )
+
+    @given(
+        st.lists(mixed_route_strategy(), min_size=1, max_size=8),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_all_steps_together(self, routes, always_compare, use_igp_cost):
+        """Sources, cluster lists, originator ids, grouped MEDs and a real
+        IGP cost at once: the merged steps 5-8 see every combination, and
+        the cost function is asked about exactly the same routes."""
+        from repro.bgp.decision import select_best
+
+        routes = distinct_peers(routes)
+        config = DecisionConfig(
+            med_always_compare=always_compare, use_igp_cost=use_igp_cost
+        )
+        asked: dict[str, set[int]] = {"fast": set(), "reference": set()}
+
+        def cost_for(who):
+            def cost(route):
+                asked[who].add(id(route))
+                return float(route.next_hop % 3)
+
+            return cost
+
+        assert (
+            select_best(routes, config, cost_for("fast"))
+            is run_decision(routes, config, cost_for("reference")).best
+        )
+        assert asked["fast"] == asked["reference"]
