@@ -132,7 +132,7 @@ class AnalysisReport:
         """Prefixes named by error-level *safety* findings, sorted.
 
         These are the prefixes the lint gate routes straight to quarantine:
-        simulating them would burn the retry budget without converging.
+        simulating them would burn the message budget without converging.
         """
         unsafe = {
             f.prefix

@@ -14,8 +14,8 @@ that make BGP diverge (e.g. local-pref dispute wheels, Section 4.6's
 motivation for avoiding local-pref in the refined model); exceeding it
 raises :class:`~repro.errors.ConvergenceError` (a
 :class:`~repro.errors.SimulationError`) carrying the prefix and the
-exhausted budget, so callers can retry with a bigger budget or
-quarantine the prefix (see :mod:`repro.resilience`).
+exhausted budget, so callers can quarantine the prefix (see
+:mod:`repro.resilience`).
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ class EngineStats:
     """Times a per-prefix simulation hit its message budget.
 
     Non-zero means some output was produced by giving up, not by
-    converging: either a quarantined prefix (``diverged``) or a retried
-    attempt.  Health reports and ``repro stats`` surface this so a
-    starved run is visibly reported rather than silently truncated.
+    converging: a quarantined prefix (``diverged``).  Health reports and
+    ``repro stats`` surface this so a starved run is visibly reported
+    rather than silently truncated.
     """
     per_prefix_messages: dict[Prefix, int] = field(default_factory=dict)
     diverged: list[Prefix] = field(default_factory=list)

@@ -37,7 +37,7 @@ from repro.errors import (
 from repro.obs.metrics import get_registry
 from repro.obs.trace import EVENT_SCENARIO, get_tracer
 from repro.parallel.protocol import dump_network
-from repro.resilience.retry import POISON, RetryPolicy
+from repro.resilience.retry import POISON
 from repro.runstate import drain_signals, read_state, write_state
 from repro.serve.artifact import PredictionArtifact
 
@@ -142,7 +142,7 @@ def run_campaign(
     kind: str,
     scenarios: Sequence[object],
     context: CampaignContext,
-    retry: RetryPolicy | None = None,
+    max_messages: int | None = None,
     parallel=None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
@@ -154,7 +154,6 @@ def run_campaign(
     every finished outcome and the exception's ``pending`` lists the
     unfinished scenario keys.
     """
-    policy = retry or RetryPolicy()
     ordered = sorted(scenarios, key=lambda s: s.key)  # type: ignore[attr-defined]
     fingerprint = campaign_fingerprint(
         kind, (s.key for s in ordered), context.baseline_checksum
@@ -178,11 +177,11 @@ def run_campaign(
     try:
         if parallel is not None and parallel.enabled and todo:
             supervision = _run_parallel(
-                model, todo, context, policy, parallel, completed
+                model, todo, context, max_messages, parallel, completed
             )
         elif todo:
             _run_sequential(
-                model, todo, context, policy, completed, progress
+                model, todo, context, max_messages, completed, progress
             )
     except ShutdownRequested:
         if checkpoint is not None:
@@ -212,7 +211,7 @@ def _run_parallel(
     model: ASRoutingModel,
     todo: list,
     context: CampaignContext,
-    policy: RetryPolicy,
+    max_messages: int | None,
     parallel,
     completed: dict[str, ScenarioOutcome],
 ) -> dict:
@@ -223,7 +222,7 @@ def _run_parallel(
     pool = SupervisedPool(
         model.network,
         MODEL_DECISION_CONFIG,
-        policy,
+        max_messages,
         parallel,
         context=context,
     )
@@ -258,7 +257,7 @@ def _run_sequential(
     model: ASRoutingModel,
     todo: list,
     context: CampaignContext,
-    policy: RetryPolicy,
+    max_messages: int | None,
     completed: dict[str, ScenarioOutcome],
     progress=None,
 ) -> None:
@@ -279,7 +278,7 @@ def _run_sequential(
             network = pickle.loads(blob)
             try:
                 value = scenario.run(
-                    network, context, MODEL_DECISION_CONFIG, policy
+                    network, context, MODEL_DECISION_CONFIG, max_messages
                 )
             except ReproError as error:
                 # The in-process analogue of a poison task: the scenario

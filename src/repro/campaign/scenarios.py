@@ -3,9 +3,9 @@
 A scenario is a small frozen dataclass naming one perturbation of the
 baseline model.  Scenarios are picklable and self-contained: the engine
 fans them out as generic tasks of the PR-4 supervised pool, where each
-``run(network, context, config, policy)`` executes on a *fresh* copy of
-the baseline network (scenarios mutate topology and originations, so
-isolation is mandatory), simulates the perturbed model, and returns a
+``run(network, context, config, max_messages)`` executes on a *fresh*
+copy of the baseline network (scenarios mutate topology and originations,
+so isolation is mandatory), simulates the perturbed model, and returns a
 plain JSON-ready dict — identical whether the scenario ran in-process
 or inside a crash-isolated worker.
 
@@ -31,14 +31,13 @@ from typing import Iterable
 from repro.campaign.diffing import Pair, diff_path_maps
 from repro.core.model import ASRoutingModel
 from repro.core.predict import selected_paths
-from repro.core.whatif import validate_session_endpoints
+from repro.core.whatif import remove_adjacency, validate_session_endpoints
 from repro.errors import TopologyError
 from repro.net.prefix import Prefix
 from repro.resilience.retry import (
     CONVERGED,
-    TRANSIENT,
-    simulate_network_with_retry,
-    simulate_prefix_with_retry,
+    simulate_network_bounded,
+    simulate_prefix_bounded,
 )
 
 KIND_DEPEER = "depeer"
@@ -113,29 +112,19 @@ class EdgeFailureScenario:
     def key(self) -> str:
         return f"{self.kind}:AS{self.asn_a}-AS{self.asn_b}"
 
-    def run(self, network, context: CampaignContext, config, policy) -> dict:
+    def run(self, network, context: CampaignContext, config, max_messages) -> dict:
         model = ASRoutingModel.from_network(network)
         validate_session_endpoints(model, [(self.asn_a, self.asn_b)])
-        removed = 0
-        for router_a in list(model.quasi_routers(self.asn_a)):
-            for session in list(router_a.sessions_out):
-                if session.dst.asn == self.asn_b:
-                    network.disconnect(router_a, session.dst)
-                    removed += 1
-        model.graph.remove_edge(self.asn_a, self.asn_b)
+        removed = remove_adjacency(model, self.asn_a, self.asn_b)
 
-        stats = simulate_network_with_retry(network, config=config, policy=policy)
-        degraded = sorted(
-            str(prefix)
-            for prefix in (
-                stats.diverged + stats.unsafe + stats.poison + stats.timed_out
-            )
+        stats = simulate_network_bounded(
+            network, config=config, max_messages=max_messages
         )
+        quarantined = stats.quarantined
+        degraded = sorted(str(prefix) for prefix in quarantined)
         degraded_origins = {
             model.origin_by_prefix[prefix]
-            for prefix in (
-                stats.diverged + stats.unsafe + stats.poison + stats.timed_out
-            )
+            for prefix in quarantined
             if prefix in model.origin_by_prefix
         }
         current = _collect_paths(
@@ -176,7 +165,7 @@ class HijackScenario:
     def key(self) -> str:
         return f"hijack:AS{self.attacker}->AS{self.victim}"
 
-    def run(self, network, context: CampaignContext, config, policy) -> dict:
+    def run(self, network, context: CampaignContext, config, max_messages) -> dict:
         model = ASRoutingModel.from_network(network)
         prefix = model.canonical_prefix(self.victim)
         attacker_routers = model.quasi_routers(self.attacker)
@@ -189,14 +178,14 @@ class HijackScenario:
         for router in attacker_routers:
             network.originate(router, prefix)
         network.clear_prefix(prefix)
-        _, outcome = simulate_prefix_with_retry(network, prefix, config, policy)
+        _, outcome = simulate_prefix_bounded(network, prefix, config, max_messages)
         result = {
             "kind": KIND_HIJACK,
             "key": self.key,
             "params": {"victim": self.victim, "attacker": self.attacker},
             "status": outcome.status,
         }
-        if outcome.status not in (CONVERGED, TRANSIENT):
+        if outcome.status != CONVERGED:
             # The perturbed simulation itself was quarantined: no capture
             # claims can be made, the scenario reports itself degraded.
             result.update(
@@ -260,7 +249,7 @@ class CatchmentScenario:
             return "catchment:base"
         return f"catchment:fail-AS{self.failed_site}"
 
-    def run(self, network, context: CampaignContext, config, policy) -> dict:
+    def run(self, network, context: CampaignContext, config, max_messages) -> dict:
         for site in self.sites:
             if not network.as_routers(site):
                 raise TopologyError(f"unknown AS {site}: not in the model")
@@ -268,7 +257,7 @@ class CatchmentScenario:
         for site in self.sites:
             for router in network.as_routers(site):
                 network.originate(router, prefix)
-        _, outcome = simulate_prefix_with_retry(network, prefix, config, policy)
+        _, outcome = simulate_prefix_bounded(network, prefix, config, max_messages)
         result = {
             "kind": KIND_CATCHMENT,
             "key": self.key,
@@ -279,7 +268,7 @@ class CatchmentScenario:
             },
             "status": outcome.status,
         }
-        if outcome.status not in (CONVERGED, TRANSIENT):
+        if outcome.status != CONVERGED:
             result.update(
                 attraction={}, shifted=[], blast_radius=0,
                 degraded=[str(prefix)],
@@ -299,9 +288,9 @@ class CatchmentScenario:
         for router in network.as_routers(self.failed_site):
             network.withdraw(router, prefix)
         network.clear_prefix(prefix)
-        _, outcome = simulate_prefix_with_retry(network, prefix, config, policy)
+        _, outcome = simulate_prefix_bounded(network, prefix, config, max_messages)
         result["status"] = outcome.status
-        if outcome.status not in (CONVERGED, TRANSIENT):
+        if outcome.status != CONVERGED:
             result.update(
                 attraction={}, shifted=[], blast_radius=0,
                 degraded=[str(prefix)],

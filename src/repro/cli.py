@@ -27,11 +27,12 @@ Subcommands mirror the paper's workflow:
   removing an AS adjacency.
 * ``repro chaos`` — run the pipeline over a deterministically
   fault-injected workload (dispute wheels, corrupted dump lines, session
-  flaps, budget exhaustion) and emit a JSON run-health report.
-* ``repro explain`` — replay one prefix of a saved model with tracing
-  forced on and print hop-by-hop decision provenance: candidates, the
-  decision step that selected the winner, and the refinement iteration
-  that installed each policy consulted.
+  flaps, a starved ``--message-budget``) with one bounded simulation
+  attempt per prefix, and emit a JSON run-health report.
+* ``repro explain`` — replay one prefix of a saved model and print
+  hop-by-hop decision provenance: candidates, the decision step that
+  selected the winner, and the refinement iteration that installed each
+  policy consulted.
 * ``repro stats`` — render the metrics/metadata slice of a JSON health
   report (counters, gauges, histogram percentiles, phase timings).
 * ``repro compile-artifact`` — simulate every canonical prefix of a
@@ -77,16 +78,20 @@ Exit codes, for every subcommand (constants in
       cannot boot
 2     usage: bad flag combinations, unknown ASNs or query targets
 3     degraded result: diverged / poison / timeout prefixes or scenarios
-      quarantined, or a query for a quarantined origin
+      quarantined, a query for a quarantined origin, or a command that
+      does not quarantine (``whatif``) meeting a prefix that does not
+      converge
 4     unusable input: an unreadable, corrupt, stale or mismatched dump,
       model config, artifact, checkpoint, certificate store or report
 5     interrupted by SIGINT/SIGTERM after a graceful drain
 ====  ================================================================
 
-4 and 5 are decided once, in :func:`main`: any load error a handler lets
-escape prints ``error: <message>`` and exits 4, and an escaping
-:class:`~repro.errors.ShutdownRequested` exits 5.  Handlers catch only
-what they map to a different code or must record first.
+4, 5 and the last case of 3 are decided once, in :func:`main`: any load
+error a handler lets escape prints ``error: <message>`` and exits 4, an
+escaping :class:`~repro.errors.SimulationError` prints the same line and
+exits 3, and an escaping :class:`~repro.errors.ShutdownRequested` exits
+5.  Handlers catch only what they map to a different code or must record
+first.
 """
 
 from __future__ import annotations
@@ -116,6 +121,7 @@ from repro.errors import (
     DatasetError,
     ParseError,
     ShutdownRequested,
+    SimulationError,
     TopologyError,
 )
 from repro.net.prefix import Prefix
@@ -124,8 +130,12 @@ from repro.obs.meta import run_metadata
 from repro.obs.metrics import get_registry
 from repro.obs.trace import JsonlTracer, tracing
 from repro.resilience.faults import FaultConfig
-from repro.resilience.health import EXIT_DATA, EXIT_INTERRUPTED, RunHealth
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.health import (
+    EXIT_DATA,
+    EXIT_DIVERGED,
+    EXIT_INTERRUPTED,
+    RunHealth,
+)
 from repro.runstate import drain_signals
 from repro.topology.classify import classify_ases
 from repro.topology.clique import infer_level1_clique
@@ -158,6 +168,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_DATA
+    except SimulationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_DIVERGED
     except ShutdownRequested as shutdown:
         message = f"interrupted by signal {shutdown.signum}"
         if shutdown.pending:
@@ -267,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="snapshot the run here; resumes if the file exists")
     refine.add_argument("--checkpoint-every", type=int, default=5,
                         help="iterations between checkpoint snapshots")
-    refine.add_argument("--retry-attempts", type=int, default=0,
-                        help="retry diverging prefixes with escalating budgets "
-                             "this many times, then quarantine (0 = raise)")
     refine.add_argument("--lint-gate", action="store_true",
                         help="statically quarantine dispute-wheel prefixes "
                              "before simulating (zero attempts spent on them)")
@@ -321,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="eBGP peerings torn down before simulation")
     chaos.add_argument("--message-budget", type=int, default=None,
                        help="sabotaged initial per-prefix message budget")
-    chaos.add_argument("--retry-attempts", type=int, default=3)
     chaos.add_argument("--lint-gate", action="store_true",
                        help="statically quarantine wheel prefixes before "
                             "simulating instead of burning retry budget")
@@ -358,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--observer", type=int, metavar="ASN",
                          help="walk the winning quasi-router chain from this "
                               "AS to the origin (default: explain every AS)")
-    explain.add_argument("--retry-attempts", type=int, default=3,
-                         help="budget-escalation attempts for the replay")
     explain.add_argument("--json", action="store_true", dest="as_json",
                          help="emit the explanation as JSON instead of text")
     explain.set_defaults(handler=cmd_explain)
@@ -392,9 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_.add_argument("--observers", type=int, nargs="*", metavar="ASN",
                           help="restrict answers to these observer ASes "
                                "(default: every AS in the model)")
-    compile_.add_argument("--retry-attempts", type=int, default=3,
-                          help="budget-escalation attempts before a "
-                               "diverging prefix is quarantined")
     compile_.add_argument("--relationships", metavar="AS_REL",
                           help="CAIDA as-rel file; enables the Gao-Rexford "
                                "pass in the embedded safety certificates")
@@ -559,10 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--resume", action="store_true",
         help="skip scenarios already recorded in --checkpoint")
-    campaign.add_argument(
-        "--retry-attempts", type=int, default=3,
-        help="budget-escalation attempts before a diverging prefix is "
-             "quarantined inside a scenario")
     campaign.add_argument(
         "--trace", metavar="PATH",
         help="write campaign and supervision trace events as JSON lines")
@@ -833,6 +833,7 @@ def cmd_refine(args) -> int:
 def _refine_run(args, health: RunHealth) -> int:
     """The ``repro refine`` pipeline body (tracing already configured)."""
     from repro.core.refine import RefinementConfig
+    from repro.resilience.retry import ResilienceStats
 
     with health.phase("parse"):
         try:
@@ -848,8 +849,6 @@ def _refine_run(args, health: RunHealth) -> int:
     training, validation = split_by_observation_points(
         pruned.dataset, args.train_fraction, seed=args.split_seed
     )
-    retry = RetryPolicy(max_attempts=args.retry_attempts) \
-        if args.retry_attempts > 0 else None
     model = build_initial_model(pruned.dataset, pruned.graph)
     if args.lint_gate:
         from repro.analysis import analyze_model
@@ -868,7 +867,6 @@ def _refine_run(args, health: RunHealth) -> int:
         training,
         RefinementConfig(
             max_iterations=args.max_iterations,
-            retry=retry,
             checkpoint_every=args.checkpoint_every,
             lint_gate=args.lint_gate,
             parallel=_parallel_config(args),
@@ -895,20 +893,24 @@ def _refine_run(args, health: RunHealth) -> int:
     print(f"model: {model}")
     unmatched = refiner.unmatched_paths() if not result.converged else []
     health.record_refinement(result, unmatched)
+    simulation = ResilienceStats(
+        outcomes=refiner.outcomes, supervision=refiner.supervision
+    )
     if refiner.outcomes:
-        from repro.resilience.retry import ResilienceStats
-
-        health.record_simulation(
-            ResilienceStats(
-                outcomes=refiner.outcomes, supervision=refiner.supervision
-            )
-        )
+        health.record_simulation(simulation)
         quarantined = sorted(set(health.diverged_prefixes))
         if quarantined:
             print(f"quarantined diverged prefixes: {' '.join(quarantined)}",
                   file=sys.stderr)
+    # A quarantined prefix carries no routes and would diverge again if
+    # the evaluation re-simulated it: grade the origins that have a model.
+    skipped = {model.origin_by_prefix.get(p) for p in simulation.quarantined}
     with health.phase("evaluate"):
         for label, dataset in (("training", training), ("validation", validation)):
+            if skipped:
+                dataset = dataset.filter_routes(
+                    lambda route: route.origin_asn not in skipped
+                )
             report = evaluate_model(model, dataset)
             print(
                 f"{label:<11} cases={report.total} "
@@ -1074,7 +1076,6 @@ def cmd_chaos(args) -> int:
             worker_crash_prefixes=args.kill_prefixes,
             worker_hang_prefixes=args.hang_prefixes,
         ),
-        retry=RetryPolicy(max_attempts=max(1, args.retry_attempts)),
         lint_gate=args.lint_gate,
         parallel=parallel,
     )
@@ -1100,8 +1101,6 @@ def cmd_chaos(args) -> int:
     parts = [
         f"chaos: {simulation.get('prefixes', 0)} prefixes",
         f"{simulation.get('attempts', 0)} attempts",
-        f"{simulation.get('retries', 0)} retries",
-        f"{len(simulation.get('transient') or [])} transient",
         f"{len(simulation.get('diverged') or [])} diverged",
         f"{len(simulation.get('unsafe') or [])} statically unsafe",
     ]
@@ -1153,12 +1152,7 @@ def cmd_explain(args) -> int:
         print(f"error: observer AS{args.observer} is not in the model",
               file=sys.stderr)
         return EXIT_DATA
-    explanation = explain_prefix(
-        model,
-        prefix,
-        observer_asn=args.observer,
-        retry=RetryPolicy(max_attempts=max(1, args.retry_attempts)),
-    )
+    explanation = explain_prefix(model, prefix, observer_asn=args.observer)
     if args.as_json:
         print(json.dumps(explanation.to_dict(), indent=2, sort_keys=True))
     else:
@@ -1231,13 +1225,11 @@ def cmd_compile_artifact(args) -> int:
 
         relationships = read_as_rel(args.relationships).relationships
     get_registry().reset()
-    retry = RetryPolicy(max_attempts=max(1, args.retry_attempts))
     started = time.perf_counter()
     try:
         artifact, report = compile_artifact(
             model,
             observers=args.observers or None,
-            retry=retry,
             parallel=_parallel_config(args),
             meta=run_metadata(argv=getattr(args, "invocation", None)),
             relationships=relationships,
@@ -1502,7 +1494,6 @@ def cmd_campaign(args) -> int:
 
     model = _load_model(args.model)
     get_registry().reset()
-    retry = RetryPolicy(max_attempts=max(1, args.retry_attempts))
     if args.baseline:
         artifact = PredictionArtifact.load(args.baseline)
         validate_baseline(model, artifact)
@@ -1511,7 +1502,7 @@ def cmd_campaign(args) -> int:
 
         print("no --baseline given; compiling one in-process",
               file=sys.stderr)
-        artifact, _ = compile_artifact(model, retry=retry)
+        artifact, _ = compile_artifact(model)
         # Scenario workers and the baseline must not share routing state:
         # scenarios re-simulate from a cold network.
         model.network.clear_routing()
@@ -1543,7 +1534,6 @@ def cmd_campaign(args) -> int:
             args.kind,
             scenarios,
             context,
-            retry=retry,
             parallel=_parallel_config(args),
             checkpoint=args.checkpoint,
             resume=args.resume,

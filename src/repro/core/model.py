@@ -18,11 +18,7 @@ from repro.bgp.network import Network
 from repro.bgp.router import Router
 from repro.errors import TopologyError
 from repro.net.prefix import Prefix, prefix_for_asn
-from repro.resilience.retry import (
-    ResilienceStats,
-    RetryPolicy,
-    simulate_network_with_retry,
-)
+from repro.resilience.retry import ResilienceStats, simulate_network_bounded
 from repro.topology.graph import ASGraph
 
 MODEL_DECISION_CONFIG = DecisionConfig(med_always_compare=True, use_igp_cost=False)
@@ -128,22 +124,23 @@ class ASRoutingModel:
 
     def simulate_all_resilient(
         self,
-        policy: RetryPolicy = RetryPolicy(),
+        max_messages: int | None = None,
         prefixes: Iterable[Prefix] | None = None,
         parallel=None,
     ) -> ResilienceStats:
-        """Simulate every canonical prefix (or a subset) with retry + quarantine.
+        """Simulate every canonical prefix (or a subset) once, quarantining.
 
-        Non-convergence is retried with escalating message budgets under
-        ``policy``; prefixes that still diverge are quarantined (state
-        cleared, listed in the outcomes) rather than aborting the run.
-        ``parallel`` (a :class:`repro.parallel.ParallelConfig` with
-        ``workers`` > 1) fans the prefixes out to the supervised worker
-        pool instead of looping in-process.
+        A prefix that exhausts ``max_messages`` (default: see
+        :func:`~repro.resilience.retry.simulate_prefix_bounded`) is
+        quarantined (state cleared, listed in the outcomes) rather than
+        aborting the run.  ``parallel`` (a
+        :class:`repro.parallel.ParallelConfig` with ``workers`` > 1) fans
+        the prefixes out to the supervised worker pool instead of looping
+        in-process.
         """
-        return simulate_network_with_retry(
+        return simulate_network_bounded(
             self.network, prefixes=prefixes, config=MODEL_DECISION_CONFIG,
-            policy=policy, parallel=parallel
+            max_messages=max_messages, parallel=parallel
         )
 
     def simulate_origin(self, origin_asn: int,

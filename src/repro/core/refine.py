@@ -56,11 +56,7 @@ from repro.resilience.checkpoint import (
     save_checkpoint,
     training_fingerprint,
 )
-from repro.resilience.retry import (
-    PrefixOutcome,
-    RetryPolicy,
-    simulate_prefix_with_retry,
-)
+from repro.resilience.retry import PrefixOutcome, simulate_prefix_bounded
 from repro.topology.dataset import PathDataset
 
 FILTER_TAG = "refine-filter"
@@ -81,9 +77,10 @@ class RefinementConfig:
     used; without ``filter_deletion`` stale egress filters are never
     removed.
 
-    ``retry`` routes every (re-)simulation through the escalating-budget
-    retry loop of :mod:`repro.resilience.retry`, quarantining prefixes
-    that still diverge instead of aborting the run.  ``checkpoint_every``
+    Every (re-)simulation is one bounded attempt through
+    :mod:`repro.resilience.retry`: a prefix that exhausts ``max_messages``
+    (``None``: that module's default) is quarantined instead of aborting
+    the run.  ``checkpoint_every``
     sets how many iterations pass between snapshots when
     :meth:`Refiner.run` is given a checkpoint path.
 
@@ -91,7 +88,7 @@ class RefinementConfig:
     (:func:`repro.analysis.safety.unsafe_prefixes`) before the first
     simulation and quarantines statically-unsafe prefixes *without
     spending any simulation attempts on them* — each gets a
-    zero-attempt ``unsafe`` outcome instead of burning the full retry
+    zero-attempt ``unsafe`` outcome instead of burning the full message
     budget the way a divergence quarantine would.
 
     ``parallel`` (a :class:`repro.parallel.ParallelConfig` with
@@ -112,7 +109,7 @@ class RefinementConfig:
     filter_deletion: bool = True
     install_filters: bool = True
     install_ranking: bool = True
-    retry: RetryPolicy | None = None
+    max_messages: int | None = None
     checkpoint_every: int = 5
     lint_gate: bool = False
     parallel: "ParallelConfig | None" = None
@@ -354,20 +351,14 @@ class Refiner:
         routing state is cleared, its training origin is dropped from the
         refinement targets and all later simulation passes skip it — so a
         dispute wheel costs no simulation attempts at all, versus the full
-        per-prefix retry budget under the plain divergence quarantine.
+        per-prefix message budget under the plain divergence quarantine.
         Idempotent; a no-op unless ``config.lint_gate`` is set.
         """
-        if not self.config.lint_gate or self._gate_applied:
+        if self.certificates is None or self._gate_applied:
             return
         self._gate_applied = True
-        if self.certificates is not None:
-            self.certificates.certify(self.model.network)
-            unsafe = self.certificates.unsafe_prefixes()
-        else:
-            from repro.analysis.safety import unsafe_prefixes
-
-            unsafe = unsafe_prefixes(self.model.network)
-        self._quarantine_unsafe(unsafe)
+        self.certificates.certify(self.model.network)
+        self._quarantine_unsafe(self.certificates.unsafe_prefixes())
 
     def _quarantine_unsafe(self, prefixes: list[Prefix]) -> list[int]:
         """Gate statically-unsafe prefixes; returns the dropped origins."""
@@ -392,7 +383,7 @@ class Refiner:
         return dropped
 
     def _simulate_all(self) -> None:
-        """Simulate every non-gated prefix, honouring retry and parallelism."""
+        """Simulate every non-gated prefix, through the pool when enabled."""
         prefixes = None
         if self.gated_prefixes:
             gated = set(self.gated_prefixes)
@@ -401,40 +392,27 @@ class Refiner:
                 for prefix in self.model.network.prefixes()
                 if prefix not in gated
             ]
-        parallel = self.config.parallel
-        if parallel is not None and parallel.enabled:
-            # The pool always runs under a retry policy; without one
-            # configured, a single attempt mirrors the plain engine (but
-            # quarantines divergence instead of raising — a worker cannot
-            # usefully raise across the process boundary).
-            policy = self.config.retry or RetryPolicy(max_attempts=1)
-            try:
-                stats = self.model.simulate_all_resilient(
-                    policy, prefixes=prefixes, parallel=parallel
-                )
-            except ShutdownRequested as shutdown:
-                if shutdown.stats is not None:
-                    self.outcomes.extend(shutdown.stats.outcomes)
-                    self.supervision = shutdown.stats.supervision
-                raise
-            self.outcomes.extend(stats.outcomes)
-            self.supervision = stats.supervision
-        elif self.config.retry is None:
-            self.model.simulate_all(prefixes=prefixes)
-        else:
+        try:
             stats = self.model.simulate_all_resilient(
-                self.config.retry, prefixes=prefixes
+                self.config.max_messages,
+                prefixes=prefixes,
+                parallel=self.config.parallel,
             )
-            self.outcomes.extend(stats.outcomes)
+        except ShutdownRequested as shutdown:
+            if shutdown.stats is not None:
+                self.outcomes.extend(shutdown.stats.outcomes)
+                self.supervision = shutdown.stats.supervision
+            raise
+        self.outcomes.extend(stats.outcomes)
+        self.supervision = stats.supervision
 
     def _simulate_origin(self, origin: int) -> None:
-        """(Re-)simulate one origin's prefix, honouring the retry policy."""
-        if self.config.retry is None:
-            self.model.simulate_origin(origin)
-            return
-        prefix = self.model.canonical_prefix(origin)
-        _, outcome = simulate_prefix_with_retry(
-            self.model.network, prefix, MODEL_DECISION_CONFIG, self.config.retry
+        """(Re-)simulate one origin's prefix, quarantining on divergence."""
+        _, outcome = simulate_prefix_bounded(
+            self.model.network,
+            self.model.canonical_prefix(origin),
+            MODEL_DECISION_CONFIG,
+            self.config.max_messages,
         )
         self.outcomes.append(outcome)
 

@@ -102,6 +102,21 @@ def validate_session_endpoints(
             )
 
 
+def remove_adjacency(model: ASRoutingModel, asn_a: int, asn_b: int) -> int:
+    """Tear down every session between two ASes and drop the graph edge.
+
+    Returns the number of sessions removed.
+    """
+    removed = 0
+    for router_a in list(model.quasi_routers(asn_a)):
+        for session in list(router_a.sessions_out):
+            if session.dst.asn == asn_b:
+                model.network.disconnect(router_a, session.dst)
+                removed += 1
+    model.graph.remove_edge(asn_a, asn_b)
+    return removed
+
+
 def simulate_link_failure(
     model: ASRoutingModel,
     as_edges: list[tuple[int, int]],
@@ -125,14 +140,9 @@ def simulate_link_failure(
         model.simulate_origin(origin)
     before = _snapshot(model, origin_list, observer_list)
 
-    removed_sessions = 0
-    for asn_a, asn_b in as_edges:
-        for router_a in list(model.quasi_routers(asn_a)):
-            for session in list(router_a.sessions_out):
-                if session.dst.asn == asn_b:
-                    model.network.disconnect(router_a, session.dst)
-                    removed_sessions += 1
-        model.graph.remove_edge(asn_a, asn_b)
+    removed_sessions = sum(
+        remove_adjacency(model, asn_a, asn_b) for asn_a, asn_b in as_edges
+    )
 
     for origin in origin_list:
         model.simulate_origin(origin)

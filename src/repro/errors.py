@@ -27,7 +27,7 @@ class SimulationError(ReproError):
 class ConvergenceError(SimulationError):
     """A per-prefix simulation exhausted its message budget.
 
-    Carries structured context so retry logic and health reports can act
+    Carries structured context so quarantine and health reports can act
     on it without parsing the message string.
 
     Attributes:

@@ -23,7 +23,6 @@ from repro.experiments import models
 from repro.experiments.report import ExperimentResult
 from repro.experiments.workloads import SMALL, Workload, prepare
 from repro.parallel import ParallelConfig
-from repro.resilience.retry import RetryPolicy
 from repro.serve.compile import compile_artifact
 
 
@@ -43,8 +42,7 @@ def run(
     )
     prepared = prepare(base)
     model, _ = models.refined_model(prepared, fresh=True)
-    policy = RetryPolicy()
-    artifact, _ = compile_artifact(model, retry=policy)
+    artifact, _ = compile_artifact(model)
     model.network.clear_routing()
     validate_baseline(model, artifact)
     context = context_from_artifact(artifact)
@@ -54,8 +52,7 @@ def run(
     def timed(parallel: ParallelConfig | None):
         started = time.perf_counter()
         report = run_campaign(
-            model, "depeer", capped, context,
-            retry=policy, parallel=parallel,
+            model, "depeer", capped, context, parallel=parallel
         )
         return time.perf_counter() - started, report
 

@@ -2,8 +2,8 @@
 
 Exercises every resilience mechanism at once, the way a production run
 would meet them: a synthetic Internet is sabotaged with dispute wheels
-and session flaps, simulated under the escalating-budget retry loop
-(quarantining what still diverges), dumped, the dump corrupted, parsed
+and session flaps, simulated one bounded attempt per prefix
+(quarantining what diverges), dumped, the dump corrupted, parsed
 leniently, and a model refined from whatever survived.  The outcome is a
 :class:`~repro.resilience.health.RunHealth` report naming the quarantined
 prefixes, the parse skips, and the paths a stalled refinement is stuck
@@ -27,11 +27,7 @@ from repro.parallel.protocol import WorkerFaults
 from repro.parallel.supervisor import ParallelConfig
 from repro.resilience.faults import FaultConfig, apply_faults, corrupt_dump_lines
 from repro.resilience.health import RunHealth
-from repro.resilience.retry import (
-    PrefixOutcome,
-    RetryPolicy,
-    simulate_network_with_retry,
-)
+from repro.resilience.retry import PrefixOutcome, simulate_network_bounded
 from repro.topology.classify import classify_ases
 from repro.topology.clique import infer_level1_clique
 from repro.topology.graph import ASGraph
@@ -54,15 +50,12 @@ class ChaosConfig:
             session_flaps=2,
         )
     )
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(max_attempts=3, deadline_seconds=20.0)
-    )
     lint_gate: bool = False
     """Statically quarantine dispute-wheel prefixes before simulating.
 
     With the gate on, the safety analyzer runs over the fault-injected
     network and every statically-unsafe prefix gets a zero-attempt
-    ``unsafe`` outcome instead of burning the full retry budget in the
+    ``unsafe`` outcome instead of burning the full message budget in the
     simulate phase; the lint report lands in the health report.
     """
     parallel: ParallelConfig | None = None
@@ -97,11 +90,9 @@ def run_chaos(config: ChaosConfig = ChaosConfig()) -> RunHealth:
             health.record_lint(lint)
             gated = sorted(lint.unsafe_prefixes(), key=str)
 
-    retry = config.retry
-    if config.faults.message_budget is not None:
-        # Budget-exhaustion fault: start every prefix from the sabotaged
-        # budget so healthy prefixes must recover through escalation.
-        retry = replace(retry, initial_budget=config.faults.message_budget)
+    # Budget-exhaustion fault: a starved budget quarantines healthy
+    # prefixes too, and the health report says so.
+    max_messages = config.faults.message_budget
     parallel = config.parallel
     if parallel is not None and (report.worker_crash or report.worker_hang):
         parallel = replace(
@@ -117,8 +108,8 @@ def run_chaos(config: ChaosConfig = ChaosConfig()) -> RunHealth:
             skip = set(gated)
             targets = [p for p in internet.network.prefixes() if p not in skip]
         try:
-            stats = simulate_network_with_retry(
-                internet.network, prefixes=targets, policy=retry,
+            stats = simulate_network_bounded(
+                internet.network, prefixes=targets, max_messages=max_messages,
                 parallel=parallel,
             )
         except ShutdownRequested as shutdown:
@@ -164,7 +155,8 @@ def run_chaos(config: ChaosConfig = ChaosConfig()) -> RunHealth:
                 model,
                 pruned.dataset,
                 RefinementConfig(
-                    max_iterations=config.refine_iterations, retry=retry,
+                    max_iterations=config.refine_iterations,
+                    max_messages=max_messages,
                     # The worker faults already fired in the simulate
                     # phase; refinement gets a clean (but still parallel)
                     # pool for its initial full-network simulation.

@@ -23,7 +23,7 @@ from repro.data.synthesis import synthesize_internet
 from repro.experiments.report import ExperimentResult
 from repro.experiments.workloads import DEFAULT, Workload
 from repro.parallel import ParallelConfig
-from repro.resilience.retry import RetryPolicy, simulate_network_with_retry
+from repro.resilience.retry import simulate_network_bounded
 
 
 def run(
@@ -37,14 +37,12 @@ def run(
         title="Supervised-pool speedup over sequential per-prefix simulation",
         headers=["workers", "prefixes", "messages", "seconds", "speedup"],
     )
-    policy = RetryPolicy()
 
     def timed(parallel: ParallelConfig | None):
         network = synthesize_internet(base.config).network
         started = time.perf_counter()
-        stats = simulate_network_with_retry(
-            network, config=MODEL_DECISION_CONFIG, policy=policy,
-            parallel=parallel,
+        stats = simulate_network_bounded(
+            network, config=MODEL_DECISION_CONFIG, parallel=parallel
         )
         return time.perf_counter() - started, stats
 

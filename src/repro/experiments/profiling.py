@@ -113,7 +113,7 @@ def refine_workload(
     """The refine pipeline: parse -> build -> refine -> evaluate.
 
     Mirrors ``repro refine`` minus the resilience plumbing — a profile
-    wants the engine hot loop dominating, not retry bookkeeping.
+    wants the engine hot loop dominating, not health bookkeeping.
     """
 
     def run(profiler: PhaseProfiler) -> dict:

@@ -7,7 +7,7 @@ package makes simulated BGP outcomes auditable:
 
 * :mod:`repro.obs.trace` — a JSONL span/event emitter with nested phase
   spans and typed events for decision outcomes, policy installs/deletes,
-  quasi-router duplications, retries and lint quarantines, behind a
+  quasi-router duplications, divergence and lint quarantines, behind a
   near-zero-cost no-op default (:class:`~repro.obs.trace.NullTracer`).
 * :mod:`repro.obs.metrics` — a registry of counters, gauges and
   histograms (p50/p95/p99) replacing ad-hoc counting, snapshotted into

@@ -1,8 +1,8 @@
 """Decision provenance: why did the model pick this path? (``repro explain``)
 
-:func:`explain_prefix` replays one canonical prefix with tracing forced
-on, then walks the converged state hop by hop and reports, at each AS on
-the way from an observer to the origin:
+:func:`explain_prefix` replays one canonical prefix, then walks the
+converged state hop by hop and reports, at each AS on the way from an
+observer to the origin:
 
 * the candidate routes the deciding quasi-router chose among (with the
   decision-process step that eliminated each loser),
@@ -28,8 +28,7 @@ from repro.bgp.route import Route
 from repro.bgp.router import Router
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
 from repro.net.prefix import Prefix
-from repro.obs.trace import EVENT_RETRY, RecordingTracer, tracing
-from repro.resilience.retry import RetryPolicy, simulate_prefix_with_retry
+from repro.resilience.retry import simulate_prefix_bounded
 
 
 @dataclass
@@ -144,7 +143,6 @@ class PrefixExplanation:
     attempts: int
     messages: int
     decisions: int
-    retries: int
     hops: list[HopExplanation] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -158,7 +156,6 @@ class PrefixExplanation:
                 "attempts": self.attempts,
                 "messages": self.messages,
                 "decisions": self.decisions,
-                "retries": self.retries,
             },
             "hops": [hop.to_dict() for hop in self.hops],
         }
@@ -169,8 +166,7 @@ class PrefixExplanation:
         lines = [
             f"explain {self.prefix} (origin AS{self.origin}){where}",
             f"replay: {self.status}, {self.attempts} attempt(s), "
-            f"{self.messages} messages, {self.decisions} decisions, "
-            f"{self.retries} retries",
+            f"{self.messages} messages, {self.decisions} decisions",
         ]
         for number, hop in enumerate(self.hops, start=1):
             lines.append(f"hop {number}: AS{hop.asn} quasi-router {hop.router}")
@@ -197,9 +193,8 @@ def explain_prefix(
     model: ASRoutingModel,
     prefix: Prefix,
     observer_asn: int | None = None,
-    retry: RetryPolicy | None = None,
 ) -> PrefixExplanation:
-    """Replay ``prefix`` with tracing forced on and explain its outcome.
+    """Replay ``prefix`` and explain its outcome.
 
     With ``observer_asn`` the explanation walks the winning quasi-router
     chain from the observer towards the origin; without it, every AS
@@ -208,12 +203,9 @@ def explain_prefix(
     originate.
     """
     origin = model.origin_of(prefix)
-    tracer = RecordingTracer()
-    with tracing(tracer):
-        stats, outcome = simulate_prefix_with_retry(
-            model.network, prefix, MODEL_DECISION_CONFIG,
-            retry if retry is not None else RetryPolicy(),
-        )
+    stats, outcome = simulate_prefix_bounded(
+        model.network, prefix, MODEL_DECISION_CONFIG
+    )
     explanation = PrefixExplanation(
         prefix=prefix,
         origin=origin,
@@ -222,7 +214,6 @@ def explain_prefix(
         attempts=outcome.attempts,
         messages=outcome.messages,
         decisions=stats.decisions,
-        retries=len(tracer.events(EVENT_RETRY)),
     )
     if observer_asn is not None:
         explanation.hops = _walk_winning_chain(model, prefix, observer_asn)

@@ -4,7 +4,7 @@ A *span* is a named phase with a wall-clock duration (``parse``,
 ``simulate``, ``refine-iteration``, ``prefix``); spans nest, and every
 event records the span it happened inside.  An *event* is one typed
 occurrence: a decision-process outcome, a policy install/delete, a
-quasi-router duplication, a retry attempt, a quarantine.
+quasi-router duplication, a quarantine.
 
 The default tracer is :class:`NullTracer`, whose ``enabled`` flag lets
 hot paths skip even building the event payload::
@@ -51,11 +51,8 @@ EVENT_POLICY_DELETE = "policy-delete"
 EVENT_ROUTER_DUPLICATE = "router-duplicate"
 """The refiner cloned a quasi-router (Section 4.6 duplication)."""
 
-EVENT_RETRY = "retry"
-"""A diverged prefix is being re-simulated with an escalated budget."""
-
 EVENT_QUARANTINE = "quarantine"
-"""A prefix exhausted its retry policy and was quarantined."""
+"""A prefix exhausted its message budget and was quarantined."""
 
 EVENT_LINT_QUARANTINE = "lint-quarantine"
 """The static lint gate quarantined a prefix before any simulation."""

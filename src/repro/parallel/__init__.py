@@ -7,7 +7,7 @@ supervised by watchdogs, with poison-prefix quarantine and graceful
 signal-driven shutdown.  ``workers=1`` keeps the sequential path.
 
 The pool also runs *generic* tasks (objects with a ``key`` and a
-``run(network, context, config, policy)`` method) via
+``run(network, context, config, max_messages)`` method) via
 :meth:`SupervisedPool.run_tasks` — the campaign engine uses this to fan
 whole perturbed-scenario simulations out with the same crash isolation,
 watchdogs and poison quarantine as per-prefix work.
@@ -26,7 +26,6 @@ from repro.parallel.supervisor import (
     GenericRunStats,
     ParallelConfig,
     SupervisedPool,
-    simulate_network_supervised,
 )
 
 __all__ = [
@@ -40,5 +39,4 @@ __all__ = [
     "WorkerFaults",
     "apply_prefix_state",
     "capture_prefix_state",
-    "simulate_network_supervised",
 ]

@@ -70,7 +70,6 @@ from repro.resilience.retry import (
     TIMEOUT,
     PrefixOutcome,
     ResilienceStats,
-    RetryPolicy,
 )
 from repro.runstate import drain_signals
 
@@ -305,8 +304,8 @@ class ParallelConfig:
 
     ``workers=1`` (the default) disables the pool entirely — callers fall
     back to the sequential path, bit-for-bit.  ``task_timeout`` is the
-    per-dispatch wall-clock watchdog (None disables it; the retry
-    policy's own ``deadline_seconds`` still bounds healthy tasks).
+    per-dispatch wall-clock watchdog (None disables it; the message
+    budget still bounds every task).
     ``max_resubmits`` is how many *fresh* workers a failing prefix gets
     before being classified poison.  ``drain_grace`` bounds how long a
     graceful shutdown waits for in-flight tasks.  ``start_method`` picks
@@ -399,7 +398,7 @@ class SupervisedPool:
         self,
         network: Network,
         config: DecisionConfig = DecisionConfig(),
-        policy: RetryPolicy = RetryPolicy(),
+        max_messages: int | None = None,
         parallel: ParallelConfig = ParallelConfig(),
         context: object | None = None,
     ) -> None:
@@ -410,7 +409,6 @@ class SupervisedPool:
             )
         self.network = network
         self.config = config
-        self.policy = policy
         self.parallel = parallel
         blob = dump_network(network)
         context_blob = pickle.dumps(context) if context is not None else None
@@ -422,7 +420,7 @@ class SupervisedPool:
                 conn,
                 blob,
                 config,
-                policy,
+                max_messages,
                 parallel.faults,
                 parallel.heartbeat_interval,
                 context_blob,
@@ -765,24 +763,3 @@ class SupervisedPool:
             "drained": self._drain.signum is not None,
         }
 
-
-def simulate_network_supervised(
-    network: Network,
-    prefixes: Iterable[Prefix] | None = None,
-    config: DecisionConfig = DecisionConfig(),
-    policy: RetryPolicy = RetryPolicy(),
-    parallel: ParallelConfig = ParallelConfig(),
-) -> ResilienceStats:
-    """Simulate every prefix through a supervised worker pool.
-
-    Falls back to the sequential retry loop when ``parallel`` is not
-    enabled (``workers=1``), preserving that path bit-for-bit.
-    """
-    if not parallel.enabled:
-        from repro.resilience.retry import simulate_network_with_retry
-
-        return simulate_network_with_retry(
-            network, prefixes=prefixes, config=config, policy=policy
-        )
-    with SupervisedPool(network, config, policy, parallel) as pool:
-        return pool.run(prefixes)

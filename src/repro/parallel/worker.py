@@ -1,12 +1,12 @@
 """The worker process entrypoint of the supervised pool.
 
 A worker unpickles its own private copy of the network once at startup,
-then loops: receive a prefix task, run the escalating-budget retry
-simulation on the private copy, capture the prefix's converged RIB slice,
+then loops: receive a prefix task, run the one bounded simulation
+attempt on the private copy, capture the prefix's converged RIB slice,
 and send it back with the outcome, engine stats and a raw metrics dump.
 
 Generic tasks (campaign scenarios) take the other branch: the payload is
-an object with a ``key`` and a ``run(network, context, config, policy)``
+an object with a ``key`` and a ``run(network, context, config, max_messages)``
 method, executed on a *fresh* unpickled network copy per task — scenario
 simulations mutate topology, and isolation beats the cost of unpickling.
 The shared ``context`` (e.g. baseline paths) is unpickled once at
@@ -50,14 +50,14 @@ from repro.parallel.protocol import (
     WorkerFaults,
     capture_prefix_state,
 )
-from repro.resilience.retry import simulate_prefix_with_retry
+from repro.resilience.retry import simulate_prefix_bounded
 
 
 def worker_main(
     conn,
     network_blob: bytes,
     decision_config,
-    retry_policy,
+    max_messages: int | None,
     faults: WorkerFaults | None,
     heartbeat_interval: float,
     context_blob: bytes | None = None,
@@ -113,8 +113,8 @@ def worker_main(
             set_registry(registry)
             try:
                 if is_prefix:
-                    stats, outcome = simulate_prefix_with_retry(
-                        network, payload, decision_config, retry_policy
+                    stats, outcome = simulate_prefix_bounded(
+                        network, payload, decision_config, max_messages
                     )
                     result: object = TaskResult(
                         prefix=payload,
@@ -129,7 +129,7 @@ def worker_main(
                     # next task dispatched to this worker.
                     scratch = pickle.loads(network_blob)
                     value = payload.run(
-                        scratch, context, decision_config, retry_policy
+                        scratch, context, decision_config, max_messages
                     )
                     result = GenericTaskResult(
                         key=payload.key,

@@ -1,4 +1,4 @@
-"""Resilient simulation runtime: faults, retries, checkpoints, health.
+"""Resilient simulation runtime: faults, quarantine, checkpoints, health.
 
 The subsystem that keeps long refine/re-simulate runs (the Figure 6 loop
 over C-BGP-scale simulations) alive in the presence of policy-induced
@@ -6,8 +6,8 @@ divergence, noisy dumps, and crashes:
 
 * :mod:`repro.resilience.faults` — deterministic fault injection
   (dispute wheels, dump corruption, session flaps, budget exhaustion);
-* :mod:`repro.resilience.retry` — escalating-budget retry that classifies
-  prefixes as transient vs. diverged and quarantines the latter;
+* :mod:`repro.resilience.retry` — one bounded simulation attempt per
+  prefix; a prefix that exhausts its message budget is quarantined;
 * :mod:`repro.resilience.checkpoint` — atomic checkpoint/resume for the
   refiner, reusing the C-BGP config persistence;
 * :mod:`repro.resilience.health` — the structured :class:`RunHealth`
@@ -25,12 +25,10 @@ from repro.resilience.faults import (
 from repro.resilience.retry import (
     CONVERGED,
     DIVERGED,
-    TRANSIENT,
     PrefixOutcome,
     ResilienceStats,
-    RetryPolicy,
-    simulate_network_with_retry,
-    simulate_prefix_with_retry,
+    simulate_network_bounded,
+    simulate_prefix_bounded,
 )
 from repro.resilience.health import (
     EXIT_DATA,
@@ -71,15 +69,13 @@ __all__ = [
     "PrefixOutcome",
     "RefinerCheckpoint",
     "ResilienceStats",
-    "RetryPolicy",
     "RunHealth",
-    "TRANSIENT",
     "apply_faults",
     "corrupt_dump_lines",
     "find_wheel_candidates",
     "inject_dispute_wheel",
     "load_checkpoint",
     "save_checkpoint",
-    "simulate_network_with_retry",
-    "simulate_prefix_with_retry",
+    "simulate_network_bounded",
+    "simulate_prefix_bounded",
 ]

@@ -76,7 +76,7 @@ class RefinerCheckpoint:
     def restore_model(self):
         """Rebuild the checkpointed :class:`~repro.core.model.ASRoutingModel`."""
         # Imported here, not at module level: core.model imports the
-        # resilience package for its retry API, so a top-level import
+        # resilience package for its quarantine API, so a top-level import
         # would be circular.
         from repro.core.model import ASRoutingModel
 

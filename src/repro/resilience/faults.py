@@ -11,7 +11,7 @@ on demand:
 * **session flaps** — eBGP peerings torn down before simulation;
 * **message-budget exhaustion** — an artificially tiny per-prefix budget
   that forces :class:`~repro.errors.ConvergenceError` on healthy prefixes
-  (which retries must then classify as *transient*).
+  (which are then quarantined like a real divergence, visibly).
 
 Everything is driven by a seeded :class:`random.Random`, so a
 ``FaultConfig`` fully determines the injected workload.

@@ -1,7 +1,7 @@
 """Structured run-health reporting and CLI exit codes.
 
 A :class:`RunHealth` object accumulates, across a pipeline run: wall-clock
-per phase, dump parse-skip counters, simulation retry/quarantine outcomes,
+per phase, dump parse-skip counters, simulation quarantine outcomes,
 refinement stall diagnostics (naming the unmatched origins/paths), the
 injected fault workload (for chaos runs) and any recoverable errors.  It
 serialises to JSON for ``--health-report`` and maps to a distinct process
@@ -17,6 +17,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
+
+from repro.resilience.retry import QUARANTINED_STATUSES
 
 EXIT_OK = 0
 """Everything converged and parsed."""
@@ -156,8 +158,8 @@ class RunHealth:
         if self.simulation is None:
             return []
         prefixes: list[str] = []
-        for key in ("diverged", "unsafe", "poison", "timeout"):
-            prefixes.extend(self.simulation.get(key) or [])
+        for status in QUARANTINED_STATUSES:
+            prefixes.extend(self.simulation.get(status) or [])
         return sorted(prefixes)
 
     @property

@@ -1,37 +1,36 @@
-"""Retry with escalating message budgets, and divergence quarantine.
+"""One bounded simulation attempt per prefix, and divergence quarantine.
 
-A :class:`~repro.errors.ConvergenceError` does not always mean a dispute
-wheel: large topologies can simply outgrow the default budget.  The retry
-loop distinguishes the two deterministically — re-simulate with a
-geometrically growing ``max_messages`` until the prefix converges
-(*transient*: the budget was too small) or the cap / attempt limit /
-per-prefix wall-clock deadline is hit (*diverged*: quarantined, its
-partial routing state cleared).
+The engine is a deterministic FIFO fixed point (Section 4.2: "a separate
+simulation for each prefix"), so an attempt at budget ``B`` is the first
+``B`` messages of any attempt at a bigger budget: re-running a prefix
+from message 0 with more room can reach no verdict and no RIB that one
+attempt at the bigger budget does not reach with fewer messages.  Every
+caller above :mod:`repro.bgp.engine` that must survive divergence
+therefore simulates through this one front door — one attempt at one
+message budget; a prefix that exhausts it is *diverged* and quarantined
+(partial routing state cleared) through the engine's own
+``on_divergence="quarantine"`` path instead of aborting the run.
 
-Because each attempt is itself bounded by its budget, the deadline can
-never be overshot by more than one attempt: there is no way to hang.
+The attempt is bounded by its budget, so there is no way to hang.
 """
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.bgp.decision import DecisionConfig
-from repro.bgp.engine import EngineStats, default_message_budget, simulate_prefix
+from repro.bgp.engine import EngineStats, default_message_budget, simulate
 from repro.bgp.network import Network
-from repro.errors import ConvergenceError
 from repro.net.prefix import Prefix
 from repro.obs.metrics import get_registry
-from repro.obs.trace import EVENT_QUARANTINE, EVENT_RETRY, get_tracer
-
-logger = logging.getLogger(__name__)
+from repro.obs.trace import EVENT_QUARANTINE, get_tracer
 
 CONVERGED = "converged"
-TRANSIENT = "transient"
 DIVERGED = "diverged"
+"""The one attempt exhausted its message budget; quarantined."""
+
 UNSAFE = "unsafe"
 """Quarantined by the static lint gate *before* any simulation attempt."""
 
@@ -48,60 +47,16 @@ wall-clock watchdog; the prefix is quarantined as a hang."""
 QUARANTINED_STATUSES = (DIVERGED, UNSAFE, POISON, TIMEOUT)
 """Statuses whose prefixes carry no routes in the final model."""
 
-MAX_BUDGET = 50_000_000
-"""Absolute ceiling on any per-attempt message budget.
-
-``RetryPolicy.budget_cap`` is the *configured* cap, but a caller can set
-it arbitrarily high (or a bug could), and repeated geometric doubling
-would then escalate past any budget a single attempt can usefully spend.
-``first_budget``/``next_budget`` clamp to ``min(budget_cap, MAX_BUDGET)``
-so escalation always plateaus at a documented, sane ceiling."""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How hard to try before quarantining a prefix.
-
-    ``initial_budget`` of ``None`` uses the engine's session-scaled
-    default; each retry multiplies the budget by ``budget_growth`` up to
-    ``budget_cap``.  ``deadline_seconds`` bounds the total wall clock
-    spent on one prefix across attempts (checked between attempts — each
-    attempt is already bounded by its message budget).
-    """
-
-    max_attempts: int = 3
-    budget_growth: float = 4.0
-    initial_budget: int | None = None
-    budget_cap: int = 2_000_000
-    deadline_seconds: float | None = 30.0
-
-    @property
-    def effective_cap(self) -> int:
-        """The cap escalation actually honours: ``budget_cap`` clamped to
-        the module-wide :data:`MAX_BUDGET` ceiling."""
-        return min(self.budget_cap, MAX_BUDGET)
-
-    def first_budget(self, network: Network) -> int:
-        """The budget of attempt 1 for ``network``."""
-        budget = self.initial_budget
-        if budget is None:
-            budget = default_message_budget(network)
-        return min(budget, self.effective_cap)
-
-    def next_budget(self, budget: int) -> int:
-        """The escalated budget following ``budget``, clamped to the cap."""
-        return min(
-            self.effective_cap, max(budget + 1, int(budget * self.budget_growth))
-        )
-
 
 @dataclass
 class PrefixOutcome:
-    """Classification of one prefix's simulation under a retry policy."""
+    """Classification of one prefix's bounded simulation."""
 
     prefix: Prefix
     status: str
     attempts: int
+    """0 for a lint-gated prefix, 1 for a simulated one, the dispatch
+    count for one the parallel supervisor gave up on."""
     messages: int
     final_budget: int
     elapsed: float
@@ -149,7 +104,7 @@ class PrefixOutcome:
 
 @dataclass
 class ResilienceStats:
-    """Engine counters plus per-prefix retry outcomes."""
+    """Engine counters plus per-prefix outcomes."""
 
     engine: EngineStats = field(default_factory=EngineStats)
     outcomes: list[PrefixOutcome] = field(default_factory=list)
@@ -162,13 +117,8 @@ class ResilienceStats:
         return sorted(o.prefix for o in self.outcomes if o.status == status)
 
     @property
-    def transient(self) -> list[Prefix]:
-        """Prefixes that converged only after a budget escalation."""
-        return self._with_status(TRANSIENT)
-
-    @property
     def diverged(self) -> list[Prefix]:
-        """Prefixes quarantined after exhausting the retry policy."""
+        """Prefixes quarantined after exhausting the message budget."""
         return self._with_status(DIVERGED)
 
     @property
@@ -187,9 +137,11 @@ class ResilienceStats:
         return self._with_status(TIMEOUT)
 
     @property
-    def retries(self) -> int:
-        """Total extra attempts across all prefixes."""
-        return sum(max(0, o.attempts - 1) for o in self.outcomes)
+    def quarantined(self) -> list[Prefix]:
+        """Every prefix that carries no routes, whatever the reason."""
+        return sorted(
+            o.prefix for o in self.outcomes if o.status in QUARANTINED_STATUSES
+        )
 
     @property
     def attempts(self) -> int:
@@ -213,10 +165,8 @@ class ResilienceStats:
             "messages": self.engine.messages,
             "budget_exhaustions": self.engine.budget_exhaustions,
             "attempts": self.attempts,
-            "retries": self.retries,
             "resubmits": self.resubmits,
             "converged": sum(1 for o in self.outcomes if o.status == CONVERGED),
-            "transient": [str(p) for p in self.transient],
             "diverged": [str(p) for p in self.diverged],
             "unsafe": [str(p) for p in self.unsafe],
             "poison": [str(p) for p in self.poison],
@@ -232,118 +182,69 @@ class ResilienceStats:
         }
 
 
-def simulate_prefix_with_retry(
+def simulate_prefix_bounded(
     network: Network,
     prefix: Prefix,
     config: DecisionConfig = DecisionConfig(),
-    policy: RetryPolicy = RetryPolicy(),
+    max_messages: int | None = None,
 ) -> tuple[EngineStats, PrefixOutcome]:
-    """Simulate ``prefix``, escalating the budget on non-convergence.
+    """Simulate ``prefix`` once, within one message budget.
 
-    Returns the engine stats of the last attempt plus the outcome
-    classification.  On divergence the prefix's partial routing state is
-    cleared (quarantine) and the stats record it in ``diverged``.
+    ``max_messages`` of ``None`` means sixteen times the engine's
+    session-scaled default, capped at two million — room enough that
+    exhausting it means a dispute wheel, not a big topology.  Returns the
+    engine stats of the attempt plus the outcome classification.  On
+    divergence the prefix's partial routing state is cleared (quarantine)
+    and the stats record it in ``diverged``.
     """
     started = time.monotonic()
-    tracer = get_tracer()
-    registry = get_registry()
-    budget = policy.first_budget(network)
-    spent = 0
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            stats = simulate_prefix(network, prefix, config, budget)
-        except ConvergenceError as error:
-            spent += error.messages_used
-            elapsed = time.monotonic() - started
-            out_of_attempts = attempt >= policy.max_attempts
-            out_of_budget = budget >= policy.effective_cap
-            out_of_time = (
-                policy.deadline_seconds is not None
-                and elapsed >= policy.deadline_seconds
+    budget = max_messages
+    if budget is None:
+        budget = min(16 * default_message_budget(network), 2_000_000)
+    stats = simulate(network, (prefix,), config, budget, on_divergence="quarantine")
+    status = CONVERGED
+    if stats.diverged:
+        status = DIVERGED
+        get_registry().counter("retry.quarantined").inc()
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.event(
+                EVENT_QUARANTINE,
+                prefix=str(prefix),
+                messages=stats.messages,
+                final_budget=budget,
             )
-            if out_of_attempts or out_of_budget or out_of_time:
-                network.clear_prefix(prefix)
-                stats = EngineStats(prefixes=1, messages=spent)
-                # Every attempt hit its budget; the accounting must say
-                # so even though the per-attempt stats were discarded.
-                stats.budget_exhaustions = attempt
-                stats.per_prefix_messages[prefix] = spent
-                stats.diverged.append(prefix)
-                registry.counter("retry.quarantined").inc()
-                registry.histogram("retry.attempts_per_prefix").observe(attempt)
-                if tracer.enabled:
-                    tracer.event(
-                        EVENT_QUARANTINE,
-                        prefix=str(prefix),
-                        attempts=attempt,
-                        messages=spent,
-                        final_budget=budget,
-                    )
-                logger.warning(
-                    "quarantined %s as diverged: %d attempts, %d messages, "
-                    "final budget %d",
-                    prefix, attempt, spent, budget,
-                )
-                return stats, PrefixOutcome(
-                    prefix, DIVERGED, attempt, spent, budget, elapsed
-                )
-            next_budget = policy.next_budget(budget)
-            registry.counter("retry.retries").inc()
-            if tracer.enabled:
-                tracer.event(
-                    EVENT_RETRY,
-                    prefix=str(prefix),
-                    attempt=attempt,
-                    budget=budget,
-                    next_budget=next_budget,
-                )
-            logger.debug(
-                "retrying %s: attempt %d exhausted budget %d, escalating to %d",
-                prefix, attempt, budget, next_budget,
-            )
-            budget = next_budget
-            continue
-        elapsed = time.monotonic() - started
-        status = CONVERGED if attempt == 1 else TRANSIENT
-        spent += stats.messages
-        # Failed earlier attempts each exhausted a budget before this one
-        # converged; fold that into the surviving attempt's stats.
-        stats.budget_exhaustions += attempt - 1
-        registry.histogram("retry.attempts_per_prefix").observe(attempt)
-        return stats, PrefixOutcome(prefix, status, attempt, spent, budget, elapsed)
+    return stats, PrefixOutcome(
+        prefix, status, 1, stats.messages, budget, time.monotonic() - started
+    )
 
 
-def simulate_network_with_retry(
+def simulate_network_bounded(
     network: Network,
     prefixes: Iterable[Prefix] | None = None,
     config: DecisionConfig = DecisionConfig(),
-    policy: RetryPolicy = RetryPolicy(),
+    max_messages: int | None = None,
     parallel=None,
 ) -> ResilienceStats:
-    """Simulate every prefix under ``policy``; divergence never aborts the run.
+    """Simulate every prefix once, bounded; divergence never aborts the run.
 
     With ``parallel`` (a :class:`repro.parallel.ParallelConfig` whose
     ``workers`` exceeds 1) the prefixes are simulated by a supervised
     worker pool: crashes, hangs and poison inputs degrade individual
     prefixes instead of the run, and a SIGINT/SIGTERM drains gracefully
     (raising :class:`~repro.errors.ShutdownRequested` with the partial
-    stats).  ``parallel=None`` or ``workers=1`` keeps today's sequential
-    path bit-for-bit.
+    stats).  ``parallel=None`` or ``workers=1`` is the sequential loop.
     """
-    if parallel is not None and parallel.workers > 1:
+    if parallel is not None and parallel.enabled:
         # Imported lazily: repro.parallel builds on this module.
-        from repro.parallel.supervisor import simulate_network_supervised
+        from repro.parallel.supervisor import SupervisedPool
 
-        return simulate_network_supervised(
-            network, prefixes=prefixes, config=config, policy=policy,
-            parallel=parallel,
-        )
+        with SupervisedPool(network, config, max_messages, parallel) as pool:
+            return pool.run(prefixes)
     result = ResilienceStats()
     targets = list(prefixes) if prefixes is not None else network.prefixes()
     for prefix in targets:
-        stats, outcome = simulate_prefix_with_retry(network, prefix, config, policy)
+        stats, outcome = simulate_prefix_bounded(network, prefix, config, max_messages)
         result.engine.merge(stats)
         result.outcomes.append(outcome)
     return result

@@ -1,8 +1,8 @@
 """Compile a refined model into a prediction artifact.
 
 The expensive half of the serving split: simulate every canonical prefix
-of an :class:`~repro.core.model.ASRoutingModel` exactly once (through the
-resilient retry layer, and through the supervised parallel pool when a
+of an :class:`~repro.core.model.ASRoutingModel` exactly once (bounded and
+quarantining, and through the supervised parallel pool when a
 :class:`~repro.parallel.ParallelConfig` is given), then collect the
 selected path set of every (origin, observer) pair via the same
 :func:`repro.core.predict.selected_paths` code path the live prediction
@@ -27,7 +27,7 @@ from repro.obs.meta import run_metadata
 from repro.obs.metrics import get_registry
 from repro.obs.profile import get_profiler
 from repro.relationships.types import RelationshipMap
-from repro.resilience.retry import ResilienceStats, RetryPolicy
+from repro.resilience.retry import ResilienceStats
 from repro.serve.artifact import PredictionArtifact, build_artifact
 
 logger = logging.getLogger(__name__)
@@ -64,7 +64,7 @@ class CompileReport:
 def compile_artifact(
     model: ASRoutingModel,
     observers: Iterable[int] | None = None,
-    retry: RetryPolicy | None = None,
+    max_messages: int | None = None,
     parallel=None,
     meta: dict | None = None,
     relationships: RelationshipMap | None = None,
@@ -74,8 +74,8 @@ def compile_artifact(
     ``observers`` restricts the answer set (default: every AS in the
     model).  ``parallel`` (a :class:`~repro.parallel.ParallelConfig`)
     fans the per-prefix simulation out to the PR-4 supervised pool;
-    ``retry`` controls budget escalation for diverging prefixes.
-    Prefixes that still diverge (or get classified poison/timeout by the
+    ``max_messages`` is the per-prefix message budget.
+    Prefixes that exhaust it (or get classified poison/timeout by the
     supervisor) are recorded as quarantined: the artifact refuses queries
     for their origins instead of freezing empty answers.
 
@@ -111,14 +111,10 @@ def compile_artifact(
 
     started = time.perf_counter()
     with profiler.phase("compile.simulate"):
-        stats = model.simulate_all_resilient(
-            policy=retry or RetryPolicy(), parallel=parallel
-        )
+        stats = model.simulate_all_resilient(max_messages, parallel=parallel)
     report.simulate_seconds = time.perf_counter() - started
     report.stats = stats
-    quarantined: set[Prefix] = set(
-        stats.diverged + stats.unsafe + stats.poison + stats.timed_out
-    )
+    quarantined: set[Prefix] = set(stats.quarantined)
     report.quarantined = sorted(str(prefix) for prefix in quarantined)
     report.converged = report.prefixes - len(quarantined)
     registry.counter("serve.compile.prefixes").inc(report.prefixes)

@@ -25,7 +25,7 @@ from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix, prefix_for_asn
 from repro.resilience.faults import FaultConfig, apply_faults, inject_dispute_wheel
 from repro.resilience.health import EXIT_DIVERGED, RunHealth
-from repro.resilience.retry import ResilienceStats, RetryPolicy
+from repro.resilience.retry import ResilienceStats
 from repro.topology.dataset import ObservedRoute, PathDataset
 
 
@@ -247,11 +247,7 @@ class TestLintGateVsQuarantine:
         refiner = Refiner(
             model,
             dataset,
-            RefinementConfig(
-                retry=RetryPolicy(max_attempts=3, initial_budget=2000,
-                                  budget_cap=8000),
-                lint_gate=lint_gate,
-            ),
+            RefinementConfig(max_messages=8000, lint_gate=lint_gate),
         )
         refiner.run()
         return wheel_prefix, ResilienceStats(outcomes=refiner.outcomes)

@@ -60,7 +60,7 @@ class ExplodingScenario:
     def key(self) -> str:
         return "depeer:AS-exploding"
 
-    def run(self, network, context, config, policy) -> dict:
+    def run(self, network, context, config, max_messages) -> dict:
         raise TopologyError("synthetic scenario failure")
 
 

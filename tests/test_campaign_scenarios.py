@@ -26,7 +26,6 @@ from repro.core.refine import Refiner
 from repro.errors import TopologyError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
-from repro.resilience.retry import RetryPolicy
 from repro.serve import compile_artifact
 from repro.topology.dataset import ObservedRoute, PathDataset
 
@@ -59,9 +58,7 @@ def context(model):
 def run_scenario(model, scenario, context):
     """Execute one scenario exactly like the engine: on a fresh copy."""
     network = pickle.loads(pickle.dumps(model.network))
-    return scenario.run(
-        network, context, MODEL_DECISION_CONFIG, RetryPolicy()
-    )
+    return scenario.run(network, context, MODEL_DECISION_CONFIG, None)
 
 
 class TestGenerators:

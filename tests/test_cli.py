@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.bgp.network import Network
+from repro.cbgp.export import export_network
 from repro.cli import main
+from repro.net.prefix import prefix_for_asn
+from repro.resilience.faults import inject_dispute_wheel
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +27,25 @@ def dump_file(tmp_path_factory):
     )
     assert code == 0
     return path
+
+
+@pytest.fixture
+def wheel_config(tmp_path):
+    """A saved 4-AS model whose only prefix sits on a dispute wheel."""
+    net = Network("gadget")
+    spokes = {asn: net.add_router(asn) for asn in (1, 2, 3)}
+    hub = net.add_router(4)
+    prefix = prefix_for_asn(4)
+    net.originate(hub, prefix)
+    for router in spokes.values():
+        net.connect(router, hub)
+    for a, b in ((1, 2), (2, 3), (3, 1)):
+        net.connect(spokes[a], spokes[b])
+    inject_dispute_wheel(net, prefix, (1, 2, 3))
+    config = tmp_path / "wheel.cbgp"
+    with open(config, "w", encoding="ascii") as handle:
+        export_network(net, handle)
+    return config
 
 
 class TestSynthesize:
@@ -103,34 +126,13 @@ class TestLint:
         assert set(payload["passes"]) == {"safety", "policy", "topology"}
 
     def test_wheel_config_exits_nonzero_and_names_the_wheel(
-        self, tmp_path, capsys
+        self, wheel_config, capsys
     ):
-        import io
-
-        from repro.bgp.network import Network
-        from repro.cbgp.export import export_network
-        from repro.net.prefix import prefix_for_asn
-        from repro.resilience.faults import inject_dispute_wheel
-
-        net = Network("gadget")
-        spokes = {asn: net.add_router(asn) for asn in (1, 2, 3)}
-        hub = net.add_router(4)
-        prefix = prefix_for_asn(4)
-        net.originate(hub, prefix)
-        for router in spokes.values():
-            net.connect(router, hub)
-        for a, b in ((1, 2), (2, 3), (3, 1)):
-            net.connect(spokes[a], spokes[b])
-        inject_dispute_wheel(net, prefix, (1, 2, 3))
-        buffer = io.StringIO()
-        export_network(net, buffer)
-        config = tmp_path / "wheel.cbgp"
-        config.write_text(buffer.getvalue())
-        code = main(["lint", str(config)])
+        code = main(["lint", str(wheel_config)])
         captured = capsys.readouterr().out
         assert code == 1
         assert "safety-dispute-wheel" in captured
-        assert str(prefix) in captured
+        assert str(prefix_for_asn(4)) in captured
 
     def test_missing_model_is_a_data_error(self, tmp_path, capsys):
         code = main(["lint", str(tmp_path / "nope.cbgp")])
@@ -269,6 +271,62 @@ class TestWhatIfValidation:
         )
         assert code == 4
         assert "error:" in capsys.readouterr().err
+
+    def test_divergent_model_is_exit_3_not_a_traceback(
+        self, wheel_config, capsys
+    ):
+        code = main(["whatif", str(wheel_config), "--remove", "1", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: ")
+        assert "did not converge for 0.4.0.0/24" in captured.err
+        assert "changed pairs" not in captured.out
+
+
+class TestRefineDivergence:
+    def test_divergent_model_is_quarantined_and_reported(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A refinement run never aborts on a divergent prefix: it is
+        quarantined, left out of the evaluation, named in the health
+        report, and the run exits 3."""
+        import json
+
+        from repro import cli
+        from repro.data.dumps import write_table_dump
+        from repro.net.aspath import ASPath
+        from repro.topology.dataset import ObservedRoute, PathDataset
+
+        tails = ((1, 4), (2, 4), (3, 4), (1, 2, 4), (2, 3, 4), (3, 1, 4))
+        dump = tmp_path / "dump.txt"
+        write_table_dump(
+            PathDataset([
+                ObservedRoute(
+                    f"p{observer}", observer, prefix_for_asn(4),
+                    ASPath((observer,) + tail),
+                )
+                for observer in (8, 9)
+                for tail in tails
+            ]),
+            dump,
+        )
+        build = cli.build_initial_model
+
+        def build_with_wheel(dataset, graph):
+            model = build(dataset, graph)
+            inject_dispute_wheel(
+                model.network, model.canonical_prefix(4), (1, 2, 3)
+            )
+            return model
+
+        monkeypatch.setattr(cli, "build_initial_model", build_with_wheel)
+        report = tmp_path / "health.json"
+        code = main(["refine", str(dump), "--health-report", str(report)])
+        assert code == 3
+        assert "quarantined diverged prefixes: 0.4.0.0/24" in capsys.readouterr().err
+        document = json.loads(report.read_text())
+        assert document["exit_code"] == 3
+        assert document["simulation"]["diverged"] == ["0.4.0.0/24"]
 
 
 class TestServeCLI:

@@ -48,7 +48,6 @@ class TestExplainPrefix:
         assert explanation.attempts == 1
         assert explanation.messages > 0
         assert explanation.decisions > 0
-        assert explanation.retries == 0
 
     def test_walk_reaches_the_origin(self, refined):
         model, _ = refined

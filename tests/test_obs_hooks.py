@@ -1,4 +1,4 @@
-"""Tests for the trace/metrics hooks in engine, retry and refine.
+"""Tests for the trace/metrics hooks in engine, quarantine and refine.
 
 Covers satellite (c): budget-exhaustion accounting must be visible —
 a starved ``simulate_prefix`` is reported through a trace event, a
@@ -20,15 +20,14 @@ from repro.obs.trace import (
     EVENT_BUDGET_EXHAUSTED,
     EVENT_DECISION,
     EVENT_POLICY_INSTALL,
-    EVENT_RETRY,
+    EVENT_QUARANTINE,
     RecordingTracer,
     tracing,
 )
 from repro.resilience.faults import inject_dispute_wheel
 from repro.resilience.retry import (
-    RetryPolicy,
-    simulate_network_with_retry,
-    simulate_prefix_with_retry,
+    simulate_network_bounded,
+    simulate_prefix_bounded,
 )
 from repro.topology.dataset import ObservedRoute, PathDataset
 
@@ -73,20 +72,6 @@ class TestBudgetExhaustionVisibility:
         assert stats.diverged == [prefix]
         assert stats.per_prefix_messages[prefix] > 1
 
-    def test_retry_accounts_every_failed_attempt(self, registry):
-        net, prefix = line_network(length=5)
-        policy = RetryPolicy(max_attempts=5, initial_budget=1, budget_growth=4.0)
-        tracer = RecordingTracer()
-        with tracing(tracer):
-            stats, outcome = simulate_prefix_with_retry(
-                net, prefix, policy=policy
-            )
-        assert outcome.attempts > 1
-        # every attempt before the surviving one exhausted a budget
-        assert stats.budget_exhaustions == outcome.attempts - 1
-        assert len(tracer.events(EVENT_RETRY)) == outcome.attempts - 1
-        assert registry.counter("retry.retries").value == outcome.attempts - 1
-
     def test_diverged_prefix_reports_all_attempts(self, registry):
         # triangle 1-2-3 around an originating hub AS4: the classic gadget
         net = Network("gadget")
@@ -99,21 +84,24 @@ class TestBudgetExhaustionVisibility:
         for a, b in ((1, 2), (2, 3), (3, 1)):
             net.connect(spokes[a], spokes[b])
         inject_dispute_wheel(net, prefix, (1, 2, 3))
-        policy = RetryPolicy(max_attempts=2, initial_budget=50, budget_cap=100)
-        stats, outcome = simulate_prefix_with_retry(net, prefix, policy=policy)
+        tracer = RecordingTracer()
+        with tracing(tracer):
+            stats, outcome = simulate_prefix_bounded(net, prefix, max_messages=100)
         assert outcome.status == "diverged"
-        assert stats.budget_exhaustions == outcome.attempts
+        assert stats.budget_exhaustions == outcome.attempts == 1
         assert registry.counter("retry.quarantined").value == 1
+        (event,) = tracer.events(EVENT_QUARANTINE)
+        assert event["prefix"] == str(prefix)
+        assert event["messages"] == 101
+        assert event["final_budget"] == 100
 
     def test_budget_exhaustions_surface_in_resilience_to_dict(self, registry):
         net, prefix = line_network()
-        result = simulate_network_with_retry(
-            net, policy=RetryPolicy(max_attempts=3, initial_budget=1)
-        )
+        result = simulate_network_bounded(net, max_messages=1)
         document = result.to_dict()
-        assert "budget_exhaustions" in document
         assert document["budget_exhaustions"] == result.engine.budget_exhaustions
-        assert document["budget_exhaustions"] > 0
+        assert document["budget_exhaustions"] == 1
+        assert document["diverged"] == [str(prefix)]
 
     def test_stats_merge_folds_exhaustions(self):
         a = EngineStats(budget_exhaustions=2)

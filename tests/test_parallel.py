@@ -27,14 +27,12 @@ from repro.parallel import (
     WorkerFaults,
     apply_prefix_state,
     capture_prefix_state,
-    simulate_network_supervised,
 )
 from repro.resilience.retry import (
     CONVERGED,
     POISON,
     TIMEOUT,
-    RetryPolicy,
-    simulate_network_with_retry,
+    simulate_network_bounded,
 )
 
 pytestmark = pytest.mark.timeout(120)
@@ -64,8 +62,8 @@ class TestEquivalence:
     def test_parallel_matches_sequential(self):
         net_seq, prefixes = star_network()
         net_par, _ = star_network()
-        seq = simulate_network_with_retry(net_seq, config=MODEL_DECISION_CONFIG)
-        par = simulate_network_supervised(
+        seq = simulate_network_bounded(net_seq, config=MODEL_DECISION_CONFIG)
+        par = simulate_network_bounded(
             net_par, config=MODEL_DECISION_CONFIG,
             parallel=ParallelConfig(workers=2),
         )
@@ -83,7 +81,7 @@ class TestEquivalence:
 
     def test_workers_1_falls_back_to_sequential(self):
         net, _ = star_network(prefix_count=3)
-        stats = simulate_network_supervised(
+        stats = simulate_network_bounded(
             net, config=MODEL_DECISION_CONFIG, parallel=ParallelConfig(workers=1)
         )
         assert all(o.status == CONVERGED for o in stats.outcomes)
@@ -97,13 +95,13 @@ class TestEquivalence:
     def test_merged_metrics_match_sequential(self):
         net_seq, _ = star_network()
         registry = fresh_registry()
-        simulate_network_with_retry(net_seq, config=MODEL_DECISION_CONFIG)
+        simulate_network_bounded(net_seq, config=MODEL_DECISION_CONFIG)
         seq_messages = registry.snapshot()["histograms"][
             "engine.messages_per_prefix"
         ]
         net_par, _ = star_network()
         registry = fresh_registry()
-        simulate_network_supervised(
+        simulate_network_bounded(
             net_par, config=MODEL_DECISION_CONFIG,
             parallel=ParallelConfig(workers=2),
         )
@@ -120,7 +118,7 @@ class TestCrashIsolation:
         victim = str(prefixes[3])
         registry = fresh_registry()
         with tracing(RecordingTracer()) as tracer:
-            stats = simulate_network_supervised(
+            stats = simulate_network_bounded(
                 net, config=MODEL_DECISION_CONFIG,
                 parallel=ParallelConfig(
                     workers=2, max_resubmits=1,
@@ -157,7 +155,7 @@ class TestCrashIsolation:
         victim = str(prefixes[5])
         registry = fresh_registry()
         with tracing(RecordingTracer()) as tracer:
-            stats = simulate_network_supervised(
+            stats = simulate_network_bounded(
                 net, config=MODEL_DECISION_CONFIG,
                 parallel=ParallelConfig(
                     workers=2, task_timeout=0.5, max_resubmits=1,
@@ -183,7 +181,7 @@ class TestCrashIsolation:
         # triggers only after max_resubmits + 1 dispatches.
         net, prefixes = star_network(prefix_count=4)
         victim = str(prefixes[0])
-        stats = simulate_network_supervised(
+        stats = simulate_network_bounded(
             net, config=MODEL_DECISION_CONFIG,
             parallel=ParallelConfig(
                 workers=2, max_resubmits=3,
@@ -198,7 +196,7 @@ class TestCrashIsolation:
     def test_mixed_faults_whole_run_survives(self):
         net, prefixes = star_network(prefix_count=10)
         crash, hang = str(prefixes[1]), str(prefixes[8])
-        stats = simulate_network_supervised(
+        stats = simulate_network_bounded(
             net, config=MODEL_DECISION_CONFIG,
             parallel=ParallelConfig(
                 workers=3, task_timeout=0.5, max_resubmits=1,
@@ -224,7 +222,7 @@ class TestGracefulShutdown:
         with tracing(RecordingTracer()) as tracer:
             try:
                 with pytest.raises(ShutdownRequested) as excinfo:
-                    simulate_network_supervised(
+                    simulate_network_bounded(
                         net, config=MODEL_DECISION_CONFIG,
                         parallel=ParallelConfig(
                             workers=2, drain_grace=1.0,
@@ -253,7 +251,7 @@ class TestGracefulShutdown:
             signal.getsignal(signal.SIGTERM),
         )
         net, _ = star_network(prefix_count=3)
-        simulate_network_supervised(
+        simulate_network_bounded(
             net, config=MODEL_DECISION_CONFIG, parallel=ParallelConfig(workers=2)
         )
         assert (
@@ -265,7 +263,7 @@ class TestGracefulShutdown:
 class TestPrefixState:
     def test_capture_apply_round_trip(self):
         net, prefixes = star_network(prefix_count=2)
-        simulate_network_with_retry(net, config=MODEL_DECISION_CONFIG)
+        simulate_network_bounded(net, config=MODEL_DECISION_CONFIG)
         target = prefixes[0]
         state = capture_prefix_state(net, target)
         assert state.routers  # someone touched it
@@ -281,30 +279,13 @@ class TestPrefixState:
 
     def test_apply_clears_stale_state_first(self):
         net, prefixes = star_network(prefix_count=1)
-        simulate_network_with_retry(net, config=MODEL_DECISION_CONFIG)
+        simulate_network_bounded(net, config=MODEL_DECISION_CONFIG)
         state = capture_prefix_state(net, prefixes[0])
         # re-applying over existing state must not duplicate anything
         apply_prefix_state(net, state)
         apply_prefix_state(net, state)
         touched = net.touched_routers(prefixes[0])
         assert state.routers.keys() == set(touched)
-
-
-class TestRetryPolicyClamp:
-    def test_next_budget_clamps_to_documented_ceiling(self):
-        from repro.resilience.retry import MAX_BUDGET
-
-        policy = RetryPolicy(budget_cap=10 * MAX_BUDGET, budget_growth=1000.0)
-        assert policy.effective_cap == MAX_BUDGET
-        budget = 1_000_000
-        for _ in range(10):
-            budget = policy.next_budget(budget)
-        assert budget == MAX_BUDGET
-
-    def test_configured_cap_below_ceiling_still_wins(self):
-        policy = RetryPolicy(budget_cap=5_000)
-        assert policy.next_budget(4_000) == 5_000
-        assert policy.first_budget(Network("empty")) <= 5_000
 
 
 class TestDeterministicSerialization:
@@ -324,6 +305,7 @@ class TestDeterministicSerialization:
             )
         assert stats_a.to_dict() == stats_b.to_dict()
         assert stats_a.to_dict()["poison"] == sorted(str(p) for p in prefixes)
+        assert stats_b.quarantined == sorted(prefixes)
         assert stats_a.to_dict()["resubmits"] == 6
 
     def test_health_exit_codes_for_poison_and_interrupted(self):

@@ -12,7 +12,7 @@ from repro.core.refine import RefinementConfig, Refiner
 from repro.data.observation import collect_dataset, select_observation_points
 from repro.data.synthesis import SyntheticConfig, synthesize_internet
 from repro.parallel import ParallelConfig
-from repro.resilience.retry import RetryPolicy, simulate_network_with_retry
+from repro.resilience.retry import simulate_network_bounded
 from repro.topology.graph import ASGraph
 
 pytestmark = pytest.mark.timeout(300)
@@ -47,12 +47,9 @@ def test_parallel_simulation_equals_sequential(seed):
     sequential = synthesize_internet(config).network
     parallel = synthesize_internet(config).network
 
-    policy = RetryPolicy()
-    seq_stats = simulate_network_with_retry(
-        sequential, config=MODEL_DECISION_CONFIG, policy=policy
-    )
-    par_stats = simulate_network_with_retry(
-        parallel, config=MODEL_DECISION_CONFIG, policy=policy,
+    seq_stats = simulate_network_bounded(sequential, config=MODEL_DECISION_CONFIG)
+    par_stats = simulate_network_bounded(
+        parallel, config=MODEL_DECISION_CONFIG,
         parallel=ParallelConfig(workers=4),
     )
 
@@ -78,9 +75,7 @@ def test_parallel_refinement_equals_sequential():
         refiner = Refiner(
             model,
             dataset,
-            RefinementConfig(
-                max_iterations=6, retry=RetryPolicy(), parallel=parallel
-            ),
+            RefinementConfig(max_iterations=6, parallel=parallel),
         )
         return refiner, refiner.run()
 

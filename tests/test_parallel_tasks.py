@@ -22,7 +22,7 @@ from repro.parallel import (
     TaskFailure,
     WorkerFaults,
 )
-from repro.resilience.retry import POISON, RetryPolicy
+from repro.resilience.retry import POISON
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -46,7 +46,7 @@ class ProbeTask:
     def key(self) -> str:
         return f"probe:{self.name}"
 
-    def run(self, network, context, config, policy) -> dict:
+    def run(self, network, context, config, max_messages) -> dict:
         # Count first, then mutate: if worker state leaked between tasks
         # the next task would see the router gone.
         routers = len(network.routers)
@@ -56,7 +56,7 @@ class ProbeTask:
         return {
             "routers": routers,
             "context": context,
-            "config_ok": config is not None and policy is not None,
+            "config_ok": config is not None and max_messages == 4321,
         }
 
 
@@ -68,7 +68,7 @@ class FailingTask:
     def key(self) -> str:
         return f"fail:{self.name}"
 
-    def run(self, network, context, config, policy) -> dict:
+    def run(self, network, context, config, max_messages) -> dict:
         raise RuntimeError("task exploded on purpose")
 
 
@@ -78,7 +78,7 @@ def run_pool(tasks, workers=2, context=None, faults=None, **overrides):
         **overrides,
     )
     pool = SupervisedPool(
-        small_network(), MODEL_DECISION_CONFIG, RetryPolicy(), parallel,
+        small_network(), MODEL_DECISION_CONFIG, 4321, parallel,
         context=context,
     )
     with pool:

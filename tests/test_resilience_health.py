@@ -15,7 +15,7 @@ from repro.resilience.health import (
     UNMATCHED_LIMIT,
     RunHealth,
 )
-from repro.resilience.retry import DIVERGED, PrefixOutcome, ResilienceStats, RetryPolicy
+from repro.resilience.retry import DIVERGED, PrefixOutcome, ResilienceStats
 
 FAST_CHAOS = ChaosConfig(
     seed=0,
@@ -28,15 +28,13 @@ FAST_CHAOS = ChaosConfig(
         corrupt_line_fraction=0.1,
         truncate_line_fraction=0.05,
         session_flaps=1,
-    ),
-    retry=RetryPolicy(
-        max_attempts=2, initial_budget=2000, budget_cap=20_000, deadline_seconds=10.0
+        message_budget=20_000,
     ),
 )
 
 
 def diverged_stats(prefix: Prefix) -> ResilienceStats:
-    outcome = PrefixOutcome(prefix, DIVERGED, 2, 4000, 2000, 0.1)
+    outcome = PrefixOutcome(prefix, DIVERGED, 1, 2001, 2000, 0.1)
     return ResilienceStats(outcomes=[outcome])
 
 
@@ -154,12 +152,14 @@ class TestChaosPipeline:
     def test_faulted_run_quarantines_and_reports(self):
         health = run_chaos(FAST_CHAOS)
         document = health.to_dict()
-        # a wheel diverged: quarantined after bounded retries, named in the report
+        # a wheel diverged: quarantined after one bounded attempt, named in
+        # the report
         assert health.exit_code == EXIT_DIVERGED
         assert health.diverged_prefixes
         for outcome in document["simulation"]["outcomes"]:
             if outcome["status"] == "diverged":
-                assert outcome["attempts"] <= FAST_CHAOS.retry.max_attempts
+                assert outcome["attempts"] == 1
+                assert outcome["final_budget"] == FAST_CHAOS.faults.message_budget
         # dump corruption surfaced as parse skips, not a crash
         assert document["faults"]["corrupted_lines"] > 0
         assert document["parse"]["skipped_malformed"] >= document["faults"][
@@ -185,7 +185,6 @@ class TestChaosPipeline:
             scale=0.12,
             points=6,
             faults=FaultConfig(seed=0, corrupt_line_fraction=1.0),
-            retry=FAST_CHAOS.retry,
         )
         health = run_chaos(config)
         assert health.exit_code == EXIT_DATA
@@ -198,7 +197,7 @@ class TestCLI:
         report = tmp_path / "health.json"
         code = main([
             "chaos", "--seed", "0", "--scale", "0.12", "--points", "6",
-            "--refine-iterations", "4", "--retry-attempts", "2",
+            "--refine-iterations", "4",
             "--flap-sessions", "1", "--message-budget", "2000",
             "--health-report", str(report),
         ])
@@ -211,7 +210,7 @@ class TestCLI:
     def test_chaos_without_report_prints_json(self, capsys):
         code = main([
             "chaos", "--seed", "2", "--scale", "0.12", "--points", "6",
-            "--refine-iterations", "10", "--retry-attempts", "2",
+            "--refine-iterations", "10",
             "--dispute-wheels", "0", "--flap-sessions", "0",
             "--corrupt-fraction", "0", "--truncate-fraction", "0",
         ])
@@ -231,7 +230,7 @@ class TestCLI:
         checkpoint = tmp_path / "refine.ckpt"
         code = main([
             "refine", str(dump), "--max-iterations", "6",
-            "--retry-attempts", "2", "--checkpoint", str(checkpoint),
+            "--checkpoint", str(checkpoint),
             "--health-report", str(report),
         ])
         assert code == EXIT_OK

@@ -1,20 +1,23 @@
-"""Tests for escalating-budget retry and divergence quarantine."""
+"""Tests for the one bounded attempt per prefix and divergence quarantine."""
 
+import hashlib
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.engine import default_message_budget, simulate_prefix
+from repro.bgp.engine import EngineStats
 from repro.bgp.network import Network
+from repro.data.synthesis import SyntheticConfig, synthesize_internet
 from repro.net.prefix import Prefix
-from repro.resilience.faults import inject_dispute_wheel
+from repro.resilience.faults import FaultConfig, apply_faults, inject_dispute_wheel
 from repro.resilience.retry import (
     CONVERGED,
     DIVERGED,
-    TRANSIENT,
-    RetryPolicy,
-    simulate_network_with_retry,
-    simulate_prefix_with_retry,
+    simulate_network_bounded,
+    simulate_prefix_bounded,
 )
+from tests.test_bgp_engine_golden import canonical_dump
 
 
 def gadget_network(wheel_asns=(1, 2, 3), extra_spokes=0, origin_asn=4):
@@ -37,69 +40,46 @@ def gadget_network(wheel_asns=(1, 2, 3), extra_spokes=0, origin_asn=4):
 class TestClassification:
     def test_healthy_prefix_is_converged_first_try(self):
         net, prefix = gadget_network()
-        stats, outcome = simulate_prefix_with_retry(net, prefix)
+        stats, outcome = simulate_prefix_bounded(net, prefix)
         assert outcome.status == CONVERGED
         assert outcome.attempts == 1
         assert stats.diverged == []
 
-    def test_tiny_budget_is_transient_after_escalation(self):
-        net, prefix = gadget_network(extra_spokes=4)
-        policy = RetryPolicy(max_attempts=6, initial_budget=1, budget_growth=8.0)
-        stats, outcome = simulate_prefix_with_retry(net, prefix, policy=policy)
-        assert outcome.status == TRANSIENT
-        assert outcome.attempts > 1
-        assert stats.diverged == []
-        # the converged state matches an unretried run with a big budget
-        best = {r.router_id: r.best(prefix) for r in net.routers.values()}
-        net2, prefix2 = gadget_network(extra_spokes=4)
-        simulate_prefix(net2, prefix2)
-        for router in net2.routers.values():
-            mine = best[router.router_id]
-            theirs = router.best(prefix2)
-            assert (mine is None) == (theirs is None)
-            if mine is not None:
-                assert mine.as_path == theirs.as_path
-
     def test_dispute_wheel_is_quarantined(self):
         net, prefix = gadget_network()
         inject_dispute_wheel(net, prefix, (1, 2, 3))
-        policy = RetryPolicy(max_attempts=3, initial_budget=500, budget_cap=5000)
-        stats, outcome = simulate_prefix_with_retry(net, prefix, policy=policy)
+        stats, outcome = simulate_prefix_bounded(net, prefix, max_messages=5000)
         assert outcome.status == DIVERGED
-        assert outcome.attempts == 3
+        assert outcome.attempts == 1
         assert stats.diverged == [prefix]
         assert all(r.best(prefix) is None for r in net.routers.values())
 
     def test_budget_cap_stops_escalation_early(self):
+        """The budget is the whole cost of a divergence: one attempt, one
+        message past it, nothing re-run."""
         net, prefix = gadget_network()
         inject_dispute_wheel(net, prefix, (1, 2, 3))
-        policy = RetryPolicy(max_attempts=100, initial_budget=500, budget_cap=500)
-        _, outcome = simulate_prefix_with_retry(net, prefix, policy=policy)
+        stats, outcome = simulate_prefix_bounded(net, prefix, max_messages=500)
         assert outcome.status == DIVERGED
-        assert outcome.attempts == 1  # budget already at cap: no point retrying
+        assert outcome.attempts == 1
+        assert outcome.final_budget == 500
+        assert outcome.messages == stats.messages == 501
+        assert stats.budget_exhaustions == 1
 
     def test_network_level_run_mixes_outcomes(self):
         net, prefix = gadget_network()
         clean = Prefix("10.0.1.0/24")
         net.originate(net.routers[list(net.routers)[0]], clean)
         inject_dispute_wheel(net, prefix, (1, 2, 3))
-        result = simulate_network_with_retry(
-            net, policy=RetryPolicy(max_attempts=2, initial_budget=500, budget_cap=2000)
-        )
-        assert result.diverged == [prefix]
+        result = simulate_network_bounded(net, max_messages=2000)
+        assert result.diverged == result.quarantined == [prefix]
         assert clean not in result.diverged
         assert result.engine.diverged == [prefix]
+        assert result.attempts == 2
         document = result.to_dict()
         assert document["diverged"] == [str(prefix)]
         assert document["prefixes"] == 2
-
-    def test_policy_budget_helpers(self):
-        net, _ = gadget_network()
-        policy = RetryPolicy(initial_budget=None, budget_growth=4.0, budget_cap=100)
-        assert policy.first_budget(net) == 100  # capped below engine default
-        assert default_message_budget(net) > 100
-        assert policy.next_budget(100) == 100
-        assert RetryPolicy(budget_growth=4.0).next_budget(10) == 40
+        assert document["converged"] == 1
 
 
 class TestDisputeWheelProperty:
@@ -109,27 +89,59 @@ class TestDisputeWheelProperty:
     @given(
         wheel_asns=st.permutations((1, 2, 3)),
         extra_spokes=st.integers(min_value=0, max_value=3),
-        initial_budget=st.integers(min_value=10, max_value=2000),
-        growth=st.floats(min_value=1.5, max_value=8.0),
-        attempts=st.integers(min_value=1, max_value=4),
+        budget=st.integers(min_value=10, max_value=50_000),
     )
     def test_wheel_always_quarantined_within_deadline(
-        self, wheel_asns, extra_spokes, initial_budget, growth, attempts
+        self, wheel_asns, extra_spokes, budget
     ):
         net, prefix = gadget_network(extra_spokes=extra_spokes)
         inject_dispute_wheel(net, prefix, tuple(wheel_asns))
-        policy = RetryPolicy(
-            max_attempts=attempts,
-            initial_budget=initial_budget,
-            budget_growth=growth,
-            budget_cap=50_000,
-            deadline_seconds=30.0,
-        )
-        stats, outcome = simulate_prefix_with_retry(net, prefix, policy=policy)
+        stats, outcome = simulate_prefix_bounded(net, prefix, max_messages=budget)
         assert outcome.status == DIVERGED
-        assert outcome.attempts <= attempts
+        assert outcome.attempts == 1
         assert outcome.elapsed < 30.0
-        assert outcome.messages <= attempts * 50_000 + attempts
+        assert outcome.messages == budget + 1
         assert stats.diverged == [prefix]
         # quarantine: no residual routing state anywhere
         assert all(r.best(prefix) is None for r in net.routers.values())
+
+
+PARENT_VERDICTS = {
+    0: (
+        ["39.33.1.0/24"],
+        "b891631b913fa02bde483b1169a2be0dea6ca1deaeb11082e0b6f8f9b009020a",
+    ),
+    1: (
+        ["39.22.1.0/24", "39.32.1.0/24"],
+        "9eaad1da6e62b657343b510a0ffaaf4514aa82f7059f9f4933c43897832ea373",
+    ),
+    2: ([], "e117994f52c04875304955c636e88e5febd7fc57698ac029d757ee9adad4f205"),
+}
+"""Chaos-world seed -> (quarantined prefixes, SHA-256 over every Adj-RIB-In,
+Loc-RIB and Adj-RIB-Out entry), recorded at the parent commit (05c08fa)
+under its default escalating ladder (3 attempts x 4 growth, 2M cap)."""
+
+
+class TestVerdictPreservation:
+    """One attempt at the ladder's last rung reaches the ladder's verdicts."""
+
+    @pytest.mark.parametrize("seed", sorted(PARENT_VERDICTS))
+    def test_default_budget_reproduces_the_ladder(self, seed):
+        # The FAST_CHAOS world of tests/test_resilience_health.py, per seed.
+        network = synthesize_internet(SyntheticConfig(seed=seed).scaled(0.12)).network
+        apply_faults(
+            network, FaultConfig(seed=seed, dispute_wheels=2, session_flaps=1)
+        )
+        stats = simulate_network_bounded(network)
+        quarantined, ribs_sha = PARENT_VERDICTS[seed]
+        assert [str(prefix) for prefix in stats.quarantined] == quarantined
+        ribs = [
+            line
+            for line in canonical_dump(network, EngineStats())
+            if line.startswith(("in ", "out ", "loc "))
+        ]
+        assert hashlib.sha256("\n".join(ribs).encode()).hexdigest() == ribs_sha
+        for outcome in stats.outcomes:
+            assert outcome.attempts == 1
+            if outcome.status == DIVERGED:
+                assert outcome.messages == outcome.final_budget + 1

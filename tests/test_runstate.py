@@ -880,6 +880,20 @@ def imports_of(module: str, name: str) -> set[str]:
     }
 
 
+def handlers_of(exception: str) -> set[str]:
+    """Files under ``src/repro`` with an ``except`` clause naming ``exception``."""
+    return {
+        source
+        for source, tree in source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and any(
+            isinstance(name, ast.Name) and name.id == exception
+            for name in ast.walk(node.type)
+        )
+    }
+
+
 class TestEachMechanismExistsOnce:
     def test_os_replace_is_called_only_by_runstate(self):
         assert call_sites("replace", "os") == {"runstate.py"}
@@ -897,3 +911,10 @@ class TestEachMechanismExistsOnce:
         assert call_sites("Process") == {"parallel/supervisor.py"}
         assert call_sites("Pipe") == {"parallel/supervisor.py"}
         assert imports_of("multiprocessing", "Process") == set()
+
+    def test_divergence_is_caught_in_one_place_per_layer(self):
+        """The engine quarantines a ``ConvergenceError``; ``cli.main`` turns
+        one that escapes (its base class) into ``error:`` + exit 3."""
+        assert handlers_of("ConvergenceError") == {"bgp/engine.py"}
+        assert handlers_of("SimulationError") == {"cli.py"}
+
