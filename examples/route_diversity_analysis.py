@@ -23,13 +23,7 @@ from repro.data import (
     synthesize_internet,
     write_table_dump,
 )
-from repro.topology import (
-    ASGraph,
-    classify_ases,
-    infer_level1_clique,
-    prune_single_homed_stubs,
-    route_diversity_report,
-)
+from repro.topology import prepare_dataset, route_diversity_report
 from repro.topology.diversity import TABLE1_PERCENTILES
 
 
@@ -63,21 +57,18 @@ def main() -> None:
         f"parsed {parsed.lines} dump lines "
         f"({parsed.skipped_as_set} AS_SET, {parsed.skipped_malformed} malformed skipped)"
     )
-    dataset = parsed.dataset.cleaned()
+    # Without --seeds the highest-degree AS seeds the level-1 clique.
+    dataset, _, level1, classification, pruned = prepare_dataset(
+        parsed.dataset, seeds
+    )
     print("dataset:", dataset.summary())
-
-    graph = ASGraph.from_dataset(dataset)
-    if seeds:
-        level1 = infer_level1_clique(graph, seeds)
-        print(f"inferred level-1 clique: {sorted(level1)}")
-        classification = classify_ases(dataset, graph, level1)
-        print("classification:", classification.summary())
-        pruned = prune_single_homed_stubs(dataset, graph, classification)
-        print(
-            f"pruned {len(pruned.pruned_asns)} single-homed stubs "
-            f"({pruned.transferred_routes} routes transferred); graph now "
-            f"{pruned.graph.num_ases()} nodes / {pruned.graph.num_edges()} edges"
-        )
+    print(f"inferred level-1 clique: {sorted(level1)}")
+    print("classification:", classification.summary())
+    print(
+        f"pruned {len(pruned.pruned_asns)} single-homed stubs "
+        f"({pruned.transferred_routes} routes transferred); graph now "
+        f"{pruned.graph.num_ases()} nodes / {pruned.graph.num_edges()} edges"
+    )
 
     report = route_diversity_report(dataset)
     print("\nFigure 2 — distinct AS-paths per (origin, observer) pair:")

@@ -30,7 +30,7 @@ from typing import Iterable
 
 from repro.campaign.diffing import Pair, diff_path_maps
 from repro.core.model import ASRoutingModel
-from repro.core.predict import selected_paths
+from repro.core.predict import collect_path_map
 from repro.core.whatif import remove_adjacency, validate_session_endpoints
 from repro.errors import TopologyError
 from repro.net.prefix import Prefix
@@ -65,24 +65,6 @@ class CampaignContext:
     observers: tuple[int, ...]
     excluded: frozenset[int] = frozenset()
     baseline_checksum: str = ""
-
-
-def _collect_paths(
-    model: ASRoutingModel,
-    observers: Iterable[int],
-    skip_origins: Iterable[int] = (),
-) -> dict[Pair, set[tuple[int, ...]]]:
-    """The scenario-side answer map, via the shared collection kernel."""
-    skip = set(skip_origins)
-    paths: dict[Pair, set[tuple[int, ...]]] = {}
-    for origin in sorted(model.prefix_by_origin):
-        if origin in skip:
-            continue
-        for observer in observers:
-            selected = selected_paths(model, origin, observer)
-            if selected:
-                paths[(origin, observer)] = selected
-    return paths
 
 
 def _paths_for_prefix(network, prefix: Prefix, observer_asn: int) -> set[tuple[int, ...]]:
@@ -127,7 +109,7 @@ class EdgeFailureScenario:
             for prefix in quarantined
             if prefix in model.origin_by_prefix
         }
-        current = _collect_paths(
+        current = collect_path_map(
             model, context.observers, skip_origins=degraded_origins
         )
         diff = diff_path_maps(

@@ -49,9 +49,9 @@ Subcommands mirror the paper's workflow:
   statistical stack sampler, and write a versioned ``PROFILE.json``
   (plus a flamegraph-ready ``.folded`` stack file).
 * ``repro bench-diff`` — compare the flat ``metrics`` maps of two
-  PROFILE.json / ``results/BENCH_*.json`` documents against per-metric
-  regression thresholds; exits 1 when anything regressed (the CI perf
-  gate).
+  documents — PROFILE.json or any ``metrics``-map JSON (``BENCH_obs``,
+  ``BENCH_lint``) — against per-metric regression thresholds; exits 1
+  when anything regressed (the CI perf gate).
 
 Global flags: ``--log-level`` / ``--log-json`` configure the ``repro``
 logger tree; ``refine`` and ``chaos`` accept ``--trace FILE`` to write a
@@ -137,11 +137,8 @@ from repro.resilience.health import (
     RunHealth,
 )
 from repro.runstate import drain_signals
-from repro.topology.classify import classify_ases
-from repro.topology.clique import infer_level1_clique
 from repro.topology.diversity import route_diversity_report
-from repro.topology.graph import ASGraph
-from repro.topology.prune import prune_single_homed_stubs
+from repro.topology.prune import prepare_dataset
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -330,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--flap-sessions", type=int, default=2,
                        help="eBGP peerings torn down before simulation")
     chaos.add_argument("--message-budget", type=int, default=None,
-                       help="sabotaged initial per-prefix message budget")
+                       help="sabotaged per-prefix message budget")
     chaos.add_argument("--lint-gate", action="store_true",
                        help="statically quarantine wheel prefixes before "
-                            "simulating instead of burning retry budget")
+                            "simulating instead of burning message budget")
     chaos.add_argument("--refine-iterations", type=int, default=10)
     chaos.add_argument("--health-report",
                        help="write the JSON RunHealth report to this path "
@@ -572,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_parallel_arguments(subparser) -> None:
-    """The supervised-pool flags shared by ``refine`` and ``chaos``."""
+    """Supervised-pool flags: refine, chaos, compile-artifact, campaign."""
     subparser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for per-prefix simulation (1 = sequential, "
@@ -624,34 +621,10 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def _pruned_pipeline(dataset, seeds: list[int]):
-    """Shared cleaned/pruned pipeline over an already-parsed dataset.
-
-    Used by analyze/refine (via :func:`_load_pruned`) and chained onto
-    ``repro ingest --prune`` so real feeds flow into the same
-    clean -> graph -> clique -> classify -> prune sequence.
-    """
-    dataset = dataset.cleaned()
-    graph = ASGraph.from_dataset(dataset)
-    if not graph.ases():
-        # A fully-quarantined feed must fail loudly here, not as an
-        # opaque ValueError from max() below.
-        raise DatasetError(
-            "dataset is empty after cleaning; no usable routes survived"
-        )
-    if not seeds:
-        # fall back to the highest-degree AS as the seed
-        seeds = [max(graph.ases(), key=graph.degree)]
-    level1 = infer_level1_clique(graph, seeds)
-    classification = classify_ases(dataset, graph, level1)
-    pruned = prune_single_homed_stubs(dataset, graph, classification)
-    return dataset, graph, level1, classification, pruned
-
-
 def _load_pruned(dump_path: str, seeds: list[int]):
     """Shared dump -> cleaned/pruned dataset pipeline for analyze/refine."""
     parsed = read_table_dump(dump_path)
-    return (parsed, *_pruned_pipeline(parsed.dataset, seeds))
+    return (parsed, *prepare_dataset(parsed.dataset, seeds))
 
 
 def _write_ingest_report(args, report) -> None:
@@ -741,7 +714,7 @@ def cmd_ingest(args) -> int:
     _write_ingest_report(args, result.report)
     if args.prune:
         try:
-            dataset, graph, level1, classification, pruned = _pruned_pipeline(
+            dataset, graph, level1, classification, pruned = prepare_dataset(
                 result.dataset, args.seeds
             )
         except DatasetError as error:
@@ -1275,6 +1248,10 @@ def cmd_query(args) -> int:
     if (args.origin is None) == (args.lookup is None):
         print("error: give exactly one of --origin or --lookup",
               file=sys.stderr)
+        return 2
+    if args.diversity and args.lookup is not None:
+        print("error: --diversity needs --origin (it does not combine with "
+              "--lookup)", file=sys.stderr)
         return 2
     engine = _load_artifact_engine(args.artifact)
     try:

@@ -25,6 +25,7 @@ from repro.core.metrics import (
 from repro.core.split import split_by_observation_points, split_by_origin
 from repro.core.refine import Refiner, RefinementConfig, RefinementResult
 from repro.core.predict import (
+    collect_path_map,
     evaluate_model,
     origin_is_simulated,
     predict_for_origins,
@@ -47,6 +48,7 @@ __all__ = [
     "Refiner",
     "RefinementConfig",
     "RefinementResult",
+    "collect_path_map",
     "evaluate_model",
     "origin_is_simulated",
     "predict_for_origins",

@@ -11,9 +11,10 @@ AS ``origin``?
 
 :func:`selected_paths` is the shared simulate-then-collect kernel: it
 reads the path set an already-simulated model selects for one
-(origin, observer) pair.  The live prediction API, the what-if snapshots
-and the :mod:`repro.serve` artifact compiler all answer through this one
-code path, so a compiled artifact is equal to the live model by
+(origin, observer) pair, and :func:`collect_path_map` sweeps it over a
+whole model.  The live prediction API, the what-if snapshots, campaign
+scenarios and the :mod:`repro.serve` artifact compiler all answer through
+this one code path, so a compiled artifact is equal to the live model by
 construction.
 """
 
@@ -96,6 +97,29 @@ def selected_paths(
         best = router.best(prefix)
         if best is not None:
             paths.add((observer_asn,) + best.as_path)
+    return paths
+
+
+def collect_path_map(
+    model: ASRoutingModel,
+    observers: Iterable[int],
+    skip_origins: Iterable[int] = (),
+) -> dict[tuple[int, int], set[tuple[int, ...]]]:
+    """Every non-empty ``(origin, observer)`` answer of a warm model.
+
+    Origins in ascending order, ``observers`` in the order given; a pair
+    that selects nothing has no key.  ``skip_origins`` (quarantined or
+    out-of-scope origins) are left out entirely.
+    """
+    skip = set(skip_origins)
+    paths: dict[tuple[int, int], set[tuple[int, ...]]] = {}
+    for origin in sorted(model.prefix_by_origin):
+        if origin in skip:
+            continue
+        for observer in observers:
+            selected = selected_paths(model, origin, observer)
+            if selected:
+                paths[(origin, observer)] = selected
     return paths
 
 

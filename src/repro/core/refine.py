@@ -84,8 +84,8 @@ class RefinementConfig:
     sets how many iterations pass between snapshots when
     :meth:`Refiner.run` is given a checkpoint path.
 
-    ``lint_gate`` runs the static safety analyzer
-    (:func:`repro.analysis.safety.unsafe_prefixes`) before the first
+    ``lint_gate`` certifies the model with a
+    :class:`~repro.analysis.certify.CertificateStore` before the first
     simulation and quarantines statically-unsafe prefixes *without
     spending any simulation attempts on them* — each gets a
     zero-attempt ``unsafe`` outcome instead of burning the full message

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.model import ASRoutingModel
-from repro.core.predict import selected_paths
+from repro.core.predict import collect_path_map
 from repro.errors import TopologyError
 
 
@@ -53,15 +53,10 @@ class WhatIfReport:
 
 def _snapshot(
     model: ASRoutingModel, origins: list[int], observers: list[int]
-) -> dict[tuple[int, int], frozenset[tuple[int, ...]]]:
-    """Best-path sets for every (observer, origin) pair."""
-    snapshot: dict[tuple[int, int], frozenset[tuple[int, ...]]] = {}
-    for origin in origins:
-        for observer in observers:
-            snapshot[(observer, origin)] = frozenset(
-                selected_paths(model, origin, observer)
-            )
-    return snapshot
+) -> dict[tuple[int, int], set[tuple[int, ...]]]:
+    """Best-path sets per (origin, observer); no key = nothing selected."""
+    unexamined = model.prefix_by_origin.keys() - set(origins)
+    return collect_path_map(model, observers, skip_origins=unexamined)
 
 
 def depeer(
@@ -154,10 +149,10 @@ def simulate_link_failure(
         origins_examined=len(origin_list),
         observers_examined=len(observer_list),
     )
-    for key in sorted(before):
-        if before[key] != after[key]:
-            observer, origin = key
-            report.changes.append(
-                PathChange(observer, origin, before[key], after[key])
-            )
+    for observer in observer_list:
+        for origin in origin_list:
+            was = frozenset(before.get((origin, observer), ()))
+            now = frozenset(after.get((origin, observer), ()))
+            if was != now:
+                report.changes.append(PathChange(observer, origin, was, now))
     return report

@@ -17,14 +17,12 @@ from repro.experiments.workloads import (
 )
 from repro.experiments.report import ExperimentResult, format_table
 from repro.experiments import (
-    campaigns,
     chaos,
     deflection,
     fig2,
     fig3,
     fig8,
     obs,
-    parallelism,
     table1,
     table2,
     table3,
@@ -32,7 +30,6 @@ from repro.experiments import (
     table5,
     ablations,
     scaling,
-    serving,
 )
 
 __all__ = [
@@ -54,10 +51,7 @@ __all__ = [
     "table4",
     "table5",
     "ablations",
-    "campaigns",
-    "parallelism",
     "chaos",
     "obs",
     "scaling",
-    "serving",
 ]

@@ -28,10 +28,7 @@ from repro.parallel.supervisor import ParallelConfig
 from repro.resilience.faults import FaultConfig, apply_faults, corrupt_dump_lines
 from repro.resilience.health import RunHealth
 from repro.resilience.retry import PrefixOutcome, simulate_network_bounded
-from repro.topology.classify import classify_ases
-from repro.topology.clique import infer_level1_clique
-from repro.topology.graph import ASGraph
-from repro.topology.prune import prune_single_homed_stubs
+from repro.topology.prune import prepare_dataset
 
 
 @dataclass(frozen=True)
@@ -142,14 +139,7 @@ def run_chaos(config: ChaosConfig = ChaosConfig()) -> RunHealth:
 
     with health.phase("refine"):
         try:
-            observed = parsed.dataset.cleaned()
-            graph = ASGraph.from_dataset(observed)
-            if not graph.ases():
-                raise DatasetError("no usable routes survived the corruption")
-            seeds = [max(graph.ases(), key=graph.degree)]
-            level1 = infer_level1_clique(graph, seeds)
-            classification = classify_ases(observed, graph, level1)
-            pruned = prune_single_homed_stubs(observed, graph, classification)
+            *_, pruned = prepare_dataset(parsed.dataset)
             model = build_initial_model(pruned.dataset, pruned.graph)
             refiner = Refiner(
                 model,

@@ -117,14 +117,15 @@ def refine_workload(
     """
 
     def run(profiler: PhaseProfiler) -> dict:
-        from repro.cli import _load_pruned
         from repro.core.build import build_initial_model
         from repro.core.predict import evaluate_model
         from repro.core.refine import RefinementConfig, Refiner
         from repro.core.split import split_by_observation_points
+        from repro.data.dumps import read_table_dump
+        from repro.topology.prune import prepare_dataset
 
         with profiler.phase("parse"):
-            _, _, _, _, _, pruned = _load_pruned(dump_path, [])
+            *_, pruned = prepare_dataset(read_table_dump(dump_path).dataset)
         with profiler.phase("build"):
             training, validation = split_by_observation_points(
                 pruned.dataset, train_fraction, seed=split_seed
@@ -160,13 +161,14 @@ def compile_workload(
     """
 
     def run(profiler: PhaseProfiler) -> dict:
-        from repro.cli import _load_pruned
         from repro.core.build import build_initial_model
         from repro.core.refine import RefinementConfig, Refiner
+        from repro.data.dumps import read_table_dump
         from repro.serve.compile import compile_artifact
+        from repro.topology.prune import prepare_dataset
 
         with profiler.phase("parse"):
-            _, _, _, _, _, pruned = _load_pruned(dump_path, [])
+            *_, pruned = prepare_dataset(read_table_dump(dump_path).dataset)
         with profiler.phase("build"):
             model = build_initial_model(pruned.dataset, pruned.graph)
             refiner = Refiner(
@@ -201,112 +203,3 @@ def ingest_workload(feed_path: str) -> Callable[[PhaseProfiler], object]:
         }
 
     return run
-
-
-# ----------------------------------------------------------------------
-# PROF: profiling overhead experiment
-# ----------------------------------------------------------------------
-
-
-def run_profile_overhead(base=None, repeats: int = 3):
-    """Measure the phase profiler's tax on the engine hot loop.
-
-    Three modes over the same synthetic Internet: ``off`` (the shipping
-    NullProfiler default — must stay within a few percent of no hooks),
-    ``phases`` (full push/switch/pop attribution), and ``phases+mem``
-    (attribution plus tracemalloc peaks, the expensive option).  Message
-    and decision counts must be identical across modes: profiling that
-    changes what the engine computes is a bug, not overhead.
-    """
-    from repro.bgp.engine import simulate
-    from repro.data.synthesis import synthesize_internet
-    from repro.experiments.report import ExperimentResult
-    from repro.experiments.workloads import DEFAULT
-    from repro.obs.metrics import MetricsRegistry, set_registry
-
-    if base is None:
-        base = DEFAULT
-    result = ExperimentResult(
-        experiment_id="PROF",
-        title="Phase-profiler overhead on ground-truth simulation",
-        headers=[
-            "mode",
-            "messages",
-            "decisions",
-            "best seconds",
-            "overhead",
-            "coverage",
-        ],
-    )
-    internet = synthesize_internet(base.config)
-
-    def simulate_once() -> tuple[float, int, int]:
-        started = time.perf_counter()
-        stats = simulate(internet.network)
-        return time.perf_counter() - started, stats.messages, stats.decisions
-
-    def best_of(runner) -> tuple[float, int, int]:
-        return min(
-            (runner() for _ in range(max(1, repeats))),
-            key=lambda timing: timing[0],
-        )
-
-    previous_registry = set_registry(MetricsRegistry())
-    coverages: dict[str, float] = {}
-    try:
-        off_seconds, messages, decisions = best_of(simulate_once)
-
-        def profiled(trace_memory: bool, label: str):
-            def run() -> tuple[float, int, int]:
-                with profiling(
-                    PhaseProfiler(trace_memory=trace_memory)
-                ) as profiler:
-                    timing = simulate_once()
-                coverages[label] = profiler.coverage(timing[0])
-                return timing
-
-            return run
-
-        on_seconds, on_messages, on_decisions = best_of(
-            profiled(False, "phases")
-        )
-        mem_seconds, mem_messages, mem_decisions = best_of(
-            profiled(True, "phases+mem")
-        )
-    finally:
-        set_registry(previous_registry)
-    for label, counts in (
-        ("phases", (on_messages, on_decisions)),
-        ("phases+mem", (mem_messages, mem_decisions)),
-    ):
-        if counts != (messages, decisions):
-            raise AssertionError(
-                f"profiling mode {label!r} changed simulation behaviour: "
-                f"{(messages, decisions)} != {counts}"
-            )
-
-    def overhead(seconds: float) -> float:
-        return seconds / off_seconds - 1.0 if off_seconds else 0.0
-
-    result.add_row("off (NullProfiler)", messages, decisions,
-                   f"{off_seconds:.3f}s", "baseline", "-")
-    result.add_row("phases", messages, decisions, f"{on_seconds:.3f}s",
-                   f"{overhead(on_seconds):+.1%}",
-                   f"{coverages['phases']:.1%}")
-    result.add_row("phases+mem", messages, decisions, f"{mem_seconds:.3f}s",
-                   f"{overhead(mem_seconds):+.1%}",
-                   f"{coverages['phases+mem']:.1%}")
-    result.metrics["seconds_off"] = off_seconds
-    result.metrics["seconds_phases"] = on_seconds
-    result.metrics["seconds_phases_mem"] = mem_seconds
-    result.metrics["overhead_fraction"] = overhead(on_seconds)
-    result.metrics["coverage"] = coverages["phases"]
-    result.metrics["messages"] = float(messages)
-    result.metrics["decisions"] = float(decisions)
-    result.note(
-        "phases mode pays two clock reads per transition in the engine "
-        "hot loop; phases+mem adds tracemalloc, which multiplies "
-        "allocation cost and is opt-in (--trace-memory). The off mode is "
-        "the shipping default: one enabled-flag check per hook point."
-    )
-    return result

@@ -18,11 +18,10 @@ from repro.data.observation import (
     select_observation_points,
 )
 from repro.data.synthesis import SyntheticConfig, SyntheticInternet, synthesize_internet
-from repro.topology.classify import ASClassification, classify_ases
-from repro.topology.clique import infer_level1_clique
+from repro.topology.classify import ASClassification
 from repro.topology.dataset import PathDataset
 from repro.topology.graph import ASGraph
-from repro.topology.prune import PruneResult, prune_single_homed_stubs
+from repro.topology.prune import PruneResult, prepare_dataset
 from repro.core.split import split_by_observation_points
 
 
@@ -137,12 +136,14 @@ def prepare(workload: Workload = DEFAULT, use_cache: bool = True) -> PreparedWor
         seed=workload.observation_seed,
         multi_point_fraction=workload.multi_point_fraction,
     )
-    dataset = collect_dataset(internet.network, points).cleaned()
-    graph = ASGraph.from_dataset(dataset)
-    seeds = [asn for asn in internet.level1_asns if asn in graph.ases()][:3]
-    level1 = infer_level1_clique(graph, seeds)
-    classification = classify_ases(dataset, graph, level1)
-    pruned = prune_single_homed_stubs(dataset, graph, classification)
+    collected = collect_dataset(internet.network, points)
+    # Simulated paths are loop-free, so cleaning drops no AS: a seed seen
+    # here is in the graph prepare_dataset builds.
+    observed = collected.all_asns()
+    seeds = [asn for asn in internet.level1_asns if asn in observed][:3]
+    dataset, graph, level1, classification, pruned = prepare_dataset(
+        collected, seeds
+    )
     training, validation = split_by_observation_points(
         pruned.dataset, workload.training_fraction, seed=workload.split_seed
     )

@@ -1,11 +1,12 @@
 """Compare two PROFILE/BENCH JSON documents with regression thresholds.
 
-``results/BENCH_*.json`` files and ``repro profile`` PROFILE.json files
-both carry a flat numeric ``metrics`` map, which makes the perf
-trajectory diffable: :func:`diff_metrics` compares every metric present
-in both documents, classifies each change as a regression, an
-improvement or noise-within-threshold, and maps the verdict to an exit
-code (1 if anything regressed) so CI can gate on it.
+The input is a ``repro profile`` PROFILE.json or any ``metrics``-map
+JSON (``BENCH_obs``, ``BENCH_lint``): each carries a flat numeric
+``metrics`` map, which makes the perf trajectory diffable.
+:func:`diff_metrics` compares every metric present in both documents,
+classifies each change as a regression, an improvement or
+noise-within-threshold, and maps the verdict to an exit code (1 if
+anything regressed) so CI can gate on it.
 
 Whether a bigger number is worse depends on the metric: ``*_seconds``
 and ``*_bytes`` grow when things get slower, ``speedup_*`` / ``*_qps``

@@ -5,7 +5,7 @@ of an :class:`~repro.core.model.ASRoutingModel` exactly once (bounded and
 quarantining, and through the supervised parallel pool when a
 :class:`~repro.parallel.ParallelConfig` is given), then collect the
 selected path set of every (origin, observer) pair via the same
-:func:`repro.core.predict.selected_paths` code path the live prediction
+:func:`repro.core.predict.collect_path_map` code path the live prediction
 API uses.  Equality between artifact answers and live answers is
 therefore structural, not coincidental — both read the same Loc-RIBs
 through the same collector.
@@ -20,7 +20,7 @@ from typing import Iterable
 
 from repro.analysis.certify import certify_network
 from repro.core.model import ASRoutingModel
-from repro.core.predict import selected_paths
+from repro.core.predict import collect_path_map
 from repro.errors import ModelError
 from repro.net.prefix import Prefix
 from repro.obs.meta import run_metadata
@@ -127,14 +127,15 @@ def compile_artifact(
 
     started = time.perf_counter()
     with profiler.phase("compile.collect"):
-        paths: dict[tuple[int, int], set[tuple[int, ...]]] = {}
-        for origin in sorted(model.prefix_by_origin):
-            if model.prefix_by_origin[origin] in quarantined:
-                continue
-            for observer in observer_list:
-                selected = selected_paths(model, origin, observer)
-                if selected:
-                    paths[(origin, observer)] = selected
+        paths = collect_path_map(
+            model,
+            observer_list,
+            skip_origins=(
+                origin
+                for origin, prefix in model.prefix_by_origin.items()
+                if prefix in quarantined
+            ),
+        )
     report.collect_seconds = time.perf_counter() - started
     report.pairs = len(paths)
     registry.counter("serve.compile.pairs").inc(report.pairs)

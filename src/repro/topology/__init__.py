@@ -12,6 +12,7 @@ from repro.topology.graph import ASGraph
 from repro.topology.clique import infer_level1_clique
 from repro.topology.classify import ASClassification, classify_ases
 from repro.topology.prune import (
+    prepare_dataset,
     prune_single_homed_stubs,
     restrict_to_largest_component,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "infer_level1_clique",
     "ASClassification",
     "classify_ases",
+    "prepare_dataset",
     "prune_single_homed_stubs",
     "restrict_to_largest_component",
     "DiversityReport",

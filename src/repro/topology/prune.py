@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import DatasetError
 from repro.net.aspath import ASPath
-from repro.topology.classify import ASClassification, Role
+from repro.topology.classify import ASClassification, Role, classify_ases
+from repro.topology.clique import infer_level1_clique
 from repro.topology.dataset import ObservedRoute, PathDataset
 from repro.topology.graph import ASGraph
 
@@ -79,6 +81,31 @@ def prune_single_homed_stubs(
         transferred_routes=transferred,
         dropped_routes=dropped,
     )
+
+
+def prepare_dataset(
+    dataset: PathDataset, seeds: list[int] | None = None
+) -> tuple[PathDataset, ASGraph, set[int], ASClassification, PruneResult]:
+    """The paper's Section 3 preparation of a parsed dataset.
+
+    clean -> graph -> level-1 clique -> classify -> prune, returning every
+    intermediate: ``(cleaned dataset, graph, level1, classification,
+    pruned)``.  Without ``seeds`` the highest-degree AS seeds the clique.
+    """
+    dataset = dataset.cleaned()
+    graph = ASGraph.from_dataset(dataset)
+    if not graph.ases():
+        # A fully-quarantined feed must fail loudly here, not as an
+        # opaque ValueError from max() below.
+        raise DatasetError(
+            "dataset is empty after cleaning; no usable routes survived"
+        )
+    if not seeds:
+        seeds = [max(graph.ases(), key=graph.degree)]
+    level1 = infer_level1_clique(graph, seeds)
+    classification = classify_ases(dataset, graph, level1)
+    pruned = prune_single_homed_stubs(dataset, graph, classification)
+    return dataset, graph, level1, classification, pruned
 
 
 def restrict_to_largest_component(graph: ASGraph) -> tuple[ASGraph, set[int]]:

@@ -22,7 +22,9 @@ from repro.campaign import (
 )
 from repro.core.build import build_initial_model
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
+from repro.core.predict import collect_path_map, selected_paths
 from repro.core.refine import Refiner
+from repro.core.whatif import remove_adjacency
 from repro.errors import TopologyError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
@@ -59,6 +61,50 @@ def run_scenario(model, scenario, context):
     """Execute one scenario exactly like the engine: on a fresh copy."""
     network = pickle.loads(pickle.dumps(model.network))
     return scenario.run(network, context, MODEL_DECISION_CONFIG, None)
+
+
+class TestCollectPathMap:
+    """One collector behind the compiler, the scenarios and ``whatif``."""
+
+    @pytest.fixture()
+    def bisected(self):
+        """The line cut at AS2-AS3 and re-simulated: half the pairs are empty."""
+        model = line_model()
+        remove_adjacency(model, 2, 3)
+        model.simulate_all()
+        return model
+
+    def test_equals_the_plain_double_loop(self, bisected):
+        observers = [4, 1, 3]  # order given is order kept
+        expected = {}
+        for origin in sorted(bisected.prefix_by_origin):
+            for observer in observers:
+                selected = selected_paths(bisected, origin, observer)
+                if selected:
+                    expected[(origin, observer)] = selected
+        collected = collect_path_map(bisected, observers)
+        assert collected == expected
+        assert list(collected) == list(expected)
+        assert (4, 1) not in collected and (4, 3) in collected
+
+    def test_absent_key_reads_as_the_empty_whatif_snapshot(self, bisected):
+        observers = sorted(bisected.network.ases)
+        collected = collect_path_map(bisected, observers)
+        for origin in bisected.prefix_by_origin:
+            for observer in observers:
+                assert frozenset(collected.get((origin, observer), ())) == (
+                    frozenset(selected_paths(bisected, origin, observer))
+                )
+
+    def test_skip_origins_are_left_out(self, bisected):
+        everything = collect_path_map(bisected, [1, 4])
+        collected = collect_path_map(bisected, [1, 4], skip_origins=iter([4, 2]))
+        assert collected == {
+            pair: paths
+            for pair, paths in everything.items()
+            if pair[0] not in (4, 2)
+        }
+        assert {origin for origin, _ in collected} == {1, 3}
 
 
 class TestGenerators:

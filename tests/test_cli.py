@@ -403,6 +403,23 @@ class TestServeCLI:
              "--lookup", "0.10.0.1", "--observer", "11"]
         ) == 2
 
+    def test_query_diversity_with_lookup_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        # The artifact does not exist: a usage error is decided before
+        # the load, so this is exit 2, not 4.
+        code = main(
+            ["query", str(tmp_path / "missing.artifact"),
+             "--lookup", "0.10.0.1", "--observer", "11", "--diversity"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --diversity needs --origin "
+            "(it does not combine with --lookup)\n"
+        )
+
     def test_query_corrupt_artifact_exits_4(self, tmp_path, capsys):
         bogus = tmp_path / "bad.artifact"
         bogus.write_bytes(b"definitely not an artifact")

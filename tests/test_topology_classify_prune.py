@@ -1,11 +1,15 @@
 """Unit tests for AS classification and stub pruning."""
 
+import pytest
+
+from repro.errors import DatasetError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.topology.classify import Level, classify_ases
+from repro.topology.clique import infer_level1_clique
 from repro.topology.dataset import ObservedRoute, PathDataset
 from repro.topology.graph import ASGraph
-from repro.topology.prune import prune_single_homed_stubs
+from repro.topology.prune import prepare_dataset, prune_single_homed_stubs
 
 P = Prefix("10.0.0.0/24")
 
@@ -105,3 +109,35 @@ class TestPruning:
         cls = classify_ases(ds, graph, level1=[1, 2])
         result = prune_single_homed_stubs(ds, graph, cls)
         assert (1, 3, 5) in result.dataset.unique_paths()
+
+
+class TestPrepareDataset:
+    def test_equals_the_hand_assembled_sequence(self):
+        ds, graph = build_scene()
+        clique = infer_level1_clique(graph, [1, 2])
+        cls = classify_ases(ds, graph, clique)
+        expected = prune_single_homed_stubs(ds, graph, cls)
+        dataset, built, level1, classification, pruned = prepare_dataset(
+            ds, [1, 2]
+        )
+        assert dataset.routes() == ds.cleaned().routes()
+        assert built.ases() == graph.ases()
+        assert level1 == clique
+        assert classification.summary() == cls.summary()
+        assert pruned.pruned_asns == expected.pruned_asns == {4, 6}
+        assert pruned.dataset.unique_paths() == expected.dataset.unique_paths()
+
+    def test_seedless_fallback_picks_the_max_degree_as(self):
+        ds, graph = build_scene()
+        assert max(graph.ases(), key=graph.degree) == 3
+        for seeds in (None, []):
+            _, _, level1, _, _ = prepare_dataset(ds, seeds)
+            assert level1 == infer_level1_clique(graph, [3])
+
+    def test_empty_after_cleaning_is_a_dataset_error(self):
+        looped = PathDataset(
+            [ObservedRoute("o1", 1, P, ASPath((1, 2, 1, 3)))]
+        )
+        for dataset in (PathDataset(), looped):
+            with pytest.raises(DatasetError, match="empty after cleaning"):
+                prepare_dataset(dataset)
