@@ -5,11 +5,15 @@
 
 Runs ``benchmarks/pipeline``'s ``run_pass`` (imported, not modified) with
 a ``gc.callbacks`` hook installed and prints, per stage, how many gen-0 /
-gen-1 / gen-2 collections ran inside it and how long they took.  CPython
-starts a full (gen-2) collection by the count of surviving tracked
-objects, not by the clock, so a change that leaves more or fewer objects
-alive moves a ~0.1 s pass from one stage into another: a short stage that
-"regresses" by one gen-2 pass shows it here (see benchmarks/README.md).
+gen-1 / gen-2 collections ran inside it, how long they took and the
+index (1 = the pass's first collection) of the last collection begun by
+the stage's end, then the index of every gen-2 collection and the stage
+it fell in.  CPython starts a full (gen-2) collection by the count of
+surviving tracked objects, not by the clock, so a change that leaves more
+or fewer objects alive moves a ~0.1 s pass from one stage into another: a
+short stage that "regresses" by one gen-2 pass shows it here, and a pass
+that sits on a stage's last index is one allocation from the next stage
+(see benchmarks/README.md).
 """
 
 from __future__ import annotations
@@ -60,18 +64,29 @@ def main() -> int:
                 wall[stage.name[6:]] += stage.end - stage.start
             count: dict[tuple[str, int], int] = defaultdict(int)
             spent: dict[tuple[str, int], float] = defaultdict(float)
-            for generation, started, seconds in collections:
+            full: list[tuple[int, str]] = []
+            for index, (generation, started, seconds) in enumerate(collections, 1):
                 inside = [s.name[6:] for s in stages if s.start <= started <= s.end]
                 key = (inside[0] if inside else "(between)", int(generation))
                 wall.setdefault(key[0], 0.0)
                 count[key] += 1
                 spent[key] += seconds
+                if generation == 2:
+                    full.append((index, key[0]))
+            ends_at = {
+                stage.name[6:]: sum(1 for c in collections if c[1] <= stage.end)
+                for stage in stages  # a stage opened twice ends at its last span
+            }
             print(f"pass {number}: {args.workload} world={args.world}")
             print(f"  {'stage':<10} {'stage_s':>8}"
-                  + "".join(f" {f'gen{g}':>6} {'s':>7}" for g in range(3)))
+                  + "".join(f" {f'gen{g}':>6} {'s':>7}" for g in range(3))
+                  + f" {'ends_at':>8}")
             for name, seconds in wall.items():
                 print(f"  {name:<10} {seconds:8.3f}" + "".join(
-                    f" {count[name, g]:6d} {spent[name, g]:7.3f}" for g in range(3)))
+                    f" {count[name, g]:6d} {spent[name, g]:7.3f}" for g in range(3))
+                    + f" {ends_at.get(name, ''):>8}")
+            print("  gen2 at: " + (" ".join(
+                f"{index}({stage})" for index, stage in full) or "none"))
     return 0
 
 

@@ -9,7 +9,7 @@ runs.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.bgp.igp import IGPTopology
 from repro.bgp.route import Route
@@ -38,8 +38,22 @@ class ASNode:
         return f"ASNode({self.name}, routers={len(self.routers)})"
 
 
+def _insert_at(mapping: dict, index: int, key, value) -> None:
+    """Put ``key`` back at position ``index`` of an insertion-ordered dict."""
+    tail = list(mapping.items())[index:]
+    for later, _ in tail:
+        del mapping[later]
+    mapping[key] = value
+    mapping.update(tail)
+
+
 class Network:
     """A topology of ASes, routers and directed BGP sessions."""
+
+    _undo: list[tuple[Callable[..., object], tuple]] | None = None
+    """``(inverse, args)`` of every edit since :meth:`open_perturbation`,
+    oldest first; None while no perturbation is open.  A class-level
+    default: a network pickles the same whether or not it was perturbed."""
 
     def __init__(self, name: str = "network"):
         self.name = name
@@ -107,8 +121,14 @@ class Network:
                 continue
             del self._session_by_endpoints[(src.router_id, dst.router_id)]
             del self.sessions[session.session_id]
-            src.sessions_out.remove(session)
-            dst.sessions_in.remove(session)
+            out_index = src.sessions_out.index(session)
+            in_index = dst.sessions_in.index(session)
+            del src.sessions_out[out_index]
+            del dst.sessions_in[in_index]
+            if self._undo is not None:
+                # The two session dicts are restored whole on close.
+                self._undo.append((src.sessions_out.insert, (out_index, session)))
+                self._undo.append((dst.sessions_in.insert, (in_index, session)))
 
     def ibgp_route_reflection(
         self, reflectors: list[Router], clients: list[Router]
@@ -142,10 +162,16 @@ class Network:
 
     def originate(self, router: Router, prefix: Prefix) -> Route:
         """Originate ``prefix`` at ``router``."""
+        undo = self._undo
+        if undo is not None and prefix not in self.originations:
+            undo.append((self.originations.__delitem__, (prefix,)))
         origins = self.originations.setdefault(prefix, [])
         if router.router_id in origins:
             raise TopologyError(f"{router.name} already originates {prefix}")
         origins.append(router.router_id)
+        if undo is not None:
+            undo.append((origins.pop, ()))
+            undo.append((router.local_routes.__delitem__, (prefix,)))
         return router.originate(prefix)
 
     def withdraw(self, router: Router, prefix: Prefix) -> None:
@@ -160,10 +186,21 @@ class Network:
         origins = self.originations.get(prefix)
         if origins is None or router.router_id not in origins:
             raise TopologyError(f"{router.name} does not originate {prefix}")
+        undo, local = self._undo, router.local_routes
+        if undo is not None:
+            # In the order the edits below are made; positions as of now.
+            router_id = router.router_id
+            undo.append((origins.insert, (origins.index(router_id), router_id)))
+            if len(origins) == 1:
+                position = list(self.originations).index(prefix)
+                undo.append((_insert_at, (self.originations, position, prefix, origins)))
+            if prefix in local:
+                position = list(local).index(prefix)
+                undo.append((_insert_at, (local, position, prefix, local[prefix])))
         origins.remove(router.router_id)
         if not origins:
             del self.originations[prefix]
-        router.local_routes.pop(prefix, None)
+        local.pop(prefix, None)
 
     def originators(self, prefix: Prefix) -> list[int]:
         """Router ids originating ``prefix`` (empty list if none)."""
@@ -172,6 +209,44 @@ class Network:
     def prefixes(self) -> list[Prefix]:
         """All originated prefixes, sorted for deterministic iteration."""
         return sorted(self.originations)
+
+    # ------------------------------------------------------------------
+    # Perturbation with exact undo (campaign scenarios)
+    # ------------------------------------------------------------------
+
+    def open_perturbation(self) -> None:
+        """Start recording the inverse of every edit.
+
+        While open, :meth:`disconnect`, :meth:`originate` and
+        :meth:`withdraw` — the edits a what-if scenario makes — log what
+        :meth:`close_perturbation` needs to put the network back.
+        """
+        if self._undo is not None:
+            raise TopologyError("a perturbation is already open")
+        self._undo = [
+            (setattr, (self, "sessions", dict(self.sessions))),
+            (setattr, (
+                self, "_session_by_endpoints", dict(self._session_by_endpoints)
+            )),
+        ]
+
+    def close_perturbation(self) -> None:
+        """Wipe all routing state and undo every edit, newest first.
+
+        Afterwards every ``sessions_out`` / ``sessions_in`` position, the
+        order of ``sessions``, ``_session_by_endpoints``, ``originations``
+        and each router's ``local_routes`` are what they were at
+        :meth:`open_perturbation`, so the next simulation walks sessions
+        in the same order a fresh copy would.
+        """
+        undo = self._undo
+        if undo is None:
+            raise TopologyError("no perturbation is open")
+        del self._undo
+        self.clear_routing()
+        while undo:
+            inverse, args = undo.pop()
+            inverse(*args)
 
     # ------------------------------------------------------------------
     # Quasi-router support (Section 4.6: duplication)

@@ -5,9 +5,11 @@
 :class:`~repro.parallel.SupervisedPool` — crash-isolated, watchdogged,
 resubmitted to fresh workers on failure and finally quarantined as
 poison/timeout instead of killing the campaign.  Sequentially, the same
-``scenario.run`` executes in-process on a fresh unpickled copy of the
-network per scenario (identical isolation), so the two paths produce
-bit-identical ranked reports.
+``scenario.run`` executes in-process.  Either way a scenario borrows one
+:class:`~repro.parallel.worker.WorkingCopy` of the network, whose edits
+are undone exactly when the scenario returns, so scenario order and
+placement cannot matter and the two paths produce bit-identical ranked
+reports.
 
 A :mod:`repro.runstate` scenario checkpoint (fingerprinted over the
 campaign kind, scenario keys and baseline checksum) records every
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import pickle
 import time
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -37,6 +38,7 @@ from repro.errors import (
 from repro.obs.metrics import get_registry
 from repro.obs.trace import EVENT_SCENARIO, get_tracer
 from repro.parallel.protocol import dump_network
+from repro.parallel.worker import WorkingCopy
 from repro.resilience.retry import POISON
 from repro.runstate import drain_signals, read_state, write_state
 from repro.serve.artifact import PredictionArtifact
@@ -61,10 +63,14 @@ def validate_baseline(
 ) -> None:
     """Reject a baseline artifact compiled from a different model.
 
-    Origin sets must match exactly and every artifact observer must be a
-    model AS; a mismatched artifact would make every scenario diff
-    garbage, so this raises :class:`~repro.errors.ArtifactError` naming
-    the first discrepancy before any simulation is spent.
+    Origin sets must match exactly, every artifact observer must be a
+    model AS, and the model's size summary must equal the one the
+    artifact recorded at compile time (when it recorded one) — an
+    artifact from an earlier refinement of the same ASes has the same
+    origins and observers but other paths.  A mismatched artifact would
+    make every scenario diff garbage and the crossing-origin set wrong,
+    so this raises :class:`~repro.errors.ArtifactError` naming the first
+    discrepancy before any simulation is spent.
     """
     model_origins = set(model.prefix_by_origin)
     artifact_origins = set(artifact.origins)
@@ -85,6 +91,14 @@ def validate_baseline(
             raise ArtifactError(
                 f"baseline artifact observer AS {observer} is not in the "
                 "model; the artifact was compiled from a different model"
+            )
+    for field, actual in model.stats().items():
+        recorded = artifact.model_stats.get(field, actual)
+        if recorded != actual:
+            raise ArtifactError(
+                f"baseline artifact was compiled from a model with "
+                f"{field}={recorded}, this model has {field}={actual}; "
+                "recompile the baseline from this model"
             )
 
 
@@ -261,25 +275,26 @@ def _run_sequential(
     completed: dict[str, ScenarioOutcome],
     progress=None,
 ) -> None:
-    """Run scenarios in-process, one fresh network copy each.
+    """Run scenarios in-process on one working copy of the network.
 
-    Uses the same pickled-blob isolation as the pool workers, so the
-    sequential and parallel paths compute identical outcomes.  Honors
-    SIGINT/SIGTERM between scenarios via the same drain contract.
-    ``progress`` (when set) persists the checkpoint after every finished
-    scenario, so even a SIGKILL'd campaign resumes from the last one.
+    Uses the same :class:`WorkingCopy` as the pool workers — ``model``'s
+    own network is never touched — so the sequential and parallel paths
+    compute identical outcomes.  Honors SIGINT/SIGTERM between scenarios
+    via the same drain contract.  ``progress`` (when set) persists the
+    checkpoint after every finished scenario, so even a SIGKILL'd
+    campaign resumes from the last one.
     """
-    blob = dump_network(model.network)
+    copy = WorkingCopy(dump_network(model.network))
     with drain_signals() as drain:
         for index, scenario in enumerate(todo):
             if drain.signum is not None:
                 pending = [s.key for s in todo[index:]]
                 raise ShutdownRequested(drain.signum, None, pending)
-            network = pickle.loads(blob)
             try:
-                value = scenario.run(
-                    network, context, MODEL_DECISION_CONFIG, max_messages
-                )
+                with copy.perturbed() as network:
+                    value = scenario.run(
+                        network, context, MODEL_DECISION_CONFIG, max_messages
+                    )
             except ReproError as error:
                 # The in-process analogue of a poison task: the scenario
                 # is quarantined with the error recorded, not fatal.

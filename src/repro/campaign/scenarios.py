@@ -3,11 +3,14 @@
 A scenario is a small frozen dataclass naming one perturbation of the
 baseline model.  Scenarios are picklable and self-contained: the engine
 fans them out as generic tasks of the PR-4 supervised pool, where each
-``run(network, context, config, max_messages)`` executes on a *fresh*
-copy of the baseline network (scenarios mutate topology and originations,
-so isolation is mandatory), simulates the perturbed model, and returns a
-plain JSON-ready dict — identical whether the scenario ran in-process
-or inside a crash-isolated worker.
+``run(network, context, config, max_messages)`` borrows the one working
+copy of the baseline network with a perturbation open: it may edit
+topology and originations only through ``Network.disconnect`` /
+``originate`` / ``withdraw``, which the lender undoes exactly, and must
+not rely on routing state a previous scenario left.  It simulates the
+perturbed model and returns a plain JSON-ready dict — identical whether
+the scenario ran in-process or inside a crash-isolated worker, first or
+last.
 
 Four scenario spaces (ROADMAP item 5, the paper's Section 1 what-if
 motivation):
@@ -77,6 +80,59 @@ def _paths_for_prefix(network, prefix: Prefix, observer_asn: int) -> set[tuple[i
     return paths
 
 
+def _stable_state_is_unique(network, config) -> bool:
+    """Whether every prefix has exactly one stable routing state.
+
+    True when no route-map clause sets local-pref, there is no iBGP
+    session and MED is always compared (the paper's Section 4.6 model):
+    every router then ranks shorter AS-paths first under a strict total
+    order and policies are functions of (route, session), so induction on
+    best-path length fixes each router's choice.  With local-pref a
+    DISAGREE gadget has two stable states and which one the engine
+    reaches depends on message order.
+    """
+    if not config.med_always_compare:
+        return False
+    for session in network.sessions.values():
+        if session.is_ibgp:
+            return False
+        for route_map in (session.import_map, session.export_map):
+            if route_map is not None and any(
+                clause.set_local_pref is not None for clause in route_map.clauses()
+            ):
+                return False
+    return True
+
+
+def crossing_origins(
+    model: ASRoutingModel, context: CampaignContext, config, asn_a: int, asn_b: int
+) -> set[int]:
+    """Origins whose routing can change when the a–b adjacency is removed.
+
+    A route crosses the adjacency exactly when a router of one end
+    selects a path whose next AS is the other end, which the baseline
+    shows as a path ``(a, b, …)`` at observer ``a`` or ``(b, a, …)`` at
+    observer ``b``.  Where the stable state is unique, removing sessions
+    that carry no router's best route leaves that state stable, hence
+    unchanged: only the crossing origins (and those the baseline has no
+    trustworthy answer for) need re-simulating.  Where it is not, or the
+    baseline does not observe both ends, every origin crosses.
+    """
+    origins = set(model.prefix_by_origin)
+    if not (
+        {asn_a, asn_b} <= set(context.observers)
+        and _stable_state_is_unique(model.network, config)
+    ):
+        return origins
+    crossing = origins & context.excluded
+    for origin in origins:
+        for observer, neighbour in ((asn_a, asn_b), (asn_b, asn_a)):
+            for path in context.baseline_paths.get((origin, observer), ()):
+                if path[1:2] == (neighbour,):
+                    crossing.add(origin)
+    return crossing
+
+
 @dataclass(frozen=True)
 class EdgeFailureScenario:
     """Remove every session of one AS-level adjacency and re-simulate.
@@ -84,6 +140,8 @@ class EdgeFailureScenario:
     Backs both the ``depeer`` sweep (every adjacency) and the
     ``link-failure`` sweep (adjacencies incident to tier-1/top-degree
     ASes); the mechanics are identical, only the generator differs.
+    Only the :func:`crossing_origins` are simulated; the others keep
+    their baseline answers.
     """
 
     asn_a: int
@@ -97,10 +155,21 @@ class EdgeFailureScenario:
     def run(self, network, context: CampaignContext, config, max_messages) -> dict:
         model = ASRoutingModel.from_network(network)
         validate_session_endpoints(model, [(self.asn_a, self.asn_b)])
+        crossing = crossing_origins(
+            model, context, config, self.asn_a, self.asn_b
+        )
+        settled = model.prefix_by_origin.keys() - crossing
         removed = remove_adjacency(model, self.asn_a, self.asn_b)
 
         stats = simulate_network_bounded(
-            network, config=config, max_messages=max_messages
+            network,
+            [
+                prefix
+                for prefix in network.prefixes()
+                if model.origin_by_prefix[prefix] in crossing
+            ],
+            config=config,
+            max_messages=max_messages,
         )
         quarantined = stats.quarantined
         degraded = sorted(str(prefix) for prefix in quarantined)
@@ -110,8 +179,11 @@ class EdgeFailureScenario:
             if prefix in model.origin_by_prefix
         }
         current = collect_path_map(
-            model, context.observers, skip_origins=degraded_origins
+            model, context.observers, skip_origins=degraded_origins | settled
         )
+        for pair, paths in context.baseline_paths.items():
+            if pair[0] in settled:
+                current[pair] = set(paths)
         diff = diff_path_maps(
             context.baseline_paths,
             current,

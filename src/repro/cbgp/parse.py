@@ -14,7 +14,7 @@ from typing import Iterable, TextIO
 from repro.bgp.network import Network
 from repro.bgp.policy import Action, Clause, Match
 from repro.bgp.router import Router, router_id_asn, router_id_index
-from repro.errors import ParseError
+from repro.errors import ParseError, TopologyError
 from repro.net.ip import ip_from_string
 from repro.net.prefix import Prefix
 
@@ -24,44 +24,94 @@ _RULE_HEAD = re.compile(
 
 
 def parse_script(source: TextIO | Iterable[str]) -> Network:
-    """Parse a script produced by :func:`repro.cbgp.export.export_network`."""
-    network = Network(name="parsed")
-    routers_by_ip: dict[int, Router] = {}
-    pending_rule: _PendingRule | None = None
+    """Parse a script produced by :func:`repro.cbgp.export.export_network`.
 
-    for raw in source:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if pending_rule is not None:
+    Malformed input of any kind — an unknown directive, a wrong token
+    count, a bad number or address, a directive the topology rejects —
+    raises :class:`~repro.errors.ParseError` naming the line number.
+    """
+    parser = _ScriptParser()
+    number = 0
+    try:
+        for number, raw in enumerate(source, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                parser.feed(line)
+            except (ValueError, IndexError, TopologyError) as error:
+                # ValueError covers ParseError, int()/float() and a wrong
+                # token count on unpacking; IndexError a missing token;
+                # TopologyError an edit the network refuses (a router
+                # peering with itself, a prefix originated twice, a zero
+                # IGP cost).
+                raise ParseError(
+                    f"line {number}: {error} in {line!r}"
+                ) from error
+    except UnicodeDecodeError as error:
+        # Raised by the file object while reading ahead, so the position
+        # is "somewhere after the last line delivered".
+        raise ParseError(f"after line {number}: not text: {error}") from error
+    if parser.pending_rule is not None:
+        raise ParseError(f"line {number}: unterminated add-rule block")
+    return parser.network
+
+
+class _ScriptParser:
+    """The network under construction plus the add-rule block being read."""
+
+    def __init__(self) -> None:
+        self.network = Network(name="parsed")
+        self.routers_by_ip: dict[int, Router] = {}
+        self.pending_rule: _PendingRule | None = None
+
+    def router(self, ip_text: str) -> Router:
+        """Return (creating if needed) the router with the encoded id."""
+        router_id = ip_from_string(ip_text)
+        router = self.routers_by_ip.get(router_id)
+        if router is not None:
+            return router
+        asn = router_id_asn(router_id)
+        index = router_id_index(router_id)
+        if index == 0:
+            raise ParseError(f"router address {ip_text} has router index 0")
+        node = self.network.add_as(asn)
+        while len(node.routers) < index:
+            router = self.network.add_router(asn)
+            self.routers_by_ip[router.router_id] = router
+        return self.routers_by_ip[router_id]
+
+    def feed(self, line: str) -> None:
+        """Apply one non-blank, non-comment line."""
+        network = self.network
+        rule = self.pending_rule
+        if rule is not None:
             if line == "exit":
-                pending_rule.install()
-                pending_rule = None
+                rule.install(network)
+                self.pending_rule = None
             elif line.startswith("match "):
-                pending_rule.match_text = line[len("match ") :].strip().strip('"')
+                rule.match = _parse_match(line[len("match ") :].strip().strip('"'))
             elif line.startswith("action "):
-                pending_rule.action_text = line[len("action ") :].strip().strip('"')
+                rule.action = _parse_action(
+                    line[len("action ") :].strip().strip('"')
+                )
             elif line.startswith("tag "):
-                pending_rule.tag_text = line[len("tag ") :].strip().strip('"')
+                rule.tag_text = line[len("tag ") :].strip().strip('"')
             elif line.startswith("iter "):
-                pending_rule.iteration = int(line[len("iter ") :].strip())
+                rule.iteration = int(line[len("iter ") :].strip())
             else:
-                raise ParseError(f"unexpected line inside add-rule: {line!r}")
-            continue
-
-        if line.startswith("net add node "):
-            ip = ip_from_string(line.split()[3])
-            _ensure_router(network, routers_by_ip, ip)
+                raise ParseError("unexpected line inside add-rule")
+        elif line.startswith("net add node "):
+            self.router(line.split()[3])
         elif line.startswith("net add link "):
             _, _, _, ip_a, ip_b, cost = line.split()
-            a = _ensure_router(network, routers_by_ip, ip_from_string(ip_a))
-            b = _ensure_router(network, routers_by_ip, ip_from_string(ip_b))
+            a, b = self.router(ip_a), self.router(ip_b)
             if a.asn != b.asn:
-                raise ParseError(f"IGP link across ASes: {line!r}")
+                raise ParseError("IGP link across ASes")
             network.ases[a.asn].igp.add_link(a.router_id, b.router_id, float(cost))
         elif line.startswith("bgp add router "):
             _, _, _, asn_text, ip_text = line.split()
-            router = _ensure_router(network, routers_by_ip, ip_from_string(ip_text))
+            router = self.router(ip_text)
             if router.asn != int(asn_text):
                 raise ParseError(
                     f"ASN mismatch for {ip_text}: declared {asn_text}, "
@@ -69,28 +119,22 @@ def parse_script(source: TextIO | Iterable[str]) -> Network:
                 )
         elif " add peer " in line:
             head, _, tail = line.partition(" add peer ")
-            owner_ip = head.split()[2]
             _, peer_ip = tail.split()
-            dst = _ensure_router(network, routers_by_ip, ip_from_string(owner_ip))
-            src = _ensure_router(network, routers_by_ip, ip_from_string(peer_ip))
+            dst, src = self.router(head.split()[2]), self.router(peer_ip)
             if network.get_session(src, dst) is None:
                 network.add_session(src, dst)
         elif " add network " in line:
             head, _, prefix_text = line.partition(" add network ")
-            owner_ip = head.split()[2]
-            router = _ensure_router(network, routers_by_ip, ip_from_string(owner_ip))
-            network.originate(router, Prefix(prefix_text.strip()))
+            network.originate(
+                self.router(head.split()[2]), Prefix(prefix_text.strip())
+            )
         else:
-            rule = _RULE_HEAD.match(line)
-            if rule:
-                pending_rule = _PendingRule(
-                    network, routers_by_ip, rule.group(1), rule.group(2), rule.group(3)
-                )
-            else:
-                raise ParseError(f"unrecognised line: {line!r}")
-    if pending_rule is not None:
-        raise ParseError("unterminated add-rule block")
-    return network
+            head = _RULE_HEAD.match(line)
+            if head is None:
+                raise ParseError("unrecognised line")
+            self.pending_rule = _PendingRule(
+                self.router(head.group(1)), self.router(head.group(2)), head.group(3)
+            )
 
 
 def parse_file(path: str | Path) -> Network:
@@ -99,60 +143,37 @@ def parse_file(path: str | Path) -> Network:
         return parse_script(handle)
 
 
-def _ensure_router(
-    network: Network, routers_by_ip: dict[int, Router], router_id: int
-) -> Router:
-    """Return (creating if needed) the router with the encoded id."""
-    router = routers_by_ip.get(router_id)
-    if router is not None:
-        return router
-    asn = router_id_asn(router_id)
-    index = router_id_index(router_id)
-    node = network.add_as(asn)
-    while len(node.routers) < index:
-        router = network.add_router(asn)
-        routers_by_ip[router.router_id] = router
-    return routers_by_ip[router_id]
-
-
 class _PendingRule:
     """An add-rule block being accumulated."""
 
-    def __init__(self, network, routers_by_ip, owner_ip, peer_ip, direction):
-        self.network = network
-        self.routers_by_ip = routers_by_ip
-        self.owner_ip = owner_ip
-        self.peer_ip = peer_ip
+    def __init__(self, owner: Router, peer: Router, direction: str):
+        self.owner = owner
+        self.peer = peer
         self.direction = direction
-        self.match_text = "any"
-        self.action_text = "accept"
+        self.match = Match()
+        self.action: dict = {"action": Action.PERMIT}
         self.tag_text = ""
         self.iteration: int | None = None
 
-    def install(self) -> None:
+    def install(self, network: Network) -> None:
         """Attach the parsed clause to the right session route-map."""
-        owner = _ensure_router(
-            self.network, self.routers_by_ip, ip_from_string(self.owner_ip)
-        )
-        peer = _ensure_router(
-            self.network, self.routers_by_ip, ip_from_string(self.peer_ip)
-        )
+        owner, peer = self.owner, self.peer
         if self.direction == "in":
-            session = self.network.get_session(peer, owner)
+            session = network.get_session(peer, owner)
             if session is None:
-                session = self.network.add_session(peer, owner)
+                session = network.add_session(peer, owner)
             route_map = session.ensure_import_map()
         else:
-            session = self.network.get_session(owner, peer)
+            session = network.get_session(owner, peer)
             if session is None:
-                session = self.network.add_session(owner, peer)
+                session = network.add_session(owner, peer)
             route_map = session.ensure_export_map()
         route_map.append(
             Clause(
-                match=_parse_match(self.match_text),
+                match=self.match,
                 tag=self.tag_text or None,
                 iteration=self.iteration,
-                **_parse_action(self.action_text),
+                **self.action,
             )
         )
 

@@ -479,10 +479,12 @@ class SupervisedPool:
     def run_tasks(self, items: Iterable[object]) -> GenericRunStats:
         """Run generic tasks (``.key`` + ``.run(...)``) through the pool.
 
-        Each item executes crash-isolated on a fresh copy of the network
-        inside a worker; per-task metrics are folded into the parent
-        registry in key-sorted order, so the outcome is deterministic
-        regardless of completion order.  Raises
+        Each item executes crash-isolated inside a worker, on the
+        worker's copy of the network with its ``disconnect`` / ``originate``
+        / ``withdraw`` edits undone afterwards
+        (:class:`~repro.parallel.worker.WorkingCopy`); per-task metrics are
+        folded into the parent registry in key-sorted order, so the
+        outcome is deterministic regardless of completion order.  Raises
         :class:`~repro.errors.ShutdownRequested` after a graceful drain
         with the partial :class:`GenericRunStats` attached and the
         unfinished keys as ``pending``.

@@ -7,10 +7,11 @@ and send it back with the outcome, engine stats and a raw metrics dump.
 
 Generic tasks (campaign scenarios) take the other branch: the payload is
 an object with a ``key`` and a ``run(network, context, config, max_messages)``
-method, executed on a *fresh* unpickled network copy per task — scenario
-simulations mutate topology, and isolation beats the cost of unpickling.
-The shared ``context`` (e.g. baseline paths) is unpickled once at
-startup and treated as read-only.
+method, executed on the same private copy inside
+:meth:`WorkingCopy.perturbed` — the scenario's topology edits are undone
+exactly when it returns, and the copy is unpickled again only after a
+task raises.  The shared ``context`` (e.g. baseline paths) is unpickled
+once at startup and treated as read-only.
 
 A daemon thread heartbeats over the same connection while the main thread
 simulates, so the supervisor can tell a *busy* worker from a *wedged* one.
@@ -33,7 +34,10 @@ import pickle
 import signal
 import threading
 import time
+from contextlib import contextmanager
+from typing import Iterator
 
+from repro.bgp.network import Network
 from repro.net.prefix import Prefix
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import set_tracer
@@ -51,6 +55,40 @@ from repro.parallel.protocol import (
     capture_prefix_state,
 )
 from repro.resilience.retry import simulate_prefix_bounded
+
+
+class WorkingCopy:
+    """One private network copy that scenarios perturb and hand back.
+
+    Shared by the sequential campaign loop and the pool workers.  The
+    pickled blob is kept as the recovery value: a scenario that raises
+    may have stopped halfway through an edit, so its copy is dropped and
+    the next user unpickles a new one.
+    """
+
+    def __init__(self, blob: bytes):
+        self._blob = blob
+        self._network: Network | None = None
+
+    def network(self) -> Network:
+        """The working copy, unpickled on first use or after a failure."""
+        if self._network is None:
+            self._network = pickle.loads(self._blob)
+        return self._network
+
+    @contextmanager
+    def perturbed(self) -> Iterator[Network]:
+        """Lend the copy for one scenario; every edit is undone on exit.
+
+        On a normal exit all routing state is cleared and the topology is
+        exactly as unpickled (:meth:`Network.close_perturbation`).
+        """
+        network = self.network()
+        self._network = None  # nothing to reuse if the body raises
+        network.open_perturbation()
+        yield network
+        network.close_perturbation()
+        self._network = network
 
 
 def worker_main(
@@ -74,7 +112,8 @@ def worker_main(
     set_tracer(None)
     set_registry(MetricsRegistry())
 
-    network = pickle.loads(network_blob)
+    copy = WorkingCopy(network_blob)
+    copy.network()  # pay the unpickle before reporting ready
     context = pickle.loads(context_blob) if context_blob is not None else None
     send_lock = threading.Lock()
     stop = threading.Event()
@@ -113,6 +152,7 @@ def worker_main(
             set_registry(registry)
             try:
                 if is_prefix:
+                    network = copy.network()
                     stats, outcome = simulate_prefix_bounded(
                         network, payload, decision_config, max_messages
                     )
@@ -124,13 +164,10 @@ def worker_main(
                         metrics=registry.dump_raw(),
                     )
                 else:
-                    # Generic task: run on a *fresh* unpickled network so a
-                    # scenario's topology mutations never leak into the
-                    # next task dispatched to this worker.
-                    scratch = pickle.loads(network_blob)
-                    value = payload.run(
-                        scratch, context, decision_config, max_messages
-                    )
+                    with copy.perturbed() as scratch:
+                        value = payload.run(
+                            scratch, context, decision_config, max_messages
+                        )
                     result = GenericTaskResult(
                         key=payload.key,
                         value=value,

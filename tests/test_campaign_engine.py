@@ -7,6 +7,8 @@ resumed; poison scenarios are quarantined, never fatal.
 """
 
 import dataclasses
+import pickle
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -16,19 +18,23 @@ from repro.campaign import (
     ScenarioOutcome,
     campaign_fingerprint,
     context_from_artifact,
+    generate_catchment,
     generate_depeer,
+    generate_hijack,
     load_checkpoint,
     run_campaign,
     validate_baseline,
     write_checkpoint,
 )
+from repro.core.model import MODEL_DECISION_CONFIG
 from repro.errors import ArtifactError, CheckpointError, TopologyError
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import EVENT_SCENARIO, RecordingTracer, tracing
 from repro.parallel import ParallelConfig, WorkerFaults
+from repro.parallel.worker import WorkingCopy
 from repro.resilience.retry import POISON
 from repro.serve import compile_artifact
-from tests.test_campaign_scenarios import line_model
+from tests.test_campaign_scenarios import line_model, seeded_world
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -88,6 +94,44 @@ class TestRunCampaign:
             include_meta=False
         )
         assert parallel.meta["supervision"]  # the pool actually ran
+
+    def test_one_working_copy_in_any_order_equals_a_fresh_copy_each(self):
+        """Mixed kinds, shuffled: exact undo makes scenario order irrelevant,
+        which is also why sequential equals any placement on pool workers."""
+        world = seeded_world(3)
+        origins = sorted(world.model.prefix_by_origin)
+        scenarios = [
+            *generate_depeer(world.model)[:6],
+            *generate_hijack(world.model, origins[2], attackers=origins[5:8]),
+            *generate_catchment(world.model, origins[:3]),
+        ]
+        fresh = {
+            scenario.key: scenario.run(
+                pickle.loads(world.blob), world.context, MODEL_DECISION_CONFIG, None
+            )
+            for scenario in scenarios
+        }
+        copy = WorkingCopy(world.blob)
+        for order_seed in (0, 1):
+            shuffled = list(scenarios)
+            random.Random(order_seed).shuffle(shuffled)
+            assert [s.key for s in shuffled] != [s.key for s in scenarios]
+            for scenario in shuffled:
+                with copy.perturbed() as network:
+                    value = scenario.run(
+                        network, world.context, MODEL_DECISION_CONFIG, None
+                    )
+                assert value == fresh[scenario.key], scenario.key
+
+        sequential = run_campaign(world.model, "mixed", scenarios, world.context)
+        assert {o.key: o.detail for o in sequential.outcomes} == fresh
+        pooled = run_campaign(
+            world.model, "mixed", scenarios, world.context,
+            parallel=ParallelConfig(workers=2),
+        )
+        assert pooled.to_json(include_meta=False) == sequential.to_json(
+            include_meta=False
+        )
 
     def test_sequential_poison_is_quarantined_not_fatal(self, model, context):
         scenarios = [*generate_depeer(model), ExplodingScenario()]
@@ -226,6 +270,18 @@ class TestValidateBaseline:
         foreign = dataclasses.replace(compiled, observers=(64999,))
         with pytest.raises(ArtifactError, match="64999"):
             validate_baseline(model, foreign)
+
+    def test_artifact_of_an_earlier_refinement_is_rejected(self, artifact):
+        """Same ASes, same origins and observers — but one more quasi-router
+        since the artifact was compiled, so its paths are another model's."""
+        later = line_model()
+        validate_baseline(later, artifact)
+        later.network.duplicate_router(later.network.as_routers(2)[0])
+        with pytest.raises(ArtifactError, match="routers=") as caught:
+            validate_baseline(later, artifact)
+        assert "recompile the baseline" in str(caught.value)
+        # An artifact that recorded no stats is judged on its ASes alone.
+        validate_baseline(later, dataclasses.replace(artifact, model_stats={}))
 
 
 class TestReport:

@@ -4,12 +4,21 @@ The fixture model is the line AS1 - AS2 - AS3 - AS4 with known answers
 for every campaign kind: cutting AS2-AS3 bisects the line, AS2 hijacking
 AS4's prefix captures both of its neighbours, and a 2-site anycast on
 the line's endpoints splits the interior observers evenly.
+
+The crossing-origin depeer and the one working copy are judged against
+the plain engine on seeded refined worlds: a fresh unpickle, the
+adjacency removed, every prefix simulated from scratch.
 """
 
+import dataclasses
+import functools
 import pickle
+from dataclasses import dataclass
 
 import pytest
 
+from repro.bgp import Network, simulate
+from repro.bgp.policy import Clause, Match
 from repro.campaign import (
     CatchmentScenario,
     EdgeFailureScenario,
@@ -20,16 +29,25 @@ from repro.campaign import (
     generate_hijack,
     generate_link_failure,
 )
+from repro.campaign.diffing import diff_path_maps
+from repro.campaign.scenarios import KIND_LINK_FAILURE, crossing_origins
 from repro.core.build import build_initial_model
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
 from repro.core.predict import collect_path_map, selected_paths
-from repro.core.refine import Refiner
+from repro.core.refine import RefinementConfig, Refiner
 from repro.core.whatif import remove_adjacency
+from repro.data.observation import collect_dataset, select_observation_points
+from repro.data.synthesis import SyntheticConfig, synthesize_internet
 from repro.errors import TopologyError
 from repro.net.aspath import ASPath
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, prefix_for_asn
+from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.parallel.protocol import dump_network
+from repro.parallel.worker import WorkingCopy
+from repro.resilience.retry import simulate_network_bounded
 from repro.serve import compile_artifact
 from repro.topology.dataset import ObservedRoute, PathDataset
+from repro.topology.graph import ASGraph
 
 P = Prefix("10.0.0.0/24")
 
@@ -58,9 +76,77 @@ def context(model):
 
 
 def run_scenario(model, scenario, context):
-    """Execute one scenario exactly like the engine: on a fresh copy."""
+    """Execute one scenario on a fresh copy of the model's network."""
     network = pickle.loads(pickle.dumps(model.network))
     return scenario.run(network, context, MODEL_DECISION_CONFIG, None)
+
+
+@dataclass(frozen=True)
+class World:
+    """A seeded refined model, its baseline and its pickled network."""
+
+    model: ASRoutingModel
+    context: object
+    blob: bytes
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_world(seed: int) -> World:
+    """Synthesize, observe and refine a 23-AS world (read-only, cached)."""
+    internet = synthesize_internet(
+        SyntheticConfig(seed=seed, n_level1=3, n_level2=4, n_other=6, n_stub=10)
+    )
+    simulate(internet.network)
+    points = select_observation_points(internet, 8, seed=seed)
+    dataset = collect_dataset(internet.network, points).cleaned()
+    model = build_initial_model(dataset, ASGraph.from_dataset(dataset))
+    assert Refiner(model, dataset, RefinementConfig(max_iterations=12)).run().converged
+    artifact, _ = compile_artifact(model)
+    model.network.clear_routing()
+    return World(model, context_from_artifact(artifact), dump_network(model.network))
+
+
+def from_scratch(blob: bytes, context, asn_a: int, asn_b: int, config=MODEL_DECISION_CONFIG):
+    """The oracle: fresh copy, adjacency removed, every prefix re-simulated."""
+    network = pickle.loads(blob)
+    model = ASRoutingModel.from_network(network)
+    removed = remove_adjacency(model, asn_a, asn_b)
+    stats = simulate_network_bounded(network, config=config)
+    assert not stats.quarantined
+    current = collect_path_map(model, context.observers)
+    diff = diff_path_maps(context.baseline_paths, current, context.excluded)
+    return removed, diff
+
+
+def structure(network: Network) -> dict:
+    """Everything a simulation's message order can depend on, plus the RIBs."""
+    routers = network.routers.values()
+    return {
+        "sessions": list(network.sessions),
+        "endpoints": [
+            (key, session.session_id)
+            for key, session in network._session_by_endpoints.items()
+        ],
+        "next_session_id": network._next_session_id,
+        "sessions_out": [[s.session_id for s in r.sessions_out] for r in routers],
+        "sessions_in": [[s.session_id for s in r.sessions_in] for r in routers],
+        "originations": [(p, list(o)) for p, o in network.originations.items()],
+        "local_routes": [list(r.local_routes) for r in routers],
+        "ribs": [(r.adj_rib_in, r.loc_rib, r.adj_rib_out) for r in routers],
+        "touched": network._touched,
+        "open": network._undo,
+    }
+
+
+def engine_prefixes(scenario, network, context, config=MODEL_DECISION_CONFIG):
+    """``scenario.run``'s result and how many prefixes it simulated."""
+    registry = MetricsRegistry()
+    set_registry(registry)
+    try:
+        result = scenario.run(network, context, config, None)
+        return result, registry.snapshot()["counters"].get("engine.prefixes", 0)
+    finally:
+        set_registry(MetricsRegistry())
 
 
 class TestCollectPathMap:
@@ -194,6 +280,210 @@ class TestEdgeFailure:
     def test_unknown_adjacency_raises_before_simulation(self, model, context):
         with pytest.raises(TopologyError):
             run_scenario(model, EdgeFailureScenario(1, 4), context)
+
+
+class TestCrossingOrigins:
+    """Depeer re-simulates only origins whose selected paths cross the edge."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_adjacency_equals_the_from_scratch_recipe(self, seed):
+        world = seeded_world(seed)
+        copy = WorkingCopy(world.blob)
+        origins = len(world.model.prefix_by_origin)
+        simulated = []
+        for scenario in generate_depeer(world.model):
+            with copy.perturbed() as network:
+                outcome, count = engine_prefixes(scenario, network, world.context)
+            simulated.append(count)
+            removed, diff = from_scratch(
+                world.blob, world.context, scenario.asn_a, scenario.asn_b
+            )
+            assert outcome == {
+                "kind": "depeer",
+                "key": scenario.key,
+                "params": {"asn_a": scenario.asn_a, "asn_b": scenario.asn_b},
+                "removed_sessions": removed,
+                "degraded": [],
+                "diff": diff.to_dict(),
+                "blast_radius": diff.blast_radius,
+            }
+        # The saving is real: most adjacencies carry a minority of origins.
+        assert sum(simulated) < 0.7 * origins * len(simulated)
+        assert min(simulated) < origins / 4
+
+    def test_crossing_set_is_read_off_the_baseline_paths(self, model, context):
+        # On the line, AS1's prefix reaches AS3 and AS4 over AS2-AS3 and
+        # so does everyone else's: every origin crosses the middle edge.
+        assert crossing_origins(model, context, MODEL_DECISION_CONFIG, 2, 3) == {
+            1, 2, 3, 4
+        }
+        # Excluded (quarantined-at-compile) origins always cross.
+        narrowed = dataclasses.replace(context, excluded=frozenset({4}))
+        assert 4 in crossing_origins(model, narrowed, MODEL_DECISION_CONFIG, 1, 2)
+
+    @pytest.mark.parametrize("breach", [
+        "local-pref", "ibgp", "med-not-always-compared", "end-not-observed",
+    ])
+    def test_every_origin_crosses_when_a_precondition_fails(self, breach):
+        """Same code, full set: asserted through the engine's own counter."""
+        world = seeded_world(1)
+        scenario = min(
+            generate_depeer(world.model),
+            key=lambda s: len(crossing_origins(
+                world.model, world.context, MODEL_DECISION_CONFIG, s.asn_a, s.asn_b
+            )),
+        )
+        origins = len(world.model.prefix_by_origin)
+        network = pickle.loads(world.blob)
+        context, config = world.context, MODEL_DECISION_CONFIG
+        if breach == "local-pref":
+            session = next(iter(network.sessions.values()))
+            session.ensure_import_map().append(
+                Clause(Match(prefix=Prefix("192.0.2.0/24")), set_local_pref=120)
+            )
+        elif breach == "ibgp":
+            network.connect(
+                network.add_router(scenario.asn_a),
+                network.as_routers(scenario.asn_a)[0],
+            )
+        elif breach == "med-not-always-compared":
+            config = dataclasses.replace(config, med_always_compare=False)
+        else:
+            context = dataclasses.replace(context, observers=tuple(
+                asn for asn in context.observers if asn != scenario.asn_b
+            ))
+
+        _, few = engine_prefixes(scenario, pickle.loads(world.blob), world.context)
+        _, every = engine_prefixes(scenario, network, context, config)
+        assert few < origins / 4 and every == origins
+
+    def test_disagree_gadget_has_two_stable_states(self):
+        """Why local-pref trips the guard.
+
+        AS2 and AS3 each prefer the other's route (a DISAGREE pair), AS2
+        also prefers AS4's.  With every session up the engine settles on
+        "AS2 via AS4, AS3 via AS2"; AS1-AS2 carries no selected route, and
+        that state stays stable without it — yet from scratch the engine
+        reaches the other stable state, "AS3 via AS5, AS2 via AS3".  Only
+        a full re-simulation reports what the engine would answer.
+        """
+        network = Network("disagree")
+        routers = {asn: network.add_router(asn) for asn in range(1, 6)}
+        for a, b in ((1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)):
+            network.connect(routers[a], routers[b])
+        for sender, receiver in ((2, 3), (3, 2), (4, 2), (5, 4)):
+            network.get_session(
+                routers[sender], routers[receiver]
+            ).ensure_import_map().append(Clause(Match(), set_local_pref=200))
+        network.originate(routers[1], prefix_for_asn(1))
+        model = ASRoutingModel.from_network(network)
+        artifact, _ = compile_artifact(model)
+        context = context_from_artifact(artifact)
+        network.clear_routing()
+
+        assert context.baseline_paths[(1, 2)] == ((2, 4, 5, 1),)
+        assert context.baseline_paths[(1, 3)] == ((3, 2, 4, 5, 1),)
+        assert crossing_origins(model, context, MODEL_DECISION_CONFIG, 1, 2) == {1}
+        result = run_scenario(model, EdgeFailureScenario(1, 2), context)
+        _, oracle = from_scratch(dump_network(network), context, 1, 2)
+        assert result["diff"] == oracle.to_dict()
+        assert result["diff"]["changed"] == [[1, 2], [1, 3]]
+
+        # The other stable state, reached by the same engine: cut AS1-AS2
+        # first and both ends of the pair flip.
+        cut = pickle.loads(dump_network(network))
+        cut_model = ASRoutingModel.from_network(cut)
+        remove_adjacency(cut_model, 1, 2)
+        cut_model.simulate_all()
+        assert selected_paths(cut_model, 1, 2) == {(2, 3, 5, 1)}
+        assert selected_paths(cut_model, 1, 3) == {(3, 5, 1)}
+
+
+@dataclass(frozen=True)
+class HalfwayScenario:
+    """Edits the copy, simulates, then fails: the recovery case."""
+
+    key: str = "depeer:halfway"
+
+    def run(self, network, context, config, max_messages) -> dict:
+        session = next(iter(network.sessions.values()))
+        network.disconnect(session.src, session.dst)
+        network.originate(session.src, Prefix("240.0.0.0/24"))
+        simulate_network_bounded(network, config=config)
+        raise TopologyError("failed halfway through")
+
+
+class TestWorkingCopy:
+    """One copy, exact undo: structurally a fresh unpickle after each use."""
+
+    def scenarios(self, world):
+        depeer = generate_depeer(world.model)[0]
+        origins = sorted(world.model.prefix_by_origin)
+        sites = tuple(origins[:3])
+        return [
+            depeer,
+            dataclasses.replace(depeer, kind=KIND_LINK_FAILURE),
+            HijackScenario(origins[0], origins[-1]),
+            CatchmentScenario(sites, None),
+            CatchmentScenario(sites, sites[1]),
+        ]
+
+    def test_copy_equals_a_fresh_unpickle_after_each_scenario_kind(self):
+        world = seeded_world(2)
+        fresh = structure(pickle.loads(world.blob))
+        assert not any(any(ribs) for ribs in fresh["ribs"])
+        copy = WorkingCopy(world.blob)
+        first = copy.network()
+        for scenario in self.scenarios(world):
+            with copy.perturbed() as network:
+                scenario.run(network, world.context, MODEL_DECISION_CONFIG, None)
+                assert structure(network) != fresh
+            assert copy.network() is first
+            assert structure(first) == fresh, scenario.key
+
+    def test_copy_is_recovered_from_the_blob_after_a_scenario_raises(self):
+        world = seeded_world(2)
+        copy = WorkingCopy(world.blob)
+        first = copy.network()
+        with pytest.raises(TopologyError, match="halfway"):
+            with copy.perturbed() as network:
+                HalfwayScenario().run(
+                    network, world.context, MODEL_DECISION_CONFIG, None
+                )
+        assert copy.network() is not first
+        assert structure(copy.network()) == structure(pickle.loads(world.blob))
+
+    def test_undo_restores_positions_not_just_membership(self):
+        """Withdraw the first of two originations, cut a middle session."""
+        network = Network()
+        hub, left, right = (network.add_router(asn) for asn in (1, 2, 3))
+        network.connect(hub, left)
+        network.connect(hub, right)
+        network.connect(left, right)
+        first, second = Prefix("10.1.0.0/24"), Prefix("10.2.0.0/24")
+        for prefix in (first, second):
+            network.originate(hub, prefix)
+            network.originate(left, prefix)
+        before = structure(network)
+        network.open_perturbation()
+        network.withdraw(hub, first)
+        network.withdraw(left, first)      # the prefix leaves `originations`
+        network.disconnect(hub, right)     # middle of hub.sessions_out
+        network.originate(right, Prefix("10.3.0.0/24"))
+        simulate(network)
+        assert structure(network) != before
+        network.close_perturbation()
+        assert structure(network) == before
+        assert "_undo" not in vars(network)  # pickles as if never perturbed
+
+    def test_perturbations_do_not_nest(self):
+        network = Network()
+        network.open_perturbation()
+        with pytest.raises(TopologyError, match="already open"):
+            network.open_perturbation()
+        network.close_perturbation()
+        with pytest.raises(TopologyError, match="no perturbation"):
+            network.close_perturbation()
 
 
 class TestHijack:

@@ -1,12 +1,14 @@
 """Tests for the C-BGP-style config export/parse round-trip."""
 
 import io
+import random
 
 import pytest
 
 from repro.bgp import Network, simulate
 from repro.bgp.policy import Action, Clause, Match
 from repro.cbgp import export_model, export_network, parse_script
+from repro.cbgp.parse import parse_file
 from repro.core.build import build_initial_model
 from repro.core.model import MODEL_DECISION_CONFIG
 from repro.core.refine import Refiner
@@ -152,3 +154,76 @@ class TestParserErrors:
     def test_comments_ignored(self):
         net = parse_script(io.StringIO("# nothing but comments\n\n"))
         assert net.stats()["routers"] == 0
+
+    @pytest.mark.parametrize("line, culprit", [
+        ("net add link 0.1.0.1 0.1.0.2", "net add link"),         # arity
+        ("net add link 0.1.0.1 0.1.0.2 cheap", "cheap"),          # bad cost
+        ("net add link 0.1.0.1 0.1.0.2 0", "positive"),           # refused cost
+        ("bgp add router 1", "bgp add router"),                   # arity
+        ("bgp add router one 0.1.0.1", "one"),                    # bad ASN
+        ("bgp router 0.1.0.1 add peer 2", "add peer"),            # arity
+        ("bgp add peer 2 0.2.0.1", "add peer"),                   # no owner
+        ("bgp router 0.1.0.1 add peer 1 0.1.0.1", "itself"),      # self peering
+        ("net add node", "net add node"),                         # no address
+        ("net add node 0.1.0.0", "index 0"),                      # router index 0
+        ("bgp router 0.1.0.1 add network 10.0.0.0", "10.0.0.0"),  # no length
+    ])
+    def test_corrupt_directive_is_a_parse_error_naming_the_line(self, line, culprit):
+        text = "# header\nnet add node 0.1.0.1\n" + line + "\n"
+        with pytest.raises(ParseError, match="line 3: ") as caught:
+            parse_script(io.StringIO(text))
+        assert culprit in str(caught.value)
+
+    @pytest.mark.parametrize("inner", [
+        "iter x", 'match "path-length < many"', 'action "metric low"',
+        'match "neighbor is 0.1.0"', "bogus",
+    ])
+    def test_corrupt_rule_line_is_a_parse_error_naming_the_line(self, inner):
+        text = (
+            "net add node 0.1.0.1\nnet add node 0.2.0.1\n"
+            "bgp router 0.1.0.1 peer 0.2.0.1 filter in add-rule\n"
+            f"  {inner}\n  exit\n"
+        )
+        with pytest.raises(ParseError, match="line 4: "):
+            parse_script(io.StringIO(text))
+
+    def test_undecodable_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "corrupt.cfg"
+        path.write_bytes(b"net add node 0.1.0.1\nnet add \xff node 0.2.0.1\n")
+        with pytest.raises(ParseError, match="not text"):
+            parse_file(path)
+
+    def test_mutated_exports_parse_or_raise_parse_error(self):
+        """Seeded mutation fuzz: no other exception type may escape."""
+        buffer = io.StringIO()
+        export_network(build_rich_network(), buffer)
+        lines = buffer.getvalue().splitlines(keepends=True)
+        rng = random.Random(20060911)
+        outcomes = {"parsed": 0, "rejected": 0}
+        for _ in range(2500):
+            mutated = list(lines)
+            for _ in range(rng.randint(1, 3)):
+                index = rng.randrange(len(mutated))
+                kind = rng.choice(("drop", "duplicate", "truncate", "flip"))
+                line = mutated[index]
+                if kind == "drop":
+                    del mutated[index]
+                elif kind == "duplicate":
+                    mutated.insert(index, line)
+                elif kind == "truncate":
+                    mutated[index] = line[: rng.randrange(len(line))] + "\n"
+                else:
+                    raw = bytearray(line.encode())
+                    raw[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
+                    mutated[index] = raw.decode("latin-1")
+                if not mutated:
+                    break
+            try:
+                parse_script(mutated)
+            except ParseError as error:
+                assert str(error).startswith("line "), error
+                outcomes["rejected"] += 1
+            else:
+                outcomes["parsed"] += 1
+        # The fuzz must reach both verdicts to mean anything.
+        assert outcomes["parsed"] > 100 and outcomes["rejected"] > 100

@@ -2,9 +2,9 @@
 
 The campaign engine fans arbitrary picklable tasks — not just prefixes —
 through the same crash-isolated pool.  These tests cover the generic
-contract directly: deterministic key-ordered merge, per-task network
-isolation, context shipping, worker-side metrics folding, and poison
-quarantine on injected crashes.
+contract directly: deterministic key-ordered merge, each task's network
+edits undone before the next, context shipping, worker-side metrics
+folding, and poison quarantine on injected crashes.
 """
 
 from dataclasses import dataclass
@@ -38,7 +38,7 @@ def small_network():
 
 @dataclass(frozen=True)
 class ProbeTask:
-    """Reports the worker-side view: router count, context, mutations."""
+    """Reports the worker-side view: session count, context, edits."""
 
     name: str
 
@@ -47,14 +47,14 @@ class ProbeTask:
         return f"probe:{self.name}"
 
     def run(self, network, context, config, max_messages) -> dict:
-        # Count first, then mutate: if worker state leaked between tasks
-        # the next task would see the router gone.
-        routers = len(network.routers)
-        victim = next(iter(network.routers.values()))
-        network.routers.pop(victim.router_id)
+        # Count first, then edit: if one task's edit reached the next,
+        # that task would see the sessions gone.
+        sessions = len(network.sessions)
+        victim = next(iter(network.sessions.values()))
+        network.disconnect(victim.src, victim.dst)
         get_registry().counter("probe.ticks").inc()
         return {
-            "routers": routers,
+            "sessions": sessions,
             "context": context,
             "config_ok": config is not None and max_messages == 4321,
         }
@@ -95,10 +95,11 @@ class TestRunTasks:
         assert stats.supervision["workers"] == 2
 
     def test_each_task_gets_a_fresh_network(self):
-        # Every probe removes a router after counting; with more tasks
-        # than workers, leaked state would show a shrinking count.
+        # Every probe tears a peering down after counting; with more
+        # tasks than workers, an edit left behind would show a shrinking
+        # count.  The worker undoes it instead of unpickling a new copy.
         stats = run_pool([ProbeTask(f"t{i}") for i in range(8)])
-        assert {r["routers"] for r in stats.results.values()} == {4}
+        assert {r["sessions"] for r in stats.results.values()} == {6}
 
     def test_context_is_shipped_to_workers(self):
         stats = run_pool(

@@ -912,6 +912,24 @@ class TestEachMechanismExistsOnce:
         assert call_sites("Pipe") == {"parallel/supervisor.py"}
         assert imports_of("multiprocessing", "Process") == set()
 
+    def test_a_network_blob_is_unpickled_in_one_place(self):
+        """Campaign scenarios share ``WorkingCopy``'s create-or-recover; the
+        worker's other ``pickle.loads`` reads the campaign context."""
+        loads = [
+            (name, ast.unparse(node.args[0]))
+            for name, tree in source_trees()
+            if name.startswith("campaign/") or name == "parallel/worker.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("loads", "load")
+        ]
+        assert sorted(loads) == [
+            ("parallel/worker.py", "context_blob"),
+            ("parallel/worker.py", "self._blob"),
+        ]
+        assert imports_of("pickle", "loads") == set()
+
     def test_divergence_is_caught_in_one_place_per_layer(self):
         """The engine quarantines a ``ConvergenceError``; ``cli.main`` turns
         one that escapes (its base class) into ``error:`` + exit 3."""
