@@ -2,6 +2,7 @@
 """Where do the collector's passes land in the pipeline benchmark?
 
     python3 scripts/gc_stage_probe.py WORKLOAD [--world W] [--passes N]
+                                      [--forbid STAGE[,STAGE...]]
 
 Runs ``benchmarks/pipeline``'s ``run_pass`` (imported, not modified) with
 a ``gc.callbacks`` hook installed and prints, per stage, how many gen-0 /
@@ -13,7 +14,9 @@ surviving tracked objects, not by the clock, so a change that leaves more
 or fewer objects alive moves a ~0.1 s pass from one stage into another: a
 short stage that "regresses" by one gen-2 pass shows it here, and a pass
 that sits on a stage's last index is one allocation from the next stage
-(see benchmarks/README.md).
+(see benchmarks/README.md).  ``--forbid`` turns the reading into a check:
+exit 1, naming the stage, when a gen-2 pass begins inside a listed one
+(the schedule differs between CPython versions, so pin one to compare).
 """
 
 from __future__ import annotations
@@ -39,7 +42,11 @@ def main() -> int:
     parser.add_argument("--world", type=int, default=0)
     parser.add_argument("--passes", type=int, default=2,
                         help="the benchmark repeats the pass in one process")
+    parser.add_argument("--forbid", default="", metavar="STAGE[,STAGE...]",
+                        help="exit 1 if a gen-2 pass begins inside one of these stages")
     args = parser.parse_args()
+    forbidden = {name for name in args.forbid.split(",") if name}
+    offending: list[str] = []
     workload = WORKLOADS[args.workload].offset(args.world)
 
     collections: list[list[float]] = []  # [generation, started, seconds]
@@ -62,6 +69,9 @@ def main() -> int:
             wall: dict[str, float] = defaultdict(float)
             for stage in stages:
                 wall[stage.name[6:]] += stage.end - stage.start
+            unknown = sorted(forbidden - set(wall))
+            if unknown:
+                parser.error(f"--forbid: no such stage: {unknown}")
             count: dict[tuple[str, int], int] = defaultdict(int)
             spent: dict[tuple[str, int], float] = defaultdict(float)
             full: list[tuple[int, str]] = []
@@ -87,7 +97,13 @@ def main() -> int:
                     + f" {ends_at.get(name, ''):>8}")
             print("  gen2 at: " + (" ".join(
                 f"{index}({stage})" for index, stage in full) or "none"))
-    return 0
+            offending += [
+                f"pass {number}: gen-2 collection {index} begins inside {stage}"
+                for index, stage in full if stage in forbidden
+            ]
+    for line in offending:
+        print(line, file=sys.stderr)
+    return 1 if offending else 0
 
 
 if __name__ == "__main__":

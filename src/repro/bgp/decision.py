@@ -61,6 +61,16 @@ class DecisionConfig:
     med_always_compare: bool = False
     use_igp_cost: bool = True
 
+    @property
+    def total_order(self) -> bool:
+        """True when the whole process is the minimum of :func:`rank`.
+
+        Per-neighbour MED only compares routes from one neighbour AS, and
+        the IGP cost depends on the deciding router, so either one breaks
+        the single key; the quasi-router model (Section 4.6) has neither.
+        """
+        return self.med_always_compare and not self.use_igp_cost
+
 
 @dataclass
 class DecisionOutcome:
@@ -189,6 +199,30 @@ def run_decision(
     return outcome
 
 
+def rank(route: Route) -> tuple:
+    """The decision process as one sort key: the best route has the least.
+
+    Valid only under :attr:`DecisionConfig.total_order`, where every step
+    keeps the minimum of one attribute and the cascade is therefore one
+    lexicographic minimum.  The order is strict among the candidates of
+    one router: each was learned over a different session, sessions are
+    unique per router pair, so ``peer_router`` differs (0 for the one
+    locally-originated route).  The engine relies on that to decide a
+    message against the standing best alone (see ``_decide_and_export``).
+    """
+    return (
+        -route.local_pref,
+        len(route.as_path),
+        route.origin,
+        route.med,
+        route.source,
+        len(route.cluster_list),
+        route.originator_id or route.peer_router,
+        route.peer_router,
+        route.next_hop,
+    )
+
+
 def select_best(
     candidates: Sequence[Route],
     config: DecisionConfig = DecisionConfig(),
@@ -206,10 +240,14 @@ def select_best(
     about routes that survive step 5, exactly as in :func:`run_decision`).
     Per-neighbour MED is not a total order — a route is only ever beaten
     by a route from its own neighbour AS — so step 4 stays a filter
-    between the two.  Ties keep the earliest candidate, as ``min`` does.
+    between the two — unless the config makes the process a total order,
+    when the winner is simply the minimum of :func:`rank`.  Ties keep the
+    earliest candidate, as ``min`` does.
     """
     if len(candidates) < 2:
         return candidates[0] if candidates else None
+    if config.total_order:
+        return min(candidates, key=rank)
     head = None
     alive: list[Route] = []
     for route in candidates:

@@ -23,12 +23,13 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, DEFAULT_MED, RouteSource
 from repro.bgp.decision import (
     DecisionConfig,
     IgpCostFn,
+    rank,
     run_decision,
     select_best,
     step_name,
@@ -38,7 +39,7 @@ from repro.bgp.route import Route
 from repro.bgp.router import Router
 from repro.bgp.session import Session
 from repro.errors import ConvergenceError
-from repro.bgp.policy import MAP_STATS, Clause, RouteMap
+from repro.bgp.policy import MAP_STATS, RouteMap
 from repro.net.community import NO_ADVERTISE, NO_EXPORT
 from repro.net.prefix import Prefix
 from repro.obs.metrics import get_registry, labelled
@@ -71,6 +72,10 @@ class EngineStats:
     prefixes: int = 0
     messages: int = 0
     decisions: int = 0
+    candidates_ranked: int = 0
+    """Routes the decision process looked at: every candidate of a full
+    scan, or the arrival and the standing best (a withdrawal: the best
+    alone) when a message is decided incrementally."""
     clauses_evaluated: int = 0
     """Route-map clauses evaluated (import + export maps)."""
     clauses_matched: int = 0
@@ -91,6 +96,7 @@ class EngineStats:
         self.prefixes += other.prefixes
         self.messages += other.messages
         self.decisions += other.decisions
+        self.candidates_ranked += other.candidates_ranked
         self.clauses_evaluated += other.clauses_evaluated
         self.clauses_matched += other.clauses_matched
         self.budget_exhaustions += other.budget_exhaustions
@@ -134,10 +140,7 @@ def simulate(
             if on_divergence == "raise":
                 raise
             network.clear_prefix(prefix)
-            stats.prefixes += 1
-            stats.messages += error.messages_used
-            stats.budget_exhaustions += 1
-            stats.per_prefix_messages[prefix] = error.messages_used
+            stats.merge(error.stats)
             stats.diverged.append(prefix)
             logger.warning(
                 "quarantined %s after %d messages (budget %d)",
@@ -156,15 +159,17 @@ class _PrefixRun:
     touch on, ``loc_rib`` mirrors their ``loc_rib[prefix]`` entries (the
     routers' dicts are written through on every change, so an exception
     leaves the same partial state as ever), ``touched`` is the network's
-    own touched set, and ``clauses`` holds each route-map's clause list
-    resolved for this prefix.  All of it dies with the call: nothing is
-    memoised on ``RouteMap``, ``Session`` or ``Router``, which are
-    pickled into every campaign copy.
+    own touched set, and ``ranks`` holds :func:`~repro.bgp.decision.rank`
+    of every ``loc_rib`` entry — written and dropped with it — when
+    messages may be decided incrementally, else None (see
+    :func:`_decide_and_export`).  All of it dies with the call: nothing is
+    memoised on ``RouteMap``, ``Session`` or ``Router``, which are pickled
+    into every campaign copy.
     """
 
     __slots__ = (
-        "prefix", "config", "queue", "stats", "tracer", "profiler",
-        "ases", "touched", "local", "rib_in", "loc_rib", "rib_out", "clauses",
+        "prefix", "config", "queue", "stats", "tracer", "profiler", "ases",
+        "touched", "local", "rib_in", "loc_rib", "rib_out", "ranks",
     )
 
     def __init__(
@@ -189,18 +194,19 @@ class _PrefixRun:
         self.rib_in: dict[int, dict[int, Route]] = {}
         self.loc_rib: dict[int, Route] = {}
         self.rib_out: dict[int, dict[int, Route]] = {}
-        self.clauses: dict[RouteMap, Sequence[tuple[int, Clause]]] = {}
+        # The tracer reports every candidate's elimination step, which only
+        # the full scan knows.
+        self.ranks: dict[int, tuple] | None = (
+            {} if config.total_order and self.tracer is None else None
+        )
 
     def apply_map(self, route_map: RouteMap, route: Route) -> Route | None:
-        """``route_map.apply(route)``, resolving the clause list only once."""
+        """``route_map.apply(route)`` inside the profiler's route-map phase."""
         profiler = self.profiler
         if profiler is not None:
             profiler.push(PHASE_ROUTE_MAP)
         try:
-            entries = self.clauses.get(route_map)
-            if entries is None:
-                entries = self.clauses[route_map] = route_map.resolve(self.prefix)
-            return route_map.apply_resolved(entries, route)
+            return route_map.apply(route)
         finally:
             if profiler is not None:
                 profiler.pop()
@@ -241,7 +247,7 @@ def simulate_prefix(
     while queue:
         messages += 1
         if messages > max_messages:
-            stats.messages = messages
+            stats.budget_exhaustions = 1
             get_registry().counter("engine.budget_exhausted").inc()
             if run.tracer is not None:
                 run.tracer.event(
@@ -250,8 +256,8 @@ def simulate_prefix(
                     messages=messages,
                     budget=max_messages,
                 )
-            _account_route_map(stats, map_stats_before)
-            raise ConvergenceError(prefix, messages, max_messages)
+            _account(run, messages, map_stats_before)
+            raise ConvergenceError(prefix, messages, max_messages, stats)
         if prof is not None:
             prof.push(PHASE_DISPATCH)
         try:
@@ -287,23 +293,40 @@ def simulate_prefix(
             if prof is not None:
                 prof.pop()
         run.touched.add(receiver_id)
-        _decide_and_export(run, receiver)
+        _decide_and_export(run, receiver, previous, accepted)
 
+    _account(run, messages, map_stats_before)
+    return stats
+
+
+def _account(
+    run: _PrefixRun, messages: int, map_stats_before: tuple[int, int, int]
+) -> None:
+    """Close the run's ``EngineStats`` and publish them to the registry.
+
+    Called once per :func:`simulate_prefix`, on the converged and on the
+    budget-exhausted exit alike: the prefix that burnt its whole budget is
+    the one whose work the counters most need to show.
+    """
+    stats = run.stats
     stats.messages = messages
-    stats.per_prefix_messages[prefix] = messages
-    _account_route_map(stats, map_stats_before)
+    stats.per_prefix_messages[run.prefix] = messages
+    _, evaluated, matched = MAP_STATS.snapshot()
+    stats.clauses_evaluated = evaluated - map_stats_before[1]
+    stats.clauses_matched = matched - map_stats_before[2]
     registry = get_registry()
     registry.counter("engine.prefixes").inc()
     registry.counter("engine.messages").inc(stats.messages)
     registry.counter("engine.decisions").inc(stats.decisions)
+    registry.counter("engine.candidates_ranked").inc(stats.candidates_ranked)
     registry.counter("engine.clauses_evaluated").inc(stats.clauses_evaluated)
     registry.counter("engine.clauses_matched").inc(stats.clauses_matched)
     registry.histogram("engine.messages_per_prefix").observe(stats.messages)
-    if prof is not None:
+    if run.profiler is not None:
         # Per-prefix hot-path attribution is profiling-only: a labelled
         # instrument per prefix is exactly what `repro profile` wants and
         # exactly what a long refinement run must not accumulate.
-        label = str(prefix)
+        label = str(run.prefix)
         registry.counter(
             labelled("engine.prefix.messages", prefix=label)
         ).inc(stats.messages)
@@ -313,16 +336,6 @@ def simulate_prefix(
         registry.counter(
             labelled("engine.prefix.clauses_matched", prefix=label)
         ).inc(stats.clauses_matched)
-    return stats
-
-
-def _account_route_map(
-    stats: EngineStats, before: tuple[int, int, int]
-) -> None:
-    """Fold the route-map counter deltas since ``before`` into ``stats``."""
-    _, evaluated, matched = MAP_STATS.snapshot()
-    stats.clauses_evaluated += evaluated - before[1]
-    stats.clauses_matched += matched - before[2]
 
 
 def _import_route(
@@ -376,56 +389,100 @@ def _import_route(
     return route
 
 
-def _decide_and_export(run: _PrefixRun, router: Router) -> None:
-    """Re-run the decision process at ``router`` and propagate any change."""
-    run.stats.decisions += 1
+def _decide_and_export(
+    run: _PrefixRun,
+    router: Router,
+    replaced: Route | None = None,
+    arrived: Route | None = None,
+) -> None:
+    """Re-run the decision process at ``router`` and propagate any change.
+
+    ``replaced`` and ``arrived`` are what the Adj-RIB-In slot the
+    prompting message wrote held before and holds now (None: nothing;
+    both None for an originator's first decision).  When the decision is
+    a strict total order (``run.ranks`` is kept) and the slot did not
+    hold the standing best — by identity: an attribute-equal arrival
+    never replaces the object in a slot — the best is still a candidate
+    and still beats every other one, so only the arrival can displace it
+    and the two are compared alone.  Every other case scans all
+    candidates, as does every decision under any other config or with a
+    tracer installed.
+    """
+    stats = run.stats
+    stats.decisions += 1
     profiler = run.profiler
     if profiler is not None:
         profiler.push(PHASE_DECISION)
     try:
         router_id = router.router_id
-        rib_in = run.rib_in.get(router_id)
-        candidates = list(rib_in.values()) if rib_in else []
-        local = run.local.get(router_id)
-        if local is not None:
-            candidates.insert(0, local)
+        loc_rib = run.loc_rib
+        previous_best = loc_rib.get(router_id)
+        ranks = run.ranks
+        if (
+            ranks is not None
+            and previous_best is not None
+            and previous_best is not replaced
+        ):
+            if arrived is None:
+                stats.candidates_ranked += 1
+                return
+            stats.candidates_ranked += 2
+            best_rank = rank(arrived)
+            if ranks[router_id] < best_rank:
+                return
+            best = arrived
+        else:
+            best_rank = None
+            rib_in = run.rib_in.get(router_id)
+            candidates = list(rib_in.values()) if rib_in else []
+            local = run.local.get(router_id)
+            if local is not None:
+                candidates.insert(0, local)
+            stats.candidates_ranked += len(candidates)
 
-        best = candidates[0] if candidates else None
-        tracer = run.tracer
-        if tracer is not None and best is not None:
-            # run_decision is behaviourally identical to select_best but
-            # keeps the per-candidate elimination bookkeeping the trace
-            # event reports; the slower path only runs while tracing.
-            outcome = run_decision(candidates, run.config, _igp_cost(run, router))
-            best = outcome.best
-            tracer.event(
-                EVENT_DECISION,
-                router=router.name,
-                prefix=str(run.prefix),
-                candidates=len(candidates),
-                best=list(best.as_path) if best is not None else None,
-                step=step_name(
-                    outcome.decisive_step if len(candidates) > 1 else None
-                ),
-            )
-        elif len(candidates) > 1:
-            if run.config.use_igp_cost:
-                best = select_best(candidates, run.config, _igp_cost(run, router))
-            else:
-                best = select_best(candidates, run.config)
+            best = candidates[0] if candidates else None
+            tracer = run.tracer
+            if tracer is not None and best is not None:
+                # run_decision is behaviourally identical to select_best
+                # but keeps the per-candidate elimination bookkeeping the
+                # trace event reports; the slower path only runs while
+                # tracing.
+                outcome = run_decision(
+                    candidates, run.config, _igp_cost(run, router)
+                )
+                best = outcome.best
+                tracer.event(
+                    EVENT_DECISION,
+                    router=router.name,
+                    prefix=str(run.prefix),
+                    candidates=len(candidates),
+                    best=list(best.as_path) if best is not None else None,
+                    step=step_name(
+                        outcome.decisive_step if len(candidates) > 1 else None
+                    ),
+                )
+            elif len(candidates) > 1:
+                if run.config.use_igp_cost:
+                    best = select_best(
+                        candidates, run.config, _igp_cost(run, router)
+                    )
+                else:
+                    best = select_best(candidates, run.config)
 
         if profiler is not None:
             profiler.switch(PHASE_RIB_MERGE)
-        loc_rib = run.loc_rib
-        previous_best = loc_rib.get(router_id)
         if best is previous_best:
             return
         prefix = run.prefix
         if best is None:
             del loc_rib[router_id]
             router.loc_rib.pop(prefix, None)
+            if ranks is not None:
+                del ranks[router_id]
         else:
             loc_rib[router_id] = router.loc_rib[prefix] = best
+            if ranks is not None:
+                ranks[router_id] = best_rank or rank(best)
             if (
                 previous_best is not None
                 and best.attributes_equal(previous_best)

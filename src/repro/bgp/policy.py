@@ -360,9 +360,8 @@ class RouteMap:
         The prefix-indexed and the generic clauses merged in evaluation
         order.  When only one kind exists the live bucket itself is
         returned, not a copy: callers must not mutate it, and may hold it
-        only while the map is not edited.  The engine resolves once per
-        (route-map, prefix) and keeps the result in its per-call state —
-        never here, where it would be pickled with every network copy.
+        only while the map is not edited.  Nothing is memoised here, where
+        it would be pickled with every network copy.
         """
         indexed = self._by_prefix.get(prefix)
         if not indexed:
@@ -388,16 +387,10 @@ class RouteMap:
 
     def apply(self, route: Route) -> Route | None:
         """Evaluate the route-map on ``route``; None means denied."""
-        return self.apply_resolved(self.resolve(route.prefix), route)
-
-    def apply_resolved(
-        self, entries: Sequence[tuple[int, Clause]], route: Route
-    ) -> Route | None:
-        """:meth:`apply` with ``entries = self.resolve(route.prefix)`` in hand."""
         stats = MAP_STATS
         stats.applications += 1
         evaluated = 0
-        for _, clause in entries:
+        for _, clause in self.resolve(route.prefix):
             evaluated += 1
             if clause.match.matches(route):
                 stats.clauses_evaluated += evaluated

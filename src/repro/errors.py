@@ -34,9 +34,12 @@ class ConvergenceError(SimulationError):
         prefix: the prefix whose simulation did not converge.
         messages_used: messages processed before giving up.
         budget: the ``max_messages`` budget that was exceeded.
+        stats: the run's ``EngineStats`` up to the point it gave up, so
+            the caller that quarantines the prefix can still account for
+            the work it cost.
     """
 
-    def __init__(self, prefix, messages_used: int, budget: int):
+    def __init__(self, prefix, messages_used: int, budget: int, stats):
         super().__init__(
             f"BGP did not converge for {prefix} after {messages_used} messages "
             f"(budget {budget}); the configured policies likely form a dispute wheel"
@@ -44,6 +47,7 @@ class ConvergenceError(SimulationError):
         self.prefix = prefix
         self.messages_used = messages_used
         self.budget = budget
+        self.stats = stats
 
 
 class ModelError(ReproError):

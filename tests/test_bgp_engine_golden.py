@@ -23,8 +23,10 @@ import hashlib
 import pytest
 
 from repro.bgp import Clause, Match, Network, Route, simulate
-from repro.bgp.engine import EngineStats
+from repro.bgp.decision import DecisionConfig
+from repro.bgp.engine import EngineStats, _PrefixRun
 from repro.core.build import build_initial_model
+from repro.core.model import MODEL_DECISION_CONFIG
 from repro.core.refine import Refiner
 from repro.core.split import split_by_observation_points
 from repro.data.observation import collect_dataset, select_observation_points
@@ -188,7 +190,9 @@ def test_nothing_memoised_survives_the_call():
     scenario copy, so a cache hung on a ``RouteMap``, ``Session`` or
     ``Router`` rides along sessions x prefixes times.  Single-router ASes
     keep the (older, per-AS) Dijkstra cost cache out of the comparison;
-    the ground-truth route-maps mix generic and per-prefix clauses.
+    the ground-truth route-maps mix generic and per-prefix clauses.  The
+    model's config is the one under which the engine keeps a rank per
+    Loc-RIB entry: that cache, too, must die with the call.
     """
     one_router = (1, 1)
     network = synthesize_internet(dataclasses.replace(
@@ -196,10 +200,13 @@ def test_nothing_memoised_survives_the_call():
         routers_other=one_router, routers_stub=one_router,
     )).network
     before = len(dump_network(network))
-    simulate(network)
-    assert len(dump_network(network)) > before
-    network.clear_routing()
-    assert len(dump_network(network)) == before
+    for config in (DecisionConfig(), MODEL_DECISION_CONFIG):
+        simulate(network, config=config)
+        assert len(dump_network(network)) > before
+        network.clear_routing()
+        assert len(dump_network(network)) == before
+    gc.collect()
+    assert not any(isinstance(candidate, _PrefixRun) for candidate in gc.get_objects())
 
 
 if __name__ == "__main__":

@@ -4,16 +4,34 @@ These complement the hypothesis tests: full BGP simulations on seeded
 random topologies, asserting the global invariants the substrate must
 guarantee (convergence, RIB consistency, loop-freedom, valley-freedom
 under pure Gao-Rexford policies).
+
+The engine decides a message against the standing best alone when the
+decision is a strict total order (DESIGN.md, "Incremental decision").
+``TestFullScanOracle`` judges that against the full scan: ``run_decision``
+over every candidate, which is also what the traced engine runs on every
+decision.
 """
 
 import dataclasses
+import pickle
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.bgp import simulate
+from repro.bgp import Clause, Match, Network, simulate, simulate_prefix
 from repro.bgp.attributes import RouteSource
+from repro.bgp.decision import DecisionConfig, run_decision
+from repro.bgp.policy import Action
+from repro.bgp.router import Router
+from repro.core.model import MODEL_DECISION_CONFIG
 from repro.data.synthesis import SyntheticConfig, synthesize_internet
+from repro.errors import ConvergenceError
+from repro.net.prefix import Prefix
+from repro.obs.trace import EVENT_DECISION, RecordingTracer, tracing
 from repro.relationships.valleyfree import is_valley_free
+from tests.test_bgp_engine_golden import canonical_dump
+from tests.test_campaign_scenarios import seeded_world
 
 BASE = SyntheticConfig(seed=0, n_level1=3, n_level2=5, n_other=8, n_stub=14)
 
@@ -24,6 +42,96 @@ def simulated_internet(request):
     internet = synthesize_internet(config)
     simulate(internet.network)
     return internet
+
+
+def refined_network(seed: int) -> Network:
+    """A fresh, unsimulated copy of a seeded refined quasi-router model:
+    ten sessions per quasi-router, six candidates per decision."""
+    return pickle.loads(seeded_world(seed).blob)
+
+
+def reference_best(network: Network, router: Router, prefix: Prefix, config):
+    """``run_decision`` over all of ``router``'s candidates: the oracle."""
+    cost = network.ases[router.asn].igp.cost
+
+    def igp_cost(route):
+        if route.source is not RouteSource.IBGP:
+            return 0.0
+        return cost(router.router_id, route.next_hop)
+
+    return run_decision(router.candidates(prefix), config, igp_cost).best
+
+
+def assert_locally_stable(network: Network, config: DecisionConfig) -> None:
+    for prefix in network.prefixes():
+        for router in network.routers.values():
+            assert router.best(prefix) is reference_best(
+                network, router, prefix, config
+            ), (router, prefix)
+
+
+def simulate_to_dump(network: Network, prefix: Prefix, config, traced: bool):
+    """One bounded ``simulate_prefix``: (canonical RIB + counter dump, stats).
+
+    A diverging prefix is compared too: the partial RIBs and the counters
+    at the moment the budget ran out.
+    """
+    try:
+        if traced:
+            with tracing(RecordingTracer()):
+                stats = simulate_prefix(network, prefix, config, 3000)
+        else:
+            stats = simulate_prefix(network, prefix, config, 3000)
+    except ConvergenceError as error:
+        stats = error.stats
+    return canonical_dump(network, stats), stats
+
+
+PREFIX = Prefix("10.0.0.0/24")
+
+policy_clauses = st.builds(
+    Clause,
+    match=st.builds(
+        Match,
+        prefix=st.sampled_from((None, PREFIX)),
+        path_len_lt=st.sampled_from((None, None, 2, 3)),
+        path_len_gt=st.sampled_from((None, None, None, 2)),
+        from_asn=st.sampled_from((None, None, 1, 2, 3)),
+    ),
+    action=st.sampled_from((Action.PERMIT, Action.PERMIT, Action.DENY)),
+    set_local_pref=st.sampled_from((None, None, 80, 120)),
+    set_med=st.sampled_from((None, 0, 1, 2)),
+)
+
+
+@st.composite
+def policy_network_blobs(draw) -> bytes:
+    """A pickled quasi-router style network (1-2 routers per AS, eBGP only)
+    with one prefix and random local-pref / MED / filter clauses."""
+    network = Network("drawn")
+    routers = [
+        network.add_router(asn)
+        for asn in range(1, draw(st.integers(3, 6)) + 1)
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    pairs = [
+        (a, b)
+        for index, a in enumerate(routers)
+        for b in routers[index + 1:]
+        if a.asn != b.asn
+    ]
+    wanted = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    for (a, b), keep in zip(pairs, wanted):
+        if keep:
+            network.connect(a, b)
+    indices = st.sampled_from(range(len(routers)))
+    for index in draw(st.lists(indices, min_size=1, max_size=2, unique=True)):
+        network.originate(routers[index], PREFIX)
+    for session in network.sessions.values():
+        for ensure_map in (session.ensure_import_map, session.ensure_export_map):
+            for clause in draw(st.lists(policy_clauses, max_size=2)):
+                ensure_map().append(clause)
+    return pickle.dumps(network)
 
 
 class TestConvergenceInvariants:
@@ -127,3 +235,138 @@ class TestValleyFreedom:
         internet = synthesize_internet(config)
         stats = simulate(internet.network)
         assert stats.prefixes > 0
+
+
+class TestFullScanOracle:
+    """The incremental decision against ``run_decision`` over everything."""
+
+    def test_ground_truth_best_is_the_full_scan_winner(self, simulated_internet):
+        assert_locally_stable(simulated_internet.network, DecisionConfig())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_refined_model_best_is_the_full_scan_winner(self, seed):
+        network = refined_network(seed)
+        stats = simulate(network, config=MODEL_DECISION_CONFIG)
+        assert_locally_stable(network, MODEL_DECISION_CONFIG)
+        # ... and the scan was indeed skipped: an arrival ranks two routes,
+        # where a scan of these Adj-RIB-Ins ranks six.
+        assert stats.candidates_ranked < 3 * stats.decisions
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_refined_model_equals_the_traced_engine(self, seed):
+        plain, traced = refined_network(seed), refined_network(seed)
+        plain_stats = simulate(plain, config=MODEL_DECISION_CONFIG)
+        with tracing(RecordingTracer()) as tracer:
+            traced_stats = simulate(traced, config=MODEL_DECISION_CONFIG)
+        assert canonical_dump(plain, plain_stats) == canonical_dump(traced, traced_stats)
+        # The traced engine scanned every time: what it ranked is the sum
+        # of the candidate-list lengths it reported.
+        assert traced_stats.candidates_ranked == sum(
+            event["candidates"] for event in tracer.events(EVENT_DECISION)
+        )
+        assert plain_stats.candidates_ranked < traced_stats.candidates_ranked / 2
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(policy_network_blobs())
+    def test_drawn_policy_network_equals_the_traced_engine(self, blob):
+        plain, traced = pickle.loads(blob), pickle.loads(blob)
+        plain_dump, plain_stats = simulate_to_dump(plain, PREFIX, MODEL_DECISION_CONFIG, False)
+        traced_dump, traced_stats = simulate_to_dump(traced, PREFIX, MODEL_DECISION_CONFIG, True)
+        assert plain_dump == traced_dump
+        assert plain_stats.budget_exhaustions == traced_stats.budget_exhaustions
+        assert plain_stats.candidates_ranked <= traced_stats.candidates_ranked
+        if not plain_stats.budget_exhaustions:
+            assert_locally_stable(plain, MODEL_DECISION_CONFIG)
+
+    def test_default_config_ranks_every_candidate_every_time(self, simulated_internet):
+        """Per-neighbour MED with IGP cost is not one key: always the scan."""
+        network = simulated_internet.network
+        prefix = network.prefixes()[0]
+        plain = simulate_prefix(network, prefix)
+        with tracing(RecordingTracer()) as tracer:
+            traced = simulate_prefix(network, prefix)
+        assert plain.decisions == traced.decisions
+        assert plain.candidates_ranked == traced.candidates_ranked == sum(
+            event["candidates"] for event in tracer.events(EVENT_DECISION)
+        )
+
+
+def med_gadget() -> tuple[Network, dict[str, Router]]:
+    """Withdrawing a route that is *not* the best changes the best.
+
+    ``r`` hears the prefix three times at equal local-pref, path length
+    and origin: A and B from AS2 (A's MED 1, B's MED 5), C from AS3 (MED
+    0), with router ids B < C < A.  Per-neighbour MED lets A eliminate B
+    and leaves C alone, so the router-id step picks C; once A is withdrawn
+    B survives the MED step and beats C.  C's MED is the lowest so that C
+    is also the minimum of ``rank`` while it wins: an engine that wrongly
+    compared against the standing best alone would keep it.  ``a``
+    withdraws because it moves to the local-pref 200 detour via AS5 - AS6,
+    which ``r`` filters.
+    """
+    network = Network("per-neighbour-med")
+    r = network.add_router(1)
+    b = network.add_router(2)
+    c = network.add_router(3)
+    origin = network.add_router(4)
+    detour = network.add_router(5)
+    far = network.add_router(6)
+    # add_router numbers an AS's routers upwards from (asn << 16) | 1, which
+    # cannot put AS3's id between two of AS2's.
+    a = Router(router_id=9 << 16, asn=2, index=2, name="AS2.a")
+    network.ases[2].routers.append(a)
+    network.ases[2].igp.add_router(a.router_id)
+    network.routers[a.router_id] = a
+    for left, right in (
+        (origin, a), (origin, b), (origin, c), (origin, far),
+        (a, r), (b, r), (c, r), (far, detour), (detour, a),
+    ):
+        network.connect(left, right)
+    network.originate(origin, PREFIX)
+    for sender, med in ((a, 1), (b, 5), (c, 0)):
+        network.get_session(sender, r).ensure_import_map().append(
+            Clause(Match(path_len_lt=3), set_med=med)
+        )
+    network.get_session(a, r).ensure_import_map().append(
+        Clause(Match(), Action.DENY)
+    )
+    network.get_session(far, detour).ensure_import_map().append(
+        Clause(Match(), set_local_pref=150)
+    )
+    network.get_session(detour, a).ensure_import_map().append(
+        Clause(Match(), set_local_pref=200)
+    )
+    return network, {"r": r, "a": a, "b": b, "c": c}
+
+
+class TestPerNeighbourMedIsNeverIncremental:
+    def test_the_gadget_does_what_its_docstring_says(self):
+        network, routers = med_gadget()
+        with tracing(RecordingTracer()) as tracer:
+            simulate(network)
+        at_r = [
+            (event["candidates"], tuple(event["best"]))
+            for event in tracer.events(EVENT_DECISION)
+            if event["router"] == routers["r"].name
+        ]
+        # A alone, A over B, C over A; then A is withdrawn: B over C.
+        assert at_r == [(1, (2, 4)), (2, (2, 4)), (3, (3, 4)), (2, (2, 4))]
+
+    def test_engine_follows_the_full_scan_under_the_default_config(self):
+        network, routers = med_gadget()
+        stats = simulate(network)
+        r = routers["r"]
+        best = r.best(PREFIX)
+        assert best is reference_best(network, r, PREFIX, DecisionConfig())
+        assert best.peer_router == routers["b"].router_id
+        assert best.med == 5
+        assert_locally_stable(network, DecisionConfig())
+        assert stats.candidates_ranked > stats.decisions
+
+    def test_always_compare_med_keeps_c_when_a_is_withdrawn(self):
+        """Under the model config the same messages are a total order: C
+        has the lowest MED of all and losing A changes nothing."""
+        network, routers = med_gadget()
+        simulate(network, config=MODEL_DECISION_CONFIG)
+        assert routers["r"].best(PREFIX).peer_router == routers["c"].router_id
+        assert_locally_stable(network, MODEL_DECISION_CONFIG)

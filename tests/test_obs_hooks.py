@@ -30,6 +30,7 @@ from repro.resilience.retry import (
     simulate_prefix_bounded,
 )
 from repro.topology.dataset import ObservedRoute, PathDataset
+from tests.test_resilience_retry import gadget_network
 
 
 @pytest.fixture
@@ -95,6 +96,45 @@ class TestBudgetExhaustionVisibility:
         assert event["messages"] == 101
         assert event["final_budget"] == 100
 
+    def test_quarantined_work_is_counted_like_converged_work(self, registry):
+        """The prefix that burnt its budget is in every total: the stats
+        ``simulate`` returns and the registry agree counter for counter,
+        with a healthy prefix simulated beside the dispute wheel."""
+        net, wheel = gadget_network()
+        healthy = Prefix("10.0.1.0/24")
+        net.originate(net.as_routers(1)[0], healthy)
+        inject_dispute_wheel(net, wheel, (1, 2, 3))
+        stats = simulate(net, max_messages=300, on_divergence="quarantine")
+        assert stats.diverged == [wheel]
+        assert stats.budget_exhaustions == 1
+        assert stats.per_prefix_messages[wheel] == 301
+        assert stats.prefixes == 2
+        snapshot = registry.snapshot()
+        assert {
+            name: snapshot["counters"][f"engine.{name}"]
+            for name in (
+                "prefixes", "messages", "decisions", "candidates_ranked",
+                "clauses_evaluated", "clauses_matched",
+            )
+        } == {
+            "prefixes": stats.prefixes,
+            "messages": stats.messages,
+            "decisions": stats.decisions,
+            "candidates_ranked": stats.candidates_ranked,
+            "clauses_evaluated": stats.clauses_evaluated,
+            "clauses_matched": stats.clauses_matched,
+        }
+        per_prefix = snapshot["histograms"]["engine.messages_per_prefix"]
+        assert per_prefix["count"] == 2
+        assert per_prefix["max"] == 301
+        # ... and the wheel's share is really in there, not just the
+        # healthy prefix counted twice over.
+        alone = simulate(net, [healthy])
+        assert stats.messages == alone.messages + 301
+        assert stats.decisions > alone.decisions + 250
+        assert stats.candidates_ranked > alone.candidates_ranked + 250
+        assert stats.clauses_matched > alone.clauses_matched + 100
+
     def test_budget_exhaustions_surface_in_resilience_to_dict(self, registry):
         net, prefix = line_network()
         result = simulate_network_bounded(net, max_messages=1)
@@ -104,9 +144,10 @@ class TestBudgetExhaustionVisibility:
         assert document["diverged"] == [str(prefix)]
 
     def test_stats_merge_folds_exhaustions(self):
-        a = EngineStats(budget_exhaustions=2)
-        a.merge(EngineStats(budget_exhaustions=3))
+        a = EngineStats(budget_exhaustions=2, candidates_ranked=7)
+        a.merge(EngineStats(budget_exhaustions=3, candidates_ranked=11))
         assert a.budget_exhaustions == 5
+        assert a.candidates_ranked == 18
 
 
 class TestEngineTracing:

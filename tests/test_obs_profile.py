@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.bgp import Clause, Match, Network, simulate
+from repro.core.model import MODEL_DECISION_CONFIG
 from repro.net.prefix import Prefix
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.profile import (
@@ -181,6 +182,28 @@ class TestEngineIntegration:
             b = profiled.routers[rid].best(prefix)
             assert (a.as_path if a else None) == (b.as_path if b else None)
 
+    def test_incremental_decisions_stay_inside_the_decision_phase(self):
+        """Profiling does not force the full scan (only tracing does), and a
+        message settled against the standing best alone is still one entry
+        of ``engine.decision``."""
+
+        def clique():
+            net = Network("clique")
+            routers = [net.add_router(asn) for asn in range(1, 9)]
+            for index, a in enumerate(routers):
+                for b in routers[index + 1:]:
+                    net.connect(a, b)
+            net.originate(routers[0], Prefix("10.0.0.0/24"))
+            return net
+
+        plain = simulate(clique(), config=MODEL_DECISION_CONFIG)
+        with profiling(PhaseProfiler()) as profiler:
+            profiled = simulate(clique(), config=MODEL_DECISION_CONFIG)
+        assert profiled == plain  # every counter, candidates_ranked included
+        assert plain.candidates_ranked < 2 * plain.decisions
+        assert profiler.phases[PHASE_DECISION].entries == plain.decisions
+        assert set(profiler.phases) <= set(ENGINE_PHASES)
+        assert profiler._stack == []
 
     def test_raising_import_map_leaves_the_phase_stack_balanced(self):
         """An exception on the import side must not strand ``engine.dispatch``

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.attributes import Origin, RouteSource
-from repro.bgp.decision import DecisionConfig, Step, run_decision
+from repro.bgp.decision import DecisionConfig, Step, rank, run_decision
 from repro.bgp.igp import IGPTopology
 from repro.bgp.policy import Action, Clause, Match, RouteMap
 from repro.bgp.route import Route
@@ -302,3 +302,28 @@ class TestSelectBestEquivalence:
             is run_decision(routes, config, cost_for("reference")).best
         )
         assert asked["fast"] == asked["reference"]
+
+    @given(st.lists(mixed_route_strategy(), min_size=1, max_size=8))
+    @settings(max_examples=300)
+    def test_rank_is_the_order_run_decision_eliminates_in(self, routes):
+        """Under the model config the decision is one strict total order:
+        sorting by ``rank`` lists the routes exactly as ``run_decision``
+        would crown them, each time the previous winner is taken away —
+        which is what lets the engine compare an arrival with the standing
+        best alone."""
+        routes = distinct_peers(routes)
+        config = DecisionConfig(med_always_compare=True, use_igp_cost=False)
+        assert config.total_order
+        # Strict by construction: one candidate per session, so no two
+        # share peer_router and no two ranks are equal.
+        assert len({route.peer_router for route in routes}) == len(routes)
+        assert len({rank(route) for route in routes}) == len(routes)
+        remaining = list(routes)
+        for expected in sorted(routes, key=rank):
+            assert run_decision(remaining, config).best is expected
+            remaining.remove(expected)
+
+    def test_only_the_model_config_is_a_total_order(self):
+        assert not DecisionConfig().total_order
+        assert not DecisionConfig(med_always_compare=True).total_order
+        assert not DecisionConfig(use_igp_cost=False).total_order
