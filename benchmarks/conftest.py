@@ -1,25 +1,15 @@
-"""Benchmark configuration.
+"""Benchmark configuration: the ``--workload`` every benchmark runs on.
 
-Each benchmark regenerates one paper table/figure.  The quick ``small``
-workload is the default so the whole suite runs in minutes; the numbers
-recorded in EXPERIMENTS.md come from ``--workload default``.  Expensive
-experiments run once per benchmark (rounds=1): the interesting output is
-the rendered table, printed via ``-s`` and the ``extra_info`` mechanism.
+The quick ``small`` workload is the default so the whole suite runs in
+minutes; the numbers recorded in EXPERIMENTS.md come from
+``--workload default``.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 
-from repro.experiments import DEFAULT, LARGE, SMALL, prepare
-from repro.obs.meta import run_metadata
-
-WORKLOADS = {"small": SMALL, "default": DEFAULT, "large": LARGE}
-
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+from repro.experiments import WORKLOADS
 
 
 def pytest_addoption(parser):
@@ -35,56 +25,3 @@ def pytest_addoption(parser):
 @pytest.fixture(scope="session")
 def workload(request):
     return WORKLOADS[request.config.getoption("--workload")]
-
-
-@pytest.fixture(scope="session")
-def workload_name(request):
-    return request.config.getoption("--workload")
-
-
-@pytest.fixture(scope="session")
-def prepared(workload):
-    return prepare(workload)
-
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def publish(benchmark, result):
-    """Attach the experiment's headline metrics and print its table."""
-    for key, value in result.metrics.items():
-        benchmark.extra_info[key] = value
-    print()
-    print(result.render())
-
-
-def write_results(filename, result, workload_name=None):
-    """Persist an ExperimentResult under ``results/`` with a metadata stamp.
-
-    Every ``BENCH_*.json`` carries the git sha, interpreter and workload
-    that produced it, so recorded numbers stay attributable.
-    """
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    meta = run_metadata()
-    if workload_name is not None:
-        meta["workload"] = workload_name
-    path = RESULTS_DIR / filename
-    path.write_text(
-        json.dumps(
-            {
-                "experiment": result.experiment_id,
-                "title": result.title,
-                "headers": result.headers,
-                "rows": result.rows,
-                "metrics": result.metrics,
-                "notes": result.notes,
-                "meta": meta,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    return path

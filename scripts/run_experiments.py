@@ -1,56 +1,46 @@
 #!/usr/bin/env python3
-"""Run every experiment on one workload and dump the rendered reports.
+"""Run the paper's experiments on one workload and judge each by its verdict.
 
-This is the script behind EXPERIMENTS.md: it executes the full experiment
-matrix (Section 3 analyses, Table 2 baselines, refinement, validation,
-origin split, model-size distribution, ablations, scaling, extension) and
-writes the plain-text tables to stdout or a file.
+The fidelity command behind EXPERIMENTS.md: it runs every paper entry of
+``repro.experiments.EXPERIMENTS`` (Section 3 analyses, Table 2 baselines,
+refinement, validation, origin split, model-size distribution, extension,
+ablations, scaling), prints the rendered tables, and with ``--out`` files
+the JSON records — every seeded metric plus ``verdict`` — under the
+workload's name, leaving the other workloads' sections of that file alone.
+Exits 1 when a verdict does not hold.
 
-    python scripts/run_experiments.py --workload default --out results.txt
+    python scripts/run_experiments.py --workload small --out results/FIDELITY_baseline.json
+    python scripts/run_experiments.py --workload default --out results/FIDELITY_baseline.json
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+from pathlib import Path
 
-from repro.experiments import (
-    DEFAULT,
-    LARGE,
-    SMALL,
-    ablations,
-    deflection,
-    fig2,
-    fig3,
-    fig8,
-    prepare,
-    scaling,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-)
-
-WORKLOADS = {"small": SMALL, "default": DEFAULT, "large": LARGE}
+from repro.experiments import EXPERIMENTS, WORKLOADS, prepare
+from repro.experiments.report import is_timing, write_json
+from repro.obs.meta import run_metadata
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workload", default="default", choices=sorted(WORKLOADS))
-    parser.add_argument("--out", help="write reports here instead of stdout")
+    parser.add_argument(
+        "--out", help="file the JSON records under the workload's name here"
+    )
     parser.add_argument(
         "--skip-ablations", action="store_true",
         help="skip the (expensive) ablation sweeps",
     )
     args = parser.parse_args(argv)
     workload = WORKLOADS[args.workload]
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
 
     def emit(text: str) -> None:
-        out.write(text + "\n\n")
-        out.flush()
+        print(text + "\n", flush=True)
 
     started = time.perf_counter()
     prepared = prepare(workload)
@@ -58,36 +48,41 @@ def main(argv: list[str] | None = None) -> int:
     emit(f"dataset: {prepared.dataset.summary()}")
     emit(f"pruned dataset: {prepared.model_dataset.summary()}")
 
-    experiments = [
-        ("FIG2", lambda: fig2.run(prepared)),
-        ("TAB1", lambda: table1.run(prepared)),
-        ("FIG3", lambda: fig3.run(prepared)),
-        ("TAB2", lambda: table2.run(prepared)),
-        ("TAB3", lambda: table3.run(prepared)),
-        ("TAB4", lambda: table4.run(prepared)),
-        ("TAB5", lambda: table5.run(prepared)),
-        ("FIG8", lambda: fig8.run(prepared)),
-        ("EXT1", lambda: deflection.run(prepared)),
-    ]
-    if not args.skip_ablations:
-        experiments.append(
-            ("ABL1", lambda: ablations.observation_points(prepared))
-        )
-        experiments.append(
-            ("ABL2", lambda: ablations.policy_mechanisms(prepared))
-        )
-    experiments.append(("SCAL", lambda: scaling.run(workload)))
-
-    for name, runner in experiments:
+    meta = run_metadata(seed=workload.config.seed)
+    meta["workload"] = workload.name
+    section: dict[str, dict] = {}
+    for experiment in EXPERIMENTS:
+        if experiment.record is not None:
+            continue  # a system experiment: benchmarks/ writes its own file
+        if args.skip_ablations and experiment.id.startswith("ABL"):
+            continue
         t0 = time.perf_counter()
-        result = runner()
+        result = experiment.run(workload)
         emit(result.render())
-        emit(f"[{name} took {time.perf_counter() - t0:.1f}s]")
+        try:
+            experiment.verdict(result)
+            verdict = "holds"
+        except AssertionError as error:
+            verdict = f"fails: {error}"
+        emit(f"[{experiment.id} {verdict}; took {time.perf_counter() - t0:.1f}s]")
+        record = result.to_record(meta)
+        # Timings are not fidelity: the section holds what a seeded
+        # workload reproduces exactly.
+        record["metrics"] = {
+            name: value
+            for name, value in result.metrics.items()
+            if not is_timing(name)
+        }
+        record["verdict"] = verdict
+        section[experiment.id] = record
 
     emit(f"total: {time.perf_counter() - started:.1f}s")
     if args.out:
-        out.close()
-    return 0
+        path = Path(args.out)
+        document = json.loads(path.read_text("utf-8")) if path.exists() else {}
+        document[workload.name] = section
+        write_json(path, document)
+    return 0 if all(r["verdict"] == "holds" for r in section.values()) else 1
 
 
 if __name__ == "__main__":

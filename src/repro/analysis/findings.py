@@ -114,10 +114,6 @@ class AnalysisReport:
         """Findings at exactly ``severity``."""
         return [f for f in self.findings if f.severity is severity]
 
-    def by_rule(self, rule: str) -> list[Finding]:
-        """Findings raised by one rule."""
-        return [f for f in self.findings if f.rule == rule]
-
     @property
     def errors(self) -> list[Finding]:
         """The error-level findings."""

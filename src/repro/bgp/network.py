@@ -30,10 +30,6 @@ class ASNode:
         self.igp = IGPTopology()
         self.name = name or f"AS{asn}"
 
-    def router_ids(self) -> list[int]:
-        """Ids of this AS's routers, in creation order."""
-        return [router.router_id for router in self.routers]
-
     def __repr__(self) -> str:
         return f"ASNode({self.name}, routers={len(self.routers)})"
 

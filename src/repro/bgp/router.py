@@ -117,11 +117,5 @@ class Router:
         self.loc_rib.pop(prefix, None)
         self.adj_rib_out.pop(prefix, None)
 
-    def ebgp_neighbors(self) -> set[int]:
-        """The set of neighbour ASNs reachable over this router's eBGP sessions."""
-        return {
-            session.dst.asn for session in self.sessions_out if session.is_ebgp
-        }
-
     def __repr__(self) -> str:
         return f"Router({self.name}, id={format_router_id(self.router_id)})"

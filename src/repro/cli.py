@@ -1090,11 +1090,8 @@ def cmd_chaos(args) -> int:
 def _cmd_chaos_serve(args) -> int:
     """Handle ``repro chaos --serve``: the serve-resilience campaign
     (exits 1 when an availability assertion fails)."""
-    from repro.experiments.serve_chaos import (
-        ServeChaosConfig,
-        run,
-        write_bench,
-    )
+    from repro.experiments.report import write_json
+    from repro.experiments.serve_chaos import ServeChaosConfig, run
 
     if args.serve_workers < 2:
         print("error: --serve-workers must be >= 2 (worker-kill recovery "
@@ -1108,7 +1105,7 @@ def _cmd_chaos_serve(args) -> int:
         return 1
     print(result.render())
     if args.bench_out:
-        path = write_bench(result, args.bench_out)
+        path = write_json(args.bench_out, result.to_record(run_metadata()))
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

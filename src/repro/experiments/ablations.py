@@ -54,7 +54,10 @@ def observation_points(
             report.tie_break_or_better_rate,
         )
         result.metrics[f"val_rib_out_at_{count}_points"] = report.rib_out_rate
-    result.note("more vantage points in training should monotonically help")
+    result.note(
+        "paper: exploiting many vantage points is what makes the model "
+        "accurate — more of them in training should help"
+    )
     return result
 
 
@@ -100,7 +103,7 @@ def policy_mechanisms(prepared: PreparedWorkload) -> ExperimentResult:
         key = name.replace(" ", "_").replace("(", "").replace(")", "")
         result.metrics[f"train_rib_out[{key}]"] = train_report.rib_out_rate
     result.note(
-        "the paper's claim: both multiple quasi-routers AND per-prefix "
+        "paper: both multiple quasi-routers AND per-prefix "
         "policies are necessary — each single mechanism alone falls short"
     )
     return result

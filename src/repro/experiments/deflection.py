@@ -63,13 +63,14 @@ def run(
     result.add_row("deflected", deflected, deflected / total)
     result.add_row("undeliverable", unreachable, unreachable / total)
     result.add_row("forwarding loop", loops, loops / total)
-    result.metrics["examined"] = float(examined)
+    result.metrics["examined"] = examined
     result.metrics["agreement"] = agree / total
     result.metrics["deflection_rate"] = deflected / total
     result.metrics["loop_rate"] = loops / total
     result.note(
-        "extension beyond the paper: consistent iBGP keeps deflections rare "
-        "and loops absent; the deflection rate bounds how much of the "
-        "remaining prediction error is a data-plane (not model) artifact"
+        "paper: (extension, not in the paper) the data plane follows the "
+        "control plane — consistent iBGP keeps deflections rare and loops "
+        "absent; the deflection rate bounds how much of the remaining "
+        "prediction error is a data-plane (not model) artifact"
     )
     return result

@@ -32,10 +32,10 @@ def run(prepared: PreparedWorkload, max_bucket: int = 10) -> ExperimentResult:
         result.add_row(f">{max_bucket}", tail, tail / total_pairs)
 
     multipath = sum(n for paths, n in histogram.items() if paths > 1)
-    result.metrics["pairs"] = float(total_pairs)
+    result.metrics["pairs"] = total_pairs
     result.metrics["fraction_multipath"] = multipath / total_pairs if total_pairs else 0.0
-    result.metrics["pairs_gt10_paths"] = float(
-        sum(n for paths, n in histogram.items() if paths > 10)
+    result.metrics["pairs_gt10_paths"] = sum(
+        n for paths, n in histogram.items() if paths > 10
     )
     result.note(
         "paper: >30% of AS pairs show more than one distinct AS-path; "

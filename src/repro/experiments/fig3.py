@@ -37,10 +37,10 @@ def run(prepared: PreparedWorkload) -> ExperimentResult:
     )
     for index, path in enumerate(sorted(paths, key=lambda p: (len(p), p)), start=1):
         result.add_row(index, " ".join(str(asn) for asn in path))
-    result.metrics["distinct_paths"] = float(len(paths))
-    result.metrics["routers_needed_lower_bound"] = float(len(paths))
+    result.metrics["distinct_paths"] = len(paths)
+    result.metrics["routers_needed_lower_bound"] = len(paths)
     result.note(
-        "paper example: prefix 81.196.64.0/20 at AS 5511 — 8 AS-paths, "
+        "paper: prefix 81.196.64.0/20 at AS 5511 — 8 AS-paths, "
         "AS 3356 needs 8 routers to propagate all of them"
     )
     return result

@@ -31,33 +31,24 @@ def run(prepared: PreparedWorkload) -> ExperimentResult:
     for size in sorted(histogram):
         result.add_row(size, histogram[size], histogram[size] / total)
 
+    # ASes pruned from the model have no count and are skipped.
     lower_bound = max_unique_paths_per_as(prepared.training)
     violations = sum(
         1
         for asn, bound in lower_bound.items()
-        if counts.get(asn, 0) and counts[asn] < _bound_at(asn, prepared, bound)
+        if counts.get(asn, 0) and counts[asn] < bound
     )
-    result.metrics["ases"] = float(total)
+    result.metrics["ases"] = total
     result.metrics["single_router_fraction"] = histogram.get(1, 0) / total
-    result.metrics["max_quasi_routers"] = float(max(histogram, default=0))
+    result.metrics["max_quasi_routers"] = max(histogram, default=0)
     result.metrics["mean_quasi_routers"] = (
         sum(size * n for size, n in histogram.items()) / total if total else 0.0
     )
-    result.metrics["lower_bound_violations"] = float(violations)
+    result.metrics["lower_bound_violations"] = violations
     result.note(
+        "paper: most ASes need one quasi-router, core ASes many; "
         "Table 1's per-AS maximum route diversity lower-bounds the routers an "
         "AS needs; after convergence the refined model satisfies the bound "
         "for every AS it matched"
     )
     return result
-
-
-def _bound_at(asn: int, prepared: PreparedWorkload, bound: int) -> int:
-    """The effective lower bound for ``asn`` in the model.
-
-    The Table 1 statistic counts route suffixes *including* the trivial
-    origin suffix, which needs no extra quasi-router, so the effective
-    bound subtracts nothing; ASes pruned from the model are skipped by the
-    caller via ``counts.get``.
-    """
-    return bound

@@ -1,19 +1,18 @@
 """Shared (cached) model construction for the experiment modules.
 
 Refining a model is the expensive step several experiments share
-(Tables 3-5, Figure 8, the ablations), so the refined model for a
-prepared workload is built once and reused.  Experiments that mutate the
-model (what-if) must request ``fresh=True``.
+(Tables 3-5, Figure 8), so the refined model for a prepared workload is
+built once and reused; no experiment mutates it.
 """
 
 from __future__ import annotations
 
 from repro.core.build import build_initial_model
 from repro.core.model import ASRoutingModel
-from repro.core.refine import RefinementConfig, RefinementResult, Refiner
+from repro.core.refine import RefinementResult, Refiner
 from repro.experiments.workloads import PreparedWorkload
 
-_CACHE: dict[tuple[int, str], tuple[ASRoutingModel, RefinementResult]] = {}
+_CACHE: dict[int, tuple[ASRoutingModel, RefinementResult]] = {}
 
 
 def initial_model(prepared: PreparedWorkload) -> ASRoutingModel:
@@ -23,21 +22,10 @@ def initial_model(prepared: PreparedWorkload) -> ASRoutingModel:
 
 def refined_model(
     prepared: PreparedWorkload,
-    config: RefinementConfig = RefinementConfig(),
-    fresh: bool = False,
 ) -> tuple[ASRoutingModel, RefinementResult]:
     """The model refined on the workload's training split (cached)."""
-    key = (id(prepared), repr(config))
-    if not fresh and key in _CACHE:
-        return _CACHE[key]
-    model = initial_model(prepared)
-    refiner = Refiner(model, prepared.training, config)
-    result = refiner.run()
-    if not fresh:
-        _CACHE[key] = (model, result)
-    return model, result
-
-
-def clear_cache() -> None:
-    """Forget all cached refined models."""
-    _CACHE.clear()
+    key = id(prepared)
+    if key not in _CACHE:
+        model = initial_model(prepared)
+        _CACHE[key] = (model, Refiner(model, prepared.training).run())
+    return _CACHE[key]

@@ -24,7 +24,7 @@ from repro.bgp.engine import simulate
 from repro.data.synthesis import synthesize_internet
 from repro.experiments.report import ExperimentResult
 from repro.experiments.workloads import DEFAULT, Workload
-from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import JsonlTracer, tracing
 
 
@@ -106,8 +106,8 @@ def run_trace_overhead(
     result.metrics["seconds_off"] = off_seconds
     result.metrics["seconds_jsonl"] = on_seconds
     result.metrics["overhead_fraction"] = overhead
-    result.metrics["trace_bytes"] = float(sink.bytes_written)
-    result.metrics["messages"] = float(messages)
+    result.metrics["trace_bytes"] = sink.bytes_written
+    result.metrics["messages"] = messages
     result.note(
         "jsonl mode serialises one decision event per decision-process run "
         "to a discarding sink; real runs add disk bandwidth on top. "
@@ -115,8 +115,3 @@ def run_trace_overhead(
         "hook point."
     )
     return result
-
-
-def registry_snapshot_is_live() -> bool:
-    """Sanity helper: True when the global registry accumulates counters."""
-    return bool(get_registry())

@@ -1,9 +1,13 @@
-"""Plain-text result rendering shared by all experiments."""
+"""Plain-text result rendering and the one JSON record shared by all experiments."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Sequence
+
+from repro.runstate import atomic_write
 
 
 def format_table(
@@ -30,9 +34,33 @@ def format_table(
 
 
 def _format_cell(value: Any) -> str:
+    """A table cell: the only floats the experiments put in a row are rates."""
     if isinstance(value, float):
         return f"{value:.1%}" if 0 <= value <= 1 else f"{value:.2f}"
     return str(value)
+
+
+def is_timing(name: str) -> bool:
+    """Timing metrics carry their unit in their name; they are the only
+    metrics a seeded workload does not reproduce exactly."""
+    return "seconds" in name or "_ms" in name
+
+
+def format_metric(name: str, value: Any) -> str:
+    """A metric as a number: a count or flag is an int and prints as one, a
+    timing prints in its unit, and only a float rate reads as a percentage."""
+    if isinstance(value, float) and is_timing(name):
+        return f"{value:.3f}"
+    return _format_cell(value)
+
+
+def write_json(path: str | Path, document: dict) -> Path:
+    """Write ``document`` the way every checked-in result file is written;
+    atomically, because the fidelity baseline is updated a section at a time."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    atomic_write(target, json.dumps(document, indent=2, sort_keys=True) + "\n")
+    return target
 
 
 @dataclass
@@ -62,10 +90,23 @@ class ExperimentResult:
         if self.metrics:
             parts.append(
                 "\n".join(
-                    f"  {key} = {_format_cell(value)}"
+                    f"  {key} = {format_metric(key, value)}"
                     for key, value in sorted(self.metrics.items())
                 )
             )
         for note in self.notes:
             parts.append(f"note: {note}")
         return "\n".join(parts)
+
+    def to_record(self, meta: dict) -> dict:
+        """The JSON record of this result, stamped with ``meta`` (see
+        :func:`repro.obs.meta.run_metadata`) so the numbers stay attributable."""
+        return {
+            "experiment": self.experiment_id,
+            "title": self.title,
+            "headers": self.headers,
+            "rows": self.rows,
+            "metrics": self.metrics,
+            "notes": self.notes,
+            "meta": meta,
+        }

@@ -54,7 +54,7 @@ def run(
             f"{elapsed:.2f}s",
         )
         result.metrics[f"seconds_x{factor}"] = elapsed
-        result.metrics[f"messages_x{factor}"] = float(stats.messages)
+        result.metrics[f"messages_x{factor}"] = stats.messages
     result.note(
         "paper: C-BGP needs 2-45 min / 0.2-2 GB per prefix at 16.5k routers; "
         "message count per prefix grows roughly linearly with session count"
@@ -111,8 +111,8 @@ def run_lint(
             f"{1000.0 * elapsed / max(size['routers'], 1):.2f}",
         )
         result.metrics[f"seconds_x{factor}"] = elapsed
-        result.metrics[f"findings_x{factor}"] = float(len(report.findings))
-        result.metrics[f"routers_x{factor}"] = float(size["routers"])
+        result.metrics[f"findings_x{factor}"] = len(report.findings)
+        result.metrics[f"routers_x{factor}"] = size["routers"]
         incremental = _measure_incremental(internet.network)
         for name, value in incremental.items():
             result.metrics[f"{name}_x{factor}"] = value
@@ -190,5 +190,5 @@ def _measure_incremental(network) -> dict[str, float]:
         "invalidated_fraction": (
             stats.invalidated_fraction if stats is not None else 1.0
         ),
-        "incremental_equal": 1.0 if equal else 0.0,
+        "incremental_equal": int(equal),
     }

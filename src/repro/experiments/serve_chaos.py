@@ -45,24 +45,28 @@ QUERY = "/paths?origin=10&observer=1"
 """The sustained-load query; answerable by every campaign artifact."""
 
 
+REQUEST_TIMEOUT = 5.0
+RELOAD_TIMEOUT = 20.0
+"""Upper bound on observing a triggered reload in ``/healthz``."""
+KILL_RECOVERY_BOUND = 15.0
+"""Availability contract: a killed worker must be replaced (a fresh
+pid answering ``/healthz``) within this many seconds."""
+OVERLOAD_CLIENTS = 16
+OVERLOAD_MAX_INFLIGHT = 3
+OVERLOAD_DEADLINE = 2.0
+"""Availability contract: the p99 of requests admitted under overload."""
+OVERLOAD_DELAY_MS = 200.0
+SLOW_CLIENT_HOLD = 2.0
+DRAIN_TIMEOUT = 30.0
+
+
 @dataclass(frozen=True)
 class ServeChaosConfig:
-    """A fully-determined serve-chaos campaign."""
+    """What varies between serve-chaos campaigns; the contract's bounds
+    and the load shape are the constants above."""
 
     seed: int = 0
     workers: int = 2
-    request_timeout: float = 5.0
-    reload_timeout: float = 20.0
-    """Upper bound on observing a triggered reload in ``/healthz``."""
-    kill_recovery_bound: float = 15.0
-    """Availability contract: a killed worker must be replaced (a fresh
-    pid answering ``/healthz``) within this many seconds."""
-    overload_clients: int = 16
-    overload_max_inflight: int = 3
-    overload_deadline: float = 2.0
-    overload_delay_ms: float = 200.0
-    slow_client_hold: float = 2.0
-    drain_timeout: float = 30.0
 
 
 # ----------------------------------------------------------------------
@@ -222,37 +226,37 @@ def run(
     process = _spawn_server(
         artifact,
         ["--workers", str(config.workers),
-         "--request-timeout", str(config.request_timeout)],
+         "--request-timeout", str(REQUEST_TIMEOUT)],
     )
     try:
         address = _read_banner(process)
         assert _await_health(address, lambda b: b.get("status") == "ok", 10.0), \
             "server never reported healthy"
-        load = _LoadGenerator(address, config.request_timeout).start()
+        load = _LoadGenerator(address, REQUEST_TIMEOUT).start()
 
         _phase_hot_reload(config, result, process, address, load,
                           artifact, checksums)
         _phase_corrupted_reload(config, result, process, address, load,
                                 artifact, checksums)
         _phase_worker_kill(config, result, address, load)
-        _phase_slow_client(config, result, address)
+        _phase_slow_client(result, address)
 
         outcomes = load.stop()
-        result.metrics["sustained_requests"] = float(len(outcomes))
-        _phase_drain(config, result, process)
+        result.metrics["sustained_requests"] = len(outcomes)
+        _phase_drain(result, process)
     finally:
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
 
-    _phase_overload(config, result, artifact)
+    _phase_overload(result, artifact)
     result.note(
         f"{config.workers} SO_REUSEPORT workers under the serve "
         "supervisor; all faults injected over real sockets and signals"
     )
     result.note(
         "availability contract: reload_dropped_requests == 0, killed "
-        f"worker replaced < {config.kill_recovery_bound}s, overload sheds "
+        f"worker replaced < {KILL_RECOVERY_BOUND}s, overload sheds "
         "503 + Retry-After with admitted p99 inside the deadline"
     )
     return result
@@ -272,12 +276,12 @@ def _phase_hot_reload(
     swapped = _await_health(
         address,
         lambda b: b.get("artifact", {}).get("checksum") == checksums[2],
-        config.reload_timeout,
+        RELOAD_TIMEOUT,
     )
     assert swapped is not None, "hot reload never surfaced in /healthz"
     # Every worker got the SIGHUP; insist the whole fleet converged (the
     # kernel spreads our polls across workers).
-    deadline = time.monotonic() + config.reload_timeout
+    deadline = time.monotonic() + RELOAD_TIMEOUT
     streak = 0
     while streak < 2 * config.workers and time.monotonic() < deadline:
         _, _, body = _request(address, "/healthz")
@@ -297,8 +301,8 @@ def _phase_hot_reload(
     )
     result.add_row("hot-reload", len(outcomes), dropped,
                    f"swapped to {checksums[2][:12]}")
-    result.metrics["reload_dropped_requests"] = float(dropped)
-    result.metrics["reload_requests"] = float(len(outcomes))
+    result.metrics["reload_dropped_requests"] = dropped
+    result.metrics["reload_requests"] = len(outcomes)
 
 
 def _phase_corrupted_reload(
@@ -313,7 +317,7 @@ def _phase_corrupted_reload(
         address,
         lambda b: b.get("status") == "degraded"
         and b.get("reload", {}).get("failures", 0) >= 1,
-        config.reload_timeout,
+        RELOAD_TIMEOUT,
     )
     assert degraded is not None, \
         "corrupted reload never surfaced degraded status in /healthz"
@@ -330,7 +334,7 @@ def _phase_corrupted_reload(
         address,
         lambda b: b.get("status") == "ok"
         and b.get("artifact", {}).get("checksum") == checksums[3],
-        config.reload_timeout,
+        RELOAD_TIMEOUT,
     )
     assert recovered is not None, \
         "server never recovered from the corrupted reload"
@@ -341,8 +345,8 @@ def _phase_corrupted_reload(
     )
     result.add_row("corrupted-reload", len(outcomes), dropped,
                    "degraded surfaced, old artifact kept serving")
-    result.metrics["degraded_observed"] = 1.0
-    result.metrics["corrupt_reload_dropped_requests"] = float(dropped)
+    result.metrics["degraded_observed"] = 1
+    result.metrics["corrupt_reload_dropped_requests"] = dropped
 
 
 def _phase_worker_kill(config, result, address, load) -> None:
@@ -361,7 +365,7 @@ def _phase_worker_kill(config, result, address, load) -> None:
     os.kill(victim, signal.SIGKILL)
     replacement: dict | None = None
     successes_during = 0
-    recovery_deadline = killed_at + config.kill_recovery_bound
+    recovery_deadline = killed_at + KILL_RECOVERY_BOUND
     while time.monotonic() < recovery_deadline:
         status, _, body = _request(address, "/healthz")
         if status is not None:
@@ -373,7 +377,7 @@ def _phase_worker_kill(config, result, address, load) -> None:
     recovery = time.monotonic() - killed_at
     assert replacement is not None, (
         f"killed worker (pid {victim}) was not replaced within "
-        f"{config.kill_recovery_bound}s"
+        f"{KILL_RECOVERY_BOUND}s"
     )
     assert successes_during > 0, \
         "no successful responses while the killed worker was down"
@@ -386,18 +390,18 @@ def _phase_worker_kill(config, result, address, load) -> None:
         f"pid {victim} replaced by {replacement['pid']} in {recovery:.2f}s",
     )
     result.metrics["kill_recovery_seconds"] = recovery
-    result.metrics["kill_window_successes"] = float(survivors)
-    result.metrics["kill_window_failures"] = float(_failures(outcomes))
+    result.metrics["kill_window_successes"] = survivors
+    result.metrics["kill_window_failures"] = _failures(outcomes)
 
 
-def _phase_slow_client(config, result, address) -> None:
+def _phase_slow_client(result, address) -> None:
     """A half-sent request squats a connection; service is unaffected."""
     host, port = address.rsplit(":", 1)
     stalled = socket.create_connection((host, int(port)), timeout=10)
     try:
         stalled.sendall(b"GET " + QUERY.encode("ascii") + b" HTTP/1.1\r\n")
         probes, failures = 0, 0
-        deadline = time.monotonic() + config.slow_client_hold
+        deadline = time.monotonic() + SLOW_CLIENT_HOLD
         while time.monotonic() < deadline:
             status, _, _ = _request(address, QUERY)
             probes += 1
@@ -410,33 +414,33 @@ def _phase_slow_client(config, result, address) -> None:
         f"slow client stalled the server: {failures}/{probes} probes failed"
     )
     result.add_row("slow-client", probes, failures,
-                   f"stalled socket held {config.slow_client_hold}s, "
+                   f"stalled socket held {SLOW_CLIENT_HOLD}s, "
                    "service unaffected")
-    result.metrics["slow_client_failures"] = float(failures)
+    result.metrics["slow_client_failures"] = failures
 
 
-def _phase_drain(config, result, process) -> None:
+def _phase_drain(result, process) -> None:
     process.send_signal(signal.SIGTERM)
-    code = process.wait(timeout=config.drain_timeout)
+    code = process.wait(timeout=DRAIN_TIMEOUT)
     assert code == 0, f"supervisor drained with exit code {code}, wanted 0"
     result.add_row("drain", "-", 0, "SIGTERM -> exit 0")
-    result.metrics["drain_exit_code"] = float(code)
+    result.metrics["drain_exit_code"] = code
 
 
-def _phase_overload(config, result, artifact) -> None:
+def _phase_overload(result, artifact) -> None:
     """A burst beyond max-inflight sheds 503 + Retry-After; admitted
     requests stay inside the deadline (a single worker, deterministic)."""
     process = _spawn_server(
         artifact,
-        ["--max-inflight", str(config.overload_max_inflight),
-         "--deadline", str(config.overload_deadline),
-         "--chaos-delay-ms", str(config.overload_delay_ms)],
+        ["--max-inflight", str(OVERLOAD_MAX_INFLIGHT),
+         "--deadline", str(OVERLOAD_DEADLINE),
+         "--chaos-delay-ms", str(OVERLOAD_DELAY_MS)],
     )
     try:
         address = _read_banner(process)
         outcomes: list[tuple[int | None, dict, float]] = []
         lock = threading.Lock()
-        gate = threading.Barrier(config.overload_clients)
+        gate = threading.Barrier(OVERLOAD_CLIENTS)
 
         def client() -> None:
             gate.wait()
@@ -449,7 +453,7 @@ def _phase_overload(config, result, artifact) -> None:
 
         threads = [
             threading.Thread(target=client)
-            for _ in range(config.overload_clients)
+            for _ in range(OVERLOAD_CLIENTS)
         ]
         for thread in threads:
             thread.start()
@@ -462,7 +466,7 @@ def _phase_overload(config, result, artifact) -> None:
     finally:
         process.send_signal(signal.SIGTERM)
         try:
-            process.wait(timeout=config.drain_timeout)
+            process.wait(timeout=DRAIN_TIMEOUT)
         except subprocess.TimeoutExpired:
             process.kill()
 
@@ -471,8 +475,8 @@ def _phase_overload(config, result, artifact) -> None:
     dropped = [o for o in outcomes if o[0] is None]
     assert not dropped, f"overload dropped {len(dropped)} connections"
     assert shed, (
-        f"{config.overload_clients} concurrent clients against "
-        f"max-inflight {config.overload_max_inflight} shed nothing"
+        f"{OVERLOAD_CLIENTS} concurrent clients against "
+        f"max-inflight {OVERLOAD_MAX_INFLIGHT} shed nothing"
     )
     assert admitted, "overload shed every request; none admitted"
     missing_retry = [h for _, h, _ in shed if "Retry-After" not in h]
@@ -481,41 +485,15 @@ def _phase_overload(config, result, artifact) -> None:
     latencies = sorted(t for _, _, t in admitted)
     p99 = latencies[min(len(latencies) - 1,
                         max(0, round(0.99 * len(latencies)) - 1))]
-    assert p99 <= config.overload_deadline, (
-        f"admitted p99 {p99:.3f}s blew the {config.overload_deadline}s "
+    assert p99 <= OVERLOAD_DEADLINE, (
+        f"admitted p99 {p99:.3f}s blew the {OVERLOAD_DEADLINE}s "
         "deadline"
     )
     result.add_row(
         "overload", len(outcomes), len(shed),
         f"{len(shed)} shed with Retry-After, admitted p99 {p99 * 1e3:.0f}ms",
     )
-    result.metrics["overload_shed"] = float(len(shed))
-    result.metrics["overload_admitted"] = float(len(admitted))
+    result.metrics["overload_shed"] = len(shed)
+    result.metrics["overload_admitted"] = len(admitted)
     result.metrics["overload_shed_rate"] = len(shed) / len(outcomes)
     result.metrics["overload_admitted_p99_seconds"] = p99
-
-
-def write_bench(result: ExperimentResult, path: str | Path) -> Path:
-    """Persist the campaign as a ``BENCH_*.json`` (same shape as the
-    pytest benchmarks write), stamped with run metadata."""
-    from repro.obs.meta import run_metadata
-
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(
-            {
-                "experiment": result.experiment_id,
-                "title": result.title,
-                "headers": result.headers,
-                "rows": result.rows,
-                "metrics": result.metrics,
-                "notes": result.notes,
-                "meta": run_metadata(),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    return target

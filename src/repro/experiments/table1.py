@@ -32,7 +32,7 @@ def run(prepared: PreparedWorkload) -> ExperimentResult:
     for point in TABLE1_PERCENTILES:
         paper = PAPER_REFERENCE.get(point, "-")
         result.add_row(f"{point:.0f}", measured[point], paper)
-    result.metrics["ases"] = float(len(per_as))
+    result.metrics["ases"] = len(per_as)
     result.metrics["fraction_ases_ge2"] = (
         sum(1 for v in per_as.values() if v >= 2) / len(per_as) if per_as else 0.0
     )

@@ -93,10 +93,10 @@ def run(prepared: PreparedWorkload) -> ExperimentResult:
     row("  lowest neighbor ID", AgreementCategory.TIE_BREAK)
     row("  other decision step", AgreementCategory.OTHER)
 
-    result.metrics["cases"] = float(total_s)
+    result.metrics["cases"] = total_s
     result.metrics["shortest_agree"] = shortest_counts[AgreementCategory.AGREE] / total_s
     result.metrics["policies_agree"] = policy_counts[AgreementCategory.AGREE] / total_p
-    result.metrics["policies_diverged_prefixes"] = float(len(stats.diverged))
+    result.metrics["policies_diverged_prefixes"] = len(stats.diverged)
     result.note(
         "paper: both baselines are poor; the dominant failure is the observed "
         "path never being available at the observation AS"

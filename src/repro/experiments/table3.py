@@ -45,12 +45,13 @@ def run(prepared: PreparedWorkload) -> ExperimentResult:
     max_path_len = max(
         (len(route.path) for route in prepared.training), default=0
     )
-    result.metrics["converged"] = 1.0 if refinement.converged else 0.0
-    result.metrics["iterations"] = float(refinement.iteration_count)
-    result.metrics["max_path_length"] = float(max_path_len)
+    result.metrics["converged"] = int(refinement.converged)
+    result.metrics["iterations"] = refinement.iteration_count
+    result.metrics["training_paths"] = report.total
+    result.metrics["max_path_length"] = max_path_len
     result.metrics["final_training_rib_out"] = report.rib_out_rate
-    result.metrics["quasi_routers"] = float(len(model.network.routers))
-    result.metrics["policy_clauses"] = float(model.policy_clause_count())
+    result.metrics["quasi_routers"] = len(model.network.routers)
+    result.metrics["policy_clauses"] = model.policy_clause_count()
     result.note(
         "paper: the refined model matches the training set exactly; "
         "iterations scale with the maximum AS-path length"

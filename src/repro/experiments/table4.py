@@ -59,6 +59,9 @@ def run(prepared: PreparedWorkload) -> ExperimentResult:
         validation_report.tie_break_or_better_rate
     )
     result.metrics["validation_rib_out"] = validation_report.rib_out_rate
+    result.metrics["validation_rib_in_or_better"] = (
+        validation_report.rib_in_or_better_rate
+    )
     result.note(
         "paper: >80% of validation cases match down to the final BGP tie break; "
         "training matches exactly"

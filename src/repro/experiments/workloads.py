@@ -83,6 +83,9 @@ LARGE = Workload(
 )
 """Tens-of-minutes workload (172 ASes) for scaling studies."""
 
+WORKLOADS = {workload.name: workload for workload in (SMALL, DEFAULT, LARGE)}
+"""The canonical workloads by name (what every ``--workload`` flag chooses from)."""
+
 
 @dataclass
 class PreparedWorkload:
@@ -111,22 +114,13 @@ class PreparedWorkload:
         return self.pruned.graph
 
 
-_CACHE: dict[tuple, PreparedWorkload] = {}
+_CACHE: dict[Workload, PreparedWorkload] = {}
 
 
-def prepare(workload: Workload = DEFAULT, use_cache: bool = True) -> PreparedWorkload:
-    """Run the shared pipeline for ``workload`` (cached by default)."""
-    key = (
-        workload.name,
-        workload.config,
-        workload.n_observation_ases,
-        workload.observation_seed,
-        workload.multi_point_fraction,
-        workload.split_seed,
-        workload.training_fraction,
-    )
-    if use_cache and key in _CACHE:
-        return _CACHE[key]
+def prepare(workload: Workload = DEFAULT) -> PreparedWorkload:
+    """Run the shared pipeline for ``workload`` (cached)."""
+    if workload in _CACHE:
+        return _CACHE[workload]
 
     internet = synthesize_internet(workload.config)
     stats = simulate(internet.network)
@@ -160,11 +154,5 @@ def prepare(workload: Workload = DEFAULT, use_cache: bool = True) -> PreparedWor
         validation=validation,
         ground_truth_messages=stats.messages,
     )
-    if use_cache:
-        _CACHE[key] = prepared
+    _CACHE[workload] = prepared
     return prepared
-
-
-def clear_cache() -> None:
-    """Forget all prepared workloads (tests use this for isolation)."""
-    _CACHE.clear()

@@ -198,11 +198,6 @@ class PhaseProfiler:
         """Total wall-clock charged to any phase (no double counting)."""
         return sum(stat.wall_seconds for stat in self.phases.values())
 
-    @property
-    def attributed_cpu_seconds(self) -> float:
-        """Total CPU time charged to any phase."""
-        return sum(stat.cpu_seconds for stat in self.phases.values())
-
     def coverage(self, wall_seconds: float | None = None) -> float:
         """Fraction of ``wall_seconds`` the phases account for.
 

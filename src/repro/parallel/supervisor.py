@@ -83,6 +83,10 @@ FAIL_ERROR = "error"
 _TICK_SECONDS = 0.05
 """Upper bound on how long the event loop blocks waiting for messages."""
 
+HEARTBEAT_GRACE = 15.0
+"""A pool worker silent this long (it beats every
+:data:`~repro.parallel.worker.HEARTBEAT_INTERVAL`) is killed and replaced."""
+
 
 class SupervisionLedger:
     """Spawn/death/restart accounting shared by every supervisor.
@@ -201,13 +205,12 @@ class WorkerSlots:
         heartbeat_grace: float,
         on_message: Callable[[Worker, tuple], None],
         on_lost: Callable[[Worker, str], None],
-        start_method: str | None = None,
         record: type[Worker] = Worker,
     ) -> None:
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
         self.ledger = ledger
         self._target = target
         self._worker_args = worker_args
@@ -308,18 +311,13 @@ class ParallelConfig:
     budget still bounds every task).
     ``max_resubmits`` is how many *fresh* workers a failing prefix gets
     before being classified poison.  ``drain_grace`` bounds how long a
-    graceful shutdown waits for in-flight tasks.  ``start_method`` picks
-    the multiprocessing start method (default: ``fork`` where available,
-    else ``spawn``).
+    graceful shutdown waits for in-flight tasks.
     """
 
     workers: int = 1
     task_timeout: float | None = 60.0
-    heartbeat_interval: float = 0.2
-    heartbeat_grace: float = 15.0
     max_resubmits: int = 2
     drain_grace: float = 5.0
-    start_method: str | None = None
     faults: WorkerFaults | None = None
 
     @property
@@ -422,14 +420,12 @@ class SupervisedPool:
                 config,
                 max_messages,
                 parallel.faults,
-                parallel.heartbeat_interval,
                 context_blob,
             ),
             "repro-sim-worker",
-            parallel.heartbeat_grace,
+            HEARTBEAT_GRACE,
             self._handle_message,
             self._fail_worker,
-            start_method=parallel.start_method,
             record=_Worker,
         )
         self._drain = drain_signals()

@@ -56,6 +56,9 @@ from repro.parallel.protocol import (
 )
 from repro.resilience.retry import simulate_prefix_bounded
 
+HEARTBEAT_INTERVAL = 0.2
+"""Seconds between a worker's heartbeats while its main thread simulates."""
+
 
 class WorkingCopy:
     """One private network copy that scenarios perturb and hand back.
@@ -97,7 +100,6 @@ def worker_main(
     decision_config,
     max_messages: int | None,
     faults: WorkerFaults | None,
-    heartbeat_interval: float,
     context_blob: bytes | None = None,
 ) -> None:
     """Run the worker loop on ``conn`` until shutdown or EOF."""
@@ -127,7 +129,7 @@ def worker_main(
                 return False
 
     def heartbeat() -> None:
-        while not stop.wait(heartbeat_interval):
+        while not stop.wait(HEARTBEAT_INTERVAL):
             if not send((MSG_HEARTBEAT, os.getpid())):
                 return
 

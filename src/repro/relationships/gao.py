@@ -96,30 +96,3 @@ def enforce_acyclic_hierarchy(relationships: RelationshipMap) -> int:
         edge = min((min(u, v), max(u, v)) for u, v in cycle)
         relationships.set(edge[0], edge[1], Relationship.PEER)
         demoted += 1
-
-
-def annotate_peers_by_degree(
-    relationships: RelationshipMap,
-    graph: ASGraph,
-    degree_ratio: float = 2.0,
-) -> int:
-    """Second Gao phase: demote weak provider edges between near-equal-degree
-    ASes at the top of paths to PEER.
-
-    An inferred provider edge (a's provider b) becomes a peering when the
-    endpoint degrees are within ``degree_ratio`` of each other and neither
-    endpoint is observed providing transit between two edges of the pair.
-    Returns the number of edges re-classified.
-    """
-    changed = 0
-    for a, b, rel in list(relationships.edges()):
-        if rel not in (Relationship.CUSTOMER, Relationship.PROVIDER):
-            continue
-        deg_a, deg_b = graph.degree(a), graph.degree(b)
-        if deg_a == 0 or deg_b == 0:
-            continue
-        ratio = max(deg_a, deg_b) / min(deg_a, deg_b)
-        if ratio <= degree_ratio:
-            relationships.set(a, b, Relationship.PEER)
-            changed += 1
-    return changed

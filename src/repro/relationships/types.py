@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class Relationship(enum.Enum):
@@ -91,12 +91,6 @@ class RelationshipMap:
                 self.set(a, b, rel)
                 added += 1
         return added
-
-    def providers_of(self, asn: int, neighbors: Iterable[int]) -> set[int]:
-        """Among ``neighbors``, those that are providers of ``asn``."""
-        return {
-            n for n in neighbors if self.get(asn, n) is Relationship.PROVIDER
-        }
 
     def __len__(self) -> int:
         return len(self._edges)

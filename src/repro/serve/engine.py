@@ -197,12 +197,6 @@ class QueryEngine:
         """``paths`` for many (origin, observer) pairs, in input order."""
         return [self.paths(origin, observer) for origin, observer in pairs]
 
-    def diversity_batch(
-        self, pairs: Iterable[tuple[int, int]]
-    ) -> list[DiversityAnswer]:
-        """``diversity`` for many (origin, observer) pairs, in input order."""
-        return [self.diversity(origin, observer) for origin, observer in pairs]
-
     def lookup_batch(
         self, targets: Sequence[str | int | Prefix], observer: int
     ) -> list[LookupAnswer]:

@@ -3,17 +3,21 @@
 The pipeline benchmark (``BENCHMARK.json`` + ``benchmarks/pipeline/``) is
 the one instrument performance is judged by.  The single-layer
 ``results/BENCH_*.json`` files that remain measure what it has no row
-for; these checks keep that split honest: no checked-in number without
-its writer, no experiment module nothing runs, and no silent loss of a
-pipeline row that replaced a retired single-layer benchmark.
+for, and ``results/FIDELITY_baseline.json`` holds the paper's tables;
+both are written by entries of ``repro.experiments.EXPERIMENTS``.  These
+checks keep that honest: no checked-in number without its registry
+entry, no experiment module nothing runs, no verdict that does not hold,
+no hand-edited verdict table, and no silent loss of a pipeline row that
+replaced a retired single-layer benchmark.
 """
 
 import ast
 import json
-import types
 from pathlib import Path
 
-import repro.experiments
+from repro.experiments import EXPERIMENTS, verdict_table
+from repro.experiments.registry import TABLE_BEGIN, TABLE_END
+from repro.experiments.report import is_timing
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,17 +48,13 @@ SUCCESSOR_ROWS = {
 
 
 def test_every_checked_in_bench_file_has_exactly_one_writer():
-    sources = {
-        path.name: path.read_text(encoding="utf-8")
-        for path in (ROOT / "benchmarks").glob("bench_*.py")
-    }
     recorded = sorted((ROOT / "results").glob("BENCH_*.json"))
     assert recorded, "results/ holds no BENCH_*.json at all"
     for result in recorded:
-        writers = [
-            name for name, text in sources.items() if f'"{result.name}"' in text
-        ]
+        writers = [e.id for e in EXPERIMENTS if e.record == result.name]
         assert len(writers) == 1, f"{result.name} is written by {writers}"
+        document = json.loads(result.read_text(encoding="utf-8"))
+        assert document["experiment"] == writers[0]
 
 
 def _imported_experiment_modules(path: Path) -> set[str]:
@@ -70,19 +70,51 @@ def _imported_experiment_modules(path: Path) -> set[str]:
 
 
 def test_every_exported_experiment_module_has_a_caller():
-    callers = [ROOT / "src" / "repro" / "cli.py"]
-    for directory in ("benchmarks", "scripts", "tests", "examples"):
-        callers.extend((ROOT / directory).rglob("*.py"))
-    used: set[str] = set()
-    for path in callers:
-        used |= _imported_experiment_modules(path)
-    modules = {
-        name
-        for name in repro.experiments.__all__
-        if isinstance(getattr(repro.experiments, name), types.ModuleType)
-    }
-    assert modules, "repro.experiments exports no modules"
-    assert modules - used == set()
+    """A module under ``repro/experiments/`` that defines a runner (a public
+    ``run*`` function, or one returning an ``ExperimentResult``) is imported
+    by the registry or by ``cli.py`` — nothing else lists experiments."""
+    package = ROOT / "src" / "repro" / "experiments"
+    runners = set()
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and (
+                node.name.startswith("run")
+                or (node.returns and ast.unparse(node.returns) == "ExperimentResult")
+            ):
+                runners.add(path.stem)
+    # The detection sees each shape a runner takes today.
+    assert {"table3", "ablations", "chaos", "profiling"} <= runners
+    reachable = _imported_experiment_modules(
+        package / "registry.py"
+    ) | _imported_experiment_modules(ROOT / "src" / "repro" / "cli.py")
+    assert runners - reachable == set()
+
+
+def test_fidelity_baseline_holds_the_paper_set_and_every_verdict_holds():
+    baseline = json.loads(
+        (ROOT / "results" / "FIDELITY_baseline.json").read_text(encoding="utf-8")
+    )
+    paper = [e.id for e in EXPERIMENTS if e.record is None]
+    assert sorted(baseline) == ["default", "small"]
+    for workload, section in baseline.items():
+        assert sorted(section) == sorted(paper), workload
+        for experiment_id, record in section.items():
+            assert record["experiment"] == experiment_id
+            assert record["meta"]["workload"] == workload
+            assert record["verdict"] == "holds", (workload, experiment_id)
+            assert not any(is_timing(name) for name in record["metrics"])
+
+
+def test_experiments_md_verdict_table_is_the_emitted_one():
+    """Prose cannot drift: the marked region is, byte for byte, what
+    ``scripts/emit_verdict_table.py`` writes from the checked-in baseline."""
+    baseline = json.loads(
+        (ROOT / "results" / "FIDELITY_baseline.json").read_text(encoding="utf-8")
+    )
+    text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    assert text.count(TABLE_BEGIN) == 1 and text.count(TABLE_END) == 1
+    region = text.partition(TABLE_BEGIN)[2].partition(TABLE_END)[0]
+    assert region == "\n" + verdict_table(baseline["default"]) + "\n"
 
 
 def test_benchmark_json_keeps_every_successor_row():

@@ -930,6 +930,27 @@ class TestEachMechanismExistsOnce:
         ]
         assert imports_of("pickle", "loads") == set()
 
+    def test_the_result_record_is_a_dict_literal_in_one_function(self):
+        """``ExperimentResult.to_record`` is the only writer of the
+        ``results/*.json`` record shape, benchmarks and scripts included."""
+        record_keys = {
+            "experiment", "title", "headers", "rows", "metrics", "notes", "meta",
+        }
+        root = Path(repro.__file__).parents[2]
+        writers = [
+            (source.relative_to(root).as_posix(), function.name)
+            for directory in ("src", "benchmarks", "scripts")
+            for source in sorted((root / directory).rglob("*.py"))
+            for function in ast.walk(ast.parse(source.read_text(), str(source)))
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+            if isinstance(node, ast.Dict)
+            and record_keys <= {
+                key.value for key in node.keys if isinstance(key, ast.Constant)
+            }
+        ]
+        assert writers == [("src/repro/experiments/report.py", "to_record")]
+
     def test_divergence_is_caught_in_one_place_per_layer(self):
         """The engine quarantines a ``ConvergenceError``; ``cli.main`` turns
         one that escapes (its base class) into ``error:`` + exit 3."""
