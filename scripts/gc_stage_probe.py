@@ -2,7 +2,7 @@
 """Where do the collector's passes land in the pipeline benchmark?
 
     python3 scripts/gc_stage_probe.py WORKLOAD [--world W] [--passes N]
-                                      [--forbid STAGE[,STAGE...]]
+                                      [--forbid STAGE[,STAGE...]] [--json FILE]
 
 Runs ``benchmarks/pipeline``'s ``run_pass`` (imported, not modified) with
 a ``gc.callbacks`` hook installed and prints, per stage, how many gen-0 /
@@ -17,12 +17,17 @@ that sits on a stage's last index is one allocation from the next stage
 (see benchmarks/README.md).  ``--forbid`` turns the reading into a check:
 exit 1, naming the stage, when a gen-2 pass begins inside a listed one
 (the schedule differs between CPython versions, so pin one to compare).
+``--json FILE`` writes, per pass, the ``ends_at`` index of every stage and
+the ``[index, stage]`` of every gen-2 collection — no timings — so that
+"identical through ``query``" between two commits is a ``diff`` of two
+files rather than two tables read by eye.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import json
 import sys
 import tempfile
 import time
@@ -44,9 +49,12 @@ def main() -> int:
                         help="the benchmark repeats the pass in one process")
     parser.add_argument("--forbid", default="", metavar="STAGE[,STAGE...]",
                         help="exit 1 if a gen-2 pass begins inside one of these stages")
+    parser.add_argument("--json", metavar="FILE", dest="json_path",
+                        help="write each pass's ends_at map and gen-2 list here")
     args = parser.parse_args()
     forbidden = {name for name in args.forbid.split(",") if name}
     offending: list[str] = []
+    passes: list[dict] = []
     workload = WORKLOADS[args.workload].offset(args.world)
 
     collections: list[list[float]] = []  # [generation, started, seconds]
@@ -87,6 +95,7 @@ def main() -> int:
                 stage.name[6:]: sum(1 for c in collections if c[1] <= stage.end)
                 for stage in stages  # a stage opened twice ends at its last span
             }
+            passes.append({"ends_at": ends_at, "gen2": full})
             print(f"pass {number}: {args.workload} world={args.world}")
             print(f"  {'stage':<10} {'stage_s':>8}"
                   + "".join(f" {f'gen{g}':>6} {'s':>7}" for g in range(3))
@@ -101,6 +110,11 @@ def main() -> int:
                 f"pass {number}: gen-2 collection {index} begins inside {stage}"
                 for index, stage in full if stage in forbidden
             ]
+    if args.json_path:
+        Path(args.json_path).write_text(json.dumps(
+            {"workload": args.workload, "world": args.world, "passes": passes},
+            indent=2,
+        ) + "\n")
     for line in offending:
         print(line, file=sys.stderr)
     return 1 if offending else 0

@@ -6,7 +6,9 @@ the propagation of BGP messages and executing the decision process at each
 router.  Routing for different prefixes is independent (Section 4.2:
 "Since routing decisions are determined independently for each prefix we
 run a separate simulation for each prefix"), so the unit of work is
-:func:`simulate_prefix`.
+:func:`simulate_prefix` — or :func:`resume_prefix`, which seeds the same
+message loop from the converged state the routers already hold after a
+perturbation instead of from nothing.
 
 Message processing is FIFO and single-threaded, so results are fully
 deterministic.  A message budget guards against policy configurations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, DEFAULT_MED, RouteSource
 from repro.bgp.decision import (
@@ -70,6 +72,9 @@ class EngineStats:
     """Counters accumulated while simulating."""
 
     prefixes: int = 0
+    resumes: int = 0
+    """Prefixes brought to convergence by :func:`resume_prefix` — from the
+    state they held, not from nothing; not counted in ``prefixes``."""
     messages: int = 0
     decisions: int = 0
     candidates_ranked: int = 0
@@ -94,6 +99,7 @@ class EngineStats:
     def merge(self, other: "EngineStats") -> None:
         """Fold ``other`` into this stats object."""
         self.prefixes += other.prefixes
+        self.resumes += other.resumes
         self.messages += other.messages
         self.decisions += other.decisions
         self.candidates_ranked += other.candidates_ranked
@@ -119,6 +125,8 @@ def simulate(
     config: DecisionConfig = DecisionConfig(),
     max_messages: int | None = None,
     on_divergence: str = "raise",
+    dropped: Sequence[Session] = (),
+    reoriginated: Sequence[Router] = (),
 ) -> EngineStats:
     """Simulate every prefix (or the given subset) to convergence.
 
@@ -128,14 +136,26 @@ def simulate(
     already holds, but ending the run), while ``"quarantine"`` clears the
     prefix's partial routing state, records it in the returned stats'
     ``diverged`` list, and keeps simulating the remaining prefixes.
+
+    ``dropped`` and ``reoriginated`` name what changed in the network
+    since the state its routers hold converged (see :func:`resume_prefix`,
+    whose precondition is then the caller's to keep): with either given,
+    a prefix that holds state is resumed from it; one that holds none is
+    simulated from scratch, as every prefix is when neither is given.
     """
     if on_divergence not in ("raise", "quarantine"):
         raise ValueError(f"on_divergence must be 'raise' or 'quarantine', got {on_divergence!r}")
     stats = EngineStats()
     targets = list(prefixes) if prefixes is not None else network.prefixes()
+    perturbed = bool(dropped or reoriginated)
     for prefix in targets:
         try:
-            stats.merge(simulate_prefix(network, prefix, config, max_messages))
+            if perturbed and network.holds_state(prefix):
+                stats.merge(resume_prefix(
+                    network, prefix, config, max_messages, dropped, reoriginated
+                ))
+            else:
+                stats.merge(simulate_prefix(network, prefix, config, max_messages))
         except ConvergenceError as error:
             if on_divergence == "raise":
                 raise
@@ -162,14 +182,16 @@ class _PrefixRun:
     own touched set, and ``ranks`` holds :func:`~repro.bgp.decision.rank`
     of every ``loc_rib`` entry — written and dropped with it — when
     messages may be decided incrementally, else None (see
-    :func:`_decide_and_export`).  All of it dies with the call: nothing is
-    memoised on ``RouteMap``, ``Session`` or ``Router``, which are pickled
-    into every campaign copy.
+    :func:`_decide_and_export`).  :func:`simulate_prefix` starts it empty,
+    :func:`resume_prefix` from what the routers hold.  All of it dies with
+    the call: nothing is memoised on ``RouteMap``, ``Session`` or
+    ``Router``, which are pickled into every campaign copy.
     """
 
     __slots__ = (
         "prefix", "config", "queue", "stats", "tracer", "profiler", "ases",
         "touched", "local", "rib_in", "loc_rib", "rib_out", "ranks",
+        "map_stats_before",
     )
 
     def __init__(
@@ -199,6 +221,7 @@ class _PrefixRun:
         self.ranks: dict[int, tuple] | None = (
             {} if config.total_order and self.tracer is None else None
         )
+        self.map_stats_before = MAP_STATS.snapshot()
 
     def apply_map(self, route_map: RouteMap, route: Route) -> Route | None:
         """``route_map.apply(route)`` inside the profiler's route-map phase."""
@@ -226,10 +249,7 @@ def simulate_prefix(
     if max_messages is None:
         max_messages = default_message_budget(network)
     network.clear_prefix(prefix)
-    stats = EngineStats(prefixes=1)
-    run = _PrefixRun(network, prefix, config, stats)
-    prof = run.profiler
-    map_stats_before = MAP_STATS.snapshot()
+    run = _PrefixRun(network, prefix, config, EngineStats(prefixes=1))
 
     # Only originators hold a local route: Network.originate/withdraw keep
     # Router.local_routes and Network.originations in step.
@@ -240,7 +260,115 @@ def simulate_prefix(
         )
         run.touched.add(router_id)
         _decide_and_export(run, router)
+    return _drain(run, max_messages)
 
+
+def stable_state_is_unique(network: Network, config: DecisionConfig) -> bool:
+    """Whether every prefix has exactly one stable routing state.
+
+    True when no route-map clause sets local-pref, there is no iBGP
+    session and MED is always compared (the paper's Section 4.6 model):
+    every router then ranks shorter AS-paths first under a strict total
+    order and policies are functions of (route, session), so induction on
+    best-path length fixes each router's choice.  With local-pref a
+    DISAGREE gadget has two stable states and which one the engine
+    reaches depends on message order.  Removing sessions or changing
+    originations cannot make it false, so a caller perturbing one network
+    many times evaluates it once.
+    """
+    if not config.med_always_compare:
+        return False
+    for session in network.sessions.values():
+        if session.is_ibgp:
+            return False
+        for route_map in (session.import_map, session.export_map):
+            if route_map is not None and any(
+                clause.set_local_pref is not None for clause in route_map.clauses()
+            ):
+                return False
+    return True
+
+
+def resume_prefix(
+    network: Network,
+    prefix: Prefix,
+    config: DecisionConfig = DecisionConfig(),
+    max_messages: int | None = None,
+    dropped: Sequence[Session] = (),
+    reoriginated: Sequence[Router] = (),
+) -> EngineStats:
+    """Re-converge one prefix from the state the routers hold for it.
+
+    That state must be the converged one of the network as it was before
+    the ``dropped`` sessions were disconnected and the ``reoriginated``
+    routers began (or stopped) originating the prefix.  Nothing is
+    cleared: both ends' entries of every dropped session are deleted, the
+    decision is re-run at each receiver that lost a route and at each
+    re-originating router, and the changes propagate through the same
+    loop, budget and accounting as :func:`simulate_prefix` — a
+    perturbation costs the messages downstream of it, not the prefix's
+    whole convergence.
+
+    What it reaches is *a* stable state of the perturbed network.  It is
+    the one :func:`simulate_prefix` reaches — same Loc-RIB, same
+    Adj-RIB-In entries, same announcements in the Adj-RIB-Outs; dict
+    order, object identity, counters and the learned-from fields an
+    Adj-RIB-Out entry keeps from the best that first produced it (stale
+    by design, rewritten on import) are not part of the claim — only
+    where :func:`stable_state_is_unique` holds, which the caller checks.
+    """
+    if max_messages is None:
+        max_messages = default_message_budget(network)
+    network.set_aside(prefix)
+    run = _PrefixRun(network, prefix, config, EngineStats(resumes=1))
+    routers = network.routers
+    # A router missing from the working set reads as one holding nothing,
+    # so all that is held goes in (Adj-RIB-Outs are aliased on first use).
+    ribs_in, loc_rib, ranks = run.rib_in, run.loc_rib, run.ranks
+    for router_id in run.touched:
+        router = routers[router_id]
+        rib_in = router.adj_rib_in.get(prefix)
+        if rib_in is not None:
+            ribs_in[router_id] = rib_in
+        best = router.loc_rib.get(prefix)
+        if best is not None:
+            loc_rib[router_id] = best
+            if ranks is not None:
+                ranks[router_id] = rank(best)
+    for router_id in network.originators(prefix):
+        run.local[router_id] = routers[router_id].local_routes[prefix]
+
+    # Every stale entry goes before any decision runs, so that no router
+    # moves to a route that is itself about to disappear.
+    lost: list[tuple[Router, Route]] = []
+    for session in dropped:
+        rib_out = session.src.adj_rib_out.get(prefix)
+        if rib_out is not None:
+            rib_out.pop(session.session_id, None)
+        rib_in = ribs_in.get(session.dst.router_id)
+        if rib_in is not None:
+            route = rib_in.pop(session.session_id, None)
+            if route is not None:
+                lost.append((session.dst, route))
+    for receiver, route in lost:
+        _decide_and_export(run, receiver, route)
+    for router in reoriginated:
+        # Passing the standing best as the replaced route forces the full
+        # scan: what changed is the local route, which fills no slot.
+        run.touched.add(router.router_id)
+        _decide_and_export(run, router, loc_rib.get(router.router_id))
+    return _drain(run, max_messages)
+
+
+def _drain(run: _PrefixRun, max_messages: int) -> EngineStats:
+    """Process queued messages until none is left, then close the stats.
+
+    The engine's one message loop; its callers differ only in how they
+    seed the queue.
+    """
+    prefix = run.prefix
+    stats = run.stats
+    prof = run.profiler
     queue = run.queue
     ribs_in = run.rib_in
     messages = 0
@@ -256,7 +384,7 @@ def simulate_prefix(
                     messages=messages,
                     budget=max_messages,
                 )
-            _account(run, messages, map_stats_before)
+            _account(run, messages)
             raise ConvergenceError(prefix, messages, max_messages, stats)
         if prof is not None:
             prof.push(PHASE_DISPATCH)
@@ -295,16 +423,14 @@ def simulate_prefix(
         run.touched.add(receiver_id)
         _decide_and_export(run, receiver, previous, accepted)
 
-    _account(run, messages, map_stats_before)
+    _account(run, messages)
     return stats
 
 
-def _account(
-    run: _PrefixRun, messages: int, map_stats_before: tuple[int, int, int]
-) -> None:
+def _account(run: _PrefixRun, messages: int) -> None:
     """Close the run's ``EngineStats`` and publish them to the registry.
 
-    Called once per :func:`simulate_prefix`, on the converged and on the
+    Called once per :func:`_drain`, on the converged and on the
     budget-exhausted exit alike: the prefix that burnt its whole budget is
     the one whose work the counters most need to show.
     """
@@ -312,10 +438,10 @@ def _account(
     stats.messages = messages
     stats.per_prefix_messages[run.prefix] = messages
     _, evaluated, matched = MAP_STATS.snapshot()
-    stats.clauses_evaluated = evaluated - map_stats_before[1]
-    stats.clauses_matched = matched - map_stats_before[2]
+    stats.clauses_evaluated = evaluated - run.map_stats_before[1]
+    stats.clauses_matched = matched - run.map_stats_before[2]
     registry = get_registry()
-    registry.counter("engine.prefixes").inc()
+    registry.counter("engine.resumes" if stats.resumes else "engine.prefixes").inc()
     registry.counter("engine.messages").inc(stats.messages)
     registry.counter("engine.decisions").inc(stats.decisions)
     registry.counter("engine.candidates_ranked").inc(stats.candidates_ranked)

@@ -51,6 +51,10 @@ class Network:
     oldest first; None while no perturbation is open.  A class-level
     default: a network pickles the same whether or not it was perturbed."""
 
+    _held: set[Prefix] | None = None
+    """Prefixes that held routing state at :meth:`open_perturbation` and
+    still hold exactly that; None while no perturbation is open."""
+
     def __init__(self, name: str = "network"):
         self.name = name
         self.ases: dict[int, ASNode] = {}
@@ -109,12 +113,17 @@ class Network:
         """Create the bidirectional peering between ``a`` and ``b``."""
         return self.add_session(a, b), self.add_session(b, a)
 
-    def disconnect(self, a: Router, b: Router) -> None:
-        """Tear down the peering between ``a`` and ``b`` (both directions)."""
+    def disconnect(self, a: Router, b: Router) -> list[Session]:
+        """Tear down the peering between ``a`` and ``b`` (both directions).
+
+        Returns the sessions removed, ``a`` → ``b`` first.
+        """
+        removed = []
         for src, dst in ((a, b), (b, a)):
             session = self.get_session(src, dst)
             if session is None:
                 continue
+            removed.append(session)
             del self._session_by_endpoints[(src.router_id, dst.router_id)]
             del self.sessions[session.session_id]
             out_index = src.sessions_out.index(session)
@@ -125,6 +134,7 @@ class Network:
                 # The two session dicts are restored whole on close.
                 self._undo.append((src.sessions_out.insert, (out_index, session)))
                 self._undo.append((dst.sessions_in.insert, (in_index, session)))
+        return removed
 
     def ibgp_route_reflection(
         self, reflectors: list[Router], clients: list[Router]
@@ -174,10 +184,10 @@ class Network:
         """Stop ``router`` originating ``prefix`` (anycast site failure).
 
         Removes the origination bookkeeping and the router's local route;
-        callers must ``clear_prefix`` + re-simulate for the withdrawal to
-        propagate.  Raises :class:`TopologyError` if the router does not
-        originate the prefix — silently "withdrawing" nothing would mask
-        a scenario-construction bug.
+        callers must re-simulate (or :func:`~repro.bgp.engine.resume_prefix`)
+        for the withdrawal to propagate.  Raises :class:`TopologyError` if
+        the router does not originate the prefix — silently "withdrawing"
+        nothing would mask a scenario-construction bug.
         """
         origins = self.originations.get(prefix)
         if origins is None or router.router_id not in origins:
@@ -215,7 +225,11 @@ class Network:
 
         While open, :meth:`disconnect`, :meth:`originate` and
         :meth:`withdraw` — the edits a what-if scenario makes — log what
-        :meth:`close_perturbation` needs to put the network back.
+        :meth:`close_perturbation` needs to put the network back.  So
+        does the routing state: a prefix that holds state now (its
+        converged RIBs, which the perturbation's simulations may resume
+        from) has its per-router slices set aside the first time it is
+        cleared or resumed (:meth:`set_aside`).
         """
         if self._undo is not None:
             raise TopologyError("a perturbation is already open")
@@ -225,24 +239,65 @@ class Network:
                 self, "_session_by_endpoints", dict(self._session_by_endpoints)
             )),
         ]
+        self._held = set(self._touched)
 
     def close_perturbation(self) -> None:
-        """Wipe all routing state and undo every edit, newest first.
+        """Undo every edit, newest first, routing state included.
 
         Afterwards every ``sessions_out`` / ``sessions_in`` position, the
         order of ``sessions``, ``_session_by_endpoints``, ``originations``
         and each router's ``local_routes`` are what they were at
         :meth:`open_perturbation`, so the next simulation walks sessions
-        in the same order a fresh copy would.
+        in the same order a fresh copy would; every prefix that held
+        routing state then holds the same entries again, and no other
+        prefix holds any.
         """
-        undo = self._undo
+        undo, untouched = self._undo, self._held
         if undo is None:
             raise TopologyError("no perturbation is open")
-        del self._undo
-        self.clear_routing()
+        del self._undo, self._held
+        for prefix in list(self._touched):
+            if prefix not in untouched:
+                self.clear_prefix(prefix)
         while undo:
             inverse, args = undo.pop()
             inverse(*args)
+
+    def set_aside(self, prefix: Prefix) -> None:
+        """Log restoring ``prefix``'s routing state, before it changes.
+
+        Acts once per perturbation, and only for a prefix that held state
+        when it opened: the per-router slices (shallow copies; routes are
+        immutable) go on the undo log.
+        """
+        held = self._held
+        if held is None or prefix not in held:
+            return
+        held.remove(prefix)
+        slices = []
+        for router_id in self._touched[prefix]:
+            router = self.routers[router_id]
+            rib_in = router.adj_rib_in.get(prefix)
+            rib_out = router.adj_rib_out.get(prefix)
+            slices.append((
+                router,
+                None if rib_in is None else dict(rib_in),
+                router.loc_rib.get(prefix),
+                None if rib_out is None else dict(rib_out),
+            ))
+        self._undo.append((self._put_back, (prefix, slices)))
+
+    def _put_back(self, prefix: Prefix, slices: list[tuple]) -> None:
+        """Reinstate slices :meth:`set_aside` saved, on a cleared prefix."""
+        touched = self.touched_set(prefix)
+        for router, rib_in, best, rib_out in slices:
+            touched.add(router.router_id)
+            if rib_in is not None:
+                router.adj_rib_in[prefix] = rib_in
+            if best is not None:
+                router.loc_rib[prefix] = best
+            if rib_out is not None:
+                router.adj_rib_out[prefix] = rib_out
 
     # ------------------------------------------------------------------
     # Quasi-router support (Section 4.6: duplication)
@@ -303,8 +358,14 @@ class Network:
         """
         return frozenset(self._touched.get(prefix, ()))
 
+    def holds_state(self, prefix: Prefix) -> bool:
+        """Whether any router holds routing state for ``prefix``."""
+        return prefix in self._touched
+
     def clear_prefix(self, prefix: Prefix) -> None:
         """Wipe all routing state for ``prefix`` ahead of a re-simulation."""
+        if self._held is not None:
+            self.set_aside(prefix)
         touched = self._touched.pop(prefix, None)
         if touched is None:
             return

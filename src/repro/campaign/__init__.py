@@ -14,6 +14,7 @@ from repro.campaign.engine import (
     campaign_fingerprint,
     context_from_artifact,
     load_checkpoint,
+    plan_campaign,
     run_campaign,
     validate_baseline,
     write_checkpoint,
@@ -50,6 +51,7 @@ __all__ = [
     "generate_hijack",
     "generate_link_failure",
     "load_checkpoint",
+    "plan_campaign",
     "run_campaign",
     "validate_baseline",
     "write_checkpoint",

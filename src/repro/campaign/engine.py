@@ -11,6 +11,18 @@ are undone exactly when the scenario returns, so scenario order and
 placement cannot matter and the two paths produce bit-identical ranked
 reports.
 
+Converge once, perturb from there: before anything runs, ``run_campaign``
+asks every pending scenario which origins it will re-converge
+(``perturbed_origins``) and has each working copy hold converged, on the
+unperturbed topology, those that enough scenarios name — two for every
+copy there will be, one copy sequentially and one per pool worker
+(:func:`plan_campaign`); the plan travels in the :class:`CampaignContext`.
+A scenario resumes such an origin from its RIBs
+(:func:`repro.bgp.engine.resume_prefix`) instead of simulating it from
+nothing.  Only where the model's stable state is unique, where resumed
+and from-scratch answers are the same answer; an origin named once would
+cost one simulation either way and is left cold.
+
 A :mod:`repro.runstate` scenario checkpoint (fingerprinted over the
 campaign kind, scenario keys and baseline checksum) records every
 finished outcome: the sequential path persists it after each scenario
@@ -20,12 +32,16 @@ skips the completed scenarios on the next run.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import logging
 import time
+from collections import Counter
+from contextlib import closing
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro.bgp.engine import stable_state_is_unique
 from repro.campaign.report import STATUS_OK, CampaignReport, ScenarioOutcome
 from repro.campaign.scenarios import CampaignContext
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
@@ -49,7 +65,10 @@ CHECKPOINT_FORMAT = "repro/campaign-checkpoint/v1"
 
 
 def context_from_artifact(artifact: PredictionArtifact) -> CampaignContext:
-    """The read-only baseline every scenario diffs against."""
+    """The read-only baseline every scenario diffs against.
+
+    Without a plan: ``run_campaign`` adds it (:func:`plan_campaign`).
+    """
     return CampaignContext(
         baseline_paths=dict(artifact.paths),
         observers=tuple(artifact.observers),
@@ -168,6 +187,7 @@ def run_campaign(
     every finished outcome and the exception's ``pending`` lists the
     unfinished scenario keys.
     """
+    started = time.perf_counter()
     ordered = sorted(scenarios, key=lambda s: s.key)  # type: ignore[attr-defined]
     fingerprint = campaign_fingerprint(
         kind, (s.key for s in ordered), context.baseline_checksum
@@ -180,16 +200,19 @@ def run_campaign(
             len(completed), len(ordered),
         )
     todo = [s for s in ordered if s.key not in completed]
+    pooled = parallel is not None and parallel.enabled
+    context = plan_campaign(
+        model, todo, context, copies=parallel.workers if pooled else 1
+    )
 
     progress = None
     if checkpoint is not None:
         def progress() -> None:
             write_checkpoint(checkpoint, fingerprint, completed)
 
-    started = time.perf_counter()
     supervision: dict = {}
     try:
-        if parallel is not None and parallel.enabled and todo:
+        if pooled and todo:
             supervision = _run_parallel(
                 model, todo, context, max_messages, parallel, completed
             )
@@ -215,10 +238,48 @@ def run_campaign(
         "elapsed_seconds": round(time.perf_counter() - started, 6),
         "fingerprint": fingerprint,
         "resumed": len(ordered) - len(todo),
+        "origins_converged_ahead": len(context.converged_ahead),
         "supervision": supervision,
         **{f"scenarios_{k}": v for k, v in counts.items() if k != "scenarios"},
     }
     return report
+
+
+def plan_campaign(
+    model: ASRoutingModel,
+    scenarios: Iterable[object],
+    context: CampaignContext,
+    copies: int = 1,
+) -> CampaignContext:
+    """``context`` with the campaign's plan filled in.
+
+    ``copies`` is how many working copies will run the scenarios, each of
+    which converges the whole ``converged_ahead`` set for itself.  An
+    origin goes into it when at least ``2 × copies`` scenarios name it
+    among their ``perturbed_origins``: a convergence costs about one
+    from-scratch simulation and a resume saves about 0.9 of one, so the
+    campaign as a whole breaks even near 1.15 names per copy, and two per
+    copy leaves room for a pool that deals the scenarios unevenly or
+    respawns a worker; an origin named once would be simulated once either
+    way.  Origins the baseline quarantined would only diverge once more.
+    Nothing is converged ahead when the stable state is not unique: a
+    resumed answer could then be another stable state than the engine's
+    own from scratch.
+    """
+    unique = stable_state_is_unique(model.network, MODEL_DECISION_CONFIG)
+    context = dataclasses.replace(context, unique_state=unique)
+    if not unique:
+        return context
+    named: Counter[int] = Counter()
+    for scenario in scenarios:
+        name = getattr(scenario, "perturbed_origins", None)
+        if name is not None:
+            named.update(name(model, context))
+    return dataclasses.replace(context, converged_ahead=tuple(
+        prefix
+        for origin, prefix in sorted(model.prefix_by_origin.items())
+        if named[origin] >= 2 * copies and origin not in context.excluded
+    ))
 
 
 def _run_parallel(
@@ -284,8 +345,17 @@ def _run_sequential(
     checkpoint after every finished scenario, so even a SIGKILL'd
     campaign resumes from the last one.
     """
-    copy = WorkingCopy(dump_network(model.network))
-    with drain_signals() as drain:
+    copy = WorkingCopy(
+        dump_network(model.network),
+        context.converged_ahead,
+        MODEL_DECISION_CONFIG,
+        max_messages,
+    )
+    # Closed on the way out: the process's next campaign makes its own copy,
+    # and this one's converged RIBs should not sit beside it until a full
+    # collection.
+    with closing(copy), drain_signals() as drain:
+        copy.network()  # converge ahead now, as a pool worker does at startup
         for index, scenario in enumerate(todo):
             if drain.signum is not None:
                 pending = [s.key for s in todo[index:]]

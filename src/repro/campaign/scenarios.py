@@ -6,11 +6,17 @@ fans them out as generic tasks of the PR-4 supervised pool, where each
 ``run(network, context, config, max_messages)`` borrows the one working
 copy of the baseline network with a perturbation open: it may edit
 topology and originations only through ``Network.disconnect`` /
-``originate`` / ``withdraw``, which the lender undoes exactly, and must
-not rely on routing state a previous scenario left.  It simulates the
-perturbed model and returns a plain JSON-ready dict — identical whether
-the scenario ran in-process or inside a crash-isolated worker, first or
-last.
+``originate`` / ``withdraw``, which the lender undoes exactly, routing
+state included.  The prefixes ``CampaignContext.converged_ahead`` names
+hold, on entry, what the lender converged on the unperturbed topology of
+a model whose stable state is unique: ``run`` resumes those from there
+with its own edits named, and simulates any other from scratch whatever
+it may hold — no scenario sees state another one left.  It returns a
+plain JSON-ready dict — identical whether the scenario ran in-process or
+inside a crash-isolated worker, first or last, resumed or from scratch.
+A scenario that re-converges origins of the model also has
+``perturbed_origins(model, context)`` naming them, which is how the
+engine knows what is worth converging ahead.
 
 Four scenario spaces (ROADMAP item 5, the paper's Section 1 what-if
 motivation):
@@ -37,11 +43,7 @@ from repro.core.predict import collect_path_map
 from repro.core.whatif import remove_adjacency, validate_session_endpoints
 from repro.errors import TopologyError
 from repro.net.prefix import Prefix
-from repro.resilience.retry import (
-    CONVERGED,
-    simulate_network_bounded,
-    simulate_prefix_bounded,
-)
+from repro.resilience.retry import CONVERGED, simulate_prefix_bounded
 
 KIND_DEPEER = "depeer"
 KIND_LINK_FAILURE = "link-failure"
@@ -62,12 +64,23 @@ class CampaignContext:
     Pickled once and shipped to each pool worker at spawn.  ``excluded``
     origins were quarantined when the baseline artifact was compiled;
     scenarios ignore their pairs instead of reporting spurious diffs.
+    The last two fields are the campaign's plan, which ``run_campaign``
+    works out from the model and the pending scenarios; no caller sets
+    them, and without a plan a depeer re-converges every origin and
+    everything is simulated from scratch.
     """
 
     baseline_paths: dict[Pair, tuple[tuple[int, ...], ...]]
     observers: tuple[int, ...]
     excluded: frozenset[int] = frozenset()
     baseline_checksum: str = ""
+    unique_state: bool = False
+    """:func:`~repro.bgp.engine.stable_state_is_unique` of the baseline
+    model, evaluated once for every copy made of it."""
+    converged_ahead: tuple[Prefix, ...] = ()
+    """Prefixes whoever lends the working copy converges on it first, on
+    the unperturbed topology: the scenarios resume these from their RIBs
+    (see :class:`~repro.parallel.worker.WorkingCopy`)."""
 
 
 def _paths_for_prefix(network, prefix: Prefix, observer_asn: int) -> set[tuple[int, ...]]:
@@ -80,32 +93,8 @@ def _paths_for_prefix(network, prefix: Prefix, observer_asn: int) -> set[tuple[i
     return paths
 
 
-def _stable_state_is_unique(network, config) -> bool:
-    """Whether every prefix has exactly one stable routing state.
-
-    True when no route-map clause sets local-pref, there is no iBGP
-    session and MED is always compared (the paper's Section 4.6 model):
-    every router then ranks shorter AS-paths first under a strict total
-    order and policies are functions of (route, session), so induction on
-    best-path length fixes each router's choice.  With local-pref a
-    DISAGREE gadget has two stable states and which one the engine
-    reaches depends on message order.
-    """
-    if not config.med_always_compare:
-        return False
-    for session in network.sessions.values():
-        if session.is_ibgp:
-            return False
-        for route_map in (session.import_map, session.export_map):
-            if route_map is not None and any(
-                clause.set_local_pref is not None for clause in route_map.clauses()
-            ):
-                return False
-    return True
-
-
 def crossing_origins(
-    model: ASRoutingModel, context: CampaignContext, config, asn_a: int, asn_b: int
+    model: ASRoutingModel, context: CampaignContext, asn_a: int, asn_b: int
 ) -> set[int]:
     """Origins whose routing can change when the a–b adjacency is removed.
 
@@ -115,14 +104,12 @@ def crossing_origins(
     observer ``b``.  Where the stable state is unique, removing sessions
     that carry no router's best route leaves that state stable, hence
     unchanged: only the crossing origins (and those the baseline has no
-    trustworthy answer for) need re-simulating.  Where it is not, or the
-    baseline does not observe both ends, every origin crosses.
+    trustworthy answer for) need re-simulating.  Where it is not
+    (``context.unique_state``), or the baseline does not observe both
+    ends, every origin crosses.
     """
     origins = set(model.prefix_by_origin)
-    if not (
-        {asn_a, asn_b} <= set(context.observers)
-        and _stable_state_is_unique(model.network, config)
-    ):
+    if not (context.unique_state and {asn_a, asn_b} <= set(context.observers)):
         return origins
     crossing = origins & context.excluded
     for origin in origins:
@@ -140,8 +127,9 @@ class EdgeFailureScenario:
     Backs both the ``depeer`` sweep (every adjacency) and the
     ``link-failure`` sweep (adjacencies incident to tier-1/top-degree
     ASes); the mechanics are identical, only the generator differs.
-    Only the :func:`crossing_origins` are simulated; the others keep
-    their baseline answers.
+    Only the :func:`crossing_origins` are re-converged — resumed with the
+    removed sessions dropped where the lender holds them converged, else
+    simulated; the others keep their baseline answers.
     """
 
     asn_a: int
@@ -152,26 +140,27 @@ class EdgeFailureScenario:
     def key(self) -> str:
         return f"{self.kind}:AS{self.asn_a}-AS{self.asn_b}"
 
+    def perturbed_origins(self, model, context: CampaignContext) -> set[int]:
+        return crossing_origins(model, context, self.asn_a, self.asn_b)
+
     def run(self, network, context: CampaignContext, config, max_messages) -> dict:
         model = ASRoutingModel.from_network(network)
         validate_session_endpoints(model, [(self.asn_a, self.asn_b)])
-        crossing = crossing_origins(
-            model, context, config, self.asn_a, self.asn_b
-        )
+        crossing = self.perturbed_origins(model, context)
         settled = model.prefix_by_origin.keys() - crossing
         removed = remove_adjacency(model, self.asn_a, self.asn_b)
+        dropped = [session for peering in removed for session in peering]
+        warm = set(context.converged_ahead)
 
-        stats = simulate_network_bounded(
-            network,
-            [
-                prefix
-                for prefix in network.prefixes()
-                if model.origin_by_prefix[prefix] in crossing
-            ],
-            config=config,
-            max_messages=max_messages,
-        )
-        quarantined = stats.quarantined
+        quarantined = []
+        for prefix in network.prefixes():
+            if model.origin_by_prefix[prefix] in crossing:
+                _, outcome = simulate_prefix_bounded(
+                    network, prefix, config, max_messages,
+                    dropped=dropped if prefix in warm else (),
+                )
+                if outcome.status != CONVERGED:
+                    quarantined.append(prefix)
         degraded = sorted(str(prefix) for prefix in quarantined)
         degraded_origins = {
             model.origin_by_prefix[prefix]
@@ -193,7 +182,7 @@ class EdgeFailureScenario:
             "kind": self.kind,
             "key": self.key,
             "params": {"asn_a": self.asn_a, "asn_b": self.asn_b},
-            "removed_sessions": removed,
+            "removed_sessions": len(removed),
             "degraded": degraded,
             "diff": diff.to_dict(),
             "blast_radius": diff.blast_radius,
@@ -219,6 +208,9 @@ class HijackScenario:
     def key(self) -> str:
         return f"hijack:AS{self.attacker}->AS{self.victim}"
 
+    def perturbed_origins(self, model, context: CampaignContext) -> set[int]:
+        return {self.victim}
+
     def run(self, network, context: CampaignContext, config, max_messages) -> dict:
         model = ASRoutingModel.from_network(network)
         prefix = model.canonical_prefix(self.victim)
@@ -231,8 +223,10 @@ class HijackScenario:
             )
         for router in attacker_routers:
             network.originate(router, prefix)
-        network.clear_prefix(prefix)
-        _, outcome = simulate_prefix_bounded(network, prefix, config, max_messages)
+        _, outcome = simulate_prefix_bounded(
+            network, prefix, config, max_messages,
+            reoriginated=attacker_routers if prefix in context.converged_ahead else (),
+        )
         result = {
             "kind": KIND_HIJACK,
             "key": self.key,
@@ -291,7 +285,11 @@ class CatchmentScenario:
     catchment: which site(s) each observer's selected paths terminate
     at.  With a failed site, the site's origination is withdrawn after
     the first convergence and the prefix re-simulated; the blast radius
-    is the number of observers whose attraction shifted.
+    is the number of observers whose attraction shifted.  That second
+    simulation is from scratch on purpose: resuming after a site is
+    withdrawn makes the routers it attracted hunt through ever longer
+    paths (BGP's withdrawal path exploration), which for a site that
+    attracted most of the model measured four times the simulation.
     """
 
     sites: tuple[int, ...]

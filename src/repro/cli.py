@@ -34,7 +34,8 @@ Subcommands mirror the paper's workflow:
   selected the winner, and the refinement iteration that installed each
   policy consulted.
 * ``repro stats`` — render the metrics/metadata slice of a JSON health
-  report (counters, gauges, histogram percentiles, phase timings).
+  report (counters, gauges, histogram percentiles, phase timings) or of
+  a ``repro campaign --report`` file.
 * ``repro compile-artifact`` — simulate every canonical prefix of a
   saved model once (``--workers`` fans out to the supervised pool) and
   freeze every (origin, observer) answer into a checksummed prediction
@@ -371,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats = subparsers.add_parser(
         "stats", help="render the metrics slice of a JSON health report"
     )
-    stats.add_argument("report", help="health report written with --health-report")
+    stats.add_argument("report", help="health report written with --health-report, "
+                       "or a campaign report written with --report")
     stats.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the stats slice as JSON instead of text")
     stats.set_defaults(handler=cmd_stats)
@@ -1515,6 +1517,9 @@ def cmd_campaign(args) -> int:
         report.meta.update(
             run_metadata(argv=getattr(args, "invocation", None))
         )
+        # What `repro stats REPORT` renders: engine.prefixes against
+        # engine.resumes is how much of the sweep was perturbed, not recomputed.
+        report.meta["metrics"] = get_registry().snapshot()
         if dropped:
             report.meta["scenarios_dropped"] = dropped
         if args.report:

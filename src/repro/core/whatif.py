@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.core.model import ASRoutingModel
+from repro.bgp.engine import simulate, stable_state_is_unique
+from repro.bgp.session import Session
+from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
 from repro.core.predict import collect_path_map
 from repro.errors import TopologyError
 
@@ -97,17 +99,20 @@ def validate_session_endpoints(
             )
 
 
-def remove_adjacency(model: ASRoutingModel, asn_a: int, asn_b: int) -> int:
+def remove_adjacency(
+    model: ASRoutingModel, asn_a: int, asn_b: int
+) -> list[list[Session]]:
     """Tear down every session between two ASes and drop the graph edge.
 
-    Returns the number of sessions removed.
+    Returns the peerings removed, each as its directed sessions — what
+    :func:`~repro.bgp.engine.resume_prefix` needs to re-converge from
+    the state the routers hold.
     """
-    removed = 0
+    removed = []
     for router_a in list(model.quasi_routers(asn_a)):
         for session in list(router_a.sessions_out):
             if session.dst.asn == asn_b:
-                model.network.disconnect(router_a, session.dst)
-                removed += 1
+                removed.append(model.network.disconnect(router_a, session.dst))
     model.graph.remove_edge(asn_a, asn_b)
     return removed
 
@@ -122,7 +127,10 @@ def simulate_link_failure(
 
     Endpoints are validated up front (:func:`validate_session_endpoints`):
     an unknown ASN or missing adjacency raises before any simulation
-    instead of failing mid-run.
+    instead of failing mid-run.  Every origin is converged before the
+    edges go, so where the model's stable state is unique the "after"
+    pass resumes from those RIBs with the removed sessions dropped
+    instead of simulating each origin a second time.
     """
     validate_session_endpoints(model, as_edges)
     origin_list = sorted(origins) if origins is not None else sorted(
@@ -135,12 +143,22 @@ def simulate_link_failure(
         model.simulate_origin(origin)
     before = _snapshot(model, origin_list, observer_list)
 
-    removed_sessions = sum(
-        remove_adjacency(model, asn_a, asn_b) for asn_a, asn_b in as_edges
-    )
+    peerings = [
+        peering
+        for asn_a, asn_b in as_edges
+        for peering in remove_adjacency(model, asn_a, asn_b)
+    ]
+    removed_sessions = len(peerings)
 
-    for origin in origin_list:
-        model.simulate_origin(origin)
+    dropped = [session for peering in peerings for session in peering]
+    if not stable_state_is_unique(model.network, MODEL_DECISION_CONFIG):
+        dropped = []  # several stable states: the engine's answer is from scratch
+    simulate(
+        model.network,
+        [model.canonical_prefix(origin) for origin in origin_list],
+        MODEL_DECISION_CONFIG,
+        dropped=dropped,
+    )
     after = _snapshot(model, origin_list, observer_list)
 
     description = ", ".join(f"AS{a}-AS{b}" for a, b in as_edges)

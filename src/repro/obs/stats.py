@@ -33,11 +33,17 @@ def load_health_report(path: str | Path) -> dict:
 
 
 def health_stats(report: dict) -> dict:
-    """The stats slice of a health report (``repro stats --json``)."""
+    """The stats slice of a health report (``repro stats --json``).
+
+    A campaign report is read too: its metrics snapshot sits under
+    ``meta``, the one key of that report that may vary between runs.
+    """
+    meta = report.get("meta")
     return {
-        "meta": report.get("meta"),
+        "meta": meta,
         "phases_seconds": report.get("phases_seconds") or {},
         "metrics": report.get("metrics")
+        or (meta or {}).get("metrics")
         or {"counters": {}, "gauges": {}, "histograms": {}},
         "simulation": _simulation_slice(report.get("simulation")),
         "interrupted": bool(report.get("interrupted")),
@@ -71,7 +77,10 @@ def render_stats(report: dict) -> str:
     meta = stats["meta"]
     if meta:
         lines.append("run:")
-        for key in ("repro_version", "python", "platform", "git_sha", "seed"):
+        for key in (
+            "repro_version", "python", "platform", "git_sha", "seed",
+            "origins_converged_ahead",
+        ):
             if meta.get(key) is not None:
                 lines.append(f"  {key:<16} {meta[key]}")
         if meta.get("argv"):

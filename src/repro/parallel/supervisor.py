@@ -478,7 +478,10 @@ class SupervisedPool:
         Each item executes crash-isolated inside a worker, on the
         worker's copy of the network with its ``disconnect`` / ``originate``
         / ``withdraw`` edits undone afterwards
-        (:class:`~repro.parallel.worker.WorkingCopy`); per-task metrics are
+        (:class:`~repro.parallel.worker.WorkingCopy`, which also holds
+        converged whatever prefixes the pool's ``context`` names as
+        ``converged_ahead``, once per worker; those metrics are folded in
+        as each worker reports ready); per-task metrics are
         folded into the parent registry in key-sorted order, so the
         outcome is deterministic regardless of completion order.  Raises
         :class:`~repro.errors.ShutdownRequested` after a graceful drain
@@ -653,7 +656,12 @@ class SupervisedPool:
 
     def _handle_message(self, worker: _Worker, message: tuple) -> None:
         kind = message[0]
-        if kind in (MSG_HEARTBEAT, MSG_READY):
+        if kind == MSG_HEARTBEAT:
+            return
+        if kind == MSG_READY:
+            # What the worker did before any task: converging ahead, which
+            # every worker (and every respawn) pays on its own copy.
+            get_registry().merge_raw(message[2])
             return
         if kind == MSG_RESULT:
             _, task_id, result = message

@@ -11,16 +11,22 @@ method, executed on the same private copy inside
 :meth:`WorkingCopy.perturbed` — the scenario's topology edits are undone
 exactly when it returns, and the copy is unpickled again only after a
 task raises.  The shared ``context`` (e.g. baseline paths) is unpickled
-once at startup and treated as read-only.
+once at startup and treated as read-only; when it names prefixes as
+``converged_ahead`` the copy holds them converged for the tasks to
+resume from.
 
 A daemon thread heartbeats over the same connection while the main thread
-simulates, so the supervisor can tell a *busy* worker from a *wedged* one.
-All sends share one lock (``multiprocessing`` connections are not
-thread-safe).
+simulates — from before the copy is made, so converging ahead at startup
+counts as busy too — and the supervisor can tell a *busy* worker from a
+*wedged* one.  All sends share one lock (``multiprocessing`` connections
+are not thread-safe).  The supervisor dispatches without waiting for
+``MSG_READY``, so the first task's ``task_timeout`` covers the startup as
+well.
 
 Workers deliberately run with a :class:`~repro.obs.trace.NullTracer` and
 a private metrics registry: engine metrics travel home inside each
-result, and only the supervisor emits trace events (the supervision
+result (those of the startup inside ``MSG_READY``), and only the
+supervisor emits trace events (the supervision
 events of the run).  Unexpected task exceptions are reported as
 ``MSG_ERROR`` and the worker keeps serving; anything that kills the
 process outright (segfault, OOM, ``os._exit``) is the supervisor's
@@ -35,11 +41,12 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator
 
+from repro.bgp.decision import DecisionConfig
 from repro.bgp.network import Network
 from repro.net.prefix import Prefix
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.trace import set_tracer
 from repro.parallel.protocol import (
     CRASH_EXIT_CODE,
@@ -67,24 +74,61 @@ class WorkingCopy:
     pickled blob is kept as the recovery value: a scenario that raises
     may have stopped halfway through an edit, so its copy is dropped and
     the next user unpickles a new one.
+
+    The copy holds routing state for the ``converged`` prefixes only, each
+    simulated once on the topology as unpickled (counted under
+    ``engine.converged_ahead``) — state every borrower gets back intact
+    and that a recovered copy is given again.  Whether a borrower resumes
+    from it (:func:`repro.bgp.engine.resume_prefix`) is the borrower's
+    business: the campaign's scenarios do so for the prefixes their
+    context names, which are these.
     """
 
-    def __init__(self, blob: bytes):
+    def __init__(
+        self,
+        blob: bytes,
+        converged: Iterable[Prefix] = (),
+        config: DecisionConfig = DecisionConfig(),
+        max_messages: int | None = None,
+    ):
         self._blob = blob
+        self._converged = tuple(converged)
+        self._config = config
+        self._max_messages = max_messages
         self._network: Network | None = None
 
     def network(self) -> Network:
-        """The working copy, unpickled on first use or after a failure."""
+        """The working copy, made on first use or after a failure."""
         if self._network is None:
-            self._network = pickle.loads(self._blob)
+            self._network = network = pickle.loads(self._blob)
+            # State that came in the blob serves nobody, and every scenario
+            # that clears it would set it aside and put it back.
+            network.clear_routing()
+            for prefix in self._converged:
+                simulate_prefix_bounded(
+                    network, prefix, self._config, self._max_messages
+                )
+                get_registry().counter("engine.converged_ahead").inc()
         return self._network
+
+    def close(self) -> None:
+        """Forget the copy, emptying its RIBs first.
+
+        A network is a reference cycle (routers and sessions point at each
+        other): merely dropped, the converged prefixes' routes would stay
+        allocated until the collector's next full pass.
+        """
+        if self._network is not None:
+            self._network.clear_routing()
+            self._network = None
 
     @contextmanager
     def perturbed(self) -> Iterator[Network]:
         """Lend the copy for one scenario; every edit is undone on exit.
 
-        On a normal exit all routing state is cleared and the topology is
-        exactly as unpickled (:meth:`Network.close_perturbation`).
+        On a normal exit the topology is exactly as unpickled and the
+        routing state exactly the converged prefixes'
+        (:meth:`Network.close_perturbation`).
         """
         network = self.network()
         self._network = None  # nothing to reuse if the body raises
@@ -114,9 +158,6 @@ def worker_main(
     set_tracer(None)
     set_registry(MetricsRegistry())
 
-    copy = WorkingCopy(network_blob)
-    copy.network()  # pay the unpickle before reporting ready
-    context = pickle.loads(context_blob) if context_blob is not None else None
     send_lock = threading.Lock()
     stop = threading.Event()
 
@@ -133,9 +174,21 @@ def worker_main(
             if not send((MSG_HEARTBEAT, os.getpid())):
                 return
 
+    # Beating before the copy is made: converging ahead can outlast the
+    # supervisor's heartbeat grace, and a silent worker is a killed one.
     beater = threading.Thread(target=heartbeat, daemon=True)
     beater.start()
-    send((MSG_READY, os.getpid()))
+
+    context = pickle.loads(context_blob) if context_blob is not None else None
+    copy = WorkingCopy(
+        network_blob,
+        getattr(context, "converged_ahead", ()),
+        decision_config,
+        max_messages,
+    )
+    copy.network()  # pay the unpickle and the convergence before reporting ready
+    # No task's metrics hold the work done so far; it goes home with the READY.
+    send((MSG_READY, os.getpid(), get_registry().dump_raw()))
 
     try:
         while True:

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.bgp.decision import DecisionConfig
 from repro.bgp.engine import EngineStats, default_message_budget, simulate
 from repro.bgp.network import Network
+from repro.bgp.router import Router
+from repro.bgp.session import Session
 from repro.net.prefix import Prefix
 from repro.obs.metrics import get_registry
 from repro.obs.trace import EVENT_QUARANTINE, get_tracer
@@ -187,6 +189,8 @@ def simulate_prefix_bounded(
     prefix: Prefix,
     config: DecisionConfig = DecisionConfig(),
     max_messages: int | None = None,
+    dropped: Sequence[Session] = (),
+    reoriginated: Sequence[Router] = (),
 ) -> tuple[EngineStats, PrefixOutcome]:
     """Simulate ``prefix`` once, within one message budget.
 
@@ -195,13 +199,18 @@ def simulate_prefix_bounded(
     exhausting it means a dispute wheel, not a big topology.  Returns the
     engine stats of the attempt plus the outcome classification.  On
     divergence the prefix's partial routing state is cleared (quarantine)
-    and the stats record it in ``diverged``.
+    and the stats record it in ``diverged``.  ``dropped`` /
+    ``reoriginated`` are the engine's (:func:`~repro.bgp.engine.simulate`):
+    the attempt resumes from the state the prefix holds, if it holds any.
     """
     started = time.monotonic()
     budget = max_messages
     if budget is None:
         budget = min(16 * default_message_budget(network), 2_000_000)
-    stats = simulate(network, (prefix,), config, budget, on_divergence="quarantine")
+    stats = simulate(
+        network, (prefix,), config, budget, on_divergence="quarantine",
+        dropped=dropped, reoriginated=reoriginated,
+    )
     status = CONVERGED
     if stats.diverged:
         status = DIVERGED

@@ -27,7 +27,10 @@ between them), and then does nothing but watch:
 * **Signal fan-out** — SIGTERM/SIGINT drain every worker gracefully
   (each worker runs the full single-process drain contract) and the
   supervisor exits 0; SIGHUP is forwarded so one signal hot-swaps the
-  artifact in every worker.
+  artifact in every worker.  A worker that has not reported ready is
+  *owed* the signal and gets it on ``MSG_READY``: until ``run_server``
+  installs the worker's own handler a forked worker still runs the one
+  it inherited from this process, which would swallow the reload.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ class _ServeWorker(Worker):
     """One serve worker: the slot record plus whether it ever booted."""
 
     ready: bool = False
+    owed_hup: bool = False
+    """A SIGHUP arrived while the worker booted; forward it once ready."""
 
 
 def _serve_worker_main(
@@ -214,8 +219,7 @@ class ServeSupervisor:
                 while self._drain.signum is None:
                     if self._hup_pending:
                         self._hup_pending = False
-                        for worker in self._slots.live():
-                            self._signal(worker, signal.SIGHUP)
+                        self._forward_hup()
                     self._slots.pump(_TICK_SECONDS)
                     if self._boot_failures >= self.max_boot_failures:
                         logger.error(
@@ -289,6 +293,9 @@ class ServeSupervisor:
         if kind == MSG_READY:
             worker.ready = True
             self._boot_failures = 0
+            if worker.owed_hup:
+                worker.owed_hup = False
+                self._signal(worker, signal.SIGHUP)
             logger.info(
                 "serve worker %d (pid %s) ready on %s",
                 worker.index, message[1], message[2],
@@ -307,6 +314,14 @@ class ServeSupervisor:
 
     def _note_hup(self) -> None:
         self._hup_pending = True
+
+    def _forward_hup(self) -> None:
+        """Reload every worker: the ready ones now, the others once ready."""
+        for worker in self._slots.live():
+            if worker.ready:
+                self._signal(worker, signal.SIGHUP)
+            else:
+                worker.owed_hup = True
 
     @staticmethod
     def _signal(worker: _ServeWorker, signum: int) -> None:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bgp.engine import EngineStats, resume_prefix, simulate, simulate_prefix
 from repro.bgp.network import Network, build_clique
 from repro.bgp.policy import Action, Clause, Match
 from repro.bgp.router import (
@@ -70,8 +71,9 @@ class TestTopologyConstruction:
     def test_disconnect_removes_both_directions(self):
         net = Network()
         a, b = net.add_router(1), net.add_router(2)
-        net.connect(a, b)
-        net.disconnect(a, b)
+        forward, backward = net.connect(a, b)
+        assert net.disconnect(a, b) == [forward, backward]
+        assert net.disconnect(a, b) == []
         assert net.get_session(a, b) is None
         assert net.get_session(b, a) is None
         assert not a.sessions_out and not b.sessions_in
@@ -164,8 +166,6 @@ class TestBookkeeping:
         a, b = net.add_router(1), net.add_router(2)
         net.connect(a, b)
         net.originate(a, PREFIX)
-        from repro.bgp.engine import simulate
-
         simulate(net)
         assert b.best(PREFIX) is not None
         net.clear_prefix(PREFIX)
@@ -192,3 +192,78 @@ class TestBookkeeping:
         net.connect(a, b)
         net.connect(b, c)
         assert net.as_adjacencies() == {(1, 2), (2, 3)}
+
+
+class TestHeldStateUndo:
+    """A perturbation hands back the routing state it was opened with."""
+
+    HELD, OTHER, COLD = (Prefix(f"10.{n}.0.0/24") for n in (1, 2, 3))
+
+    @pytest.fixture()
+    def square(self):
+        """AS1 - AS2 - AS3 - AS4 - AS1; AS1 originates HELD and COLD, AS3
+        OTHER; HELD and OTHER are converged, COLD holds nothing."""
+        from tests.test_bgp_engine_golden import canonical_dump
+
+        net = Network("square")
+        routers = [net.add_router(asn) for asn in (1, 2, 3, 4)]
+        for a, b in zip(routers, routers[1:] + routers[:1]):
+            net.connect(a, b)
+        net.originate(routers[0], self.HELD)
+        net.originate(routers[0], self.COLD)
+        net.originate(routers[2], self.OTHER)
+        simulate(net, [self.HELD, self.OTHER])
+        return net, routers, lambda: canonical_dump(net, EngineStats())
+
+    def test_resumed_and_cleared_prefixes_come_back_and_new_state_goes(self, square):
+        net, routers, dump = square
+        before = dump()
+        assert net.holds_state(self.HELD) and not net.holds_state(self.COLD)
+        net.open_perturbation()
+        dropped = net.disconnect(routers[0], routers[1])
+        resume_prefix(net, self.HELD, dropped=dropped)       # held: resumed
+        assert routers[1].best(self.HELD).as_path == (3, 4, 1)
+        simulate_prefix(net, self.OTHER)                     # held: cleared
+        simulate_prefix(net, self.COLD)                      # held nothing
+        net.clear_prefix(self.OTHER)
+        assert dump() != before
+        net.close_perturbation()
+        assert dump() == before
+        assert not net.holds_state(self.COLD)
+        assert {p: set(t) for p, t in net._touched.items()} == {
+            self.HELD: {r.router_id for r in routers},
+            self.OTHER: {r.router_id for r in routers},
+        }
+        assert "_held" not in vars(net) and "_undo" not in vars(net)
+
+    def test_a_prefix_nothing_touched_is_not_copied(self, square):
+        net, routers, _ = square
+        ribs = [
+            (r.adj_rib_in.get(self.HELD), r.adj_rib_out[self.HELD]) for r in routers
+        ]
+        net.open_perturbation()
+        resume_prefix(net, self.OTHER, dropped=net.disconnect(routers[2], routers[3]))
+        assert len(net._undo) == 2 + 4 + 1  # snapshots, list positions, one prefix
+        net.close_perturbation()
+        for router, (rib_in, rib_out) in zip(routers, ribs):
+            assert router.adj_rib_in.get(self.HELD) is rib_in
+            assert router.adj_rib_out[self.HELD] is rib_out
+
+    def test_the_slices_are_set_aside_once(self, square):
+        """The second touch must not overwrite the pre-open copy."""
+        net, routers, dump = square
+        before = dump()
+        net.open_perturbation()
+        resume_prefix(net, self.HELD, dropped=net.disconnect(routers[0], routers[1]))
+        resume_prefix(net, self.HELD, dropped=net.disconnect(routers[0], routers[3]))
+        assert all(r.best(self.HELD) is None for r in routers[1:])
+        net.clear_prefix(self.HELD)
+        net.close_perturbation()
+        assert dump() == before
+
+    def test_outside_a_perturbation_nothing_is_logged(self, square):
+        net, _, _ = square
+        net.set_aside(self.HELD)
+        net.clear_prefix(self.HELD)
+        assert not net.holds_state(self.HELD)
+        assert Network._undo is None and "_undo" not in vars(net)

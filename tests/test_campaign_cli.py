@@ -83,6 +83,30 @@ class TestCampaignCli:
         assert document["counts"]["scenarios"] == 2
         assert "meta" in document
 
+    def test_stats_reads_the_report_resumes_and_origins_converged_ahead(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        report = tmp_path / "campaign.json"
+        assert campaign(
+            fixture_dir, "depeer", "--max-scenarios", "4", "--report", str(report),
+        ) == 0
+        meta = json.loads(report.read_text())["meta"]
+        counters = meta["metrics"]["counters"]
+        assert meta["origins_converged_ahead"] > 0
+        assert counters["engine.resumes"] > 0 and counters["engine.prefixes"] > 0
+        assert counters["engine.converged_ahead"] == meta["origins_converged_ahead"]
+        capsys.readouterr()
+        assert main(["stats", str(report)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, value in (
+            ("origins_converged_ahead", meta["origins_converged_ahead"]),
+            ("engine.resumes", counters["engine.resumes"]),
+            ("campaign.scenarios_completed", 4),
+        ):
+            assert [line.split() for line in lines if name in line] == [
+                [name, str(value)]
+            ]
+
     def test_hijack_requires_victim(self, fixture_dir, capsys):
         code = campaign(fixture_dir, "hijack")
         assert code == 2

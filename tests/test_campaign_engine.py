@@ -22,6 +22,7 @@ from repro.campaign import (
     generate_depeer,
     generate_hijack,
     load_checkpoint,
+    plan_campaign,
     run_campaign,
     validate_baseline,
     write_checkpoint,
@@ -97,7 +98,9 @@ class TestRunCampaign:
 
     def test_one_working_copy_in_any_order_equals_a_fresh_copy_each(self):
         """Mixed kinds, shuffled: exact undo makes scenario order irrelevant,
-        which is also why sequential equals any placement on pool workers."""
+        which is also why sequential equals any placement on pool workers.
+        The copy holds converged what two scenarios name, as a campaign's
+        does, so the depeers and hijacks resume — and equal from scratch."""
         world = seeded_world(3)
         origins = sorted(world.model.prefix_by_origin)
         scenarios = [
@@ -111,7 +114,10 @@ class TestRunCampaign:
             )
             for scenario in scenarios
         }
-        copy = WorkingCopy(world.blob)
+        planned = plan_campaign(world.model, scenarios, world.context)
+        ahead = planned.converged_ahead
+        assert 10 < len(ahead) < len(origins)  # some origin is named once
+        copy = WorkingCopy(world.blob, ahead, MODEL_DECISION_CONFIG)
         for order_seed in (0, 1):
             shuffled = list(scenarios)
             random.Random(order_seed).shuffle(shuffled)
@@ -119,19 +125,46 @@ class TestRunCampaign:
             for scenario in shuffled:
                 with copy.perturbed() as network:
                     value = scenario.run(
-                        network, world.context, MODEL_DECISION_CONFIG, None
+                        network, planned, MODEL_DECISION_CONFIG, None
                     )
                 assert value == fresh[scenario.key], scenario.key
 
-        sequential = run_campaign(world.model, "mixed", scenarios, world.context)
+        def counted(**kwargs):
+            registry = MetricsRegistry()
+            set_registry(registry)
+            try:
+                report = run_campaign(
+                    world.model, "mixed", scenarios, world.context, **kwargs
+                )
+                return report, registry.snapshot()["counters"]
+            finally:
+                set_registry(MetricsRegistry())
+
+        sequential, one_copy = counted()
         assert {o.key: o.detail for o in sequential.outcomes} == fresh
-        pooled = run_campaign(
-            world.model, "mixed", scenarios, world.context,
-            parallel=ParallelConfig(workers=2),
-        )
+        pooled, two_copies = counted(parallel=ParallelConfig(workers=2))
         assert pooled.to_json(include_meta=False) == sequential.to_json(
             include_meta=False
         )
+        # Each of the two workers converges its own set: an origin has to
+        # be named four times to be worth it there.
+        per_worker = plan_campaign(
+            world.model, scenarios, world.context, copies=2
+        ).converged_ahead
+        assert 0 < len(per_worker) < len(ahead)
+        assert sequential.meta["origins_converged_ahead"] == len(ahead)
+        assert pooled.meta["origins_converged_ahead"] == len(per_worker)
+        # The counters read the same way in both modes: what was converged
+        # ahead is counted apart (by every copy that reported ready), and
+        # what the scenarios re-converged, either way, is the same total.
+        assert one_copy["engine.converged_ahead"] == len(ahead)
+        assert two_copies["engine.converged_ahead"] in (
+            len(per_worker), 2 * len(per_worker)
+        )
+        assert len({
+            c["engine.prefixes"] - c["engine.converged_ahead"] + c["engine.resumes"]
+            for c in (one_copy, two_copies)
+        }) == 1
 
     def test_sequential_poison_is_quarantined_not_fatal(self, model, context):
         scenarios = [*generate_depeer(model), ExplodingScenario()]

@@ -5,8 +5,9 @@ for every campaign kind: cutting AS2-AS3 bisects the line, AS2 hijacking
 AS4's prefix captures both of its neighbours, and a 2-site anycast on
 the line's endpoints splits the interior observers evenly.
 
-The crossing-origin depeer and the one working copy are judged against
-the plain engine on seeded refined worlds: a fresh unpickle, the
+The crossing-origin depeer and the one working copy — cold, or holding
+origins converged ahead for the scenarios to resume from — are judged
+against the plain engine on seeded refined worlds: a fresh unpickle, the
 adjacency removed, every prefix simulated from scratch.
 """
 
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.bgp import Network, simulate
+from repro.bgp.engine import EngineStats
 from repro.bgp.policy import Clause, Match
 from repro.campaign import (
     CatchmentScenario,
@@ -28,6 +30,8 @@ from repro.campaign import (
     generate_depeer,
     generate_hijack,
     generate_link_failure,
+    plan_campaign,
+    run_campaign,
 )
 from repro.campaign.diffing import diff_path_maps
 from repro.campaign.scenarios import KIND_LINK_FAILURE, crossing_origins
@@ -48,6 +52,7 @@ from repro.resilience.retry import simulate_network_bounded
 from repro.serve import compile_artifact
 from repro.topology.dataset import ObservedRoute, PathDataset
 from repro.topology.graph import ASGraph
+from tests.test_bgp_engine_golden import canonical_dump
 
 P = Prefix("10.0.0.0/24")
 
@@ -72,7 +77,7 @@ def model():
 def context(model):
     artifact, _ = compile_artifact(model)
     model.network.clear_routing()
-    return context_from_artifact(artifact)
+    return plan_campaign(model, [], context_from_artifact(artifact))
 
 
 def run_scenario(model, scenario, context):
@@ -103,14 +108,16 @@ def seeded_world(seed: int) -> World:
     assert Refiner(model, dataset, RefinementConfig(max_iterations=12)).run().converged
     artifact, _ = compile_artifact(model)
     model.network.clear_routing()
-    return World(model, context_from_artifact(artifact), dump_network(model.network))
+    context = plan_campaign(model, [], context_from_artifact(artifact))
+    assert context.unique_state and not context.converged_ahead
+    return World(model, context, dump_network(model.network))
 
 
 def from_scratch(blob: bytes, context, asn_a: int, asn_b: int, config=MODEL_DECISION_CONFIG):
     """The oracle: fresh copy, adjacency removed, every prefix re-simulated."""
     network = pickle.loads(blob)
     model = ASRoutingModel.from_network(network)
-    removed = remove_adjacency(model, asn_a, asn_b)
+    removed = len(remove_adjacency(model, asn_a, asn_b))
     stats = simulate_network_bounded(network, config=config)
     assert not stats.quarantined
     current = collect_path_map(model, context.observers)
@@ -132,21 +139,52 @@ def structure(network: Network) -> dict:
         "sessions_in": [[s.session_id for s in r.sessions_in] for r in routers],
         "originations": [(p, list(o)) for p, o in network.originations.items()],
         "local_routes": [list(r.local_routes) for r in routers],
-        "ribs": [(r.adj_rib_in, r.loc_rib, r.adj_rib_out) for r in routers],
+        "ribs": canonical_dump(network, EngineStats())[:-1],  # by value
         "touched": network._touched,
-        "open": network._undo,
+        "open": (network._undo, network._held),
     }
+
+
+def disagree_gadget() -> Network:
+    """Five ASes, AS1 originating, with two stable states (local-pref).
+
+    AS2 and AS3 each prefer the other's route (a DISAGREE pair), AS2
+    also prefers AS4's.  With every session up the engine settles on
+    "AS2 via AS4, AS3 via AS2"; AS1-AS2 carries no selected route, and
+    that state stays stable without it — yet from scratch the engine
+    reaches the other stable state, "AS3 via AS5, AS2 via AS3".
+    """
+    network = Network("disagree")
+    routers = {asn: network.add_router(asn) for asn in range(1, 6)}
+    for a, b in ((1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)):
+        network.connect(routers[a], routers[b])
+    for sender, receiver in ((2, 3), (3, 2), (4, 2), (5, 4)):
+        network.get_session(
+            routers[sender], routers[receiver]
+        ).ensure_import_map().append(Clause(Match(), set_local_pref=200))
+    network.originate(routers[1], prefix_for_asn(1))
+    return network
+
+
+def engine_counts(call, *args, **kwargs):
+    """``call``'s result, prefixes simulated from scratch, prefixes resumed."""
+    registry = MetricsRegistry()
+    set_registry(registry)
+    try:
+        result = call(*args, **kwargs)
+        counters = registry.snapshot()["counters"]
+        return (
+            result,
+            counters.get("engine.prefixes", 0),
+            counters.get("engine.resumes", 0),
+        )
+    finally:
+        set_registry(MetricsRegistry())
 
 
 def engine_prefixes(scenario, network, context, config=MODEL_DECISION_CONFIG):
     """``scenario.run``'s result and how many prefixes it simulated."""
-    registry = MetricsRegistry()
-    set_registry(registry)
-    try:
-        result = scenario.run(network, context, config, None)
-        return result, registry.snapshot()["counters"].get("engine.prefixes", 0)
-    finally:
-        set_registry(MetricsRegistry())
+    return engine_counts(scenario.run, network, context, config, None)[:2]
 
 
 class TestCollectPathMap:
@@ -287,14 +325,27 @@ class TestCrossingOrigins:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_every_adjacency_equals_the_from_scratch_recipe(self, seed):
+        """... whether the copy is cold (every crossing origin simulated) or
+        holds every origin converged ahead (every crossing origin resumed).
+        What the plan names is what is resumed: state the copy merely holds
+        is simulated over."""
         world = seeded_world(seed)
         copy = WorkingCopy(world.blob)
+        every = tuple(world.model.prefix_by_origin.values())
+        warm = WorkingCopy(world.blob, every, MODEL_DECISION_CONFIG)
+        warm.network()
+        planned = dataclasses.replace(world.context, converged_ahead=every)
         origins = len(world.model.prefix_by_origin)
         simulated = []
         for scenario in generate_depeer(world.model):
             with copy.perturbed() as network:
                 outcome, count = engine_prefixes(scenario, network, world.context)
             simulated.append(count)
+            for context, counts in ((planned, (0, count)), (world.context, (count, 0))):
+                with warm.perturbed() as network:
+                    assert engine_counts(
+                        scenario.run, network, context, MODEL_DECISION_CONFIG, None
+                    ) == (outcome, *counts)
             removed, diff = from_scratch(
                 world.blob, world.context, scenario.asn_a, scenario.asn_b
             )
@@ -314,23 +365,26 @@ class TestCrossingOrigins:
     def test_crossing_set_is_read_off_the_baseline_paths(self, model, context):
         # On the line, AS1's prefix reaches AS3 and AS4 over AS2-AS3 and
         # so does everyone else's: every origin crosses the middle edge.
-        assert crossing_origins(model, context, MODEL_DECISION_CONFIG, 2, 3) == {
+        assert crossing_origins(model, context, 2, 3) == {
             1, 2, 3, 4
         }
         # Excluded (quarantined-at-compile) origins always cross.
         narrowed = dataclasses.replace(context, excluded=frozenset({4}))
-        assert 4 in crossing_origins(model, narrowed, MODEL_DECISION_CONFIG, 1, 2)
+        assert 4 in crossing_origins(model, narrowed, 1, 2)
 
     @pytest.mark.parametrize("breach", [
         "local-pref", "ibgp", "med-not-always-compared", "end-not-observed",
     ])
-    def test_every_origin_crosses_when_a_precondition_fails(self, breach):
-        """Same code, full set: asserted through the engine's own counter."""
+    def test_every_origin_crosses_when_a_precondition_fails(
+        self, breach, monkeypatch
+    ):
+        """Same code, full set: asserted through the engine's own counter.
+        The plan made for the breached model is what says so."""
         world = seeded_world(1)
         scenario = min(
             generate_depeer(world.model),
             key=lambda s: len(crossing_origins(
-                world.model, world.context, MODEL_DECISION_CONFIG, s.asn_a, s.asn_b
+                world.model, world.context, s.asn_a, s.asn_b
             )),
         )
         origins = len(world.model.prefix_by_origin)
@@ -348,34 +402,24 @@ class TestCrossingOrigins:
             )
         elif breach == "med-not-always-compared":
             config = dataclasses.replace(config, med_always_compare=False)
+            monkeypatch.setattr(
+                "repro.campaign.engine.MODEL_DECISION_CONFIG", config
+            )
         else:
             context = dataclasses.replace(context, observers=tuple(
                 asn for asn in context.observers if asn != scenario.asn_b
             ))
+        context = plan_campaign(ASRoutingModel.from_network(network), [], context)
+        assert context.unique_state == (breach == "end-not-observed")
 
         _, few = engine_prefixes(scenario, pickle.loads(world.blob), world.context)
         _, every = engine_prefixes(scenario, network, context, config)
         assert few < origins / 4 and every == origins
 
     def test_disagree_gadget_has_two_stable_states(self):
-        """Why local-pref trips the guard.
-
-        AS2 and AS3 each prefer the other's route (a DISAGREE pair), AS2
-        also prefers AS4's.  With every session up the engine settles on
-        "AS2 via AS4, AS3 via AS2"; AS1-AS2 carries no selected route, and
-        that state stays stable without it — yet from scratch the engine
-        reaches the other stable state, "AS3 via AS5, AS2 via AS3".  Only
-        a full re-simulation reports what the engine would answer.
-        """
-        network = Network("disagree")
-        routers = {asn: network.add_router(asn) for asn in range(1, 6)}
-        for a, b in ((1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)):
-            network.connect(routers[a], routers[b])
-        for sender, receiver in ((2, 3), (3, 2), (4, 2), (5, 4)):
-            network.get_session(
-                routers[sender], routers[receiver]
-            ).ensure_import_map().append(Clause(Match(), set_local_pref=200))
-        network.originate(routers[1], prefix_for_asn(1))
+        """Why local-pref trips the guard: only a full re-simulation
+        reports what the engine would answer on :func:`disagree_gadget`."""
+        network = disagree_gadget()
         model = ASRoutingModel.from_network(network)
         artifact, _ = compile_artifact(model)
         context = context_from_artifact(artifact)
@@ -383,7 +427,7 @@ class TestCrossingOrigins:
 
         assert context.baseline_paths[(1, 2)] == ((2, 4, 5, 1),)
         assert context.baseline_paths[(1, 3)] == ((3, 2, 4, 5, 1),)
-        assert crossing_origins(model, context, MODEL_DECISION_CONFIG, 1, 2) == {1}
+        assert crossing_origins(model, context, 1, 2) == {1}
         result = run_scenario(model, EdgeFailureScenario(1, 2), context)
         _, oracle = from_scratch(dump_network(network), context, 1, 2)
         assert result["diff"] == oracle.to_dict()
@@ -397,6 +441,104 @@ class TestCrossingOrigins:
         cut_model.simulate_all()
         assert selected_paths(cut_model, 1, 2) == {(2, 3, 5, 1)}
         assert selected_paths(cut_model, 1, 3) == {(3, 5, 1)}
+
+
+class TestConvergeOnceResume:
+    """``run_campaign`` converges ahead what two scenarios name, where it may."""
+
+    def planned(self, world, scenarios):
+        """(named by two or more, named by exactly one) of ``scenarios``."""
+        names = [
+            scenario.perturbed_origins(world.model, world.context)
+            for scenario in scenarios
+            if not isinstance(scenario, CatchmentScenario)
+        ]
+        once = {o for o in set().union(*names) if sum(o in n for n in names) == 1}
+        return set().union(*names) - once, once
+
+    def test_an_origin_is_converged_ahead_when_two_scenarios_name_it(self):
+        world = seeded_world(1)
+        origins = sorted(world.model.prefix_by_origin)
+        depeers = generate_depeer(world.model)
+        scenarios = [
+            depeers[0], depeers[1], depeers[5],
+            *generate_hijack(world.model, origins[0], attackers=origins[1:3]),
+            HijackScenario(origins[3], origins[4]),
+            *generate_catchment(world.model, origins[:2]),
+        ]
+        twice, once = self.planned(world, scenarios)
+        assert origins[0] in twice and twice - {origins[0]} and once
+        report, simulated, resumed = engine_counts(
+            run_campaign, world.model, "mixed", scenarios, world.context
+        )
+        assert report.meta["origins_converged_ahead"] == len(twice)
+        named = sum(
+            len(s.perturbed_origins(world.model, world.context))
+            for s in scenarios
+            if not isinstance(s, CatchmentScenario)
+        )
+        assert resumed == named - len(once)
+        # One convergence per origin named twice, one simulation per origin
+        # named once; catchment: one for the base, two per failed site.
+        assert simulated == len(twice) + len(once) + 1 + 2 * 2
+        assert not world.model.network._touched  # the model's own network: never
+
+    def test_a_campaign_of_one_scenario_converges_nothing_ahead(self):
+        """... and simulates exactly what it did before there was a plan."""
+        world = seeded_world(1)
+        scenario = generate_depeer(world.model)[3]
+        crossing = scenario.perturbed_origins(world.model, world.context)
+        report, simulated, resumed = engine_counts(
+            run_campaign, world.model, "depeer", [scenario], world.context
+        )
+        assert report.meta["origins_converged_ahead"] == 0
+        assert (simulated, resumed) == (len(crossing), 0)
+        assert 0 < len(crossing) < len(world.model.prefix_by_origin)
+
+    @pytest.mark.parametrize("breach", [
+        "local-pref", "ibgp", "med-not-always-compared", "disagree-gadget",
+    ])
+    def test_a_model_with_several_stable_states_is_never_resumed(
+        self, breach, monkeypatch
+    ):
+        """Every origin is named by every depeer, and still nothing is held:
+        each scenario simulates every origin from scratch, as the recipe does."""
+        config = MODEL_DECISION_CONFIG
+        if breach == "disagree-gadget":
+            network = disagree_gadget()
+            artifact, _ = compile_artifact(ASRoutingModel.from_network(network))
+            network.clear_routing()
+            context = context_from_artifact(artifact)
+        else:
+            network = pickle.loads(seeded_world(1).blob)
+            context = seeded_world(1).context
+        if breach == "local-pref":
+            next(iter(network.sessions.values())).ensure_import_map().append(
+                Clause(Match(prefix=Prefix("192.0.2.0/24")), set_local_pref=120)
+            )
+        elif breach == "ibgp":
+            asn = min(network.ases)
+            network.connect(network.add_router(asn), network.as_routers(asn)[0])
+        elif breach == "med-not-always-compared":
+            config = dataclasses.replace(config, med_always_compare=False)
+            monkeypatch.setattr(
+                "repro.campaign.engine.MODEL_DECISION_CONFIG", config
+            )
+        model = ASRoutingModel.from_network(network)
+        scenarios = generate_depeer(model)[:3]
+        report, simulated, resumed = engine_counts(
+            run_campaign, model, "depeer", scenarios, context
+        )
+        assert report.meta["origins_converged_ahead"] == 0
+        assert (simulated, resumed) == (3 * len(model.prefix_by_origin), 0)
+        blob = dump_network(network)
+        details = {outcome.key: outcome.detail for outcome in report.outcomes}
+        for scenario in scenarios:
+            removed, diff = from_scratch(
+                blob, context, scenario.asn_a, scenario.asn_b, config
+            )
+            assert details[scenario.key]["removed_sessions"] == removed
+            assert details[scenario.key]["diff"] == diff.to_dict(), scenario.key
 
 
 @dataclass(frozen=True)
@@ -428,22 +570,47 @@ class TestWorkingCopy:
             CatchmentScenario(sites, sites[1]),
         ]
 
-    def test_copy_equals_a_fresh_unpickle_after_each_scenario_kind(self):
+    def held(self, world):
+        """Converged ahead: what the scenarios above resume (the depeer's
+        crossing origins, the hijack victim) and one they never touch."""
+        origins = sorted(world.model.prefix_by_origin)
+        depeer = generate_depeer(world.model)[0]
+        named = crossing_origins(
+            world.model, world.context, depeer.asn_a, depeer.asn_b
+        ) | {origins[0]}
+        named.add(next(origin for origin in origins if origin not in named))
+        return [world.model.prefix_by_origin[origin] for origin in sorted(named)]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_copy_equals_a_fresh_unpickle_after_each_scenario_kind(self, warm):
+        """Held prefixes get their pre-open RIBs back, no other prefix
+        keeps any, and every topology position is as before."""
         world = seeded_world(2)
-        fresh = structure(pickle.loads(world.blob))
-        assert not any(any(ribs) for ribs in fresh["ribs"])
-        copy = WorkingCopy(world.blob)
+        held = self.held(world) if warm else []
+        context = dataclasses.replace(world.context, converged_ahead=tuple(held))
+        fresh = structure(WorkingCopy(world.blob, held, MODEL_DECISION_CONFIG).network())
+        assert sorted(fresh["touched"]) == held and bool(fresh["ribs"]) == warm
+        copy = WorkingCopy(world.blob, held, MODEL_DECISION_CONFIG)
         first = copy.network()
         for scenario in self.scenarios(world):
             with copy.perturbed() as network:
-                scenario.run(network, world.context, MODEL_DECISION_CONFIG, None)
+                _, simulated, resumed = engine_counts(
+                    scenario.run, network, context, MODEL_DECISION_CONFIG, None
+                )
                 assert structure(network) != fresh
             assert copy.network() is first
             assert structure(first) == fresh, scenario.key
+            if isinstance(scenario, CatchmentScenario):
+                assert resumed == 0  # its prefix is its own: always from scratch
+            else:
+                assert (resumed > 0, simulated > 0) == (warm, not warm), scenario.key
 
-    def test_copy_is_recovered_from_the_blob_after_a_scenario_raises(self):
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_copy_is_recovered_from_the_blob_after_a_scenario_raises(self, warm):
+        """... and the next borrower finds the converged prefixes again."""
         world = seeded_world(2)
-        copy = WorkingCopy(world.blob)
+        held = self.held(world) if warm else []
+        copy = WorkingCopy(world.blob, held, MODEL_DECISION_CONFIG)
         first = copy.network()
         with pytest.raises(TopologyError, match="halfway"):
             with copy.perturbed() as network:
@@ -451,7 +618,30 @@ class TestWorkingCopy:
                     network, world.context, MODEL_DECISION_CONFIG, None
                 )
         assert copy.network() is not first
-        assert structure(copy.network()) == structure(pickle.loads(world.blob))
+        with copy.perturbed() as network:
+            assert sorted(network._touched) == held
+        assert structure(copy.network()) == structure(
+            WorkingCopy(world.blob, held, MODEL_DECISION_CONFIG).network()
+        )
+
+    def test_a_closed_copy_leaves_no_route_behind_and_can_be_made_again(self):
+        world = seeded_world(2)
+        copy = WorkingCopy(world.blob, self.held(world), MODEL_DECISION_CONFIG)
+        first = copy.network()
+        assert first._touched
+        copy.close()
+        assert not first._touched
+        assert canonical_dump(first, EngineStats())[:-1] == []
+        copy.close()  # nothing to forget: no copy is made for it
+        assert copy._network is None
+        assert copy.network() is not first and copy.network()._touched
+
+    def test_routing_state_that_came_in_the_blob_is_dropped(self):
+        """Nobody resumes it, so it would only be set aside and put back."""
+        network = pickle.loads(seeded_world(2).blob)
+        simulate(network, config=MODEL_DECISION_CONFIG)
+        assert network._touched
+        assert not WorkingCopy(dump_network(network)).network()._touched
 
     def test_undo_restores_positions_not_just_membership(self):
         """Withdraw the first of two originations, cut a middle session."""

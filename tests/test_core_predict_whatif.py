@@ -1,10 +1,14 @@
 """Tests for prediction and what-if analysis."""
 
+import pickle
+
 import pytest
 
 from repro.core.build import build_initial_model
+from repro.core.model import ASRoutingModel
 from repro.core.predict import (
     ON_COLD_SIMULATE,
+    collect_path_map,
     evaluate_model,
     origin_is_simulated,
     predict_for_origins,
@@ -15,6 +19,7 @@ from repro.core.predict import (
 from repro.core.refine import Refiner
 from repro.core.whatif import (
     depeer,
+    remove_adjacency,
     simulate_link_failure,
     validate_session_endpoints,
 )
@@ -22,6 +27,7 @@ from repro.errors import ModelError, TopologyError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.topology.dataset import ObservedRoute, PathDataset
+from tests.test_campaign_scenarios import disagree_gadget, engine_counts, seeded_world
 
 P = Prefix("10.0.0.0/24")
 
@@ -183,6 +189,58 @@ class TestWhatIf:
         model.simulate_all()
         report = depeer(model, 1, 3, origins=[4], observers=[5])
         assert report.affected_pairs == 0
+
+
+def two_pass_changes(network, as_edges):
+    """The plain recipe: simulate all, cut, simulate all again, compare."""
+    model = ASRoutingModel.from_network(network)
+    observers, origins = sorted(network.ases), sorted(model.prefix_by_origin)
+    model.simulate_all()
+    before = collect_path_map(model, observers)
+    for asn_a, asn_b in as_edges:
+        remove_adjacency(model, asn_a, asn_b)
+    model.simulate_all()
+    after = collect_path_map(model, observers)
+    return [
+        (observer, origin, frozenset(before.get(pair, ())), frozenset(after.get(pair, ())))
+        for observer in observers
+        for origin in origins
+        for pair in [(origin, observer)]
+        if before.get(pair) != after.get(pair)
+    ]
+
+
+class TestWhatIfResumes:
+    """The "after" pass resumes from the "before" pass's RIBs, where it may."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_worlds_equal_the_two_pass_answer(self, seed):
+        world = seeded_world(seed)
+        edges = sorted(world.model.graph.edges())
+        origins = len(world.model.prefix_by_origin)
+        for as_edges in ([edges[0]], [edges[3]], [edges[-1]], [edges[1], edges[-2]]):
+            report, simulated, resumed = engine_counts(
+                simulate_link_failure,
+                ASRoutingModel.from_network(pickle.loads(world.blob)),
+                as_edges,
+            )
+            assert (simulated, resumed) == (origins, origins)
+            assert [
+                (c.observer_asn, c.origin_asn, c.before, c.after) for c in report.changes
+            ] == two_pass_changes(pickle.loads(world.blob), as_edges)
+            assert report.changes
+
+    def test_a_model_with_several_stable_states_is_simulated_twice(self):
+        report, simulated, resumed = engine_counts(
+            simulate_link_failure,
+            ASRoutingModel.from_network(disagree_gadget()),
+            [(1, 2)],
+        )
+        assert (simulated, resumed) == (2, 0)
+        assert [
+            (c.observer_asn, c.origin_asn, c.before, c.after) for c in report.changes
+        ] == two_pass_changes(disagree_gadget(), [(1, 2)])
+        assert {c.observer_asn for c in report.changes} == {2, 3}
 
 
 class TestUpFrontValidation:

@@ -10,6 +10,11 @@ decision is a strict total order (DESIGN.md, "Incremental decision").
 ``TestFullScanOracle`` judges that against the full scan: ``run_decision``
 over every candidate, which is also what the traced engine runs on every
 decision.
+
+``resume_prefix`` re-converges a prefix from the RIBs the routers hold
+(DESIGN.md, "Converge once, resume").  ``TestResumeOracle`` judges it
+against the plain recipe — the same edits on a fresh copy, then
+``simulate_prefix`` — wherever ``stable_state_is_unique`` holds.
 """
 
 import dataclasses
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 from repro.bgp import Clause, Match, Network, simulate, simulate_prefix
 from repro.bgp.attributes import RouteSource
 from repro.bgp.decision import DecisionConfig, run_decision
+from repro.bgp.engine import resume_prefix, stable_state_is_unique
 from repro.bgp.policy import Action
 from repro.bgp.router import Router
 from repro.core.model import MODEL_DECISION_CONFIG
@@ -30,8 +36,12 @@ from repro.errors import ConvergenceError
 from repro.net.prefix import Prefix
 from repro.obs.trace import EVENT_DECISION, RecordingTracer, tracing
 from repro.relationships.valleyfree import is_valley_free
-from tests.test_bgp_engine_golden import canonical_dump
-from tests.test_campaign_scenarios import seeded_world
+from repro.campaign import generate_depeer
+from repro.campaign.scenarios import crossing_origins
+from repro.core.model import ASRoutingModel
+from repro.core.whatif import remove_adjacency
+from tests.test_bgp_engine_golden import _route_fields, canonical_dump
+from tests.test_campaign_scenarios import disagree_gadget, seeded_world
 
 BASE = SyntheticConfig(seed=0, n_level1=3, n_level2=5, n_other=8, n_stub=14)
 
@@ -89,23 +99,30 @@ def simulate_to_dump(network: Network, prefix: Prefix, config, traced: bool):
 
 PREFIX = Prefix("10.0.0.0/24")
 
+policy_matches = st.builds(
+    Match,
+    prefix=st.sampled_from((None, PREFIX)),
+    path_len_lt=st.sampled_from((None, None, 2, 3)),
+    path_len_gt=st.sampled_from((None, None, None, 2)),
+    from_asn=st.sampled_from((None, None, 1, 2, 3)),
+)
+policy_actions = st.sampled_from((Action.PERMIT, Action.PERMIT, Action.DENY))
+policy_meds = st.sampled_from((None, 0, 1, 2))
 policy_clauses = st.builds(
     Clause,
-    match=st.builds(
-        Match,
-        prefix=st.sampled_from((None, PREFIX)),
-        path_len_lt=st.sampled_from((None, None, 2, 3)),
-        path_len_gt=st.sampled_from((None, None, None, 2)),
-        from_asn=st.sampled_from((None, None, 1, 2, 3)),
-    ),
-    action=st.sampled_from((Action.PERMIT, Action.PERMIT, Action.DENY)),
+    match=policy_matches,
+    action=policy_actions,
     set_local_pref=st.sampled_from((None, None, 80, 120)),
-    set_med=st.sampled_from((None, 0, 1, 2)),
+    set_med=policy_meds,
 )
+filter_and_med_clauses = st.builds(
+    Clause, match=policy_matches, action=policy_actions, set_med=policy_meds
+)
+"""What a refined model holds: no local-pref, so one stable state."""
 
 
 @st.composite
-def policy_network_blobs(draw) -> bytes:
+def policy_network_blobs(draw, clauses=policy_clauses) -> bytes:
     """A pickled quasi-router style network (1-2 routers per AS, eBGP only)
     with one prefix and random local-pref / MED / filter clauses."""
     network = Network("drawn")
@@ -129,7 +146,7 @@ def policy_network_blobs(draw) -> bytes:
         network.originate(routers[index], PREFIX)
     for session in network.sessions.values():
         for ensure_map in (session.ensure_import_map, session.ensure_export_map):
-            for clause in draw(st.lists(policy_clauses, max_size=2)):
+            for clause in draw(st.lists(clauses, max_size=2)):
                 ensure_map().append(clause)
     return pickle.dumps(network)
 
@@ -370,3 +387,158 @@ class TestPerNeighbourMedIsNeverIncremental:
         simulate(network, config=MODEL_DECISION_CONFIG)
         assert routers["r"].best(PREFIX).peer_router == routers["c"].router_id
         assert_locally_stable(network, MODEL_DECISION_CONFIG)
+
+
+def rib_contents(network: Network, prefix: Prefix) -> list:
+    """What every router holds for ``prefix``, by value: dict order, object
+    identity and an empty table against none are not part of it.
+
+    An Adj-RIB-Out entry is compared as the announcement it is.  Its
+    learned-from fields (source, peer router, peer AS: the last three
+    dropped here) describe the best route that first produced the
+    announcement — the engine does not rewrite an entry for an
+    attribute-equal successor — so they depend on message order in a
+    from-scratch run too, and the receiver overwrites them on import.
+    """
+    contents = []
+    for router_id in sorted(network.routers):
+        router = network.routers[router_id]
+        best = router.loc_rib.get(prefix)
+        contents.append((
+            router_id,
+            sorted(
+                (session_id, _route_fields(route))
+                for session_id, route in router.adj_rib_in.get(prefix, {}).items()
+            ),
+            None if best is None else _route_fields(best),
+            sorted(
+                (session_id, _route_fields(route.replace(
+                    source=RouteSource.LOCAL, peer_router=0, peer_asn=0
+                )))
+                for session_id, route in router.adj_rib_out.get(prefix, {}).items()
+            ),
+        ))
+    return contents
+
+
+def flat(peerings) -> list:
+    return [session for peering in peerings for session in peering]
+
+
+class TestResumeOracle:
+    """``resume_prefix`` against the same edits followed by ``simulate_prefix``."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_adjacency_and_crossing_origin_of_a_refined_world(self, seed):
+        world = seeded_world(seed)
+        converged = refined_network(seed)
+        simulate(converged, config=MODEL_DECISION_CONFIG)
+        assert stable_state_is_unique(converged, MODEL_DECISION_CONFIG)
+        resumed_messages = scratch_messages = 0
+        for scenario in generate_depeer(world.model):
+            crossing = sorted(
+                world.model.prefix_by_origin[origin]
+                for origin in crossing_origins(
+                    world.model, world.context, scenario.asn_a, scenario.asn_b
+                )
+            )
+            plain = refined_network(seed)
+            remove_adjacency(
+                ASRoutingModel.from_network(plain), scenario.asn_a, scenario.asn_b
+            )
+            converged.open_perturbation()
+            dropped = flat(remove_adjacency(
+                ASRoutingModel.from_network(converged), scenario.asn_a, scenario.asn_b
+            ))
+            for prefix in crossing:
+                resumed = resume_prefix(
+                    converged, prefix, MODEL_DECISION_CONFIG, dropped=dropped
+                )
+                scratch = simulate_prefix(plain, prefix, MODEL_DECISION_CONFIG)
+                assert rib_contents(converged, prefix) == rib_contents(plain, prefix), (
+                    scenario.key, prefix,
+                )
+                assert (resumed.resumes, resumed.prefixes) == (1, 0)
+                resumed_messages += resumed.messages
+                scratch_messages += scratch.messages
+            converged.close_perturbation()
+        assert_locally_stable(converged, MODEL_DECISION_CONFIG)  # ... and the undo
+        # A perturbation costs what is downstream of it, not the convergence.
+        assert resumed_messages < scratch_messages / 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_hijack_of_every_origin_of_a_refined_world(self, seed):
+        model = seeded_world(seed).model
+        converged = refined_network(seed)
+        simulate(converged, config=MODEL_DECISION_CONFIG)
+        origins = sorted(model.prefix_by_origin)
+        for victim, attacker in zip(origins, origins[1:] + origins[:1]):
+            prefix = model.prefix_by_origin[victim]
+            plain = refined_network(seed)
+            for router in plain.as_routers(attacker):
+                plain.originate(router, prefix)
+            simulate_prefix(plain, prefix, MODEL_DECISION_CONFIG)
+            converged.open_perturbation()
+            attackers = converged.as_routers(attacker)
+            for router in attackers:
+                converged.originate(router, prefix)
+            resume_prefix(
+                converged, prefix, MODEL_DECISION_CONFIG, reoriginated=attackers
+            )
+            assert rib_contents(converged, prefix) == rib_contents(plain, prefix), (
+                victim, attacker,
+            )
+            converged.close_perturbation()
+        assert_locally_stable(converged, MODEL_DECISION_CONFIG)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(policy_network_blobs(filter_and_med_clauses), st.data())
+    def test_drawn_filter_and_med_networks_with_random_removals(self, blob, data):
+        """Sessions dropped and originations toggled, possibly both at once
+        and down to no originator at all (a pure withdrawal)."""
+        converged, plain = pickle.loads(blob), pickle.loads(blob)
+        assert stable_state_is_unique(converged, MODEL_DECISION_CONFIG)
+        simulate_prefix(converged, PREFIX, MODEL_DECISION_CONFIG)
+        routers = sorted(converged.routers)
+        peerings = sorted({
+            tuple(sorted((s.src.router_id, s.dst.router_id)))
+            for s in converged.sessions.values()
+        })
+        cut = data.draw(st.lists(st.sampled_from(peerings), unique=True)) if peerings else []
+        toggled = data.draw(st.lists(st.sampled_from(routers), max_size=2, unique=True))
+        dropped, reoriginated = [], []
+        for network in (converged, plain):
+            for a, b in cut:
+                removed = network.disconnect(network.routers[a], network.routers[b])
+                if network is converged:
+                    dropped += removed
+            for router_id in toggled:
+                router = network.routers[router_id]
+                if router_id in network.originators(PREFIX):
+                    network.withdraw(router, PREFIX)
+                else:
+                    network.originate(router, PREFIX)
+                if network is converged:
+                    reoriginated.append(router)
+        resume_prefix(converged, PREFIX, MODEL_DECISION_CONFIG, None, dropped, reoriginated)
+        simulate_prefix(plain, PREFIX, MODEL_DECISION_CONFIG)
+        assert rib_contents(converged, PREFIX) == rib_contents(plain, PREFIX)
+        assert_locally_stable(converged, MODEL_DECISION_CONFIG)
+
+    def test_without_uniqueness_a_resume_may_settle_elsewhere(self):
+        """Why the predicate gates every caller: DISAGREE's other state."""
+        resumed, plain = disagree_gadget(), disagree_gadget()
+        assert not stable_state_is_unique(resumed, MODEL_DECISION_CONFIG)
+        prefix, = resumed.prefixes()
+        simulate_prefix(resumed, prefix, MODEL_DECISION_CONFIG)
+        as1, as2 = (resumed.as_routers(asn)[0] for asn in (1, 2))
+        resume_prefix(
+            resumed, prefix, MODEL_DECISION_CONFIG,
+            dropped=resumed.disconnect(as1, as2),
+        )
+        plain.disconnect(*(plain.as_routers(asn)[0] for asn in (1, 2)))
+        simulate_prefix(plain, prefix, MODEL_DECISION_CONFIG)
+        for network in (resumed, plain):
+            assert_locally_stable(network, MODEL_DECISION_CONFIG)
+        assert as2.best(prefix).as_path == (4, 5, 1)
+        assert plain.as_routers(2)[0].best(prefix).as_path == (3, 5, 1)

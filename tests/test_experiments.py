@@ -83,9 +83,14 @@ class TestRegistry:
     @pytest.mark.parametrize(
         "experiment",
         # Not the serve campaign: it drives real server processes whatever
-        # the workload, and started from a warm process one run in five finds
-        # a worker that missed the first SIGHUP (CHANGES.md, PR 18).  CI's
-        # serve-resilience job runs it from the CLI.
+        # the workload, and its timing assumptions fail about one run in
+        # eight on a shared machine.  The SIGHUP a booting worker used to
+        # swallow is now owed and delivered (PR 19), but the campaign still
+        # takes the first worker's banner for the fleet being up (a second
+        # worker that boots late then reloads straight into the corrupted
+        # artifact), and its kill-window and overload-p99 checks are
+        # load-sensitive (CHANGES.md, PR 19).  CI's serve-resilience job
+        # runs it from the CLI.
         [e for e in EXPERIMENTS if e.id != "SERVE-RESILIENCE"],
         ids=lambda e: e.id,
     )

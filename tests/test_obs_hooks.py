@@ -6,6 +6,8 @@ registry counter and ``EngineStats.budget_exhaustions``, never silently
 truncated.
 """
 
+import pickle
+
 import pytest
 
 from repro.bgp.engine import EngineStats, simulate, simulate_prefix
@@ -144,10 +146,12 @@ class TestBudgetExhaustionVisibility:
         assert document["diverged"] == [str(prefix)]
 
     def test_stats_merge_folds_exhaustions(self):
-        a = EngineStats(budget_exhaustions=2, candidates_ranked=7)
-        a.merge(EngineStats(budget_exhaustions=3, candidates_ranked=11))
+        a = EngineStats(budget_exhaustions=2, candidates_ranked=7, resumes=1)
+        a.merge(EngineStats(budget_exhaustions=3, candidates_ranked=11, resumes=4))
         assert a.budget_exhaustions == 5
         assert a.candidates_ranked == 18
+        assert a.resumes == 5
+        assert pickle.loads(pickle.dumps(a)) == a
 
 
 class TestEngineTracing:

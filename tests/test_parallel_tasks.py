@@ -145,3 +145,51 @@ class TestRunTasks:
         first = list(run_pool(tasks).results)
         second = list(run_pool(tasks, workers=3).results)
         assert first == second == sorted(first)
+
+
+@dataclass(frozen=True)
+class Ahead:
+    """A context that names prefixes for each worker's copy to converge."""
+
+    converged_ahead: tuple
+
+
+class TestConvergedAheadAtStartup:
+    PREFIX = Prefix("10.0.0.0/24")
+
+    def test_a_worker_beats_while_it_converges_ahead(self, monkeypatch):
+        """Startup longer than the heartbeat grace is busy, not stalled."""
+        import time
+
+        from repro.parallel import supervisor, worker
+
+        simulate = worker.simulate_prefix_bounded
+
+        def slowly(*args, **kwargs):
+            time.sleep(2.5)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(supervisor, "HEARTBEAT_GRACE", 1.0)
+        monkeypatch.setattr(worker, "simulate_prefix_bounded", slowly)
+        stats = run_pool(
+            [ProbeTask("a"), ProbeTask("b")], context=Ahead((self.PREFIX,))
+        )
+        assert sorted(stats.results) == ["probe:a", "probe:b"]
+        assert stats.supervision["deaths"] == 0
+
+    def test_startup_metrics_come_home_with_ready(self):
+        """A copy's convergence belongs to no task; it is counted all the
+        same, once for every worker that reported ready."""
+        registry = MetricsRegistry()
+        set_registry(registry)
+        try:
+            run_pool(
+                [ProbeTask(f"t{i}") for i in range(4)],
+                context=Ahead((self.PREFIX,)),
+            )
+            counters = registry.snapshot()["counters"]
+        finally:
+            set_registry(MetricsRegistry())
+        assert counters["engine.converged_ahead"] in (1, 2)
+        assert counters["engine.prefixes"] == counters["engine.converged_ahead"]
+        assert counters["probe.ticks"] == 4

@@ -930,6 +930,18 @@ class TestEachMechanismExistsOnce:
         ]
         assert imports_of("pickle", "loads") == set()
 
+    def test_the_engine_has_one_message_loop(self):
+        """``simulate_prefix`` and ``resume_prefix`` seed the queue; only
+        ``_drain`` takes messages off it."""
+        tree = dict(source_trees())["bgp/engine.py"]
+        assert [
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and node.attr == "popleft"
+        ] == ["_drain"]
+
     def test_the_result_record_is_a_dict_literal_in_one_function(self):
         """``ExperimentResult.to_record`` is the only writer of the
         ``results/*.json`` record shape, benchmarks and scripts included."""

@@ -16,8 +16,10 @@ import pytest
 import repro
 from repro.net.prefix import prefix_for_asn
 from repro.obs.metrics import get_registry
+from repro.parallel.protocol import MSG_HEARTBEAT, MSG_READY
 from repro.parallel.supervisor import SupervisionLedger
 from repro.serve import build_artifact
+from repro.serve.supervisor import ServeSupervisor, _ServeWorker
 
 
 @pytest.fixture(autouse=True)
@@ -65,6 +67,56 @@ class TestSupervisionLedger:
         registry = get_registry()
         assert registry.counter("serve.workers_spawned").value == 1
         assert registry.counter("parallel.workers_spawned").value == 1
+
+
+class TestReloadFanOut:
+    """SIGHUP forwarding, on the supervisor alone: ``_signal`` is recorded
+    and the slots hold records of processes that do not exist."""
+
+    @pytest.fixture()
+    def supervisor(self):
+        supervisor = ServeSupervisor("unused.artifact", workers=3)
+        supervisor.sent = []
+        supervisor._signal = lambda worker, signum: supervisor.sent.append(
+            (worker.index, signum)
+        )
+        supervisor._slots._slots[:] = [
+            _ServeWorker(index, 1, None, None, 1000 + index, 0.0)
+            for index in range(3)
+        ]
+        return supervisor
+
+    def test_a_booting_worker_is_owed_the_reload_until_it_is_ready(self, supervisor):
+        """Forwarded at once it would run the handler the fork inherited
+        from the supervisor, and the worker would keep the old artifact."""
+        ready, booting, late = supervisor._slots.live()
+        supervisor._handle_message(ready, (MSG_READY, ready.pid, "127.0.0.1:1"))
+        supervisor._forward_hup()
+        assert supervisor.sent == [(0, signal.SIGHUP)]
+        supervisor._handle_message(booting, (MSG_HEARTBEAT,))
+        assert supervisor.sent == [(0, signal.SIGHUP)]
+        supervisor._handle_message(booting, (MSG_READY, booting.pid, "127.0.0.1:1"))
+        assert supervisor.sent == [(0, signal.SIGHUP), (1, signal.SIGHUP)]
+        # Two reloads while booting are one reload of the newest artifact ...
+        supervisor._forward_hup()
+        supervisor._forward_hup()
+        supervisor._handle_message(late, (MSG_READY, late.pid, "127.0.0.1:1"))
+        assert supervisor.sent[2:] == [
+            (0, signal.SIGHUP), (1, signal.SIGHUP),
+            (0, signal.SIGHUP), (1, signal.SIGHUP),
+            (2, signal.SIGHUP),
+        ]
+        # ... and nothing stays owed.
+        for worker in supervisor._slots.live():
+            supervisor._handle_message(worker, (MSG_READY, worker.pid, "127.0.0.1:1"))
+        assert len(supervisor.sent) == 7
+
+    def test_a_replacement_worker_owes_nothing(self, supervisor):
+        """It loads whatever artifact is current when it boots."""
+        supervisor._forward_hup()
+        supervisor._slots._slots[1] = fresh = _ServeWorker(1, 2, None, None, 2001, 0.0)
+        supervisor._handle_message(fresh, (MSG_READY, fresh.pid, "127.0.0.1:1"))
+        assert supervisor.sent == []
 
 
 # ----------------------------------------------------------------------
