@@ -9,6 +9,7 @@ runs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from repro.bgp.igp import IGPTopology
@@ -32,6 +33,33 @@ class ASNode:
 
     def __repr__(self) -> str:
         return f"ASNode({self.name}, routers={len(self.routers)})"
+
+
+@dataclass
+class PrefixState:
+    """One prefix's complete routing state, detached from any network.
+
+    ``routers`` maps the id of every router holding state for the prefix
+    to its four per-prefix slots, ``(adj_rib_in, loc_rib entry,
+    adj_rib_out, local_routes entry)`` — the RIB dicts shallow copies
+    (routes are immutable), a slot the router lacks ``None``.  Routes are
+    plain attribute objects, so a state pickles cleanly; route *identity*
+    does not survive a process boundary, which is fine because every
+    consumer (refiner, evaluator, exporter) compares attributes.
+    :meth:`Network.capture_prefix` makes one,
+    :meth:`Network.install_prefix` takes one back.
+    """
+
+    prefix: Prefix
+    routers: dict[
+        int,
+        tuple[
+            dict[int, Route] | None,
+            Route | None,
+            dict[int, Route] | None,
+            Route | None,
+        ],
+    ] = field(default_factory=dict)
 
 
 def _insert_at(mapping: dict, index: int, key, value) -> None:
@@ -267,37 +295,14 @@ class Network:
         """Log restoring ``prefix``'s routing state, before it changes.
 
         Acts once per perturbation, and only for a prefix that held state
-        when it opened: the per-router slices (shallow copies; routes are
-        immutable) go on the undo log.
+        when it opened: its captured slice goes on the undo log, for
+        :meth:`install_prefix` to put back on close.
         """
         held = self._held
         if held is None or prefix not in held:
             return
         held.remove(prefix)
-        slices = []
-        for router_id in self._touched[prefix]:
-            router = self.routers[router_id]
-            rib_in = router.adj_rib_in.get(prefix)
-            rib_out = router.adj_rib_out.get(prefix)
-            slices.append((
-                router,
-                None if rib_in is None else dict(rib_in),
-                router.loc_rib.get(prefix),
-                None if rib_out is None else dict(rib_out),
-            ))
-        self._undo.append((self._put_back, (prefix, slices)))
-
-    def _put_back(self, prefix: Prefix, slices: list[tuple]) -> None:
-        """Reinstate slices :meth:`set_aside` saved, on a cleared prefix."""
-        touched = self.touched_set(prefix)
-        for router, rib_in, best, rib_out in slices:
-            touched.add(router.router_id)
-            if rib_in is not None:
-                router.adj_rib_in[prefix] = rib_in
-            if best is not None:
-                router.loc_rib[prefix] = best
-            if rib_out is not None:
-                router.adj_rib_out[prefix] = rib_out
+        self._undo.append((self.install_prefix, (self.capture_prefix(prefix),)))
 
     # ------------------------------------------------------------------
     # Quasi-router support (Section 4.6: duplication)
@@ -337,26 +342,63 @@ class Network:
     # Engine bookkeeping
     # ------------------------------------------------------------------
 
-    def note_touched(self, prefix: Prefix, router_id: int) -> None:
-        """Record that ``router_id`` holds state for ``prefix``."""
-        self.touched_set(prefix).add(router_id)
-
     def touched_set(self, prefix: Prefix) -> set[int]:
-        """The live set :meth:`note_touched` adds to, for ``prefix``.
+        """The live set of router ids holding state for ``prefix``.
 
         The engine takes it once per prefix and adds router ids directly
         rather than re-hashing the prefix on every message.
         """
         return self._touched.setdefault(prefix, set())
 
-    def touched_routers(self, prefix: Prefix) -> frozenset[int]:
-        """Router ids holding any state for ``prefix``.
+    def capture_prefix(self, prefix: Prefix) -> PrefixState:
+        """Copy out every router's routing state for ``prefix``.
 
-        The parallel task protocol uses this to capture exactly the RIB
-        slice a worker's simulation produced, so the supervisor can
-        replay it onto the parent network.
+        The one reader of the per-router layout for anything that moves a
+        prefix's state as a whole: a pool worker ships the slice its
+        simulation produced, :meth:`set_aside` keeps the one a
+        perturbation is about to change.
         """
-        return frozenset(self._touched.get(prefix, ()))
+        state = PrefixState(prefix)
+        rows = state.routers
+        for router_id in self._touched.get(prefix, ()):
+            router = self.routers[router_id]
+            rib_in = router.adj_rib_in.get(prefix)
+            rib_out = router.adj_rib_out.get(prefix)
+            rows[router_id] = (
+                None if rib_in is None else dict(rib_in),
+                router.loc_rib.get(prefix),
+                None if rib_out is None else dict(rib_out),
+                router.local_routes.get(prefix),
+            )
+        return state
+
+    def install_prefix(self, state: PrefixState) -> None:
+        """Make ``state`` this network's routing state for its prefix.
+
+        Whatever the prefix held is cleared first, so afterwards the
+        network is as if it had converged the prefix itself and a later
+        :meth:`clear_prefix` or re-simulation behaves the same.  The
+        state's dicts are installed as they are, not copied: a state is
+        installed on one network.  A router the state names and this
+        network lacks is a ``KeyError`` (states travel between copies of
+        one topology).
+        """
+        prefix = state.prefix
+        self.clear_prefix(prefix)
+        if not state.routers:  # a quarantined prefix: nothing holds state
+            return
+        touched = self.touched_set(prefix)
+        for router_id, (rib_in, best, rib_out, local) in state.routers.items():
+            router = self.routers[router_id]
+            if rib_in is not None:
+                router.adj_rib_in[prefix] = rib_in
+            if best is not None:
+                router.loc_rib[prefix] = best
+            if rib_out is not None:
+                router.adj_rib_out[prefix] = rib_out
+            if local is not None:
+                router.local_routes[prefix] = local
+            touched.add(router_id)
 
     def holds_state(self, prefix: Prefix) -> bool:
         """Whether any router holds routing state for ``prefix``."""

@@ -183,6 +183,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERRUPTED
 
 
+def open_unit_fraction(text: str) -> float:
+    """argparse ``type=``: a float strictly between 0 and 1."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse ``type=``: an int that can cap a list (``items[:n]``)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -268,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     refine = subparsers.add_parser("refine", help="build + refine a model")
     refine.add_argument("dump", help="bgpdump -m style file")
-    refine.add_argument("--train-fraction", type=float, default=0.5)
+    refine.add_argument("--train-fraction", type=open_unit_fraction, default=0.5)
     refine.add_argument("--split-seed", type=int, default=0)
     refine.add_argument("--max-iterations", type=int, default=60)
     refine.add_argument("--out", help="write the refined model config here")
@@ -543,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sites", type=int, nargs="*", metavar="ASN",
         help="catchment: anycast site ASes (at least 2)")
     campaign.add_argument(
-        "--max-scenarios", type=int, metavar="N",
+        "--max-scenarios", type=non_negative_int, metavar="N",
         help="cap the scenario space at the first N scenarios (key order); "
              "the dropped tail is reported, never silent")
     campaign.add_argument(

@@ -109,18 +109,25 @@ class IngestError(DatasetError):
 
 
 class ShutdownRequested(ReproError):
-    """A SIGINT/SIGTERM reached the parallel supervisor mid-run.
+    """A SIGINT/SIGTERM reached a draining loop mid-run.
 
-    Raised after the graceful drain: in-flight work was given a bounded
-    grace period, completed results were merged, and workers were torn
-    down.  Carries everything the caller needs to exit cleanly:
+    Raised after the graceful drain: work in hand was finished (in a
+    pool, in-flight tasks were given a bounded grace period, completed
+    results folded and workers torn down).  Carries everything the
+    caller needs to exit cleanly:
 
     Attributes:
         signum: the signal number that triggered the drain.
-        stats: the partial :class:`~repro.resilience.retry.ResilienceStats`
-            covering every prefix that finished before the drain.
-        pending: prefixes that were still queued or in flight, in sorted
-            order — the work a resumed run must redo.
+        stats: what finished before the drain, in the raiser's own result
+            type — :meth:`~repro.parallel.SupervisedPool.run_tasks` attaches
+            a partial ``GenericRunStats``,
+            :func:`~repro.resilience.retry.simulate_network_bounded` a
+            partial :class:`~repro.resilience.retry.ResilienceStats`; None
+            where the loop keeps its results elsewhere (a checkpoint).
+        pending: the units of work still queued or in flight, in the
+            order they would have run — task keys from the pool, sorted
+            :class:`~repro.net.prefix.Prefix` objects from
+            ``simulate_network_bounded`` — the work a resumed run must redo.
     """
 
     def __init__(self, signum: int, stats=None, pending=None):

@@ -22,6 +22,7 @@ reproducible run-to-run.  ``repro chaos --serve`` is the CLI wrapper.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -46,6 +47,8 @@ QUERY = "/paths?origin=10&observer=1"
 
 
 REQUEST_TIMEOUT = 5.0
+BOOT_TIMEOUT = 30.0
+"""Upper bound on every worker answering ``/healthz`` after the banner."""
 RELOAD_TIMEOUT = 20.0
 """Upper bound on observing a triggered reload in ``/healthz``."""
 KILL_RECOVERY_BOUND = 15.0
@@ -96,6 +99,8 @@ def _build_artifact(path: Path, version: int) -> str:
 
 
 def _spawn_server(artifact: Path, extra_args: list[str]) -> subprocess.Popen:
+    """Start ``repro serve`` as the leader of its own session, so that
+    :func:`_kill_tree` reaches the supervisor's workers too."""
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -106,7 +111,22 @@ def _spawn_server(artifact: Path, extra_args: list[str]) -> subprocess.Popen:
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
+        start_new_session=True,
     )
+
+
+def _kill_tree(process: subprocess.Popen) -> None:
+    """SIGKILL the server's whole process group and reap the leader.
+
+    A killed supervisor cannot stop its workers, and they would outlive
+    a failed campaign holding the port.  After a clean drain the group is
+    already empty.
+    """
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=10)
 
 
 def _read_banner(process: subprocess.Popen, timeout: float = 30.0) -> str:
@@ -138,7 +158,9 @@ def _request(
     except urllib.error.HTTPError as error:
         body = json.load(error)
         return error.code, dict(error.headers), body
-    except (urllib.error.URLError, ConnectionError, TimeoutError, OSError):
+    except (OSError, http.client.HTTPException):
+        # HTTPException: a worker killed mid-answer (IncompleteRead) is a
+        # dropped request like any other, not the end of the load thread.
         return None, {}, {}
 
 
@@ -184,20 +206,35 @@ class _LoadGenerator:
             return list(self.outcomes)
 
 
-def _await_health(
-    address: str,
-    predicate,
-    timeout: float,
-    interval: float = 0.05,
-) -> dict | None:
-    """Poll ``/healthz`` until ``predicate(body)`` holds; None on timeout."""
+def _await_fleet(
+    address: str, workers: int, predicate, timeout: float, claim: str
+) -> dict[int, dict]:
+    """Poll ``/healthz`` until ``workers`` distinct pids have each given a
+    body satisfying ``predicate``; returns those bodies by pid, or fails
+    the campaign naming ``claim`` on timeout.
+
+    The kernel spreads the polls across the ``SO_REUSEPORT`` workers, and
+    any number of good answers can come from one of them: the fleet is
+    where the campaign needs it only when every pid has said so.
+    """
+    bodies: dict[int, dict] = {}
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        status, _, body = _request(address, "/healthz", timeout=5.0)
-        if status is not None and predicate(body):
-            return body
-        time.sleep(interval)
-    return None
+    while len(bodies) < workers and time.monotonic() < deadline:
+        status, _, body = _request(address, "/healthz")
+        if status is not None and "pid" in body and predicate(body):
+            bodies[body["pid"]] = body
+        time.sleep(0.02)
+    assert len(bodies) == workers, \
+        f"only {len(bodies)} of {workers} worker(s) {claim} within {timeout}s"
+    return bodies
+
+
+def _serves(checksum: str):
+    """Predicate: a healthy worker serving the artifact ``checksum``."""
+    return lambda body: (
+        body.get("status") == "ok"
+        and body.get("artifact", {}).get("checksum") == checksum
+    )
 
 
 # ----------------------------------------------------------------------
@@ -230,8 +267,10 @@ def run(
     )
     try:
         address = _read_banner(process)
-        assert _await_health(address, lambda b: b.get("status") == "ok", 10.0), \
-            "server never reported healthy"
+        # The banner is the first worker's; a reload signalled before the
+        # last one is up is owed to it and taken whenever it gets there.
+        _await_fleet(address, config.workers, _serves(checksums[1]),
+                     BOOT_TIMEOUT, "reported healthy")
         load = _LoadGenerator(address, REQUEST_TIMEOUT).start()
 
         _phase_hot_reload(config, result, process, address, load,
@@ -245,9 +284,7 @@ def run(
         result.metrics["sustained_requests"] = len(outcomes)
         _phase_drain(result, process)
     finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
+        _kill_tree(process)
 
     _phase_overload(result, artifact)
     result.note(
@@ -273,26 +310,10 @@ def _phase_hot_reload(
     mark = load.mark()
     checksums[2] = _build_artifact(artifact, 2)
     process.send_signal(signal.SIGHUP)
-    swapped = _await_health(
-        address,
-        lambda b: b.get("artifact", {}).get("checksum") == checksums[2],
-        RELOAD_TIMEOUT,
-    )
-    assert swapped is not None, "hot reload never surfaced in /healthz"
-    # Every worker got the SIGHUP; insist the whole fleet converged (the
-    # kernel spreads our polls across workers).
-    deadline = time.monotonic() + RELOAD_TIMEOUT
-    streak = 0
-    while streak < 2 * config.workers and time.monotonic() < deadline:
-        _, _, body = _request(address, "/healthz")
-        streak = (
-            streak + 1
-            if body.get("artifact", {}).get("checksum") == checksums[2]
-            else 0
-        )
-        time.sleep(0.02)
-    assert streak >= 2 * config.workers, \
-        "not every worker converged on the reloaded artifact"
+    # Every worker got the SIGHUP; the next phase corrupts the file, so
+    # every one of them must have taken this reload first.
+    _await_fleet(address, config.workers, _serves(checksums[2]),
+                 RELOAD_TIMEOUT, "converged on the reloaded artifact")
     outcomes = load.since(mark)
     dropped = _failures(outcomes)
     assert dropped == 0, (
@@ -313,31 +334,28 @@ def _phase_corrupted_reload(
     mark = load.mark()
     corrupt_artifact_payload(artifact, seed=config.seed)
     process.send_signal(signal.SIGHUP)
-    degraded = _await_health(
+    # Every worker, not the first to say so: each of them must refuse the
+    # file and keep what it served.
+    degraded = _await_fleet(
         address,
+        config.workers,
         lambda b: b.get("status") == "degraded"
         and b.get("reload", {}).get("failures", 0) >= 1,
         RELOAD_TIMEOUT,
+        "surfaced the corrupted reload as degraded",
     )
-    assert degraded is not None, \
-        "corrupted reload never surfaced degraded status in /healthz"
-    assert degraded["artifact"]["checksum"] == checksums[2], \
-        "degraded server is not serving the previous artifact"
-    assert degraded["reload"]["last_error"], \
-        "degraded health report carries no reload error"
+    for body in degraded.values():
+        assert body["artifact"]["checksum"] == checksums[2], \
+            "degraded server is not serving the previous artifact"
+        assert body["reload"]["last_error"], \
+            "degraded health report carries no reload error"
     status, _, _ = _request(address, QUERY)
     assert status == 200, "degraded server stopped answering queries"
     # Recovery: a good artifact v3 clears the degraded flag.
     checksums[3] = _build_artifact(artifact, 3)
     process.send_signal(signal.SIGHUP)
-    recovered = _await_health(
-        address,
-        lambda b: b.get("status") == "ok"
-        and b.get("artifact", {}).get("checksum") == checksums[3],
-        RELOAD_TIMEOUT,
-    )
-    assert recovered is not None, \
-        "server never recovered from the corrupted reload"
+    _await_fleet(address, config.workers, _serves(checksums[3]),
+                 RELOAD_TIMEOUT, "recovered from the corrupted reload")
     outcomes = load.since(mark)
     dropped = _failures(outcomes)
     assert dropped == 0, (
@@ -351,14 +369,9 @@ def _phase_corrupted_reload(
 
 def _phase_worker_kill(config, result, address, load) -> None:
     """kill -9 one worker; the supervisor must replace it in bound."""
-    pids: set[int] = set()
-    deadline = time.monotonic() + 10.0
-    while len(pids) < config.workers and time.monotonic() < deadline:
-        status, _, body = _request(address, "/healthz")
-        if status is not None and "pid" in body:
-            pids.add(body["pid"])
-        time.sleep(0.02)
-    assert pids, "could not discover any worker pid via /healthz"
+    pids = set(_await_fleet(
+        address, config.workers, lambda body: True, 10.0, "answered /healthz"
+    ))
     victim = sorted(pids)[0]
     mark = load.mark()
     killed_at = time.monotonic()
@@ -468,7 +481,8 @@ def _phase_overload(result, artifact) -> None:
         try:
             process.wait(timeout=DRAIN_TIMEOUT)
         except subprocess.TimeoutExpired:
-            process.kill()
+            pass
+        _kill_tree(process)
 
     admitted = [(s, h, t) for s, h, t in outcomes if s == 200]
     shed = [(s, h, t) for s, h, t in outcomes if s == 503]

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.errors import DatasetError
+from repro.runstate import read_json_object
 
 DEFAULT_THRESHOLD = 20.0
 """Percent change tolerated before a metric counts as regressed."""
@@ -62,14 +63,7 @@ def load_metrics(path: str | Path) -> tuple[dict[str, float], dict]:
     JSON document carrying a numeric ``metrics`` map — a loud refusal
     beats silently diffing nothing.
     """
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as error:
-        raise DatasetError(f"cannot read {path}: {error}") from error
-    except json.JSONDecodeError as error:
-        raise DatasetError(f"{path} is not valid JSON: {error}") from error
-    if not isinstance(document, dict):
-        raise DatasetError(f"{path} is not a JSON object")
+    document = read_json_object(path, "metrics document", DatasetError)
     metrics = document.get("metrics")
     if not isinstance(metrics, dict) or not metrics:
         raise DatasetError(

@@ -9,27 +9,17 @@ percentiles without spelunking the full report.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.errors import DatasetError
+from repro.runstate import read_json_object
 
 _HISTO_COLUMNS = ("count", "sum", "min", "max", "p50", "p95", "p99")
 
 
 def load_health_report(path: str | Path) -> dict:
     """Read a RunHealth JSON report, raising ``DatasetError`` when unusable."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as error:
-        raise DatasetError(f"cannot read health report {path}: {error}") from error
-    try:
-        report = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise DatasetError(f"{path} is not valid JSON: {error}") from error
-    if not isinstance(report, dict):
-        raise DatasetError(f"{path} is not a health report (expected an object)")
-    return report
+    return read_json_object(path, "health report", DatasetError)
 
 
 def health_stats(report: dict) -> dict:

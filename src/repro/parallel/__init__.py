@@ -1,27 +1,18 @@
-"""Supervised parallel simulation executor.
+"""Supervised parallel task executor.
 
-Per-prefix BGP simulation is embarrassingly parallel (Section 4.2 of the
-paper: routing decisions are made independently per prefix), so this
-package fans prefixes out to a crash-isolated pool of worker processes
-supervised by watchdogs, with poison-prefix quarantine and graceful
-signal-driven shutdown.  ``workers=1`` keeps the sequential path.
-
-The pool also runs *generic* tasks (objects with a ``key`` and a
-``run(network, context, config, max_messages)`` method) via
-:meth:`SupervisedPool.run_tasks` — the campaign engine uses this to fan
-whole perturbed-scenario simulations out with the same crash isolation,
-watchdogs and poison quarantine as per-prefix work.
+A crash-isolated pool of worker processes, each on its own copy of one
+network, supervised by watchdogs, with poison-task quarantine and
+graceful signal-driven shutdown.  It runs one kind of task — an object
+with a ``key`` and a ``run(network, context, config, max_messages)``
+method — through :meth:`SupervisedPool.run_tasks`, for two clients: the
+campaign engine fans whole perturbed-scenario simulations out, and
+:func:`repro.resilience.retry.simulate_network_bounded` one task per
+prefix (Section 4.2 of the paper: routing decisions are made
+independently per prefix, so a prefix's simulation needs nothing of
+another's).  ``workers=1`` keeps the sequential path.
 """
 
-from repro.parallel.protocol import (
-    GenericTaskResult,
-    PrefixState,
-    TaskFailure,
-    TaskResult,
-    WorkerFaults,
-    apply_prefix_state,
-    capture_prefix_state,
-)
+from repro.parallel.protocol import TaskFailure, WorkerFaults
 from repro.parallel.supervisor import (
     GenericRunStats,
     ParallelConfig,
@@ -30,13 +21,8 @@ from repro.parallel.supervisor import (
 
 __all__ = [
     "GenericRunStats",
-    "GenericTaskResult",
     "ParallelConfig",
-    "PrefixState",
     "SupervisedPool",
     "TaskFailure",
-    "TaskResult",
     "WorkerFaults",
-    "apply_prefix_state",
-    "capture_prefix_state",
 ]

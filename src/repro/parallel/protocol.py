@@ -1,31 +1,32 @@
 """The task protocol between the parallel supervisor and its workers.
 
 Everything that crosses the process boundary is defined here: the wire
-messages (plain tuples tagged with a ``MSG_*`` constant, pickled by the
-``multiprocessing`` connection), the :class:`TaskResult` a worker returns,
-and the :class:`PrefixState` capture/apply pair that moves one prefix's
-converged RIB slice between a worker's private network copy and the
-supervisor's authoritative one.
+messages, plain tuples tagged with a ``MSG_*`` constant and pickled by
+the ``multiprocessing`` connection.  There is one kind of task: a
+picklable object with a ``key`` (its identity in logs, trace events and
+fault injection) and a ``run(network, context, config, max_messages)``
+method, sent as ``(MSG_TASK, task_id, task)`` and answered with
+``(MSG_RESULT, task_id, value, metrics)`` — what ``run`` returned and the
+:meth:`~repro.obs.metrics.MetricsRegistry.dump_raw` of the registry the
+worker dedicated to the task — or ``(MSG_ERROR, task_id, repr)``.  What a
+value means is between the task and whoever submitted it: a campaign
+scenario returns its outcome dict, a prefix simulation
+(:func:`repro.resilience.retry.simulate_network_bounded`) its stats,
+outcome and captured :class:`~repro.bgp.network.PrefixState`.
 
-Per-prefix independence (Section 4.2 of the paper: "routing decisions are
-determined independently for each prefix") is what makes this protocol
-small: a task is just a prefix, and a result is just that prefix's RIB
-slice plus counters.  Nothing else in the worker's network copy can have
-changed.
-
-:class:`WorkerFaults` is the crash-injection hook the chaos suite and the
-supervision tests use to produce deterministic worker kills and hangs.
+:class:`TaskFailure` is what the supervisor reports for a task it gave
+up on, and :class:`WorkerFaults` the crash-injection hook the chaos suite
+and the supervision tests use to produce deterministic worker kills and
+hangs.
 """
 
 from __future__ import annotations
 
 import pickle
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bgp.network import Network
-from repro.bgp.route import Route
-from repro.net.prefix import Prefix
 
 
 def dump_network(network: Network) -> bytes:
@@ -56,8 +57,8 @@ MSG_HEARTBEAT = "heartbeat"
 MSG_RESULT = "result"
 MSG_ERROR = "error"
 """The task raised an unexpected exception; payload is its repr.  The
-supervisor treats this like a crash (the worker's state is suspect), but
-the worker stays useful for unrelated prefixes after a restart."""
+supervisor charges the task a failed dispatch; the worker drops its
+network copy (suspect) and stays useful for the next task."""
 
 CRASH_EXIT_CODE = 70
 """Exit code of a fault-injected worker crash (mimics a segfault/OOM kill:
@@ -68,11 +69,11 @@ the process disappears without sending anything)."""
 class WorkerFaults:
     """Deterministic worker sabotage for chaos runs and supervision tests.
 
-    ``crash_prefixes`` name tasks (prefixes as strings, or generic task
-    keys such as scenario keys) whose dispatch makes the worker
-    ``os._exit`` immediately — indistinguishable from a segfault or OOM
-    kill from the supervisor's side.  ``hang_prefixes`` make the worker
-    sleep ``hang_seconds`` instead of simulating, so the per-task
+    ``crash_prefixes`` name tasks by ``key`` (a prefix as a string, a
+    scenario key) whose dispatch makes the worker ``os._exit``
+    immediately — indistinguishable from a segfault or OOM kill from the
+    supervisor's side.  ``hang_prefixes`` make the worker sleep
+    ``hang_seconds`` instead of running the task, so the per-task
     watchdog must fire.  Both are checked by string to keep the config
     trivially serialisable.
     """
@@ -85,111 +86,12 @@ class WorkerFaults:
         return bool(self.crash_prefixes or self.hang_prefixes)
 
 
-@dataclass
-class PrefixState:
-    """One prefix's complete routing state, detached from any network.
-
-    ``routers`` maps a router id to its four per-prefix slots:
-    ``(adj_rib_in, loc_rib entry, adj_rib_out, local_routes entry)``.
-    Routes are plain attribute objects, so the state pickles cleanly;
-    route *identity* is not preserved across the boundary, which is fine
-    because every consumer (refiner, evaluator, exporter) compares
-    attributes and every re-simulation clears the prefix first.
-    """
-
-    prefix: Prefix
-    routers: dict[
-        int,
-        tuple[
-            dict[int, Route] | None,
-            Route | None,
-            dict[int, Route] | None,
-            Route | None,
-        ],
-    ] = field(default_factory=dict)
-
-
-def capture_prefix_state(network: Network, prefix: Prefix) -> PrefixState:
-    """Snapshot every router's state for ``prefix`` after a simulation."""
-    state = PrefixState(prefix=prefix)
-    for router_id in network.touched_routers(prefix):
-        router = network.routers[router_id]
-        rib_in = router.adj_rib_in.get(prefix)
-        rib_out = router.adj_rib_out.get(prefix)
-        state.routers[router_id] = (
-            dict(rib_in) if rib_in else None,
-            router.loc_rib.get(prefix),
-            dict(rib_out) if rib_out else None,
-            router.local_routes.get(prefix),
-        )
-    return state
-
-
-def apply_prefix_state(network: Network, state: PrefixState) -> None:
-    """Replay a captured RIB slice onto ``network``.
-
-    Equivalent to the network having simulated the prefix itself: stale
-    state is cleared first and the touched-router bookkeeping is updated,
-    so a later ``clear_prefix``/re-simulation behaves identically.
-    Routers the capture names but this network lacks cannot occur in
-    practice (worker copies are forks of the same topology) and raise
-    ``KeyError`` loudly rather than merging a partial slice.
-    """
-    prefix = state.prefix
-    network.clear_prefix(prefix)
-    for router_id in sorted(state.routers):
-        rib_in, best, rib_out, local = state.routers[router_id]
-        router = network.routers[router_id]
-        if rib_in:
-            router.adj_rib_in[prefix] = dict(rib_in)
-        if best is not None:
-            router.loc_rib[prefix] = best
-        if rib_out:
-            router.adj_rib_out[prefix] = dict(rib_out)
-        if local is not None:
-            router.local_routes[prefix] = local
-        network.note_touched(prefix, router_id)
-
-
-@dataclass
-class TaskResult:
-    """Everything a worker reports back for one completed task.
-
-    ``metrics`` is a :meth:`~repro.obs.metrics.MetricsRegistry.dump_raw`
-    dump of the registry the worker dedicated to this task, so the
-    supervisor can fold per-task engine metrics into the parent registry
-    in deterministic (prefix-sorted) order.
-    """
-
-    prefix: Prefix
-    outcome: object  # PrefixOutcome; kept loose to avoid an import cycle
-    stats: object  # EngineStats
-    state: PrefixState
-    metrics: dict = field(default_factory=dict)
-
-
-@dataclass
-class GenericTaskResult:
-    """What a worker reports back for one completed *generic* task.
-
-    Generic tasks (scenario simulations, not per-prefix slices) return an
-    opaque picklable ``value`` instead of a RIB slice; the supervisor
-    hands values back to the caller keyed by the task's ``key`` and folds
-    ``metrics`` into the parent registry in key-sorted order.
-    """
-
-    key: str
-    value: object
-    metrics: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class TaskFailure:
-    """A generic task the pool gave up on (poison or repeated timeout).
+    """A task the pool gave up on (poison or repeated timeout).
 
-    The generic-task analogue of
-    :meth:`~repro.resilience.retry.PrefixOutcome.supervised_failure`:
-    ``status`` is ``poison`` or ``timeout``, ``failures`` the per-dispatch
+    ``status`` is ``poison`` or ``timeout``, ``resubmits`` how many fresh
+    workers it was given after the first, ``failures`` the per-dispatch
     failure reasons, ``elapsed`` wall-clock since the first dispatch.
     """
 

@@ -1,30 +1,35 @@
-"""The supervised process pool for per-prefix simulation.
+"""The supervised process pool.
 
-:class:`SupervisedPool` owns the complete worker lifecycle so that
-parallelism never makes the run more fragile than the sequential path:
+:class:`SupervisedPool` runs tasks — picklable objects with a ``key`` and
+a ``run(network, context, config, max_messages)`` method
+(:mod:`repro.parallel.protocol`) — and owns the complete worker lifecycle
+so that parallelism never makes the run more fragile than the sequential
+path:
 
-* **Crash isolation** — each worker simulates on its own unpickled copy
+* **Crash isolation** — each worker runs tasks on its own unpickled copy
   of the network; a segfault, OOM kill or unexpected exception costs the
-  supervisor one worker and (at worst) one prefix, never the run.
+  supervisor one worker and (at worst) one task, never the run.
 * **Watchdogs** — every dispatched task has a wall-clock deadline
   (``task_timeout``), and every worker heartbeats from a side thread;
   missing either gets the worker killed and replaced.
-* **Poison-prefix detection** — a failed task is resubmitted to a fresh
-  worker at most ``max_resubmits`` times, then classified as a ``poison``
-  (crashes) or ``timeout`` (watchdog expiries) outcome, quarantined
-  exactly like a diverged prefix.
-* **Deterministic merge** — results are reduced in prefix-sorted order
-  (RIB slices, engine stats, metrics dumps), so the final network, stats
-  and reports are identical regardless of completion order and match the
-  sequential path bit-for-bit on healthy inputs.
+* **Poison detection** — a failed task is resubmitted to a fresh worker
+  at most ``max_resubmits`` times, then reported as a ``poison``
+  (crashes) or ``timeout`` (watchdog expiries)
+  :class:`~repro.parallel.protocol.TaskFailure` for its submitter to
+  quarantine.
+* **Deterministic fold** — values are handed back, and the tasks'
+  metrics dumps folded into the parent registry, in the order the tasks
+  were submitted, whatever order they completed in.
 * **Graceful shutdown** — SIGINT/SIGTERM stops dispatching, gives
-  in-flight tasks a bounded grace period, merges what completed, and
+  in-flight tasks a bounded grace period, folds what completed, and
   raises :class:`~repro.errors.ShutdownRequested` carrying the partial
-  stats so callers can checkpoint before exiting.
+  results so callers can checkpoint before exiting.
 
 Every supervision event (spawn, death, restart, timeout, resubmit,
 poison classification, drain) emits through the tracer and the metrics
-registry.
+registry.  The pool has two clients: campaign scenarios
+(:mod:`repro.campaign.engine`) and the per-prefix fan-out of
+:func:`repro.resilience.retry.simulate_network_bounded`.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from typing import Callable, Iterable
 from repro.bgp.decision import DecisionConfig
 from repro.bgp.network import Network
 from repro.errors import ShutdownRequested
-from repro.net.prefix import Prefix
 from repro.obs.metrics import get_registry
 from repro.obs.trace import (
     EVENT_DRAIN,
@@ -61,16 +65,10 @@ from repro.parallel.protocol import (
     MSG_TASK,
     TaskFailure,
     WorkerFaults,
-    apply_prefix_state,
     dump_network,
 )
 from repro.parallel.worker import worker_main
-from repro.resilience.retry import (
-    POISON,
-    TIMEOUT,
-    PrefixOutcome,
-    ResilienceStats,
-)
+from repro.resilience.retry import POISON, TIMEOUT
 from repro.runstate import drain_signals
 
 logger = logging.getLogger(__name__)
@@ -308,8 +306,8 @@ class ParallelConfig:
     ``workers=1`` (the default) disables the pool entirely — callers fall
     back to the sequential path, bit-for-bit.  ``task_timeout`` is the
     per-dispatch wall-clock watchdog (None disables it; the message
-    budget still bounds every task).
-    ``max_resubmits`` is how many *fresh* workers a failing prefix gets
+    budget still bounds every simulation).
+    ``max_resubmits`` is how many *fresh* workers a failing task gets
     before being classified poison.  ``drain_grace`` bounds how long a
     graceful shutdown waits for in-flight tasks.
     """
@@ -328,13 +326,11 @@ class ParallelConfig:
 
 @dataclass
 class _Task:
-    """Supervisor-side bookkeeping for one task (prefix or generic).
+    """Supervisor-side bookkeeping for one task.
 
-    ``key`` is the human-readable task identity used in logs, trace
-    events and fault injection; for prefix tasks it is ``str(prefix)``,
-    for generic tasks the payload's own ``key``.  Task ids are assigned
-    in sorted order (prefix order / key order), so sorting by id
-    reproduces the deterministic merge order.
+    ``key`` is the task's own: its identity in logs, trace events and
+    fault injection.  Task ids count the tasks in the order they were
+    submitted, which is the order they are dispatched and folded in.
     """
 
     task_id: int
@@ -344,24 +340,14 @@ class _Task:
     first_dispatched: float | None = None
 
 
-@dataclass(frozen=True)
-class _Failure:
-    """A task the pool gave up on, before caller-specific conversion."""
-
-    status: str
-    resubmits: int
-    elapsed: float
-
-
 @dataclass
 class GenericRunStats:
     """What :meth:`SupervisedPool.run_tasks` hands back.
 
     ``results`` maps each completed task's key to the value its ``run``
-    returned; ``failed`` maps quarantined keys to their
-    :class:`~repro.parallel.protocol.TaskFailure`; ``supervision`` is the
-    same ledger summary :class:`~repro.resilience.retry.ResilienceStats`
-    carries for prefix runs.
+    returned and ``failed`` each quarantined key to its
+    :class:`~repro.parallel.protocol.TaskFailure`, both in submission
+    order; ``supervision`` is the ledger summary health reports embed.
     """
 
     results: dict[str, object] = field(default_factory=dict)
@@ -385,11 +371,11 @@ def _request_shutdown(worker: Worker) -> None:
 
 
 class SupervisedPool:
-    """Crash-isolated worker pool for per-prefix simulation.
+    """Crash-isolated worker pool over copies of one network.
 
     Use as a context manager or call :meth:`close` explicitly; a pool is
-    single-use (one :meth:`run`), matching how the refiner and the chaos
-    pipeline consume it.
+    single-use (one :meth:`run_tasks`), matching how its clients consume
+    it.
     """
 
     def __init__(
@@ -405,8 +391,6 @@ class SupervisedPool:
                 f"SupervisedPool needs workers >= 2, got {parallel.workers}; "
                 "use the sequential path for workers=1"
             )
-        self.network = network
-        self.config = config
         self.parallel = parallel
         blob = dump_network(network)
         context_blob = pickle.dumps(context) if context is not None else None
@@ -431,8 +415,8 @@ class SupervisedPool:
         self._drain = drain_signals()
         self._tasks: dict[int, _Task] = {}
         self._pending: deque[int] = deque()
-        self._results: dict[int, object] = {}
-        self._failed: dict[int, _Failure] = {}
+        self._results: dict[int, tuple[object, dict]] = {}
+        self._failed: dict[int, TaskFailure] = {}
         self._timeouts = 0
         self._resubmits = 0
         self._closed = False
@@ -447,86 +431,55 @@ class SupervisedPool:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def run(self, prefixes: Iterable[Prefix] | None = None) -> ResilienceStats:
-        """Simulate every prefix through the pool; returns merged stats.
-
-        Raises :class:`~repro.errors.ShutdownRequested` after a graceful
-        drain if SIGINT/SIGTERM arrives mid-run (partial stats attached).
-        """
-        targets = (
-            sorted(prefixes) if prefixes is not None else self.network.prefixes()
-        )
-        tasks = {
-            task_id: _Task(task_id, str(prefix), prefix)
-            for task_id, prefix in enumerate(targets)
-        }
-        results, failed = self._run_loop(tasks)
-
-        stats = self._merge(tasks, results, failed)
-        if self._drain.signum is not None:
-            unfinished = sorted(
-                task.payload
-                for task in tasks.values()
-                if task.task_id not in results and task.task_id not in failed
-            )
-            raise ShutdownRequested(self._drain.signum, stats, unfinished)
-        return stats
-
     def run_tasks(self, items: Iterable[object]) -> GenericRunStats:
-        """Run generic tasks (``.key`` + ``.run(...)``) through the pool.
+        """Run tasks (``.key`` + ``.run(...)``) through the pool.
 
         Each item executes crash-isolated inside a worker, on the
-        worker's copy of the network with its ``disconnect`` / ``originate``
-        / ``withdraw`` edits undone afterwards
+        worker's copy of the network with its edits and routing state
+        undone afterwards
         (:class:`~repro.parallel.worker.WorkingCopy`, which also holds
         converged whatever prefixes the pool's ``context`` names as
         ``converged_ahead``, once per worker; those metrics are folded in
-        as each worker reports ready); per-task metrics are
-        folded into the parent registry in key-sorted order, so the
-        outcome is deterministic regardless of completion order.  Raises
+        as each worker reports ready).  Values and per-task metrics are
+        folded in the order of ``items`` — a caller that wants a sorted
+        fold submits a sorted list, as both clients do — so the outcome
+        is the same whatever order the tasks complete in.  Raises
         :class:`~repro.errors.ShutdownRequested` after a graceful drain
         with the partial :class:`GenericRunStats` attached and the
-        unfinished keys as ``pending``.
+        unfinished keys, in the same order, as ``pending``.
         """
-        ordered = sorted(items, key=lambda item: item.key)  # type: ignore[attr-defined]
         tasks = {
             task_id: _Task(task_id, item.key, item)  # type: ignore[attr-defined]
-            for task_id, item in enumerate(ordered)
+            for task_id, item in enumerate(items)
         }
-        results, failed = self._run_loop(tasks)
+        self._run_loop(tasks)
 
         stats = GenericRunStats()
         registry = get_registry()
-        for task_id in sorted(results):
-            result = results[task_id]
-            registry.merge_raw(result.metrics)
-            stats.results[tasks[task_id].key] = result.value
-        for task_id in sorted(failed):
-            task = tasks[task_id]
-            record = failed[task_id]
-            stats.failed[task.key] = TaskFailure(
-                key=task.key,
-                status=record.status,
-                resubmits=record.resubmits,
-                elapsed=record.elapsed,
-                failures=tuple(task.failures),
-            )
-        stats.supervision = self._supervision_summary()
+        unfinished = []
+        for task_id, task in tasks.items():
+            if task_id in self._results:
+                value, metrics = self._results[task_id]
+                registry.merge_raw(metrics)
+                stats.results[task.key] = value
+            elif task_id in self._failed:
+                stats.failed[task.key] = self._failed[task_id]
+            else:
+                unfinished.append(task.key)
+        stats.supervision = {
+            **self._ledger.summary(),
+            "task_timeouts": self._timeouts,
+            "resubmits": self._resubmits,
+            "drained": self._drain.signum is not None,
+        }
         if self._drain.signum is not None:
-            unfinished = sorted(
-                task.key
-                for task in tasks.values()
-                if task.task_id not in results and task.task_id not in failed
-            )
             raise ShutdownRequested(self._drain.signum, stats, unfinished)
         return stats
 
-    def _run_loop(
-        self, tasks: dict[int, _Task]
-    ) -> tuple[dict[int, object], dict[int, _Failure]]:
-        """Drive the shared dispatch/pump/watchdog loop to completion."""
+    def _run_loop(self, tasks: dict[int, _Task]) -> None:
+        """Drive the dispatch/pump/watchdog loop to completion."""
         self._tasks = tasks
-        self._pending.extend(sorted(tasks))
+        self._pending.extend(tasks)
         drain_deadline: float | None = None
         try:
             with self._drain:
@@ -550,7 +503,6 @@ class SupervisedPool:
                     self._check_watchdogs()
         finally:
             self.close()
-        return self._results, self._failed
 
     def close(self) -> None:
         """Tear down every worker (idempotent)."""
@@ -612,7 +564,9 @@ class SupervisedPool:
             if task.first_dispatched is not None
             else 0.0
         )
-        self._failed[task.task_id] = _Failure(status, resubmits_used, elapsed)
+        self._failed[task.task_id] = TaskFailure(
+            task.key, status, resubmits_used, elapsed, tuple(task.failures)
+        )
         registry.counter(f"parallel.{status}_prefixes").inc()
         if tracer.enabled:
             tracer.event(
@@ -664,11 +618,11 @@ class SupervisedPool:
             get_registry().merge_raw(message[2])
             return
         if kind == MSG_RESULT:
-            _, task_id, result = message
+            _, task_id, value, metrics = message
             if worker.task_id != task_id:  # stale double-send; ignore
                 return
             worker.task_id = None
-            self._results[task_id] = result
+            self._results[task_id] = (value, metrics)
             registry = get_registry()
             registry.counter("parallel.tasks_completed").inc()
             registry.histogram("parallel.task_seconds").observe(
@@ -710,7 +664,7 @@ class SupervisedPool:
             self._fail_worker(worker, FAIL_TIMEOUT)
 
     # ------------------------------------------------------------------
-    # Drain and merge
+    # Drain
     # ------------------------------------------------------------------
 
     def _emit_drain(self, queued: int) -> None:
@@ -728,44 +682,3 @@ class SupervisedPool:
             "for in-flight work",
             self._drain.signum, queued, self.parallel.drain_grace,
         )
-
-    def _merge(
-        self,
-        tasks: dict[int, _Task],
-        results: dict[int, object],
-        failed: dict[int, _Failure],
-    ) -> ResilienceStats:
-        """Reduce worker results deterministically (prefix-sorted).
-
-        Task ids were assigned in sorted-prefix order, so iterating by id
-        reproduces the prefix-sorted merge order bit-for-bit.
-        """
-        stats = ResilienceStats()
-        registry = get_registry()
-        for task_id in sorted(results):
-            result = results[task_id]
-            apply_prefix_state(self.network, result.state)
-            stats.engine.merge(result.stats)
-            registry.merge_raw(result.metrics)
-            stats.outcomes.append(result.outcome)
-        for task_id in sorted(failed):
-            task = tasks[task_id]
-            record = failed[task_id]
-            outcome = PrefixOutcome.supervised_failure(
-                task.payload, record.status, record.resubmits, record.elapsed
-            )
-            # Quarantine: a poison/timeout prefix carries no routes.
-            self.network.clear_prefix(task.payload)
-            stats.outcomes.append(outcome)
-        stats.outcomes.sort(key=lambda o: o.prefix)
-        stats.supervision = self._supervision_summary()
-        return stats
-
-    def _supervision_summary(self) -> dict:
-        return {
-            **self._ledger.summary(),
-            "task_timeouts": self._timeouts,
-            "resubmits": self._resubmits,
-            "drained": self._drain.signum is not None,
-        }
-

@@ -1,19 +1,16 @@
 """The worker process entrypoint of the supervised pool.
 
 A worker unpickles its own private copy of the network once at startup,
-then loops: receive a prefix task, run the one bounded simulation
-attempt on the private copy, capture the prefix's converged RIB slice,
-and send it back with the outcome, engine stats and a raw metrics dump.
-
-Generic tasks (campaign scenarios) take the other branch: the payload is
-an object with a ``key`` and a ``run(network, context, config, max_messages)``
-method, executed on the same private copy inside
-:meth:`WorkingCopy.perturbed` — the scenario's topology edits are undone
-exactly when it returns, and the copy is unpickled again only after a
-task raises.  The shared ``context`` (e.g. baseline paths) is unpickled
-once at startup and treated as read-only; when it names prefixes as
-``converged_ahead`` the copy holds them converged for the tasks to
-resume from.
+then loops: receive a task — an object with a ``key`` and a
+``run(network, context, config, max_messages)`` method — run it on the
+private copy inside :meth:`WorkingCopy.perturbed`, and send back what it
+returned with a raw metrics dump.  Whatever the task did to the copy —
+topology edits, routing state — is undone exactly when it returns, and
+the copy is unpickled again only after a task raises.  The shared
+``context`` (e.g. a campaign's baseline paths) is unpickled once at
+startup and treated as read-only; when it names prefixes as
+``converged_ahead`` the copy holds them converged for the tasks to resume
+from.
 
 A daemon thread heartbeats over the same connection while the main thread
 simulates — from before the copy is made, so converging ahead at startup
@@ -50,16 +47,13 @@ from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.trace import set_tracer
 from repro.parallel.protocol import (
     CRASH_EXIT_CODE,
-    GenericTaskResult,
     MSG_ERROR,
     MSG_HEARTBEAT,
     MSG_READY,
     MSG_RESULT,
     MSG_SHUTDOWN,
     MSG_TASK,
-    TaskResult,
     WorkerFaults,
-    capture_prefix_state,
 )
 from repro.resilience.retry import simulate_prefix_bounded
 
@@ -200,39 +194,20 @@ def worker_main(
                 break
             if message[0] != MSG_TASK:  # pragma: no cover - protocol guard
                 continue
-            _, task_id, payload = message
-            is_prefix = isinstance(payload, Prefix)
-            _inject_faults(str(payload) if is_prefix else payload.key, faults)
+            _, task_id, task = message
+            _inject_faults(task.key, faults)
             registry = MetricsRegistry()
             set_registry(registry)
             try:
-                if is_prefix:
-                    network = copy.network()
-                    stats, outcome = simulate_prefix_bounded(
-                        network, payload, decision_config, max_messages
-                    )
-                    result: object = TaskResult(
-                        prefix=payload,
-                        outcome=outcome,
-                        stats=stats,
-                        state=capture_prefix_state(network, payload),
-                        metrics=registry.dump_raw(),
-                    )
-                else:
-                    with copy.perturbed() as scratch:
-                        value = payload.run(
-                            scratch, context, decision_config, max_messages
-                        )
-                    result = GenericTaskResult(
-                        key=payload.key,
-                        value=value,
-                        metrics=registry.dump_raw(),
+                with copy.perturbed() as scratch:
+                    value = task.run(
+                        scratch, context, decision_config, max_messages
                     )
             except BaseException as error:  # noqa: BLE001 - reported, not hidden
                 if not send((MSG_ERROR, task_id, repr(error))):
                     break
                 continue
-            if not send((MSG_RESULT, task_id, result)):
+            if not send((MSG_RESULT, task_id, value, registry.dump_raw())):
                 break
     finally:
         stop.set()

@@ -25,6 +25,7 @@ from repro.bgp.engine import EngineStats, default_message_budget, simulate
 from repro.bgp.network import Network
 from repro.bgp.router import Router
 from repro.bgp.session import Session
+from repro.errors import ShutdownRequested
 from repro.net.prefix import Prefix
 from repro.obs.metrics import get_registry
 from repro.obs.trace import EVENT_QUARANTINE, get_tracer
@@ -228,6 +229,27 @@ def simulate_prefix_bounded(
     )
 
 
+@dataclass(frozen=True)
+class _PrefixTask:
+    """One prefix's bounded attempt, as a task of the supervised pool.
+
+    What comes home is the attempt's stats and outcome plus the routing
+    state it left on the worker's copy, for the caller's network.
+    """
+
+    prefix: Prefix
+
+    @property
+    def key(self) -> str:
+        return str(self.prefix)
+
+    def run(self, network: Network, context, config, max_messages):
+        stats, outcome = simulate_prefix_bounded(
+            network, self.prefix, config, max_messages
+        )
+        return stats, outcome, network.capture_prefix(self.prefix)
+
+
 def simulate_network_bounded(
     network: Network,
     prefixes: Iterable[Prefix] | None = None,
@@ -238,22 +260,57 @@ def simulate_network_bounded(
     """Simulate every prefix once, bounded; divergence never aborts the run.
 
     With ``parallel`` (a :class:`repro.parallel.ParallelConfig` whose
-    ``workers`` exceeds 1) the prefixes are simulated by a supervised
-    worker pool: crashes, hangs and poison inputs degrade individual
-    prefixes instead of the run, and a SIGINT/SIGTERM drains gracefully
-    (raising :class:`~repro.errors.ShutdownRequested` with the partial
-    stats).  ``parallel=None`` or ``workers=1`` is the sequential loop.
+    ``workers`` exceeds 1) each prefix is one task of a supervised worker
+    pool (:meth:`~repro.parallel.SupervisedPool.run_tasks`), submitted
+    and folded in prefix order: a completed prefix's routing state is
+    installed on ``network`` (:meth:`~repro.bgp.network.Network.install_prefix`)
+    and its stats, outcome and metrics merged exactly as the sequential
+    loop would have; one the pool gave up on (crash, hang, poison input)
+    is cleared and reported as a ``poison`` / ``timeout`` outcome instead
+    of failing the run; and a SIGINT/SIGTERM drains gracefully, raising
+    :class:`~repro.errors.ShutdownRequested` with the partial
+    :class:`ResilienceStats` and the unfinished prefixes, sorted.
+    ``parallel=None`` or ``workers=1`` is the sequential loop.
     """
-    if parallel is not None and parallel.enabled:
-        # Imported lazily: repro.parallel builds on this module.
-        from repro.parallel.supervisor import SupervisedPool
-
-        with SupervisedPool(network, config, max_messages, parallel) as pool:
-            return pool.run(prefixes)
     result = ResilienceStats()
     targets = list(prefixes) if prefixes is not None else network.prefixes()
+    if parallel is None or not parallel.enabled:
+        for prefix in targets:
+            stats, outcome = simulate_prefix_bounded(
+                network, prefix, config, max_messages
+            )
+            result.engine.merge(stats)
+            result.outcomes.append(outcome)
+        return result
+
+    # Imported lazily: repro.parallel builds on this module.
+    from repro.parallel.supervisor import SupervisedPool
+
+    targets.sort()
+    drained = None
+    with SupervisedPool(network, config, max_messages, parallel) as pool:
+        try:
+            run = pool.run_tasks([_PrefixTask(prefix) for prefix in targets])
+        except ShutdownRequested as shutdown:
+            drained, run = shutdown, shutdown.stats
+    result.supervision = run.supervision
+    unfinished = []
     for prefix in targets:
-        stats, outcome = simulate_prefix_bounded(network, prefix, config, max_messages)
-        result.engine.merge(stats)
-        result.outcomes.append(outcome)
+        key = str(prefix)
+        if key in run.results:
+            stats, outcome, state = run.results[key]
+            network.install_prefix(state)
+            result.engine.merge(stats)
+            result.outcomes.append(outcome)
+        elif key in run.failed:
+            failure = run.failed[key]
+            # Quarantine: a poison/timeout prefix carries no routes.
+            network.clear_prefix(prefix)
+            result.outcomes.append(PrefixOutcome.supervised_failure(
+                prefix, failure.status, failure.resubmits, failure.elapsed
+            ))
+        else:
+            unfinished.append(prefix)
+    if drained is not None:
+        raise ShutdownRequested(drained.signum, result, unfinished)
     return result

@@ -3,9 +3,11 @@
 Every subsystem that survives a kill — refiner and ingest checkpoints,
 campaign checkpoints, certificate stores, prediction artifacts — writes
 through :func:`atomic_write`, and every JSON state document goes through
-:func:`write_state` / :func:`read_state`, so the "is this file what it
-claims to be" ladder exists once.  Every loop that drains on
-SIGINT/SIGTERM does so inside one :class:`drain_signals` scope.
+:func:`write_state` / :func:`read_state` (a report the CLI merely reads
+back through :func:`read_json_object`, the ladder's first three rungs),
+so the "is this file what it claims to be" ladder exists once.  Every
+loop that drains on SIGINT/SIGTERM does so inside one
+:class:`drain_signals` scope.
 
 A state document is one JSON object carrying ``"format"`` (a
 ``repro/<kind>/v<N>`` string) beside the owner's flat fields; whitespace
@@ -43,20 +45,16 @@ def write_state(path: str | Path, format: str, body: dict) -> None:
     atomic_write(path, json.dumps({**body, "format": format}, sort_keys=True))
 
 
-def read_state(
-    path: str | Path,
-    format: str,
-    error: type[ReproError],
-    fingerprint: str | None = None,
+def read_json_object(
+    path: str | Path, kind: str, error: type[ReproError]
 ) -> dict:
-    """Read a state document back, or raise ``error`` naming ``path``.
+    """Read the JSON object in ``path``, or raise ``error`` naming it.
 
-    Rejects, in order: an unreadable file, bytes that are not JSON, JSON
-    that is not an object, a different ``format``, and — when
-    ``fingerprint`` is given — a document stamped for different inputs.
-    Field validation past that point belongs to the caller.
+    Rejects, in order: an unreadable file, bytes that are not JSON (not
+    text at all, or nested past the parser's recursion limit, included)
+    and JSON that is not an object.  ``kind`` is what the messages call
+    the file.
     """
-    kind = format.split("/")[1].replace("-", " ")
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -72,6 +70,24 @@ def read_state(
             f"{kind} {path} is corrupt: expected a JSON object, "
             f"found {type(document).__name__}"
         )
+    return document
+
+
+def read_state(
+    path: str | Path,
+    format: str,
+    error: type[ReproError],
+    fingerprint: str | None = None,
+) -> dict:
+    """Read a state document back, or raise ``error`` naming ``path``.
+
+    Rejects, in order: what :func:`read_json_object` rejects, a different
+    ``format``, and — when ``fingerprint`` is given — a document stamped
+    for different inputs.  Field validation past that point belongs to
+    the caller.
+    """
+    kind = format.split("/")[1].replace("-", " ")
+    document = read_json_object(path, kind, error)
     if document.get("format") != format:
         raise error(
             f"{path} is not a {kind} (format {document.get('format')!r}, "

@@ -78,6 +78,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_PORT = 8321
 DEFAULT_REQUEST_TIMEOUT = 10.0
+SIGNAL_POLL_SECONDS = 0.2
+"""How often :func:`run_server`'s main thread comes up from its wait to run
+signal handlers that were flagged while it slept."""
 
 RELOAD_ROUTE = "/-/reload"
 """POST here to trigger a hot-swap reload (mirrors SIGHUP)."""
@@ -569,7 +572,12 @@ def run_server(
             ready.set()
         try:
             while drain.signum is None:
-                wake.wait()
+                # With a timeout: the kernel may hand a signal to a busy
+                # request thread, and CPython then only flags the handler
+                # for this thread — it does not interrupt a lock wait, so
+                # an untimed one sleeps through the SIGHUP or SIGTERM
+                # until the next signal happens to land here.
+                wake.wait(SIGNAL_POLL_SECONDS)
                 wake.clear()
                 if hup_pending.is_set() and server.reloader is not None:
                     hup_pending.clear()

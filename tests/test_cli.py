@@ -156,6 +156,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["refine", "absent.txt", "--train-fraction", "1.5"],
+            ["refine", "absent.txt", "--train-fraction", "0"],
+            ["campaign", "depeer", "absent.cfg", "--baseline", "absent.artifact",
+             "--max-scenarios", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv[-2:]),
+    )
+    def test_an_out_of_range_value_is_a_usage_error(self, argv, capsys):
+        # The inputs do not exist: the value is refused before anything is
+        # read, not by a ValueError (or a wrong slice) deep in the run.
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        error = capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: must be" in error
+
 
 class TestParallelFlags:
     def test_refine_with_workers_matches_sequential(

@@ -1,6 +1,10 @@
 """Tests for the experiment harness (on a tiny workload)."""
 
 import json
+import os
+import signal
+import time
+from pathlib import Path
 
 import pytest
 
@@ -80,20 +84,7 @@ class TestRegistry:
             "LINT", "OBS", "SERVE-RESILIENCE",
         ]
 
-    @pytest.mark.parametrize(
-        "experiment",
-        # Not the serve campaign: it drives real server processes whatever
-        # the workload, and its timing assumptions fail about one run in
-        # eight on a shared machine.  The SIGHUP a booting worker used to
-        # swallow is now owed and delivered (PR 19), but the campaign still
-        # takes the first worker's banner for the fleet being up (a second
-        # worker that boots late then reloads straight into the corrupted
-        # artifact), and its kill-window and overload-p99 checks are
-        # load-sensitive (CHANGES.md, PR 19).  CI's serve-resilience job
-        # runs it from the CLI.
-        [e for e in EXPERIMENTS if e.id != "SERVE-RESILIENCE"],
-        ids=lambda e: e.id,
-    )
+    @pytest.mark.parametrize("experiment", EXPERIMENTS, ids=lambda e: e.id)
     def test_run_returns_the_entrys_own_result(self, experiment):
         result = experiment.run(TINY)
         assert result.experiment_id == experiment.id
@@ -111,6 +102,59 @@ class TestRegistry:
             by_id["TAB4"].verdict(result)
         result.metrics["validation_tie_break_or_better"] = 0.81
         by_id["TAB4"].verdict(result)
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not merely unreaped) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.slow
+@pytest.mark.timeout(120)
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestServeChaosHarness:
+    def test_a_campaign_that_fails_leaves_no_server_process_behind(
+        self, monkeypatch
+    ):
+        """The supervisor is SIGKILLed on the way out and cannot stop its
+        workers then; the harness kills the whole tree."""
+        from repro.experiments import serve_chaos
+
+        servers, workers = [], set()
+        spawn = serve_chaos._spawn_server
+
+        def recording_spawn(*args):
+            servers.append(spawn(*args))
+            return servers[-1]
+
+        def failing_phase(config, result, address, load):
+            deadline = time.monotonic() + 10.0
+            while len(workers) < config.workers and time.monotonic() < deadline:
+                status, _, body = serve_chaos._request(address, "/healthz")
+                if status is not None:
+                    workers.add(body["pid"])
+            raise AssertionError("injected: the campaign fails here")
+
+        monkeypatch.setattr(serve_chaos, "_spawn_server", recording_spawn)
+        monkeypatch.setattr(serve_chaos, "_phase_worker_kill", failing_phase)
+        tree: set[int] = set()
+        try:
+            with pytest.raises(AssertionError, match="injected"):
+                serve_chaos.run()
+            tree = workers | {server.pid for server in servers}
+            assert len(workers) == 2 and len(tree) == 3
+            deadline = time.monotonic() + 10.0
+            while any(map(running, tree)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in sorted(tree) if running(pid)]
+        finally:
+            for pid in tree | workers:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestPrepare:

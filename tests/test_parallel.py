@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.bgp.network import Network
+from repro.bgp.route import Route
 from repro.core.model import MODEL_DECISION_CONFIG
 from repro.errors import ShutdownRequested
 from repro.net.prefix import Prefix
@@ -21,17 +22,13 @@ from repro.obs.trace import (
     RecordingTracer,
     tracing,
 )
-from repro.parallel import (
-    ParallelConfig,
-    SupervisedPool,
-    WorkerFaults,
-    apply_prefix_state,
-    capture_prefix_state,
-)
+from repro.parallel import ParallelConfig, SupervisedPool, WorkerFaults
 from repro.resilience.retry import (
     CONVERGED,
+    DIVERGED,
     POISON,
     TIMEOUT,
+    ResilienceStats,
     simulate_network_bounded,
 )
 
@@ -56,6 +53,34 @@ def fresh_registry():
     registry = MetricsRegistry()
     set_registry(registry)
     return registry
+
+
+def by_value(route):
+    """Every field of a route (a ``Route`` compares by identity)."""
+    if route is None:
+        return None
+    return tuple(getattr(route, name) for name in Route.__slots__)
+
+
+def rib_rows(net, prefix):
+    """What every router holds for ``prefix``, by value."""
+    rows = {}
+    for router_id, router in net.routers.items():
+        rib_in = router.adj_rib_in.get(prefix)
+        rib_out = router.adj_rib_out.get(prefix)
+        rows[router_id] = (
+            rib_in and {sid: by_value(route) for sid, route in rib_in.items()},
+            by_value(router.loc_rib.get(prefix)),
+            rib_out and {sid: by_value(route) for sid, route in rib_out.items()},
+        )
+    return rows
+
+
+def sequential_twin(prefix_count=8):
+    """The same star, simulated in-process: the oracle for the pool."""
+    net, _ = star_network(prefix_count)
+    simulate_network_bounded(net, config=MODEL_DECISION_CONFIG)
+    return net
 
 
 class TestEquivalence:
@@ -93,23 +118,69 @@ class TestEquivalence:
             SupervisedPool(net, parallel=ParallelConfig(workers=1))
 
     def test_merged_metrics_match_sequential(self):
-        net_seq, _ = star_network()
-        registry = fresh_registry()
-        simulate_network_bounded(net_seq, config=MODEL_DECISION_CONFIG)
-        seq_messages = registry.snapshot()["histograms"][
-            "engine.messages_per_prefix"
-        ]
-        net_par, _ = star_network()
-        registry = fresh_registry()
-        simulate_network_bounded(
-            net_par, config=MODEL_DECISION_CONFIG,
+        """Every ``engine.*`` instrument, not a sample: the pool folds the
+        tasks' metrics dumps in prefix order (the order the client
+        submitted them in), as the sequential loop accumulates them."""
+
+        def engine_instruments(**kwargs):
+            net, _ = star_network(prefix_count=12)
+            registry = fresh_registry()
+            simulate_network_bounded(
+                net, config=MODEL_DECISION_CONFIG, **kwargs
+            )
+            set_registry(None)
+            snapshot = registry.snapshot()
+            return {
+                kind: {
+                    name: value for name, value in instruments.items()
+                    if name.startswith("engine.")
+                }
+                for kind, instruments in snapshot.items()
+            }
+
+        sequential = engine_instruments()
+        assert sequential["counters"]["engine.prefixes"] == 12
+        assert sequential["histograms"]["engine.messages_per_prefix"]
+        assert engine_instruments(parallel=ParallelConfig(workers=2)) == sequential
+
+    def test_a_budget_starved_prefix_is_quarantined_as_sequentially(self):
+        """The engine's own quarantine, reached inside a task: the prefix
+        comes home diverged with an empty state and holds nothing."""
+        far = Prefix("10.99.0.0/24")
+
+        def star_with_tail():
+            # One prefix announced from both ends of the tree: it takes
+            # more messages to settle than those the hub alone originates.
+            net, prefixes = star_network()
+            hub, spoke = net.routers[min(net.routers)], net.routers[max(net.routers)]
+            tail = net.add_router(300)
+            net.connect(tail, spoke)
+            net.originate(hub, far)
+            net.originate(tail, far)
+            return net, prefixes
+
+        net, prefixes = star_with_tail()
+        roomy = simulate_network_bounded(net, config=MODEL_DECISION_CONFIG)
+        budget = roomy.engine.per_prefix_messages[far] - 1
+        assert budget >= max(
+            roomy.engine.per_prefix_messages[prefix] for prefix in prefixes
+        )
+        seq_net, _ = star_with_tail()
+        par_net, _ = star_with_tail()
+        seq = simulate_network_bounded(
+            seq_net, config=MODEL_DECISION_CONFIG, max_messages=budget
+        )
+        par = simulate_network_bounded(
+            par_net, config=MODEL_DECISION_CONFIG, max_messages=budget,
             parallel=ParallelConfig(workers=2),
         )
-        par_messages = registry.snapshot()["histograms"][
-            "engine.messages_per_prefix"
-        ]
-        set_registry(None)
-        assert par_messages == seq_messages
+        assert seq.diverged == par.diverged == [far]
+        assert par.to_dict()["outcomes"][0]["status"] == DIVERGED
+        assert not par_net.holds_state(far)
+        assert par.engine.budget_exhaustions == seq.engine.budget_exhaustions == 1
+        assert par.engine.per_prefix_messages == seq.engine.per_prefix_messages
+        for prefix in (*prefixes, far):
+            assert rib_rows(par_net, prefix) == rib_rows(seq_net, prefix)
 
 
 class TestCrashIsolation:
@@ -134,8 +205,13 @@ class TestCrashIsolation:
         # every healthy prefix still converged
         healthy = [o for o in stats.outcomes if str(o.prefix) != victim]
         assert all(o.status == CONVERGED for o in healthy)
-        # the poison prefix carries no routes (quarantined)
-        assert not net.touched_routers(prefixes[3])
+        # the poison prefix carries no routes (quarantined); the others
+        # hold what the sequential loop leaves
+        assert not net.holds_state(prefixes[3])
+        oracle = sequential_twin()
+        for prefix in prefixes:
+            if prefix != prefixes[3]:
+                assert rib_rows(net, prefix) == rib_rows(oracle, prefix)
         assert stats.supervision["deaths"] == 2
         assert stats.supervision["restarts"] == 2
         assert stats.supervision["resubmits"] == 1
@@ -235,13 +311,23 @@ class TestGracefulShutdown:
                 timer.cancel()
         shutdown = excinfo.value
         assert shutdown.signum == signal.SIGTERM
-        assert shutdown.stats is not None
+        # the contract Refiner._simulate_all, run_chaos and cli.main consume
+        assert isinstance(shutdown.stats, ResilienceStats)
         assert shutdown.stats.supervision["drained"] is True
+        assert shutdown.pending and shutdown.pending == sorted(shutdown.pending)
+        assert all(isinstance(prefix, Prefix) for prefix in shutdown.pending)
         # partial results + pending cover every prefix except the hung one
         done = {str(o.prefix) for o in shutdown.stats.outcomes}
         left = {str(p) for p in shutdown.pending}
         assert victim not in done
         assert done | left | {victim} == {str(p) for p in prefixes}
+        # what finished before the drain is on the network, the rest is not
+        oracle = sequential_twin(prefix_count=12)
+        for prefix in prefixes:
+            if str(prefix) in done:
+                assert rib_rows(net, prefix) == rib_rows(oracle, prefix)
+            else:
+                assert not net.holds_state(prefix)
         events = {record["type"] for record in tracer.events()}
         assert EVENT_DRAIN in events
 
@@ -265,27 +351,64 @@ class TestPrefixState:
         net, prefixes = star_network(prefix_count=2)
         simulate_network_bounded(net, config=MODEL_DECISION_CONFIG)
         target = prefixes[0]
-        state = capture_prefix_state(net, target)
+        state = net.capture_prefix(target)
         assert state.routers  # someone touched it
         blank, _ = star_network(prefix_count=2)
-        apply_prefix_state(blank, state)
-        assert blank.touched_routers(target) == net.touched_routers(target)
-        for router_id in net.touched_routers(target):
-            mine = net.routers[router_id].loc_rib.get(target)
-            theirs = blank.routers[router_id].loc_rib.get(target)
-            assert (mine is None) == (theirs is None)
-            if mine is not None:
-                assert mine.as_path == theirs.as_path
+        blank.install_prefix(state)
+        assert rib_rows(blank, target) == rib_rows(net, target)
+        assert blank.capture_prefix(target) == state
+        assert not blank.holds_state(prefixes[1])
+        # by value: what the capture handed over is not the source's own
+        hub = next(iter(net.routers))
+        assert (
+            blank.routers[hub].adj_rib_out[target]
+            is not net.routers[hub].adj_rib_out[target]
+        )
 
     def test_apply_clears_stale_state_first(self):
         net, prefixes = star_network(prefix_count=1)
         simulate_network_bounded(net, config=MODEL_DECISION_CONFIG)
-        state = capture_prefix_state(net, prefixes[0])
+        target = prefixes[0]
+        state = net.capture_prefix(target)
+        before = rib_rows(net, target)
+        # a row the state does not name must not survive the install
+        spoke = max(net.routers)
+        del state.routers[spoke]
+        net.install_prefix(state)
+        assert rib_rows(net, target)[spoke] == (None, None, None)
         # re-applying over existing state must not duplicate anything
-        apply_prefix_state(net, state)
-        apply_prefix_state(net, state)
-        touched = net.touched_routers(prefixes[0])
-        assert state.routers.keys() == set(touched)
+        net.install_prefix(state)
+        assert net.capture_prefix(target) == state
+        assert {
+            router_id: row for router_id, row in rib_rows(net, target).items()
+            if router_id != spoke
+        } == {
+            router_id: row for router_id, row in before.items()
+            if router_id != spoke
+        }
+        # a quarantined prefix's (empty) state leaves nothing held
+        net.install_prefix(type(state)(target))
+        assert not net.holds_state(target)
+
+    def test_a_state_captured_in_a_perturbation_is_what_close_puts_back(self):
+        """``set_aside`` and the pool ship the same slice: the state a
+        perturbation captures before its first change is the one
+        ``close_perturbation`` installs."""
+        net, prefixes = star_network(prefix_count=2)
+        simulate_network_bounded(net, config=MODEL_DECISION_CONFIG)
+        target, other = prefixes
+        before = net.capture_prefix(target)
+        untouched = rib_rows(net, other)
+        hub, spoke = net.routers[min(net.routers)], net.routers[max(net.routers)]
+        net.open_perturbation()
+        net.disconnect(hub, spoke)
+        simulate_network_bounded(
+            net, prefixes=[target], config=MODEL_DECISION_CONFIG
+        )
+        assert net.capture_prefix(target) != before
+        net.close_perturbation()
+        assert net.capture_prefix(target) == before
+        assert rib_rows(net, other) == untouched
 
 
 class TestDeterministicSerialization:

@@ -1,10 +1,11 @@
-"""Tests for the supervised pool's generic-task surface (`run_tasks`).
+"""Tests for the supervised pool's one entry point (`run_tasks`).
 
-The campaign engine fans arbitrary picklable tasks — not just prefixes —
-through the same crash-isolated pool.  These tests cover the generic
-contract directly: deterministic key-ordered merge, each task's network
-edits undone before the next, context shipping, worker-side metrics
-folding, and poison quarantine on injected crashes.
+Anything picklable with a ``key`` and a ``run`` goes through the
+crash-isolated pool — campaign scenarios, per-prefix simulations.  These
+tests cover that contract directly: deterministic fold in submission
+order, each task's network edits undone before the next, context
+shipping, worker-side metrics folding, and poison quarantine on injected
+crashes.
 """
 
 from dataclasses import dataclass
@@ -139,12 +140,14 @@ class TestRunTasks:
         assert sorted(stats.results) == ["probe:a", "probe:c"]
 
     def test_merge_order_is_deterministic(self):
-        # Results fold in key-sorted order regardless of completion
-        # order; two runs produce identical dict iteration order.
+        # Results fold in the order the tasks were submitted in, whatever
+        # order they complete in; a caller wanting a sorted fold sorts.
         tasks = [ProbeTask(f"t{i}") for i in range(6)]
         first = list(run_pool(tasks).results)
         second = list(run_pool(tasks, workers=3).results)
         assert first == second == sorted(first)
+        backwards = list(run_pool(tasks[::-1], workers=3).results)
+        assert backwards == first[::-1]
 
 
 @dataclass(frozen=True)

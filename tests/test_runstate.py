@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -710,6 +711,29 @@ class TestCliExitsFourOnMalformedState:
         assert main(run) == 4
         assert str(checkpoint) in one_error_line(capsys)
 
+    @pytest.mark.parametrize("command", ["stats", "bench-diff"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            b"\x80\x03REPRO\xff\xfe not text",  # e.g. an artifact, by mistake
+            b"[" * 200_000,
+            b"[]",
+        ],
+        ids=["non-text-bytes", "deep-nesting", "json-array"],
+    )
+    def test_a_report_that_is_not_a_json_object(
+        self, command, damage, tmp_path, capsys
+    ):
+        """``stats`` and ``bench-diff`` read documents nobody stamped with a
+        format; they take the first three rungs of ``read_state``'s ladder."""
+        report = tmp_path / "report.json"
+        report.write_bytes(damage)
+        argv = [command, str(report)]
+        if command == "bench-diff":
+            argv.append(str(report))
+        assert main(argv) == 4
+        assert str(report) in one_error_line(capsys)
+
     def test_missing_inputs_are_one_line_not_a_traceback(self, tmp_path, capsys):
         absent = str(tmp_path / "absent")
         for argv in (
@@ -929,6 +953,56 @@ class TestEachMechanismExistsOnce:
             ("parallel/worker.py", "self._blob"),
         ]
         assert imports_of("pickle", "loads") == set()
+
+    def test_a_worker_does_not_look_at_what_a_task_is(self):
+        worker_main = next(
+            node
+            for node in ast.walk(dict(source_trees())["parallel/worker.py"])
+            if isinstance(node, ast.FunctionDef) and node.name == "worker_main"
+        )
+        assert not [
+            node for node in ast.walk(worker_main)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+        ]
+
+    def test_the_pool_has_one_way_in(self):
+        pool = next(
+            node
+            for node in ast.walk(dict(source_trees())["parallel/supervisor.py"])
+            if isinstance(node, ast.ClassDef) and node.name == "SupervisedPool"
+        )
+        assert [
+            method.name for method in pool.body
+            if isinstance(method, ast.FunctionDef)
+            and method.name.startswith("run")
+        ] == ["run_tasks"]
+        assert call_sites("run_tasks") == {
+            "campaign/engine.py",   # one task per scenario
+            "resilience/retry.py",  # one task per prefix
+        }
+
+    def test_what_a_prefix_result_means_is_its_clients_business(self):
+        """The pool hands values back; turning one into a ``PrefixOutcome``
+        or a ``ResilienceStats`` is ``simulate_network_bounded``'s."""
+        assert not [
+            (source, alias.name)
+            for source, tree in source_trees() if source.startswith("parallel/")
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name in ("PrefixOutcome", "ResilienceStats")
+        ]
+
+    def test_the_rib_layout_is_known_to_the_bgp_package_alone(self):
+        """A prefix's slice is captured and installed by ``Network``; the
+        one reader outside ``bgp/`` is the FIB builder."""
+        root = Path(repro.__file__).parent
+        assert {
+            source.relative_to(root).as_posix()
+            for source in root.rglob("*.py")
+            if not source.relative_to(root).as_posix().startswith("bgp/")
+            and re.search(r"adj_rib_in|adj_rib_out|loc_rib", source.read_text())
+        } == {"forwarding/fib.py"}
 
     def test_the_engine_has_one_message_loop(self):
         """``simulate_prefix`` and ``resume_prefix`` seed the queue; only

@@ -1,6 +1,7 @@
 """Tests for supervised multi-worker serving: the shared
 SupervisionLedger and a real ``repro serve --workers 2`` process tree."""
 
+import http.client
 import json
 import os
 import signal
@@ -201,6 +202,60 @@ class TestServeWorkers:
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30) == 0
         finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+
+    def test_no_signal_is_slept_through_while_request_threads_are_busy(
+        self, tmp_path
+    ):
+        """The kernel may deliver a SIGHUP to a request thread; the main
+        thread must still act on it without waiting for the next signal."""
+        artifact = tmp_path / "busy.artifact"
+        build_artifact(
+            origins={10: prefix_for_asn(10)},
+            observers=[1],
+            paths={(10, 1): {(1, 10)}},
+        ).save(artifact)
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(artifact),
+             "--port", "0", "--workers", "1"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        stop = threading.Event()
+
+        def hammer(address):
+            while not stop.is_set():
+                try:
+                    _get(address, "/paths?origin=10&observer=1")
+                except (OSError, http.client.HTTPException):
+                    pass  # the drain at the end cuts a request short
+
+        try:
+            address = _read_banner(process)
+            clients = [
+                threading.Thread(target=hammer, args=(address,), daemon=True)
+                for _ in range(4)
+            ]
+            for client in clients:
+                client.start()
+            for sent in range(1, 31):
+                process.send_signal(signal.SIGHUP)
+                limit = time.monotonic() + 5.0
+                attempts = 0
+                while attempts < sent and time.monotonic() < limit:
+                    _, body = _get(address, "/healthz")
+                    attempts = body["reload"]["attempts"]
+                assert attempts == sent, f"SIGHUP {sent} was not acted on"
+            stop.set()
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+        finally:
+            stop.set()
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=10)
