@@ -7,13 +7,25 @@ accidentally swallowing programming mistakes such as ``TypeError``.
 
 from __future__ import annotations
 
+from typing import Any
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
+    report: Any = None
+    """The partial report of the run this error ended, where the raiser or
+    a command it passed through has one; ``repro.cli.main`` emits it."""
+
 
 class ParseError(ReproError, ValueError):
     """Raised when textual input (addresses, paths, dumps, configs) is malformed."""
+
+
+class UsageError(ReproError):
+    """Raised by a CLI command (never by the library) for a request it will
+    not run as asked — bad flag combinations, an ASN the inputs do not
+    hold: ``repro.cli.main`` exits 2, the code argparse itself uses."""
 
 
 class TopologyError(ReproError):
@@ -128,14 +140,17 @@ class ShutdownRequested(ReproError):
             order they would have run — task keys from the pool, sorted
             :class:`~repro.net.prefix.Prefix` objects from
             ``simulate_network_bounded`` — the work a resumed run must redo.
+
+    The message — the one interrupt line ``repro.cli.main`` prints —
+    counts ``pending`` as units of work: true of all three.
     """
 
     def __init__(self, signum: int, stats=None, pending=None):
         pending = list(pending or [])
-        super().__init__(
-            f"shutdown requested (signal {signum}); "
-            f"{len(pending)} prefix(es) left unsimulated"
-        )
+        message = f"interrupted by signal {signum}"
+        if pending:
+            message += f": {len(pending)} unit(s) of work unfinished"
+        super().__init__(message)
         self.signum = signum
         self.stats = stats
         self.pending = pending

@@ -8,7 +8,6 @@ AS-path length" (Section 4.6).
 
 from __future__ import annotations
 
-from repro.core.predict import evaluate_model
 from repro.experiments import models
 from repro.experiments.report import ExperimentResult
 from repro.experiments.workloads import PreparedWorkload
@@ -41,7 +40,7 @@ def run(prepared: PreparedWorkload) -> ExperimentResult:
             it.filters_deleted,
         )
 
-    report = evaluate_model(model, prepared.training)
+    report = models.refined_report(prepared, "training")
     max_path_len = max(
         (len(route.path) for route in prepared.training), default=0
     )

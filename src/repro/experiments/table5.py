@@ -10,12 +10,12 @@ prediction task than the observation-point split.
 from __future__ import annotations
 
 from repro.core.build import build_initial_model
-from repro.core.metrics import MatchKind
 from repro.core.predict import evaluate_model
 from repro.core.refine import RefinementConfig, Refiner
 from repro.core.split import split_by_origin
 from repro.experiments import models
 from repro.experiments.report import ExperimentResult
+from repro.experiments.table4 import add_prediction_rows
 from repro.experiments.workloads import PreparedWorkload
 
 
@@ -38,27 +38,7 @@ def run(
         title="Prediction for unobserved prefixes (origin-AS split)",
         headers=["metric", "training origins", "validation origins"],
     )
-    result.add_row(
-        "cases (unique paths)", training_report.total, validation_report.total
-    )
-    result.add_row(
-        "RIB-Out match", training_report.rib_out_rate, validation_report.rib_out_rate
-    )
-    result.add_row(
-        "potential RIB-Out match",
-        training_report.rate(MatchKind.POTENTIAL_RIB_OUT),
-        validation_report.rate(MatchKind.POTENTIAL_RIB_OUT),
-    )
-    result.add_row(
-        "matched down to tie-break",
-        training_report.tie_break_or_better_rate,
-        validation_report.tie_break_or_better_rate,
-    )
-    result.add_row(
-        "RIB-In match (upper bound)",
-        training_report.rib_in_or_better_rate,
-        validation_report.rib_in_or_better_rate,
-    )
+    add_prediction_rows(result, training_report, validation_report)
     result.metrics["converged"] = int(refinement.converged)
     result.metrics["validation_rib_out"] = validation_report.rib_out_rate
     result.metrics["validation_tie_break_or_better"] = (
@@ -66,10 +46,9 @@ def run(
     )
     # TAB4's headline on the same workload, so "harder than the
     # observation-point split" is a comparison this result carries.
-    observation_split, _ = models.refined_model(prepared)
-    result.metrics["observation_split_tie_break_or_better"] = evaluate_model(
-        observation_split, prepared.validation
-    ).tie_break_or_better_rate
+    result.metrics["observation_split_tie_break_or_better"] = (
+        models.refined_report(prepared, "validation").tie_break_or_better_rate
+    )
     result.note(
         "paper: unobserved prefixes are harder — validation prefixes received "
         "no per-prefix policies, so accuracy below the observation-point "

@@ -54,7 +54,7 @@ from repro.serve.reload import (
     ReloadCoordinator,
     ReloadState,
 )
-from repro.serve.supervisor import ServeSupervisor, run_supervised
+from repro.serve.supervisor import ServeSupervisor
 
 __all__ = [
     "MAGIC",
@@ -78,5 +78,4 @@ __all__ = [
     "build_artifact",
     "compile_artifact",
     "run_server",
-    "run_supervised",
 ]

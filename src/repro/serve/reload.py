@@ -27,12 +27,15 @@ recompiled artifact with zero dropped requests:
     A polling thread that triggers the coordinator when the artifact
     file on disk changes (new mtime/size signature).  Each distinct
     signature is attempted exactly once — a corrupt artifact does not
-    spin the reload loop; the next *write* of the file does.
+    spin the reload loop; the next *write* of the file does.  A tick the
+    coordinator answers ``busy`` is not an attempt: it is retried.
 
 Reload triggers — SIGHUP, ``POST /-/reload``, and the watcher — all
 funnel into :meth:`ReloadCoordinator.reload`, which serialises them with
 a non-blocking lock: concurrent triggers get a ``busy`` outcome instead
-of queueing redundant reloads.
+of queueing redundant reloads (HTTP 409 to a ``POST``; the watcher keeps
+the trigger and retries on its next tick, so no write of the file goes
+unserved).
 """
 
 from __future__ import annotations
@@ -241,7 +244,8 @@ class ArtifactWatcher:
     The signature is ``(mtime_ns, size)`` — atomic ``os.replace`` writes
     (the only way artifacts are produced) always change it.  A signature
     is attempted at most once, so a corrupted write degrades the server
-    exactly once instead of hammering the reload path every tick.
+    exactly once instead of hammering the reload path every tick; a
+    ``busy`` answer is no attempt.
     """
 
     def __init__(
@@ -269,8 +273,13 @@ class ArtifactWatcher:
         signature = self._signature()
         if signature is None or signature == self._attempted:
             return None
-        self._attempted = signature
-        return self.coordinator.reload(reason="watcher")
+        result = self.coordinator.reload(reason="watcher")
+        # A reload that overlapped another did nothing, and the one it
+        # overlapped may have read the file before this write: the
+        # signature stays unattempted and the next tick tries again.
+        if result["outcome"] != "busy":
+            self._attempted = signature
+        return result
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):

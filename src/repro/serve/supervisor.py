@@ -44,9 +44,15 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.errors import ArtifactError
+from repro.obs.metrics import get_registry
 from repro.parallel.protocol import MSG_ERROR, MSG_HEARTBEAT, MSG_READY
 from repro.parallel.supervisor import SupervisionLedger, Worker, WorkerSlots
 from repro.runstate import drain_signals
+from repro.serve.admission import AdmissionController
+from repro.serve.artifact import PredictionArtifact
+from repro.serve.engine import DEFAULT_CACHE_SIZE, QueryEngine
+from repro.serve.http import DEFAULT_REQUEST_TIMEOUT, run_server
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +61,57 @@ _TICK_SECONDS = 0.1
 
 BOOT_FAILURE_EXIT = 1
 """Supervisor exit code when workers cannot boot at all."""
+
+_HEARTBEAT_SECONDS = 0.5
+"""How often a serve worker tells the supervisor it is alive."""
+
+
+@dataclass(frozen=True)
+class ServeOptions:
+    """How one serving process is built from an artifact file.
+
+    The one spelling of ``repro serve``'s knobs and their defaults: the
+    command's flags default to these fields, and the in-process server and
+    every supervised worker are built by the two methods below.
+    """
+
+    cache_size: int = DEFAULT_CACHE_SIZE
+    request_timeout: float = DEFAULT_REQUEST_TIMEOUT
+    max_inflight: int = 64
+    """Concurrent requests before load-shedding; 0 disables admission control."""
+    deadline_seconds: float = 5.0
+    watch_interval: float | None = None
+    handler_delay: float = 0.0
+
+    def load_engine(self, artifact_path: str | Path) -> QueryEngine:
+        """Load and validate the artifact (raises ``ArtifactError``)."""
+        return QueryEngine(
+            PredictionArtifact.load(artifact_path), cache_size=self.cache_size
+        )
+
+    def serve(
+        self, engine: QueryEngine, artifact_path: str | Path, host: str, port: int,
+        **server_kwargs,
+    ) -> int:
+        """Serve ``engine`` in this process until drained (``run_server``)."""
+        admission = None
+        if self.max_inflight > 0:
+            admission = AdmissionController(
+                max_inflight=self.max_inflight,
+                deadline_seconds=self.deadline_seconds,
+            )
+        return run_server(
+            engine,
+            host=host,
+            port=port,
+            request_timeout=self.request_timeout,
+            artifact_path=artifact_path,
+            cache_size=self.cache_size,
+            admission=admission,
+            watch_interval=self.watch_interval,
+            handler_delay=self.handler_delay,
+            **server_kwargs,
+        )
 
 
 @dataclass
@@ -67,7 +124,7 @@ class _ServeWorker(Worker):
 
 
 def _serve_worker_main(
-    conn, artifact_path: str, host: str, port: int, options: dict
+    conn, artifact_path: str, host: str, port: int, options: ServeOptions
 ) -> None:
     """Entry point of one serve worker process.
 
@@ -77,19 +134,9 @@ def _serve_worker_main(
     contract and its own reload coordinator, so a forwarded SIGHUP
     hot-swaps this worker independently of its siblings.
     """
-    from repro.errors import ArtifactError
-    from repro.obs.metrics import get_registry
-    from repro.serve.admission import AdmissionController
-    from repro.serve.artifact import PredictionArtifact
-    from repro.serve.engine import QueryEngine
-    from repro.serve.http import run_server
-
     get_registry().reset()
     try:
-        artifact = PredictionArtifact.load(artifact_path)
-        engine = QueryEngine(
-            artifact, cache_size=options.get("cache_size", 4096)
-        )
+        engine = options.load_engine(artifact_path)
     except (ArtifactError, ValueError) as error:
         try:
             conn.send((MSG_ERROR, 0, f"worker boot failed: {error}"))
@@ -99,10 +146,9 @@ def _serve_worker_main(
         return  # pragma: no cover - unreachable
 
     stop_beats = threading.Event()
-    interval = options.get("heartbeat_interval", 0.5)
 
     def beat() -> None:
-        while not stop_beats.wait(interval):
+        while not stop_beats.wait(_HEARTBEAT_SECONDS):
             try:
                 conn.send((MSG_HEARTBEAT,))
             except (BrokenPipeError, OSError):
@@ -117,25 +163,9 @@ def _serve_worker_main(
             target=beat, name="serve-heartbeat", daemon=True
         ).start()
 
-    admission = None
-    if options.get("max_inflight"):
-        admission = AdmissionController(
-            max_inflight=options["max_inflight"],
-            deadline_seconds=options.get("deadline_seconds", 5.0),
-        )
-    code = run_server(
-        engine,
-        host=host,
-        port=port,
-        request_timeout=options.get("request_timeout", 10.0),
-        artifact_path=artifact_path,
-        cache_size=options.get("cache_size", 4096),
-        admission=admission,
-        watch_interval=options.get("watch_interval"),
-        handler_delay=options.get("handler_delay", 0.0),
-        reuse_port=True,
-        announce=False,
-        on_ready=announce_ready,
+    code = options.serve(
+        engine, artifact_path, host, port,
+        reuse_port=True, announce=False, on_ready=announce_ready,
     )
     stop_beats.set()
     os._exit(code)
@@ -150,7 +180,7 @@ class ServeSupervisor:
         workers: int,
         host: str = "127.0.0.1",
         port: int = 0,
-        options: dict | None = None,
+        options: ServeOptions | None = None,
         heartbeat_grace: float = 10.0,
         drain_grace: float = 10.0,
         max_boot_failures: int = 3,
@@ -169,7 +199,7 @@ class ServeSupervisor:
         self.artifact_path = str(artifact_path)
         self.host = host
         self.requested_port = port
-        self.options = dict(options or {})
+        self.options = options or ServeOptions()
         self.heartbeat_grace = heartbeat_grace
         self.drain_grace = drain_grace
         self.max_boot_failures = max_boot_failures
@@ -331,23 +361,3 @@ class ServeSupervisor:
             except (ProcessLookupError, OSError):
                 pass
 
-
-def run_supervised(
-    artifact_path: str | Path,
-    workers: int,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    options: dict | None = None,
-    **supervisor_kwargs,
-) -> int:
-    """Run the multi-worker serve supervisor until drained; returns its
-    exit code (0 clean drain, nonzero on boot failure)."""
-    supervisor = ServeSupervisor(
-        artifact_path,
-        workers,
-        host=host,
-        port=port,
-        options=options,
-        **supervisor_kwargs,
-    )
-    return supervisor.run()

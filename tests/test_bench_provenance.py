@@ -72,7 +72,8 @@ def _imported_experiment_modules(path: Path) -> set[str]:
 def test_every_exported_experiment_module_has_a_caller():
     """A module under ``repro/experiments/`` that defines a runner (a public
     ``run*`` function, or one returning an ``ExperimentResult``) is imported
-    by the registry or by ``cli.py`` — nothing else lists experiments."""
+    by the registry or by a command module (``*/commands.py``, which
+    ``cli.py`` lists) — nothing else lists experiments."""
     package = ROOT / "src" / "repro" / "experiments"
     runners = set()
     for path in package.glob("*.py"):
@@ -84,9 +85,11 @@ def test_every_exported_experiment_module_has_a_caller():
                 runners.add(path.stem)
     # The detection sees each shape a runner takes today.
     assert {"table3", "ablations", "chaos", "profiling"} <= runners
-    reachable = _imported_experiment_modules(
-        package / "registry.py"
-    ) | _imported_experiment_modules(ROOT / "src" / "repro" / "cli.py")
+    command_modules = sorted((ROOT / "src" / "repro").glob("*/commands.py"))
+    assert package / "commands.py" in command_modules
+    reachable = set().union(*map(
+        _imported_experiment_modules, [package / "registry.py", *command_modules]
+    ))
     assert runners - reachable == set()
 
 

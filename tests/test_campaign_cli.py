@@ -153,6 +153,49 @@ class TestSigtermResume:
             stderr=subprocess.DEVNULL,
         )
 
+    def test_sigterm_says_what_was_left_in_a_noun_that_fits_scenarios(
+        self, fixture_dir, tmp_path, capsys, monkeypatch
+    ):
+        """One interrupt line: the ``ShutdownRequested`` says it, ``main``
+        prints that text and adds where to resume from.  The signal is a
+        real one, raised as the first scenario finishes."""
+        from repro.campaign import EdgeFailureScenario, commands
+        from repro.errors import ShutdownRequested
+
+        run, run_campaign, raised = EdgeFailureScenario.run, commands.run_campaign, []
+
+        def run_then_sigterm(scenario, *args):
+            value = run(scenario, *args)
+            os.kill(os.getpid(), signal.SIGTERM)
+            return value
+
+        def recording(*args, **kwargs):
+            try:
+                return run_campaign(*args, **kwargs)
+            except ShutdownRequested as shutdown:
+                raised.append(shutdown)
+                raise
+
+        monkeypatch.setattr(EdgeFailureScenario, "run", run_then_sigterm)
+        monkeypatch.setattr(commands, "run_campaign", recording)
+        ckpt = tmp_path / "run.ckpt"
+        code = campaign(
+            fixture_dir, "depeer", "--max-scenarios", "3", "--checkpoint", str(ckpt)
+        )
+        assert code == 5
+        shutdown, = raised
+        assert len(shutdown.pending) == 2
+        assert str(shutdown) == (
+            f"interrupted by signal {int(signal.SIGTERM)}: "
+            "2 unit(s) of work unfinished"
+        )
+        interrupt_line = capsys.readouterr().err.splitlines()[-1]
+        assert "prefix" not in interrupt_line
+        assert interrupt_line == (
+            f"{shutdown}; checkpoint saved to {ckpt}; "
+            "rerun with --resume to continue"
+        )
+
     def test_sigterm_then_resume_matches_uninterrupted(
         self, fixture_dir, tmp_path
     ):

@@ -12,7 +12,6 @@ adjacency removed, every prefix simulated from scratch.
 """
 
 import dataclasses
-import functools
 import pickle
 from dataclasses import dataclass
 
@@ -33,15 +32,12 @@ from repro.campaign import (
     plan_campaign,
     run_campaign,
 )
-from repro.campaign.diffing import diff_path_maps
 from repro.campaign.scenarios import KIND_LINK_FAILURE, crossing_origins
 from repro.core.build import build_initial_model
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
 from repro.core.predict import collect_path_map, selected_paths
-from repro.core.refine import RefinementConfig, Refiner
+from repro.core.refine import Refiner
 from repro.core.whatif import remove_adjacency
-from repro.data.observation import collect_dataset, select_observation_points
-from repro.data.synthesis import SyntheticConfig, synthesize_internet
 from repro.errors import TopologyError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix, prefix_for_asn
@@ -51,7 +47,7 @@ from repro.parallel.worker import WorkingCopy
 from repro.resilience.retry import simulate_network_bounded
 from repro.serve import compile_artifact
 from repro.topology.dataset import ObservedRoute, PathDataset
-from repro.topology.graph import ASGraph
+from tests.oracle import depeered_world, from_scratch, seeded_world
 from tests.test_bgp_engine_golden import canonical_dump
 
 P = Prefix("10.0.0.0/24")
@@ -84,45 +80,6 @@ def run_scenario(model, scenario, context):
     """Execute one scenario on a fresh copy of the model's network."""
     network = pickle.loads(pickle.dumps(model.network))
     return scenario.run(network, context, MODEL_DECISION_CONFIG, None)
-
-
-@dataclass(frozen=True)
-class World:
-    """A seeded refined model, its baseline and its pickled network."""
-
-    model: ASRoutingModel
-    context: object
-    blob: bytes
-
-
-@functools.lru_cache(maxsize=None)
-def seeded_world(seed: int) -> World:
-    """Synthesize, observe and refine a 23-AS world (read-only, cached)."""
-    internet = synthesize_internet(
-        SyntheticConfig(seed=seed, n_level1=3, n_level2=4, n_other=6, n_stub=10)
-    )
-    simulate(internet.network)
-    points = select_observation_points(internet, 8, seed=seed)
-    dataset = collect_dataset(internet.network, points).cleaned()
-    model = build_initial_model(dataset, ASGraph.from_dataset(dataset))
-    assert Refiner(model, dataset, RefinementConfig(max_iterations=12)).run().converged
-    artifact, _ = compile_artifact(model)
-    model.network.clear_routing()
-    context = plan_campaign(model, [], context_from_artifact(artifact))
-    assert context.unique_state and not context.converged_ahead
-    return World(model, context, dump_network(model.network))
-
-
-def from_scratch(blob: bytes, context, asn_a: int, asn_b: int, config=MODEL_DECISION_CONFIG):
-    """The oracle: fresh copy, adjacency removed, every prefix re-simulated."""
-    network = pickle.loads(blob)
-    model = ASRoutingModel.from_network(network)
-    removed = len(remove_adjacency(model, asn_a, asn_b))
-    stats = simulate_network_bounded(network, config=config)
-    assert not stats.quarantined
-    current = collect_path_map(model, context.observers)
-    diff = diff_path_maps(context.baseline_paths, current, context.excluded)
-    return removed, diff
 
 
 def structure(network: Network) -> dict:
@@ -346,17 +303,15 @@ class TestCrossingOrigins:
                     assert engine_counts(
                         scenario.run, network, context, MODEL_DECISION_CONFIG, None
                     ) == (outcome, *counts)
-            removed, diff = from_scratch(
-                world.blob, world.context, scenario.asn_a, scenario.asn_b
-            )
+            oracle = depeered_world(seed, scenario.asn_a, scenario.asn_b)
             assert outcome == {
                 "kind": "depeer",
                 "key": scenario.key,
                 "params": {"asn_a": scenario.asn_a, "asn_b": scenario.asn_b},
-                "removed_sessions": removed,
+                "removed_sessions": oracle.removed,
                 "degraded": [],
-                "diff": diff.to_dict(),
-                "blast_radius": diff.blast_radius,
+                "diff": oracle.diff.to_dict(),
+                "blast_radius": oracle.diff.blast_radius,
             }
         # The saving is real: most adjacencies carry a minority of origins.
         assert sum(simulated) < 0.7 * origins * len(simulated)

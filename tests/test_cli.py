@@ -1,10 +1,14 @@
 """End-to-end tests for the ``repro`` command-line interface."""
 
+import argparse
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bgp.network import Network
 from repro.cbgp.export import export_network
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.net.prefix import prefix_for_asn
 from repro.resilience.faults import inject_dispute_wheel
 
@@ -148,7 +152,61 @@ class TestLint:
         assert main(["refine", str(dump_file), "--lint-gate"]) == 0
 
 
+def option_surface(action: argparse.Action) -> dict:
+    """What a user, a script or ``--help`` can see of one argument."""
+    return {
+        "flags": list(action.option_strings),
+        "dest": action.dest,
+        "action": type(action).__name__,
+        "default": action.default,
+        "type": getattr(action.type, "__name__", None),
+        "choices": None if action.choices is None else list(action.choices),
+        "nargs": action.nargs,
+        "metavar": action.metavar,
+        "required": action.required,
+        "help": action.help,
+    }
+
+
+def cli_surface(parser: argparse.ArgumentParser) -> dict:
+    """The global options, then every subcommand's, in ``--help`` order."""
+    options = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    surface = {"options": [
+        option_surface(a) for a in options
+        if not isinstance(a, argparse._SubParsersAction)
+    ]}
+    for action in options:
+        if isinstance(action, argparse._SubParsersAction):
+            helps = {choice.dest: choice.help for choice in action._choices_actions}
+            surface["commands"] = [
+                {"name": name, "help": helps[name], **cli_surface(subparser)}
+                for name, subparser in action.choices.items()
+            ]
+    return json.loads(json.dumps(surface))  # tuples read back as lists
+
+
 class TestParser:
+    def test_the_tree_is_the_one_cli_py_built_before_the_commands_moved(self):
+        """``fixtures/cli_surface.json`` is ``cli_surface(build_parser())`` at
+        c0365e9, when ``cli.py`` held all 15 ``add_parser`` sites."""
+        expected = json.loads(
+            (Path(__file__).parent / "fixtures" / "cli_surface.json").read_text()
+        )
+        commands = {command["name"]: command for command in expected["commands"]}
+        assert len(commands) == 15
+        assert sum(len(c["options"]) for c in commands.values()) == 132
+        # The whole difference since: four values are refused at parse time.
+        for name, flag, validator in (
+            ("synthesize", "--scale", "positive_float"),
+            ("synthesize", "--points", "positive_int"),
+            ("chaos", "--scale", "positive_float"),
+            ("serve", "--cache-size", "positive_int"),
+        ):
+            option, = (o for o in commands[name]["options"] if flag in o["flags"])
+            assert option["type"] in ("int", "float")
+            option["type"] = validator
+        assert cli_surface(build_parser()) == expected
+
     def test_no_subcommand_shows_help(self, capsys):
         assert main([]) == 2
 
@@ -163,6 +221,10 @@ class TestParser:
             ["refine", "absent.txt", "--train-fraction", "0"],
             ["campaign", "depeer", "absent.cfg", "--baseline", "absent.artifact",
              "--max-scenarios", "-1"],
+            ["serve", "absent.artifact", "--cache-size", "0"],
+            ["synthesize", "--out", "unwritten.dump", "--points", "0"],
+            ["synthesize", "--out", "unwritten.dump", "--scale", "-1"],
+            ["chaos", "--scale", "0"],
         ],
         ids=lambda argv: " ".join(argv[-2:]),
     )
@@ -311,7 +373,7 @@ class TestRefineDivergence:
         report, and the run exits 3."""
         import json
 
-        from repro import cli
+        from repro.core import commands
         from repro.data.dumps import write_table_dump
         from repro.net.aspath import ASPath
         from repro.topology.dataset import ObservedRoute, PathDataset
@@ -329,7 +391,7 @@ class TestRefineDivergence:
             ]),
             dump,
         )
-        build = cli.build_initial_model
+        build = commands.build_initial_model
 
         def build_with_wheel(dataset, graph):
             model = build(dataset, graph)
@@ -338,7 +400,7 @@ class TestRefineDivergence:
             )
             return model
 
-        monkeypatch.setattr(cli, "build_initial_model", build_with_wheel)
+        monkeypatch.setattr(commands, "build_initial_model", build_with_wheel)
         report = tmp_path / "health.json"
         code = main(["refine", str(dump), "--health-report", str(report)])
         assert code == 3

@@ -40,8 +40,9 @@ from repro.campaign import generate_depeer
 from repro.campaign.scenarios import crossing_origins
 from repro.core.model import ASRoutingModel
 from repro.core.whatif import remove_adjacency
-from tests.test_bgp_engine_golden import _route_fields, canonical_dump
-from tests.test_campaign_scenarios import disagree_gadget, seeded_world
+from tests.oracle import depeered_world, rib_contents, seeded_world
+from tests.test_bgp_engine_golden import canonical_dump
+from tests.test_campaign_scenarios import disagree_gadget
 
 BASE = SyntheticConfig(seed=0, n_level1=3, n_level2=5, n_other=8, n_stub=14)
 
@@ -389,38 +390,6 @@ class TestPerNeighbourMedIsNeverIncremental:
         assert_locally_stable(network, MODEL_DECISION_CONFIG)
 
 
-def rib_contents(network: Network, prefix: Prefix) -> list:
-    """What every router holds for ``prefix``, by value: dict order, object
-    identity and an empty table against none are not part of it.
-
-    An Adj-RIB-Out entry is compared as the announcement it is.  Its
-    learned-from fields (source, peer router, peer AS: the last three
-    dropped here) describe the best route that first produced the
-    announcement — the engine does not rewrite an entry for an
-    attribute-equal successor — so they depend on message order in a
-    from-scratch run too, and the receiver overwrites them on import.
-    """
-    contents = []
-    for router_id in sorted(network.routers):
-        router = network.routers[router_id]
-        best = router.loc_rib.get(prefix)
-        contents.append((
-            router_id,
-            sorted(
-                (session_id, _route_fields(route))
-                for session_id, route in router.adj_rib_in.get(prefix, {}).items()
-            ),
-            None if best is None else _route_fields(best),
-            sorted(
-                (session_id, _route_fields(route.replace(
-                    source=RouteSource.LOCAL, peer_router=0, peer_asn=0
-                )))
-                for session_id, route in router.adj_rib_out.get(prefix, {}).items()
-            ),
-        ))
-    return contents
-
-
 def flat(peerings) -> list:
     return [session for peering in peerings for session in peering]
 
@@ -442,10 +411,7 @@ class TestResumeOracle:
                     world.model, world.context, scenario.asn_a, scenario.asn_b
                 )
             )
-            plain = refined_network(seed)
-            remove_adjacency(
-                ASRoutingModel.from_network(plain), scenario.asn_a, scenario.asn_b
-            )
+            plain = depeered_world(seed, scenario.asn_a, scenario.asn_b)
             converged.open_perturbation()
             dropped = flat(remove_adjacency(
                 ASRoutingModel.from_network(converged), scenario.asn_a, scenario.asn_b
@@ -454,13 +420,12 @@ class TestResumeOracle:
                 resumed = resume_prefix(
                     converged, prefix, MODEL_DECISION_CONFIG, dropped=dropped
                 )
-                scratch = simulate_prefix(plain, prefix, MODEL_DECISION_CONFIG)
-                assert rib_contents(converged, prefix) == rib_contents(plain, prefix), (
+                assert repr(rib_contents(converged, prefix)) == plain.rib_contents(prefix), (
                     scenario.key, prefix,
                 )
                 assert (resumed.resumes, resumed.prefixes) == (1, 0)
                 resumed_messages += resumed.messages
-                scratch_messages += scratch.messages
+                scratch_messages += plain.messages[prefix]
             converged.close_perturbation()
         assert_locally_stable(converged, MODEL_DECISION_CONFIG)  # ... and the undo
         # A perturbation costs what is downstream of it, not the convergence.

@@ -918,7 +918,92 @@ def handlers_of(exception: str) -> set[str]:
     }
 
 
+def sites(match: Callable[[ast.AST], bool]) -> dict[str, int]:
+    """How many nodes of each file under ``src/repro`` satisfy ``match``."""
+    found: dict[str, int] = {}
+    for name, tree in source_trees():
+        count = sum(1 for node in ast.walk(tree) if match(node))
+        if count:
+            found[name] = count
+    return found
+
+
+def calls(function: str, keyword: str | None = None) -> dict[str, int]:
+    """Sites calling the bare name ``function`` (passing ``keyword=``)."""
+    return sites(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == function
+        and (keyword is None or any(k.arg == keyword for k in node.keywords))
+    )
+
+
 class TestEachMechanismExistsOnce:
+    def test_a_run_is_set_up_and_observed_by_the_cli_spine_alone(self):
+        """Registry reset, run-metadata stamp and ``--trace`` scope: one site
+        each, in ``cli.main``; a handler reads ``args.meta``."""
+        assert sites(
+            lambda node: isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "reset"
+            and ast.unparse(node.func.value) == "get_registry()"
+        ) == {
+            "cli.py": 1,
+            "serve/supervisor.py": 1,  # a serve worker's process entry
+        }
+        assert calls("run_metadata", keyword="argv") == {"cli.py": 1}
+        assert calls("JsonlTracer") == {
+            "cli.py": 1,
+            "experiments/obs.py": 1,  # the OBS experiment times the sink itself
+        }
+
+    def test_a_report_is_emitted_by_the_cli_spine_alone(self):
+        """One ``--json`` fork, in ``cli.emit``: a command declares the flag
+        (``dest="as_json"``) and never reads it."""
+        assert sites(
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "as_json"
+            or isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr"
+            and any(
+                isinstance(arg, ast.Constant) and arg.value == "as_json"
+                for arg in node.args
+            )
+        ) == {"cli.py": 1}
+
+    def test_a_run_is_mapped_to_an_exit_code_by_the_cli_spine_alone(self):
+        """One ``error:`` line in the tree; codes 1-5 are ``EXIT_*`` constants,
+        a report's ``exit_code`` or an exception ``cli.main`` maps — never a
+        literal a handler returns."""
+
+        def prints_error(node: ast.AST) -> bool:
+            if not (isinstance(node, ast.Call) and node.args
+                    and ast.unparse(node.func) == "print"):
+                return False
+            text = node.args[0]
+            if isinstance(text, ast.JoinedStr):
+                text = text.values[0]
+            return isinstance(text, ast.Constant) and str(text.value).startswith("error:")
+
+        assert sites(prints_error) == {"cli.py": 1}
+        command_path = {"cli.py", "command.py"} | {
+            name for name, _ in source_trees() if name.endswith("/commands.py")
+        }
+        assert len(command_path) == 9
+        assert {
+            name: count
+            for name, count in sites(
+                lambda node: isinstance(node, ast.Return)
+                and isinstance(node.value, ast.Constant)
+                and type(node.value.value) is int and node.value.value != 0
+            ).items()
+            if name in command_path
+        } == {}
+
+    def test_command_modules_are_imported_by_the_cli_alone(self):
+        """No package ``__init__`` (nor anything else a pipeline stage
+        imports) loads a command module: ``setup_s`` is those packages."""
+        assert sites(
+            lambda node: isinstance(node, ast.ImportFrom)
+            and (node.module or "").endswith(".commands")
+        ) == {"cli.py": 7}
+
     def test_os_replace_is_called_only_by_runstate(self):
         assert call_sites("replace", "os") == {"runstate.py"}
         assert imports_of("os", "replace") == set()

@@ -175,6 +175,37 @@ class TestArtifactWatcher:
         assert watcher.poll_once() is None  # no retry loop on the same file
         assert get_registry().counter("serve.reload_failures").value == 1
 
+    def test_a_tick_that_overlaps_another_reload_is_retried(
+        self, artifact_file, monkeypatch
+    ):
+        """The file is replaced while a ``POST /-/reload`` is mid-load, after
+        that reload read it: the watcher's tick is answered ``busy``, which
+        is no attempt — the next tick serves the file that is on disk."""
+        ref, coordinator = TestReloadCoordinator().coordinator(artifact_file)
+        watcher = ArtifactWatcher(coordinator, interval=60.0)
+        loaded, release = threading.Event(), threading.Event()
+        load = PredictionArtifact.load
+
+        def load_then_hold(path):
+            artifact = load(path)
+            loaded.set()
+            assert release.wait(timeout=10)
+            return artifact
+
+        monkeypatch.setattr(PredictionArtifact, "load", staticmethod(load_then_hold))
+        make_artifact(2).save(artifact_file)
+        overlapped = threading.Thread(target=coordinator.reload)
+        overlapped.start()
+        assert loaded.wait(timeout=10)
+        make_artifact(3).save(artifact_file)
+        assert watcher.poll_once()["outcome"] == "busy"
+        release.set()
+        overlapped.join(timeout=10)
+        assert not overlapped.is_alive()
+        assert watcher.poll_once()["outcome"] == "reloaded"
+        assert ref.get().artifact.checksum == load(artifact_file).checksum
+        assert watcher.poll_once() is None  # and that was the attempt
+
     def test_rejects_nonpositive_interval(self, artifact_file):
         _, coordinator = TestReloadCoordinator().coordinator(artifact_file)
         with pytest.raises(ValueError):
