@@ -9,6 +9,7 @@ runs.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -247,6 +248,23 @@ class Network:
     # ------------------------------------------------------------------
     # Perturbation with exact undo (campaign scenarios)
     # ------------------------------------------------------------------
+
+    @contextmanager
+    def perturbation(self) -> Iterator[None]:
+        """Lend the network to one what-if; every edit is undone on the way out.
+
+        Whether the body returned or raised: :meth:`disconnect`,
+        :meth:`originate` and :meth:`withdraw` have each logged their
+        inverse by the time they return and routing state is set aside
+        before it changes, so a body that stops between two edits or inside
+        a simulation is undone as exactly as one that finished.  An error
+        out of the replay itself means the network was not put back.
+        """
+        self.open_perturbation()
+        try:
+            yield
+        finally:
+            self.close_perturbation()
 
     def open_perturbation(self) -> None:
         """Start recording the inverse of every edit.

@@ -119,9 +119,6 @@ def _campaign(args: argparse.Namespace) -> Output:
         print("no --baseline given; compiling one in-process",
               file=sys.stderr)
         artifact, _ = compile_artifact(model)
-        # Scenario workers and the baseline must not share routing state:
-        # scenarios re-simulate from a cold network.
-        model.network.clear_routing()
     try:
         scenarios = _scenarios(args, model)
     except TopologyError as error:

@@ -4,20 +4,22 @@
 ``workers > 1`` every scenario becomes one generic task of the PR-4
 :class:`~repro.parallel.SupervisedPool` — crash-isolated, watchdogged,
 resubmitted to fresh workers on failure and finally quarantined as
-poison/timeout instead of killing the campaign.  Sequentially, the same
-``scenario.run`` executes in-process.  Either way a scenario borrows one
-:class:`~repro.parallel.worker.WorkingCopy` of the network, whose edits
-are undone exactly when the scenario returns, so scenario order and
-placement cannot matter and the two paths produce bit-identical ranked
-reports.
+poison/timeout instead of killing the campaign — and runs on the worker's
+unpickled copy of the network.  Sequentially, the same ``scenario.run``
+executes in-process on the model's own network: nothing is copied.  Either
+way a scenario borrows the network inside
+:meth:`~repro.bgp.network.Network.perturbation`, whose edits — topology
+and routing state — are undone exactly on the way out, whether the
+scenario returned or raised, so scenario order and placement cannot
+matter and the two paths produce bit-identical ranked reports.
 
 Converge once, perturb from there: before anything runs, ``run_campaign``
 asks every pending scenario which origins it will re-converge
-(``perturbed_origins``) and has each working copy hold converged, on the
+(``perturbed_origins``) and has each lender hold converged, on the
 unperturbed topology, those that enough scenarios name — two for every
-copy there will be, one copy sequentially and one per pool worker
-(:func:`plan_campaign`); the plan travels in the :class:`CampaignContext`.
-A scenario resumes such an origin from its RIBs
+lender there will be, the model's network sequentially and one copy per
+pool worker (:func:`plan_campaign`); the plan travels in the
+:class:`CampaignContext`.  A scenario resumes such an origin from its RIBs
 (:func:`repro.bgp.engine.resume_prefix`) instead of simulating it from
 nothing.  Only where the model's stable state is unique, where resumed
 and from-scratch answers are the same answer; an origin named once would
@@ -26,8 +28,9 @@ cost one simulation either way and is left cold.
 A :mod:`repro.runstate` scenario checkpoint (fingerprinted over the
 campaign kind, scenario keys and baseline checksum) records every
 finished outcome: the sequential path persists it after each scenario
-and a SIGTERM'd campaign writes it again during the drain, so ``resume``
-skips the completed scenarios on the next run.
+and however the campaign ends — completed, drained after a SIGTERM, or
+stopped by an error — it is written once more, so ``resume`` skips the
+completed scenarios on the next run.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import hashlib
 import logging
 import time
 from collections import Counter
-from contextlib import closing
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,8 +55,7 @@ from repro.errors import (
 )
 from repro.obs.metrics import get_registry
 from repro.obs.trace import EVENT_SCENARIO, get_tracer
-from repro.parallel.protocol import dump_network
-from repro.parallel.worker import WorkingCopy
+from repro.parallel.worker import converge_ahead
 from repro.resilience.retry import POISON
 from repro.runstate import drain_signals, read_state, write_state
 from repro.serve.artifact import PredictionArtifact
@@ -182,10 +183,16 @@ def run_campaign(
 ) -> CampaignReport:
     """Execute every scenario and rank the outcomes by blast radius.
 
+    Sequentially the scenarios perturb ``model.network`` itself, each
+    undone exactly before the next, and it comes back holding **no
+    routing state**: what it held on entry is not trusted as converged
+    and is cleared, not preserved.  Nothing else of ``model`` changes.
+
     Raises :class:`~repro.errors.ShutdownRequested` after a graceful
     SIGINT/SIGTERM drain; the checkpoint (when configured) then holds
     every finished outcome and the exception's ``pending`` lists the
-    unfinished scenario keys.
+    unfinished scenario keys.  An undo that cannot be replayed stops the
+    campaign with its error, checkpoint written.
     """
     started = time.perf_counter()
     ordered = sorted(scenarios, key=lambda s: s.key)  # type: ignore[attr-defined]
@@ -201,9 +208,13 @@ def run_campaign(
         )
     todo = [s for s in ordered if s.key not in completed]
     pooled = parallel is not None and parallel.enabled
-    context = plan_campaign(
-        model, todo, context, copies=parallel.workers if pooled else 1
-    )
+    # Only scenarios that re-converge the model's origins read the plan: a
+    # catchment campaign, or one with nothing left to run, is spared the
+    # walk over every route-map clause that making one begins with.
+    if any(hasattr(scenario, "perturbed_origins") for scenario in todo):
+        context = plan_campaign(
+            model, todo, context, copies=parallel.workers if pooled else 1
+        )
 
     progress = None
     if checkpoint is not None:
@@ -220,12 +231,9 @@ def run_campaign(
             _run_sequential(
                 model, todo, context, max_messages, completed, progress
             )
-    except ShutdownRequested:
-        if checkpoint is not None:
-            write_checkpoint(checkpoint, fingerprint, completed)
-        raise
-    if checkpoint is not None:
-        write_checkpoint(checkpoint, fingerprint, completed)
+    finally:
+        if progress is not None:
+            progress()
 
     _emit_observability(completed)
     report = CampaignReport(
@@ -253,8 +261,9 @@ def plan_campaign(
 ) -> CampaignContext:
     """``context`` with the campaign's plan filled in.
 
-    ``copies`` is how many working copies will run the scenarios, each of
-    which converges the whole ``converged_ahead`` set for itself.  An
+    ``copies`` is how many networks will run the scenarios — the model's
+    own sequentially, one copy per pool worker — each of which converges
+    the whole ``converged_ahead`` set for itself.  An
     origin goes into it when at least ``2 × copies`` scenarios name it
     among their ``perturbed_origins``: a convergence costs about one
     from-scratch simulation and a resume saves about 0.9 of one, so the
@@ -319,12 +328,8 @@ def _fold_generic(stats, by_key: dict, completed: dict[str, ScenarioOutcome]) ->
         completed[key] = _ok_outcome(by_key[key], stats.results[key])
     for key in sorted(stats.failed):
         failure = stats.failed[key]
-        completed[key] = ScenarioOutcome(
-            key=key,
-            kind=getattr(by_key[key], "kind", key.split(":", 1)[0]),
-            status=failure.status,
-            blast_radius=0.0,
-            failures=tuple(failure.failures),
+        completed[key] = _quarantined_outcome(
+            by_key[key], failure.status, failure.failures
         )
 
 
@@ -336,51 +341,57 @@ def _run_sequential(
     completed: dict[str, ScenarioOutcome],
     progress=None,
 ) -> None:
-    """Run scenarios in-process on one working copy of the network.
+    """Run scenarios in-process, on ``model``'s own network.
 
-    Uses the same :class:`WorkingCopy` as the pool workers — ``model``'s
-    own network is never touched — so the sequential and parallel paths
-    compute identical outcomes.  Honors SIGINT/SIGTERM between scenarios
-    via the same drain contract.  ``progress`` (when set) persists the
-    checkpoint after every finished scenario, so even a SIGKILL'd
-    campaign resumes from the last one.
+    The network is lent to one scenario at a time with a perturbation
+    open — what a pool worker does with its copy, so the two paths
+    compute identical outcomes — and holds the converged-ahead prefixes
+    in between.  A scenario's :class:`ReproError` is caught *inside* the
+    perturbation, so by the time it is filed as poison the network is
+    back; an error out of the undo itself is not caught here at all.
+    Honors SIGINT/SIGTERM between scenarios via the same drain contract.
+    ``progress`` (when set) persists the checkpoint after every finished
+    scenario, so even a SIGKILL'd campaign resumes from the last one.
     """
-    copy = WorkingCopy(
-        dump_network(model.network),
-        context.converged_ahead,
-        MODEL_DECISION_CONFIG,
-        max_messages,
-    )
-    # Closed on the way out: the process's next campaign makes its own copy,
-    # and this one's converged RIBs should not sit beside it until a full
-    # collection.
-    with closing(copy), drain_signals() as drain:
-        copy.network()  # converge ahead now, as a pool worker does at startup
-        for index, scenario in enumerate(todo):
-            if drain.signum is not None:
-                pending = [s.key for s in todo[index:]]
-                raise ShutdownRequested(drain.signum, None, pending)
-            try:
-                with copy.perturbed() as network:
-                    value = scenario.run(
-                        network, context, MODEL_DECISION_CONFIG, max_messages
-                    )
-            except ReproError as error:
-                # The in-process analogue of a poison task: the scenario
-                # is quarantined with the error recorded, not fatal.
-                completed[scenario.key] = ScenarioOutcome(
-                    key=scenario.key,
-                    kind=getattr(scenario, "kind", "scenario"),
-                    status=POISON,
-                    blast_radius=0.0,
-                    failures=(repr(error),),
-                )
+    network = model.network
+    with drain_signals() as drain:
+        try:
+            converge_ahead(
+                network, context.converged_ahead, MODEL_DECISION_CONFIG, max_messages
+            )
+            for index, scenario in enumerate(todo):
+                if drain.signum is not None:
+                    pending = [s.key for s in todo[index:]]
+                    raise ShutdownRequested(drain.signum, None, pending)
+                with network.perturbation():
+                    try:
+                        outcome = _ok_outcome(scenario, scenario.run(
+                            network, context, MODEL_DECISION_CONFIG, max_messages
+                        ))
+                    except ReproError as error:
+                        # The in-process analogue of a poison task: the
+                        # scenario is quarantined with the error recorded,
+                        # not fatal.
+                        outcome = _quarantined_outcome(
+                            scenario, POISON, [repr(error)]
+                        )
+                completed[scenario.key] = outcome
                 if progress is not None:
                     progress()
-                continue
-            completed[scenario.key] = _ok_outcome(scenario, value)
-            if progress is not None:
-                progress()
+        finally:
+            # No converged RIBs outlive the call: the caller's network comes
+            # back cold, and its routes are not left for a full collection.
+            network.clear_routing()
+
+
+def _quarantined_outcome(scenario, status: str, failures) -> ScenarioOutcome:
+    return ScenarioOutcome(
+        key=scenario.key,
+        kind=getattr(scenario, "kind", scenario.key.split(":", 1)[0]),
+        status=status,
+        blast_radius=0.0,
+        failures=tuple(failures),
+    )
 
 
 def _ok_outcome(scenario, value: dict) -> ScenarioOutcome:

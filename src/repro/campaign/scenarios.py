@@ -2,12 +2,14 @@
 
 A scenario is a small frozen dataclass naming one perturbation of the
 baseline model.  Scenarios are picklable and self-contained: the engine
-fans them out as generic tasks of the PR-4 supervised pool, where each
-``run(network, context, config, max_messages)`` borrows the one working
-copy of the baseline network with a perturbation open: it may edit
-topology and originations only through ``Network.disconnect`` /
-``originate`` / ``withdraw``, which the lender undoes exactly, routing
-state included.  The prefixes ``CampaignContext.converged_ahead`` names
+fans them out as generic tasks of the PR-4 supervised pool or runs them
+in-process, and each ``run(network, context, config, max_messages)``
+borrows the baseline network — a pool worker's unpickled copy, or the
+model's own in a sequential campaign — with a perturbation open
+(``Network.perturbation``): it may edit topology and originations only
+through ``Network.disconnect`` / ``originate`` / ``withdraw``, which the
+lender undoes exactly, routing state included, whether ``run`` returns or
+raises.  The prefixes ``CampaignContext.converged_ahead`` names
 hold, on entry, what the lender converged on the unperturbed topology of
 a model whose stable state is unique: ``run`` resumes those from there
 with its own edits named, and simulates any other from scratch whatever
@@ -76,11 +78,11 @@ class CampaignContext:
     baseline_checksum: str = ""
     unique_state: bool = False
     """:func:`~repro.bgp.engine.stable_state_is_unique` of the baseline
-    model, evaluated once for every copy made of it."""
+    model, evaluated once for every lender of it."""
     converged_ahead: tuple[Prefix, ...] = ()
-    """Prefixes whoever lends the working copy converges on it first, on
-    the unperturbed topology: the scenarios resume these from their RIBs
-    (see :class:`~repro.parallel.worker.WorkingCopy`)."""
+    """Prefixes whoever lends the network converges on it first, on the
+    unperturbed topology: the scenarios resume these from their RIBs
+    (see :func:`~repro.parallel.worker.converge_ahead`)."""
 
 
 def _paths_for_prefix(network, prefix: Prefix, observer_asn: int) -> set[tuple[int, ...]]:

@@ -5,12 +5,15 @@ then loops: receive a task — an object with a ``key`` and a
 ``run(network, context, config, max_messages)`` method — run it on the
 private copy inside :meth:`WorkingCopy.perturbed`, and send back what it
 returned with a raw metrics dump.  Whatever the task did to the copy —
-topology edits, routing state — is undone exactly when it returns, and
-the copy is unpickled again only after a task raises.  The shared
-``context`` (e.g. a campaign's baseline paths) is unpickled once at
-startup and treated as read-only; when it names prefixes as
+topology edits, routing state — is undone exactly on the way out
+(:meth:`repro.bgp.network.Network.perturbation`), and the copy is
+unpickled again only after a task raises: the blob crossed the process
+boundary anyway, so a worker trusts nothing a failed task handed back.
+The shared ``context`` (e.g. a campaign's baseline paths) is unpickled
+once at startup and treated as read-only; when it names prefixes as
 ``converged_ahead`` the copy holds them converged for the tasks to resume
-from.
+from (:func:`converge_ahead`, which the sequential campaign runs on the
+model's own network instead — nothing in one process needs a copy).
 
 A daemon thread heartbeats over the same connection while the main thread
 simulates — from before the copy is made, so converging ahead at startup
@@ -61,18 +64,35 @@ HEARTBEAT_INTERVAL = 0.2
 """Seconds between a worker's heartbeats while its main thread simulates."""
 
 
+def converge_ahead(
+    network: Network,
+    prefixes: Iterable[Prefix],
+    config: DecisionConfig,
+    max_messages: int | None,
+) -> None:
+    """Leave ``network`` holding routing state for ``prefixes`` alone.
+
+    What a lender does before the first borrower.  State the network came
+    with is not trusted as converged, and every scenario that cleared it
+    would set it aside and put it back: it goes.  Each prefix is then
+    simulated once, counted under ``engine.converged_ahead``.
+    """
+    network.clear_routing()
+    for prefix in prefixes:
+        simulate_prefix_bounded(network, prefix, config, max_messages)
+        get_registry().counter("engine.converged_ahead").inc()
+
+
 class WorkingCopy:
-    """One private network copy that scenarios perturb and hand back.
+    """A pool worker's private network, which tasks perturb and hand back.
 
-    Shared by the sequential campaign loop and the pool workers.  The
-    pickled blob is kept as the recovery value: a scenario that raises
-    may have stopped halfway through an edit, so its copy is dropped and
-    the next user unpickles a new one.
+    The pickled blob is kept as the recovery value: the copy a task
+    raised on is dropped, undone or not, and the next task unpickles a
+    new one — the blob is in the worker's memory either way.
 
-    The copy holds routing state for the ``converged`` prefixes only, each
-    simulated once on the topology as unpickled (counted under
-    ``engine.converged_ahead``) — state every borrower gets back intact
-    and that a recovered copy is given again.  Whether a borrower resumes
+    The copy holds routing state for the ``converged`` prefixes only
+    (:func:`converge_ahead`) — state every borrower gets back intact and
+    that a recovered copy is given again.  Whether a borrower resumes
     from it (:func:`repro.bgp.engine.resume_prefix`) is the borrower's
     business: the campaign's scenarios do so for the prefixes their
     context names, which are these.
@@ -94,15 +114,10 @@ class WorkingCopy:
     def network(self) -> Network:
         """The working copy, made on first use or after a failure."""
         if self._network is None:
-            self._network = network = pickle.loads(self._blob)
-            # State that came in the blob serves nobody, and every scenario
-            # that clears it would set it aside and put it back.
-            network.clear_routing()
-            for prefix in self._converged:
-                simulate_prefix_bounded(
-                    network, prefix, self._config, self._max_messages
-                )
-                get_registry().counter("engine.converged_ahead").inc()
+            self._network = pickle.loads(self._blob)
+            converge_ahead(
+                self._network, self._converged, self._config, self._max_messages
+            )
         return self._network
 
     def close(self) -> None:
@@ -118,17 +133,16 @@ class WorkingCopy:
 
     @contextmanager
     def perturbed(self) -> Iterator[Network]:
-        """Lend the copy for one scenario; every edit is undone on exit.
+        """Lend the copy for one task; every edit is undone on exit.
 
         On a normal exit the topology is exactly as unpickled and the
         routing state exactly the converged prefixes'
-        (:meth:`Network.close_perturbation`).
+        (:meth:`Network.perturbation`).
         """
         network = self.network()
         self._network = None  # nothing to reuse if the body raises
-        network.open_perturbation()
-        yield network
-        network.close_perturbation()
+        with network.perturbation():
+            yield network
         self._network = network
 
 

@@ -5,7 +5,8 @@ plain recipe — a fresh unpickle, the edit applied, every prefix simulated
 from scratch by the sequential engine — live here once, and the suites that
 compare a fast path with it (``TestCrossingOrigins``, ``TestWorkingCopy``,
 ``TestResumeOracle``, ...) read the same cached answers instead of each
-re-simulating the same (seed, adjacency) world.
+re-simulating the same (seed, adjacency) world.  ``structure`` is what
+"the network came back" means wherever one is lent and undone.
 """
 
 import functools
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.bgp import Network, simulate
 from repro.bgp.attributes import RouteSource
+from repro.bgp.engine import EngineStats
 from repro.campaign import context_from_artifact, plan_campaign
 from repro.campaign.diffing import ScenarioDiff, diff_path_maps
 from repro.campaign.scenarios import crossing_origins
@@ -30,7 +32,7 @@ from repro.parallel.protocol import dump_network
 from repro.resilience.retry import ResilienceStats, simulate_network_bounded
 from repro.serve import compile_artifact
 from repro.topology.graph import ASGraph
-from tests.test_bgp_engine_golden import _route_fields
+from tests.test_bgp_engine_golden import _route_fields, canonical_dump
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,30 @@ def seeded_world(seed: int) -> World:
     context = plan_campaign(model, [], context_from_artifact(artifact))
     assert context.unique_state and not context.converged_ahead
     return World(model, context, dump_network(model.network))
+
+
+def structure(network: Network) -> dict:
+    """Everything a simulation's message order can depend on, plus the RIBs.
+
+    A snapshot: one taken before a network is lent compares with one taken
+    after it came back.
+    """
+    routers = network.routers.values()
+    return {
+        "sessions": list(network.sessions),
+        "endpoints": [
+            (key, session.session_id)
+            for key, session in network._session_by_endpoints.items()
+        ],
+        "next_session_id": network._next_session_id,
+        "sessions_out": [[s.session_id for s in r.sessions_out] for r in routers],
+        "sessions_in": [[s.session_id for s in r.sessions_in] for r in routers],
+        "originations": [(p, list(o)) for p, o in network.originations.items()],
+        "local_routes": [list(r.local_routes) for r in routers],
+        "ribs": canonical_dump(network, EngineStats())[:-1],  # by value
+        "touched": {prefix: set(ids) for prefix, ids in network._touched.items()},
+        "open": (network._undo, network._held),
+    }
 
 
 def rib_contents(network: Network, prefix: Prefix) -> list:

@@ -35,6 +35,7 @@ from repro.parallel import ParallelConfig, WorkerFaults
 from repro.parallel.worker import WorkingCopy
 from repro.resilience.retry import POISON
 from repro.serve import compile_artifact
+from tests.oracle import structure
 from tests.test_campaign_scenarios import line_model, seeded_world
 
 pytestmark = pytest.mark.timeout(300)
@@ -69,6 +70,23 @@ class ExplodingScenario:
 
     def run(self, network, context, config, max_messages) -> dict:
         raise TopologyError("synthetic scenario failure")
+
+
+@dataclass(frozen=True)
+class UnreplayableScenario:
+    """Leaves an inverse on the undo log that cannot be replayed."""
+
+    key: str = "depeer:AS2-AS3~unreplayable"  # runs second of the line's four
+    kind: str = "depeer"
+
+    def run(self, network, context, config, max_messages) -> dict:
+        def refuse():
+            raise TopologyError("this inverse cannot be replayed")
+
+        session = next(iter(network.sessions.values()))
+        network.disconnect(session.src, session.dst)
+        network._undo.append((refuse, ()))
+        return {"blast_radius": 0}
 
 
 class TestRunCampaign:
@@ -176,6 +194,60 @@ class TestRunCampaign:
         assert bad[0].status == POISON
         assert "synthetic scenario failure" in bad[0].failures[0]
         assert report.exit_code == 3
+
+    def test_sequential_campaign_pickles_nothing(self, model, context, monkeypatch):
+        """The scenarios perturb ``model.network`` itself, under exact undo."""
+        scenarios = [
+            *generate_depeer(model),
+            *generate_hijack(model, 4, attackers=[1, 2]),
+            *generate_catchment(model, [1, 4]),
+        ]
+        expected = run_campaign(
+            model, "mixed", scenarios, context, parallel=ParallelConfig(workers=2)
+        )
+        before = structure(model.network)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sequential campaign made a copy")
+
+        monkeypatch.setattr(pickle, "dumps", refuse)
+        monkeypatch.setattr(pickle, "loads", refuse)
+        report = run_campaign(model, "mixed", scenarios, context)
+        monkeypatch.undo()
+        assert report.meta["origins_converged_ahead"] > 0  # and resumed from
+        assert report.to_json(include_meta=False) == expected.to_json(
+            include_meta=False
+        )
+        assert structure(model.network) == before
+
+    def test_routing_state_held_on_entry_is_cleared_not_preserved(self, context):
+        """The documented effect on the caller's model: it comes back cold."""
+        model = line_model()
+        model.simulate_all()
+        assert model.network._touched
+        cold = run_campaign(line_model(), "depeer", generate_depeer(model), context)
+        report = run_campaign(model, "depeer", generate_depeer(model), context)
+        assert not model.network._touched
+        assert report.to_json(include_meta=False) == cold.to_json(include_meta=False)
+
+    def test_an_undo_that_cannot_be_replayed_stops_the_campaign(
+        self, context, tmp_path
+    ):
+        """... with that error, checkpoint written: the sweep never goes on
+        on a network it could not put back (and does not call it poison)."""
+        model = line_model()  # not handed back: its own
+        scenarios = [*generate_depeer(model), UnreplayableScenario()]
+        path = tmp_path / "ck.json"
+        with pytest.raises(TopologyError, match="cannot be replayed"):
+            run_campaign(model, "depeer", scenarios, context, checkpoint=path)
+        fingerprint = campaign_fingerprint(
+            "depeer", (s.key for s in scenarios), context.baseline_checksum
+        )
+        assert sorted(load_checkpoint(path, fingerprint)) == [
+            "depeer:AS1-AS2", "depeer:AS2-AS3",
+        ]
+        assert not model.network._touched
+        assert "_undo" not in vars(model.network)
 
     def test_worker_crash_is_quarantined_not_fatal(self, model, context):
         # The injected fault kills the worker the instant the scenario is

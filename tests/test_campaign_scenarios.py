@@ -5,10 +5,11 @@ for every campaign kind: cutting AS2-AS3 bisects the line, AS2 hijacking
 AS4's prefix captures both of its neighbours, and a 2-site anycast on
 the line's endpoints splits the interior observers evenly.
 
-The crossing-origin depeer and the one working copy — cold, or holding
-origins converged ahead for the scenarios to resume from — are judged
-against the plain engine on seeded refined worlds: a fresh unpickle, the
-adjacency removed, every prefix simulated from scratch.
+The crossing-origin depeer and the lent network — a pool worker's copy
+or, in a sequential campaign, the model's own; cold, or holding origins
+converged ahead for the scenarios to resume from — are judged against the
+plain engine on seeded refined worlds: a fresh unpickle, the adjacency
+removed, every prefix simulated from scratch.
 """
 
 import dataclasses
@@ -44,10 +45,14 @@ from repro.net.prefix import Prefix, prefix_for_asn
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.parallel.protocol import dump_network
 from repro.parallel.worker import WorkingCopy
-from repro.resilience.retry import simulate_network_bounded
+from repro.resilience.retry import (
+    POISON,
+    simulate_network_bounded,
+    simulate_prefix_bounded,
+)
 from repro.serve import compile_artifact
 from repro.topology.dataset import ObservedRoute, PathDataset
-from tests.oracle import depeered_world, from_scratch, seeded_world
+from tests.oracle import depeered_world, from_scratch, seeded_world, structure
 from tests.test_bgp_engine_golden import canonical_dump
 
 P = Prefix("10.0.0.0/24")
@@ -80,26 +85,6 @@ def run_scenario(model, scenario, context):
     """Execute one scenario on a fresh copy of the model's network."""
     network = pickle.loads(pickle.dumps(model.network))
     return scenario.run(network, context, MODEL_DECISION_CONFIG, None)
-
-
-def structure(network: Network) -> dict:
-    """Everything a simulation's message order can depend on, plus the RIBs."""
-    routers = network.routers.values()
-    return {
-        "sessions": list(network.sessions),
-        "endpoints": [
-            (key, session.session_id)
-            for key, session in network._session_by_endpoints.items()
-        ],
-        "next_session_id": network._next_session_id,
-        "sessions_out": [[s.session_id for s in r.sessions_out] for r in routers],
-        "sessions_in": [[s.session_id for s in r.sessions_in] for r in routers],
-        "originations": [(p, list(o)) for p, o in network.originations.items()],
-        "local_routes": [list(r.local_routes) for r in routers],
-        "ribs": canonical_dump(network, EngineStats())[:-1],  # by value
-        "touched": network._touched,
-        "open": (network._undo, network._held),
-    }
 
 
 def disagree_gadget() -> Network:
@@ -450,6 +435,59 @@ class TestConvergeOnceResume:
         assert (simulated, resumed) == (len(crossing), 0)
         assert 0 < len(crossing) < len(world.model.prefix_by_origin)
 
+    def test_a_campaign_that_names_no_origin_is_not_planned(self, monkeypatch):
+        """Catchment scenarios read no part of the plan, so the walk over
+        every route-map clause is not made for them."""
+        world = seeded_world(1)
+        scenarios = generate_catchment(
+            world.model, sorted(world.model.prefix_by_origin)[:3]
+        )
+        alone = {
+            scenario.key: run_scenario(world.model, scenario, world.context)
+            for scenario in scenarios
+        }
+        planned = run_campaign(world.model, "catchment", scenarios, world.context)
+
+        def walked(*args):
+            raise AssertionError("stable_state_is_unique was evaluated")
+
+        monkeypatch.setattr("repro.campaign.engine.stable_state_is_unique", walked)
+        with pytest.raises(AssertionError, match="was evaluated"):
+            run_campaign(
+                world.model, "mixed",
+                [*scenarios, generate_depeer(world.model)[0]], world.context,
+            )
+        report, simulated, resumed = engine_counts(
+            run_campaign, world.model, "catchment", scenarios, world.context
+        )
+        assert {o.key: o.detail for o in report.outcomes} == alone
+        assert report.to_dict(include_meta=False) == planned.to_dict(
+            include_meta=False
+        )
+        assert report.meta["origins_converged_ahead"] == 0
+        assert (simulated, resumed) == (1 + 2 * 3, 0)
+
+    def test_a_fully_resumed_campaign_is_not_planned(self, monkeypatch, tmp_path):
+        """Nor is a campaign with nothing left to run."""
+        world = seeded_world(1)
+        scenarios = generate_depeer(world.model)[:2]
+        path = tmp_path / "ck.json"
+        full = run_campaign(
+            world.model, "depeer", scenarios, world.context, checkpoint=path
+        )
+        monkeypatch.setattr(
+            "repro.campaign.engine.stable_state_is_unique",
+            lambda *args: pytest.fail("stable_state_is_unique was evaluated"),
+        )
+        resumed = run_campaign(
+            world.model, "depeer", scenarios, world.context,
+            checkpoint=path, resume=True,
+        )
+        assert resumed.meta["resumed"] == 2
+        assert resumed.to_dict(include_meta=False) == full.to_dict(
+            include_meta=False
+        )
+
     @pytest.mark.parametrize("breach", [
         "local-pref", "ibgp", "med-not-always-compared", "disagree-gadget",
     ])
@@ -508,6 +546,58 @@ class HalfwayScenario:
         network.originate(session.src, Prefix("240.0.0.0/24"))
         simulate_network_bounded(network, config=config)
         raise TopologyError("failed halfway through")
+
+
+@dataclass(frozen=True)
+class StopsAfter:
+    """Makes the first ``edits`` of a fixed run of primitive edits, then
+    fails — after all of them, inside an edit that refuses."""
+
+    edits: int
+    kind: str = "depeer"
+
+    STEPS = 9
+
+    @property
+    def key(self) -> str:
+        return f"depeer:stops-after-{self.edits}"
+
+    def run(self, network, context, config, max_messages) -> dict:
+        session = next(iter(network.sessions.values()))
+        a, b = session.src, session.dst
+        anycast = Prefix("240.0.0.0/24")
+        # A model prefix: one held converged ahead, where any is.
+        own = next(iter(network._touched), next(iter(network.originations)))
+        origin = network.routers[network.originations[own][0]]
+        steps = [
+            lambda: network.disconnect(a, b),
+            lambda: network.originate(a, anycast),
+            lambda: network.originate(b, anycast),
+            lambda: simulate_prefix_bounded(network, anycast, config, max_messages),
+            lambda: network.withdraw(a, anycast),
+            lambda: network.withdraw(origin, own),
+            lambda: network.clear_prefix(own),      # set aside, if it was held
+            lambda: network.withdraw(b, anycast),   # the prefix leaves again
+            lambda: network.withdraw(b, anycast),   # refused: TopologyError
+        ]
+        assert len(steps) == self.STEPS
+        for step in steps[: self.edits]:
+            step()
+        raise TopologyError(f"stopped after {self.edits} edit(s)")
+
+
+@dataclass(frozen=True)
+class ProbeScenario:
+    """Edits nothing: records the network the scenario before it left."""
+
+    key: str
+    seen: list = dataclasses.field(default_factory=list, compare=False)
+
+    def run(self, network, context, config, max_messages) -> dict:
+        found = structure(network)
+        del found["open"]  # the lender's perturbation, open around every scenario
+        self.seen.append(found)
+        return {"blast_radius": 0}
 
 
 class TestWorkingCopy:
@@ -629,6 +719,90 @@ class TestWorkingCopy:
         network.close_perturbation()
         with pytest.raises(TopologyError, match="no perturbation"):
             network.close_perturbation()
+
+
+class TestBorrowedNetwork:
+    """A sequential campaign perturbs the model's own network — no copy is
+    made — and hands it back as it was, but for holding no routing state."""
+
+    def campaign(self, world, warm, scenarios, monkeypatch):
+        """Run ``scenarios``, a probe after each, on ``world.model`` itself.
+
+        Asserts that every probe found the network a fresh lender would
+        lend and that the model came back; returns the report, the
+        engine's counters and the context the scenarios ran under.
+        """
+        held = TestWorkingCopy().held(world) if warm else []
+        context = dataclasses.replace(world.context, converged_ahead=tuple(held))
+        monkeypatch.setattr(
+            "repro.campaign.engine.plan_campaign", lambda *args, **kwargs: context
+        )
+        model, network = world.model, world.model.network
+        before = structure(network)
+        edges, origins = sorted(model.graph.edges()), dict(model.prefix_by_origin)
+        assert not before["touched"] and before["open"] == (None, None)
+        probes = [ProbeScenario(f"{scenario.key}~probe") for scenario in scenarios]
+        registry = MetricsRegistry()
+        set_registry(registry)
+        try:
+            report = run_campaign(
+                model, "mixed", [*scenarios, *probes], world.context
+            )
+        finally:
+            set_registry(MetricsRegistry())
+        assert [o.key for o in report.outcomes] == sorted(
+            key for s in scenarios for key in (s.key, f"{s.key}~probe")
+        )
+        assert structure(network) == before
+        assert "_undo" not in vars(network) and "_held" not in vars(network)
+        assert sorted(model.graph.edges()) == edges
+        assert model.prefix_by_origin == origins
+        lent = structure(WorkingCopy(world.blob, held, MODEL_DECISION_CONFIG).network())
+        del lent["open"]
+        assert sorted(lent["touched"]) == held
+        for scenario, probe in zip(scenarios, probes):
+            assert probe.seen == [lent], scenario.key
+        return report, registry.snapshot()["counters"], context
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_network_is_as_before_after_each_scenario_kind(self, warm, monkeypatch):
+        """During the campaign the converged-ahead prefixes' state and
+        nothing else; after it none; every topology position as before."""
+        world = seeded_world(2)
+        scenarios = TestWorkingCopy().scenarios(world)
+        report, counters, context = self.campaign(world, warm, scenarios, monkeypatch)
+        details = {o.key: o.detail for o in report.outcomes}
+        for scenario in scenarios:
+            assert details[scenario.key] == scenario.run(
+                pickle.loads(world.blob), world.context, MODEL_DECISION_CONFIG, None
+            ), scenario.key
+        assert counters.get("engine.converged_ahead", 0) == len(context.converged_ahead)
+        assert (counters.get("engine.resumes", 0) > 0) == warm
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_a_scenario_that_raises_anywhere_is_undone_exactly(self, warm, monkeypatch):
+        """Poison, and the sweep goes on — on the same network, with the
+        convergence it already paid for."""
+        world = seeded_world(2)
+        after = TestWorkingCopy().scenarios(world)[2]  # the hijack: sorts last
+        failing = [
+            HalfwayScenario(),
+            *(StopsAfter(edits) for edits in range(StopsAfter.STEPS + 1)),
+        ]
+        report, counters, context = self.campaign(
+            world, warm, [*failing, after], monkeypatch
+        )
+        outcomes = {o.key: o for o in report.outcomes}
+        for scenario in failing:
+            assert outcomes[scenario.key].status == POISON, scenario.key
+        assert "stopped after 0 edit" in outcomes["depeer:stops-after-0"].failures[0]
+        assert "does not originate" in outcomes["depeer:stops-after-9"].failures[0]
+        assert report.counts()["quarantined"] == len(failing)
+        assert outcomes[after.key].detail == after.run(
+            pickle.loads(world.blob), world.context, MODEL_DECISION_CONFIG, None
+        )
+        assert counters.get("engine.converged_ahead", 0) == len(context.converged_ahead)
+        assert counters.get("engine.resumes", 0) == (1 if warm else 0)
 
 
 class TestHijack:

@@ -1022,7 +1022,7 @@ class TestEachMechanismExistsOnce:
         assert imports_of("multiprocessing", "Process") == set()
 
     def test_a_network_blob_is_unpickled_in_one_place(self):
-        """Campaign scenarios share ``WorkingCopy``'s create-or-recover; the
+        """A pool worker's tasks share ``WorkingCopy``'s create-or-recover; the
         worker's other ``pickle.loads`` reads the campaign context."""
         loads = [
             (name, ast.unparse(node.args[0]))
@@ -1038,6 +1038,24 @@ class TestEachMechanismExistsOnce:
             ("parallel/worker.py", "self._blob"),
         ]
         assert imports_of("pickle", "loads") == set()
+
+    def test_a_network_is_pickled_for_processes_only(self):
+        """One process needs no copy: a sequential campaign lends the
+        model's own network (``Network.perturbation``)."""
+        assert calls("dump_network") == {"parallel/supervisor.py": 1}
+        assert imports_of("repro.parallel.protocol", "dump_network") == {
+            "parallel/supervisor.py"
+        }
+
+    def test_a_perturbation_is_opened_and_closed_by_the_network_alone(self):
+        """Everyone who lends a network uses the context manager, so no
+        lender can forget the close on its failure path."""
+        for method in ("open_perturbation", "close_perturbation"):
+            assert call_sites(method) == {"bgp/network.py"}, method
+        assert call_sites("perturbation") == {
+            "campaign/engine.py",   # the model's network, sequentially
+            "parallel/worker.py",   # a pool worker's unpickled copy
+        }
 
     def test_a_worker_does_not_look_at_what_a_task_is(self):
         worker_main = next(
