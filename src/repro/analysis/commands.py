@@ -16,12 +16,12 @@ from repro.analysis.analyzer import ALL_PASSES, analyze_model
 from repro.analysis.certify import CertificateStore, certify_network
 from repro.analysis.diffing import ReportDiff, diff_reports
 from repro.analysis.findings import AnalysisReport
-from repro.command import Command, Output, load_artifact, load_model
+from repro.command import Command, Output, load_model
 from repro.data.caida import read_as_rel
 from repro.data.dumps import read_table_dump
 from repro.errors import CertificateError, ParseError, UsageError
 from repro.relationships.types import RelationshipMap
-from repro.serve.artifact import MAGIC
+from repro.serve.artifact import MAGIC, PredictionArtifact
 from repro.topology.dataset import PathDataset
 
 
@@ -74,7 +74,7 @@ def _lint_report(
     reconstructed from an artifact).
     """
     if _is_artifact(path):
-        artifact = load_artifact(path)
+        artifact = PredictionArtifact.load(path)
         if not artifact.certificates:
             raise CertificateError(
                 f"artifact {path} carries no safety certificates; recompile "

@@ -450,7 +450,7 @@ def _account(run: _PrefixRun, messages: int) -> None:
     registry.histogram("engine.messages_per_prefix").observe(stats.messages)
     if run.profiler is not None:
         # Per-prefix hot-path attribution is profiling-only: a labelled
-        # instrument per prefix is exactly what `repro profile` wants and
+        # instrument per prefix is exactly what `repro --profile` wants and
         # exactly what a long refinement run must not accumulate.
         label = str(run.prefix)
         registry.counter(

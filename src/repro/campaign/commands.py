@@ -23,7 +23,6 @@ from repro.command import (
     Command,
     Output,
     add_parallel_arguments,
-    load_artifact,
     load_model,
     non_negative_int,
     parallel_config,
@@ -31,6 +30,7 @@ from repro.command import (
 from repro.core.model import ASRoutingModel
 from repro.errors import TopologyError, UsageError
 from repro.obs.metrics import get_registry
+from repro.serve.artifact import PredictionArtifact
 from repro.serve.compile import compile_artifact
 
 
@@ -113,7 +113,7 @@ def _scenarios(args: argparse.Namespace, model: ASRoutingModel) -> list:
 def _campaign(args: argparse.Namespace) -> Output:
     model = load_model(args.model)
     if args.baseline:
-        artifact = load_artifact(args.baseline)
+        artifact = PredictionArtifact.load(args.baseline)
         validate_baseline(model, artifact)
     else:
         print("no --baseline given; compiling one in-process",

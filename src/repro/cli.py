@@ -6,9 +6,13 @@ The subcommands are declared beside the subsystems they drive, one
 lists them in :data:`COMMANDS` and is the only place a run is set up,
 observed, emitted and mapped to an exit code.  Around every handler,
 :func:`main` configures logging (``--log-level`` / ``--log-json``), stamps
-the run metadata onto ``args.meta``, resets the metrics registry, opens a
-JSONL trace where the command declares ``--trace``, emits what the handler
-returns and turns what it raises into one ``error:`` line and a code.
+the run metadata onto ``args.meta``, resets the metrics registry, opens
+the profile scope under ``repro --profile PATH`` (the phase profiler and
+the stack sampler, written to ``PATH`` and ``PATH`` with a ``.folded``
+suffix even when the run fails; the table goes to stderr, so stdout is
+the command's own), opens a JSONL trace where the command declares
+``--trace``, emits what the handler returns and turns what it raises into
+one ``error:`` line and a code.
 
 A handler prints its own progress and returns ``None``, an ``EXIT_*``
 constant or a *report* — anything with ``to_json()``, optionally
@@ -51,12 +55,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from collections.abc import Iterator
 from contextlib import contextmanager
+from pathlib import Path
 
 from repro.analysis.commands import LINT
 from repro.campaign.commands import CAMPAIGN
-from repro.command import Command, Report
+from repro.command import Command, Report, json_text
 from repro.core.commands import REFINE, WHATIF
 from repro.data.commands import ANALYZE, INGEST, SYNTHESIZE
 from repro.errors import (
@@ -72,11 +78,18 @@ from repro.errors import (
     TopologyError,
     UsageError,
 )
-from repro.experiments.commands import CHAOS, PROFILE
+from repro.experiments.commands import CHAOS
 from repro.obs.commands import BENCH_DIFF, EXPLAIN, STATS
 from repro.obs.logs import LEVELS, configure_logging
 from repro.obs.meta import run_metadata
 from repro.obs.metrics import get_registry
+from repro.obs.profile import (
+    PhaseProfiler,
+    build_profile_document,
+    profiling,
+    render_profile,
+)
+from repro.obs.sampling import StackSampler
 from repro.obs.trace import JsonlTracer, tracing
 from repro.resilience.health import (
     EXIT_DATA,
@@ -86,6 +99,7 @@ from repro.resilience.health import (
     EXIT_UNCONVERGED,
     EXIT_USAGE,
 )
+from repro.runstate import atomic_write
 from repro.serve.commands import COMPILE_ARTIFACT, QUERY, SERVE
 
 COMMANDS: tuple[Command, ...] = (
@@ -101,7 +115,6 @@ COMMANDS: tuple[Command, ...] = (
     COMPILE_ARTIFACT,
     QUERY,
     SERVE,
-    PROFILE,
     BENCH_DIFF,
     CAMPAIGN,
 )
@@ -128,6 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stdlib logging level for the repro logger tree")
     parser.add_argument("--log-json", action="store_true",
                         help="emit log records as JSON lines")
+    parser.add_argument("--profile", metavar="PATH",
+                        help="profile the command: write PROFILE.json to "
+                             "PATH and its sampled stacks to PATH with a "
+                             ".folded suffix")
     subparsers = parser.add_subparsers(title="subcommands")
     for command in COMMANDS:
         subparser = subparsers.add_parser(command.name, help=command.help)
@@ -177,15 +194,44 @@ def _failed(error: Exception, code: int) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Call the handler under the trace scope and emit what it returns —
-    or, on the way out, the partial report carried by what it raises."""
+    """Call the handler under the profile and trace scopes and emit what it
+    returns — or, on the way out, the partial report carried by what it
+    raises."""
     try:
-        with _traced(getattr(args, "trace", None)):
+        with _profiled(args), _traced(getattr(args, "trace", None)):
             return emit(args, args.command.run(args))
     except ReproError as error:
         if error.report is not None:
             emit(args, error.report)
         raise
+
+
+@contextmanager
+def _profiled(args: argparse.Namespace) -> Iterator[None]:
+    """Under ``--profile PATH``: attribute the run to named phases and
+    sample its stacks, then write both — also when the run fails."""
+    path = args.profile
+    if not path:
+        yield
+        return
+    folded = Path(path).with_suffix(".folded")
+    profiler, sampler = PhaseProfiler(), StackSampler()
+    try:
+        with profiling(profiler), sampler:
+            yield
+    finally:
+        document = build_profile_document(
+            profiler,
+            wall_seconds=time.perf_counter() - profiler.started_wall,
+            cpu_seconds=time.process_time() - profiler.started_cpu,
+            workload={"name": args.command.name},
+            meta=args.meta,
+            sampling=sampler.summary(folded),
+        )
+        sampler.write_folded(folded)
+        atomic_write(path, json_text(document) + "\n")
+        print(render_profile(document), file=sys.stderr)
+        print(f"wrote profile to {path}", file=sys.stderr)
 
 
 @contextmanager

@@ -4,8 +4,9 @@ A command is declared beside the subsystem it drives (``data/commands.py``,
 ``core/commands.py``, ...) as one :class:`Command`, and :mod:`repro.cli`
 — whose docstring is the contract between the two — lists them and runs
 them.  Also here: what several command modules share — the argparse value
-types, the supervised-pool flags and the loaders of the two files commands
-are pointed at, a model config and a compiled artifact.
+types, the supervised-pool flags and the loader of the file most commands
+are pointed at, a model config (a compiled artifact loads itself:
+:meth:`~repro.serve.artifact.PredictionArtifact.load`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.cbgp.parse import parse_script
 from repro.core.model import ASRoutingModel
 from repro.parallel import ParallelConfig
 from repro.resilience.health import EXIT_OK
-from repro.serve.artifact import PredictionArtifact
 
 
 class Report(Protocol):
@@ -118,8 +118,3 @@ def load_model(path: str) -> ASRoutingModel:
     """Load a saved model config; raises the load errors unwrapped."""
     with open(path, encoding="ascii") as handle:
         return ASRoutingModel.from_network(parse_script(handle))
-
-
-def load_artifact(path: str) -> PredictionArtifact:
-    """Load and verify a compiled artifact; raises ``ArtifactError``."""
-    return PredictionArtifact.load(path)

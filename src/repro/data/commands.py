@@ -173,12 +173,14 @@ def _ingest(args: argparse.Namespace) -> IngestReport:
             )
         except DatasetError as error:
             raise IngestError(str(error), result.report) from error
+        # Progress, like the as-rel summary: stdout is the report alone.
         print(f"cleaned:           {dataset.summary()['routes']} routes, "
-              f"{graph.num_ases()} ASes, {graph.num_edges()} edges")
-        print(f"level-1 clique:    {sorted(level1)}")
+              f"{graph.num_ases()} ASes, {graph.num_edges()} edges",
+              file=sys.stderr)
+        print(f"level-1 clique:    {sorted(level1)}", file=sys.stderr)
         print(f"pruned:            {len(pruned.pruned_asns)} single-homed "
               f"stubs, {pruned.transferred_routes} routes transferred, "
-              f"{pruned.graph.num_ases()} ASes remain")
+              f"{pruned.graph.num_ases()} ASes remain", file=sys.stderr)
     return result.report
 
 

@@ -1,46 +1,31 @@
-"""The ``repro`` commands that run a harness of this package.
-
-* ``repro chaos`` — run the pipeline over a deterministically
-  fault-injected workload (dispute wheels, corrupted dump lines, session
-  flaps, a starved ``--message-budget``) with one bounded simulation
-  attempt per prefix, and emit a JSON run-health report.  SIGINT/SIGTERM
-  during a ``--workers N`` phase drains gracefully: the partial results
-  are merged and the run exits 5 with ``interrupted: true`` in its
-  report.  ``--serve`` runs the serve-path resilience campaign instead.
-* ``repro profile`` — run a workload (refine, compile-artifact or
-  ingest) under the phase-attribution profiler, optionally with the
-  statistical stack sampler, and write a versioned ``PROFILE.json``
-  (plus a flamegraph-ready ``.folded`` stack file).
+"""``repro chaos`` — run the pipeline over a deterministically
+fault-injected workload (dispute wheels, corrupted dump lines, session
+flaps, a starved ``--message-budget``) with one bounded simulation
+attempt per prefix, and emit a JSON run-health report.  SIGINT/SIGTERM
+during a ``--workers N`` phase drains gracefully: the partial results
+are merged and the run exits 5 with ``interrupted: true`` in its
+report.  ``--serve`` runs the serve-path resilience campaign instead.
+Its stages are ``RunHealth`` phases, so ``repro --profile PATH chaos``
+attributes the run to them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 
 from repro.command import (
     Command,
-    Output,
     add_parallel_arguments,
-    json_text,
     parallel_config,
     positive_float,
+    positive_int,
 )
 from repro.errors import UsageError
 from repro.experiments import serve_chaos
 from repro.experiments.chaos import ChaosConfig, run_chaos
-from repro.experiments.profiling import (
-    WORKLOAD_COMPILE,
-    WORKLOAD_INGEST,
-    compile_workload,
-    ingest_workload,
-    refine_workload,
-    run_profiled,
-)
 from repro.experiments.report import write_json
 from repro.obs.meta import run_metadata
-from repro.obs.profile import render_profile
 from repro.resilience.faults import FaultConfig
 from repro.resilience.health import EXIT_UNCONVERGED, RunHealth
 
@@ -49,7 +34,7 @@ def _chaos_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=positive_float, default=0.25,
                         help="population scale of the synthetic Internet")
-    parser.add_argument("--points", type=int, default=12,
+    parser.add_argument("--points", type=positive_int, default=12,
                         help="number of observation ASes")
     parser.add_argument("--dispute-wheels", type=int, default=2,
                         help="prefixes sabotaged with local-pref dispute wheels")
@@ -152,72 +137,7 @@ def _chaos_serve(args: argparse.Namespace) -> int | None:
     return None
 
 
-def _profile_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("workload",
-                        choices=("refine", "compile-artifact", "ingest"),
-                        help="pipeline to profile end to end")
-    parser.add_argument("dump",
-                        help="table dump (refine/compile-artifact) or raw "
-                             "feed (ingest) the workload consumes")
-    parser.add_argument("--out", default="PROFILE.json",
-                        help="PROFILE.json path to write")
-    parser.add_argument("--folded", metavar="FILE",
-                        help="write a collapsed-stack .folded file here "
-                             "(implies --sample)")
-    parser.add_argument("--sample", action="store_true",
-                        help="run the statistical stack sampler alongside "
-                             "the phase profiler")
-    parser.add_argument("--sample-mode", choices=("thread", "signal"),
-                        default="thread",
-                        help="sampler clock: thread=wall-clock (default), "
-                             "signal=CPU time via SIGPROF")
-    parser.add_argument("--sample-interval", type=float, default=0.005,
-                        help="sampling period in seconds")
-    parser.add_argument("--trace-memory", action="store_true",
-                        help="attribute tracemalloc peak memory per phase "
-                             "(slows the run)")
-    parser.add_argument("--max-iterations", type=int, default=10,
-                        help="refinement iteration cap for the "
-                             "refine/compile-artifact workloads")
-
-
-def _profile(args: argparse.Namespace) -> Output:
-    workload_info = {"name": args.workload, "dump": args.dump}
-    if args.workload == WORKLOAD_INGEST:
-        fn = ingest_workload(args.dump)
-    else:
-        workload_info["max_iterations"] = args.max_iterations
-        if args.workload == WORKLOAD_COMPILE:
-            fn = compile_workload(args.dump, max_iterations=args.max_iterations)
-        else:
-            fn = refine_workload(args.dump, max_iterations=args.max_iterations)
-    run = run_profiled(
-        workload_info,
-        fn,
-        trace_memory=args.trace_memory,
-        sample=args.sample or args.folded is not None,
-        sample_mode=args.sample_mode,
-        sample_interval=args.sample_interval,
-        folded_path=args.folded,
-        meta=args.meta,
-    )
-    if args.folded and run.sampler is not None:
-        print(
-            f"wrote {len(run.sampler.stacks)} collapsed stacks "
-            f"({run.sampler.samples} samples) to {args.folded}",
-            file=sys.stderr,
-        )
-    return Output(
-        partial(json_text, run.document), partial(render_profile, run.document)
-    )
-
-
 CHAOS = Command(
     "chaos", "run the pipeline over a fault-injected workload",
     _chaos_arguments, _chaos, ("health_report", "health report"),
-)
-PROFILE = Command(
-    "profile",
-    "run a workload under the phase profiler and write PROFILE.json",
-    _profile_arguments, _profile, ("out", "profile"),
 )

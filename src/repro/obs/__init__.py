@@ -21,10 +21,11 @@ package makes simulated BGP outcomes auditable:
 * :mod:`repro.obs.meta` — run metadata (git sha, python version, CLI
   args, seed) stamped into health reports and benchmark results.
 * :mod:`repro.obs.profile` — phase-attribution profiling (exclusive
-  wall/CPU/memory per named engine phase) and the versioned
-  ``PROFILE.json`` document behind ``repro profile``.
+  wall/CPU time per named engine phase and command stage) and the
+  versioned ``PROFILE.json`` document ``repro --profile PATH`` writes.
 * :mod:`repro.obs.sampling` — a stdlib statistical stack sampler
-  emitting collapsed-stack ``.folded`` files for flamegraphs.
+  emitting collapsed-stack ``.folded`` files for flamegraphs (beside
+  ``PROFILE.json`` under ``repro --profile``).
 * :mod:`repro.obs.benchdiff` — threshold-gated comparison of two
   PROFILE/BENCH metric maps (``repro bench-diff``, the CI perf gate).
 """

@@ -1,6 +1,6 @@
 """Compare two PROFILE/BENCH JSON documents with regression thresholds.
 
-The input is a ``repro profile`` PROFILE.json or any ``metrics``-map
+The input is a ``repro --profile`` PROFILE.json or any ``metrics``-map
 JSON (``BENCH_obs``, ``BENCH_lint``): each carries a flat numeric
 ``metrics`` map, which makes the perf trajectory diffable.
 :func:`diff_metrics` compares every metric present in both documents,

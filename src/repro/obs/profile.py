@@ -1,21 +1,23 @@
 """Performance-attribution profiling: named phases with exclusive timing.
 
-ROADMAP item 1 (the array-kernel rewrite) starts with "profile it", and a
-10-100x claim is only checkable against numbers that say where inside the
-engine the time currently goes.  A :class:`PhaseProfiler` attributes
-wall-clock, CPU time and (optionally) tracemalloc peak memory to named
-phases: the engine's hot loop reports ``engine.dispatch`` /
-``engine.decision`` / ``engine.route-map`` / ``engine.export`` /
-``engine.rib-merge``, the refiner reports its grading and certification
-slices, and the ``repro profile`` workload runners wrap the coarse
-pipeline stages (parse, build, refine, evaluate) around them.
+A speed claim is only checkable against numbers that say where inside
+the engine the time goes.  A :class:`PhaseProfiler` attributes
+wall-clock and CPU time to named phases: the engine's hot loop reports
+``engine.dispatch`` / ``engine.decision`` / ``engine.route-map`` /
+``engine.export`` / ``engine.rib-merge``, the refiner reports its grading
+and certification slices, the artifact compiler its ``compile.*`` slices,
+and a command's coarse stages — every
+:meth:`RunHealth.phase <repro.resilience.health.RunHealth.phase>`
+(``parse``, ``refine``, ``evaluate``, ...) — wrap them.  ``repro
+--profile PATH <command>`` installs one around the command's handler
+(:mod:`repro.cli`), so the profile describes the run the user made.
 
 Attribution is *exclusive* (self-time): phases nest, and elapsed time is
 always charged to the innermost active phase.  The sum of all phase
 times therefore equals the wall-clock spent inside *any* phase — no
-double counting — and the ratio of that sum to the workload's measured
-wall-clock is the profile's ``coverage`` (the acceptance bar is >= 90%
-on the refine workload).
+double counting — and the ratio of that sum to the run's measured
+wall-clock is the profile's ``coverage`` (``repro --profile P refine``
+must clear 90%).
 
 Like the tracer and the metrics registry, the default profiler is a
 no-op (:class:`NullProfiler`) whose ``enabled`` flag lets hot paths skip
@@ -36,18 +38,15 @@ real profiler for one run with :func:`profiling`::
 
 :func:`build_profile_document` freezes a profiler (plus the metrics
 registry, sampling summary and run metadata) into the versioned
-``PROFILE.json`` schema that ``repro profile`` writes and
+``PROFILE.json`` schema that ``repro --profile`` writes and
 ``repro bench-diff`` compares.
 """
 
 from __future__ import annotations
 
-import json
 import time
-import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterator
 
 PROFILE_SCHEMA = 1
@@ -90,24 +89,18 @@ class PhaseStat:
     wall_seconds: float = 0.0
     cpu_seconds: float = 0.0
     entries: int = 0
-    mem_peak_bytes: int = 0
-    """Largest tracemalloc peak observed during this phase's exclusive
-    slices (0 unless the profiler traces memory)."""
 
     def to_dict(self) -> dict:
         """JSON-serialisable summary of this phase."""
-        payload = {
+        return {
             "wall_seconds": round(self.wall_seconds, 6),
             "cpu_seconds": round(self.cpu_seconds, 6),
             "entries": self.entries,
         }
-        if self.mem_peak_bytes:
-            payload["mem_peak_bytes"] = self.mem_peak_bytes
-        return payload
 
 
 class PhaseProfiler:
-    """Attribute wall/CPU/memory cost to a stack of named phases.
+    """Attribute wall/CPU cost to a stack of named phases.
 
     ``push``/``switch``/``pop`` are the hot-path API (plain calls, one
     clock-pair read per transition); :meth:`phase` is the context-manager
@@ -118,18 +111,13 @@ class PhaseProfiler:
 
     enabled = True
 
-    def __init__(self, trace_memory: bool = False) -> None:
+    def __init__(self) -> None:
         self.phases: dict[str, PhaseStat] = {}
         self._stack: list[PhaseStat] = []
         self.started_wall = time.perf_counter()
         self.started_cpu = time.process_time()
         self._last_wall = self.started_wall
         self._last_cpu = self.started_cpu
-        self.trace_memory = trace_memory
-        self._owns_tracemalloc = False
-        if trace_memory and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._owns_tracemalloc = True
 
     # ------------------------------------------------------------------
     # Hot-path API
@@ -143,11 +131,6 @@ class PhaseProfiler:
             stat = self._stack[-1]
             stat.wall_seconds += now_wall - self._last_wall
             stat.cpu_seconds += now_cpu - self._last_cpu
-            if self.trace_memory:
-                peak = tracemalloc.get_traced_memory()[1]
-                if peak > stat.mem_peak_bytes:
-                    stat.mem_peak_bytes = peak
-                tracemalloc.reset_peak()
         self._last_wall = now_wall
         self._last_cpu = now_cpu
 
@@ -217,12 +200,6 @@ class PhaseProfiler:
         )
         return {stat.name: stat.to_dict() for stat in ordered}
 
-    def close(self) -> None:
-        """Stop tracemalloc if this profiler started it."""
-        if self._owns_tracemalloc and tracemalloc.is_tracing():
-            tracemalloc.stop()
-            self._owns_tracemalloc = False
-
 
 class _NullPhase:
     """A reusable, allocation-free context manager."""
@@ -251,7 +228,6 @@ class NullProfiler(PhaseProfiler):
 
     def __init__(self) -> None:  # noqa: D107 - deliberately skips base init
         self.phases = {}
-        self.trace_memory = False
 
     def push(self, name: str) -> None:
         return None
@@ -264,9 +240,6 @@ class NullProfiler(PhaseProfiler):
 
     def phase(self, name: str) -> _NullPhase:  # type: ignore[override]
         return _NULL_PHASE
-
-    def close(self) -> None:
-        return None
 
 
 _PROFILER: PhaseProfiler = NullProfiler()
@@ -296,7 +269,6 @@ def profiling(profiler: PhaseProfiler) -> Iterator[PhaseProfiler]:
         yield profiler
     finally:
         set_profiler(previous)
-        profiler.close()
 
 
 # ----------------------------------------------------------------------
@@ -353,16 +325,6 @@ def build_profile_document(
         "sampling": sampling,
         "meta": meta,
     }
-
-
-def write_profile(document: dict, path: str | Path) -> Path:
-    """Write a PROFILE.json document; returns the path written."""
-    target = Path(path)
-    target.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n",
-        encoding="ascii",
-    )
-    return target
 
 
 def render_profile(document: dict, top: int = 12) -> str:

@@ -2,27 +2,19 @@
 
 The phase profiler (:mod:`repro.obs.profile`) answers "which engine
 phase is hot"; this module answers "which *code* is hot" without any
-instrumentation at all: a sampler periodically captures the profiled
-thread's Python stack and counts identical stacks.  The result is
-written in the collapsed-stack (``.folded``) format that standard
-flamegraph tooling consumes directly::
+instrumentation at all: a daemon thread wakes every ``interval`` seconds,
+reads the profiled thread's Python stack out of ``sys._current_frames()``
+and counts identical stacks.  It samples wall-clock time (blocked frames
+keep getting sampled), works on any thread, and cannot interrupt the
+profiled code mid-bytecode.  ``repro --profile PATH`` runs one beside the
+phase profiler.  The result is written in the collapsed-stack
+(``.folded``) format that standard flamegraph tooling consumes directly::
 
     repro/bgp/engine:simulate_prefix;repro/bgp/engine:_decide_and_export 42
 
 (one line per distinct stack, root first, frames separated by ``;``,
 the sample count last — ``flamegraph.pl stacks.folded > flame.svg`` or
 any speedscope-style viewer renders it).
-
-Two sampling mechanisms, both dependency-free:
-
-* ``thread`` (default): a daemon thread wakes every ``interval`` seconds
-  and reads the target thread's frame out of ``sys._current_frames()``.
-  Works everywhere, samples wall-clock time (blocked frames keep getting
-  sampled), and cannot interrupt the profiled code mid-bytecode.
-* ``signal``: ``signal.setitimer(ITIMER_PROF)`` delivers SIGPROF on
-  consumed CPU time and the handler samples its own interrupted frame.
-  Main-thread only (CPython restriction), but samples CPU time, which is
-  the right clock for kernel-bound workloads.
 
 The sampler deliberately keeps whole stacks (bounded by ``max_depth``)
 rather than leaf counts: the flamegraph's value is attribution through
@@ -32,14 +24,11 @@ re-decisions versus initial announcements.
 
 from __future__ import annotations
 
-import signal
 import sys
 import threading
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 from types import FrameType
-from typing import Iterator
 
 DEFAULT_INTERVAL = 0.005
 """Default sampling period in seconds (200 Hz)."""
@@ -74,56 +63,35 @@ class StackSampler:
     distinct collapsed stack to its count.
     """
 
-    def __init__(
-        self,
-        interval: float = DEFAULT_INTERVAL,
-        mode: str = "thread",
-        max_depth: int = 64,
-    ) -> None:
-        if mode not in ("thread", "signal"):
-            raise ValueError(f"mode must be 'thread' or 'signal', got {mode!r}")
+    def __init__(self, interval: float = DEFAULT_INTERVAL, max_depth: int = 64) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         self.interval = interval
-        self.mode = mode
         self.max_depth = max_depth
         self.stacks: Counter[tuple[str, ...]] = Counter()
         self.samples = 0
         self._target_ident: int | None = None
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._previous_handler = None
-        self._running = False
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
 
     def start(self) -> None:
         """Begin sampling the *calling* thread."""
-        if self._running:
+        if self._thread is not None:
             raise RuntimeError("sampler already started")
-        self._running = True
-        if self.mode == "signal":
-            self._start_signal()
-        else:
-            self._start_thread()
+        self._target_ident = threading.get_ident()
+        self._stop.clear()
+        self._thread = threading.Thread(
+            target=self._sample_loop, name="repro-stack-sampler", daemon=True
+        )
+        self._thread.start()
 
     def stop(self) -> None:
         """Stop sampling (idempotent)."""
-        if not self._running:
+        if self._thread is None:
             return
-        self._running = False
-        if self.mode == "signal":
-            signal.setitimer(signal.ITIMER_PROF, 0.0)
-            if self._previous_handler is not None:
-                signal.signal(signal.SIGPROF, self._previous_handler)
-                self._previous_handler = None
-        else:
-            self._stop.set()
-            if self._thread is not None:
-                self._thread.join(timeout=5.0)
-                self._thread = None
+        self._stop.set()
+        self._thread.join(timeout=5.0)
+        self._thread = None
 
     def __enter__(self) -> "StackSampler":
         self.start()
@@ -132,49 +100,14 @@ class StackSampler:
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
 
-    # ------------------------------------------------------------------
-    # Thread mode
-    # ------------------------------------------------------------------
-
-    def _start_thread(self) -> None:
-        self._target_ident = threading.get_ident()
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._sample_loop, name="repro-stack-sampler", daemon=True
-        )
-        self._thread.start()
-
     def _sample_loop(self) -> None:
         while not self._stop.wait(self.interval):
             frame = sys._current_frames().get(self._target_ident)
             if frame is None:  # target thread exited
                 return
-            self._record(frame)
+            self.stacks[_collapse(frame, self.max_depth)] += 1
+            self.samples += 1
             del frame  # drop the reference promptly; frames pin locals
-
-    # ------------------------------------------------------------------
-    # Signal mode
-    # ------------------------------------------------------------------
-
-    def _start_signal(self) -> None:
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("signal-mode sampling requires the main thread")
-        self._target_ident = threading.get_ident()
-        self._previous_handler = signal.signal(signal.SIGPROF, self._on_signal)
-        signal.setitimer(signal.ITIMER_PROF, self.interval, self.interval)
-
-    def _on_signal(self, signum, frame) -> None:  # noqa: ARG002
-        # The handler's own frame is not on the interrupted stack; `frame`
-        # *is* the interrupted code.
-        self._record(frame)
-
-    # ------------------------------------------------------------------
-    # Recording and output
-    # ------------------------------------------------------------------
-
-    def _record(self, frame: FrameType) -> None:
-        self.stacks[_collapse(frame, self.max_depth)] += 1
-        self.samples += 1
 
     def folded_lines(self) -> list[str]:
         """The collapsed-stack lines, most-sampled stack first."""
@@ -192,21 +125,15 @@ class StackSampler:
         return len(lines)
 
     def summary(self, folded_path: str | Path | None = None) -> dict:
-        """The ``sampling`` section of a PROFILE.json document."""
+        """The ``sampling`` section of a PROFILE.json document.
+
+        ``mode`` is always ``thread`` (wall-clock sampling); it is part
+        of the layout ``PROFILE_SCHEMA`` 1 fixes.
+        """
         return {
-            "mode": self.mode,
+            "mode": "thread",
             "interval_seconds": self.interval,
             "samples": self.samples,
             "distinct_stacks": len(self.stacks),
             "folded": str(folded_path) if folded_path is not None else None,
         }
-
-
-@contextmanager
-def sampling(sampler: StackSampler) -> Iterator[StackSampler]:
-    """Run ``sampler`` for the duration of a block."""
-    sampler.start()
-    try:
-        yield sampler
-    finally:
-        sampler.stop()

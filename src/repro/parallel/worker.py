@@ -120,17 +120,6 @@ class WorkingCopy:
             )
         return self._network
 
-    def close(self) -> None:
-        """Forget the copy, emptying its RIBs first.
-
-        A network is a reference cycle (routers and sessions point at each
-        other): merely dropped, the converged prefixes' routes would stay
-        allocated until the collector's next full pass.
-        """
-        if self._network is not None:
-            self._network.clear_routing()
-            self._network = None
-
     @contextmanager
     def perturbed(self) -> Iterator[Network]:
         """Lend the copy for one task; every edit is undone on exit.

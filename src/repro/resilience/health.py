@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
+from repro.obs.profile import get_profiler
 from repro.resilience.retry import QUARANTINED_STATUSES
 
 EXIT_OK = 0
@@ -61,10 +62,15 @@ class RunHealth:
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
-        """Time a pipeline phase: ``with health.phase("simulate"): ...``."""
+        """Time a pipeline phase: ``with health.phase("simulate"): ...``.
+
+        The phase is also one of the installed profiler's (``repro
+        --profile``), so a command names each stage once for both reports.
+        """
         started = time.perf_counter()
         try:
-            yield
+            with get_profiler().phase(name):
+                yield
         finally:
             elapsed = time.perf_counter() - started
             self.phases[name] = self.phases.get(name, 0.0) + elapsed

@@ -25,7 +25,6 @@ from repro.command import (
     Output,
     add_parallel_arguments,
     json_text,
-    load_artifact,
     load_model,
     parallel_config,
     positive_int,
@@ -33,6 +32,7 @@ from repro.command import (
 from repro.data.caida import read_as_rel
 from repro.errors import ModelError, SimulationError, UsageError
 from repro.resilience.health import EXIT_DIVERGED, EXIT_OK, RunHealth
+from repro.serve.artifact import PredictionArtifact
 from repro.serve.compile import compile_artifact, write_artifact
 from repro.serve.engine import QUARANTINED, QueryEngine, QueryError
 from repro.serve.http import DEFAULT_PORT
@@ -114,7 +114,7 @@ def _query(args: argparse.Namespace) -> Output:
     if args.diversity and args.lookup is not None:
         raise UsageError("--diversity needs --origin (it does not combine with "
                          "--lookup)")
-    engine = QueryEngine(load_artifact(args.artifact))
+    engine = QueryEngine(PredictionArtifact.load(args.artifact))
     try:
         if args.lookup is not None:
             answer = engine.lookup(args.lookup, args.observer)

@@ -1,6 +1,7 @@
-"""Tests for the perf-regression gate: bench-diff and ``repro profile``."""
+"""Tests for the perf-regression gate: bench-diff and ``repro --profile``."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from repro.obs.benchdiff import (
     load_metrics,
     metric_direction,
 )
+
+DIRTY_FEED = Path(__file__).parent / "fixtures" / "dirty_feed.dump"
 
 
 class TestMetricDirection:
@@ -147,19 +150,18 @@ def dump_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def profile_json(dump_file, tmp_path_factory):
     """One profiled refine run, shared by the CLI-gate tests below."""
-    out = tmp_path_factory.mktemp("profile-out")
-    profile_path = out / "PROFILE.json"
-    folded_path = out / "stacks.folded"
+    profile_path = tmp_path_factory.mktemp("profile-out") / "PROFILE.json"
     code = main([
-        "profile", "refine", str(dump_file),
-        "--out", str(profile_path), "--folded", str(folded_path),
-        "--sample-interval", "0.002",
+        "--profile", str(profile_path),
+        "refine", str(dump_file), "--max-iterations", "10",
     ])
     assert code == 0
-    return profile_path, folded_path
+    return profile_path, profile_path.with_suffix(".folded")
 
 
 class TestProfileCommand:
+    """``repro --profile PATH <command>``: the spine profiles the command."""
+
     def test_writes_versioned_profile_with_high_coverage(self, profile_json):
         profile_path, _ = profile_json
         document = json.loads(profile_path.read_text())
@@ -187,12 +189,27 @@ class TestProfileCommand:
         assert document["sampling"]["folded"] == str(folded_path)
 
     def test_unreadable_dump_exits_4(self, tmp_path, capsys):
+        profile_path = tmp_path / "PROFILE.json"
         code = main([
-            "profile", "refine", str(tmp_path / "missing.dump"),
-            "--out", str(tmp_path / "PROFILE.json"),
+            "--profile", str(profile_path),
+            "refine", str(tmp_path / "missing.dump"),
         ])
         assert code == 4
         assert "error" in capsys.readouterr().err
+        # A failed run still leaves its profile.
+        assert json.loads(profile_path.read_text())["workload"]["name"] == "refine"
+
+    def test_stdout_is_the_commands_own(self, tmp_path, capsys):
+        """The profile table goes to stderr: ``--json`` stays parseable and
+        byte-identical to the same run without ``--profile``."""
+        argv = ["ingest", str(DIRTY_FEED), "--json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(["--profile", str(tmp_path / "P.json"), *argv]) == 0
+        profiled = capsys.readouterr()
+        assert profiled.out == plain
+        assert json.loads(profiled.out)["lines"] == 23
+        assert "wrote profile to" in profiled.err
 
 
 class TestBenchDiffCommand:

@@ -84,7 +84,7 @@ def test_every_exported_experiment_module_has_a_caller():
             ):
                 runners.add(path.stem)
     # The detection sees each shape a runner takes today.
-    assert {"table3", "ablations", "chaos", "profiling"} <= runners
+    assert {"table3", "ablations", "chaos"} <= runners
     command_modules = sorted((ROOT / "src" / "repro").glob("*/commands.py"))
     assert package / "commands.py" in command_modules
     reachable = set().union(*map(

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import pytest
 
 from repro.bgp import Network, simulate
-from repro.bgp.engine import EngineStats
 from repro.bgp.policy import Clause, Match
 from repro.campaign import (
     CatchmentScenario,
@@ -53,7 +52,6 @@ from repro.resilience.retry import (
 from repro.serve import compile_artifact
 from repro.topology.dataset import ObservedRoute, PathDataset
 from tests.oracle import depeered_world, from_scratch, seeded_world, structure
-from tests.test_bgp_engine_golden import canonical_dump
 
 P = Prefix("10.0.0.0/24")
 
@@ -668,18 +666,6 @@ class TestWorkingCopy:
         assert structure(copy.network()) == structure(
             WorkingCopy(world.blob, held, MODEL_DECISION_CONFIG).network()
         )
-
-    def test_a_closed_copy_leaves_no_route_behind_and_can_be_made_again(self):
-        world = seeded_world(2)
-        copy = WorkingCopy(world.blob, self.held(world), MODEL_DECISION_CONFIG)
-        first = copy.network()
-        assert first._touched
-        copy.close()
-        assert not first._touched
-        assert canonical_dump(first, EngineStats())[:-1] == []
-        copy.close()  # nothing to forget: no copy is made for it
-        assert copy._network is None
-        assert copy.network() is not first and copy.network()._touched
 
     def test_routing_state_that_came_in_the_blob_is_dropped(self):
         """Nobody resumes it, so it would only be set aside and put back."""

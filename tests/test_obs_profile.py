@@ -2,12 +2,12 @@
 
 import json
 import re
-import threading
 import time
 
 import pytest
 
 from repro.bgp import Clause, Match, Network, simulate
+from repro.command import json_text
 from repro.core.model import MODEL_DECISION_CONFIG
 from repro.net.prefix import Prefix
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -22,9 +22,9 @@ from repro.obs.profile import (
     profiling,
     render_profile,
     set_profiler,
-    write_profile,
 )
-from repro.obs.sampling import StackSampler, sampling
+from repro.obs.sampling import StackSampler
+from repro.runstate import atomic_write
 
 
 def _spin(seconds: float) -> None:
@@ -84,16 +84,6 @@ class TestPhaseProfiler:
         with profiler.phase("work"):
             _spin(0.01)
         assert profiler.coverage() < 0.9
-
-    def test_memory_tracing_records_phase_peaks(self):
-        profiler = PhaseProfiler(trace_memory=True)
-        try:
-            with profiler.phase("alloc"):
-                blob = [bytes(1024) for _ in range(512)]
-            assert profiler.phases["alloc"].mem_peak_bytes > 0
-            del blob
-        finally:
-            profiler.close()
 
     def test_report_sorted_by_wall_clock(self):
         profiler = PhaseProfiler()
@@ -223,7 +213,7 @@ class TestEngineIntegration:
 
 class TestStackSampler:
     def test_thread_mode_samples_the_calling_thread(self):
-        with sampling(StackSampler(interval=0.001)) as sampler:
+        with StackSampler(interval=0.001) as sampler:
             _spin(0.06)
         assert sampler.samples > 0
         assert sampler.stacks
@@ -234,7 +224,7 @@ class TestStackSampler:
 
     def test_folded_output_format(self, tmp_path):
         sampler = StackSampler(interval=0.001)
-        with sampling(sampler):
+        with sampler:
             _spin(0.05)
         path = tmp_path / "stacks.folded"
         lines_written = sampler.write_folded(path)
@@ -251,7 +241,7 @@ class TestStackSampler:
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
-            StackSampler(mode="perf")
+            StackSampler(interval=-1.0)
         with pytest.raises(ValueError):
             StackSampler(interval=0.0)
 
@@ -263,23 +253,9 @@ class TestStackSampler:
         sampler.stop()
         sampler.stop()
 
-    def test_signal_mode_requires_main_thread(self):
-        errors = []
-
-        def worker():
-            try:
-                StackSampler(mode="signal").start()
-            except RuntimeError as error:
-                errors.append(error)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert errors
-
     def test_summary_describes_the_run(self):
         sampler = StackSampler(interval=0.002)
-        with sampling(sampler):
+        with sampler:
             _spin(0.02)
         summary = sampler.summary("out.folded")
         assert summary["mode"] == "thread"
@@ -314,8 +290,10 @@ class TestProfileDocument:
         assert document["meta"]["git_sha"] == "abc"
 
     def test_write_and_reload(self, tmp_path):
+        """The document survives the way ``repro --profile`` writes it."""
         document = self._document()
-        path = write_profile(document, tmp_path / "PROFILE.json")
+        path = tmp_path / "PROFILE.json"
+        atomic_write(path, json_text(document) + "\n")
         assert json.loads(path.read_text()) == document
 
     def test_render_mentions_phases_and_coverage(self):

@@ -1008,10 +1008,9 @@ class TestEachMechanismExistsOnce:
         assert call_sites("replace", "os") == {"runstate.py"}
         assert imports_of("os", "replace") == set()
 
-    def test_signal_handlers_are_installed_in_three_places(self):
+    def test_signal_handlers_are_installed_in_two_places(self):
         assert call_sites("signal", "signal") == {
             "runstate.py",          # the SIGINT/SIGTERM(/SIGHUP) drain scope
-            "obs/sampling.py",      # the SIGPROF sampling timer
             "parallel/worker.py",   # SIG_IGN for SIGINT inside a pool worker
         }
         assert imports_of("signal", "signal") == set()
@@ -1031,7 +1030,7 @@ class TestEachMechanismExistsOnce:
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("loads", "load")
+            and node.func.attr == "loads"
         ]
         assert sorted(loads) == [
             ("parallel/worker.py", "context_blob"),
