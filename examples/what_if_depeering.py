@@ -5,13 +5,15 @@
 says an accurate AS-routing model should answer.  This script refines a
 model from observed feeds, picks the busiest inferred tier-1 peering,
 removes it, and reports which (observer, origin) pairs change paths and
-which lose reachability.
+which lose reachability — the answer ``repro whatif`` prints, from the
+same depeer scenario ``repro campaign depeer`` ranks.
 """
 
 import argparse
 from collections import Counter
 
-from repro.core import Refiner, build_initial_model, depeer
+from repro.campaign import whatif
+from repro.core import Refiner, build_initial_model
 from repro.experiments import SMALL, prepare
 
 
@@ -48,26 +50,10 @@ def main() -> None:
         link = busiest_peering(prepared, model)
     print(f"\nremoving adjacency AS{link[0]} -- AS{link[1]} ...")
 
-    observers = sorted(prepared.model_dataset.observer_asns())
-    report = depeer(model, link[0], link[1], observers=observers)
-    print(f"what-if: {report.description}")
-    print(
-        f"  examined {report.origins_examined} origins x "
-        f"{report.observers_examined} observers"
-    )
-    print(f"  path changes: {report.affected_pairs} (observer, origin) pairs")
-    print(f"  lost reachability: {report.unreachable_pairs} pairs")
-
-    for change in report.changes[:8]:
-        print(f"\n  AS{change.observer_asn} -> AS{change.origin_asn}")
-        for path in sorted(change.before):
-            print(f"    before: {' '.join(map(str, path))}")
-        for path in sorted(change.after) or []:
-            print(f"    after:  {' '.join(map(str, path))}")
-        if not change.after:
-            print("    after:  (unreachable)")
-    if len(report.changes) > 8:
-        print(f"\n  ... and {len(report.changes) - 8} more changed pairs")
+    answer = whatif(model, *link)  # the one-scenario `repro campaign depeer`
+    print(answer.render(limit=8))
+    if len(answer.changes) > 8:
+        print(f"  ... and {len(answer.changes) - 8} more changed pairs")
 
 
 if __name__ == "__main__":

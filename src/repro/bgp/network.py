@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from repro.bgp.igp import IGPTopology
 from repro.bgp.route import Route
@@ -496,15 +496,3 @@ class Network:
             f"Network({self.name}: {stats['ases']} ASes, {stats['routers']} routers, "
             f"{stats['sessions']} sessions, {stats['prefixes']} prefixes)"
         )
-
-
-def build_clique(network: Network, asns: Iterable[int]) -> None:
-    """Fully mesh single-router ASes for the given ASNs (testing helper)."""
-    routers = []
-    for asn in asns:
-        existing = network.as_routers(asn)
-        routers.append(existing[0] if existing else network.add_router(asn))
-    for i, a in enumerate(routers):
-        for b in routers[i + 1 :]:
-            if network.get_session(a, b) is None:
-                network.connect(a, b)

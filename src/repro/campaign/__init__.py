@@ -17,6 +17,7 @@ from repro.campaign.engine import (
     plan_campaign,
     run_campaign,
     validate_baseline,
+    whatif,
     write_checkpoint,
 )
 from repro.campaign.report import STATUS_OK, CampaignReport, ScenarioOutcome
@@ -54,5 +55,6 @@ __all__ = [
     "plan_campaign",
     "run_campaign",
     "validate_baseline",
+    "whatif",
     "write_checkpoint",
 ]

@@ -1,9 +1,13 @@
-"""``repro campaign`` — sweep a scenario space (depeer / link-failure /
-hijack / catchment) against a saved model and rank the scenarios by
-blast radius relative to a baseline prediction artifact.  Unknown ASNs
-and missing per-kind flags are usage errors named before any scenario
-runs; ``--workers N`` ranks bit-identically to sequential; a
-SIGINT/SIGTERM drains to the ``--checkpoint`` a ``--resume`` continues.
+"""The ``repro`` commands that ask a saved model "what if".
+
+* ``repro campaign`` — sweep a scenario space (depeer / link-failure /
+  hijack / catchment) against a saved model and rank the scenarios by
+  blast radius relative to a baseline prediction artifact.  Unknown ASNs
+  and missing per-kind flags are usage errors named before any scenario
+  runs; ``--workers N`` ranks bit-identically to sequential; a
+  SIGINT/SIGTERM drains to the ``--checkpoint`` a ``--resume`` continues.
+* ``repro whatif`` — one depeer scenario of that sweep, printed with the
+  before/after paths of every pair it changes (:func:`whatif`).
 """
 
 from __future__ import annotations
@@ -12,7 +16,12 @@ import argparse
 import sys
 from functools import partial
 
-from repro.campaign.engine import context_from_artifact, run_campaign, validate_baseline
+from repro.campaign.engine import (
+    context_from_artifact,
+    run_campaign,
+    validate_baseline,
+    whatif,
+)
 from repro.campaign.scenarios import (
     generate_catchment,
     generate_depeer,
@@ -163,3 +172,23 @@ CAMPAIGN = Command(
     "catchment) and rank scenarios by blast radius",
     _campaign_arguments, _campaign, ("report", "report"),
 )
+
+
+def _whatif_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("model", help="model config written by 'repro refine --out'")
+    parser.add_argument("--remove", type=int, nargs=2, metavar=("ASN_A", "ASN_B"),
+                        required=True)
+    parser.add_argument("--max-changes", type=non_negative_int, default=10,
+                        help="how many changed pairs to print")
+
+
+def _whatif(args: argparse.Namespace) -> None:
+    model = load_model(args.model)
+    try:
+        answer = whatif(model, *args.remove)
+    except TopologyError as error:
+        raise UsageError(str(error)) from error
+    print(answer.render(args.max_changes))
+
+
+WHATIF = Command("whatif", "predict a link removal", _whatif_arguments, _whatif)

@@ -31,6 +31,10 @@ finished outcome: the sequential path persists it after each scenario
 and however the campaign ends — completed, drained after a SIGTERM, or
 stopped by an error — it is written once more, so ``resume`` skips the
 completed scenarios on the next run.
+
+:func:`whatif` is the one-scenario case, ``repro whatif``: a depeer run
+on the model's own network against the baseline a campaign without
+``--baseline`` compiles, printed with its before/after paths.
 """
 
 from __future__ import annotations
@@ -45,20 +49,29 @@ from typing import Iterable, Sequence
 
 from repro.bgp.engine import stable_state_is_unique
 from repro.campaign.report import STATUS_OK, CampaignReport, ScenarioOutcome
-from repro.campaign.scenarios import CampaignContext
+from repro.campaign.scenarios import (
+    CampaignContext,
+    EdgeFailureScenario,
+    validate_session_endpoints,
+)
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
+from repro.core.predict import selected_paths
 from repro.errors import (
     ArtifactError,
     CheckpointError,
+    ConvergenceError,
     ReproError,
     ShutdownRequested,
+    SimulationError,
 )
+from repro.obs.logs import held_records
 from repro.obs.metrics import get_registry
 from repro.obs.trace import EVENT_SCENARIO, get_tracer
 from repro.parallel.worker import converge_ahead
-from repro.resilience.retry import POISON
+from repro.resilience.retry import CONVERGED, POISON
 from repro.runstate import drain_signals, read_state, write_state
 from repro.serve.artifact import PredictionArtifact
+from repro.serve.compile import compile_artifact
 
 logger = logging.getLogger(__name__)
 
@@ -289,6 +302,90 @@ def plan_campaign(
         for origin, prefix in sorted(model.prefix_by_origin.items())
         if named[origin] >= 2 * copies and origin not in context.excluded
     ))
+
+
+@dataclasses.dataclass(frozen=True)
+class WhatIf:
+    """One adjacency removed from a model: ``repro whatif``'s answer.
+
+    ``outcome`` is the :class:`EdgeFailureScenario`'s own result, the one
+    ``repro campaign depeer`` ranks; ``changes`` holds the
+    ``(observer, origin, before, after)`` path sets of every pair its diff
+    names, in (observer, origin) order.
+    """
+
+    outcome: dict
+    origins: int
+    observers: int
+    changes: tuple[tuple[int, int, frozenset, frozenset], ...]
+
+    def render(self, limit: int | None = None) -> str:
+        """The text report, listing the first ``limit`` changed pairs."""
+        params, diff = self.outcome["params"], self.outcome["diff"]
+        lines = [
+            f"what-if: removed AS{params['asn_a']}-AS{params['asn_b']} "
+            f"({self.outcome['removed_sessions']} sessions)",
+            f"  examined {self.origins} origins x {self.observers} observers",
+            f"  changed pairs:      {self.outcome['blast_radius']}",
+            f"  lost reachability:  {len(diff['lost'])}",
+        ]
+        for observer, origin, before, after in self.changes[:limit]:
+            lines.append(f"  AS{observer} -> AS{origin}:")
+            lines.extend(f"    before: {' '.join(map(str, p))}" for p in sorted(before))
+            lines.extend(f"    after:  {' '.join(map(str, p))}" for p in sorted(after))
+            if not after:
+                lines.append("    after:  (unreachable)")
+        return "\n".join(lines)
+
+
+def whatif(model: ASRoutingModel, asn_a: int, asn_b: int) -> WhatIf:
+    """Remove the ``asn_a``–``asn_b`` adjacency and report what changes.
+
+    One depeer scenario, run the way a campaign runs it: both endpoints
+    are checked before anything is simulated (``TopologyError``), the
+    baseline is the one ``repro campaign`` compiles without
+    ``--baseline``, and a baseline with a quarantined prefix is refused
+    (:class:`~repro.errors.ConvergenceError`) — a diff around a prefix
+    that has no answer is not an answer.  Where the stable state is
+    unique the scenario resumes its crossing origins from the RIBs the
+    compile left.  The model comes back as the compile left it.
+    """
+    validate_session_endpoints(model, [(asn_a, asn_b)])
+    with held_records():  # moot once the baseline is refused
+        artifact, compiled = compile_artifact(model)
+        for run in compiled.stats.outcomes:  # in prefix order
+            if run.status != CONVERGED:
+                raise ConvergenceError(
+                    run.prefix, run.messages, run.final_budget, compiled.stats.engine
+                )
+    context = plan_campaign(model, [], context_from_artifact(artifact))
+    if context.unique_state:
+        context = dataclasses.replace(
+            context, converged_ahead=tuple(model.prefix_by_origin.values())
+        )
+    with model.network.perturbation():
+        outcome = EdgeFailureScenario(asn_a, asn_b).run(
+            model.network, context, MODEL_DECISION_CONFIG, None
+        )
+        if outcome["degraded"]:
+            raise SimulationError(
+                f"BGP did not converge for {outcome['degraded'][0]} "
+                f"without the AS{asn_a}-AS{asn_b} adjacency"
+            )
+        diff = outcome["diff"]
+        changes = tuple(
+            (
+                observer,
+                origin,
+                frozenset(context.baseline_paths.get((origin, observer), ())),
+                frozenset(selected_paths(model, origin, observer)),
+            )
+            for observer, origin in sorted(
+                (observer, origin)
+                for origin, observer in diff["changed"] + diff["lost"] + diff["gained"]
+            )
+        )
+    return WhatIf(outcome, len(artifact.origins), len(artifact.observers), changes)
 
 
 def _run_parallel(

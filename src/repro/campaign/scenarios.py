@@ -24,7 +24,10 @@ Four scenario spaces (ROADMAP item 5, the paper's Section 1 what-if
 motivation):
 
 * ``depeer`` — remove every session between one AS pair, for every
-  AS-level adjacency (or a filtered subset).
+  AS-level adjacency (or a filtered subset).  ``repro whatif`` is one
+  scenario of this space (:func:`repro.campaign.engine.whatif`), and
+  every depeer checks and removes its adjacency through
+  :func:`validate_session_endpoints` and :func:`remove_adjacency`.
 * ``link-failure`` — the same removal, but only for adjacencies incident
   to top-degree (or explicitly seeded) ASes: the tier-1 failure sweep.
 * ``hijack`` — re-originate a victim's canonical prefix from a candidate
@@ -39,10 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.bgp.session import Session
 from repro.campaign.diffing import Pair, diff_path_maps
 from repro.core.model import ASRoutingModel
 from repro.core.predict import collect_path_map
-from repro.core.whatif import remove_adjacency, validate_session_endpoints
 from repro.errors import TopologyError
 from repro.net.prefix import Prefix
 from repro.resilience.retry import CONVERGED, simulate_prefix_bounded
@@ -93,6 +96,45 @@ def _paths_for_prefix(network, prefix: Prefix, observer_asn: int) -> set[tuple[i
         if best is not None:
             paths.add((observer_asn,) + best.as_path)
     return paths
+
+
+def validate_session_endpoints(
+    model: ASRoutingModel, as_edges: Iterable[tuple[int, int]]
+) -> None:
+    """Check every edge's endpoints and adjacency *before* simulating.
+
+    Raises :class:`~repro.errors.TopologyError` naming the first unknown
+    ASN (the same up-front contract ``query``/``predict_paths`` honour),
+    or the first pair with no adjacency.  Callers get the error before
+    any simulation work is spent.
+    """
+    known = model.network.ases
+    for asn_a, asn_b in as_edges:
+        for asn in (asn_a, asn_b):
+            if asn not in known:
+                raise TopologyError(f"unknown AS {asn}: not in the model")
+        if not model.graph.has_edge(asn_a, asn_b):
+            raise TopologyError(
+                f"no adjacency between AS {asn_a} and AS {asn_b}"
+            )
+
+
+def remove_adjacency(
+    model: ASRoutingModel, asn_a: int, asn_b: int
+) -> list[list[Session]]:
+    """Tear down every session between two ASes and drop the graph edge.
+
+    Returns the peerings removed, each as its directed sessions — what
+    :func:`~repro.bgp.engine.resume_prefix` needs to re-converge from
+    the state the routers hold.
+    """
+    removed = []
+    for router_a in list(model.quasi_routers(asn_a)):
+        for session in list(router_a.sessions_out):
+            if session.dst.asn == asn_b:
+                removed.append(model.network.disconnect(router_a, session.dst))
+    model.graph.remove_edge(asn_a, asn_b)
+    return removed
 
 
 def crossing_origins(

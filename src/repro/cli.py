@@ -39,9 +39,9 @@ Exit codes, for every subcommand (constants in
       flag combinations, out-of-range values, unknown ASNs or query
       targets
 3     degraded result: diverged / poison / timeout prefixes or scenarios
-      quarantined, a query for a quarantined origin, or a command that
-      does not quarantine (``whatif``) meeting a prefix that does not
-      converge (an escaping :class:`~repro.errors.SimulationError`)
+      quarantined, a query for a quarantined origin, or a ``whatif``
+      refusing a model with a prefix that does not converge (an
+      escaping :class:`~repro.errors.SimulationError`)
 4     unusable input: an unreadable, corrupt, stale or mismatched dump,
       model config, artifact, checkpoint, certificate store or report
       (any load error a handler lets escape)
@@ -61,9 +61,9 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.analysis.commands import LINT
-from repro.campaign.commands import CAMPAIGN
+from repro.campaign.commands import CAMPAIGN, WHATIF
 from repro.command import Command, Report, json_text
-from repro.core.commands import REFINE, WHATIF
+from repro.core.commands import REFINE
 from repro.data.commands import ANALYZE, INGEST, SYNTHESIZE
 from repro.errors import (
     ArtifactError,

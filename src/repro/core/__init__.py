@@ -28,12 +28,10 @@ from repro.core.predict import (
     collect_path_map,
     evaluate_model,
     origin_is_simulated,
-    predict_for_origins,
     predict_paths,
     selected_paths,
     validate_pair,
 )
-from repro.core.whatif import depeer, simulate_link_failure
 
 __all__ = [
     "ASRoutingModel",
@@ -51,10 +49,7 @@ __all__ = [
     "collect_path_map",
     "evaluate_model",
     "origin_is_simulated",
-    "predict_for_origins",
     "predict_paths",
     "selected_paths",
     "validate_pair",
-    "depeer",
-    "simulate_link_failure",
 ]

@@ -1,15 +1,13 @@
-"""The ``repro`` commands that build a model and ask it a question.
+"""The ``repro`` command that builds a model.
 
-* ``repro refine`` — build and refine an AS-routing model from a dump,
-  evaluate on a held-out split, and optionally save the model as a
-  C-BGP-style config.  ``--workers N`` fans per-prefix simulation out to
-  a supervised worker pool (crash isolation, per-task watchdogs,
-  poison-prefix quarantine); ``--workers 1`` (the default) keeps the
-  sequential path bit-for-bit.  The run is its ``RunHealth``: returned
-  (exit 1 stalled, 3 quarantined), or hung on the error that ended it —
-  an unusable dump, a corrupt checkpoint, a SIGINT/SIGTERM drain.
-* ``repro whatif`` — load a saved model and predict the impact of
-  removing an AS adjacency.
+``repro refine`` builds and refines an AS-routing model from a dump,
+evaluates it on a held-out split, and optionally saves the model as a
+C-BGP-style config.  ``--workers N`` fans per-prefix simulation out to
+a supervised worker pool (crash isolation, per-task watchdogs,
+poison-prefix quarantine); ``--workers 1`` (the default) keeps the
+sequential path bit-for-bit.  The run is its ``RunHealth``: returned
+(exit 1 stalled, 3 quarantined), or hung on the error that ended it —
+an unusable dump, a corrupt checkpoint, a SIGINT/SIGTERM drain.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from repro.cbgp.export import export_network
 from repro.command import (
     Command,
     add_parallel_arguments,
-    load_model,
     open_unit_fraction,
     parallel_config,
 )
@@ -32,14 +29,11 @@ from repro.core.metrics import MatchKind
 from repro.core.predict import evaluate_model
 from repro.core.refine import RefinementConfig, Refiner
 from repro.core.split import split_by_observation_points
-from repro.core.whatif import depeer
 from repro.data.dumps import read_table_dump
 from repro.errors import (
     CheckpointError,
     DatasetError,
     ShutdownRequested,
-    TopologyError,
-    UsageError,
 )
 from repro.resilience.health import RunHealth
 from repro.resilience.retry import ResilienceStats
@@ -160,40 +154,7 @@ def _refine_into(health: RunHealth, args: argparse.Namespace) -> None:
         print(f"wrote model config to {args.out}")
 
 
-def _whatif_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("model", help="model config written by 'repro refine --out'")
-    parser.add_argument("--remove", type=int, nargs=2, metavar=("ASN_A", "ASN_B"),
-                        required=True)
-    parser.add_argument("--max-changes", type=int, default=10,
-                        help="how many changed pairs to print")
-
-
-def _whatif(args: argparse.Namespace) -> None:
-    model = load_model(args.model)
-    try:
-        report = depeer(model, *args.remove)  # validates both endpoints up front
-    except TopologyError as error:
-        raise UsageError(str(error)) from error
-    print(f"what-if: {report.description}")
-    print(
-        f"  examined {report.origins_examined} origins x "
-        f"{report.observers_examined} observers"
-    )
-    print(f"  changed pairs:      {report.affected_pairs}")
-    print(f"  lost reachability:  {report.unreachable_pairs}")
-    for change in report.changes[: args.max_changes]:
-        print(f"  AS{change.observer_asn} -> AS{change.origin_asn}:")
-        for path in sorted(change.before):
-            print(f"    before: {' '.join(map(str, path))}")
-        if change.after:
-            for path in sorted(change.after):
-                print(f"    after:  {' '.join(map(str, path))}")
-        else:
-            print("    after:  (unreachable)")
-
-
 REFINE = Command(
     "refine", "build + refine a model", _refine_arguments, _refine,
     ("health_report", "health report"),
 )
-WHATIF = Command("whatif", "predict a link removal", _whatif_arguments, _whatif)

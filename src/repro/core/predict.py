@@ -12,10 +12,10 @@ AS ``origin``?
 :func:`selected_paths` is the shared simulate-then-collect kernel: it
 reads the path set an already-simulated model selects for one
 (origin, observer) pair, and :func:`collect_path_map` sweeps it over a
-whole model.  The live prediction API, the what-if snapshots, campaign
-scenarios and the :mod:`repro.serve` artifact compiler all answer through
-this one code path, so a compiled artifact is equal to the live model by
-construction.
+whole model.  The live prediction API, campaign scenarios (``repro
+whatif`` included) and the :mod:`repro.serve` artifact compiler all
+answer through this one code path, so a compiled artifact is equal to
+the live model by construction.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from repro.core.metrics import MatchReport, evaluate_dataset
 from repro.core.model import ASRoutingModel
 from repro.errors import ModelError, TopologyError
 from repro.topology.dataset import PathDataset
-
-ON_COLD_RAISE = "raise"
-ON_COLD_SIMULATE = "simulate"
-_ON_COLD_CHOICES = (ON_COLD_RAISE, ON_COLD_SIMULATE)
 
 
 def simulate_for_dataset(model: ASRoutingModel, dataset: PathDataset) -> int:
@@ -87,7 +83,7 @@ def selected_paths(
     """The path set ``observer_asn``'s quasi-routers currently select.
 
     Pure collection — no simulation, no cold-state checking; callers
-    (:func:`predict_paths`, the what-if snapshots, the artifact compiler)
+    (:func:`predict_paths`, the campaign scenarios, the artifact compiler)
     decide how the model got warm.  Returns the set of full paths
     (observer first, origin last).
     """
@@ -124,11 +120,7 @@ def collect_path_map(
 
 
 def predict_paths(
-    model: ASRoutingModel,
-    origin_asn: int,
-    observer_asn: int,
-    resimulate: bool = False,
-    on_cold: str = ON_COLD_RAISE,
+    model: ASRoutingModel, origin_asn: int, observer_asn: int
 ) -> set[tuple[int, ...]]:
     """Predicted AS-paths from ``observer_asn`` towards ``origin_asn``.
 
@@ -136,31 +128,19 @@ def predict_paths(
     by the observer's quasi-routers — the route diversity the model
     predicts the AS would use and propagate.
 
-    With ``resimulate=False`` the origin's prefix must already carry
-    routing state; a cold prefix (never simulated, or quarantined) either
-    raises :class:`~repro.errors.ModelError` naming the origin
-    (``on_cold="raise"``, the default) or simulates it on the spot
-    (``on_cold="simulate"``).  An empty set is therefore always a real
-    answer — the observer cannot reach the origin — never an artifact of
-    stale state.
+    The origin's prefix must already carry routing state: a cold prefix
+    (never simulated, or quarantined) raises
+    :class:`~repro.errors.ModelError` naming the origin, so an empty set
+    is always a real answer — the observer cannot reach the origin —
+    never an artifact of stale state.
     """
-    if on_cold not in _ON_COLD_CHOICES:
-        raise ValueError(
-            f"on_cold must be one of {_ON_COLD_CHOICES}, got {on_cold!r}"
-        )
     validate_pair(model, origin_asn, observer_asn)
-    if resimulate:
-        model.simulate_origin(origin_asn)
-    elif not origin_is_simulated(model, origin_asn):
-        if on_cold == ON_COLD_SIMULATE:
-            model.simulate_origin(origin_asn)
-        else:
-            raise ModelError(
-                f"the canonical prefix of AS {origin_asn} has no routing "
-                "state (never simulated, or quarantined); call with "
-                "resimulate=True or on_cold='simulate' instead of trusting "
-                "an empty answer"
-            )
+    if not origin_is_simulated(model, origin_asn):
+        raise ModelError(
+            f"the canonical prefix of AS {origin_asn} has no routing "
+            "state (never simulated, or quarantined); simulate it "
+            "instead of trusting an empty answer"
+        )
     return selected_paths(model, origin_asn, observer_asn)
 
 
@@ -183,41 +163,6 @@ def extend_model_for_origins(
     subset = observations.restrict_origins(wanted)
     refiner = Refiner(model, subset, config or RefinementConfig())
     return refiner.run_incremental()
-
-
-def predict_for_origins(
-    model: ASRoutingModel,
-    origins: Iterable[int],
-    observer_asn: int,
-    strict: bool = False,
-    on_cold: str = ON_COLD_SIMULATE,
-) -> dict[int, set[tuple[int, ...]]]:
-    """Predicted path sets from one observer towards many origins.
-
-    The observer is validated up front: an ASN absent from the model
-    raises :class:`~repro.errors.ModelError` naming it, instead of
-    silently reporting "no paths" for every origin.  Origins not in the
-    model are skipped by default (they grade as unknown, matching
-    :func:`evaluate_model`); ``strict=True`` makes the first unknown
-    origin raise instead.
-    """
-    if observer_asn not in model.network.ases:
-        raise ModelError(
-            f"observer AS {observer_asn} is not in the model; predictions "
-            "for it would be an empty set for every origin"
-        )
-    result: dict[int, set[tuple[int, ...]]] = {}
-    for origin in origins:
-        if origin not in model.prefix_by_origin:
-            if strict:
-                raise TopologyError(
-                    f"AS {origin} originates nothing in the model"
-                )
-            continue
-        result[origin] = predict_paths(
-            model, origin, observer_asn, on_cold=on_cold
-        )
-    return result
 
 
 def validate_pair(

@@ -78,18 +78,6 @@ class ASPath:
         deduped = self.without_prepending()
         return len(set(deduped._asns)) != len(deduped._asns)
 
-    def suffix_from(self, asn: int) -> "ASPath":
-        """Return the sub-path from the first occurrence of ``asn`` to the origin.
-
-        This is the route as seen *at* ``asn`` (Section 4.6 walks these
-        suffixes from the origin towards the observation point).
-        """
-        try:
-            index = self._asns.index(asn)
-        except ValueError:
-            raise ValueError(f"AS {asn} not on path {self}") from None
-        return ASPath(self._asns[index:])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield the AS adjacencies (a, b) along the path, observer-side first."""
         for left, right in zip(self._asns, self._asns[1:]):
@@ -130,17 +118,3 @@ class ASPath:
 
     def __repr__(self) -> str:
         return f"ASPath({str(self)!r})"
-
-
-def clean_paths(paths: Sequence[ASPath]) -> list[ASPath]:
-    """Remove prepending from every path and drop paths containing loops.
-
-    Mirrors the dataset preparation of Section 3.1: "We removed AS-path
-    prepending" and "Removing ... AS-paths with loops".
-    """
-    cleaned = []
-    for path in paths:
-        deduped = path.without_prepending()
-        if not deduped.has_loop() and len(deduped) > 0:
-            cleaned.append(deduped)
-    return cleaned

@@ -17,6 +17,8 @@ import json
 import logging
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from typing import IO
 
 ROOT_LOGGER = "repro"
@@ -79,3 +81,25 @@ def configure_logging(
         logger.removeHandler(existing)
     logger.addHandler(handler)
     return logger
+
+
+@contextmanager
+def held_records() -> Iterator[None]:
+    """Hold what the ``repro`` loggers emit until the block is over.
+
+    The records reach the logger's handlers when the block returns and
+    are dropped when it raises, so an error that makes them moot is the
+    one thing a run says.
+    """
+    logger = logging.getLogger(ROOT_LOGGER)
+    held: list[logging.LogRecord] = []
+    holder = logging.Handler()
+    holder.emit = held.append  # type: ignore[method-assign]
+    saved = logger.handlers, logger.propagate
+    logger.handlers, logger.propagate = [holder], False
+    try:
+        yield
+    finally:
+        logger.handlers, logger.propagate = saved
+    for record in held:
+        logger.handle(record)

@@ -86,18 +86,3 @@ def apply_relationship_policies(
                 )
         configured += 1
     return configured
-
-
-def clear_relationship_policies(network: Network) -> int:
-    """Remove previously-installed relationship policies; returns count removed."""
-    removed = 0
-    for session in network.ebgp_sessions():
-        if session.import_map is not None:
-            removed += session.import_map.remove_if(
-                lambda clause: clause.tag == POLICY_TAG
-            )
-        if session.export_map is not None:
-            removed += session.export_map.remove_if(
-                lambda clause: clause.tag == POLICY_TAG
-            )
-    return removed

@@ -83,15 +83,6 @@ class RelationshipMap:
                 result[rel] += 1
         return result
 
-    def update_unset(self, other: "RelationshipMap") -> int:
-        """Copy classifications from ``other`` for edges not yet set here."""
-        added = 0
-        for a, b, rel in other.edges():
-            if not self.has(a, b):
-                self.set(a, b, rel)
-                added += 1
-        return added
-
     def __len__(self) -> int:
         return len(self._edges)
 

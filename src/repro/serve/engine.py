@@ -27,7 +27,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from repro.errors import ParseError, ReproError
 from repro.net.ip import ip_from_string
@@ -190,18 +189,6 @@ class QueryEngine:
         """
         key = ("lookup", str(target), observer)
         return self._answer(key, lambda k: self._lookup_uncached(target, observer))
-
-    def paths_batch(
-        self, pairs: Iterable[tuple[int, int]]
-    ) -> list[PathsAnswer]:
-        """``paths`` for many (origin, observer) pairs, in input order."""
-        return [self.paths(origin, observer) for origin, observer in pairs]
-
-    def lookup_batch(
-        self, targets: Sequence[str | int | Prefix], observer: int
-    ) -> list[LookupAnswer]:
-        """``lookup`` for many targets at one observer, in input order."""
-        return [self.lookup(target, observer) for target in targets]
 
     # ------------------------------------------------------------------
     # Introspection

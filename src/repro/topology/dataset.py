@@ -122,13 +122,6 @@ class PathDataset:
             grouped[route.origin_asn].add(route.path.asns)
         return dict(grouped)
 
-    def unique_paths_by_prefix(self) -> dict[Prefix, set[tuple[int, ...]]]:
-        """Distinct observed AS-paths grouped by prefix."""
-        grouped: dict[Prefix, set[tuple[int, ...]]] = defaultdict(set)
-        for route in self._routes:
-            grouped[route.prefix].add(route.path.asns)
-        return dict(grouped)
-
     def adjacencies(self) -> set[tuple[int, int]]:
         """Undirected AS-level edges implied by the observed paths."""
         edges: set[tuple[int, int]] = set()
@@ -173,22 +166,6 @@ class PathDataset:
         """Dataset restricted to prefixes originated by the given ASes."""
         wanted = set(origin_asns)
         return self.filter_routes(lambda route: route.origin_asn in wanted)
-
-    def map_paths(
-        self, transform: Callable[[ObservedRoute], ASPath | None]
-    ) -> "PathDataset":
-        """Apply ``transform`` to every route's path; None drops the route."""
-        result = PathDataset()
-        for route in self._routes:
-            new_path = transform(route)
-            if new_path is None or len(new_path) == 0:
-                continue
-            result.add(
-                ObservedRoute(
-                    route.point_id, route.observer_asn, route.prefix, new_path
-                )
-            )
-        return result
 
     def summary(self) -> dict[str, int]:
         """Headline counts in the style of Section 3.1."""

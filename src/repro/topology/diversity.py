@@ -101,24 +101,9 @@ class DiversityReport:
         )
         return multi / total
 
-    @property
-    def pairs_with_many_paths(self) -> int:
-        """Number of pairs with more than 10 distinct paths."""
-        return sum(
-            count for paths, count in self.pair_histogram.items() if paths > 10
-        )
-
     def table1(self) -> dict[float, int]:
         """Table 1: quantiles of the per-AS maximum route diversity."""
         return quantiles(list(self.max_paths_per_as.values()), TABLE1_PERCENTILES)
-
-    @property
-    def fraction_single_prefix_paths(self) -> float:
-        """Fraction of AS-paths used by exactly one prefix (Section 3.2: <50%)."""
-        total = sum(self.path_popularity.values())
-        if total == 0:
-            return 0.0
-        return self.path_popularity.get(1, 0) / total
 
 
 def route_diversity_report(dataset: PathDataset) -> DiversityReport:

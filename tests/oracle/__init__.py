@@ -1,7 +1,7 @@
 """The from-scratch references that fast paths are judged against.
 
 ROADMAP item 5's oracle, first step: the seeded refined worlds and the
-plain recipe — a fresh unpickle, the edit applied, every prefix simulated
+plain recipes — a fresh unpickle, the edit applied, every prefix simulated
 from scratch by the sequential engine — live here once, and the suites that
 compare a fast path with it (``TestCrossingOrigins``, ``TestWorkingCopy``,
 ``TestResumeOracle``, ...) read the same cached answers instead of each
@@ -19,12 +19,11 @@ from repro.bgp.attributes import RouteSource
 from repro.bgp.engine import EngineStats
 from repro.campaign import context_from_artifact, plan_campaign
 from repro.campaign.diffing import ScenarioDiff, diff_path_maps
-from repro.campaign.scenarios import crossing_origins
+from repro.campaign.scenarios import crossing_origins, remove_adjacency
 from repro.core.build import build_initial_model
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
 from repro.core.predict import collect_path_map
 from repro.core.refine import RefinementConfig, Refiner
-from repro.core.whatif import remove_adjacency
 from repro.data.observation import collect_dataset, select_observation_points
 from repro.data.synthesis import SyntheticConfig, synthesize_internet
 from repro.net.prefix import Prefix
@@ -137,6 +136,29 @@ def depeer_from_scratch(
 def from_scratch(blob: bytes, context, asn_a: int, asn_b: int, config=MODEL_DECISION_CONFIG):
     """The oracle's answer to a depeer scenario: sessions removed, diff."""
     return depeer_from_scratch(blob, context, asn_a, asn_b, config)[2:]
+
+
+def two_pass_changes(network: Network, as_edges) -> list:
+    """The plain what-if: simulate all, cut, simulate all again, compare.
+
+    ``(observer, origin, before, after)`` for every pair whose path set
+    changed, in (observer, origin) order — ``repro whatif``'s answer.
+    """
+    model = ASRoutingModel.from_network(network)
+    observers, origins = sorted(network.ases), sorted(model.prefix_by_origin)
+    model.simulate_all()
+    before = collect_path_map(model, observers)
+    for asn_a, asn_b in as_edges:
+        remove_adjacency(model, asn_a, asn_b)
+    model.simulate_all()
+    after = collect_path_map(model, observers)
+    return [
+        (observer, origin, frozenset(before.get(pair, ())), frozenset(after.get(pair, ())))
+        for observer in observers
+        for origin in origins
+        for pair in [(origin, observer)]
+        if before.get(pair) != after.get(pair)
+    ]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bgp.engine import EngineStats, resume_prefix, simulate, simulate_prefix
-from repro.bgp.network import Network, build_clique
+from repro.bgp.network import Network
 from repro.bgp.policy import Action, Clause, Match
 from repro.bgp.router import (
     format_router_id,
@@ -107,11 +107,6 @@ class TestTopologyConstruction:
         net.connect(a, b)
         net.originate(a, PREFIX)
         net.validate()
-
-    def test_build_clique_helper(self):
-        net = Network()
-        build_clique(net, [1, 2, 3])
-        assert len(net.as_adjacencies()) == 3
 
 
 class TestDuplicateRouter:

@@ -32,12 +32,11 @@ from repro.campaign import (
     plan_campaign,
     run_campaign,
 )
-from repro.campaign.scenarios import KIND_LINK_FAILURE, crossing_origins
+from repro.campaign.scenarios import KIND_LINK_FAILURE, crossing_origins, remove_adjacency
 from repro.core.build import build_initial_model
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
 from repro.core.predict import collect_path_map, selected_paths
 from repro.core.refine import Refiner
-from repro.core.whatif import remove_adjacency
 from repro.errors import TopologyError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix, prefix_for_asn

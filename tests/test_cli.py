@@ -203,7 +203,7 @@ class TestParser:
         It was first taken at c0365e9, when ``cli.py`` held all 15
         ``add_parser`` sites, so the move beside the subsystems changed
         nothing a user sees.  Regenerated since only on purpose: parse-time
-        validators on five values, and ``repro profile``'s nine settable
+        validators on six values, and ``repro profile``'s nine settable
         values replaced by the one global ``--profile PATH``."""
         expected = json.loads(
             (Path(__file__).parent / "fixtures" / "cli_surface.json").read_text()
@@ -222,6 +222,12 @@ class TestParser:
             main(["chaos", "--points", points])
         assert refused.value.code == 2
         assert "error: argument --points: must be 1 or more" in capsys.readouterr().err
+
+    def test_whatif_max_changes_must_not_be_negative(self, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["whatif", "m.cbgp", "--remove", "1", "2", "--max-changes", "-1"])
+        assert refused.value.code == 2
+        assert "error: argument --max-changes: must be 0 or more" in capsys.readouterr().err
 
     def test_no_subcommand_shows_help(self, capsys):
         assert main([]) == 2

@@ -4,32 +4,33 @@ import pickle
 
 import pytest
 
+from repro.campaign import (
+    EdgeFailureScenario,
+    context_from_artifact,
+    run_campaign,
+    whatif,
+)
+from repro.campaign.scenarios import crossing_origins, validate_session_endpoints
 from repro.core.build import build_initial_model
 from repro.core.model import ASRoutingModel
 from repro.core.predict import (
-    ON_COLD_SIMULATE,
-    collect_path_map,
     evaluate_model,
     origin_is_simulated,
-    predict_for_origins,
     predict_paths,
     selected_paths,
     simulate_for_dataset,
 )
 from repro.core.refine import Refiner
-from repro.core.whatif import (
-    depeer,
-    remove_adjacency,
-    simulate_link_failure,
-    validate_session_endpoints,
-)
 from repro.errors import ModelError, TopologyError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
+from repro.serve import compile_artifact
 from repro.topology.dataset import ObservedRoute, PathDataset
-from tests.test_campaign_scenarios import disagree_gadget, engine_counts, seeded_world
+from tests.oracle import seeded_world, two_pass_changes
+from tests.test_campaign_scenarios import disagree_gadget, engine_counts
 
 P = Prefix("10.0.0.0/24")
+DIFF_KEYS = ("changed", "lost", "gained")
 
 
 def dataset_from_paths(*paths):
@@ -50,36 +51,20 @@ def refined_diamond():
 class TestPredictPaths:
     def test_returns_full_paths(self, refined_diamond):
         model, _ = refined_diamond
-        paths = predict_paths(model, 4, 1, resimulate=True)
+        model.simulate_origin(4)
+        paths = predict_paths(model, 4, 1)
         assert paths == {(1, 2, 4), (1, 3, 4)}
 
     def test_single_router_single_path(self, refined_diamond):
         model, _ = refined_diamond
-        paths = predict_paths(model, 4, 2, resimulate=True)
+        model.simulate_origin(4)
+        paths = predict_paths(model, 4, 2)
         assert paths == {(2, 4)}
 
     def test_origin_predicts_itself(self, refined_diamond):
         model, _ = refined_diamond
-        assert predict_paths(model, 4, 4, resimulate=True) == {(4,)}
-
-    def test_predict_for_origins_skips_unknown(self, refined_diamond):
-        model, _ = refined_diamond
-        model.simulate_all()
-        result = predict_for_origins(model, [4, 999], 1)
-        assert set(result) == {4}
-
-    def test_predict_for_origins_strict_names_unknown(self, refined_diamond):
-        model, _ = refined_diamond
-        model.simulate_all()
-        with pytest.raises(TopologyError, match="999"):
-            predict_for_origins(model, [4, 999], 1, strict=True)
-
-    def test_predict_for_origins_rejects_unknown_observer(
-        self, refined_diamond
-    ):
-        model, _ = refined_diamond
-        with pytest.raises(ModelError, match="999"):
-            predict_for_origins(model, [4], 999)
+        model.simulate_origin(4)
+        assert predict_paths(model, 4, 4) == {(4,)}
 
 
 class TestColdState:
@@ -92,23 +77,10 @@ class TestColdState:
         with pytest.raises(ModelError, match="AS 4"):
             predict_paths(model, 4, 1)
 
-    def test_cold_origin_can_simulate_on_demand(self):
-        ds = dataset_from_paths((1, 2, 4))
-        model = build_initial_model(ds)
-        assert not origin_is_simulated(model, 4)
-        paths = predict_paths(model, 4, 1, on_cold=ON_COLD_SIMULATE)
-        assert paths == {(1, 2, 4)}
-        assert origin_is_simulated(model, 4)
-
     def test_warm_origin_answers_without_resimulating(self, refined_diamond):
         model, _ = refined_diamond
         assert origin_is_simulated(model, 4)
         assert predict_paths(model, 4, 1) == {(1, 2, 4), (1, 3, 4)}
-
-    def test_resimulate_overrides_cold_check(self):
-        ds = dataset_from_paths((1, 2, 4))
-        model = build_initial_model(ds)
-        assert predict_paths(model, 4, 1, resimulate=True) == {(1, 2, 4)}
 
     def test_unknown_origin_is_a_topology_error(self, refined_diamond):
         model, _ = refined_diamond
@@ -117,8 +89,9 @@ class TestColdState:
 
     def test_unknown_observer_is_a_model_error(self, refined_diamond):
         model, _ = refined_diamond
+        model.simulate_origin(4)
         with pytest.raises(ModelError, match="999"):
-            predict_paths(model, 4, 999, resimulate=True)
+            predict_paths(model, 4, 999)
 
     def test_selected_paths_matches_predict(self, refined_diamond):
         model, _ = refined_diamond
@@ -144,148 +117,134 @@ class TestEvaluateModel:
         assert simulate_for_dataset(model, ds) == 1  # one origin (AS4)
 
 
+def pairs(answer):
+    """The ``(observer, origin)`` pairs a what-if answer names."""
+    return [(observer, origin) for observer, origin, _, _ in answer.changes]
+
+
 class TestWhatIf:
     def test_depeer_removes_sessions_and_edge(self, refined_diamond):
         model, _ = refined_diamond
-        report = depeer(model, 2, 4, origins=[4], observers=[1, 2, 3])
-        assert not model.graph.has_edge(2, 4)
-        assert all(
-            session.dst.asn != 4 or session.src.asn != 2
-            for session in model.network.sessions.values()
-        )
-        assert "AS2-AS4" in report.description
+        sessions = list(model.network.sessions)
+        answer = whatif(model, 2, 4)
+        assert answer.outcome["removed_sessions"] == 1
+        assert answer.render().startswith("what-if: removed AS2-AS4 (1 sessions)")
+        # Removed for the scenario only: the model comes back as it was.
+        assert model.graph.has_edge(2, 4)
+        assert list(model.network.sessions) == sessions
 
     def test_depeer_reroutes_observer(self, refined_diamond):
         model, _ = refined_diamond
-        report = depeer(model, 2, 4, origins=[4], observers=[1, 2])
-        changed_pairs = {(c.observer_asn, c.origin_asn) for c in report.changes}
-        assert (2, 4) in changed_pairs  # AS2 must now go via 1 or 3
-        after = predict_paths(model, 4, 2)
-        assert after and all(path[1] != 4 for path in after)
+        answer = whatif(model, 2, 4)
+        after = {(obs, origin): now for obs, origin, _, now in answer.changes}
+        assert (2, 4) in after  # AS2 must now go via 1 or 3
+        assert after[(2, 4)] and all(path[1] != 4 for path in after[(2, 4)])
 
     def test_unreachable_detection(self):
-        # line 1-2-3: removing 2-3 cuts AS1 and AS2 off from AS3
+        # line 1-2-3: removing 2-3 cuts AS1 and AS2 off from AS3, both ways
         ds = dataset_from_paths((1, 2, 3))
         model = build_initial_model(ds)
-        model.simulate_all()
-        report = depeer(model, 2, 3, origins=[3], observers=[1, 2])
-        assert report.unreachable_pairs == 2
+        answer = whatif(model, 2, 3)
+        lost = [(obs, origin) for obs, origin, _, after in answer.changes if not after]
+        assert lost == [(1, 3), (2, 3), (3, 1), (3, 2)]
+        assert "lost reachability:  4" in answer.render()
 
     def test_unknown_edge_rejected(self, refined_diamond):
         model, _ = refined_diamond
         with pytest.raises(TopologyError):
-            depeer(model, 2, 3)
-
-    def test_multi_edge_failure(self, refined_diamond):
-        model, _ = refined_diamond
-        report = simulate_link_failure(
-            model, [(2, 4), (3, 4)], origins=[4], observers=[1]
-        )
-        assert report.unreachable_pairs == 1
+            whatif(model, 2, 3)
 
     def test_no_change_for_unrelated_link(self):
         ds = dataset_from_paths((1, 2, 4), (5, 2, 4), (1, 3, 4))
         model = build_initial_model(ds)
-        model.simulate_all()
-        report = depeer(model, 1, 3, origins=[4], observers=[5])
-        assert report.affected_pairs == 0
-
-
-def two_pass_changes(network, as_edges):
-    """The plain recipe: simulate all, cut, simulate all again, compare."""
-    model = ASRoutingModel.from_network(network)
-    observers, origins = sorted(network.ases), sorted(model.prefix_by_origin)
-    model.simulate_all()
-    before = collect_path_map(model, observers)
-    for asn_a, asn_b in as_edges:
-        remove_adjacency(model, asn_a, asn_b)
-    model.simulate_all()
-    after = collect_path_map(model, observers)
-    return [
-        (observer, origin, frozenset(before.get(pair, ())), frozenset(after.get(pair, ())))
-        for observer in observers
-        for origin in origins
-        for pair in [(origin, observer)]
-        if before.get(pair) != after.get(pair)
-    ]
+        answer = whatif(model, 1, 3)
+        assert answer.changes
+        assert (5, 4) not in pairs(answer)
 
 
 class TestWhatIfResumes:
-    """The "after" pass resumes from the "before" pass's RIBs, where it may."""
+    """The "after" pass resumes from the compile's RIBs, where it may, and
+    answers what the from-scratch two-pass recipe and the campaign do."""
+
+    @staticmethod
+    def campaign_diffs(network, edges, context=None):
+        """Scenario key -> the depeer campaign's changed / lost / gained."""
+        model = ASRoutingModel.from_network(network)
+        if context is None:
+            context = context_from_artifact(compile_artifact(model)[0])
+        scenarios = [EdgeFailureScenario(asn_a, asn_b) for asn_a, asn_b in edges]
+        report = run_campaign(model, "depeer", scenarios, context)
+        return {
+            outcome.key: tuple(outcome.detail["diff"][k] for k in DIFF_KEYS)
+            for outcome in report.outcomes
+        }
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_seeded_worlds_equal_the_two_pass_answer(self, seed):
         world = seeded_world(seed)
         edges = sorted(world.model.graph.edges())
         origins = len(world.model.prefix_by_origin)
-        for as_edges in ([edges[0]], [edges[3]], [edges[-1]], [edges[1], edges[-2]]):
-            report, simulated, resumed = engine_counts(
-                simulate_link_failure,
-                ASRoutingModel.from_network(pickle.loads(world.blob)),
-                as_edges,
+        campaign = self.campaign_diffs(pickle.loads(world.blob), edges, world.context)
+        for asn_a, asn_b in edges:
+            answer, simulated, resumed = engine_counts(
+                whatif,
+                ASRoutingModel.from_network(pickle.loads(world.blob)), asn_a, asn_b,
             )
-            assert (simulated, resumed) == (origins, origins)
-            assert [
-                (c.observer_asn, c.origin_asn, c.before, c.after) for c in report.changes
-            ] == two_pass_changes(pickle.loads(world.blob), as_edges)
-            assert report.changes
+            crossing = crossing_origins(world.model, world.context, asn_a, asn_b)
+            assert (simulated, resumed) == (origins, len(crossing))
+            assert list(answer.changes) == two_pass_changes(
+                pickle.loads(world.blob), [(asn_a, asn_b)]
+            )
+            diff = answer.outcome["diff"]
+            assert tuple(diff[k] for k in DIFF_KEYS) == campaign[answer.outcome["key"]]
 
     def test_a_model_with_several_stable_states_is_simulated_twice(self):
-        report, simulated, resumed = engine_counts(
-            simulate_link_failure,
-            ASRoutingModel.from_network(disagree_gadget()),
-            [(1, 2)],
+        answer, simulated, resumed = engine_counts(
+            whatif, ASRoutingModel.from_network(disagree_gadget()), 1, 2
         )
         assert (simulated, resumed) == (2, 0)
-        assert [
-            (c.observer_asn, c.origin_asn, c.before, c.after) for c in report.changes
-        ] == two_pass_changes(disagree_gadget(), [(1, 2)])
-        assert {c.observer_asn for c in report.changes} == {2, 3}
+        assert list(answer.changes) == two_pass_changes(disagree_gadget(), [(1, 2)])
+        assert {observer for observer, *_ in answer.changes} == {2, 3}
+        diff = answer.outcome["diff"]
+        assert self.campaign_diffs(disagree_gadget(), [(1, 2)]) == {
+            answer.outcome["key"]: tuple(diff[k] for k in DIFF_KEYS)
+        }
 
 
 class TestUpFrontValidation:
     """Both endpoints are validated before any simulation is spent."""
 
-    def _counting(self, model):
-        calls = []
-        original = model.simulate_origin
+    @staticmethod
+    def refused(model, asn_a, asn_b, message):
+        """How many prefixes ``whatif`` simulated before refusing."""
 
-        def wrapper(origin, *args, **kwargs):
-            calls.append(origin)
-            return original(origin, *args, **kwargs)
+        def call():
+            with pytest.raises(TopologyError, match=message):
+                whatif(model, asn_a, asn_b)
 
-        model.simulate_origin = wrapper
-        return calls
+        return engine_counts(call)[1]
 
     def test_unknown_asn_raises_before_simulating(self, refined_diamond):
         model, _ = refined_diamond
-        calls = self._counting(model)
-        with pytest.raises(TopologyError, match="AS 64999"):
-            simulate_link_failure(model, [(2, 64999)])
-        assert calls == []
+        assert self.refused(model, 2, 64999, "AS 64999") == 0
 
     def test_both_endpoints_checked(self, refined_diamond):
         model, _ = refined_diamond
         with pytest.raises(TopologyError, match="AS 64998"):
-            simulate_link_failure(model, [(64998, 2)])
+            whatif(model, 64998, 2)
 
     def test_missing_adjacency_raises_before_simulating(
         self, refined_diamond
     ):
         model, _ = refined_diamond
-        calls = self._counting(model)
-        with pytest.raises(TopologyError, match="no adjacency"):
-            simulate_link_failure(model, [(2, 3)])
-        assert calls == []
+        assert self.refused(model, 2, 3, "no adjacency") == 0
 
     def test_validator_accepts_real_adjacency(self, refined_diamond):
         model, _ = refined_diamond
         validate_session_endpoints(model, [(2, 4), (3, 4)])
 
     def test_later_bad_edge_still_blocks_everything(self, refined_diamond):
-        # One good edge followed by a bad one: nothing may simulate.
+        # One good edge followed by a bad one: the whole list is refused.
         model, _ = refined_diamond
-        calls = self._counting(model)
         with pytest.raises(TopologyError, match="AS 64999"):
-            simulate_link_failure(model, [(2, 4), (64999, 4)])
-        assert calls == []
+            validate_session_endpoints(model, [(2, 4), (64999, 4)])

@@ -37,9 +37,8 @@ from repro.net.prefix import Prefix
 from repro.obs.trace import EVENT_DECISION, RecordingTracer, tracing
 from repro.relationships.valleyfree import is_valley_free
 from repro.campaign import generate_depeer
-from repro.campaign.scenarios import crossing_origins
+from repro.campaign.scenarios import crossing_origins, remove_adjacency
 from repro.core.model import ASRoutingModel
-from repro.core.whatif import remove_adjacency
 from tests.oracle import depeered_world, rib_contents, seeded_world
 from tests.test_bgp_engine_golden import canonical_dump
 from tests.test_campaign_scenarios import disagree_gadget

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ParseError
-from repro.net.aspath import ASPath, clean_paths
+from repro.net.aspath import ASPath
 
 
 class TestParsing:
@@ -74,29 +74,9 @@ class TestLoops:
         assert not ASPath((1, 2, 3)).has_loop()
 
 
-class TestSuffixes:
-    def test_suffix_from_middle(self):
-        assert ASPath((1, 2, 3, 4)).suffix_from(3) == ASPath((3, 4))
-
-    def test_suffix_from_head_is_whole_path(self):
-        path = ASPath((1, 2, 3))
-        assert path.suffix_from(1) == path
-
-    def test_suffix_from_absent_as(self):
-        with pytest.raises(ValueError):
-            ASPath((1, 2)).suffix_from(9)
-
-
 class TestEdges:
     def test_yields_adjacent_pairs(self):
         assert list(ASPath((1, 2, 3)).edges()) == [(1, 2), (2, 3)]
 
     def test_skips_prepended_self_edges(self):
         assert list(ASPath((1, 2, 2, 3)).edges()) == [(1, 2), (2, 3)]
-
-
-class TestCleanPaths:
-    def test_removes_prepending_and_loops(self):
-        paths = [ASPath((1, 2, 2, 3)), ASPath((1, 2, 1)), ASPath(())]
-        cleaned = clean_paths(paths)
-        assert cleaned == [ASPath((1, 2, 3))]

@@ -12,7 +12,7 @@ from repro.bgp.policy import Action, Clause, Match
 from repro.cbgp import export_network, parse_script
 from repro.errors import DatasetError
 from repro.net.prefix import Prefix
-from repro.obs.logs import JsonFormatter, configure_logging
+from repro.obs.logs import JsonFormatter, configure_logging, held_records
 from repro.obs.meta import git_sha, run_metadata
 from repro.obs.stats import health_stats, load_health_report, render_stats
 from repro.resilience.health import RunHealth
@@ -60,6 +60,22 @@ class TestLogging:
         document = json.loads(formatter.format(record))
         assert document["message"] == "failed"
         assert "ValueError: boom" in document["exception"]
+
+    def test_held_records_arrive_after_the_block_or_not_at_all(self):
+        stream = io.StringIO()
+        configure_logging(level="info", stream=stream)
+        logger = logging.getLogger("repro.test")
+        with held_records():
+            logger.warning("kept")
+            assert stream.getvalue() == ""
+        with pytest.raises(RuntimeError), held_records():
+            logger.warning("moot")
+            raise RuntimeError("refused")
+        logger.info("after")
+        assert stream.getvalue() == (
+            "WARNING repro.test: kept\nINFO repro.test: after\n"
+        )
+        assert len(logging.getLogger("repro").handlers) == 1
 
 
 class TestRunMetadata:

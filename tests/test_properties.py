@@ -63,13 +63,6 @@ class TestASPathProperties:
         collapsed = ASPath(asn_list).without_prepending().asns
         assert all(a != b for a, b in zip(collapsed, collapsed[1:]))
 
-    @given(paths, asns)
-    def test_prepend_then_suffix_recovers(self, asn_list, head):
-        if head in asn_list:
-            return
-        path = ASPath(asn_list).prepended_by(head)
-        assert path.suffix_from(head) == path
-
     @given(paths)
     def test_edges_connect_consecutive_distinct(self, asn_list):
         path = ASPath(asn_list)

@@ -7,10 +7,7 @@ from repro.relationships.gao import (
     enforce_acyclic_hierarchy,
     infer_gao_relationships,
 )
-from repro.relationships.policies import (
-    apply_relationship_policies,
-    clear_relationship_policies,
-)
+from repro.relationships.policies import apply_relationship_policies
 from repro.relationships.types import Relationship, RelationshipMap
 from repro.relationships.valleyfree import (
     infer_valley_free_relationships,
@@ -58,15 +55,6 @@ class TestRelationshipMap:
         counts = rels.counts()
         assert counts[Relationship.CUSTOMER] == 2
         assert counts[Relationship.PEER] == 1
-
-    def test_update_unset(self):
-        base = RelationshipMap()
-        base.set(1, 2, Relationship.PEER)
-        other = RelationshipMap()
-        other.set(1, 2, Relationship.CUSTOMER)
-        other.set(2, 3, Relationship.CUSTOMER)
-        assert base.update_unset(other) == 1
-        assert base.get(1, 2) is Relationship.PEER  # not overwritten
 
 
 class TestValleyFreeValidation:
@@ -231,16 +219,6 @@ class TestPolicyRealization:
         apply_relationship_policies(net, rels)
         simulate(net)
         assert observer.best(P).as_path == (2, 4)
-
-    def test_clear_relationship_policies(self):
-        net, _, rels = self.build_network()
-        configured = apply_relationship_policies(net, rels)
-        assert configured == 6  # three peerings, two directions each
-        removed = clear_relationship_policies(net)
-        assert removed > 0
-        for session in net.ebgp_sessions():
-            if session.import_map is not None:
-                assert all(c.tag != "relationship" for c in session.import_map.clauses())
 
     def test_reapply_is_idempotent(self):
         net, _, rels = self.build_network()

@@ -66,9 +66,7 @@ class TestCompile:
         artifact, _ = compiled
         for origin in artifact.origins:
             for observer in artifact.observers:
-                live = predict_paths(
-                    refined_model, origin, observer, resimulate=False
-                )
+                live = predict_paths(refined_model, origin, observer)
                 frozen = set(artifact.paths.get((origin, observer), ()))
                 assert frozen == live, (origin, observer)
 

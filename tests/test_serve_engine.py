@@ -79,10 +79,6 @@ class TestPaths:
             engine.paths(7, 1)
         assert excinfo.value.kind == QUARANTINED
 
-    def test_batch_preserves_order(self, engine):
-        answers = engine.paths_batch([(4, 2), (4, 1)])
-        assert [a.observer for a in answers] == [2, 1]
-
 
 class TestDiversity:
     def test_multipath_summary(self, engine):
@@ -143,12 +139,6 @@ class TestLookup:
         with pytest.raises(QueryError) as excinfo:
             engine.lookup(str(prefix_for_asn(4)), 999)
         assert excinfo.value.kind == UNKNOWN_OBSERVER
-
-    def test_batch(self, engine):
-        answers = engine.lookup_batch(
-            [str(prefix_for_asn(4)), str(prefix_for_asn(1))], 2
-        )
-        assert [a.origin for a in answers] == [4, 1]
 
 
 class TestCache:

@@ -71,10 +71,6 @@ class TestViews:
         assert grouped[5] == {(1, 2, 5)}
         assert len(grouped[4]) == 4
 
-    def test_unique_paths_by_prefix(self, dataset):
-        grouped = dataset.unique_paths_by_prefix()
-        assert grouped[P2] == {(1, 2, 5)}
-
     def test_adjacencies(self, dataset):
         assert (1, 2) in dataset.adjacencies()
         assert (2, 4) in dataset.adjacencies()
@@ -109,12 +105,6 @@ class TestTransformations:
         subset = dataset.restrict_origins({5})
         assert len(subset) == 1
         assert subset.origin_asns() == {5}
-
-    def test_map_paths_drops_none(self, dataset):
-        mapped = dataset.map_paths(
-            lambda r: r.path if r.origin_asn == 4 else None
-        )
-        assert mapped.origin_asns() == {4}
 
     def test_filter_routes(self, dataset):
         subset = dataset.filter_routes(lambda r: len(r.path) == 2)

@@ -94,14 +94,9 @@ class TestReport:
         table = report.table1()
         assert set(table) == {50.0, 75.0, 90.0, 95.0, 98.0, 99.0, 100.0}
 
-    def test_single_prefix_path_fraction(self):
-        report = route_diversity_report(build_dataset())
-        assert 0.0 <= report.fraction_single_prefix_paths <= 1.0
-
     def test_empty_report(self):
         report = route_diversity_report(PathDataset())
         assert report.fraction_pairs_multipath == 0.0
-        assert report.pairs_with_many_paths == 0
 
     def test_mini_internet_exhibits_diversity(self, mini_dataset):
         """The synthetic substrate must show the paper's core phenomenon."""
