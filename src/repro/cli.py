@@ -32,9 +32,8 @@ Exit codes, for every subcommand (constants in
 1     the run finished but failed its own verdict: refinement stalled,
       ``lint`` error findings (``--diff``: new errors), an ingest
       quality gate or strict-mode parse error
-      (:class:`~repro.errors.IngestError`), a ``bench-diff``
-      regression, a failed serve-chaos assertion, serve workers that
-      cannot boot
+      (:class:`~repro.errors.IngestError`), a failed serve-chaos
+      assertion, serve workers that cannot boot
 2     usage (:class:`~repro.errors.UsageError`, or argparse itself): bad
       flag combinations, out-of-range values, unknown ASNs or query
       targets
@@ -79,7 +78,7 @@ from repro.errors import (
     UsageError,
 )
 from repro.experiments.commands import CHAOS
-from repro.obs.commands import BENCH_DIFF, EXPLAIN, STATS
+from repro.obs.commands import EXPLAIN, STATS
 from repro.obs.logs import LEVELS, configure_logging
 from repro.obs.meta import run_metadata
 from repro.obs.metrics import get_registry
@@ -115,7 +114,6 @@ COMMANDS: tuple[Command, ...] = (
     COMPILE_ARTIFACT,
     QUERY,
     SERVE,
-    BENCH_DIFF,
     CAMPAIGN,
 )
 """Every subcommand, in ``repro --help`` order."""

@@ -71,6 +71,14 @@ def positive_float(text: str) -> float:
     return value
 
 
+def non_negative_float(text: str) -> float:
+    """argparse ``type=``: a float limit where 0 turns the limit off."""
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {text}")
+    return value
+
+
 def non_negative_int(text: str) -> int:
     """argparse ``type=``: an int that can cap a list (``items[:n]``)."""
     value = int(text)
@@ -90,15 +98,15 @@ def positive_int(text: str) -> int:
 def add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     """Supervised-pool flags: refine, chaos, compile-artifact, campaign."""
     parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=positive_int, default=1,
         help="worker processes for per-prefix simulation (1 = sequential, "
              "bit-for-bit the single-process path)")
     parser.add_argument(
-        "--task-timeout", type=float, default=60.0,
+        "--task-timeout", type=non_negative_float, default=60.0,
         help="per-prefix wall-clock watchdog in seconds; a worker past it "
              "is killed and the prefix resubmitted (0 disables)")
     parser.add_argument(
-        "--max-resubmits", type=int, default=2,
+        "--max-resubmits", type=non_negative_int, default=2,
         help="fresh workers a crashing/hanging prefix gets before being "
              "quarantined as poison")
 
@@ -109,8 +117,8 @@ def parallel_config(args: argparse.Namespace) -> ParallelConfig | None:
         return None
     return ParallelConfig(
         workers=args.workers,
-        task_timeout=args.task_timeout if args.task_timeout > 0 else None,
-        max_resubmits=max(0, args.max_resubmits),
+        task_timeout=args.task_timeout or None,
+        max_resubmits=args.max_resubmits,
     )
 
 

@@ -122,8 +122,9 @@ def _refine_into(health: RunHealth, args: argparse.Namespace) -> None:
     model = result.model  # a resumed run swaps in the checkpointed model
     print(
         f"refinement: {result.iteration_count} iterations, "
-        f"converged={result.converged}, {time.perf_counter() - started:.1f}s"
+        f"converged={result.converged}"
     )
+    print(f"refinement took {time.perf_counter() - started:.1f}s", file=sys.stderr)
     print(f"model: {model}")
     unmatched = refiner.unmatched_paths() if not result.converged else []
     health.record_refinement(result, unmatched)

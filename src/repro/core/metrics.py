@@ -35,11 +35,6 @@ class MatchKind(enum.Enum):
     RIB_IN = "rib-in"
     NONE = "none"
 
-    @property
-    def is_rib_in_or_better(self) -> bool:
-        """True for every grade except NONE."""
-        return self is not MatchKind.NONE
-
 
 class AgreementCategory(enum.Enum):
     """Table 2 categories for the single-router baselines."""
@@ -169,22 +164,6 @@ class MatchReport:
             ">=90%": self.prefixes_with_coverage(0.9) / origins,
             "100%": self.prefixes_with_coverage(1.0) / origins,
         }
-
-    def as_dict(self) -> dict[str, float]:
-        """Flat dictionary for report rendering."""
-        result = {
-            "cases": float(self.total),
-            "rib_out": self.rib_out_rate,
-            "potential_rib_out": self.rate(MatchKind.POTENTIAL_RIB_OUT),
-            "rib_in_only": self.rate(MatchKind.RIB_IN),
-            "no_match": self.rate(MatchKind.NONE),
-            "tie_break_or_better": self.tie_break_or_better_rate,
-            "rib_in_or_better": self.rib_in_or_better_rate,
-        }
-        result.update(
-            {f"origins_{k}": v for k, v in self.coverage_summary().items()}
-        )
-        return result
 
 
 def unique_cases(dataset: PathDataset) -> list[tuple[int, tuple[int, ...]]]:

@@ -84,10 +84,6 @@ class ASPath:
             if left != right:
                 yield (left, right)
 
-    def prepended_by(self, asn: int) -> "ASPath":
-        """Return a new path with ``asn`` prepended (as an eBGP export does)."""
-        return ASPath((asn,) + self._asns)
-
     def __len__(self) -> int:
         return len(self._asns)
 

@@ -26,8 +26,6 @@ package makes simulated BGP outcomes auditable:
 * :mod:`repro.obs.sampling` — a stdlib statistical stack sampler
   emitting collapsed-stack ``.folded`` files for flamegraphs (beside
   ``PROFILE.json`` under ``repro --profile``).
-* :mod:`repro.obs.benchdiff` — threshold-gated comparison of two
-  PROFILE/BENCH metric maps (``repro bench-diff``, the CI perf gate).
 """
 
 from repro.obs.logs import configure_logging

@@ -7,10 +7,6 @@
 * ``repro stats`` — render the metrics/metadata slice of a JSON health
   report (counters, gauges, histogram percentiles, phase timings) or of
   a ``repro campaign --report`` file.
-* ``repro bench-diff`` — compare the flat ``metrics`` maps of two
-  documents — PROFILE.json or any ``metrics``-map JSON (``BENCH_obs``,
-  ``BENCH_lint``) — against per-metric regression thresholds; exits 1
-  when anything regressed (the CI perf gate).
 """
 
 from __future__ import annotations
@@ -19,9 +15,8 @@ import argparse
 from functools import partial
 
 from repro.command import Command, Output, json_text, load_model
-from repro.errors import TopologyError, UsageError
+from repro.errors import TopologyError
 from repro.net.prefix import Prefix
-from repro.obs.benchdiff import BenchDiff, diff_files
 from repro.obs.explain import explain_prefix
 from repro.obs.stats import health_stats, load_health_report, render_stats
 
@@ -59,43 +54,6 @@ def _stats(args: argparse.Namespace) -> Output:
     )
 
 
-def _bench_diff_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("base", help="baseline PROFILE.json/BENCH_*.json")
-    parser.add_argument("current", help="candidate PROFILE.json/BENCH_*.json")
-    parser.add_argument("--default-threshold", type=float, default=20.0,
-                        help="percent change tolerated before a metric "
-                             "counts as regressed")
-    parser.add_argument("--threshold", action="append", metavar="NAME=PCT",
-                        help="per-metric threshold override (repeatable)")
-    parser.add_argument("--skip", action="append", metavar="GLOB",
-                        help="fnmatch glob of metric names to exclude "
-                             "(repeatable); e.g. '*seconds*' when base "
-                             "and current ran on different machines")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit the comparison as JSON instead of text")
-
-
-def _bench_diff(args: argparse.Namespace) -> BenchDiff:
-    thresholds: dict[str, float] = {}
-    for spec in args.threshold or []:
-        name, separator, pct = spec.partition("=")
-        if not separator or not name:
-            raise UsageError(f"--threshold expects NAME=PCT, got {spec!r}")
-        try:
-            thresholds[name] = float(pct)
-        except ValueError:
-            raise UsageError(
-                f"--threshold {spec!r}: {pct!r} is not a number"
-            ) from None
-    return diff_files(
-        args.base,
-        args.current,
-        default_threshold=args.default_threshold,
-        thresholds=thresholds,
-        skip=args.skip or [],
-    )
-
-
 EXPLAIN = Command(
     "explain", "hop-by-hop decision provenance for one prefix",
     _explain_arguments, _explain,
@@ -103,8 +61,4 @@ EXPLAIN = Command(
 STATS = Command(
     "stats", "render the metrics slice of a JSON health report",
     _stats_arguments, _stats,
-)
-BENCH_DIFF = Command(
-    "bench-diff", "compare two PROFILE/BENCH JSONs; exit 1 on regression",
-    _bench_diff_arguments, _bench_diff,
 )

@@ -218,17 +218,13 @@ class Histogram:
                 payload["max"] = self._max
             return payload
 
-    def merge_raw(self, data: dict | list) -> None:
-        """Fold a :meth:`dump_raw` dump (or a legacy raw value list) in.
+    def merge_raw(self, data: dict) -> None:
+        """Fold a :meth:`dump_raw` dump in.
 
         Scalars merge exactly; the incoming reservoir samples are fed
         through this histogram's own sampler, which keeps the merged
         reservoir a fair (if second-hand) sample of both runs.
         """
-        if isinstance(data, list):  # pre-reservoir dumps: plain values
-            for value in data:
-                self.observe(value)
-            return
         values = data.get("values") or []
         count = int(data.get("count", len(values)))
         with self._lock:
@@ -313,8 +309,6 @@ class MetricsRegistry:
         Instrument names are merged in sorted order so repeated merges of
         the same dumps land in an identical registry state (gauges are
         last-write-wins, so merge order is part of the contract).
-        Histogram dumps may be either the current scalar+reservoir dicts
-        or the older plain value lists.
         """
         counters = data.get("counters") or {}
         for name in sorted(counters):

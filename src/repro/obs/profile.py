@@ -38,8 +38,7 @@ real profiler for one run with :func:`profiling`::
 
 :func:`build_profile_document` freezes a profiler (plus the metrics
 registry, sampling summary and run metadata) into the versioned
-``PROFILE.json`` schema that ``repro --profile`` writes and
-``repro bench-diff`` compares.
+``PROFILE.json`` schema that ``repro --profile`` writes.
 """
 
 from __future__ import annotations
@@ -49,12 +48,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-PROFILE_SCHEMA = 1
+PROFILE_SCHEMA = 2
 """Version stamp of the PROFILE.json document layout.
 
-``repro bench-diff`` refuses to compare documents whose schema it does
-not understand, so the stamp must change whenever the meaning of a
-recorded field changes.
+It changes whenever a recorded field is removed or changes meaning
+(2: the flat ``metrics`` map that copied ``phases`` and ``counters``
+is gone).
 """
 
 PHASE_DISPATCH = "engine.dispatch"
@@ -285,13 +284,7 @@ def build_profile_document(
     registry=None,
     sampling: dict | None = None,
 ) -> dict:
-    """Freeze one profiled run into the versioned PROFILE.json layout.
-
-    The document carries a flat numeric ``metrics`` map (phase wall/CPU
-    seconds, coverage, registry counters) shaped exactly like a
-    ``BENCH_*.json`` ``metrics`` section, so ``repro bench-diff`` can
-    compare any two of either kind.
-    """
+    """Freeze one profiled run into the versioned PROFILE.json layout."""
     if registry is None:
         from repro.obs.metrics import get_registry
 
@@ -301,25 +294,13 @@ def build_profile_document(
 
         meta = run_metadata()
     snapshot = registry.snapshot()
-    coverage = profiler.coverage(wall_seconds)
-    metrics: dict[str, float] = {
-        "wall_seconds": round(wall_seconds, 6),
-        "cpu_seconds": round(cpu_seconds, 6),
-        "coverage": round(coverage, 6),
-    }
-    for name, stat in profiler.phases.items():
-        metrics[f"phase.{name}.wall_seconds"] = round(stat.wall_seconds, 6)
-        metrics[f"phase.{name}.cpu_seconds"] = round(stat.cpu_seconds, 6)
-    for name, value in snapshot.get("counters", {}).items():
-        metrics[f"counter.{name}"] = value
     return {
         "schema": PROFILE_SCHEMA,
         "workload": workload,
         "wall_seconds": round(wall_seconds, 6),
         "cpu_seconds": round(cpu_seconds, 6),
-        "coverage": round(coverage, 6),
+        "coverage": round(profiler.coverage(wall_seconds), 6),
         "phases": profiler.report(),
-        "metrics": metrics,
         "counters": snapshot.get("counters", {}),
         "histograms": snapshot.get("histograms", {}),
         "sampling": sampling,

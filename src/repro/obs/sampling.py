@@ -128,7 +128,7 @@ class StackSampler:
         """The ``sampling`` section of a PROFILE.json document.
 
         ``mode`` is always ``thread`` (wall-clock sampling); it is part
-        of the layout ``PROFILE_SCHEMA`` 1 fixes.
+        of the layout ``PROFILE_SCHEMA`` fixes.
         """
         return {
             "mode": "thread",

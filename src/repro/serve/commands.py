@@ -157,7 +157,7 @@ def _serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--request-timeout", type=float,
                         default=defaults.request_timeout,
                         help="per-connection socket timeout in seconds")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=positive_int, default=1,
                         help="serve from N supervised SO_REUSEPORT "
                              "processes; a killed worker is replaced "
                              "automatically (default: 1, in-process)")

@@ -9,6 +9,7 @@ import pytest
 from repro.bgp.network import Network
 from repro.cbgp.export import export_network
 from repro.cli import build_parser, main
+from repro.command import parallel_config
 from repro.net.prefix import prefix_for_asn
 from repro.resilience.faults import inject_dispute_wheel
 
@@ -203,14 +204,15 @@ class TestParser:
         It was first taken at c0365e9, when ``cli.py`` held all 15
         ``add_parser`` sites, so the move beside the subsystems changed
         nothing a user sees.  Regenerated since only on purpose: parse-time
-        validators on six values, and ``repro profile``'s nine settable
-        values replaced by the one global ``--profile PATH``."""
+        validators on ten values, ``repro profile``'s nine settable values
+        replaced by the one global ``--profile PATH``, and the PROFILE.json
+        comparator command deleted (``compare.py`` judges performance)."""
         expected = json.loads(
             (Path(__file__).parent / "fixtures" / "cli_surface.json").read_text()
         )
         commands = {command["name"]: command for command in expected["commands"]}
-        assert len(commands) == 14
-        assert sum(len(c["options"]) for c in commands.values()) == 123
+        assert len(commands) == 13
+        assert sum(len(c["options"]) for c in commands.values()) == 117
         assert [o["flags"] for o in expected["options"]] == [
             ["--log-level"], ["--log-json"], ["--profile"],
         ]
@@ -247,6 +249,14 @@ class TestParser:
             ["synthesize", "--out", "unwritten.dump", "--points", "0"],
             ["synthesize", "--out", "unwritten.dump", "--scale", "-1"],
             ["chaos", "--scale", "0"],
+            # the supervised-pool flags: no value is reinterpreted
+            ["refine", "absent.txt", "--workers", "0"],
+            ["chaos", "--workers", "-3"],
+            ["compile-artifact", "absent.cfg", "--out", "unwritten.artifact",
+             "--max-resubmits", "-1"],
+            ["campaign", "depeer", "absent.cfg", "--baseline", "absent.artifact",
+             "--task-timeout", "-5"],
+            ["serve", "absent.artifact", "--workers", "-1"],
         ],
         ids=lambda argv: " ".join(argv[-2:]),
     )
@@ -261,6 +271,12 @@ class TestParser:
 
 
 class TestParallelFlags:
+    def test_a_zero_task_timeout_disables_the_watchdog(self):
+        args = build_parser().parse_args(
+            ["refine", "absent.txt", "--workers", "2", "--task-timeout", "0"]
+        )
+        assert parallel_config(args).task_timeout is None
+
     def test_refine_with_workers_matches_sequential(
         self, dump_file, tmp_path, capsys
     ):

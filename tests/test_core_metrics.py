@@ -72,11 +72,6 @@ class TestClassifyRouteMatch:
         with pytest.raises(ValueError):
             classify_route_match(diamond_model, 1, (2, 4))
 
-    def test_match_kind_helper(self):
-        assert MatchKind.RIB_OUT.is_rib_in_or_better
-        assert MatchKind.RIB_IN.is_rib_in_or_better
-        assert not MatchKind.NONE.is_rib_in_or_better
-
 
 class TestClassifyAgreement:
     def test_agree(self, diamond_model):
@@ -144,13 +139,6 @@ class TestAggregation:
         report = MatchReport()
         assert report.rib_out_rate == 0.0
         assert report.rib_in_or_better_rate == 0.0
-
-    def test_as_dict_keys(self, diamond_model):
-        ds = dataset_from_paths((1, 2, 4))
-        report = evaluate_dataset(diamond_model, ds)
-        flat = report.as_dict()
-        assert flat["rib_out"] == 1.0
-        assert "origins_100%" in flat
 
     def test_evaluate_agreement_totals(self, diamond_model):
         ds = dataset_from_paths((1, 2, 4), (1, 3, 4))

@@ -59,9 +59,6 @@ class TestPrepending:
     def test_no_change_without_prepending(self):
         assert ASPath((1, 2, 3)).without_prepending() == ASPath((1, 2, 3))
 
-    def test_prepended_by(self):
-        assert ASPath((2, 3)).prepended_by(1) == ASPath((1, 2, 3))
-
 
 class TestLoops:
     def test_detects_non_consecutive_repeat(self):

@@ -133,13 +133,6 @@ class TestHistogramReservoir:
         assert target.summary()["min"] == 1.0
         assert target.summary()["max"] == 5_000.0
 
-    def test_merge_accepts_legacy_value_lists(self):
-        histogram = Histogram("h")
-        histogram.merge_raw([1.0, 2.0, 3.0])
-        assert histogram.count == 3
-        assert histogram.total == 6.0
-        assert histogram.summary()["max"] == 3.0
-
 
 class TestThreadSafety:
     def test_concurrent_observes_keep_count_and_sum_exact(self):

@@ -281,12 +281,12 @@ class TestProfileDocument:
 
     def test_schema_and_flat_metrics(self):
         document = self._document()
-        assert document["schema"] == 1
+        assert document["schema"] == 2
         assert document["workload"]["name"] == "refine"
-        metrics = document["metrics"]
-        assert metrics["counter.engine.messages"] == 42
-        assert "phase.parse.wall_seconds" in metrics
-        assert 0.0 <= metrics["coverage"] <= 1.0
+        assert "metrics" not in document
+        assert document["counters"]["engine.messages"] == 42
+        assert "wall_seconds" in document["phases"]["parse"]
+        assert 0.0 <= document["coverage"] <= 1.0
         assert document["meta"]["git_sha"] == "abc"
 
     def test_write_and_reload(self, tmp_path):

@@ -711,7 +711,6 @@ class TestCliExitsFourOnMalformedState:
         assert main(run) == 4
         assert str(checkpoint) in one_error_line(capsys)
 
-    @pytest.mark.parametrize("command", ["stats", "bench-diff"])
     @pytest.mark.parametrize(
         "damage",
         [
@@ -721,17 +720,12 @@ class TestCliExitsFourOnMalformedState:
         ],
         ids=["non-text-bytes", "deep-nesting", "json-array"],
     )
-    def test_a_report_that_is_not_a_json_object(
-        self, command, damage, tmp_path, capsys
-    ):
-        """``stats`` and ``bench-diff`` read documents nobody stamped with a
-        format; they take the first three rungs of ``read_state``'s ladder."""
+    def test_a_report_that_is_not_a_json_object(self, damage, tmp_path, capsys):
+        """``stats`` reads documents nobody stamped with a format; it takes
+        the first three rungs of ``read_state``'s ladder."""
         report = tmp_path / "report.json"
         report.write_bytes(damage)
-        argv = [command, str(report)]
-        if command == "bench-diff":
-            argv.append(str(report))
-        assert main(argv) == 4
+        assert main(["stats", str(report)]) == 4
         assert str(report) in one_error_line(capsys)
 
     def test_missing_inputs_are_one_line_not_a_traceback(self, tmp_path, capsys):
