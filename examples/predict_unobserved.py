@@ -32,11 +32,9 @@ def show(label: str, report) -> None:
     )
     print(f"    matched down to tie-break  {report.tie_break_or_better_rate:.1%}")
     print(f"    RIB-In upper bound         {report.rib_in_or_better_rate:.1%}")
-    coverage = report.coverage_summary()
-    print(
-        "    origins >=50/>=90/100%     "
-        f"{coverage['>=50%']:.0%} / {coverage['>=90%']:.0%} / {coverage['100%']:.0%}"
-    )
+    origins = report.origin_count or 1
+    coverage = [report.prefixes_with_coverage(t) / origins for t in (0.5, 0.9, 1.0)]
+    print("    origins >=50/>=90/100%     " + " / ".join(f"{c:.0%}" for c in coverage))
 
 
 def main() -> None:

@@ -65,9 +65,10 @@ class DecisionConfig:
     def total_order(self) -> bool:
         """True when the whole process is the minimum of :func:`rank`.
 
-        Per-neighbour MED only compares routes from one neighbour AS, and
-        the IGP cost depends on the deciding router, so either one breaks
-        the single key; the quasi-router model (Section 4.6) has neither.
+        The quasi-router model (Section 4.6) has neither per-neighbour MED
+        nor an IGP.  Under any other config :func:`rank` with the deciding
+        router's IGP cost is the process only while every candidate
+        carries the same MED (the engine counts those that do not).
         """
         return self.med_always_compare and not self.use_igp_cost
 
@@ -199,16 +200,21 @@ def run_decision(
     return outcome
 
 
-def rank(route: Route) -> tuple:
-    """The decision process as one sort key: the best route has the least.
+def rank(route: Route, igp_cost: float = 0.0) -> tuple:
+    """The decision process at one router as one sort key: the best route
+    has the least.
 
-    Valid only under :attr:`DecisionConfig.total_order`, where every step
-    keeps the minimum of one attribute and the cascade is therefore one
-    lexicographic minimum.  The order is strict among the candidates of
-    one router: each was learned over a different session, sessions are
-    unique per router pair, so ``peer_router`` differs (0 for the one
-    locally-originated route).  The engine relies on that to decide a
-    message against the standing best alone (see ``_decide_and_export``).
+    ``igp_cost`` is the deciding router's IGP distance to the route's
+    NEXT_HOP (0 for a route that is not iBGP, and under a config without
+    the hot-potato step).  The key is the whole process under
+    :attr:`DecisionConfig.total_order`, and under any config while every
+    candidate carries the same MED: each step then keeps the minimum of
+    one attribute, so the cascade is one lexicographic minimum.  It is
+    strict among the candidates of one router: each was learned over a
+    different session, sessions are unique per router pair, so
+    ``peer_router`` differs (0 for the one locally-originated route).
+    The engine relies on that to decide a message against the standing
+    best alone (see ``_decide_and_export``).
     """
     return (
         -route.local_pref,
@@ -216,6 +222,7 @@ def rank(route: Route) -> tuple:
         route.origin,
         route.med,
         route.source,
+        igp_cost,
         len(route.cluster_list),
         route.originator_id or route.peer_router,
         route.peer_router,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, DEFAULT_MED, RouteSource
 from repro.bgp.decision import (
@@ -179,19 +179,22 @@ class _PrefixRun:
     touch on, ``loc_rib`` mirrors their ``loc_rib[prefix]`` entries (the
     routers' dicts are written through on every change, so an exception
     leaves the same partial state as ever), ``touched`` is the network's
-    own touched set, and ``ranks`` holds :func:`~repro.bgp.decision.rank`
-    of every ``loc_rib`` entry — written and dropped with it — when
-    messages may be decided incrementally, else None (see
-    :func:`_decide_and_export`).  :func:`simulate_prefix` starts it empty,
-    :func:`resume_prefix` from what the routers hold.  All of it dies with
-    the call: nothing is memoised on ``RouteMap``, ``Session`` or
-    ``Router``, which are pickled into every campaign copy.
+    own touched set, and ``ranks`` holds the decision key of every
+    ``loc_rib`` entry — written and dropped with it — unless a tracer is
+    installed (None; see :func:`_decide_and_export`): ``rank``, or
+    ``rank_at`` (rank with the router's hot-potato cost) under a config
+    with an IGP.  Under per-neighbour MED ``meds`` counts each router's
+    Adj-RIB-In routes with a non-default MED.  :func:`simulate_prefix`
+    starts it all empty, :func:`resume_prefix` from what the routers
+    hold.  All of it dies with the call: nothing is memoised on
+    ``RouteMap``, ``Session`` or ``Router``, which are pickled into every
+    campaign copy.
     """
 
     __slots__ = (
         "prefix", "config", "queue", "stats", "tracer", "profiler", "ases",
         "touched", "local", "rib_in", "loc_rib", "rib_out", "ranks",
-        "map_stats_before",
+        "rank_at", "meds", "map_stats_before",
     )
 
     def __init__(
@@ -218,8 +221,12 @@ class _PrefixRun:
         self.rib_out: dict[int, dict[int, Route]] = {}
         # The tracer reports every candidate's elimination step, which only
         # the full scan knows.
-        self.ranks: dict[int, tuple] | None = (
-            {} if config.total_order and self.tracer is None else None
+        self.ranks: dict[int, tuple] | None = {} if self.tracer is None else None
+        self.rank_at: Callable[[_PrefixRun, Router, Route], tuple] | None = (
+            _hot_potato_rank if config.use_igp_cost else None
+        )
+        self.meds: dict[int, int] | None = (
+            {} if self.ranks is not None and not config.med_always_compare else None
         )
         self.map_stats_before = MAP_STATS.snapshot()
 
@@ -324,17 +331,22 @@ def resume_prefix(
     routers = network.routers
     # A router missing from the working set reads as one holding nothing,
     # so all that is held goes in (Adj-RIB-Outs are aliased on first use).
-    ribs_in, loc_rib, ranks = run.rib_in, run.loc_rib, run.ranks
+    ribs_in, loc_rib, ranks, meds = run.rib_in, run.loc_rib, run.ranks, run.meds
+    rank_at = run.rank_at
     for router_id in run.touched:
         router = routers[router_id]
         rib_in = router.adj_rib_in.get(prefix)
         if rib_in is not None:
             ribs_in[router_id] = rib_in
+            if meds is not None:
+                meds[router_id] = sum(r.med != DEFAULT_MED for r in rib_in.values())
         best = router.loc_rib.get(prefix)
         if best is not None:
             loc_rib[router_id] = best
             if ranks is not None:
-                ranks[router_id] = rank(best)
+                ranks[router_id] = (
+                    rank(best) if rank_at is None else rank_at(run, router, best)
+                )
     for router_id in network.originators(prefix):
         run.local[router_id] = routers[router_id].local_routes[prefix]
 
@@ -350,6 +362,8 @@ def resume_prefix(
             route = rib_in.pop(session.session_id, None)
             if route is not None:
                 lost.append((session.dst, route))
+                if meds is not None and route.med != DEFAULT_MED:
+                    meds[session.dst.router_id] -= 1
     for receiver, route in lost:
         _decide_and_export(run, receiver, route)
     for router in reoriginated:
@@ -371,6 +385,7 @@ def _drain(run: _PrefixRun, max_messages: int) -> EngineStats:
     prof = run.profiler
     queue = run.queue
     ribs_in = run.rib_in
+    meds = run.meds
     messages = 0
     while queue:
         messages += 1
@@ -415,6 +430,12 @@ def _drain(run: _PrefixRun, max_messages: int) -> EngineStats:
                 continue
             else:
                 rib_in[session_id] = accepted
+            if meds is not None:
+                shift = (accepted is not None and accepted.med != DEFAULT_MED) - (
+                    previous is not None and previous.med != DEFAULT_MED
+                )
+                if shift:
+                    meds[receiver_id] = meds.get(receiver_id, 0) + shift
         finally:
             # Also on an import map that raises (a malformed path_regex):
             # a phase left on the stack would mis-attribute all later time.
@@ -525,14 +546,14 @@ def _decide_and_export(
 
     ``replaced`` and ``arrived`` are what the Adj-RIB-In slot the
     prompting message wrote held before and holds now (None: nothing;
-    both None for an originator's first decision).  When the decision is
-    a strict total order (``run.ranks`` is kept) and the slot did not
-    hold the standing best — by identity: an attribute-equal arrival
-    never replaces the object in a slot — the best is still a candidate
-    and still beats every other one, so only the arrival can displace it
-    and the two are compared alone.  Every other case scans all
-    candidates, as does every decision under any other config or with a
-    tracer installed.
+    both None for an originator's first decision).  When no tracer is
+    installed (``run.ranks`` is kept), the slot did not hold the standing
+    best — by identity: an attribute-equal arrival never replaces the
+    object in a slot — and the router held no non-default MED before the
+    message and holds none after it (``run.meds``), the decision is the
+    minimum of the run's key: the best is still a candidate and still
+    beats every other one, so only the arrival can displace it and the
+    two are compared alone.  Every other case scans all candidates.
     """
     stats = run.stats
     stats.decisions += 1
@@ -544,16 +565,25 @@ def _decide_and_export(
         loc_rib = run.loc_rib
         previous_best = loc_rib.get(router_id)
         ranks = run.ranks
+        meds = run.meds
+        rank_at = run.rank_at
         if (
             ranks is not None
             and previous_best is not None
             and previous_best is not replaced
+            and (
+                meds is None
+                or not meds.get(router_id)
+                and (replaced is None or replaced.med == DEFAULT_MED)
+            )
         ):
             if arrived is None:
                 stats.candidates_ranked += 1
                 return
             stats.candidates_ranked += 2
-            best_rank = rank(arrived)
+            best_rank = (
+                rank(arrived) if rank_at is None else rank_at(run, router, arrived)
+            )
             if ranks[router_id] < best_rank:
                 return
             best = arrived
@@ -608,7 +638,9 @@ def _decide_and_export(
         else:
             loc_rib[router_id] = router.loc_rib[prefix] = best
             if ranks is not None:
-                ranks[router_id] = best_rank or rank(best)
+                ranks[router_id] = best_rank or (
+                    rank(best) if rank_at is None else rank_at(run, router, best)
+                )
             if (
                 previous_best is not None
                 and best.attributes_equal(previous_best)
@@ -626,6 +658,15 @@ def _decide_and_export(
     finally:
         if profiler is not None:
             profiler.pop()
+
+
+def _hot_potato_rank(run: _PrefixRun, router: Router, route: Route) -> tuple:
+    """:func:`~repro.bgp.decision.rank` at ``router``, hot-potato cost included."""
+    if route.source is not _IBGP:
+        return rank(route)
+    return rank(
+        route, run.ases[router.asn].igp.cost(router.router_id, route.next_hop)
+    )
 
 
 def _igp_cost(run: _PrefixRun, router: Router) -> IgpCostFn:

@@ -156,15 +156,6 @@ class MatchReport:
         """Number of origin ASes with at least one graded path."""
         return len(self.coverage_by_origin)
 
-    def coverage_summary(self) -> dict[str, float]:
-        """Fractions of origins with >=50%, >=90% and 100% path coverage."""
-        origins = self.origin_count or 1
-        return {
-            ">=50%": self.prefixes_with_coverage(0.5) / origins,
-            ">=90%": self.prefixes_with_coverage(0.9) / origins,
-            "100%": self.prefixes_with_coverage(1.0) / origins,
-        }
-
 
 def unique_cases(dataset: PathDataset) -> list[tuple[int, tuple[int, ...]]]:
     """Deduplicated, deterministically-ordered (observer, path) cases."""

@@ -197,14 +197,3 @@ class TestMatchReportHelpers:
         report = self.report()
         report.coverage_by_origin = {4: (0, 0)}
         assert report.prefixes_with_coverage(0.0) == 0
-
-    def test_coverage_summary_fractions(self):
-        report = self.report()
-        report.coverage_by_origin = {4: (2, 2), 5: (1, 2)}
-        summary = report.coverage_summary()
-        assert summary["100%"] == 0.5
-        assert summary[">=50%"] == 1.0
-
-    def test_coverage_summary_empty_is_all_zero(self):
-        summary = self.report().coverage_summary()
-        assert summary == {">=50%": 0.0, ">=90%": 0.0, "100%": 0.0}

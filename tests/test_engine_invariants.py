@@ -6,7 +6,9 @@ guarantee (convergence, RIB consistency, loop-freedom, valley-freedom
 under pure Gao-Rexford policies).
 
 The engine decides a message against the standing best alone when the
-decision is a strict total order (DESIGN.md, "Incremental decision").
+decision at that router is a strict total order: always under the model's
+config, and under per-neighbour MED while the router holds no route with
+a non-default MED (DESIGN.md, "Incremental decision").
 ``TestFullScanOracle`` judges that against the full scan: ``run_decision``
 over every candidate, which is also what the traced engine runs on every
 decision.
@@ -131,6 +133,12 @@ def policy_network_blobs(draw, clauses=policy_clauses) -> bytes:
         for asn in range(1, draw(st.integers(3, 6)) + 1)
         for _ in range(draw(st.integers(1, 2)))
     ]
+    return _peered_and_configured(draw, network, routers, clauses)
+
+
+def _peered_and_configured(draw, network, routers, clauses) -> bytes:
+    """Draw eBGP peerings between ``routers``, one or two originators of
+    PREFIX and up to two clauses per route-map; the pickled network."""
     pairs = [
         (a, b)
         for index, a in enumerate(routers)
@@ -149,6 +157,30 @@ def policy_network_blobs(draw, clauses=policy_clauses) -> bytes:
             for clause in draw(st.lists(clauses, max_size=2)):
                 ensure_map().append(clause)
     return pickle.dumps(network)
+
+
+@st.composite
+def router_network_blobs(draw, clauses=policy_clauses) -> bytes:
+    """A pickled router-level network with one prefix: 2-3 routers per AS
+    joined by an iBGP full mesh or a route-reflection cluster over random
+    IGP link costs, eBGP between ASes, and random local-pref / MED /
+    filter clauses on every session."""
+    network = Network("drawn-router-level")
+    routers = []
+    for asn in range(1, draw(st.integers(2, 4)) + 1):
+        members = [network.add_router(asn) for _ in range(draw(st.integers(2, 3)))]
+        if len(members) == 3 and draw(st.booleans()):
+            network.ibgp_route_reflection(members[:1], members[1:])
+        else:
+            network.ibgp_full_mesh(asn)
+        igp = network.ases[asn].igp
+        for index, a in enumerate(members):
+            for b in members[index + 1:]:
+                cost = draw(st.sampled_from((None, 1, 2, 5)))
+                if cost is not None:
+                    igp.add_link(a.router_id, b.router_id, cost)
+        routers.extend(members)
+    return _peered_and_configured(draw, network, routers, clauses)
 
 
 class TestConvergenceInvariants:
@@ -295,17 +327,51 @@ class TestFullScanOracle:
         if not plain_stats.budget_exhaustions:
             assert_locally_stable(plain, MODEL_DECISION_CONFIG)
 
-    def test_default_config_ranks_every_candidate_every_time(self, simulated_internet):
-        """Per-neighbour MED with IGP cost is not one key: always the scan."""
-        network = simulated_internet.network
-        prefix = network.prefixes()[0]
-        plain = simulate_prefix(network, prefix)
+    def test_ground_truth_equals_the_traced_engine(self, simulated_internet):
+        """Per-neighbour MED with IGP cost: the scan is skipped wherever the
+        router holds only default MEDs, and nothing else changes."""
+        blob = pickle.dumps(simulated_internet.network)
+        plain, traced = pickle.loads(blob), pickle.loads(blob)
+        plain_stats = simulate(plain)
         with tracing(RecordingTracer()) as tracer:
-            traced = simulate_prefix(network, prefix)
-        assert plain.decisions == traced.decisions
-        assert plain.candidates_ranked == traced.candidates_ranked == sum(
+            traced_stats = simulate(traced)
+        assert canonical_dump(plain, plain_stats) == canonical_dump(traced, traced_stats)
+        assert traced_stats.candidates_ranked == sum(
             event["candidates"] for event in tracer.events(EVENT_DECISION)
         )
+        assert plain_stats.candidates_ranked < traced_stats.candidates_ranked
+
+    def test_a_replaced_route_below_the_default_med_forces_the_scan(self):
+        """``med_gadget`` with A's MED below the default: A eliminates B and
+        C wins; once A is withdrawn every held MED is the default and B
+        beats C.  Only the withdrawn route's own MED says to scan."""
+        network, routers = med_gadget()
+        r = routers["r"]
+        for sender, med in (("a", -1), ("b", 0), ("c", 0)):
+            network.get_session(routers[sender], r).import_map.prepend(
+                Clause(Match(path_len_lt=3), set_med=med)
+            )
+        simulate(network)
+        assert r.best(PREFIX).peer_router == routers["b"].router_id
+        assert_locally_stable(network, DecisionConfig())
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(router_network_blobs(), st.sampled_from((
+        DecisionConfig(),
+        DecisionConfig(med_always_compare=True),
+        DecisionConfig(use_igp_cost=False),
+    )))
+    def test_drawn_router_level_network_equals_the_traced_engine(self, blob, config):
+        """iBGP, route reflection and IGP costs under every config that keeps
+        the hot-potato cost or per-neighbour MED in the decision."""
+        plain, traced = pickle.loads(blob), pickle.loads(blob)
+        plain_dump, plain_stats = simulate_to_dump(plain, PREFIX, config, False)
+        traced_dump, traced_stats = simulate_to_dump(traced, PREFIX, config, True)
+        assert plain_dump == traced_dump
+        assert plain_stats.budget_exhaustions == traced_stats.budget_exhaustions
+        assert plain_stats.candidates_ranked <= traced_stats.candidates_ranked
+        if not plain_stats.budget_exhaustions:
+            assert_locally_stable(plain, config)
 
 
 def med_gadget() -> tuple[Network, dict[str, Router]]:
