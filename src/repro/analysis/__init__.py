@@ -21,7 +21,6 @@ re-certifies only the prefixes whose footprint it touches.
 
 from repro.analysis.analyzer import (
     ALL_PASSES,
-    analyze_config,
     analyze_model,
     analyze_network,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "ReportDiff",
     "SafetyCertificate",
     "Severity",
-    "analyze_config",
     "analyze_gao_rexford",
     "analyze_model",
     "analyze_network",

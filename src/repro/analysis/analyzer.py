@@ -19,7 +19,6 @@ config file parsed into one) and requires no simulation.  Passes:
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.findings import AnalysisReport
@@ -80,25 +79,6 @@ def analyze_model(
         dataset=dataset,
         observer_asns=observer_asns,
         prefix_by_origin=dict(model.prefix_by_origin),
-        passes=passes,
-        relationships=relationships,
-    )
-
-
-def analyze_config(
-    path: str | Path,
-    dataset: PathDataset | None = None,
-    observer_asns: set[int] | None = None,
-    passes: Iterable[str] = ALL_PASSES,
-    relationships: RelationshipMap | None = None,
-) -> AnalysisReport:
-    """Parse a C-BGP-style config file and run the analyzer over it."""
-    from repro.cbgp.parse import parse_file
-
-    return analyze_network(
-        parse_file(path),
-        dataset=dataset,
-        observer_asns=observer_asns,
         passes=passes,
         relationships=relationships,
     )

@@ -31,6 +31,7 @@ from repro.bgp.attributes import DEFAULT_LOCAL_PREF, DEFAULT_MED, RouteSource
 from repro.bgp.decision import (
     DecisionConfig,
     IgpCostFn,
+    Step,
     rank,
     run_decision,
     select_best,
@@ -180,15 +181,15 @@ class _PrefixRun:
     routers' dicts are written through on every change, so an exception
     leaves the same partial state as ever), ``touched`` is the network's
     own touched set, and ``ranks`` holds the decision key of every
-    ``loc_rib`` entry — written and dropped with it — unless a tracer is
-    installed (None; see :func:`_decide_and_export`): ``rank``, or
+    ``loc_rib`` entry, written and dropped with it: ``rank``, or
     ``rank_at`` (rank with the router's hot-potato cost) under a config
     with an IGP.  Under per-neighbour MED ``meds`` counts each router's
-    Adj-RIB-In routes with a non-default MED.  :func:`simulate_prefix`
-    starts it all empty, :func:`resume_prefix` from what the routers
-    hold.  All of it dies with the call: nothing is memoised on
-    ``RouteMap``, ``Session`` or ``Router``, which are pickled into every
-    campaign copy.
+    Adj-RIB-In routes with a non-default MED.  All of it depends on the
+    config alone; ``tracer`` and ``profiler`` only observe.
+    :func:`simulate_prefix` starts it empty, :func:`resume_prefix` from
+    what the routers hold.  All of it dies with the call: nothing is
+    memoised on ``RouteMap``, ``Session`` or ``Router``, which are pickled
+    into every campaign copy.
     """
 
     __slots__ = (
@@ -219,15 +220,11 @@ class _PrefixRun:
         self.rib_in: dict[int, dict[int, Route]] = {}
         self.loc_rib: dict[int, Route] = {}
         self.rib_out: dict[int, dict[int, Route]] = {}
-        # The tracer reports every candidate's elimination step, which only
-        # the full scan knows.
-        self.ranks: dict[int, tuple] | None = {} if self.tracer is None else None
+        self.ranks: dict[int, tuple] = {}
         self.rank_at: Callable[[_PrefixRun, Router, Route], tuple] | None = (
             _hot_potato_rank if config.use_igp_cost else None
         )
-        self.meds: dict[int, int] | None = (
-            {} if self.ranks is not None and not config.med_always_compare else None
-        )
+        self.meds: dict[int, int] | None = None if config.med_always_compare else {}
         self.map_stats_before = MAP_STATS.snapshot()
 
     def apply_map(self, route_map: RouteMap, route: Route) -> Route | None:
@@ -343,34 +340,39 @@ def resume_prefix(
         best = router.loc_rib.get(prefix)
         if best is not None:
             loc_rib[router_id] = best
-            if ranks is not None:
-                ranks[router_id] = (
-                    rank(best) if rank_at is None else rank_at(run, router, best)
-                )
+            ranks[router_id] = rank_at(run, router, best) if rank_at else rank(best)
     for router_id in network.originators(prefix):
         run.local[router_id] = routers[router_id].local_routes[prefix]
 
     # Every stale entry goes before any decision runs, so that no router
-    # moves to a route that is itself about to disappear.
+    # moves to a route that is itself about to disappear.  A router whose
+    # best is gone decides before it is asked about anything else, so
+    # that no decision is taken against a best it no longer holds: the
+    # re-originating routers first, then each receiver that lost its best,
+    # then the losses of routes that were not the best.
+    lost_best: list[tuple[Router, Route]] = []
     lost: list[tuple[Router, Route]] = []
     for session in dropped:
         rib_out = session.src.adj_rib_out.get(prefix)
         if rib_out is not None:
             rib_out.pop(session.session_id, None)
-        rib_in = ribs_in.get(session.dst.router_id)
+        receiver_id = session.dst.router_id
+        rib_in = ribs_in.get(receiver_id)
         if rib_in is not None:
             route = rib_in.pop(session.session_id, None)
             if route is not None:
-                lost.append((session.dst, route))
+                (lost_best if route is loc_rib.get(receiver_id) else lost).append(
+                    (session.dst, route)
+                )
                 if meds is not None and route.med != DEFAULT_MED:
-                    meds[session.dst.router_id] -= 1
-    for receiver, route in lost:
-        _decide_and_export(run, receiver, route)
+                    meds[receiver_id] -= 1
     for router in reoriginated:
         # Passing the standing best as the replaced route forces the full
         # scan: what changed is the local route, which fills no slot.
         run.touched.add(router.router_id)
         _decide_and_export(run, router, loc_rib.get(router.router_id))
+    for receiver, route in lost_best + lost:
+        _decide_and_export(run, receiver, route)
     return _drain(run, max_messages)
 
 
@@ -546,14 +548,15 @@ def _decide_and_export(
 
     ``replaced`` and ``arrived`` are what the Adj-RIB-In slot the
     prompting message wrote held before and holds now (None: nothing;
-    both None for an originator's first decision).  When no tracer is
-    installed (``run.ranks`` is kept), the slot did not hold the standing
-    best — by identity: an attribute-equal arrival never replaces the
-    object in a slot — and the router held no non-default MED before the
-    message and holds none after it (``run.meds``), the decision is the
-    minimum of the run's key: the best is still a candidate and still
-    beats every other one, so only the arrival can displace it and the
-    two are compared alone.  Every other case scans all candidates.
+    both None for an originator's first decision).  When the slot did not
+    hold the standing best — by identity: an attribute-equal arrival never
+    replaces the object in a slot — and the router held no non-default
+    MED before the message and holds none after it (``run.meds``), the
+    decision is the minimum of the run's key: the best is still a
+    candidate and still beats every other one, so only the arrival can
+    displace it and the two are compared alone.  Every other case scans
+    all candidates.  A tracer changes none of this: once the Loc-RIB holds
+    the outcome it is sent one ``decision`` event (:func:`_trace_decision`).
     """
     stats = run.stats
     stats.decisions += 1
@@ -567,9 +570,9 @@ def _decide_and_export(
         ranks = run.ranks
         meds = run.meds
         rank_at = run.rank_at
+        best_rank = candidates = None
         if (
-            ranks is not None
-            and previous_best is not None
+            previous_best is not None
             and previous_best is not replaced
             and (
                 meds is None
@@ -577,18 +580,15 @@ def _decide_and_export(
                 and (replaced is None or replaced.med == DEFAULT_MED)
             )
         ):
+            best = previous_best
             if arrived is None:
                 stats.candidates_ranked += 1
-                return
-            stats.candidates_ranked += 2
-            best_rank = (
-                rank(arrived) if rank_at is None else rank_at(run, router, arrived)
-            )
-            if ranks[router_id] < best_rank:
-                return
-            best = arrived
+            else:
+                stats.candidates_ranked += 2
+                best_rank = rank_at(run, router, arrived) if rank_at else rank(arrived)
+                if not ranks[router_id] < best_rank:
+                    best = arrived
         else:
-            best_rank = None
             rib_in = run.rib_in.get(router_id)
             candidates = list(rib_in.values()) if rib_in else []
             local = run.local.get(router_id)
@@ -597,27 +597,7 @@ def _decide_and_export(
             stats.candidates_ranked += len(candidates)
 
             best = candidates[0] if candidates else None
-            tracer = run.tracer
-            if tracer is not None and best is not None:
-                # run_decision is behaviourally identical to select_best
-                # but keeps the per-candidate elimination bookkeeping the
-                # trace event reports; the slower path only runs while
-                # tracing.
-                outcome = run_decision(
-                    candidates, run.config, _igp_cost(run, router)
-                )
-                best = outcome.best
-                tracer.event(
-                    EVENT_DECISION,
-                    router=router.name,
-                    prefix=str(run.prefix),
-                    candidates=len(candidates),
-                    best=list(best.as_path) if best is not None else None,
-                    step=step_name(
-                        outcome.decisive_step if len(candidates) > 1 else None
-                    ),
-                )
-            elif len(candidates) > 1:
+            if len(candidates) > 1:
                 if run.config.use_igp_cost:
                     best = select_best(
                         candidates, run.config, _igp_cost(run, router)
@@ -627,29 +607,32 @@ def _decide_and_export(
 
         if profiler is not None:
             profiler.switch(PHASE_RIB_MERGE)
-        if best is previous_best:
-            return
-        prefix = run.prefix
-        if best is None:
-            del loc_rib[router_id]
-            router.loc_rib.pop(prefix, None)
-            if ranks is not None:
+        changed = best is not previous_best
+        if changed:
+            prefix = run.prefix
+            if best is None:
+                del loc_rib[router_id]
+                router.loc_rib.pop(prefix, None)
                 del ranks[router_id]
-        else:
-            loc_rib[router_id] = router.loc_rib[prefix] = best
-            if ranks is not None:
+            else:
+                loc_rib[router_id] = router.loc_rib[prefix] = best
                 ranks[router_id] = best_rank or (
                     rank(best) if rank_at is None else rank_at(run, router, best)
                 )
-            if (
-                previous_best is not None
-                and best.attributes_equal(previous_best)
-                and best.peer_router == previous_best.peer_router
-                and best.source == previous_best.source
-            ):
                 # Same announcement from the same place: nothing changed
                 # for peers; the Loc-RIB now holds the current object.
-                return
+                changed = not (
+                    previous_best is not None
+                    and best.attributes_equal(previous_best)
+                    and best.peer_router == previous_best.peer_router
+                    and best.source == previous_best.source
+                )
+        if run.tracer is not None:
+            if candidates is None:
+                candidates = [previous_best, arrived] if arrived else [previous_best]
+            _trace_decision(run, router, best, candidates)
+        if not changed:
+            return
         run.touched.add(router_id)
 
         if profiler is not None:
@@ -658,6 +641,41 @@ def _decide_and_export(
     finally:
         if profiler is not None:
             profiler.pop()
+
+
+def _trace_decision(
+    run: _PrefixRun, router: Router, best: Route | None, ranked: list[Route]
+) -> None:
+    """Send the tracer the ``decision`` event of the decision just taken.
+
+    ``ranked`` is what the decision compared: a scan's candidates, or the
+    standing best alone (a withdrawal) or with the arrival.  Wherever
+    ``rank`` is the decision the step is the first field where the two
+    least keys differ — the runner-up shares the longest prefix with the
+    winner, so that field removed the last loser (fields 0-6 are steps
+    1-7, fields 7-9 the router-id tie-break).  Under per-neighbour MED at
+    a router holding a non-default MED it is not, and ``run_decision``
+    replays the steps.
+    """
+    step = None
+    meds = run.meds
+    if len(ranked) > 1 and meds is not None and meds.get(router.router_id):
+        step = run_decision(ranked, run.config, _igp_cost(run, router)).decisive_step
+    elif len(ranked) > 1:
+        rank_at = run.rank_at
+        winner, runner_up = sorted(
+            rank_at(run, router, route) if rank_at else rank(route) for route in ranked
+        )[:2]
+        field = next(i for i, (a, b) in enumerate(zip(winner, runner_up)) if a != b)
+        step = Step(min(field + 1, Step.ROUTER_ID))
+    run.tracer.event(
+        EVENT_DECISION,
+        router=router.name,
+        prefix=str(run.prefix),
+        candidates=len(ranked),
+        best=None if best is None else list(best.as_path),
+        step=None if step is None else step_name(step),
+    )
 
 
 def _hot_potato_rank(run: _PrefixRun, router: Router, route: Route) -> tuple:

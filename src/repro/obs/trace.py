@@ -37,7 +37,9 @@ from pathlib import Path
 from typing import IO, Any, Iterator
 
 EVENT_DECISION = "decision"
-"""One decision-process run: candidates, winner, decisive step."""
+"""One decision at one router, once its Loc-RIB holds the outcome: the
+``candidates`` it ranked, the ``best`` AS path (null: no route left) and
+the decisive ``step`` (null: nothing was compared)."""
 
 EVENT_BUDGET_EXHAUSTED = "budget-exhausted"
 """A per-prefix simulation hit its message budget (ConvergenceError)."""

@@ -7,6 +7,12 @@ compare a fast path with it (``TestCrossingOrigins``, ``TestWorkingCopy``,
 ``TestResumeOracle``, ...) read the same cached answers instead of each
 re-simulating the same (seed, adjacency) world.  ``structure`` is what
 "the network came back" means wherever one is lent and undone.
+
+The engine's decisions are judged one at a time by the step-by-step
+reference ``run_decision``: ``DecisionOracle`` is a tracer that checks
+every ``decision`` event against it while the run goes on, and ``judge``
+runs the same work untraced and under that tracer and holds the two to
+the same RIBs and counters.
 """
 
 import functools
@@ -16,7 +22,9 @@ from dataclasses import dataclass
 
 from repro.bgp import Network, simulate
 from repro.bgp.attributes import RouteSource
+from repro.bgp.decision import DecisionConfig, DecisionOutcome, run_decision, step_name
 from repro.bgp.engine import EngineStats
+from repro.bgp.router import Router
 from repro.campaign import context_from_artifact, plan_campaign
 from repro.campaign.diffing import ScenarioDiff, diff_path_maps
 from repro.campaign.scenarios import crossing_origins, remove_adjacency
@@ -27,6 +35,7 @@ from repro.core.refine import RefinementConfig, Refiner
 from repro.data.observation import collect_dataset, select_observation_points
 from repro.data.synthesis import SyntheticConfig, synthesize_internet
 from repro.net.prefix import Prefix
+from repro.obs.trace import EVENT_DECISION, RecordingTracer, tracing
 from repro.parallel.protocol import dump_network
 from repro.resilience.retry import ResilienceStats, simulate_network_bounded
 from repro.serve import compile_artifact
@@ -115,6 +124,117 @@ def rib_contents(network: Network, prefix: Prefix) -> list:
             ),
         ))
     return contents
+
+
+def reference_decision(
+    network: Network, router: Router, prefix: Prefix, config: DecisionConfig,
+    candidates=None,
+) -> DecisionOutcome:
+    """``run_decision`` at ``router`` over ``candidates``, by default every
+    candidate it holds for ``prefix``."""
+    cost = network.ases[router.asn].igp.cost
+
+    def igp_cost(route):
+        if route.source is not RouteSource.IBGP:
+            return 0.0
+        return cost(router.router_id, route.next_hop)
+
+    if candidates is None:
+        candidates = router.candidates(prefix)
+    return run_decision(candidates, config, igp_cost)
+
+
+def reference_best(network: Network, router: Router, prefix: Prefix, config):
+    """The winner of :func:`reference_decision`: what ``router`` must hold."""
+    return reference_decision(network, router, prefix, config).best
+
+
+def assert_locally_stable(network: Network, config: DecisionConfig) -> None:
+    """Every router holds the reference winner of every prefix."""
+    for prefix in network.prefixes():
+        for router in network.routers.values():
+            assert router.best(prefix) is reference_best(
+                network, router, prefix, config
+            ), (router, prefix)
+
+
+class DecisionOracle(RecordingTracer):
+    """A tracer that judges each ``decision`` event as the engine emits it.
+
+    The deciding router's live Loc-RIB entry must be the winner of
+    ``run_decision`` over its live candidates, and the event must report
+    that winner's AS path (null when no route is left).  ``candidates``
+    names what was ranked: every live candidate for a scan, whose ``step``
+    is ``run_decision``'s decisive step; the standing best alone (1) for
+    a withdrawal, which compared nothing; or the best and the arrival (2),
+    whose ``step`` is ``run_decision`` over that pair for some live
+    candidate.
+    """
+
+    def __init__(self, network: Network, config: DecisionConfig) -> None:
+        super().__init__()
+        self.network = network
+        self.config = config
+        self.routers = {router.name: router for router in network.routers.values()}
+        assert len(self.routers) == len(network.routers), "router names collide"
+        self.prefixes: dict[str, Prefix] = {}
+
+    def _record(self, record: dict) -> None:
+        super()._record(record)
+        if record["kind"] == "event" and record["type"] == EVENT_DECISION:
+            self._check(record)
+
+    def _check(self, event: dict) -> None:
+        router = self.routers[event["router"]]
+        prefix = self.prefixes.get(event["prefix"])
+        if prefix is None:
+            prefix = self.prefixes[event["prefix"]] = Prefix(event["prefix"])
+        outcome = reference_decision(self.network, router, prefix, self.config)
+        best = outcome.best
+        assert router.best(prefix) is best, event
+        assert event["best"] == (None if best is None else list(best.as_path)), event
+        ranked, live = event["candidates"], outcome.candidates
+        if ranked == len(live):
+            steps = iter([outcome.decisive_step])
+        elif ranked == 1:
+            steps = iter([None])
+        else:
+            assert ranked == 2, event
+            # The arrival is one of the others; the latest slots come last.
+            steps = (
+                reference_decision(
+                    self.network, router, prefix, self.config, [best, route]
+                ).decisive_step
+                for route in reversed(live)
+                if route is not best
+            )
+        assert any(
+            event["step"] == (None if step is None else step_name(step))
+            for step in steps
+        ), event
+
+
+def judge(make_network, config: DecisionConfig, act):
+    """``act(network) -> EngineStats`` on two fresh ``make_network()``
+    networks: one untraced, one under :class:`DecisionOracle`.
+
+    Tracing may not change a thing: the same counters, field for field
+    (``candidates_ranked`` included), and the same RIBs; and the oracle
+    judged one event per decision, whose ``candidates`` add up to
+    ``candidates_ranked``.  Returns the untraced network, its statistics
+    and the oracle's decision events.
+    """
+    plain = make_network()
+    plain_stats = act(plain)
+    judged = make_network()
+    with tracing(DecisionOracle(judged, config)) as oracle:
+        judged_stats = act(judged)
+    assert judged_stats == plain_stats
+    assert canonical_dump(judged, judged_stats) == canonical_dump(plain, plain_stats)
+    events = oracle.events(EVENT_DECISION)
+    assert len(events) == plain_stats.decisions
+    assert sum(event["candidates"] for event in events) == plain_stats.candidates_ranked
+    return plain, plain_stats, events
 
 
 def depeer_from_scratch(

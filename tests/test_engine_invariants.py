@@ -9,14 +9,17 @@ The engine decides a message against the standing best alone when the
 decision at that router is a strict total order: always under the model's
 config, and under per-neighbour MED while the router holds no route with
 a non-default MED (DESIGN.md, "Incremental decision").
-``TestFullScanOracle`` judges that against the full scan: ``run_decision``
-over every candidate, which is also what the traced engine runs on every
-decision.
+``TestFullScanOracle`` judges that against the full scan, ``run_decision``
+over every candidate: once the run is over (``assert_locally_stable``),
+and at every decision through the ``DecisionOracle`` tracer of
+``tests/oracle``.  A tracer only observes, so ``judge`` also holds the
+traced run to the untraced one, counter for counter.
 
 ``resume_prefix`` re-converges a prefix from the RIBs the routers hold
 (DESIGN.md, "Converge once, resume").  ``TestResumeOracle`` judges it
 against the plain recipe — the same edits on a fresh copy, then
-``simulate_prefix`` — wherever ``stable_state_is_unique`` holds.
+``simulate_prefix`` — wherever ``stable_state_is_unique`` holds, and
+under the decision oracle one decision at a time.
 """
 
 import dataclasses
@@ -28,21 +31,26 @@ from hypothesis import strategies as st
 
 from repro.bgp import Clause, Match, Network, simulate, simulate_prefix
 from repro.bgp.attributes import RouteSource
-from repro.bgp.decision import DecisionConfig, run_decision
-from repro.bgp.engine import resume_prefix, stable_state_is_unique
+from repro.bgp.decision import DecisionConfig
+from repro.bgp.engine import EngineStats, resume_prefix, stable_state_is_unique
 from repro.bgp.policy import Action
 from repro.bgp.router import Router
 from repro.core.model import MODEL_DECISION_CONFIG
 from repro.data.synthesis import SyntheticConfig, synthesize_internet
 from repro.errors import ConvergenceError
 from repro.net.prefix import Prefix
-from repro.obs.trace import EVENT_DECISION, RecordingTracer, tracing
 from repro.relationships.valleyfree import is_valley_free
 from repro.campaign import generate_depeer
 from repro.campaign.scenarios import crossing_origins, remove_adjacency
 from repro.core.model import ASRoutingModel
-from tests.oracle import depeered_world, rib_contents, seeded_world
-from tests.test_bgp_engine_golden import canonical_dump
+from tests.oracle import (
+    assert_locally_stable,
+    depeered_world,
+    judge,
+    reference_best,
+    rib_contents,
+    seeded_world,
+)
 from tests.test_campaign_scenarios import disagree_gadget
 
 BASE = SyntheticConfig(seed=0, n_level1=3, n_level2=5, n_other=8, n_stub=14)
@@ -62,41 +70,18 @@ def refined_network(seed: int) -> Network:
     return pickle.loads(seeded_world(seed).blob)
 
 
-def reference_best(network: Network, router: Router, prefix: Prefix, config):
-    """``run_decision`` over all of ``router``'s candidates: the oracle."""
-    cost = network.ases[router.asn].igp.cost
+def bounded_prefix(config: DecisionConfig):
+    """One ``simulate_prefix`` of PREFIX under a 3,000-message budget, as
+    ``judge``'s act.  A diverging prefix is compared too: the partial RIBs
+    and the counters at the moment the budget ran out."""
 
-    def igp_cost(route):
-        if route.source is not RouteSource.IBGP:
-            return 0.0
-        return cost(router.router_id, route.next_hop)
+    def act(network: Network) -> EngineStats:
+        try:
+            return simulate_prefix(network, PREFIX, config, 3000)
+        except ConvergenceError as error:
+            return error.stats
 
-    return run_decision(router.candidates(prefix), config, igp_cost).best
-
-
-def assert_locally_stable(network: Network, config: DecisionConfig) -> None:
-    for prefix in network.prefixes():
-        for router in network.routers.values():
-            assert router.best(prefix) is reference_best(
-                network, router, prefix, config
-            ), (router, prefix)
-
-
-def simulate_to_dump(network: Network, prefix: Prefix, config, traced: bool):
-    """One bounded ``simulate_prefix``: (canonical RIB + counter dump, stats).
-
-    A diverging prefix is compared too: the partial RIBs and the counters
-    at the moment the budget ran out.
-    """
-    try:
-        if traced:
-            with tracing(RecordingTracer()):
-                stats = simulate_prefix(network, prefix, config, 3000)
-        else:
-            stats = simulate_prefix(network, prefix, config, 3000)
-    except ConvergenceError as error:
-        stats = error.stats
-    return canonical_dump(network, stats), stats
+    return act
 
 
 PREFIX = Prefix("10.0.0.0/24")
@@ -303,43 +288,28 @@ class TestFullScanOracle:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_refined_model_equals_the_traced_engine(self, seed):
-        plain, traced = refined_network(seed), refined_network(seed)
-        plain_stats = simulate(plain, config=MODEL_DECISION_CONFIG)
-        with tracing(RecordingTracer()) as tracer:
-            traced_stats = simulate(traced, config=MODEL_DECISION_CONFIG)
-        assert canonical_dump(plain, plain_stats) == canonical_dump(traced, traced_stats)
-        # The traced engine scanned every time: what it ranked is the sum
-        # of the candidate-list lengths it reported.
-        assert traced_stats.candidates_ranked == sum(
-            event["candidates"] for event in tracer.events(EVENT_DECISION)
+        judge(
+            lambda: refined_network(seed),
+            MODEL_DECISION_CONFIG,
+            lambda network: simulate(network, config=MODEL_DECISION_CONFIG),
         )
-        assert plain_stats.candidates_ranked < traced_stats.candidates_ranked / 2
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(policy_network_blobs())
     def test_drawn_policy_network_equals_the_traced_engine(self, blob):
-        plain, traced = pickle.loads(blob), pickle.loads(blob)
-        plain_dump, plain_stats = simulate_to_dump(plain, PREFIX, MODEL_DECISION_CONFIG, False)
-        traced_dump, traced_stats = simulate_to_dump(traced, PREFIX, MODEL_DECISION_CONFIG, True)
-        assert plain_dump == traced_dump
-        assert plain_stats.budget_exhaustions == traced_stats.budget_exhaustions
-        assert plain_stats.candidates_ranked <= traced_stats.candidates_ranked
-        if not plain_stats.budget_exhaustions:
+        plain, stats, _ = judge(
+            lambda: pickle.loads(blob),
+            MODEL_DECISION_CONFIG,
+            bounded_prefix(MODEL_DECISION_CONFIG),
+        )
+        if not stats.budget_exhaustions:
             assert_locally_stable(plain, MODEL_DECISION_CONFIG)
 
     def test_ground_truth_equals_the_traced_engine(self, simulated_internet):
         """Per-neighbour MED with IGP cost: the scan is skipped wherever the
         router holds only default MEDs, and nothing else changes."""
         blob = pickle.dumps(simulated_internet.network)
-        plain, traced = pickle.loads(blob), pickle.loads(blob)
-        plain_stats = simulate(plain)
-        with tracing(RecordingTracer()) as tracer:
-            traced_stats = simulate(traced)
-        assert canonical_dump(plain, plain_stats) == canonical_dump(traced, traced_stats)
-        assert traced_stats.candidates_ranked == sum(
-            event["candidates"] for event in tracer.events(EVENT_DECISION)
-        )
-        assert plain_stats.candidates_ranked < traced_stats.candidates_ranked
+        judge(lambda: pickle.loads(blob), DecisionConfig(), simulate)
 
     def test_a_replaced_route_below_the_default_med_forces_the_scan(self):
         """``med_gadget`` with A's MED below the default: A eliminates B and
@@ -364,13 +334,8 @@ class TestFullScanOracle:
     def test_drawn_router_level_network_equals_the_traced_engine(self, blob, config):
         """iBGP, route reflection and IGP costs under every config that keeps
         the hot-potato cost or per-neighbour MED in the decision."""
-        plain, traced = pickle.loads(blob), pickle.loads(blob)
-        plain_dump, plain_stats = simulate_to_dump(plain, PREFIX, config, False)
-        traced_dump, traced_stats = simulate_to_dump(traced, PREFIX, config, True)
-        assert plain_dump == traced_dump
-        assert plain_stats.budget_exhaustions == traced_stats.budget_exhaustions
-        assert plain_stats.candidates_ranked <= traced_stats.candidates_ranked
-        if not plain_stats.budget_exhaustions:
+        plain, stats, _ = judge(lambda: pickle.loads(blob), config, bounded_prefix(config))
+        if not stats.budget_exhaustions:
             assert_locally_stable(plain, config)
 
 
@@ -424,13 +389,11 @@ def med_gadget() -> tuple[Network, dict[str, Router]]:
 
 class TestPerNeighbourMedIsNeverIncremental:
     def test_the_gadget_does_what_its_docstring_says(self):
-        network, routers = med_gadget()
-        with tracing(RecordingTracer()) as tracer:
-            simulate(network)
+        network, _, events = judge(lambda: med_gadget()[0], DecisionConfig(), simulate)
         at_r = [
             (event["candidates"], tuple(event["best"]))
-            for event in tracer.events(EVENT_DECISION)
-            if event["router"] == routers["r"].name
+            for event in events
+            if event["router"] == network.as_routers(1)[0].name
         ]
         # A alone, A over B, C over A; then A is withdrawn: B over C.
         assert at_r == [(1, (2, 4)), (2, (2, 4)), (3, (3, 4)), (2, (2, 4))]
@@ -465,95 +428,128 @@ class TestResumeOracle:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_every_adjacency_and_crossing_origin_of_a_refined_world(self, seed):
         world = seeded_world(seed)
-        converged = refined_network(seed)
-        simulate(converged, config=MODEL_DECISION_CONFIG)
-        assert stable_state_is_unique(converged, MODEL_DECISION_CONFIG)
-        resumed_messages = scratch_messages = 0
-        for scenario in generate_depeer(world.model):
-            crossing = sorted(
+        scenarios = [
+            (scenario, sorted(
                 world.model.prefix_by_origin[origin]
                 for origin in crossing_origins(
                     world.model, world.context, scenario.asn_a, scenario.asn_b
                 )
-            )
-            plain = depeered_world(seed, scenario.asn_a, scenario.asn_b)
-            converged.open_perturbation()
-            dropped = flat(remove_adjacency(
-                ASRoutingModel.from_network(converged), scenario.asn_a, scenario.asn_b
             ))
-            for prefix in crossing:
-                resumed = resume_prefix(
-                    converged, prefix, MODEL_DECISION_CONFIG, dropped=dropped
-                )
-                assert repr(rib_contents(converged, prefix)) == plain.rib_contents(prefix), (
-                    scenario.key, prefix,
-                )
-                assert (resumed.resumes, resumed.prefixes) == (1, 0)
-                resumed_messages += resumed.messages
-                scratch_messages += plain.messages[prefix]
-            converged.close_perturbation()
-        assert_locally_stable(converged, MODEL_DECISION_CONFIG)  # ... and the undo
+            for scenario in generate_depeer(world.model)
+        ]
+        resumed_messages = []
+
+        def converge_and_depeer(converged: Network) -> EngineStats:
+            stats = simulate(converged, config=MODEL_DECISION_CONFIG)
+            assert stable_state_is_unique(converged, MODEL_DECISION_CONFIG)
+            resumes = EngineStats()
+            for scenario, crossing in scenarios:
+                plain = depeered_world(seed, scenario.asn_a, scenario.asn_b)
+                converged.open_perturbation()
+                dropped = flat(remove_adjacency(
+                    ASRoutingModel.from_network(converged), scenario.asn_a, scenario.asn_b
+                ))
+                for prefix in crossing:
+                    resumed = resume_prefix(
+                        converged, prefix, MODEL_DECISION_CONFIG, dropped=dropped
+                    )
+                    assert repr(rib_contents(converged, prefix)) == plain.rib_contents(prefix), (
+                        scenario.key, prefix,
+                    )
+                    assert (resumed.resumes, resumed.prefixes) == (1, 0)
+                    resumes.merge(resumed)
+                converged.close_perturbation()
+            assert_locally_stable(converged, MODEL_DECISION_CONFIG)  # ... and the undo
+            resumed_messages.append(resumes.messages)
+            stats.merge(resumes)
+            return stats
+
+        judge(lambda: refined_network(seed), MODEL_DECISION_CONFIG, converge_and_depeer)
+        scratch_messages = sum(
+            depeered_world(seed, scenario.asn_a, scenario.asn_b).messages[prefix]
+            for scenario, crossing in scenarios
+            for prefix in crossing
+        )
         # A perturbation costs what is downstream of it, not the convergence.
-        assert resumed_messages < scratch_messages / 2
+        assert resumed_messages[0] < scratch_messages / 2
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_a_hijack_of_every_origin_of_a_refined_world(self, seed):
         model = seeded_world(seed).model
-        converged = refined_network(seed)
-        simulate(converged, config=MODEL_DECISION_CONFIG)
         origins = sorted(model.prefix_by_origin)
-        for victim, attacker in zip(origins, origins[1:] + origins[:1]):
-            prefix = model.prefix_by_origin[victim]
+        hijacks = [
+            (model.prefix_by_origin[victim], attacker)
+            for victim, attacker in zip(origins, origins[1:] + origins[:1])
+        ]
+        expected = {}
+        for prefix, attacker in hijacks:
             plain = refined_network(seed)
             for router in plain.as_routers(attacker):
                 plain.originate(router, prefix)
             simulate_prefix(plain, prefix, MODEL_DECISION_CONFIG)
-            converged.open_perturbation()
-            attackers = converged.as_routers(attacker)
-            for router in attackers:
-                converged.originate(router, prefix)
-            resume_prefix(
-                converged, prefix, MODEL_DECISION_CONFIG, reoriginated=attackers
-            )
-            assert rib_contents(converged, prefix) == rib_contents(plain, prefix), (
-                victim, attacker,
-            )
-            converged.close_perturbation()
-        assert_locally_stable(converged, MODEL_DECISION_CONFIG)
+            expected[prefix] = rib_contents(plain, prefix)
+
+        def converge_and_hijack(converged: Network) -> EngineStats:
+            stats = simulate(converged, config=MODEL_DECISION_CONFIG)
+            for prefix, attacker in hijacks:
+                converged.open_perturbation()
+                attackers = converged.as_routers(attacker)
+                for router in attackers:
+                    converged.originate(router, prefix)
+                stats.merge(resume_prefix(
+                    converged, prefix, MODEL_DECISION_CONFIG, reoriginated=attackers
+                ))
+                assert rib_contents(converged, prefix) == expected[prefix], (
+                    prefix, attacker,
+                )
+                converged.close_perturbation()
+            assert_locally_stable(converged, MODEL_DECISION_CONFIG)
+            return stats
+
+        judge(lambda: refined_network(seed), MODEL_DECISION_CONFIG, converge_and_hijack)
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(policy_network_blobs(filter_and_med_clauses), st.data())
     def test_drawn_filter_and_med_networks_with_random_removals(self, blob, data):
         """Sessions dropped and originations toggled, possibly both at once
         and down to no originator at all (a pure withdrawal)."""
-        converged, plain = pickle.loads(blob), pickle.loads(blob)
-        assert stable_state_is_unique(converged, MODEL_DECISION_CONFIG)
-        simulate_prefix(converged, PREFIX, MODEL_DECISION_CONFIG)
-        routers = sorted(converged.routers)
+        scratch = pickle.loads(blob)
+        assert stable_state_is_unique(scratch, MODEL_DECISION_CONFIG)
+        routers = sorted(scratch.routers)
         peerings = sorted({
             tuple(sorted((s.src.router_id, s.dst.router_id)))
-            for s in converged.sessions.values()
+            for s in scratch.sessions.values()
         })
         cut = data.draw(st.lists(st.sampled_from(peerings), unique=True)) if peerings else []
         toggled = data.draw(st.lists(st.sampled_from(routers), max_size=2, unique=True))
-        dropped, reoriginated = [], []
-        for network in (converged, plain):
+
+        def perturb(network: Network) -> tuple[list, list]:
+            dropped, reoriginated = [], []
             for a, b in cut:
-                removed = network.disconnect(network.routers[a], network.routers[b])
-                if network is converged:
-                    dropped += removed
+                dropped += network.disconnect(network.routers[a], network.routers[b])
             for router_id in toggled:
                 router = network.routers[router_id]
                 if router_id in network.originators(PREFIX):
                     network.withdraw(router, PREFIX)
                 else:
                     network.originate(router, PREFIX)
-                if network is converged:
-                    reoriginated.append(router)
-        resume_prefix(converged, PREFIX, MODEL_DECISION_CONFIG, None, dropped, reoriginated)
-        simulate_prefix(plain, PREFIX, MODEL_DECISION_CONFIG)
-        assert rib_contents(converged, PREFIX) == rib_contents(plain, PREFIX)
-        assert_locally_stable(converged, MODEL_DECISION_CONFIG)
+                reoriginated.append(router)
+            return dropped, reoriginated
+
+        def converge_and_resume(network: Network) -> EngineStats:
+            stats = simulate_prefix(network, PREFIX, MODEL_DECISION_CONFIG)
+            stats.merge(resume_prefix(
+                network, PREFIX, MODEL_DECISION_CONFIG, None, *perturb(network)
+            ))
+            return stats
+
+        resumed, _, _ = judge(
+            lambda: pickle.loads(blob), MODEL_DECISION_CONFIG, converge_and_resume
+        )
+        perturb(scratch)
+        simulate_prefix(scratch, PREFIX, MODEL_DECISION_CONFIG)
+        assert rib_contents(resumed, PREFIX) == rib_contents(scratch, PREFIX)
+        assert_locally_stable(resumed, MODEL_DECISION_CONFIG)
 
     def test_without_uniqueness_a_resume_may_settle_elsewhere(self):
         """Why the predicate gates every caller: DISAGREE's other state."""

@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from repro.bgp.engine import EngineStats, simulate, simulate_prefix
+from repro.bgp.engine import EngineStats, resume_prefix, simulate, simulate_prefix
 from repro.bgp.network import Network
 from repro.core.build import build_initial_model
 from repro.core.refine import RefinementConfig, Refiner
@@ -180,6 +180,26 @@ class TestEngineTracing:
             assert (mine is None) == (theirs is None)
             if mine is not None:
                 assert mine.as_path == theirs.as_path
+
+    def test_a_decision_that_leaves_no_route_is_traced(self):
+        """The withdrawal that cutting AS1 - AS2 sends down the line empties
+        every router it reaches, and each of those decisions says so."""
+        net = Network("line")
+        routers = [net.add_router(asn) for asn in range(1, 5)]
+        for left, right in zip(routers, routers[1:]):
+            net.connect(left, right)
+        prefix = Prefix("10.0.0.0/24")
+        net.originate(routers[0], prefix)
+        simulate(net)
+        dropped = net.disconnect(routers[0], routers[1])
+        tracer = RecordingTracer()
+        with tracing(tracer):
+            stats = resume_prefix(net, prefix, dropped=dropped)
+        assert stats.decisions == 3
+        assert [
+            (e["router"], e["candidates"], e["best"], e["step"])
+            for e in tracer.events(EVENT_DECISION)
+        ] == [(router.name, 0, None, None) for router in routers[1:]]
 
     def test_engine_metrics_recorded(self, registry):
         net, prefix = line_network()

@@ -173,7 +173,7 @@ class TestEngineIntegration:
             assert (a.as_path if a else None) == (b.as_path if b else None)
 
     def test_incremental_decisions_stay_inside_the_decision_phase(self):
-        """Profiling does not force the full scan (only tracing does), and a
+        """Profiling does not force the full scan (no observer does), and a
         message settled against the standing best alone is still one entry
         of ``engine.decision``."""
 
