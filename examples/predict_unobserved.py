@@ -48,7 +48,7 @@ def main() -> None:
     print(f"  dataset: {prepared.model_dataset.summary()}")
 
     print("\n== split by observation point ==")
-    model = build_initial_model(prepared.model_dataset, prepared.model_graph.copy())
+    model = build_initial_model(prepared.model_dataset, prepared.model_graph)
     started = time.perf_counter()
     refinement = Refiner(model, prepared.training).run()
     print(
@@ -61,7 +61,7 @@ def main() -> None:
 
     print("\n== split by origin AS ==")
     training, validation = split_by_origin(prepared.model_dataset, 0.5, seed=4)
-    model2 = build_initial_model(prepared.model_dataset, prepared.model_graph.copy())
+    model2 = build_initial_model(prepared.model_dataset, prepared.model_graph)
     refinement2 = Refiner(model2, training).run()
     print(
         f"  refinement: {refinement2.iteration_count} iterations, "

@@ -39,9 +39,7 @@ def main() -> None:
 
     print(f"preparing workload {SMALL.name!r} ...")
     prepared = prepare(SMALL)
-    model = build_initial_model(
-        prepared.model_dataset, prepared.model_graph.copy()
-    )
+    model = build_initial_model(prepared.model_dataset, prepared.model_graph)
     refinement = Refiner(model, prepared.training).run()
     print(
         f"  refined: {refinement.iteration_count} iterations, "

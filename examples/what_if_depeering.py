@@ -20,11 +20,13 @@ from repro.experiments import SMALL, prepare
 def busiest_peering(prepared, model) -> tuple[int, int]:
     """The level-1 adjacency crossed by the most observed paths."""
     level1 = prepared.level1
+    adjacencies = model.network.as_adjacencies()
     usage: Counter = Counter()
     for route in prepared.model_dataset:
         for a, b in route.path.edges():
-            if a in level1 and b in level1 and model.graph.has_edge(a, b):
-                usage[(min(a, b), max(a, b))] += 1
+            edge = (min(a, b), max(a, b))
+            if a in level1 and b in level1 and edge in adjacencies:
+                usage[edge] += 1
     if not usage:
         raise SystemExit("no observed level-1 peering to remove")
     return usage.most_common(1)[0][0]
@@ -37,7 +39,7 @@ def main() -> None:
     args = parser.parse_args()
 
     prepared = prepare(SMALL)
-    model = build_initial_model(prepared.model_dataset, prepared.model_graph.copy())
+    model = build_initial_model(prepared.model_dataset, prepared.model_graph)
     refinement = Refiner(model, prepared.training).run()
     print(
         f"refined model ({refinement.iteration_count} iterations, "

@@ -29,7 +29,7 @@ per-prefix clauses even though it never appears in their index bucket.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from repro.analysis.findings import Finding, Severity
 from repro.bgp.network import Network
@@ -97,15 +97,19 @@ def _session_maps(
 def analyze_policies(
     network: Network,
     dataset: PathDataset | None = None,
-    prefix_by_origin: dict[int, Prefix] | None = None,
+    prefix_by_origin: Mapping[int, Prefix] | None = None,
 ) -> list[Finding]:
-    """Run all policy-lint rules; dataset-dependent rules need ``dataset``."""
+    """Run all policy-lint rules.
+
+    The dataset-dependent rules run when ``dataset`` is given, and need
+    the model's ``prefix_by_origin`` to map its origins to prefixes.
+    """
     findings: list[Finding] = []
     for session, direction, route_map in _session_maps(network):
         findings.extend(lint_map(session, direction, route_map))
     if dataset is not None:
         if prefix_by_origin is None:
-            prefix_by_origin = _derive_origin_prefixes(network)
+            raise ValueError("the dataset rules need the model's prefix_by_origin")
         findings.extend(
             _blocking_filters(network, dataset, prefix_by_origin)
         )
@@ -179,14 +183,6 @@ def lint_map(
     return findings
 
 
-def _derive_origin_prefixes(network: Network) -> dict[int, Prefix]:
-    """Recover origin-ASN -> canonical prefix from the encoding (§4.1)."""
-    mapping: dict[int, Prefix] = {}
-    for prefix in network.prefixes():
-        mapping[prefix.network >> 16] = prefix
-    return mapping
-
-
 def _observed_hop_lengths(
     dataset: PathDataset,
 ) -> dict[tuple[int, int, int], int]:
@@ -227,7 +223,7 @@ def _is_pure_length_filter(clause: Clause) -> bool:
 def _blocking_filters(
     network: Network,
     dataset: PathDataset,
-    prefix_by_origin: dict[int, Prefix],
+    prefix_by_origin: Mapping[int, Prefix],
 ) -> list[Finding]:
     """Quasi-routers whose filters deny every observed path reaching them.
 
@@ -313,7 +309,7 @@ def _blocking_filters(
 def _stale_refine_clauses(
     network: Network,
     dataset: PathDataset,
-    prefix_by_origin: dict[int, Prefix],
+    prefix_by_origin: Mapping[int, Prefix],
 ) -> list[Finding]:
     """Refine-tagged clauses whose prefix no dataset origin maps to."""
     valid = {

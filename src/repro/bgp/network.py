@@ -460,6 +460,11 @@ class Network:
             edges.add((min(a, b), max(a, b)))
         return edges
 
+    def as_neighbours(self, asn: int) -> set[int]:
+        """The ASes AS ``asn`` has an eBGP session to: its AS-graph neighbours."""
+        return {session.dst.asn for router in self.as_routers(asn)
+                for session in router.sessions_out if session.is_ebgp}
+
     def stats(self) -> dict[str, int]:
         """Size summary used by reports and the scaling benchmark."""
         return {

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from repro.bgp.route import Route
+from repro.bgp.router import router_id_asn
 from repro.net.prefix import Prefix
 
 class RouteMapStats:
@@ -168,11 +169,11 @@ class Match:
         ):
             return False
         if self.from_asn is not None:
-            # A match pinned to one neighbour router implies its AS: router
-            # ids encode the ASN in their high bits (Section 4.5).
+            # A match pinned to one neighbour router implies its AS, which
+            # the router id encodes (Section 4.5).
             other_asn = other.from_asn
             if other_asn is None and other.from_router is not None:
-                other_asn = other.from_router >> 16
+                other_asn = router_id_asn(other.from_router)
             if other_asn != self.from_asn:
                 return False
         if self.from_router is not None and other.from_router != self.from_router:

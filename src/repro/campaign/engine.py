@@ -86,6 +86,7 @@ def context_from_artifact(artifact: PredictionArtifact) -> CampaignContext:
     return CampaignContext(
         baseline_paths=dict(artifact.paths),
         observers=tuple(artifact.observers),
+        origins=dict(artifact.origins),
         excluded=frozenset(artifact.quarantined_origins()),
         baseline_checksum=artifact.checksum,
     )
@@ -96,8 +97,9 @@ def validate_baseline(
 ) -> None:
     """Reject a baseline artifact compiled from a different model.
 
-    Origin sets must match exactly, every artifact observer must be a
-    model AS, and the model's size summary must equal the one the
+    Origin tables must be equal (so the one :func:`context_from_artifact`
+    copies is the model's), every artifact observer must be a model AS,
+    and the model's size summary must equal the one the
     artifact recorded at compile time (when it recorded one) — an
     artifact from an earlier refinement of the same ASes has the same
     origins and observers but other paths.  A mismatched artifact would
@@ -105,20 +107,15 @@ def validate_baseline(
     so this raises :class:`~repro.errors.ArtifactError` naming the first
     discrepancy before any simulation is spent.
     """
-    model_origins = set(model.prefix_by_origin)
-    artifact_origins = set(artifact.origins)
-    missing = sorted(artifact_origins - model_origins)
-    extra = sorted(model_origins - artifact_origins)
-    if missing:
-        raise ArtifactError(
-            f"baseline artifact covers AS {missing[0]} which the model does "
-            "not originate; the artifact was compiled from a different model"
-        )
-    if extra:
-        raise ArtifactError(
-            f"model originates AS {extra[0]} which the baseline artifact "
-            "lacks; recompile the baseline from this model"
-        )
+    for origin in sorted(artifact.origins.keys() | model.prefix_by_origin.keys()):
+        recorded = artifact.origins.get(origin)
+        actual = model.prefix_by_origin.get(origin)
+        if recorded != actual:
+            raise ArtifactError(
+                f"baseline artifact gives AS {origin} the prefix {recorded}, "
+                f"the model {actual}; the artifact was compiled from a "
+                "different model"
+            )
     for observer in artifact.observers:
         if observer not in model.network.ases:
             raise ArtifactError(
@@ -296,10 +293,10 @@ def plan_campaign(
     for scenario in scenarios:
         name = getattr(scenario, "perturbed_origins", None)
         if name is not None:
-            named.update(name(model, context))
+            named.update(name(context))
     return dataclasses.replace(context, converged_ahead=tuple(
         prefix
-        for origin, prefix in sorted(model.prefix_by_origin.items())
+        for origin, prefix in sorted(context.origins.items())
         if named[origin] >= 2 * copies and origin not in context.excluded
     ))
 
@@ -350,7 +347,7 @@ def whatif(model: ASRoutingModel, asn_a: int, asn_b: int) -> WhatIf:
     unique the scenario resumes its crossing origins from the RIBs the
     compile left.  The model comes back as the compile left it.
     """
-    validate_session_endpoints(model, [(asn_a, asn_b)])
+    validate_session_endpoints(model.network, [(asn_a, asn_b)])
     with held_records():  # moot once the baseline is refused
         artifact, compiled = compile_artifact(model)
         for run in compiled.stats.outcomes:  # in prefix order
@@ -378,7 +375,9 @@ def whatif(model: ASRoutingModel, asn_a: int, asn_b: int) -> WhatIf:
                 observer,
                 origin,
                 frozenset(context.baseline_paths.get((origin, observer), ())),
-                frozenset(selected_paths(model, origin, observer)),
+                frozenset(selected_paths(
+                    model.network, model.canonical_prefix(origin), observer
+                )),
             )
             for observer, origin in sorted(
                 (observer, origin)

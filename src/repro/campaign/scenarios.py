@@ -17,8 +17,9 @@ it may hold — no scenario sees state another one left.  It returns a
 plain JSON-ready dict — identical whether the scenario ran in-process or
 inside a crash-isolated worker, first or last, resumed or from scratch.
 A scenario that re-converges origins of the model also has
-``perturbed_origins(model, context)`` naming them, which is how the
-engine knows what is worth converging ahead.
+``perturbed_origins(context)`` naming them, which is how the engine
+knows what is worth converging ahead.  No scenario rebuilds a model: it
+reads the origin table from the context, the adjacency from the network.
 
 Four scenario spaces (ROADMAP item 5, the paper's Section 1 what-if
 motivation):
@@ -42,10 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.bgp.network import Network
 from repro.bgp.session import Session
 from repro.campaign.diffing import Pair, diff_path_maps
 from repro.core.model import ASRoutingModel
-from repro.core.predict import collect_path_map
+from repro.core.predict import collect_path_map, selected_paths
 from repro.errors import TopologyError
 from repro.net.prefix import Prefix
 from repro.resilience.retry import CONVERGED, simulate_prefix_bounded
@@ -66,8 +68,10 @@ real-world ASNs, scanned upward until free."""
 class CampaignContext:
     """Read-only baseline shared by every scenario of one campaign.
 
-    Pickled once and shipped to each pool worker at spawn.  ``excluded``
-    origins were quarantined when the baseline artifact was compiled;
+    Pickled once and shipped to each pool worker at spawn.  ``origins``
+    is the model's origin -> canonical prefix table, as the baseline
+    recorded it.  ``excluded`` origins were quarantined
+    when the baseline artifact was compiled;
     scenarios ignore their pairs instead of reporting spurious diffs.
     The last two fields are the campaign's plan, which ``run_campaign``
     works out from the model and the pending scenarios; no caller sets
@@ -77,6 +81,7 @@ class CampaignContext:
 
     baseline_paths: dict[Pair, tuple[tuple[int, ...], ...]]
     observers: tuple[int, ...]
+    origins: dict[int, Prefix]
     excluded: frozenset[int] = frozenset()
     baseline_checksum: str = ""
     unique_state: bool = False
@@ -88,18 +93,16 @@ class CampaignContext:
     (see :func:`~repro.parallel.worker.converge_ahead`)."""
 
 
-def _paths_for_prefix(network, prefix: Prefix, observer_asn: int) -> set[tuple[int, ...]]:
-    """Full paths ``observer_asn`` currently selects for one prefix."""
-    paths: set[tuple[int, ...]] = set()
-    for router in network.as_routers(observer_asn):
-        best = router.best(prefix)
-        if best is not None:
-            paths.add((observer_asn,) + best.as_path)
-    return paths
+def _require_known(network: Network, asns: Iterable[int]) -> None:
+    """Raise :class:`~repro.errors.TopologyError` naming the first of
+    ``asns`` (in the order given) that is not an AS of ``network``."""
+    for asn in asns:
+        if asn not in network.ases:
+            raise TopologyError(f"unknown AS {asn}: not in the model")
 
 
 def validate_session_endpoints(
-    model: ASRoutingModel, as_edges: Iterable[tuple[int, int]]
+    network: Network, as_edges: Iterable[tuple[int, int]]
 ) -> None:
     """Check every edge's endpoints and adjacency *before* simulating.
 
@@ -108,37 +111,34 @@ def validate_session_endpoints(
     or the first pair with no adjacency.  Callers get the error before
     any simulation work is spent.
     """
-    known = model.network.ases
     for asn_a, asn_b in as_edges:
-        for asn in (asn_a, asn_b):
-            if asn not in known:
-                raise TopologyError(f"unknown AS {asn}: not in the model")
-        if not model.graph.has_edge(asn_a, asn_b):
+        _require_known(network, (asn_a, asn_b))
+        if asn_b not in network.as_neighbours(asn_a):
             raise TopologyError(
                 f"no adjacency between AS {asn_a} and AS {asn_b}"
             )
 
 
 def remove_adjacency(
-    model: ASRoutingModel, asn_a: int, asn_b: int
+    network: Network, asn_a: int, asn_b: int
 ) -> list[list[Session]]:
-    """Tear down every session between two ASes and drop the graph edge.
+    """Tear down every session between two ASes.
 
-    Returns the peerings removed, each as its directed sessions — what
-    :func:`~repro.bgp.engine.resume_prefix` needs to re-converge from
-    the state the routers hold.
+    The sessions are the adjacency, so under a perturbation this edit is
+    undone exactly.  Returns the peerings removed, each as its directed
+    sessions — what :func:`~repro.bgp.engine.resume_prefix` needs to
+    re-converge from the state the routers hold.
     """
     removed = []
-    for router_a in list(model.quasi_routers(asn_a)):
+    for router_a in network.as_routers(asn_a):
         for session in list(router_a.sessions_out):
             if session.dst.asn == asn_b:
-                removed.append(model.network.disconnect(router_a, session.dst))
-    model.graph.remove_edge(asn_a, asn_b)
+                removed.append(network.disconnect(router_a, session.dst))
     return removed
 
 
 def crossing_origins(
-    model: ASRoutingModel, context: CampaignContext, asn_a: int, asn_b: int
+    context: CampaignContext, asn_a: int, asn_b: int
 ) -> set[int]:
     """Origins whose routing can change when the a–b adjacency is removed.
 
@@ -152,7 +152,7 @@ def crossing_origins(
     (``context.unique_state``), or the baseline does not observe both
     ends, every origin crosses.
     """
-    origins = set(model.prefix_by_origin)
+    origins = set(context.origins)
     if not (context.unique_state and {asn_a, asn_b} <= set(context.observers)):
         return origins
     crossing = origins & context.excluded
@@ -184,35 +184,30 @@ class EdgeFailureScenario:
     def key(self) -> str:
         return f"{self.kind}:AS{self.asn_a}-AS{self.asn_b}"
 
-    def perturbed_origins(self, model, context: CampaignContext) -> set[int]:
-        return crossing_origins(model, context, self.asn_a, self.asn_b)
+    def perturbed_origins(self, context: CampaignContext) -> set[int]:
+        return crossing_origins(context, self.asn_a, self.asn_b)
 
     def run(self, network, context: CampaignContext, config, max_messages) -> dict:
-        model = ASRoutingModel.from_network(network)
-        validate_session_endpoints(model, [(self.asn_a, self.asn_b)])
-        crossing = self.perturbed_origins(model, context)
-        settled = model.prefix_by_origin.keys() - crossing
-        removed = remove_adjacency(model, self.asn_a, self.asn_b)
+        validate_session_endpoints(network, [(self.asn_a, self.asn_b)])
+        crossing = self.perturbed_origins(context)
+        settled = context.origins.keys() - crossing
+        removed = remove_adjacency(network, self.asn_a, self.asn_b)
         dropped = [session for peering in removed for session in peering]
         warm = set(context.converged_ahead)
 
-        quarantined = []
-        for prefix in network.prefixes():
-            if model.origin_by_prefix[prefix] in crossing:
-                _, outcome = simulate_prefix_bounded(
-                    network, prefix, config, max_messages,
-                    dropped=dropped if prefix in warm else (),
-                )
-                if outcome.status != CONVERGED:
-                    quarantined.append(prefix)
-        degraded = sorted(str(prefix) for prefix in quarantined)
-        degraded_origins = {
-            model.origin_by_prefix[prefix]
-            for prefix in quarantined
-            if prefix in model.origin_by_prefix
-        }
+        degraded_origins = set()
+        for origin in sorted(crossing, key=context.origins.__getitem__):
+            prefix = context.origins[origin]
+            _, outcome = simulate_prefix_bounded(
+                network, prefix, config, max_messages,
+                dropped=dropped if prefix in warm else (),
+            )
+            if outcome.status != CONVERGED:
+                degraded_origins.add(origin)
+        degraded = sorted(str(context.origins[origin]) for origin in degraded_origins)
         current = collect_path_map(
-            model, context.observers, skip_origins=degraded_origins | settled
+            network, context.origins, context.observers,
+            skip_origins=degraded_origins | settled,
         )
         for pair, paths in context.baseline_paths.items():
             if pair[0] in settled:
@@ -252,15 +247,15 @@ class HijackScenario:
     def key(self) -> str:
         return f"hijack:AS{self.attacker}->AS{self.victim}"
 
-    def perturbed_origins(self, model, context: CampaignContext) -> set[int]:
+    def perturbed_origins(self, context: CampaignContext) -> set[int]:
         return {self.victim}
 
     def run(self, network, context: CampaignContext, config, max_messages) -> dict:
-        model = ASRoutingModel.from_network(network)
-        prefix = model.canonical_prefix(self.victim)
-        attacker_routers = model.quasi_routers(self.attacker)
-        if not attacker_routers:
-            raise TopologyError(f"unknown AS {self.attacker}: not in the model")
+        prefix = context.origins.get(self.victim)
+        if prefix is None:
+            raise TopologyError(f"AS {self.victim} originates nothing in the model")
+        _require_known(network, [self.attacker])
+        attacker_routers = network.as_routers(self.attacker)
         if self.attacker == self.victim:
             raise TopologyError(
                 f"attacker AS {self.attacker} is the victim itself"
@@ -294,7 +289,7 @@ class HijackScenario:
         for observer in context.observers:
             if observer in (self.victim, self.attacker):
                 continue
-            paths = _paths_for_prefix(network, prefix, observer)
+            paths = selected_paths(network, prefix, observer)
             if not paths:
                 if (self.victim, observer) in context.baseline_paths:
                     blackholed.append(observer)
@@ -346,9 +341,7 @@ class CatchmentScenario:
         return f"catchment:fail-AS{self.failed_site}"
 
     def run(self, network, context: CampaignContext, config, max_messages) -> dict:
-        for site in self.sites:
-            if not network.as_routers(site):
-                raise TopologyError(f"unknown AS {site}: not in the model")
+        _require_known(network, self.sites)
         prefix = _free_anycast_prefix(network)
         for site in self.sites:
             for router in network.as_routers(site):
@@ -415,7 +408,7 @@ class CatchmentScenario:
         for observer in observers:
             if observer in site_set:
                 continue
-            paths = _paths_for_prefix(network, prefix, observer)
+            paths = selected_paths(network, prefix, observer)
             sites = sorted({path[-1] for path in paths})
             if sites:
                 attraction[observer] = sites
@@ -449,11 +442,9 @@ def generate_depeer(
     wanted = None
     if ases is not None:
         wanted = set(ases)
-        for asn in sorted(wanted):
-            if asn not in model.network.ases:
-                raise TopologyError(f"unknown AS {asn}: not in the model")
+        _require_known(model.network, sorted(wanted))
     scenarios = []
-    for asn_a, asn_b in sorted(model.graph.edges()):
+    for asn_a, asn_b in sorted(model.network.as_adjacencies()):
         if wanted is not None and asn_a not in wanted and asn_b not in wanted:
             continue
         scenarios.append(EdgeFailureScenario(asn_a, asn_b, KIND_DEPEER))
@@ -468,21 +459,20 @@ def generate_link_failure(
     """Adjacency failures incident to tier-1-like ASes.
 
     ``seeds`` names the target ASes explicitly; otherwise the
-    ``top_degree`` highest-degree ASes of the graph are used (ties broken
+    ``top_degree`` highest-degree ASes of the model are used (ties broken
     by lower ASN, so the sweep is deterministic).
     """
+    network = model.network
     if seeds is not None:
         targets = set(seeds)
-        for asn in sorted(targets):
-            if asn not in model.network.ases:
-                raise TopologyError(f"unknown AS {asn}: not in the model")
+        _require_known(network, sorted(targets))
     else:
         ranked = sorted(
-            model.network.ases, key=lambda asn: (-model.graph.degree(asn), asn)
+            network.ases, key=lambda asn: (-len(network.as_neighbours(asn)), asn)
         )
         targets = set(ranked[: max(0, top_degree)])
     scenarios = []
-    for asn_a, asn_b in sorted(model.graph.edges()):
+    for asn_a, asn_b in sorted(network.as_adjacencies()):
         if asn_a in targets or asn_b in targets:
             scenarios.append(
                 EdgeFailureScenario(asn_a, asn_b, KIND_LINK_FAILURE)
@@ -503,9 +493,7 @@ def generate_hijack(
     model.canonical_prefix(victim)  # raises TopologyError for unknown victims
     if attackers is not None:
         candidates = sorted(set(attackers))
-        for asn in candidates:
-            if asn not in model.network.ases:
-                raise TopologyError(f"unknown AS {asn}: not in the model")
+        _require_known(model.network, candidates)
         if victim in candidates:
             raise TopologyError(
                 f"attacker AS {victim} is the victim itself"
@@ -524,9 +512,7 @@ def generate_catchment(
         raise TopologyError(
             "catchment needs at least 2 distinct anycast sites"
         )
-    for site in site_tuple:
-        if site not in model.network.ases:
-            raise TopologyError(f"unknown AS {site}: not in the model")
+    _require_known(model.network, site_tuple)
     scenarios: list[CatchmentScenario] = [CatchmentScenario(site_tuple, None)]
     scenarios.extend(CatchmentScenario(site_tuple, site) for site in site_tuple)
     return scenarios

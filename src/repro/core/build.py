@@ -37,7 +37,7 @@ def build_relationship_model(
         router_b = network.as_routers(b)[0]
         network.connect(router_a, router_b)
     apply_relationship_policies(network, relationships)
-    model = ASRoutingModel(network=network, graph=graph)
+    model = ASRoutingModel(network=network)
     for asn in sorted(graph.ases()):
         model.add_origin(asn)
     network.validate()
@@ -51,8 +51,9 @@ def build_initial_model(
     """Build the one-quasi-router-per-AS model from observed paths.
 
     ``graph`` may be supplied when the AS graph was already extracted (and
-    possibly pruned); otherwise it is derived from ``dataset``.  Every AS
-    in the graph originates one canonical prefix, matching the paper's
+    possibly pruned); otherwise it is derived from ``dataset``.  It is
+    read, not kept: the model's AS view is its network's sessions.  Every
+    AS in the graph originates one canonical prefix, matching the paper's
     one-prefix-per-AS simplification.
     """
     if graph is None:
@@ -64,7 +65,7 @@ def build_initial_model(
         router_a = network.as_routers(a)[0]
         router_b = network.as_routers(b)[0]
         network.connect(router_a, router_b)
-    model = ASRoutingModel(network=network, graph=graph)
+    model = ASRoutingModel(network=network)
     for asn in sorted(graph.ases()):
         model.add_origin(asn)
     network.validate()

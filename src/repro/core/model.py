@@ -1,10 +1,11 @@
 """The AS-routing model object (Section 4.1).
 
-An :class:`ASRoutingModel` wraps a quasi-router :class:`~repro.bgp.Network`
-together with the AS graph it realizes and the canonical one-prefix-per-AS
-origination scheme.  The model's decision process always compares MED
-across neighbours and has no IGP (quasi-routers are isolated), per
-Section 4.6.
+An :class:`ASRoutingModel` wraps a quasi-router :class:`~repro.bgp.Network`,
+whose eBGP sessions are the AS graph, together with the canonical
+one-prefix-per-AS origination table: :meth:`~ASRoutingModel.add_origin`
+alone encodes a prefix, :meth:`~ASRoutingModel.from_network` alone reads
+a table back.  The model's decision process always compares MED across
+neighbours and has no IGP (quasi-routers are isolated), per Section 4.6.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.bgp.router import Router
 from repro.errors import TopologyError
 from repro.net.prefix import Prefix, prefix_for_asn
 from repro.resilience.retry import ResilienceStats, simulate_network_bounded
-from repro.topology.graph import ASGraph
 
 MODEL_DECISION_CONFIG = DecisionConfig(med_always_compare=True, use_igp_cost=False)
 """Decision process used by the model: always-compare MED, no IGP step."""
@@ -30,7 +30,6 @@ class ASRoutingModel:
     """A quasi-router topology plus per-prefix policies."""
 
     network: Network
-    graph: ASGraph
     prefix_by_origin: dict[int, Prefix] = field(default_factory=dict)
     origin_by_prefix: dict[Prefix, int] = field(default_factory=dict)
 
@@ -39,23 +38,20 @@ class ASRoutingModel:
         """Rebuild a model from a bare quasi-router network.
 
         Used when loading a persisted model from a C-BGP-style config:
-        the AS graph is recovered from the eBGP adjacencies and the
-        origin mapping from the canonical-prefix encoding (the high 16
-        bits of the network address are the origin ASN, see
-        :func:`repro.net.prefix.prefix_for_asn`).
+        each originated prefix is the canonical prefix of the one AS whose
+        routers originate it, whatever its bits say.
         """
-        graph = ASGraph.from_edges(network.as_adjacencies())
-        for asn in network.ases:
-            graph.add_as(asn)
-        model = cls(network=network, graph=graph)
+        model = cls(network=network)
         for prefix in network.prefixes():
-            origin = prefix.network >> 16
-            if origin not in network.ases:
+            origins = sorted({network.routers[router_id].asn
+                              for router_id in network.originators(prefix)})
+            if len(origins) != 1 or origins[0] in model.prefix_by_origin:
                 raise TopologyError(
-                    f"prefix {prefix} does not encode a known origin AS"
+                    f"prefix {prefix} is originated by AS {origins}: a model has "
+                    "one origin AS per prefix and one prefix per AS"
                 )
-            model.prefix_by_origin[origin] = prefix
-            model.origin_by_prefix[prefix] = origin
+            model.prefix_by_origin[origins[0]] = prefix
+            model.origin_by_prefix[prefix] = origins[0]
         return model
 
     def canonical_prefix(self, origin_asn: int) -> Prefix:
@@ -73,10 +69,22 @@ class ASRoutingModel:
             raise TopologyError(f"{prefix} is not a model prefix") from None
 
     def add_origin(self, asn: int) -> Prefix:
-        """Originate the canonical prefix for ``asn`` at all its quasi-routers."""
+        """Originate the canonical prefix for ``asn`` at all its quasi-routers.
+
+        A 16-bit ASN gets :func:`~repro.net.prefix.prefix_for_asn`'s
+        ``a.b.0.0/24``.  A wider one gets the first free ``0.0.c.0/24``
+        from ``c = asn & 0xFF`` on: no 16-bit encoding starts with two
+        zero octets, and the scan skips what another origin holds.
+        """
         if asn in self.prefix_by_origin:
             return self.prefix_by_origin[asn]
-        prefix = prefix_for_asn(asn) if asn <= 0xFFFF else Prefix(asn & 0xFFFFFF00, 24)
+        if asn <= 0xFFFF:
+            prefix = prefix_for_asn(asn)
+        else:
+            free = (Prefix(((asn + step) & 0xFF) << 8, 24) for step in range(256))
+            prefix = next((p for p in free if p not in self.origin_by_prefix), None)
+            if prefix is None:
+                raise TopologyError(f"no free canonical prefix left for AS {asn}")
         self.prefix_by_origin[asn] = prefix
         self.origin_by_prefix[prefix] = asn
         for router in self.network.as_routers(asn):

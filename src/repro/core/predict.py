@@ -10,9 +10,9 @@ directly: which AS-paths would AS ``observer`` use to reach a prefix of
 AS ``origin``?
 
 :func:`selected_paths` is the shared simulate-then-collect kernel: it
-reads the path set an already-simulated model selects for one
-(origin, observer) pair, and :func:`collect_path_map` sweeps it over a
-whole model.  The live prediction API, campaign scenarios (``repro
+reads the path set an already-simulated network selects for one
+(prefix, observer) pair, and :func:`collect_path_map` sweeps it over an
+origin table.  The live prediction API, campaign scenarios (``repro
 whatif`` included) and the :mod:`repro.serve` artifact compiler all
 answer through this one code path, so a compiled artifact is equal to
 the live model by construction.
@@ -20,11 +20,13 @@ the live model by construction.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
+from repro.bgp.network import Network
 from repro.core.metrics import MatchReport, evaluate_dataset
 from repro.core.model import ASRoutingModel
 from repro.errors import ModelError, TopologyError
+from repro.net.prefix import Prefix
 from repro.topology.dataset import PathDataset
 
 
@@ -78,18 +80,17 @@ def origin_is_simulated(model: ASRoutingModel, origin_asn: int) -> bool:
 
 
 def selected_paths(
-    model: ASRoutingModel, origin_asn: int, observer_asn: int
+    network: Network, prefix: Prefix, observer_asn: int
 ) -> set[tuple[int, ...]]:
-    """The path set ``observer_asn``'s quasi-routers currently select.
+    """The path set ``observer_asn``'s routers currently select for ``prefix``.
 
     Pure collection — no simulation, no cold-state checking; callers
     (:func:`predict_paths`, the campaign scenarios, the artifact compiler)
-    decide how the model got warm.  Returns the set of full paths
+    decide how the network got warm.  Returns the set of full paths
     (observer first, origin last).
     """
-    prefix = model.canonical_prefix(origin_asn)
     paths: set[tuple[int, ...]] = set()
-    for router in model.quasi_routers(observer_asn):
+    for router in network.as_routers(observer_asn):
         best = router.best(prefix)
         if best is not None:
             paths.add((observer_asn,) + best.as_path)
@@ -97,23 +98,25 @@ def selected_paths(
 
 
 def collect_path_map(
-    model: ASRoutingModel,
+    network: Network,
+    origins: Mapping[int, Prefix],
     observers: Iterable[int],
     skip_origins: Iterable[int] = (),
 ) -> dict[tuple[int, int], set[tuple[int, ...]]]:
-    """Every non-empty ``(origin, observer)`` answer of a warm model.
+    """Every non-empty ``(origin, observer)`` answer of a warm network.
 
-    Origins in ascending order, ``observers`` in the order given; a pair
-    that selects nothing has no key.  ``skip_origins`` (quarantined or
-    out-of-scope origins) are left out entirely.
+    ``origins`` is a model's origin -> canonical prefix table.  Origins in
+    ascending order, ``observers`` in the order given; a pair that selects
+    nothing has no key.  ``skip_origins`` (quarantined or out-of-scope
+    origins) are left out entirely.
     """
     skip = set(skip_origins)
     paths: dict[tuple[int, int], set[tuple[int, ...]]] = {}
-    for origin in sorted(model.prefix_by_origin):
+    for origin, prefix in sorted(origins.items()):
         if origin in skip:
             continue
         for observer in observers:
-            selected = selected_paths(model, origin, observer)
+            selected = selected_paths(network, prefix, observer)
             if selected:
                 paths[(origin, observer)] = selected
     return paths
@@ -141,7 +144,9 @@ def predict_paths(
             "state (never simulated, or quarantined); simulate it "
             "instead of trusting an empty answer"
         )
-    return selected_paths(model, origin_asn, observer_asn)
+    return selected_paths(
+        model.network, model.canonical_prefix(origin_asn), observer_asn
+    )
 
 
 def extend_model_for_origins(

@@ -43,7 +43,7 @@ def observation_points(
     for fraction in fractions:
         count = max(1, round(len(shuffled) * fraction))
         subset = prepared.training.restrict_points(shuffled[:count])
-        model = build_initial_model(prepared.model_dataset, prepared.model_graph.copy())
+        model = build_initial_model(prepared.model_dataset, prepared.model_graph)
         refinement = Refiner(model, subset).run()
         report = evaluate_model(model, prepared.validation)
         result.add_row(
@@ -87,7 +87,7 @@ def policy_mechanisms(prepared: PreparedWorkload) -> ExperimentResult:
         ],
     )
     for name, config in MECHANISM_VARIANTS.items():
-        model = build_initial_model(prepared.model_dataset, prepared.model_graph.copy())
+        model = build_initial_model(prepared.model_dataset, prepared.model_graph)
         refinement = Refiner(model, prepared.training, config).run()
         train_report = evaluate_model(model, prepared.training)
         val_report = evaluate_model(model, prepared.validation)

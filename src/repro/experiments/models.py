@@ -21,7 +21,7 @@ _REPORTS: dict[tuple[int, str], MatchReport] = {}
 
 def initial_model(prepared: PreparedWorkload) -> ASRoutingModel:
     """A fresh single-quasi-router-per-AS model for the workload."""
-    return build_initial_model(prepared.model_dataset, prepared.model_graph.copy())
+    return build_initial_model(prepared.model_dataset, prepared.model_graph)
 
 
 def refined_model(

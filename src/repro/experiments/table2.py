@@ -46,13 +46,13 @@ def run(prepared: PreparedWorkload) -> ExperimentResult:
     dataset = prepared.model_dataset
     graph = prepared.model_graph
 
-    shortest = build_initial_model(dataset, graph.copy())
+    shortest = build_initial_model(dataset, graph)
     shortest.simulate_all()
     shortest_counts = evaluate_agreement(shortest, dataset)
 
     relationships = infer_valley_free_relationships(dataset, prepared.level1)
     enforce_acyclic_hierarchy(relationships)
-    policied = build_initial_model(dataset, graph.copy())
+    policied = build_initial_model(dataset, graph)
     apply_relationship_policies(policied.network, relationships)
     stats = policied.simulate_all(tolerate_divergence=True)
     policy_counts = evaluate_agreement(policied, dataset)

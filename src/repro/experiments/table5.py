@@ -27,7 +27,7 @@ def run(
     training, validation = split_by_origin(
         prepared.model_dataset, 0.5, seed=prepared.workload.split_seed
     )
-    model = build_initial_model(prepared.model_dataset, prepared.model_graph.copy())
+    model = build_initial_model(prepared.model_dataset, prepared.model_graph)
     refiner = Refiner(model, training, config)
     refinement = refiner.run()
     training_report = evaluate_model(model, training)

@@ -128,13 +128,10 @@ def compile_artifact(
     started = time.perf_counter()
     with profiler.phase("compile.collect"):
         paths = collect_path_map(
-            model,
+            model.network,
+            model.prefix_by_origin,
             observer_list,
-            skip_origins=(
-                origin
-                for origin, prefix in model.prefix_by_origin.items()
-                if prefix in quarantined
-            ),
+            skip_origins=(model.origin_by_prefix[prefix] for prefix in quarantined),
         )
     report.collect_seconds = time.perf_counter() - started
     report.pairs = len(paths)

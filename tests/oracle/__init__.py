@@ -244,11 +244,10 @@ def depeer_from_scratch(
     re-simulated; the network as the engine left it, its statistics, the
     sessions removed and the diff against ``context``'s baseline."""
     network = pickle.loads(blob)
-    model = ASRoutingModel.from_network(network)
-    removed = len(remove_adjacency(model, asn_a, asn_b))
+    removed = len(remove_adjacency(network, asn_a, asn_b))
     stats = simulate_network_bounded(network, config=config)
     assert not stats.quarantined
-    current = collect_path_map(model, context.observers)
+    current = collect_path_map(network, context.origins, context.observers)
     diff = diff_path_maps(context.baseline_paths, current, context.excluded)
     return network, stats, removed, diff
 
@@ -258,24 +257,24 @@ def from_scratch(blob: bytes, context, asn_a: int, asn_b: int, config=MODEL_DECI
     return depeer_from_scratch(blob, context, asn_a, asn_b, config)[2:]
 
 
-def two_pass_changes(network: Network, as_edges) -> list:
+def two_pass_changes(network: Network, origins: dict, as_edges) -> list:
     """The plain what-if: simulate all, cut, simulate all again, compare.
 
-    ``(observer, origin, before, after)`` for every pair whose path set
-    changed, in (observer, origin) order — ``repro whatif``'s answer.
+    ``origins`` is the model's origin -> prefix table.  ``(observer,
+    origin, before, after)`` for every pair whose path set changed, in
+    (observer, origin) order — ``repro whatif``'s answer.
     """
-    model = ASRoutingModel.from_network(network)
-    observers, origins = sorted(network.ases), sorted(model.prefix_by_origin)
-    model.simulate_all()
-    before = collect_path_map(model, observers)
+    observers = sorted(network.ases)
+    simulate(network, config=MODEL_DECISION_CONFIG)
+    before = collect_path_map(network, origins, observers)
     for asn_a, asn_b in as_edges:
-        remove_adjacency(model, asn_a, asn_b)
-    model.simulate_all()
-    after = collect_path_map(model, observers)
+        remove_adjacency(network, asn_a, asn_b)
+    simulate(network, config=MODEL_DECISION_CONFIG)
+    after = collect_path_map(network, origins, observers)
     return [
         (observer, origin, frozenset(before.get(pair, ())), frozenset(after.get(pair, ())))
         for observer in observers
-        for origin in origins
+        for origin in sorted(origins)
         for pair in [(origin, observer)]
         if before.get(pair) != after.get(pair)
     ]
@@ -304,7 +303,7 @@ def depeered_world(seed: int, asn_a: int, asn_b: int) -> Depeered:
     network, stats, removed, diff = depeer_from_scratch(
         world.blob, world.context, asn_a, asn_b
     )
-    crossing = crossing_origins(world.model, world.context, asn_a, asn_b)
+    crossing = crossing_origins(world.context, asn_a, asn_b)
     return Depeered(
         removed,
         diff,

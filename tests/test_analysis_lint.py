@@ -113,7 +113,7 @@ class TestBlockingFilters:
         exports.append(
             Clause(Match(prefix=prefix, path_len_lt=3), Action.DENY)
         )
-        findings = analyze_policies(net, dataset=self._dataset())
+        findings = analyze_policies(net, self._dataset(), {2: prefix})
         blocking = [f for f in findings if f.rule == RULE_BLOCKING_FILTER]
         assert len(blocking) == 1
         assert blocking[0].severity is Severity.ERROR
@@ -127,7 +127,7 @@ class TestBlockingFilters:
         exports.append(
             Clause(Match(prefix=prefix, path_len_lt=1), Action.DENY)
         )
-        findings = analyze_policies(net, dataset=self._dataset())
+        findings = analyze_policies(net, self._dataset(), {2: prefix})
         assert [f for f in findings if f.rule == RULE_BLOCKING_FILTER] == []
 
     def test_unfiltered_evidence_session_clears_the_router(self):
@@ -153,8 +153,13 @@ class TestBlockingFilters:
                 ObservedRoute("p1", 1, prefix, ASPath((1, 3, 2))),
             ]
         )
-        findings = analyze_policies(net, dataset=dataset)
+        findings = analyze_policies(net, dataset, {2: prefix})
         assert [f for f in findings if f.rule == RULE_BLOCKING_FILTER] == []
+
+    def test_dataset_rules_need_the_model_table(self):
+        net, _, _, _ = line_network()
+        with pytest.raises(ValueError, match="prefix_by_origin"):
+            analyze_policies(net, self._dataset())
 
     def test_shadowed_filter_does_not_block(self):
         net, one, two, prefix = line_network()
@@ -163,7 +168,7 @@ class TestBlockingFilters:
         exports.append(
             Clause(Match(prefix=prefix, path_len_lt=3), Action.DENY)
         )
-        findings = analyze_policies(net, dataset=self._dataset())
+        findings = analyze_policies(net, self._dataset(), {2: prefix})
         assert [f for f in findings if f.rule == RULE_BLOCKING_FILTER] == []
 
 
@@ -178,7 +183,7 @@ class TestStaleRefineClauses:
         dataset = PathDataset(
             [ObservedRoute("p1", 1, prefix, ASPath((1, 2)))]
         )
-        findings = analyze_policies(net, dataset=dataset)
+        findings = analyze_policies(net, dataset, {2: prefix})
         stale_findings = [f for f in findings if f.rule == RULE_STALE_REFINE]
         assert len(stale_findings) == 1
         assert stale_findings[0].prefix == stale
@@ -192,7 +197,7 @@ class TestStaleRefineClauses:
         dataset = PathDataset(
             [ObservedRoute("p1", 1, prefix, ASPath((1, 2)))]
         )
-        findings = analyze_policies(net, dataset=dataset)
+        findings = analyze_policies(net, dataset, {2: prefix})
         assert [f for f in findings if f.rule == RULE_STALE_REFINE] == []
 
 

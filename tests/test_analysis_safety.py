@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.analysis import analyze_network, analyze_safety, collect_preference_edges
+from repro.analysis import analyze_model, analyze_safety, collect_preference_edges
 from repro.analysis.safety import (
     RULE_DISPUTE_WHEEL,
     RULE_MED_CYCLE,
@@ -209,7 +209,7 @@ class TestNoFalsePositives:
         assert result.model.policy_clause_count() > 0
         # ...and none of them register as a safety problem
         assert analyze_safety(result.model.network) == []
-        report = analyze_network(result.model.network, dataset=dataset)
+        report = analyze_model(result.model, dataset=dataset)
         assert report.errors == []
 
 

@@ -29,6 +29,7 @@ from repro.campaign import (
 )
 from repro.core.model import MODEL_DECISION_CONFIG
 from repro.errors import ArtifactError, CheckpointError, TopologyError
+from repro.net.prefix import Prefix
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import EVENT_SCENARIO, RecordingTracer, tracing
 from repro.parallel import ParallelConfig, WorkerFaults
@@ -375,6 +376,15 @@ class TestValidateBaseline:
         foreign = dataclasses.replace(compiled, observers=(64999,))
         with pytest.raises(ArtifactError, match="64999"):
             validate_baseline(model, foreign)
+
+    def test_artifact_with_another_origin_table_is_rejected(self, model, artifact):
+        """Same ASes, but one origin's prefix differs: the table a context
+        copies from the artifact would not be the model's."""
+        origins = dict(artifact.origins)
+        origin = min(origins)
+        origins[origin] = Prefix("0.0.7.0/24")
+        with pytest.raises(ArtifactError, match=f"AS {origin} the prefix 0.0.7.0/24"):
+            validate_baseline(model, dataclasses.replace(artifact, origins=origins))
 
     def test_artifact_of_an_earlier_refinement_is_rejected(self, artifact):
         """Same ASes, same origins and observers — but one more quasi-router

@@ -31,6 +31,7 @@ from repro.campaign import (
     generate_link_failure,
     plan_campaign,
     run_campaign,
+    whatif,
 )
 from repro.campaign.scenarios import KIND_LINK_FAILURE, crossing_origins, remove_adjacency
 from repro.core.build import build_initial_model
@@ -133,35 +134,40 @@ class TestCollectPathMap:
     def bisected(self):
         """The line cut at AS2-AS3 and re-simulated: half the pairs are empty."""
         model = line_model()
-        remove_adjacency(model, 2, 3)
+        remove_adjacency(model.network, 2, 3)
         model.simulate_all()
         return model
 
     def test_equals_the_plain_double_loop(self, bisected):
         observers = [4, 1, 3]  # order given is order kept
         expected = {}
-        for origin in sorted(bisected.prefix_by_origin):
+        for origin, prefix in sorted(bisected.prefix_by_origin.items()):
             for observer in observers:
-                selected = selected_paths(bisected, origin, observer)
+                selected = selected_paths(bisected.network, prefix, observer)
                 if selected:
                     expected[(origin, observer)] = selected
-        collected = collect_path_map(bisected, observers)
+        collected = collect_path_map(
+            bisected.network, bisected.prefix_by_origin, observers
+        )
         assert collected == expected
         assert list(collected) == list(expected)
         assert (4, 1) not in collected and (4, 3) in collected
 
     def test_absent_key_reads_as_the_empty_whatif_snapshot(self, bisected):
         observers = sorted(bisected.network.ases)
-        collected = collect_path_map(bisected, observers)
-        for origin in bisected.prefix_by_origin:
+        collected = collect_path_map(
+            bisected.network, bisected.prefix_by_origin, observers
+        )
+        for origin, prefix in bisected.prefix_by_origin.items():
             for observer in observers:
                 assert frozenset(collected.get((origin, observer), ())) == (
-                    frozenset(selected_paths(bisected, origin, observer))
+                    frozenset(selected_paths(bisected.network, prefix, observer))
                 )
 
     def test_skip_origins_are_left_out(self, bisected):
-        everything = collect_path_map(bisected, [1, 4])
-        collected = collect_path_map(bisected, [1, 4], skip_origins=iter([4, 2]))
+        network, origins = bisected.network, bisected.prefix_by_origin
+        everything = collect_path_map(network, origins, [1, 4])
+        collected = collect_path_map(network, origins, [1, 4], skip_origins=iter([4, 2]))
         assert collected == {
             pair: paths
             for pair, paths in everything.items()
@@ -302,12 +308,12 @@ class TestCrossingOrigins:
     def test_crossing_set_is_read_off_the_baseline_paths(self, model, context):
         # On the line, AS1's prefix reaches AS3 and AS4 over AS2-AS3 and
         # so does everyone else's: every origin crosses the middle edge.
-        assert crossing_origins(model, context, 2, 3) == {
+        assert crossing_origins(context, 2, 3) == {
             1, 2, 3, 4
         }
         # Excluded (quarantined-at-compile) origins always cross.
         narrowed = dataclasses.replace(context, excluded=frozenset({4}))
-        assert 4 in crossing_origins(model, narrowed, 1, 2)
+        assert 4 in crossing_origins(narrowed, 1, 2)
 
     @pytest.mark.parametrize("breach", [
         "local-pref", "ibgp", "med-not-always-compared", "end-not-observed",
@@ -320,9 +326,7 @@ class TestCrossingOrigins:
         world = seeded_world(1)
         scenario = min(
             generate_depeer(world.model),
-            key=lambda s: len(crossing_origins(
-                world.model, world.context, s.asn_a, s.asn_b
-            )),
+            key=lambda s: len(crossing_origins(world.context, s.asn_a, s.asn_b)),
         )
         origins = len(world.model.prefix_by_origin)
         network = pickle.loads(world.blob)
@@ -364,7 +368,7 @@ class TestCrossingOrigins:
 
         assert context.baseline_paths[(1, 2)] == ((2, 4, 5, 1),)
         assert context.baseline_paths[(1, 3)] == ((3, 2, 4, 5, 1),)
-        assert crossing_origins(model, context, 1, 2) == {1}
+        assert crossing_origins(context, 1, 2) == {1}
         result = run_scenario(model, EdgeFailureScenario(1, 2), context)
         _, oracle = from_scratch(dump_network(network), context, 1, 2)
         assert result["diff"] == oracle.to_dict()
@@ -373,11 +377,11 @@ class TestCrossingOrigins:
         # The other stable state, reached by the same engine: cut AS1-AS2
         # first and both ends of the pair flip.
         cut = pickle.loads(dump_network(network))
-        cut_model = ASRoutingModel.from_network(cut)
-        remove_adjacency(cut_model, 1, 2)
-        cut_model.simulate_all()
-        assert selected_paths(cut_model, 1, 2) == {(2, 3, 5, 1)}
-        assert selected_paths(cut_model, 1, 3) == {(3, 5, 1)}
+        remove_adjacency(cut, 1, 2)
+        simulate(cut, config=MODEL_DECISION_CONFIG)
+        prefix = context.origins[1]
+        assert selected_paths(cut, prefix, 2) == {(2, 3, 5, 1)}
+        assert selected_paths(cut, prefix, 3) == {(3, 5, 1)}
 
 
 class TestConvergeOnceResume:
@@ -386,7 +390,7 @@ class TestConvergeOnceResume:
     def planned(self, world, scenarios):
         """(named by two or more, named by exactly one) of ``scenarios``."""
         names = [
-            scenario.perturbed_origins(world.model, world.context)
+            scenario.perturbed_origins(world.context)
             for scenario in scenarios
             if not isinstance(scenario, CatchmentScenario)
         ]
@@ -410,7 +414,7 @@ class TestConvergeOnceResume:
         )
         assert report.meta["origins_converged_ahead"] == len(twice)
         named = sum(
-            len(s.perturbed_origins(world.model, world.context))
+            len(s.perturbed_origins(world.context))
             for s in scenarios
             if not isinstance(s, CatchmentScenario)
         )
@@ -424,7 +428,7 @@ class TestConvergeOnceResume:
         """... and simulates exactly what it did before there was a plan."""
         world = seeded_world(1)
         scenario = generate_depeer(world.model)[3]
-        crossing = scenario.perturbed_origins(world.model, world.context)
+        crossing = scenario.perturbed_origins(world.context)
         report, simulated, resumed = engine_counts(
             run_campaign, world.model, "depeer", [scenario], world.context
         )
@@ -618,7 +622,7 @@ class TestWorkingCopy:
         origins = sorted(world.model.prefix_by_origin)
         depeer = generate_depeer(world.model)[0]
         named = crossing_origins(
-            world.model, world.context, depeer.asn_a, depeer.asn_b
+            world.context, depeer.asn_a, depeer.asn_b
         ) | {origins[0]}
         named.add(next(origin for origin in origins if origin not in named))
         return [world.model.prefix_by_origin[origin] for origin in sorted(named)]
@@ -724,7 +728,7 @@ class TestBorrowedNetwork:
         )
         model, network = world.model, world.model.network
         before = structure(network)
-        edges, origins = sorted(model.graph.edges()), dict(model.prefix_by_origin)
+        origins = dict(model.prefix_by_origin)
         assert not before["touched"] and before["open"] == (None, None)
         probes = [ProbeScenario(f"{scenario.key}~probe") for scenario in scenarios]
         registry = MetricsRegistry()
@@ -740,7 +744,6 @@ class TestBorrowedNetwork:
         )
         assert structure(network) == before
         assert "_undo" not in vars(network) and "_held" not in vars(network)
-        assert sorted(model.graph.edges()) == edges
         assert model.prefix_by_origin == origins
         lent = structure(WorkingCopy(world.blob, held, MODEL_DECISION_CONFIG).network())
         del lent["open"]
@@ -837,8 +840,38 @@ class TestCatchment:
 
 class TestModelRoundTrip:
     def test_scenario_model_rebuild_matches_origin_encoding(self, model):
-        # Workers rebuild the model from the pickled network; the
-        # canonical origin decoding must survive the round trip.
+        # A model loaded back from its network alone finds the table the
+        # scenarios read from the context: who originates what.
         network = pickle.loads(pickle.dumps(model.network))
         rebuilt = ASRoutingModel.from_network(network)
-        assert set(rebuilt.prefix_by_origin) == set(model.prefix_by_origin)
+        assert rebuilt.prefix_by_origin == model.prefix_by_origin
+
+
+class TestNoModelRebuild:
+    """Scenarios read the origin table from the context and the adjacency
+    from the network they borrow: nothing rebuilds a model from it."""
+
+    def test_campaigns_and_whatif_never_call_from_network(self, monkeypatch):
+        model = line_model()
+        context = context_from_artifact(compile_artifact(model)[0])
+        sweeps = {
+            "depeer": generate_depeer(model),
+            "hijack": generate_hijack(model, 4),
+            "catchment": generate_catchment(model, [1, 4]),
+        }
+
+        def answers():
+            reports = [
+                run_campaign(model, kind, scenarios, context).to_dict(include_meta=False)
+                for kind, scenarios in sweeps.items()
+            ]
+            return reports, whatif(model, 2, 3).render()
+
+        expected = answers()
+        assert all(report["counts"]["quarantined"] == 0 for report in expected[0])
+
+        def rebuild(network):
+            raise AssertionError("a model was rebuilt from a lent network")
+
+        monkeypatch.setattr(ASRoutingModel, "from_network", rebuild)
+        assert answers() == expected

@@ -1,14 +1,21 @@
 """Unit tests for the AS-routing model object and initial-model builder."""
 
+import pickle
+
 import pytest
 
-from repro.core.build import build_initial_model
-from repro.core.model import MODEL_DECISION_CONFIG
+from repro.campaign import HijackScenario, context_from_artifact, whatif
+from repro.core.build import build_initial_model, build_relationship_model
+from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
 from repro.errors import TopologyError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix, prefix_for_asn
+from repro.relationships.types import Relationship, RelationshipMap
+from repro.resilience.retry import CONVERGED
+from repro.serve import compile_artifact
 from repro.topology.dataset import ObservedRoute, PathDataset
 from repro.topology.graph import ASGraph
+from tests.oracle import two_pass_changes
 
 P = Prefix("10.0.0.0/24")
 
@@ -72,7 +79,6 @@ class TestModelSimulation:
         router_1 = model.quasi_routers(1)[0]
         router_2 = model.quasi_routers(2)[0]
         model.network.disconnect(router_1, router_2)
-        model.graph.remove_edge(1, 2)
         model.simulate_origin(3)
         assert router_1.best(model.canonical_prefix(3)) is None
 
@@ -88,3 +94,47 @@ class TestModelSimulation:
         first = model.add_origin(1)
         second = model.add_origin(1)
         assert first == second
+
+
+def wide_asn_model():
+    """AS3356 sells transit to two 4-byte ASNs that peer with each other."""
+    graph = ASGraph.from_edges([(3356, 131073), (3356, 131074), (131073, 131074)])
+    relationships = RelationshipMap()
+    relationships.set(3356, 131073, Relationship.CUSTOMER)
+    relationships.set(3356, 131074, Relationship.CUSTOMER)
+    relationships.set(131073, 131074, Relationship.PEER)
+    return build_relationship_model(graph, relationships)
+
+
+class TestFourByteASNs:
+    """ASNs above 0xFFFF get canonical prefixes no other origin holds."""
+
+    def test_canonical_prefixes_are_distinct(self):
+        prefixes = wide_asn_model().prefix_by_origin
+        assert len(set(prefixes.values())) == 3
+        assert prefixes[3356] == prefix_for_asn(3356)  # 16-bit ASNs as before
+
+    def test_from_network_reads_the_same_table(self):
+        model = wide_asn_model()
+        loaded = ASRoutingModel.from_network(model.network)
+        assert loaded.prefix_by_origin == model.prefix_by_origin
+
+    def test_depeer_agrees_with_the_two_pass_oracle(self):
+        model = wide_asn_model()
+        fresh = pickle.loads(pickle.dumps(model.network))
+        answer = whatif(model, 3356, 131073)
+        assert answer.changes
+        assert list(answer.changes) == two_pass_changes(
+            fresh, model.prefix_by_origin, [(3356, 131073)]
+        )
+
+    def test_hijack_converges(self):
+        model = wide_asn_model()
+        context = context_from_artifact(compile_artifact(model)[0])
+        model.network.clear_routing()
+        with model.network.perturbation():
+            result = HijackScenario(131073, 131074).run(
+                model.network, context, MODEL_DECISION_CONFIG, None
+            )
+        assert result["status"] == CONVERGED
+        assert result["observers_examined"] == 1  # AS3356

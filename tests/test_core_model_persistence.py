@@ -32,8 +32,8 @@ class TestFromNetwork:
         export_model(model, buffer)
         network = parse_script(io.StringIO(buffer.getvalue()))
         loaded = ASRoutingModel.from_network(network)
-        assert loaded.graph.ases() == model.graph.ases()
-        assert set(loaded.graph.edges()) == set(model.graph.edges())
+        assert set(loaded.network.ases) == set(model.network.ases)
+        assert loaded.network.as_adjacencies() == model.network.as_adjacencies()
         assert loaded.prefix_by_origin == model.prefix_by_origin
 
     def test_loaded_model_evaluates_identically(self):
@@ -53,10 +53,24 @@ class TestFromNetwork:
     def test_rejects_prefix_without_known_origin(self):
         from repro.bgp.network import Network
 
+        # Two ASes originate one prefix: it has no single origin.
+        network = Network()
+        for asn in (5, 6):
+            network.originate(network.add_router(asn), Prefix("99.99.0.0/24"))
+        with pytest.raises(TopologyError, match="one origin AS per prefix"):
+            ASRoutingModel.from_network(network)
+
+    def test_origin_is_the_originating_as_not_the_bits(self):
+        from repro.bgp.network import Network
+
         network = Network()
         router = network.add_router(5)
-        network.originate(router, Prefix("99.99.0.0/24"))  # encodes ASN 25443
-        with pytest.raises(TopologyError):
+        network.originate(router, Prefix("99.99.0.0/24"))  # bits read AS 25443
+        assert ASRoutingModel.from_network(network).prefix_by_origin == {
+            5: Prefix("99.99.0.0/24")
+        }
+        network.originate(router, Prefix("99.98.0.0/24"))
+        with pytest.raises(TopologyError, match="one prefix per AS"):
             ASRoutingModel.from_network(network)
 
     def test_mini_refined_model_round_trips(self, mini_pipeline):

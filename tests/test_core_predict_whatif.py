@@ -23,7 +23,7 @@ from repro.core.predict import (
 from repro.core.refine import Refiner
 from repro.errors import ModelError, TopologyError
 from repro.net.aspath import ASPath
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, prefix_for_asn
 from repro.serve import compile_artifact
 from repro.topology.dataset import ObservedRoute, PathDataset
 from tests.oracle import seeded_world, two_pass_changes
@@ -96,7 +96,8 @@ class TestColdState:
     def test_selected_paths_matches_predict(self, refined_diamond):
         model, _ = refined_diamond
         model.simulate_all()
-        assert selected_paths(model, 4, 1) == predict_paths(model, 4, 1)
+        prefix = model.canonical_prefix(4)
+        assert selected_paths(model.network, prefix, 1) == predict_paths(model, 4, 1)
 
 
 class TestEvaluateModel:
@@ -130,7 +131,7 @@ class TestWhatIf:
         assert answer.outcome["removed_sessions"] == 1
         assert answer.render().startswith("what-if: removed AS2-AS4 (1 sessions)")
         # Removed for the scenario only: the model comes back as it was.
-        assert model.graph.has_edge(2, 4)
+        assert (2, 4) in model.network.as_adjacencies()
         assert list(model.network.sessions) == sessions
 
     def test_depeer_reroutes_observer(self, refined_diamond):
@@ -182,7 +183,7 @@ class TestWhatIfResumes:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_seeded_worlds_equal_the_two_pass_answer(self, seed):
         world = seeded_world(seed)
-        edges = sorted(world.model.graph.edges())
+        edges = sorted(world.model.network.as_adjacencies())
         origins = len(world.model.prefix_by_origin)
         campaign = self.campaign_diffs(pickle.loads(world.blob), edges, world.context)
         for asn_a, asn_b in edges:
@@ -190,10 +191,10 @@ class TestWhatIfResumes:
                 whatif,
                 ASRoutingModel.from_network(pickle.loads(world.blob)), asn_a, asn_b,
             )
-            crossing = crossing_origins(world.model, world.context, asn_a, asn_b)
+            crossing = crossing_origins(world.context, asn_a, asn_b)
             assert (simulated, resumed) == (origins, len(crossing))
             assert list(answer.changes) == two_pass_changes(
-                pickle.loads(world.blob), [(asn_a, asn_b)]
+                pickle.loads(world.blob), world.context.origins, [(asn_a, asn_b)]
             )
             diff = answer.outcome["diff"]
             assert tuple(diff[k] for k in DIFF_KEYS) == campaign[answer.outcome["key"]]
@@ -203,7 +204,9 @@ class TestWhatIfResumes:
             whatif, ASRoutingModel.from_network(disagree_gadget()), 1, 2
         )
         assert (simulated, resumed) == (2, 0)
-        assert list(answer.changes) == two_pass_changes(disagree_gadget(), [(1, 2)])
+        assert list(answer.changes) == two_pass_changes(
+            disagree_gadget(), {1: prefix_for_asn(1)}, [(1, 2)]
+        )
         assert {observer for observer, *_ in answer.changes} == {2, 3}
         diff = answer.outcome["diff"]
         assert self.campaign_diffs(disagree_gadget(), [(1, 2)]) == {
@@ -241,10 +244,10 @@ class TestUpFrontValidation:
 
     def test_validator_accepts_real_adjacency(self, refined_diamond):
         model, _ = refined_diamond
-        validate_session_endpoints(model, [(2, 4), (3, 4)])
+        validate_session_endpoints(model.network, [(2, 4), (3, 4)])
 
     def test_later_bad_edge_still_blocks_everything(self, refined_diamond):
         # One good edge followed by a bad one: the whole list is refused.
         model, _ = refined_diamond
         with pytest.raises(TopologyError, match="AS 64999"):
-            validate_session_endpoints(model, [(2, 4), (64999, 4)])
+            validate_session_endpoints(model.network, [(2, 4), (64999, 4)])

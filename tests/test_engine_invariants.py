@@ -42,7 +42,6 @@ from repro.net.prefix import Prefix
 from repro.relationships.valleyfree import is_valley_free
 from repro.campaign import generate_depeer
 from repro.campaign.scenarios import crossing_origins, remove_adjacency
-from repro.core.model import ASRoutingModel
 from tests.oracle import (
     assert_locally_stable,
     depeered_world,
@@ -432,7 +431,7 @@ class TestResumeOracle:
             (scenario, sorted(
                 world.model.prefix_by_origin[origin]
                 for origin in crossing_origins(
-                    world.model, world.context, scenario.asn_a, scenario.asn_b
+                    world.context, scenario.asn_a, scenario.asn_b
                 )
             ))
             for scenario in generate_depeer(world.model)
@@ -447,7 +446,7 @@ class TestResumeOracle:
                 plain = depeered_world(seed, scenario.asn_a, scenario.asn_b)
                 converged.open_perturbation()
                 dropped = flat(remove_adjacency(
-                    ASRoutingModel.from_network(converged), scenario.asn_a, scenario.asn_b
+                    converged, scenario.asn_a, scenario.asn_b
                 ))
                 for prefix in crossing:
                     resumed = resume_prefix(
