@@ -21,12 +21,8 @@ from pathlib import Path
 
 from repro.core import Refiner, build_initial_model
 from repro.experiments import SMALL, prepare
-from repro.serve import (
-    PredictionArtifact,
-    PredictionServer,
-    QueryEngine,
-    compile_artifact,
-)
+from repro.serve import PredictionArtifact, QueryEngine, compile_artifact
+from repro.serve.http import PredictionServer
 
 
 def main() -> None:

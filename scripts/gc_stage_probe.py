@@ -20,7 +20,11 @@ exit 1, naming the stage, when a gen-2 pass begins inside a listed one
 ``--json FILE`` writes, per pass, the ``ends_at`` index of every stage and
 the ``[index, stage]`` of every gen-2 collection — no timings — so that
 "identical through ``query``" between two commits is a ``diff`` of two
-files rather than two tables read by eye.
+files rather than two tables read by eye.  Beside them, in the file and
+the table, ``tracked_at_start``: how many objects the collector tracks
+after the pass's opening ``gc.collect()`` — the long-lived heap every
+full pass of that pass walks, which an import-graph or memory change
+moves while the schedule stays put.
 """
 
 from __future__ import annotations
@@ -58,12 +62,15 @@ def main() -> int:
     workload = WORKLOADS[args.workload].offset(args.world)
 
     collections: list[list[float]] = []  # [generation, started, seconds]
+    tracked: list[int] = []  # after each pass's opening collection
 
     def hook(phase: str, info: dict) -> None:
         if phase == "start":
             collections.append([info["generation"], time.perf_counter(), 0.0])
         else:
             collections[-1][2] = time.perf_counter() - collections[-1][1]
+            if len(collections) == 1:  # run_pass's own gc.collect()
+                tracked.append(len(gc.get_objects()))
 
     with tempfile.TemporaryDirectory() as scratch:
         for number in range(1, args.passes + 1):
@@ -95,8 +102,11 @@ def main() -> int:
                 stage.name[6:]: sum(1 for c in collections if c[1] <= stage.end)
                 for stage in stages  # a stage opened twice ends at its last span
             }
-            passes.append({"ends_at": ends_at, "gen2": full})
-            print(f"pass {number}: {args.workload} world={args.world}")
+            passes.append(
+                {"tracked_at_start": tracked[-1], "ends_at": ends_at, "gen2": full}
+            )
+            print(f"pass {number}: {args.workload} world={args.world}, "
+                  f"{tracked[-1]:,} tracked objects at the start")
             print(f"  {'stage':<10} {'stage_s':>8}"
                   + "".join(f" {f'gen{g}':>6} {'s':>7}" for g in range(3))
                   + f" {'ends_at':>8}")

@@ -119,7 +119,4 @@ def _lint(args: argparse.Namespace) -> Output:
     )
 
 
-LINT = Command(
-    "lint", "static safety/policy/topology analysis of a model",
-    _lint_arguments, _lint,
-)
+LINT = Command("lint", _lint_arguments, _lint)

@@ -167,10 +167,7 @@ def _campaign(args: argparse.Namespace) -> Output:
 
 
 CAMPAIGN = Command(
-    "campaign",
-    "sweep a scenario space (depeer / link-failure / hijack / "
-    "catchment) and rank scenarios by blast radius",
-    _campaign_arguments, _campaign, ("report", "report"),
+    "campaign", _campaign_arguments, _campaign, ("report", "report")
 )
 
 
@@ -191,4 +188,4 @@ def _whatif(args: argparse.Namespace) -> None:
     print(answer.render(args.max_changes))
 
 
-WHATIF = Command("whatif", "predict a link removal", _whatif_arguments, _whatif)
+WHATIF = Command("whatif", _whatif_arguments, _whatif)

@@ -2,12 +2,12 @@
 
 ``run_campaign`` executes a scenario list against a baseline model.  With
 ``workers > 1`` every scenario becomes one generic task of the PR-4
-:class:`~repro.parallel.SupervisedPool` — crash-isolated, watchdogged,
-resubmitted to fresh workers on failure and finally quarantined as
-poison/timeout instead of killing the campaign — and runs on the worker's
-unpickled copy of the network.  Sequentially, the same ``scenario.run``
-executes in-process on the model's own network: nothing is copied.  Either
-way a scenario borrows the network inside
+:class:`~repro.parallel.supervisor.SupervisedPool` — crash-isolated,
+watchdogged, resubmitted to fresh workers on failure and finally
+quarantined as poison/timeout instead of killing the campaign — and runs
+on the worker's unpickled copy of the network.  Sequentially, the same
+``scenario.run`` executes in-process on the model's own network: nothing
+is copied.  Either way a scenario borrows the network inside
 :meth:`~repro.bgp.network.Network.perturbation`, whose edits — topology
 and routing state — are undone exactly on the way out, whether the
 scenario returned or raised, so scenario order and placement cannot

@@ -3,16 +3,18 @@
 The subcommands are declared beside the subsystems they drive, one
 :class:`~repro.command.Command` each (``data/commands.py``,
 ``core/commands.py``, ...: each module documents its own).  This module
-lists them in :data:`COMMANDS` and is the only place a run is set up,
-observed, emitted and mapped to an exit code.  Around every handler,
-:func:`main` configures logging (``--log-level`` / ``--log-json``), stamps
-the run metadata onto ``args.meta``, resets the metrics registry, opens
-the profile scope under ``repro --profile PATH`` (the phase profiler and
-the stack sampler, written to ``PATH`` and ``PATH`` with a ``.folded``
-suffix even when the run fails; the table goes to stderr, so stdout is
-the command's own), opens a JSONL trace where the command declares
-``--trace``, emits what the handler returns and turns what it raises into
-one ``error:`` line and a code.
+lists them in :data:`COMMANDS` — name, help and module — and imports a
+command's module only when argparse dispatches to it, so ``repro stats``
+never loads the server or the campaign engine.  It is the only place a
+run is set up, observed, emitted and mapped to an exit code.  Around
+every handler, :func:`main` configures logging (``--log-level`` /
+``--log-json``), stamps the run metadata onto ``args.meta``, resets the
+metrics registry, opens the profile scope under ``repro --profile PATH``
+(the phase profiler and the stack sampler, written to ``PATH`` and
+``PATH`` with a ``.folded`` suffix even when the run fails; the table goes
+to stderr, so stdout is the command's own), opens a JSONL trace where the
+command declares ``--trace``, emits what the handler returns and turns
+what it raises into one ``error:`` line and a code.
 
 A handler prints its own progress and returns ``None``, an ``EXIT_*``
 constant or a *report* — anything with ``to_json()``, optionally
@@ -52,6 +54,7 @@ Exit codes, for every subcommand (constants in
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 import time
@@ -59,11 +62,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.analysis.commands import LINT
-from repro.campaign.commands import CAMPAIGN, WHATIF
 from repro.command import Command, Report, json_text
-from repro.core.commands import REFINE
-from repro.data.commands import ANALYZE, INGEST, SYNTHESIZE
 from repro.errors import (
     ArtifactError,
     CertificateError,
@@ -77,8 +76,6 @@ from repro.errors import (
     TopologyError,
     UsageError,
 )
-from repro.experiments.commands import CHAOS
-from repro.obs.commands import EXPLAIN, STATS
 from repro.obs.logs import LEVELS, configure_logging
 from repro.obs.meta import run_metadata
 from repro.obs.metrics import get_registry
@@ -99,24 +96,37 @@ from repro.resilience.health import (
     EXIT_USAGE,
 )
 from repro.runstate import atomic_write
-from repro.serve.commands import COMPILE_ARTIFACT, QUERY, SERVE
 
-COMMANDS: tuple[Command, ...] = (
-    SYNTHESIZE,
-    INGEST,
-    ANALYZE,
-    REFINE,
-    LINT,
-    CHAOS,
-    EXPLAIN,
-    STATS,
-    WHATIF,
-    COMPILE_ARTIFACT,
-    QUERY,
-    SERVE,
-    CAMPAIGN,
+COMMANDS: tuple[tuple[str, str, str], ...] = (
+    ("synthesize", "generate a synthetic Internet and RIB dump",
+     "repro.data.commands"),
+    ("ingest", "fault-tolerant ingestion of a real feed "
+               "(bgpdump -m table dump or CAIDA as-rel file)",
+     "repro.data.commands"),
+    ("analyze", "Section 3 dump analysis", "repro.data.commands"),
+    ("refine", "build + refine a model", "repro.core.commands"),
+    ("lint", "static safety/policy/topology analysis of a model",
+     "repro.analysis.commands"),
+    ("chaos", "run the pipeline over a fault-injected workload",
+     "repro.experiments.commands"),
+    ("explain", "hop-by-hop decision provenance for one prefix",
+     "repro.obs.commands"),
+    ("stats", "render the metrics slice of a JSON health report",
+     "repro.obs.commands"),
+    ("whatif", "predict a link removal", "repro.campaign.commands"),
+    ("compile-artifact", "simulate a saved model once and freeze all answers "
+                         "into a prediction artifact",
+     "repro.serve.commands"),
+    ("query", "answer one question from a compiled artifact",
+     "repro.serve.commands"),
+    ("serve", "serve a compiled artifact over HTTP/JSON", "repro.serve.commands"),
+    ("campaign", "sweep a scenario space (depeer / link-failure / hijack / "
+                 "catchment) and rank scenarios by blast radius",
+     "repro.campaign.commands"),
 )
-"""Every subcommand, in ``repro --help`` order."""
+"""Every subcommand as ``(name, help, module)``, in ``repro --help``
+order; ``module`` declares the :class:`~repro.command.Command` of that
+name."""
 
 LOAD_ERRORS = (
     OSError,
@@ -129,8 +139,38 @@ LOAD_ERRORS = (
 )
 """What an unusable input file raises, whichever loader met it."""
 
+
+class SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: :meth:`load` imports the subcommand's module
+    and adds its flags, and argparse's dispatch to the parser runs it."""
+
+    def __init__(self, *args, command_name: str, module: str, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.command_name = command_name
+        self.module = module
+        self.command: Command | None = None
+
+    def load(self) -> Command:
+        """Import the module and add the command's flags, once."""
+        if self.command is None:
+            module = importlib.import_module(self.module)
+            self.command = next(
+                value for value in vars(module).values()
+                if isinstance(value, Command) and value.name == self.command_name
+            )
+            self.command.add_arguments(self)
+            self.set_defaults(command=self.command)
+        return self.command
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.load()
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argparse tree for all subcommands."""
+    """Construct the argparse tree: the global options and every
+    subcommand's name and help; a subcommand's flags come with its module,
+    when the parse reaches it (:meth:`SubcommandParser.load`)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Quasi-router AS-topology modelling (SIGCOMM'06 reproduction)",
@@ -143,11 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="profile the command: write PROFILE.json to "
                              "PATH and its sampled stacks to PATH with a "
                              ".folded suffix")
-    subparsers = parser.add_subparsers(title="subcommands")
-    for command in COMMANDS:
-        subparser = subparsers.add_parser(command.name, help=command.help)
-        command.add_arguments(subparser)
-        subparser.set_defaults(command=command)
+    subparsers = parser.add_subparsers(
+        title="subcommands", parser_class=SubcommandParser
+    )
+    for name, help_text, module in COMMANDS:
+        subparsers.add_parser(
+            name, help=help_text, command_name=name, module=module
+        )
     return parser
 
 

@@ -29,10 +29,11 @@ class Report(Protocol):
 
 
 class Command(NamedTuple):
-    """One subcommand, as :func:`repro.cli.build_parser` composes it."""
+    """One subcommand, as :func:`repro.cli.build_parser` composes it.  Its
+    one-line help lives in :data:`repro.cli.COMMANDS`, so ``repro --help``
+    prints it without importing the module that declares the command."""
 
     name: str
-    help: str
     add_arguments: Callable[[argparse.ArgumentParser], None]
     run: Callable[[argparse.Namespace], Report | int | None]
     report_option: tuple[str, str] | None = None

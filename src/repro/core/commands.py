@@ -156,6 +156,5 @@ def _refine_into(health: RunHealth, args: argparse.Namespace) -> None:
 
 
 REFINE = Command(
-    "refine", "build + refine a model", _refine_arguments, _refine,
-    ("health_report", "health report"),
+    "refine", _refine_arguments, _refine, ("health_report", "health report")
 )

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.analysis.certify import CertificateStore
-    from repro.parallel.supervisor import ParallelConfig
+    from repro.parallel.protocol import ParallelConfig
 
 from repro.bgp.policy import Action, Clause, Match
 from repro.bgp.router import Router

@@ -238,14 +238,8 @@ def _analyze(args: argparse.Namespace) -> None:
           + ", ".join(f"p{p:.0f}={v}" for p, v in report.table1().items()))
 
 
-SYNTHESIZE = Command(
-    "synthesize", "generate a synthetic Internet and RIB dump",
-    _synthesize_arguments, _synthesize,
-)
+SYNTHESIZE = Command("synthesize", _synthesize_arguments, _synthesize)
 INGEST = Command(
-    "ingest",
-    "fault-tolerant ingestion of a real feed "
-    "(bgpdump -m table dump or CAIDA as-rel file)",
-    _ingest_arguments, _ingest, ("report", "ingest report"),
+    "ingest", _ingest_arguments, _ingest, ("report", "ingest report")
 )
-ANALYZE = Command("analyze", "Section 3 dump analysis", _analyze_arguments, _analyze)
+ANALYZE = Command("analyze", _analyze_arguments, _analyze)

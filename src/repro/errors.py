@@ -131,8 +131,8 @@ class ShutdownRequested(ReproError):
     Attributes:
         signum: the signal number that triggered the drain.
         stats: what finished before the drain, in the raiser's own result
-            type — :meth:`~repro.parallel.SupervisedPool.run_tasks` attaches
-            a partial ``GenericRunStats``,
+            type — :meth:`~repro.parallel.supervisor.SupervisedPool.run_tasks`
+            attaches a partial ``GenericRunStats``,
             :func:`~repro.resilience.retry.simulate_network_bounded` a
             partial :class:`~repro.resilience.retry.ResilienceStats`; None
             where the loop keeps its results elsewhere (a checkpoint).

@@ -23,8 +23,7 @@ from repro.data.observation import collect_dataset, select_observation_points
 from repro.data.synthesis import SyntheticConfig, synthesize_internet
 from repro.errors import DatasetError, RefinementError, ShutdownRequested
 from repro.net.prefix import Prefix
-from repro.parallel.protocol import WorkerFaults
-from repro.parallel.supervisor import ParallelConfig
+from repro.parallel.protocol import ParallelConfig, WorkerFaults
 from repro.resilience.faults import FaultConfig, apply_faults, corrupt_dump_lines
 from repro.resilience.health import RunHealth
 from repro.resilience.retry import PrefixOutcome, simulate_network_bounded

@@ -138,6 +138,5 @@ def _chaos_serve(args: argparse.Namespace) -> int | None:
 
 
 CHAOS = Command(
-    "chaos", "run the pipeline over a fault-injected workload",
-    _chaos_arguments, _chaos, ("health_report", "health report"),
+    "chaos", _chaos_arguments, _chaos, ("health_report", "health report")
 )

@@ -54,11 +54,5 @@ def _stats(args: argparse.Namespace) -> Output:
     )
 
 
-EXPLAIN = Command(
-    "explain", "hop-by-hop decision provenance for one prefix",
-    _explain_arguments, _explain,
-)
-STATS = Command(
-    "stats", "render the metrics slice of a JSON health report",
-    _stats_arguments, _stats,
-)
+EXPLAIN = Command("explain", _explain_arguments, _explain)
+STATS = Command("stats", _stats_arguments, _stats)

@@ -15,9 +15,11 @@ scenario returns its outcome dict, a prefix simulation
 outcome and captured :class:`~repro.bgp.network.PrefixState`.
 
 :class:`TaskFailure` is what the supervisor reports for a task it gave
-up on, and :class:`WorkerFaults` the crash-injection hook the chaos suite
+up on, :class:`WorkerFaults` the crash-injection hook the chaos suite
 and the supervision tests use to produce deterministic worker kills and
-hangs.
+hangs, and :class:`ParallelConfig` how a pool runs — here, beside the
+messages, so that naming a pool costs no ``multiprocessing`` import
+until one is built.
 """
 
 from __future__ import annotations
@@ -84,6 +86,31 @@ class WorkerFaults:
 
     def __bool__(self) -> bool:
         return bool(self.crash_prefixes or self.hang_prefixes)
+
+
+@dataclass(frozen=True)
+class ParallelConfig:
+    """How the supervised pool runs.
+
+    ``workers=1`` (the default) disables the pool entirely — callers fall
+    back to the sequential path, bit-for-bit.  ``task_timeout`` is the
+    per-dispatch wall-clock watchdog (None disables it; the message
+    budget still bounds every simulation).
+    ``max_resubmits`` is how many *fresh* workers a failing task gets
+    before being classified poison.  ``drain_grace`` bounds how long a
+    graceful shutdown waits for in-flight tasks.
+    """
+
+    workers: int = 1
+    task_timeout: float | None = 60.0
+    max_resubmits: int = 2
+    drain_grace: float = 5.0
+    faults: WorkerFaults | None = None
+
+    @property
+    def enabled(self) -> bool:
+        """True when the pool should actually be used."""
+        return self.workers > 1
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,7 @@ from repro.parallel.protocol import (
     MSG_RESULT,
     MSG_SHUTDOWN,
     MSG_TASK,
+    ParallelConfig,
     TaskFailure,
     WorkerFaults,
     dump_network,
@@ -297,31 +298,6 @@ class WorkerSlots:
                     self.ledger.prefix, worker.index, worker.pid,
                 )
             self.discard(worker)
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """How the supervised pool runs.
-
-    ``workers=1`` (the default) disables the pool entirely — callers fall
-    back to the sequential path, bit-for-bit.  ``task_timeout`` is the
-    per-dispatch wall-clock watchdog (None disables it; the message
-    budget still bounds every simulation).
-    ``max_resubmits`` is how many *fresh* workers a failing task gets
-    before being classified poison.  ``drain_grace`` bounds how long a
-    graceful shutdown waits for in-flight tasks.
-    """
-
-    workers: int = 1
-    task_timeout: float | None = 60.0
-    max_resubmits: int = 2
-    drain_grace: float = 5.0
-    faults: WorkerFaults | None = None
-
-    @property
-    def enabled(self) -> bool:
-        """True when the pool should actually be used."""
-        return self.workers > 1
 
 
 @dataclass

@@ -78,21 +78,62 @@ def enforce_acyclic_hierarchy(relationships: RelationshipMap) -> int:
     Repeatedly find a cycle in the customer->provider digraph and demote
     its lexicographically-smallest edge to a peering.  Returns the number
     of demoted edges.
-    """
-    import networkx as nx
 
+    The cycle broken first is the first one a depth-first search meets
+    (:func:`_provider_cycle`): ASes in the order the map's edges first
+    name them, each AS's providers in the order its edges name them —
+    the walk ``networkx.find_cycle`` makes of the same digraph, so both
+    demote the same edges in the same order.
+    """
     demoted = 0
     while True:
-        digraph = nx.DiGraph()
+        providers: dict[int, list[int]] = {}
         for a, b, rel in relationships.edges():
             if rel is Relationship.PROVIDER:
-                digraph.add_edge(a, b)  # a's provider is b: a -> b points up
+                customer, provider = a, b  # a's provider is b: a -> b points up
             elif rel is Relationship.CUSTOMER:
-                digraph.add_edge(b, a)
-        try:
-            cycle = nx.find_cycle(digraph)
-        except nx.NetworkXNoCycle:
+                customer, provider = b, a
+            else:
+                continue
+            providers.setdefault(customer, []).append(provider)
+            providers.setdefault(provider, [])
+        cycle = _provider_cycle(providers)
+        if not cycle:
             return demoted
         edge = min((min(u, v), max(u, v)) for u, v in cycle)
         relationships.set(edge[0], edge[1], Relationship.PEER)
         demoted += 1
+
+
+def _provider_cycle(providers: dict[int, list[int]]) -> list[tuple[int, int]]:
+    """The edges of the first cycle an iterative depth-first search of
+    ``providers`` (customer -> its providers) meets, or ``[]``.
+
+    Roots are tried in ``providers``' order and a root's search walks each
+    AS's providers in list order; an AS whose search finished (in this
+    root's walk or an earlier one) is never entered again, and an edge back
+    to an AS on the current path closes the cycle.
+    """
+    finished: set[int] = set()
+    for root in providers:
+        if root in finished:
+            continue
+        path = [root]
+        on_path = {root}
+        pending = [iter(providers[root])]
+        while pending:
+            for provider in pending[-1]:
+                if provider in on_path:
+                    ring = path[path.index(provider):] + [provider]
+                    return list(zip(ring, ring[1:]))
+                if provider not in finished:
+                    path.append(provider)
+                    on_path.add(provider)
+                    pending.append(iter(providers[provider]))
+                    break
+            else:
+                pending.pop()
+                done = path.pop()
+                on_path.discard(done)
+                finished.add(done)
+    return []

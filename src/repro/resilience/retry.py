@@ -261,7 +261,7 @@ def simulate_network_bounded(
 
     With ``parallel`` (a :class:`repro.parallel.ParallelConfig` whose
     ``workers`` exceeds 1) each prefix is one task of a supervised worker
-    pool (:meth:`~repro.parallel.SupervisedPool.run_tasks`), submitted
+    pool (:meth:`~repro.parallel.supervisor.SupervisedPool.run_tasks`), submitted
     and folded in prefix order: a completed prefix's routing state is
     installed on ``network`` (:meth:`~repro.bgp.network.Network.install_prefix`)
     and its stats, outcome and metrics merged exactly as the sequential

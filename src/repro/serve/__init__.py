@@ -30,9 +30,14 @@ package splits that cost in two:
   supervisor, so a ``kill -9`` costs one worker, never the service.
 
 CLI: ``repro compile-artifact``, ``repro query``, ``repro serve``.
+
+The package re-exports what every importer runs — the artifact, the
+engine and the compiler.  The server stack (``http``, ``reload``,
+``admission``, ``supervisor``) is imported from its submodule by the few
+callers that serve, so compiling or querying never loads ``http.server``,
+``ssl`` or the process pool.
 """
 
-from repro.serve.admission import AdmissionController, Rejection, Ticket
 from repro.serve.artifact import (
     MAGIC,
     SCHEMA_VERSION,
@@ -47,35 +52,17 @@ from repro.serve.engine import (
     QueryEngine,
     QueryError,
 )
-from repro.serve.http import PredictionServer, run_server
-from repro.serve.reload import (
-    ArtifactWatcher,
-    EngineRef,
-    ReloadCoordinator,
-    ReloadState,
-)
-from repro.serve.supervisor import ServeSupervisor
 
 __all__ = [
     "MAGIC",
     "SCHEMA_VERSION",
-    "AdmissionController",
-    "ArtifactWatcher",
     "CompileReport",
     "DiversityAnswer",
-    "EngineRef",
     "LookupAnswer",
     "PathsAnswer",
     "PredictionArtifact",
-    "PredictionServer",
     "QueryEngine",
     "QueryError",
-    "Rejection",
-    "ReloadCoordinator",
-    "ReloadState",
-    "ServeSupervisor",
-    "Ticket",
     "build_artifact",
     "compile_artifact",
-    "run_server",
 ]

@@ -216,17 +216,8 @@ def _serve(args: argparse.Namespace) -> Output:
     return Output(health.to_json, exit_code=code)
 
 
-COMPILE_ARTIFACT = Command(
-    "compile-artifact",
-    "simulate a saved model once and freeze all answers "
-    "into a prediction artifact",
-    _compile_arguments, _compile,
-)
-QUERY = Command(
-    "query", "answer one question from a compiled artifact",
-    _query_arguments, _query,
-)
+COMPILE_ARTIFACT = Command("compile-artifact", _compile_arguments, _compile)
+QUERY = Command("query", _query_arguments, _query)
 SERVE = Command(
-    "serve", "serve a compiled artifact over HTTP/JSON",
-    _serve_arguments, _serve, ("stats_report", "stats report"),
+    "serve", _serve_arguments, _serve, ("stats_report", "stats report")
 )

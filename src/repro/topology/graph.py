@@ -7,12 +7,13 @@ graph" (Section 3.1).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import TopologyError
 from repro.topology.dataset import PathDataset
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class ASGraph:
@@ -117,7 +118,13 @@ class ASGraph:
         return True
 
     def to_networkx(self) -> "nx.Graph":
-        """Export to a networkx graph (for clique algorithms, plotting)."""
+        """Export to a networkx graph (for clique algorithms, plotting).
+
+        The one reader of networkx in the package, so it is imported here:
+        a run that never exports never loads it.
+        """
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self._adjacency)
         graph.add_edges_from(self.edges())

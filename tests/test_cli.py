@@ -181,7 +181,8 @@ def option_surface(action: argparse.Action) -> dict:
 
 
 def cli_surface(parser: argparse.ArgumentParser) -> dict:
-    """The global options, then every subcommand's, in ``--help`` order."""
+    """The global options, then every subcommand's, in ``--help`` order
+    (each subcommand's module imported, as a run of it would)."""
     options = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
     surface = {"options": [
         option_surface(a) for a in options
@@ -190,6 +191,8 @@ def cli_surface(parser: argparse.ArgumentParser) -> dict:
     for action in options:
         if isinstance(action, argparse._SubParsersAction):
             helps = {choice.dest: choice.help for choice in action._choices_actions}
+            for subparser in action.choices.values():
+                subparser.load()
             surface["commands"] = [
                 {"name": name, "help": helps[name], **cli_surface(subparser)}
                 for name, subparser in action.choices.items()

@@ -22,7 +22,8 @@ from repro.obs.trace import (
     RecordingTracer,
     tracing,
 )
-from repro.parallel import ParallelConfig, SupervisedPool, WorkerFaults
+from repro.parallel import ParallelConfig, WorkerFaults
+from repro.parallel.supervisor import SupervisedPool
 from repro.resilience.retry import (
     CONVERGED,
     DIVERGED,

@@ -16,13 +16,8 @@ from repro.bgp.network import Network
 from repro.core.model import MODEL_DECISION_CONFIG
 from repro.net.prefix import Prefix
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
-from repro.parallel import (
-    GenericRunStats,
-    ParallelConfig,
-    SupervisedPool,
-    TaskFailure,
-    WorkerFaults,
-)
+from repro.parallel import ParallelConfig, TaskFailure, WorkerFaults
+from repro.parallel.supervisor import GenericRunStats, SupervisedPool
 from repro.resilience.retry import POISON
 
 pytestmark = pytest.mark.timeout(120)

@@ -1,5 +1,9 @@
 """Unit tests for relationship types, inference, and policy realization."""
 
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.bgp import Network, simulate
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
@@ -147,6 +151,108 @@ class TestGaoInference:
         rels.set(1, 2, Relationship.PROVIDER)
         rels.set(2, 3, Relationship.PROVIDER)
         assert enforce_acyclic_hierarchy(rels) == 0
+
+
+class DemotionLog(RelationshipMap):
+    """A map that records, in order, every edge demoted to a peering."""
+
+    def __init__(self, triples=()):
+        super().__init__()
+        self.demoted = []
+        for a, b, rel in triples:
+            super().set(a, b, rel)
+
+    def set(self, a, b, rel_of_b_from_a):
+        if rel_of_b_from_a is Relationship.PEER:
+            self.demoted.append((a, b))
+        super().set(a, b, rel_of_b_from_a)
+
+
+def networkx_demotions(relationships):
+    """The reference: ``enforce_acyclic_hierarchy`` as it was written on
+    ``networkx.find_cycle``."""
+    demoted = 0
+    while True:
+        digraph = nx.DiGraph()
+        for a, b, rel in relationships.edges():
+            if rel is Relationship.PROVIDER:
+                digraph.add_edge(a, b)
+            elif rel is Relationship.CUSTOMER:
+                digraph.add_edge(b, a)
+        try:
+            cycle = nx.find_cycle(digraph)
+        except nx.NetworkXNoCycle:
+            return demoted
+        edge = min((min(u, v), max(u, v)) for u, v in cycle)
+        relationships.set(edge[0], edge[1], Relationship.PEER)
+        demoted += 1
+
+
+@st.composite
+def cyclic_relationships(draw):
+    """Relationship triples over ASes 0-9 holding one or more provider
+    cycles, in a drawn edge order."""
+    asns = st.integers(min_value=0, max_value=9)
+    rings = draw(st.lists(
+        st.lists(asns, min_size=3, max_size=6, unique=True), min_size=1, max_size=3,
+    ))
+    cycles = [
+        (a, b, Relationship.PROVIDER)
+        for ring in rings
+        for a, b in zip(ring, ring[1:] + ring[:1])
+    ]
+    extra = draw(st.lists(
+        st.tuples(asns, asns, st.sampled_from([
+            Relationship.PROVIDER, Relationship.CUSTOMER, Relationship.PEER,
+        ])).filter(lambda t: t[0] != t[1]),
+        max_size=20,
+    ))
+    # Re-set the first ring last: an extra edge or a later ring may land on
+    # one of its pairs, but its relationship wins (a cycle is left) and the
+    # pair keeps its drawn position.
+    first = cycles[: len(rings[0])]
+    return draw(st.permutations(cycles + extra)) + first
+
+
+class TestAcyclicHierarchyMatchesNetworkx:
+    """The cycle finder walks the digraph as ``networkx.find_cycle`` does, so
+    the same edges are demoted, in the same order.  (A relationship map
+    holds one relationship per AS pair, so its shortest provider cycle has
+    three edges.)"""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cyclic_relationships())
+    def test_demotes_what_networkx_demotes(self, triples):
+        ours, reference = DemotionLog(triples), DemotionLog(triples)
+        count = enforce_acyclic_hierarchy(ours)
+        assert count >= 1
+        assert (count, ours.demoted) == (
+            networkx_demotions(reference), reference.demoted
+        )
+        assert enforce_acyclic_hierarchy(ours) == 0
+
+    def test_a_three_cycle_loses_its_smallest_edge(self):
+        rels = DemotionLog([
+            (1, 2, Relationship.PROVIDER),
+            (2, 3, Relationship.PROVIDER),
+            (3, 1, Relationship.PROVIDER),
+        ])
+        assert enforce_acyclic_hierarchy(rels) == 1
+        assert rels.demoted == [(1, 2)]
+
+    def test_the_cycle_met_first_decides_what_else_breaks(self):
+        # Two cycles share 2 -> 3: 1 -> 2 -> 3 -> 1 and 2 -> 3 -> 4 -> 2.
+        # Met first, the first loses (1, 2) and the second then (2, 3); met
+        # first, the second loses (2, 3), which breaks both.
+        first = [(1, 2, Relationship.PROVIDER), (2, 3, Relationship.PROVIDER),
+                 (3, 1, Relationship.PROVIDER)]
+        second = [(3, 4, Relationship.PROVIDER), (4, 2, Relationship.PROVIDER)]
+        rels = DemotionLog(first + second)
+        assert enforce_acyclic_hierarchy(rels) == 2
+        assert rels.demoted == [(1, 2), (2, 3)]
+        rels = DemotionLog(second + first)
+        assert enforce_acyclic_hierarchy(rels) == 1
+        assert rels.demoted == [(2, 3)]
 
 
 class TestPolicyRealization:

@@ -35,7 +35,7 @@ from repro.campaign.engine import CHECKPOINT_FORMAT as CAMPAIGN_FORMAT
 from repro.campaign.engine import load_checkpoint as load_campaign
 from repro.campaign.engine import write_checkpoint as write_campaign
 from repro.campaign.report import ScenarioOutcome
-from repro.cli import main
+from repro.cli import COMMANDS, main
 from repro.core.build import build_initial_model
 from repro.core.refine import RefinementConfig, Refiner
 from repro.errors import (
@@ -992,11 +992,26 @@ class TestEachMechanismExistsOnce:
 
     def test_command_modules_are_imported_by_the_cli_alone(self):
         """No package ``__init__`` (nor anything else a pipeline stage
-        imports) loads a command module: ``setup_s`` is those packages."""
+        imports) loads a command module: ``setup_s`` is those packages.
+        No module imports one by name at all: ``cli.COMMANDS`` names all
+        seven, and the spine imports the one a run dispatches to."""
         assert sites(
-            lambda node: isinstance(node, ast.ImportFrom)
-            and (node.module or "").endswith(".commands")
-        ) == {"cli.py": 7}
+            lambda node: (
+                isinstance(node, ast.ImportFrom)
+                and ((node.module or "").endswith(".commands")
+                     or any(alias.name == "commands" for alias in node.names))
+            ) or (
+                isinstance(node, ast.Import)
+                and any(alias.name.endswith(".commands") for alias in node.names)
+            )
+        ) == {}
+        assert call_sites("import_module", "importlib") == {"cli.py"}
+        command_modules = {
+            "repro." + name[: -len(".py")].replace("/", ".")
+            for name, _ in source_trees() if name.endswith("/commands.py")
+        }
+        assert len(command_modules) == 7
+        assert {module for _, _, module in COMMANDS} == command_modules
 
     def test_os_replace_is_called_only_by_runstate(self):
         assert call_sites("replace", "os") == {"runstate.py"}

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.obs.metrics import Gauge, get_registry, labelled
-from repro.serve import AdmissionController, Rejection, Ticket
+from repro.serve.admission import AdmissionController, Rejection, Ticket
 
 
 @pytest.fixture(autouse=True)

@@ -11,12 +11,9 @@ import pytest
 
 from repro.net.prefix import prefix_for_asn
 from repro.obs.metrics import get_registry
-from repro.serve import (
-    AdmissionController,
-    PredictionServer,
-    QueryEngine,
-    build_artifact,
-)
+from repro.serve import QueryEngine, build_artifact
+from repro.serve.admission import AdmissionController
+from repro.serve.http import PredictionServer
 
 
 @pytest.fixture(autouse=True)
@@ -354,7 +351,7 @@ class TestSignalHandlerRestoration:
         installed, so EADDRINUSE propagates with handlers intact."""
         import signal
 
-        from repro.serve import run_server
+        from repro.serve.http import run_server
 
         engine = QueryEngine(artifact, cache_size=16)
         sentinel_term = lambda signum, frame: None  # noqa: E731

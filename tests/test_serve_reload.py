@@ -13,15 +13,9 @@ from repro.errors import ArtifactError
 from repro.net.prefix import prefix_for_asn
 from repro.obs.metrics import get_registry
 from repro.resilience.faults import corrupt_artifact_payload
-from repro.serve import (
-    ArtifactWatcher,
-    EngineRef,
-    PredictionArtifact,
-    PredictionServer,
-    QueryEngine,
-    ReloadCoordinator,
-    build_artifact,
-)
+from repro.serve import PredictionArtifact, QueryEngine, build_artifact
+from repro.serve.http import PredictionServer
+from repro.serve.reload import ArtifactWatcher, EngineRef, ReloadCoordinator
 
 
 @pytest.fixture(autouse=True)
