@@ -37,7 +37,7 @@ from repro.bgp.decision import (
     select_best,
     step_name,
 )
-from repro.bgp.network import Network
+from repro.bgp.network import Lease, Network
 from repro.bgp.route import Route
 from repro.bgp.router import Router
 from repro.bgp.session import Session
@@ -187,15 +187,21 @@ class _PrefixRun:
     Adj-RIB-In routes with a non-default MED.  All of it depends on the
     config alone; ``tracer`` and ``profiler`` only observe.
     :func:`simulate_prefix` starts it empty, :func:`resume_prefix` from
-    what the routers hold.  All of it dies with the call: nothing is
-    memoised on ``RouteMap``, ``Session`` or ``Router``, which are pickled
-    into every campaign copy.
+    what the routers hold.  A resume inside a perturbation holds the
+    prefix's ``lease`` (:meth:`Network.set_aside`): a table it has not
+    made its own yet is still the one the perturbation opened with, and
+    is copied before its first change — an Adj-RIB-In before its first
+    write, an Adj-RIB-Out when the router first exports or loses a
+    session (``rib_out`` only ever holds owned tables then) — and a
+    Loc-RIB entry goes on the undo log before its first change.  All of
+    it dies with the call: nothing is memoised on ``RouteMap``,
+    ``Session`` or ``Router``, which are pickled into every campaign copy.
     """
 
     __slots__ = (
         "prefix", "config", "queue", "stats", "tracer", "profiler", "ases",
         "touched", "local", "rib_in", "loc_rib", "rib_out", "ranks",
-        "rank_at", "meds", "map_stats_before",
+        "rank_at", "meds", "lease", "map_stats_before",
     )
 
     def __init__(
@@ -225,7 +231,24 @@ class _PrefixRun:
             _hot_potato_rank if config.use_igp_cost else None
         )
         self.meds: dict[int, int] | None = None if config.med_always_compare else {}
+        self.lease: Lease | None = None
         self.map_stats_before = MAP_STATS.snapshot()
+
+    def own_rib_in(self, router: Router) -> dict[int, Route]:
+        """``router``'s Adj-RIB-In, copied from the one leased (or made)."""
+        lease = self.lease
+        rib_in = self.rib_in[router.router_id] = lease.own(
+            router.adj_rib_in, lease.rib_in, router.router_id
+        )
+        return rib_in
+
+    def own_rib_out(self, router: Router) -> dict[int, Route]:
+        """``router``'s Adj-RIB-Out, copied from the one leased (or made)."""
+        lease = self.lease
+        rib_out = self.rib_out[router.router_id] = lease.own(
+            router.adj_rib_out, lease.rib_out, router.router_id
+        )
+        return rib_out
 
     def apply_map(self, route_map: RouteMap, route: Route) -> Route | None:
         """``route_map.apply(route)`` inside the profiler's route-map phase."""
@@ -320,11 +343,18 @@ def resume_prefix(
     Adj-RIB-Out entry keeps from the best that first produced it (stale
     by design, rewritten on import) are not part of the claim — only
     where :func:`stable_state_is_unique` holds, which the caller checks.
+
+    Inside a perturbation the state the network held when it opened is
+    not written: each table is copied, and each Loc-RIB entry logged, the
+    first time this changes it (:meth:`Network.set_aside`), so a router
+    the perturbation never reaches keeps its very dicts and the close
+    puts back only the originals of the ones it did.
     """
     if max_messages is None:
         max_messages = default_message_budget(network)
-    network.set_aside(prefix)
+    lease = network.set_aside(prefix)
     run = _PrefixRun(network, prefix, config, EngineStats(resumes=1))
+    run.lease = lease
     routers = network.routers
     # A router missing from the working set reads as one holding nothing,
     # so all that is held goes in (Adj-RIB-Outs are aliased on first use).
@@ -353,19 +383,23 @@ def resume_prefix(
     lost_best: list[tuple[Router, Route]] = []
     lost: list[tuple[Router, Route]] = []
     for session in dropped:
-        rib_out = session.src.adj_rib_out.get(prefix)
-        if rib_out is not None:
-            rib_out.pop(session.session_id, None)
+        session_id, sender = session.session_id, session.src
+        rib_out = sender.adj_rib_out.get(prefix)
+        if rib_out is not None and session_id in rib_out:
+            if lease is not None and sender.router_id not in lease.rib_out:
+                rib_out = run.own_rib_out(sender)
+            del rib_out[session_id]
         receiver_id = session.dst.router_id
         rib_in = ribs_in.get(receiver_id)
-        if rib_in is not None:
-            route = rib_in.pop(session.session_id, None)
-            if route is not None:
-                (lost_best if route is loc_rib.get(receiver_id) else lost).append(
-                    (session.dst, route)
-                )
-                if meds is not None and route.med != DEFAULT_MED:
-                    meds[receiver_id] -= 1
+        if rib_in is not None and session_id in rib_in:
+            if lease is not None and receiver_id not in lease.rib_in:
+                rib_in = run.own_rib_in(session.dst)
+            route = rib_in.pop(session_id)
+            (lost_best if route is loc_rib.get(receiver_id) else lost).append(
+                (session.dst, route)
+            )
+            if meds is not None and route.med != DEFAULT_MED:
+                meds[receiver_id] -= 1
     for router in reoriginated:
         # Passing the standing best as the replaced route forces the full
         # scan: what changed is the local route, which fills no slot.
@@ -388,6 +422,7 @@ def _drain(run: _PrefixRun, max_messages: int) -> EngineStats:
     queue = run.queue
     ribs_in = run.rib_in
     meds = run.meds
+    owned = None if run.lease is None else run.lease.rib_in
     messages = 0
     while queue:
         messages += 1
@@ -414,15 +449,15 @@ def _drain(run: _PrefixRun, max_messages: int) -> EngineStats:
             receiver_id = receiver.router_id
             rib_in = ribs_in.get(receiver_id)
             if rib_in is None:
-                rib_in = ribs_in[receiver_id] = receiver.adj_rib_in.setdefault(
-                    prefix, {}
+                rib_in = ribs_in[receiver_id] = (
+                    receiver.adj_rib_in.setdefault(prefix, {})
+                    if owned is None else run.own_rib_in(receiver)
                 )
             session_id = session.session_id
             previous = rib_in.get(session_id)
             if accepted is None:
                 if previous is None:
                     continue
-                del rib_in[session_id]
             elif (
                 previous is not None
                 and accepted.attributes_equal(previous)
@@ -430,6 +465,10 @@ def _drain(run: _PrefixRun, max_messages: int) -> EngineStats:
                 and accepted.peer_router == previous.peer_router
             ):
                 continue
+            if owned is not None and receiver_id not in owned:
+                rib_in = run.own_rib_in(receiver)
+            if accepted is None:
+                del rib_in[session_id]
             else:
                 rib_in[session_id] = accepted
             if meds is not None:
@@ -610,6 +649,9 @@ def _decide_and_export(
         changed = best is not previous_best
         if changed:
             prefix = run.prefix
+            lease = run.lease
+            if lease is not None and router_id not in lease.loc_rib:
+                lease.keep_best(router, previous_best)
             if best is None:
                 del loc_rib[router_id]
                 router.loc_rib.pop(prefix, None)
@@ -713,9 +755,13 @@ def _export(run: _PrefixRun, router: Router, best: Route | None) -> None:
     router_id = router.router_id
     rib_out = run.rib_out.get(router_id)
     if rib_out is None:
-        rib_out = run.rib_out[router_id] = router.adj_rib_out.setdefault(
-            run.prefix, {}
-        )
+        lease = run.lease
+        if lease is None or router_id in lease.rib_out:
+            rib_out = run.rib_out[router_id] = router.adj_rib_out.setdefault(
+                run.prefix, {}
+            )
+        else:
+            rib_out = run.own_rib_out(router)
     queue = run.queue
     if best is None:
         for session in router.sessions_out:

@@ -48,7 +48,9 @@ class PrefixState:
     does not survive a process boundary, which is fine because every
     consumer (refiner, evaluator, exporter) compares attributes.
     :meth:`Network.capture_prefix` makes one,
-    :meth:`Network.install_prefix` takes one back.
+    :meth:`Network.install_prefix` takes one back.  A clear inside a
+    perturbation makes one of the tables themselves, not copies, for its
+    undo log (:meth:`Network.clear_prefix`).
     """
 
     prefix: Prefix
@@ -61,6 +63,56 @@ class PrefixState:
             Route | None,
         ],
     ] = field(default_factory=dict)
+
+
+class Lease:
+    """What a perturbation has changed so far of one prefix held at open.
+
+    ``rib_in`` / ``rib_out`` are the ids of the routers whose Adj-RIB-In /
+    Adj-RIB-Out for the prefix the perturbation already owns: a copy of
+    the table it opened with, or one made where there was none.  Every
+    other router still holds the very dict it held at open, which the
+    writer must :meth:`own` before changing it.  ``loc_rib`` are the ids
+    of the routers whose Loc-RIB entry has changed, the original kept on
+    the undo log (:meth:`keep_best`).
+    """
+
+    __slots__ = ("prefix", "undo", "rib_in", "rib_out", "loc_rib")
+
+    def __init__(self, prefix: Prefix, undo: list) -> None:
+        self.prefix = prefix
+        self.undo = undo
+        self.rib_in: set[int] = set()
+        self.rib_out: set[int] = set()
+        self.loc_rib: set[int] = set()
+
+    def own(
+        self, tables: dict[Prefix, dict[int, Route]], owned: set[int], router_id: int
+    ) -> dict[int, Route]:
+        """Copy on first write: put a copy of ``tables[prefix]`` (or a new
+        table) in its place, log putting the original back, and return the
+        copy.  ``tables`` is router ``router_id``'s ``adj_rib_in`` or
+        ``adj_rib_out``, ``owned`` the matching set of this lease."""
+        prefix = self.prefix
+        original = tables.get(prefix)
+        if original is None:
+            self.undo.append((tables.pop, (prefix, None)))
+            table = tables[prefix] = {}
+        else:
+            self.undo.append((tables.__setitem__, (prefix, original)))
+            table = tables[prefix] = original.copy()
+        owned.add(router_id)
+        return table
+
+    def keep_best(self, router: Router, best: Route | None) -> None:
+        """Log putting ``best`` (None: nothing) back as ``router``'s Loc-RIB
+        entry: call it before the entry's first change."""
+        prefix = self.prefix
+        if best is None:
+            self.undo.append((router.loc_rib.pop, (prefix, None)))
+        else:
+            self.undo.append((router.loc_rib.__setitem__, (prefix, best)))
+        self.loc_rib.add(router.router_id)
 
 
 def _insert_at(mapping: dict, index: int, key, value) -> None:
@@ -80,9 +132,11 @@ class Network:
     oldest first; None while no perturbation is open.  A class-level
     default: a network pickles the same whether or not it was perturbed."""
 
-    _held: set[Prefix] | None = None
+    _held: dict[Prefix, Lease | None] | None = None
     """Prefixes that held routing state at :meth:`open_perturbation` and
-    still hold exactly that; None while no perturbation is open."""
+    have not been cleared since, each with the :class:`Lease` of its first
+    :meth:`set_aside` (None before it); None while no perturbation is
+    open."""
 
     def __init__(self, name: str = "network"):
         self.name = name
@@ -255,10 +309,10 @@ class Network:
 
         Whether the body returned or raised: :meth:`disconnect`,
         :meth:`originate` and :meth:`withdraw` have each logged their
-        inverse by the time they return and routing state is set aside
-        before it changes, so a body that stops between two edits or inside
-        a simulation is undone as exactly as one that finished.  An error
-        out of the replay itself means the network was not put back.
+        inverse by the time they return, and a held table is set aside or
+        copied before it changes, so a body that stops between two edits or
+        inside a simulation is undone as exactly as one that finished.  An
+        error out of the replay itself means the network was not put back.
         """
         self.open_perturbation()
         try:
@@ -272,10 +326,10 @@ class Network:
         While open, :meth:`disconnect`, :meth:`originate` and
         :meth:`withdraw` — the edits a what-if scenario makes — log what
         :meth:`close_perturbation` needs to put the network back.  So
-        does the routing state: a prefix that holds state now (its
+        does the routing state of a prefix that holds some now (its
         converged RIBs, which the perturbation's simulations may resume
-        from) has its per-router slices set aside the first time it is
-        cleared or resumed (:meth:`set_aside`).
+        from): a resume copies each of its tables the first time it writes
+        it (:meth:`set_aside`), and a clear moves them onto the log whole.
         """
         if self._undo is not None:
             raise TopologyError("a perturbation is already open")
@@ -285,7 +339,7 @@ class Network:
                 self, "_session_by_endpoints", dict(self._session_by_endpoints)
             )),
         ]
-        self._held = set(self._touched)
+        self._held = dict.fromkeys(self._touched)
 
     def close_perturbation(self) -> None:
         """Undo every edit, newest first, routing state included.
@@ -295,32 +349,41 @@ class Network:
         and each router's ``local_routes`` are what they were at
         :meth:`open_perturbation`, so the next simulation walks sessions
         in the same order a fresh copy would; every prefix that held
-        routing state then holds the same entries again, and no other
-        prefix holds any.
+        routing state then holds the very tables and Loc-RIB entries it
+        held, and no other prefix holds any.
         """
-        undo, untouched = self._undo, self._held
+        undo, held = self._undo, self._held
         if undo is None:
             raise TopologyError("no perturbation is open")
         del self._undo, self._held
         for prefix in list(self._touched):
-            if prefix not in untouched:
+            if prefix not in held:
                 self.clear_prefix(prefix)
         while undo:
             inverse, args = undo.pop()
             inverse(*args)
 
-    def set_aside(self, prefix: Prefix) -> None:
-        """Log restoring ``prefix``'s routing state, before it changes.
+    def set_aside(self, prefix: Prefix) -> Lease | None:
+        """Prepare ``prefix``'s routing state to be resumed, before it changes.
 
-        Acts once per perturbation, and only for a prefix that held state
-        when it opened: its captured slice goes on the undo log, for
-        :meth:`install_prefix` to put back on close.
+        Inside a perturbation, for a prefix held since it opened and not
+        cleared since: the :class:`Lease` a resume copies each table
+        through the first time it writes it, and keeps each Loc-RIB entry
+        through before its first change.  The first call logs putting back
+        the prefix's touched set and leaves a copy in its place; a later
+        one returns the same lease.  Otherwise None: the state is the
+        resume's to change in place.
         """
         held = self._held
         if held is None or prefix not in held:
-            return
-        held.remove(prefix)
-        self._undo.append((self.install_prefix, (self.capture_prefix(prefix),)))
+            return None
+        lease = held[prefix]
+        if lease is None:
+            lease = held[prefix] = Lease(prefix, self._undo)
+            touched = self._touched[prefix]
+            self._touched[prefix] = set(touched)
+            self._undo.append((self._touched.__setitem__, (prefix, touched)))
+        return lease
 
     # ------------------------------------------------------------------
     # Quasi-router support (Section 4.6: duplication)
@@ -371,10 +434,7 @@ class Network:
     def capture_prefix(self, prefix: Prefix) -> PrefixState:
         """Copy out every router's routing state for ``prefix``.
 
-        The one reader of the per-router layout for anything that moves a
-        prefix's state as a whole: a pool worker ships the slice its
-        simulation produced, :meth:`set_aside` keeps the one a
-        perturbation is about to change.
+        What a pool worker ships home: the slice its simulation produced.
         """
         state = PrefixState(prefix)
         rows = state.routers
@@ -423,11 +483,28 @@ class Network:
         return prefix in self._touched
 
     def clear_prefix(self, prefix: Prefix) -> None:
-        """Wipe all routing state for ``prefix`` ahead of a re-simulation."""
-        if self._held is not None:
-            self.set_aside(prefix)
+        """Wipe all routing state for ``prefix`` ahead of a re-simulation.
+
+        Inside a perturbation a prefix held since it opened is not wiped
+        but moved: its tables, as they are, go onto the undo log for
+        :meth:`install_prefix` to put back on close.
+        """
         touched = self._touched.pop(prefix, None)
         if touched is None:
+            return
+        held = self._held
+        if held is not None and prefix in held:
+            del held[prefix]
+            state = PrefixState(prefix)
+            for router_id in touched:
+                router = self.routers[router_id]
+                state.routers[router_id] = (
+                    router.adj_rib_in.pop(prefix, None),
+                    router.loc_rib.pop(prefix, None),
+                    router.adj_rib_out.pop(prefix, None),
+                    router.local_routes.get(prefix),
+                )
+            self._undo.append((self.install_prefix, (state,)))
             return
         for router_id in touched:
             router = self.routers.get(router_id)

@@ -10,18 +10,16 @@ perturbation destroyed or created (the "Unexploited Path Diversity"
 angle: a failure's real cost is how many distinct paths it removes, not
 just whether reachability survives).
 
-Path-level accounting goes through the shared
-:func:`repro.diffutil.multiset_diff`, the same pairing the static lint
-differ uses, so "N paths removed" means the same thing in a campaign
-report and a lint diff.
+Both maps hold path *sets*, so path-level accounting is a set
+difference: what :func:`repro.diffutil.multiset_diff`, the pairing the
+static lint differ uses, counts for inputs without duplicates, so "N
+paths removed" means the same thing in a campaign report and a lint diff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
-
-from repro.diffutil import multiset_diff
 
 Pair = tuple[int, int]
 """An ``(origin ASN, observer ASN)`` answer pair."""
@@ -80,7 +78,7 @@ def diff_path_maps(
     ``exclude_origins`` names origins whose answers are untrustworthy on
     either side (quarantined at compile time, or degraded by this
     scenario's re-simulation); their pairs are ignored entirely rather
-    than reported as spurious losses.
+    than reported as spurious losses.  Nothing but the pairs is sorted.
     """
     excluded = set(exclude_origins)
     pairs = sorted(set(baseline) | set(current))
@@ -93,20 +91,16 @@ def diff_path_maps(
     for pair in pairs:
         if pair[0] in excluded:
             continue
-        before = sorted(tuple(path) for path in baseline.get(pair, ()))
-        after = sorted(tuple(path) for path in current.get(pair, ()))
+        before = set(baseline.get(pair, ()))
+        after = set(current.get(pair, ()))
         if before == after:
-            # Most of a scenario's answers are the baseline's own.
             unchanged_pairs += 1
             continue
-        added, removed, _ = multiset_diff(before, after)
-        paths_added += len(added)
-        paths_removed += len(removed)
-        if not added and not removed:
-            unchanged_pairs += 1
-        elif before and not after:
+        paths_added += len(after - before)
+        paths_removed += len(before - after)
+        if not after:
             lost.append(pair)
-        elif after and not before:
+        elif not before:
             gained.append(pair)
         else:
             changed.append(pair)

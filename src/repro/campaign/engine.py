@@ -23,7 +23,10 @@ pool worker (:func:`plan_campaign`); the plan travels in the
 (:func:`repro.bgp.engine.resume_prefix`) instead of simulating it from
 nothing.  Only where the model's stable state is unique, where resumed
 and from-scratch answers are the same answer; an origin named once would
-cost one simulation either way and is left cold.
+cost one simulation either way and is left cold.  The plan also holds the
+base catchment of every site set the catchment scenarios share, simulated
+once: leave-one-site-out scenarios compare with it instead of each
+simulating it again.
 
 A :mod:`repro.runstate` scenario checkpoint (fingerprinted over the
 campaign kind, scenario keys and baseline checksum) records every
@@ -51,7 +54,10 @@ from repro.bgp.engine import stable_state_is_unique
 from repro.campaign.report import STATUS_OK, CampaignReport, ScenarioOutcome
 from repro.campaign.scenarios import (
     CampaignContext,
+    CatchmentScenario,
     EdgeFailureScenario,
+    free_anycast_prefix,
+    simulate_catchment,
     validate_session_endpoints,
 )
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
@@ -218,12 +224,10 @@ def run_campaign(
         )
     todo = [s for s in ordered if s.key not in completed]
     pooled = parallel is not None and parallel.enabled
-    # Only scenarios that re-converge the model's origins read the plan: a
-    # catchment campaign, or one with nothing left to run, is spared the
-    # walk over every route-map clause that making one begins with.
-    if any(hasattr(scenario, "perturbed_origins") for scenario in todo):
+    if todo:
         context = plan_campaign(
-            model, todo, context, copies=parallel.workers if pooled else 1
+            model, todo, context,
+            copies=parallel.workers if pooled else 1, max_messages=max_messages,
         )
 
     progress = None
@@ -268,8 +272,16 @@ def plan_campaign(
     scenarios: Iterable[object],
     context: CampaignContext,
     copies: int = 1,
+    max_messages: int | None = None,
 ) -> CampaignContext:
     """``context`` with the campaign's plan filled in.
+
+    The base catchment of each distinct site set of the catchment
+    scenarios is simulated once, here, on the model's network under a
+    perturbation (``catchments``): a failed-site scenario then costs one
+    simulation and the base scenario none.  Catchment scenarios read no
+    other part of the plan, so a campaign of nothing else is spared the
+    walk over every route-map clause the rest begins with.
 
     ``copies`` is how many networks will run the scenarios — the model's
     own sequentially, one copy per pool worker — each of which converges
@@ -285,6 +297,19 @@ def plan_campaign(
     resumed answer could then be another stable state than the engine's
     own from scratch.
     """
+    scenarios = list(scenarios)
+    catchments = [s for s in scenarios if isinstance(s, CatchmentScenario)]
+    if catchments:
+        network, bases = model.network, {}
+        for sites in sorted({scenario.sites for scenario in catchments}):
+            with network.perturbation():  # at the prefix the scenarios pick
+                bases[sites] = simulate_catchment(
+                    network, free_anycast_prefix(network), sites,
+                    context.observers, MODEL_DECISION_CONFIG, max_messages,
+                )
+        context = dataclasses.replace(context, catchments=bases)
+        if len(catchments) == len(scenarios):
+            return context
     unique = stable_state_is_unique(model.network, MODEL_DECISION_CONFIG)
     context = dataclasses.replace(context, unique_state=unique)
     if not unique:

@@ -40,7 +40,7 @@ motivation):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.bgp.network import Network
@@ -73,10 +73,11 @@ class CampaignContext:
     recorded it.  ``excluded`` origins were quarantined
     when the baseline artifact was compiled;
     scenarios ignore their pairs instead of reporting spurious diffs.
-    The last two fields are the campaign's plan, which ``run_campaign``
+    The last three fields are the campaign's plan, which ``run_campaign``
     works out from the model and the pending scenarios; no caller sets
-    them, and without a plan a depeer re-converges every origin and
-    everything is simulated from scratch.
+    them, and without a plan a depeer re-converges every origin, a
+    catchment scenario simulates its own base and everything is
+    simulated from scratch.
     """
 
     baseline_paths: dict[Pair, tuple[tuple[int, ...], ...]]
@@ -91,6 +92,12 @@ class CampaignContext:
     """Prefixes whoever lends the network converges on it first, on the
     unperturbed topology: the scenarios resume these from their RIBs
     (see :func:`~repro.parallel.worker.converge_ahead`)."""
+    catchments: dict[tuple[int, ...], tuple[str, dict[int, list[int]]]] = field(
+        default_factory=dict
+    )
+    """Sites -> the status and attraction of the anycast prefix originated
+    at every one of them: each base catchment the campaign's scenarios
+    compare with, simulated once by the campaign's plan."""
 
 
 def _require_known(network: Network, asns: Iterable[int]) -> None:
@@ -205,18 +212,23 @@ class EdgeFailureScenario:
             if outcome.status != CONVERGED:
                 degraded_origins.add(origin)
         degraded = sorted(str(context.origins[origin]) for origin in degraded_origins)
+        # A settled origin answers as the baseline does: its pairs are
+        # counted unchanged, and only the crossing ones are collected and
+        # diffed.
+        baseline, settled_pairs = {}, 0
+        for pair, paths in context.baseline_paths.items():
+            if pair[0] in settled:
+                settled_pairs += 1
+            else:
+                baseline[pair] = paths
         current = collect_path_map(
             network, context.origins, context.observers,
             skip_origins=degraded_origins | settled,
         )
-        for pair, paths in context.baseline_paths.items():
-            if pair[0] in settled:
-                current[pair] = set(paths)
         diff = diff_path_maps(
-            context.baseline_paths,
-            current,
-            exclude_origins=context.excluded | degraded_origins,
+            baseline, current, exclude_origins=context.excluded | degraded_origins
         )
+        diff = replace(diff, unchanged_pairs=diff.unchanged_pairs + settled_pairs)
         return {
             "kind": self.kind,
             "key": self.key,
@@ -320,15 +332,17 @@ class HijackScenario:
 class CatchmentScenario:
     """Originate an anycast prefix from k sites; report site attraction.
 
-    With ``failed_site=None`` the scenario reports the baseline
-    catchment: which site(s) each observer's selected paths terminate
-    at.  With a failed site, the site's origination is withdrawn after
-    the first convergence and the prefix re-simulated; the blast radius
-    is the number of observers whose attraction shifted.  That second
-    simulation is from scratch on purpose: resuming after a site is
-    withdrawn makes the routers it attracted hunt through ever longer
-    paths (BGP's withdrawal path exploration), which for a site that
-    attracted most of the model measured four times the simulation.
+    With ``failed_site=None`` the scenario reports the base catchment:
+    which site(s) each observer's selected paths terminate at.  With a
+    failed site, the prefix is originated at the surviving sites alone
+    and simulated; the blast radius is the number of observers whose
+    attraction shifted from the base.  The base is the campaign's plan
+    (``context.catchments``, simulated once for every scenario of the
+    sites); without one the scenario simulates it first itself.  The
+    failure is simulated from scratch on purpose: resuming the base after
+    a site is withdrawn makes the routers it attracted hunt through ever
+    longer paths (BGP's withdrawal path exploration), which for a site
+    that attracted most of the model measured four times the simulation.
     """
 
     sites: tuple[int, ...]
@@ -342,11 +356,17 @@ class CatchmentScenario:
 
     def run(self, network, context: CampaignContext, config, max_messages) -> dict:
         _require_known(network, self.sites)
-        prefix = _free_anycast_prefix(network)
-        for site in self.sites:
-            for router in network.as_routers(site):
-                network.originate(router, prefix)
-        _, outcome = simulate_prefix_bounded(network, prefix, config, max_messages)
+        prefix = free_anycast_prefix(network)
+        base = context.catchments.get(self.sites)
+        if base is None:
+            base = simulate_catchment(
+                network, prefix, self.sites, context.observers, config, max_messages
+            )
+            for site in self.sites:
+                for router in network.as_routers(site):
+                    network.withdraw(router, prefix)
+            network.clear_prefix(prefix)
+        status, before = base
         result = {
             "kind": KIND_CATCHMENT,
             "key": self.key,
@@ -355,37 +375,22 @@ class CatchmentScenario:
                 "failed_site": self.failed_site,
                 "prefix": str(prefix),
             },
-            "status": outcome.status,
+            "status": status,
         }
-        if outcome.status != CONVERGED:
+        if status == CONVERGED and self.failed_site is not None:
+            status, after = simulate_catchment(
+                network, prefix, self.sites, context.observers, config,
+                max_messages, failed_site=self.failed_site,
+            )
+            result["status"] = status
+        else:
+            after = before
+        if status != CONVERGED:
             result.update(
                 attraction={}, shifted=[], blast_radius=0,
                 degraded=[str(prefix)],
             )
             return result
-        before = self._attraction(network, prefix, context.observers)
-
-        if self.failed_site is None:
-            result.update(
-                attraction={str(obs): sites for obs, sites in before.items()},
-                shifted=[],
-                blast_radius=0,
-                degraded=[],
-            )
-            return result
-
-        for router in network.as_routers(self.failed_site):
-            network.withdraw(router, prefix)
-        network.clear_prefix(prefix)
-        _, outcome = simulate_prefix_bounded(network, prefix, config, max_messages)
-        result["status"] = outcome.status
-        if outcome.status != CONVERGED:
-            result.update(
-                attraction={}, shifted=[], blast_radius=0,
-                degraded=[str(prefix)],
-            )
-            return result
-        after = self._attraction(network, prefix, context.observers)
         shifted = sorted(
             observer
             for observer in set(before) | set(after)
@@ -399,23 +404,42 @@ class CatchmentScenario:
         )
         return result
 
-    def _attraction(
-        self, network, prefix: Prefix, observers: Iterable[int]
-    ) -> dict[int, list[int]]:
-        """Which site(s) each non-site observer's paths terminate at."""
-        site_set = set(self.sites)
-        attraction: dict[int, list[int]] = {}
-        for observer in observers:
-            if observer in site_set:
-                continue
-            paths = selected_paths(network, prefix, observer)
-            sites = sorted({path[-1] for path in paths})
-            if sites:
-                attraction[observer] = sites
-        return attraction
+
+def simulate_catchment(
+    network: Network,
+    prefix: Prefix,
+    sites: tuple[int, ...],
+    observers: Iterable[int],
+    config,
+    max_messages: int | None,
+    failed_site: int | None = None,
+) -> tuple[str, dict[int, list[int]]]:
+    """Originate ``prefix`` at every router of ``sites`` but ``failed_site``'s
+    and simulate it from scratch.
+
+    Returns the outcome's status and, when it converged, which site(s) the
+    selected paths of each observer that is not a site terminate at (an
+    observer that selects nothing is left out).  The originations stay:
+    the caller's perturbation undoes them.
+    """
+    for site in sites:
+        if site != failed_site:
+            for router in network.as_routers(site):
+                network.originate(router, prefix)
+    _, outcome = simulate_prefix_bounded(network, prefix, config, max_messages)
+    attraction: dict[int, list[int]] = {}
+    if outcome.status != CONVERGED:
+        return outcome.status, attraction
+    for observer in observers:
+        if observer in sites:
+            continue
+        reached = sorted({path[-1] for path in selected_paths(network, prefix, observer)})
+        if reached:
+            attraction[observer] = reached
+    return outcome.status, attraction
 
 
-def _free_anycast_prefix(network) -> Prefix:
+def free_anycast_prefix(network) -> Prefix:
     """A deterministic /24 no router currently originates."""
     taken = set(network.originations)
     for index in range(4096):
@@ -533,4 +557,5 @@ __all__ = [
     "generate_depeer",
     "generate_hijack",
     "generate_link_failure",
+    "simulate_catchment",
 ]

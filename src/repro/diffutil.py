@@ -1,11 +1,12 @@
 """Shared multiset-diff and ranked-list truncation helpers.
 
-Two subsystems compare multisets and render ranked result lists capped
-with an explicit "N more ... omitted" tail: the static lint differ
-(:mod:`repro.analysis.diffing`, ``repro lint --diff``) and the scenario
-campaign differ/report (:mod:`repro.campaign`).  This module is the one
-implementation both share, so the diff semantics (how duplicate entries
-pair up) and the truncation rendering cannot drift apart.
+Two subsystems render ranked result lists capped with an explicit "N
+more ... omitted" tail: the static lint differ (:mod:`repro.analysis.diffing`,
+``repro lint --diff``) and the scenario campaign report
+(:mod:`repro.campaign`).  This module is the one implementation both
+share, so the truncation rendering cannot drift apart.  The lint differ
+pairs findings with :func:`multiset_diff`; the campaign differ compares
+path *sets*, for which a set difference counts what it would.
 """
 
 from __future__ import annotations

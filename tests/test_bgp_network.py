@@ -1,6 +1,10 @@
 """Unit tests for repro.bgp.network and repro.bgp.router."""
 
+import pickle
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.engine import EngineStats, resume_prefix, simulate, simulate_prefix
 from repro.bgp.network import Network
@@ -11,8 +15,10 @@ from repro.bgp.router import (
     router_id_asn,
     router_id_index,
 )
-from repro.errors import TopologyError
+from repro.core.model import MODEL_DECISION_CONFIG
+from repro.errors import ConvergenceError, TopologyError
 from repro.net.prefix import Prefix
+from tests.oracle import seeded_world, structure
 
 PREFIX = Prefix("10.0.0.0/24")
 
@@ -232,17 +238,38 @@ class TestHeldStateUndo:
         assert "_held" not in vars(net) and "_undo" not in vars(net)
 
     def test_a_prefix_nothing_touched_is_not_copied(self, square):
-        net, routers, _ = square
-        ribs = [
-            (r.adj_rib_in.get(self.HELD), r.adj_rib_out[self.HELD]) for r in routers
-        ]
+        """Nor is a table nothing wrote: a resume copies each table the
+        first time it changes it, and the close puts back the originals."""
+        net, routers, dump = square
+        before = dump()
+
+        def tables():
+            return {
+                (prefix, router.asn, kind): getattr(router, kind).get(prefix)
+                for prefix in (self.HELD, self.OTHER)
+                for router in routers
+                for kind in ("adj_rib_in", "adj_rib_out")
+            }
+
+        opened = tables()
         net.open_perturbation()
+        # AS4 loses AS3's route and moves to AS1's (1 2 3), which it cannot
+        # send back to AS1: AS3's and AS4's Adj-RIB-Outs and AS4's and
+        # AS1's Adj-RIB-Ins change, nothing else does.
         resume_prefix(net, self.OTHER, dropped=net.disconnect(routers[2], routers[3]))
-        assert len(net._undo) == 2 + 4 + 1  # snapshots, list positions, one prefix
+        assert routers[3].best(self.OTHER).as_path == (1, 2, 3)
+        written = {
+            (self.OTHER, 3, "adj_rib_out"), (self.OTHER, 4, "adj_rib_out"),
+            (self.OTHER, 4, "adj_rib_in"), (self.OTHER, 1, "adj_rib_in"),
+        }
+        lent = tables()
+        assert {key for key in opened if lent[key] is not opened[key]} == written
+        # Snapshots, list positions, the touched set, one original per
+        # written table and AS4's Loc-RIB entry, the one that changed.
+        assert len(net._undo) == 2 + 4 + 1 + len(written) + 1
         net.close_perturbation()
-        for router, (rib_in, rib_out) in zip(routers, ribs):
-            assert router.adj_rib_in.get(self.HELD) is rib_in
-            assert router.adj_rib_out[self.HELD] is rib_out
+        assert all(table is opened[key] for key, table in tables().items())
+        assert dump() == before
 
     def test_the_slices_are_set_aside_once(self, square):
         """The second touch must not overwrite the pre-open copy."""
@@ -255,6 +282,86 @@ class TestHeldStateUndo:
         net.clear_prefix(self.HELD)
         net.close_perturbation()
         assert dump() == before
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_drawn_edits_are_undone_exactly_wherever_they_stop(self, data):
+        """The undo oracle: a refined world holding some prefixes, a drawn
+        sequence of disconnects, resumes, from-scratch simulations,
+        originations and withdrawals inside one perturbation, stopped by a
+        raise before any step or by a starved simulation.  After the close
+        the network is the snapshot, and every held table is the very
+        object it was: a router no step wrote was never copied, and one
+        that was got its original back."""
+        world = seeded_world(data.draw(st.sampled_from([1, 2, 3]), label="seed"))
+        net = pickle.loads(world.blob)
+        originated = sorted(world.model.prefix_by_origin.values())
+        held = data.draw(
+            st.lists(st.sampled_from(originated), min_size=1, max_size=5, unique=True),
+            label="held",
+        )
+        for prefix in held:
+            simulate_prefix(net, prefix, MODEL_DECISION_CONFIG)
+        before = structure(net)
+
+        def tables():
+            return {
+                (prefix, router_id): (
+                    router.adj_rib_in.get(prefix),
+                    router.loc_rib.get(prefix),
+                    router.adj_rib_out.get(prefix),
+                )
+                for prefix in held
+                for router_id, router in net.routers.items()
+            }
+
+        opened = tables()
+        steps = data.draw(st.lists(st.tuples(
+            st.sampled_from(
+                ["disconnect", "resume", "simulate", "originate", "withdraw", "raise"]
+            ),
+            st.sampled_from(held)
+            | st.sampled_from([*originated, Prefix("240.0.0.0/24")]),
+            st.integers(0, 1 << 16),
+        ), max_size=10), label="steps")
+        budget = data.draw(st.sampled_from([None, 60]), label="max_messages")
+        routers = [net.routers[router_id] for router_id in sorted(net.routers)]
+        dropped, reoriginated = [], []
+
+        class Stop(Exception):
+            pass
+
+        try:
+            with net.perturbation():
+                for kind, prefix, pick in steps:
+                    if kind == "raise":
+                        raise Stop
+                    if kind == "disconnect":
+                        session = list(net.sessions.values())[pick % len(net.sessions)]
+                        dropped += net.disconnect(session.src, session.dst)
+                    elif kind == "resume":
+                        resume_prefix(
+                            net, prefix, MODEL_DECISION_CONFIG, budget,
+                            dropped, reoriginated,
+                        )
+                    elif kind == "simulate":
+                        simulate_prefix(net, prefix, MODEL_DECISION_CONFIG, budget)
+                    elif kind == "originate":
+                        router = routers[pick % len(routers)]
+                        if router.router_id not in net.originators(prefix):
+                            net.originate(router, prefix)
+                            reoriginated.append(router)
+                    elif origins := net.originators(prefix):
+                        router = net.routers[origins[pick % len(origins)]]
+                        net.withdraw(router, prefix)
+                        reoriginated.append(router)
+        except (Stop, ConvergenceError):
+            pass
+        assert structure(net) == before
+        assert all(
+            all(now is then for now, then in zip(held_now, opened[key]))
+            for key, held_now in tables().items()
+        )
 
     def test_outside_a_perturbation_nothing_is_logged(self, square):
         net, _, _ = square

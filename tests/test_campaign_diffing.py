@@ -1,7 +1,39 @@
 """Tests for the campaign path-map diff and the shared diff helpers."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.campaign import ScenarioDiff, diff_path_maps
 from repro.diffutil import multiset_diff, truncate_ranked
+
+
+def sorted_diff(baseline, current, exclude_origins=()) -> ScenarioDiff:
+    """The reference: every pair's two path lists sorted, then compared."""
+    counts = {"changed": [], "lost": [], "gained": []}
+    added_total = removed_total = unchanged = 0
+    for pair in sorted(set(baseline) | set(current)):
+        if pair[0] in set(exclude_origins):
+            continue
+        before = sorted(baseline.get(pair, ()))
+        after = sorted(current.get(pair, ()))
+        added, removed, _ = multiset_diff(before, after)
+        added_total += len(added)
+        removed_total += len(removed)
+        if before == after:
+            unchanged += 1
+        else:
+            counts["lost" if not after else "gained" if not before else "changed"].append(pair)
+    return ScenarioDiff(
+        *(tuple(counts[kind]) for kind in ("changed", "lost", "gained")),
+        added_total, removed_total, unchanged,
+    )
+
+
+PATH_MAPS = st.dictionaries(
+    st.tuples(st.integers(1, 4), st.integers(10, 12)),
+    st.frozensets(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=3),
+    max_size=8,
+)
 
 
 class TestMultisetDiff:
@@ -98,6 +130,16 @@ class TestDiffPathMaps:
         current = {(pair): set() for pair in self.BASE}
         diff = diff_path_maps(self.BASE, current)
         assert diff.lost == tuple(sorted(self.BASE))
+
+    @given(PATH_MAPS, PATH_MAPS, st.frozensets(st.integers(1, 4), max_size=2))
+    def test_equals_sorting_every_pair(self, baseline, current, excluded):
+        """Path sets are compared before anything is sorted; the answer is
+        the one sorting both sides of every pair gives."""
+        baseline = {pair: tuple(sorted(paths)) for pair, paths in baseline.items()}
+        current = {pair: set(paths) for pair, paths in current.items()}
+        assert diff_path_maps(baseline, current, excluded) == sorted_diff(
+            baseline, current, excluded
+        )
 
     def test_scenario_diff_is_frozen(self):
         diff = ScenarioDiff((), (), (), 0, 0, 0)

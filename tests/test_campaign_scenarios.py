@@ -33,6 +33,7 @@ from repro.campaign import (
     run_campaign,
     whatif,
 )
+from repro.campaign.diffing import diff_path_maps
 from repro.campaign.scenarios import KIND_LINK_FAILURE, crossing_origins, remove_adjacency
 from repro.core.build import build_initial_model
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
@@ -42,6 +43,7 @@ from repro.errors import TopologyError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix, prefix_for_asn
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.parallel import ParallelConfig
 from repro.parallel.protocol import dump_network
 from repro.parallel.worker import WorkingCopy
 from repro.resilience.retry import (
@@ -305,6 +307,40 @@ class TestCrossingOrigins:
         assert sum(simulated) < 0.7 * origins * len(simulated)
         assert min(simulated) < origins / 4
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_settled_pairs_are_counted_not_copied(self, seed):
+        """The diff of crossing pairs alone, settled pairs counted unchanged,
+        equals the whole-map diff: every origin's answers collected, the
+        settled ones copied in from the baseline, every pair compared."""
+        world = seeded_world(seed)
+        every = tuple(world.model.prefix_by_origin.values())
+        warm = WorkingCopy(world.blob, every, MODEL_DECISION_CONFIG)
+        context = dataclasses.replace(world.context, converged_ahead=every)
+        for scenario in generate_depeer(world.model):
+            with warm.perturbed() as network:
+                outcome = scenario.run(network, context, MODEL_DECISION_CONFIG, None)
+                settled = context.origins.keys() - crossing_origins(
+                    context, scenario.asn_a, scenario.asn_b
+                )
+                degraded = {
+                    origin for origin, prefix in context.origins.items()
+                    if str(prefix) in outcome["degraded"]
+                }
+                current = collect_path_map(
+                    network, context.origins, context.observers,
+                    skip_origins=degraded | settled,
+                )
+            for pair, paths in context.baseline_paths.items():
+                if pair[0] in settled:
+                    current[pair] = set(paths)
+            whole = diff_path_maps(
+                context.baseline_paths, current, context.excluded | degraded
+            )
+            assert outcome["diff"] == whole.to_dict(), scenario.key
+            assert whole.unchanged_pairs >= sum(
+                pair[0] in settled for pair in context.baseline_paths
+            )
+
     def test_crossing_set_is_read_off_the_baseline_paths(self, model, context):
         # On the line, AS1's prefix reaches AS3 and AS4 over AS2-AS3 and
         # so does everyone else's: every origin crosses the middle edge.
@@ -420,8 +456,9 @@ class TestConvergeOnceResume:
         )
         assert resumed == named - len(once)
         # One convergence per origin named twice, one simulation per origin
-        # named once; catchment: one for the base, two per failed site.
-        assert simulated == len(twice) + len(once) + 1 + 2 * 2
+        # named once; catchment: one for the base, in the plan, and one per
+        # failed site.
+        assert simulated == len(twice) + len(once) + 1 + 2
         assert not world.model.network._touched  # the model's own network: never
 
     def test_a_campaign_of_one_scenario_converges_nothing_ahead(self):
@@ -437,8 +474,9 @@ class TestConvergeOnceResume:
         assert 0 < len(crossing) < len(world.model.prefix_by_origin)
 
     def test_a_campaign_that_names_no_origin_is_not_planned(self, monkeypatch):
-        """Catchment scenarios read no part of the plan, so the walk over
-        every route-map clause is not made for them."""
+        """Catchment scenarios read no part of the plan but their base
+        catchment, so the walk over every route-map clause is not made for
+        them."""
         world = seeded_world(1)
         scenarios = generate_catchment(
             world.model, sorted(world.model.prefix_by_origin)[:3]
@@ -466,7 +504,7 @@ class TestConvergeOnceResume:
             include_meta=False
         )
         assert report.meta["origins_converged_ahead"] == 0
-        assert (simulated, resumed) == (1 + 2 * 3, 0)
+        assert (simulated, resumed) == (1 + 3, 0)  # the base once, each failure
 
     def test_a_fully_resumed_campaign_is_not_planned(self, monkeypatch, tmp_path):
         """Nor is a campaign with nothing left to run."""
@@ -836,6 +874,37 @@ class TestCatchment:
             run_scenario(
                 model, CatchmentScenario((1, 64999), None), context
             )
+
+
+class TestCatchmentPlan:
+    """A campaign simulates each base catchment once, and its scenarios
+    answer as each does alone, simulating its own base."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("max_messages", [None, 8], ids=["converged", "degraded"])
+    def test_a_planned_base_equals_a_base_per_scenario(self, workers, max_messages):
+        world = seeded_world(1)
+        scenarios = generate_catchment(
+            world.model, sorted(world.model.prefix_by_origin)[:3]
+        )
+        alone = {}
+        for scenario in scenarios:
+            alone[scenario.key], simulated, _ = engine_counts(
+                scenario.run, pickle.loads(world.blob), world.context,
+                MODEL_DECISION_CONFIG, max_messages,
+            )
+            assert simulated == (1 if max_messages or scenario.failed_site is None else 2)
+        degraded = max_messages is not None
+        assert all(bool(detail["degraded"]) == degraded for detail in alone.values())
+        report, simulated, _ = engine_counts(
+            run_campaign, world.model, "catchment", scenarios, world.context,
+            max_messages=max_messages,
+            parallel=ParallelConfig(workers=workers) if workers > 1 else None,
+        )
+        assert {o.key: o.detail for o in report.outcomes} == alone
+        # The base once; a failed site once more, unless the base degraded.
+        assert simulated == 1 + (0 if degraded else len(scenarios) - 1)
+        assert not world.model.network._touched
 
 
 class TestModelRoundTrip:
