@@ -140,8 +140,10 @@ class Histogram:
     def time(self) -> Iterator[None]:
         """Observe the wall-clock of a block: ``with histo.time(): ...``.
 
-        The serving layer wraps each query with this so latency
-        percentiles accumulate without per-call-site clock bookkeeping.
+        Certification times each pass with this.  A per-call hot path
+        (the serving engine's queries) reads ``time.perf_counter()``
+        itself and calls :meth:`observe`: the generator would cost about
+        as much as the cached answer it timed.
         """
         started = time.perf_counter()
         try:

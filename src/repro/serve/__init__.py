@@ -10,9 +10,8 @@ package splits that cost in two:
   (origin, observer) answer into a versioned, checksummed
   :class:`~repro.serve.artifact.PredictionArtifact` file.
 * :mod:`repro.serve.engine` — load an artifact read-only and answer
-  ``paths`` / ``diversity`` / ``lookup`` (plus batch variants) through a
-  bounded LRU cache, with ``serve.*`` metrics flowing through the
-  observability registry.
+  ``paths`` / ``diversity`` / ``lookup`` through a bounded LRU cache,
+  with ``serve.*`` metrics flowing through the observability registry.
 * :mod:`repro.serve.http` — a stdlib-only threaded HTTP/JSON API
   (``repro serve``) with structured errors and a graceful
   SIGINT/SIGTERM drain.

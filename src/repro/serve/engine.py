@@ -8,13 +8,16 @@ read-only and answers the three serving questions —
 * ``lookup(target, observer)`` — longest-prefix-match an address or
   prefix onto its covering origin, then answer as ``paths``
 
-— plus batch variants, through a bounded LRU cache.  Every query flows
-through the PR-3 metrics registry (``serve.*`` counters and a
-``serve.query_seconds`` histogram), so ``repro stats`` renders serving
-runs like any other.  The engine is thread-safe: the HTTP layer calls it
-from one thread per connection, and a single lock guards the cache and
-the registry (an artifact query is dict/trie reads — the lock is never
-held across anything slow).
+— through a bounded LRU cache.  Every query flows through the
+metrics registry (``serve.*`` counters and a ``serve.query_seconds``
+histogram), so ``repro stats`` renders serving runs like any other.  A
+query pays only for its answer: it takes the engine lock once and reads
+the clock twice, on hits, misses and errors alike, and the origins'
+canonical-prefix text is rendered once when the engine is built.  The
+engine is thread-safe: the HTTP layer calls it from one thread per
+connection, and the one lock guards the cache and the registry (an
+artifact query is dict/trie reads — the lock is never held across
+anything slow).
 
 Failures are typed, never empty-but-wrong: asking about an ASN the
 artifact does not know raises :class:`QueryError` with a ``kind`` the
@@ -27,9 +30,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from time import perf_counter
 
 from repro.errors import ParseError, ReproError
-from repro.net.ip import ip_from_string
+from repro.net.ip import MAX_IPV4, ip_from_string
 from repro.net.prefix import Prefix
 from repro.net.trie import PrefixTrie
 from repro.obs.metrics import get_registry
@@ -43,6 +47,9 @@ UNKNOWN_OBSERVER = "unknown-observer"
 UNKNOWN_TARGET = "unknown-target"
 BAD_TARGET = "bad-target"
 QUARANTINED = "quarantined"
+
+_TARGET_TYPES = (str, int, Prefix)
+"""Lookup targets cached as given; any other type is asked as its text."""
 
 
 class QueryError(ReproError):
@@ -153,6 +160,11 @@ class QueryEngine:
         self._observer_set = set(artifact.observers)
         self._quarantined_origins = artifact.quarantined_origins()
         self._origin_trie: PrefixTrie[int] = artifact.origin_trie()
+        # Every answer names its origin's canonical prefix: render each
+        # once here, not per miss.
+        self._prefix_text = {
+            asn: str(prefix) for asn, prefix in artifact.origins.items()
+        }
         self._observer_tries: dict[int, PrefixTrie] = {}
         registry = get_registry()
         self._queries = registry.counter("serve.queries")
@@ -185,10 +197,14 @@ class QueryEngine:
         """Longest-prefix-match ``target`` and answer for its origin.
 
         ``target`` may be a dotted address, a CIDR string, a bare 32-bit
-        address or a :class:`~repro.net.prefix.Prefix`.
+        address or a :class:`~repro.net.prefix.Prefix`, and is cached as
+        given: the int ``a`` and the string ``str(a)`` are two questions.
+        A target of any other type (an ``IPv4Address``, which equals its
+        int) is asked as its text.
         """
-        key = ("lookup", str(target), observer)
-        return self._answer(key, lambda k: self._lookup_uncached(target, observer))
+        if type(target) not in _TARGET_TYPES:
+            target = str(target)
+        return self._answer(("lookup", target, observer), self._lookup_uncached)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -220,34 +236,43 @@ class QueryEngine:
     # ------------------------------------------------------------------
 
     def _answer(self, key: tuple, compute):
-        """One cache-or-compute round with metrics, under the lock."""
+        """One cache-or-compute round with metrics, under the lock.
+
+        One clock pair per query, observed on hits, misses and errors
+        alike.
+        """
+        own = self._own
+        cache = self._cache
         with self._lock:
+            started = perf_counter()
             self._queries.inc()
-            self._own["queries"] += 1
-            with self._latency.time():
-                cached = self._cache.get(key)
+            own["queries"] += 1
+            try:
+                cached = cache.get(key)
                 if cached is not None:
-                    self._cache.move_to_end(key)
+                    cache.move_to_end(key)
                     self._hits.inc()
-                    self._own["hits"] += 1
+                    own["hits"] += 1
                     return cached
                 self._misses.inc()
-                self._own["misses"] += 1
+                own["misses"] += 1
                 try:
                     answer = compute(key)
                 except QueryError:
                     self._errors.inc()
-                    self._own["errors"] += 1
+                    own["errors"] += 1
                     raise
-                self._cache[key] = answer
-                if len(self._cache) > self.cache_size:
-                    self._cache.popitem(last=False)
-                self._cache_gauge.set(len(self._cache))
+                cache[key] = answer
+                if len(cache) > self.cache_size:
+                    cache.popitem(last=False)
+                self._cache_gauge.set(len(cache))
                 return answer
+            finally:
+                self._latency.observe(perf_counter() - started)
 
-    def _validate_pair(self, origin: int, observer: int) -> Prefix:
-        artifact = self.artifact
-        prefix = artifact.origins.get(origin)
+    def _validate_pair(self, origin: int, observer: int) -> str:
+        """The origin's canonical-prefix text, once the pair is answerable."""
+        prefix = self._prefix_text.get(origin)
         if prefix is None:
             raise QueryError(
                 UNKNOWN_ORIGIN,
@@ -272,8 +297,7 @@ class QueryEngine:
         prefix = self._validate_pair(origin, observer)
         path_set = self.artifact.paths.get((origin, observer), ())
         return PathsAnswer(
-            origin=origin, observer=observer, prefix=str(prefix),
-            paths=path_set,
+            origin=origin, observer=observer, prefix=prefix, paths=path_set,
         )
 
     def _diversity_uncached(self, key: tuple) -> DiversityAnswer:
@@ -287,16 +311,15 @@ class QueryEngine:
         return DiversityAnswer(
             origin=origin,
             observer=observer,
-            prefix=str(prefix),
+            prefix=prefix,
             path_count=len(path_set),
             next_hops=next_hops,
             min_length=min(lengths) if lengths else 0,
             max_length=max(lengths) if lengths else 0,
         )
 
-    def _lookup_uncached(
-        self, target: str | int | Prefix, observer: int
-    ) -> LookupAnswer:
+    def _lookup_uncached(self, key: tuple) -> LookupAnswer:
+        _, target, observer = key
         if observer not in self._observer_set:
             raise QueryError(
                 UNKNOWN_OBSERVER,
@@ -309,9 +332,9 @@ class QueryEngine:
             self._observer_tries[observer] = trie
         hit = trie.longest_match(resolved)
         if hit is not None:
-            matched, (origin, path_set) = hit
+            _, (origin, path_set) = hit
             return LookupAnswer(
-                target=str(target), matched_prefix=str(matched),
+                target=str(target), matched_prefix=self._prefix_text[origin],
                 origin=origin, observer=observer, paths=path_set,
             )
         # Not in this observer's table: either the covering origin is
@@ -323,7 +346,7 @@ class QueryEngine:
                 UNKNOWN_TARGET,
                 f"no canonical prefix covers {target}",
             )
-        matched, origin = fallback
+        origin = fallback[1]
         if origin in self._quarantined_origins:
             raise QueryError(
                 QUARANTINED,
@@ -331,16 +354,22 @@ class QueryEngine:
                 "compile time (no trustworthy answers)",
             )
         return LookupAnswer(
-            target=str(target), matched_prefix=str(matched),
+            target=str(target), matched_prefix=self._prefix_text[origin],
             origin=origin, observer=observer, paths=(),
         )
 
     @staticmethod
     def _parse_target(target: str | int | Prefix) -> Prefix | int:
         """Normalise a lookup target to what the trie understands."""
-        if isinstance(target, (Prefix, int)):
+        if isinstance(target, Prefix):
             return target
-        text = str(target).strip()
+        if isinstance(target, int):
+            if 0 <= target <= MAX_IPV4:
+                return target
+            raise QueryError(
+                BAD_TARGET, f"lookup target {target} is not a 32-bit address"
+            )
+        text = target.strip()
         try:
             if "/" in text:
                 return Prefix(text)

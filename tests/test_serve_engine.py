@@ -1,12 +1,17 @@
 """Tests for the cached query engine over a hand-built artifact."""
 
+import pickle
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.model import ASRoutingModel
+from repro.net.ip import IPv4Address, ip_to_string
 from repro.net.prefix import prefix_for_asn
 from repro.obs.metrics import get_registry
-from repro.serve import QueryEngine, QueryError, build_artifact
+from repro.serve import QueryEngine, QueryError, build_artifact, compile_artifact
 from repro.serve.engine import (
     BAD_TARGET,
     QUARANTINED,
@@ -14,6 +19,7 @@ from repro.serve.engine import (
     UNKNOWN_ORIGIN,
     UNKNOWN_TARGET,
 )
+from tests.oracle import seeded_world
 
 
 @pytest.fixture(autouse=True)
@@ -23,8 +29,7 @@ def clean_registry():
     get_registry().reset()
 
 
-@pytest.fixture
-def artifact():
+def diamond_artifact():
     # Diamond 1-{2,3}-4 plus quarantined origin 7.  Observer 5 has no
     # path to AS 4 (known pair, empty answer = unreachable).
     return build_artifact(
@@ -44,6 +49,11 @@ def artifact():
         quarantined=[prefix_for_asn(7)],
         meta={"argv": ["test"]},
     )
+
+
+@pytest.fixture
+def artifact():
+    return diamond_artifact()
 
 
 @pytest.fixture
@@ -140,6 +150,55 @@ class TestLookup:
             engine.lookup(str(prefix_for_asn(4)), 999)
         assert excinfo.value.kind == UNKNOWN_OBSERVER
 
+    @pytest.mark.parametrize("string_first", [True, False])
+    def test_an_address_and_its_decimal_string_are_two_questions(
+        self, engine, string_first
+    ):
+        # The int is an address; its decimal text is not dotted-quad.
+        address = prefix_for_asn(4).network + 1
+        calls = [str(address), address]
+        if not string_first:
+            calls.reverse()
+        for target in calls:
+            if isinstance(target, str):
+                with pytest.raises(QueryError) as excinfo:
+                    engine.lookup(target, 1)
+                assert excinfo.value.kind == BAD_TARGET
+            else:
+                answer = engine.lookup(target, 1)
+                assert answer.origin == 4
+                assert answer.target == str(address)
+        stats = engine.cache_stats()
+        assert (stats["hits"], stats["misses"], stats["errors"]) == (0, 2, 1)
+
+    def test_a_target_of_another_type_is_asked_as_its_text(self, engine):
+        # IPv4Address(a) == a and hashes alike, but it is asked as its text.
+        address = prefix_for_asn(4).network + 1
+        text = ip_to_string(address)
+        assert engine.lookup(address, 1).target == str(address)
+        answer = engine.lookup(IPv4Address(address), 1)
+        assert (answer.target, answer.origin) == (text, 4)
+        assert engine.lookup(text, 1) is answer
+        with pytest.raises(QueryError) as excinfo:
+            engine.lookup([text], 1)  # unhashable, and not an address
+        assert excinfo.value.kind == BAD_TARGET
+        stats = engine.cache_stats()
+        assert (stats["hits"], stats["misses"], stats["errors"]) == (1, 3, 1)
+
+    @pytest.mark.parametrize(
+        "target", [-1, 2**32, 2**32 + prefix_for_asn(4).network + 1]
+    )
+    def test_an_int_outside_32_bits_is_a_bad_target(self, engine, target):
+        with pytest.raises(QueryError) as excinfo:
+            engine.lookup(target, 1)
+        assert excinfo.value.kind == BAD_TARGET
+        assert get_registry().counter("serve.errors").value == 1
+
+    def test_the_highest_address_is_a_target(self, engine):
+        with pytest.raises(QueryError) as excinfo:
+            engine.lookup(2**32 - 1, 1)
+        assert excinfo.value.kind == UNKNOWN_TARGET
+
 
 class TestCache:
     def test_hits_and_misses_counted(self, engine):
@@ -210,6 +269,102 @@ class TestCache:
         stats = engine.cache_stats()
         assert stats["queries"] == 8 * 50 * 3
         assert stats["hits"] + stats["misses"] == stats["queries"]
+
+
+# Every kind of answer and every QueryError kind the diamond can give.
+PAIR_ASNS = st.sampled_from([1, 4, 7, 999])
+OBSERVERS = st.sampled_from([1, 2, 4, 5, 999])
+TARGETS = st.sampled_from([
+    ip_to_string(prefix_for_asn(4).network + 1),  # answered
+    prefix_for_asn(4).network + 1,                # the same, as an int
+    str(prefix_for_asn(1)),                       # a CIDR string
+    prefix_for_asn(4),                            # a Prefix
+    IPv4Address(prefix_for_asn(1).network + 1),   # asked as its text
+    str(prefix_for_asn(7)),                       # quarantined
+    "200.0.0.1",                                  # unknown-target
+    "not-an-ip",                                  # bad-target
+    2**32 + prefix_for_asn(4).network + 1,        # bad-target
+])
+CALLS = st.one_of(
+    st.tuples(st.just("paths"), PAIR_ASNS, OBSERVERS),
+    st.tuples(st.just("diversity"), PAIR_ASNS, OBSERVERS),
+    st.tuples(st.just("lookup"), TARGETS, OBSERVERS),
+)
+
+
+class TestAccounting:
+    @settings(max_examples=60, deadline=None)
+    @given(calls=st.lists(CALLS, max_size=40), capacity=st.integers(1, 4))
+    @example(
+        calls=[("lookup", 2**32 + prefix_for_asn(4).network + 1, 1)], capacity=1
+    )
+    def test_every_query_is_counted_once_and_errors_never_cached(
+        self, calls, capacity
+    ):
+        registry = get_registry()
+        registry.reset()
+        engine = QueryEngine(diamond_artifact(), cache_size=capacity)
+        raises = 0
+        for kind, first, observer in calls:
+            before = engine.cache_stats()
+            try:
+                getattr(engine, kind)(first, observer)
+            except QueryError:
+                raises += 1
+                after = engine.cache_stats()
+                # A failing question is never answered from, nor stored in,
+                # the cache: the same call raises as a miss each time.
+                assert after["hits"] == before["hits"]
+                assert after["misses"] == before["misses"] + 1
+                assert after["entries"] == before["entries"]
+            assert engine.cache_stats()["entries"] <= capacity
+        stats = engine.cache_stats()
+        queries = registry.counter("serve.queries").value
+        assert registry.histogram("serve.query_seconds").count == queries
+        assert queries == stats["queries"] == len(calls)
+        assert queries == stats["hits"] + stats["misses"]
+        assert queries == (
+            registry.counter("serve.cache_hits").value
+            + registry.counter("serve.cache_misses").value
+        )
+        assert registry.counter("serve.errors").value == stats["errors"] == raises
+
+
+class TestAnswersUnchanged:
+    """Every answer equals the one read straight off the artifact."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_pair_of_a_compiled_world(self, seed):
+        model = ASRoutingModel.from_network(pickle.loads(seeded_world(seed).blob))
+        artifact, _ = compile_artifact(model)
+        assert not artifact.quarantined
+        engine = QueryEngine(artifact)
+        for origin, prefix in artifact.origins.items():
+            text = str(artifact.origins[origin])
+            inside = prefix.network + 1
+            for observer in artifact.observers:
+                path_set = artifact.paths.get((origin, observer), ())
+                paths = [list(path) for path in path_set]
+                hops = [len(path) - 1 for path in path_set]
+                routed = {
+                    "origin": origin, "observer": observer, "prefix": text,
+                    "reachable": bool(path_set), "paths": paths,
+                }
+                assert engine.paths(origin, observer).to_dict() == routed
+                assert engine.diversity(origin, observer).to_dict() == {
+                    "origin": origin, "observer": observer, "prefix": text,
+                    "path_count": len(path_set),
+                    "multipath": len(path_set) > 1,
+                    "next_hops": sorted({p[1] for p in path_set if len(p) > 1}),
+                    "min_length": min(hops, default=0),
+                    "max_length": max(hops, default=0),
+                }
+                for target in (ip_to_string(inside), inside):
+                    assert engine.lookup(target, observer).to_dict() == {
+                        "target": str(target), "matched_prefix": text,
+                        "origin": origin, "observer": observer,
+                        "reachable": bool(path_set), "paths": paths,
+                    }
 
 
 class TestDescribe:
