@@ -181,10 +181,11 @@ class _PrefixRun:
     routers' dicts are written through on every change, so an exception
     leaves the same partial state as ever), ``touched`` is the network's
     own touched set, and ``ranks`` holds the decision key of every
-    ``loc_rib`` entry, written and dropped with it: ``rank``, or
-    ``rank_at`` (rank with the router's hot-potato cost) under a config
-    with an IGP.  Under per-neighbour MED ``meds`` counts each router's
-    Adj-RIB-In routes with a non-default MED.  All of it depends on the
+    ``loc_rib`` entry the run decided, written and dropped with it, and
+    of a best a resume found standing once a decision first reads it:
+    ``rank``, or ``rank_at`` (rank with the router's hot-potato cost)
+    under a config with an IGP.  Under per-neighbour MED ``meds`` counts
+    each router's Adj-RIB-In routes with a non-default MED.  All of it depends on the
     config alone; ``tracer`` and ``profiler`` only observe.
     :func:`simulate_prefix` starts it empty, :func:`resume_prefix` from
     what the routers hold.  A resume inside a perturbation holds the
@@ -358,8 +359,7 @@ def resume_prefix(
     routers = network.routers
     # A router missing from the working set reads as one holding nothing,
     # so all that is held goes in (Adj-RIB-Outs are aliased on first use).
-    ribs_in, loc_rib, ranks, meds = run.rib_in, run.loc_rib, run.ranks, run.meds
-    rank_at = run.rank_at
+    ribs_in, loc_rib, meds = run.rib_in, run.loc_rib, run.meds
     for router_id in run.touched:
         router = routers[router_id]
         rib_in = router.adj_rib_in.get(prefix)
@@ -370,7 +370,6 @@ def resume_prefix(
         best = router.loc_rib.get(prefix)
         if best is not None:
             loc_rib[router_id] = best
-            ranks[router_id] = rank_at(run, router, best) if rank_at else rank(best)
     for router_id in network.originators(prefix):
         run.local[router_id] = routers[router_id].local_routes[prefix]
 
@@ -625,7 +624,13 @@ def _decide_and_export(
             else:
                 stats.candidates_ranked += 2
                 best_rank = rank_at(run, router, arrived) if rank_at else rank(arrived)
-                if not ranks[router_id] < best_rank:
+                held_rank = ranks.get(router_id)
+                if held_rank is None:
+                    # A best a resume found standing is ranked on first use.
+                    held_rank = ranks[router_id] = (
+                        rank_at(run, router, best) if rank_at else rank(best)
+                    )
+                if not held_rank < best_rank:
                     best = arrived
         else:
             rib_in = run.rib_in.get(router_id)
@@ -655,7 +660,7 @@ def _decide_and_export(
             if best is None:
                 del loc_rib[router_id]
                 router.loc_rib.pop(prefix, None)
-                del ranks[router_id]
+                ranks.pop(router_id, None)
             else:
                 loc_rib[router_id] = router.loc_rib[prefix] = best
                 ranks[router_id] = best_rank or (

@@ -90,7 +90,10 @@ def selected_paths(
     (observer first, origin last).
     """
     paths: set[tuple[int, ...]] = set()
-    for router in network.as_routers(observer_asn):
+    node = network.ases.get(observer_asn)
+    if node is None:
+        return paths
+    for router in node.routers:
         best = router.best(prefix)
         if best is not None:
             paths.add((observer_asn,) + best.as_path)

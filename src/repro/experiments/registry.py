@@ -156,6 +156,11 @@ def _serve_resilience(result: ExperimentResult) -> None:
     m = result.metrics
     _require(m["reload_dropped_requests"] == 0, "a hot reload drops nothing")
     _require(m["corrupt_reload_dropped_requests"] == 0, "nor does a corrupted one")
+    _require(m["accounting_scrapes"] > 0, "the serving counters were scraped")
+    _require(
+        m["accounting_mismatches"] == 0,
+        "no query is lost from the serving counters across a reload",
+    )
     _require(m["degraded_observed"] == 1, "a corrupted reload is surfaced")
     _require(
         m["kill_recovery_seconds"] <= serve_chaos.KILL_RECOVERY_BOUND,

@@ -7,6 +7,8 @@ slow client squatting a connection, and a final SIGTERM drain — and
 asserts the availability contract from ISSUE 9:
 
 * zero requests dropped across hot reloads (the RCU swap is invisible),
+* no query lost from the ``serve.*`` accounting while a reload's old and
+  new engines overlap (``accounting_mismatches``),
 * a corrupted reload leaves the old artifact serving (degraded, loudly),
 * a killed worker is replaced within a bounded interval while its
   siblings keep answering,
@@ -33,6 +35,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,9 +178,18 @@ class _LoadGenerator:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
+        # Guards the two flags below; paused() waits on it for the
+        # request in flight to finish.
+        self._gate = threading.Condition()
+        self._paused = False
+        self._inflight = False
 
     def _run(self) -> None:
         while not self._stop.is_set():
+            with self._gate:
+                while self._paused:
+                    self._gate.wait()
+                self._inflight = True
             started = time.perf_counter()
             status, _, _ = _request(
                 self.address, QUERY, timeout=self.timeout
@@ -186,6 +198,23 @@ class _LoadGenerator:
                 self.outcomes.append(
                     (status, time.perf_counter() - started)
                 )
+            with self._gate:
+                self._inflight = False
+                self._gate.notify_all()
+
+    @contextmanager
+    def paused(self):
+        """No request in flight or sent for the duration of the block."""
+        with self._gate:
+            self._paused = True
+            while self._inflight:
+                self._gate.wait()
+        try:
+            yield
+        finally:
+            with self._gate:
+                self._paused = False
+                self._gate.notify_all()
 
     def start(self) -> "_LoadGenerator":
         self._thread.start()
@@ -227,6 +256,35 @@ def _await_fleet(
     assert len(bodies) == workers, \
         f"only {len(bodies)} of {workers} worker(s) {claim} within {timeout}s"
     return bodies
+
+
+def _check_accounting(
+    result: ExperimentResult, address: str, workers: int, load: _LoadGenerator
+) -> None:
+    """Scrape ``/metrics`` with the load paused and count the scrapes
+    whose ``serve.queries`` is not hits + misses or the latency count.
+
+    Each worker keeps its own registry and the kernel picks which one
+    answers, so a phase scrapes twice per worker.  Paused, no query is
+    half-counted: a mismatch is an update lost while a reload's old and
+    new engines wrote the same instruments.  ``accounting_scrapes``
+    counts the scrapes that had counted a query at all.
+    """
+    metrics = result.metrics
+    with load.paused():
+        for _ in range(2 * workers):
+            status, _, body = _request(address, "/metrics?format=json")
+            assert status == 200, f"/metrics answered {status}"
+            counters = body["counters"]
+            queries = counters.get("serve.queries", 0)
+            answered = counters.get("serve.cache_hits", 0) + counters.get(
+                "serve.cache_misses", 0
+            )
+            timed = body["histograms"].get("serve.query_seconds", {})
+            if queries:
+                metrics["accounting_scrapes"] += 1
+            if queries != answered or queries != timed.get("count", 0):
+                metrics["accounting_mismatches"] += 1
 
 
 def _serves(checksum: str):
@@ -272,6 +330,8 @@ def run(
         _await_fleet(address, config.workers, _serves(checksums[1]),
                      BOOT_TIMEOUT, "reported healthy")
         load = _LoadGenerator(address, REQUEST_TIMEOUT).start()
+        result.metrics["accounting_scrapes"] = 0
+        result.metrics["accounting_mismatches"] = 0
 
         _phase_hot_reload(config, result, process, address, load,
                           artifact, checksums)
@@ -322,6 +382,7 @@ def _phase_hot_reload(
     )
     result.add_row("hot-reload", len(outcomes), dropped,
                    f"swapped to {checksums[2][:12]}")
+    _check_accounting(result, address, config.workers, load)
     result.metrics["reload_dropped_requests"] = dropped
     result.metrics["reload_requests"] = len(outcomes)
 
@@ -363,6 +424,7 @@ def _phase_corrupted_reload(
     )
     result.add_row("corrupted-reload", len(outcomes), dropped,
                    "degraded surfaced, old artifact kept serving")
+    _check_accounting(result, address, config.workers, load)
     result.metrics["degraded_observed"] = 1
     result.metrics["corrupt_reload_dropped_requests"] = dropped
 

@@ -13,8 +13,12 @@ Hot paths hold on to the instrument object rather than looking it up per
 observation; an increment is then one lock acquire and an integer add.
 The simulation engine is single-threaded, but the serving layer observes
 from HTTP handler threads, so every instrument guards its mutable state
-with its own :class:`threading.Lock` and instrument creation is guarded
-by a registry-level lock.
+with a :class:`threading.Lock` and instrument creation is guarded by a
+registry-level lock.  An instrument has a lock of its own unless it is
+created on one its writers already hold (``registry.counter(name,
+lock)``): they then update it under that lock with no second acquire,
+adding to ``value`` directly or calling :meth:`Histogram.record`.  An
+instrument never has two locks: asking for it with another one raises.
 
 Histograms keep exact count/sum/min/max but bound their memory with a
 fixed-size reservoir (Vitter's algorithm R): every observation still
@@ -115,26 +119,43 @@ class Histogram:
         self._lock = threading.Lock()
 
     def _sample(self, value: float) -> None:
-        """Algorithm R: keep each of the first N seen, then replace."""
+        """Algorithm R: keep each of the first N seen, then replace.
+
+        :meth:`record` inlines this.  The replacement slot is
+        ``int(random() * seen)``: uniform over ``range(seen)`` to within
+        2**-53, and cheaper than ``randrange(seen)``.
+        """
         self._seen += 1
         if len(self._reservoir) < self.reservoir_size:
             self._reservoir.append(value)
         else:
-            slot = self._rng.randrange(self._seen)
+            slot = int(self._rng.random() * self._seen)
             if slot < self.reservoir_size:
                 self._reservoir[slot] = value
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        value = float(value)
         with self._lock:
-            self._count += 1
-            self._sum += value
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-            self._sample(value)
+            self.record(float(value))
+
+    def record(self, value: float) -> None:
+        """Record one float observation; the caller holds this
+        histogram's lock (a writer that created it on a lock it already
+        holds, such as the serving engine's)."""
+        self._count += 1
+        self._sum += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
+        seen = self._seen = self._seen + 1
+        reservoir = self._reservoir
+        if len(reservoir) < self.reservoir_size:
+            reservoir.append(value)
+        else:
+            slot = int(self._rng.random() * seen)
+            if slot < self.reservoir_size:
+                reservoir[slot] = value
 
     @contextmanager
     def time(self) -> Iterator[None]:
@@ -142,8 +163,8 @@ class Histogram:
 
         Certification times each pass with this.  A per-call hot path
         (the serving engine's queries) reads ``time.perf_counter()``
-        itself and calls :meth:`observe`: the generator would cost about
-        as much as the cached answer it timed.
+        itself and calls :meth:`record` under the lock it holds: the
+        generator would cost about as much as the cached answer it timed.
         """
         started = time.perf_counter()
         try:
@@ -247,7 +268,8 @@ class MetricsRegistry:
 
     Creation is serialised by a registry-level lock so concurrent
     first-use of the same name from two threads lands on one instrument;
-    the instruments themselves carry their own locks for observation.
+    the instruments themselves carry their own locks for observation,
+    or the lock they were created on.
     """
 
     def __init__(self) -> None:
@@ -256,34 +278,43 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
         self._lock = threading.Lock()
 
-    def counter(self, name: str) -> Counter:
+    def counter(self, name: str, lock: threading.Lock | None = None) -> Counter:
         """The counter called ``name`` (created at 0 if new)."""
-        instrument = self._counters.get(name)
-        if instrument is None:
-            with self._lock:
-                instrument = self._counters.get(name)
-                if instrument is None:
-                    instrument = self._counters[name] = Counter(name)
-        return instrument
+        return self._instrument(self._counters, Counter, name, lock)
 
-    def gauge(self, name: str) -> Gauge:
+    def gauge(self, name: str, lock: threading.Lock | None = None) -> Gauge:
         """The gauge called ``name`` (created at 0 if new)."""
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            with self._lock:
-                instrument = self._gauges.get(name)
-                if instrument is None:
-                    instrument = self._gauges[name] = Gauge(name)
-        return instrument
+        return self._instrument(self._gauges, Gauge, name, lock)
 
-    def histogram(self, name: str) -> Histogram:
+    def histogram(
+        self, name: str, lock: threading.Lock | None = None
+    ) -> Histogram:
         """The histogram called ``name`` (created empty if new)."""
-        instrument = self._histograms.get(name)
+        return self._instrument(self._histograms, Histogram, name, lock)
+
+    def _instrument(
+        self, table: dict, kind: type, name: str, lock: threading.Lock | None
+    ):
+        """``table[name]``, created as ``kind(name)`` if new.
+
+        With ``lock``, a new instrument is created on that lock, and an
+        existing one must already be on it: :class:`ValueError` names an
+        instrument asked for with another lock, so no instrument is ever
+        written under two.
+        """
+        instrument = table.get(name)
         if instrument is None:
             with self._lock:
-                instrument = self._histograms.get(name)
+                instrument = table.get(name)
                 if instrument is None:
-                    instrument = self._histograms[name] = Histogram(name)
+                    instrument = kind(name)
+                    if lock is not None:
+                        instrument._lock = lock
+                    table[name] = instrument
+        if lock is not None and instrument._lock is not lock:
+            raise ValueError(
+                f"instrument {name!r} is already bound to another lock"
+            )
         return instrument
 
     def dump_raw(self) -> dict:

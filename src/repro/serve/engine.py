@@ -11,13 +11,18 @@ read-only and answers the three serving questions —
 — through a bounded LRU cache.  Every query flows through the
 metrics registry (``serve.*`` counters and a ``serve.query_seconds``
 histogram), so ``repro stats`` renders serving runs like any other.  A
-query pays only for its answer: it takes the engine lock once and reads
-the clock twice, on hits, misses and errors alike, and the origins'
+query pays only for its answer: it takes one lock once and reads the
+clock twice, on hits, misses and errors alike, and the origins'
 canonical-prefix text is rendered once when the engine is built.  The
 engine is thread-safe: the HTTP layer calls it from one thread per
-connection, and the one lock guards the cache and the registry (an
-artifact query is dict/trie reads — the lock is never held across
-anything slow).
+connection.  Every engine in the process shares one serving lock, and
+the ``serve.*`` instruments are created on it, so a query does its
+cache work and all of its bookkeeping under that one acquire.  The lock
+is process-wide rather than per engine because a hot reload overlaps
+two engines writing the same instruments: the old one finishes its
+in-flight queries while the new one answers, and one lock keeps their
+updates from being lost.  An artifact query is dict/trie reads, so the
+lock is never held across anything slow.
 
 Failures are typed, never empty-but-wrong: asking about an ASN the
 artifact does not know raises :class:`QueryError` with a ``kind`` the
@@ -47,6 +52,9 @@ UNKNOWN_OBSERVER = "unknown-observer"
 UNKNOWN_TARGET = "unknown-target"
 BAD_TARGET = "bad-target"
 QUARANTINED = "quarantined"
+
+_SERVE_LOCK = threading.Lock()
+"""Guards every engine's cache and the ``serve.*`` instruments."""
 
 _TARGET_TYPES = (str, int, Prefix)
 """Lookup targets cached as given; any other type is asked as its text."""
@@ -156,7 +164,6 @@ class QueryEngine:
         self.artifact = artifact
         self.cache_size = cache_size
         self._cache: OrderedDict[tuple, object] = OrderedDict()
-        self._lock = threading.Lock()
         self._observer_set = set(artifact.observers)
         self._quarantined_origins = artifact.quarantined_origins()
         self._origin_trie: PrefixTrie[int] = artifact.origin_trie()
@@ -167,13 +174,13 @@ class QueryEngine:
         }
         self._observer_tries: dict[int, PrefixTrie] = {}
         registry = get_registry()
-        self._queries = registry.counter("serve.queries")
-        self._hits = registry.counter("serve.cache_hits")
-        self._misses = registry.counter("serve.cache_misses")
-        self._errors = registry.counter("serve.errors")
-        self._latency = registry.histogram("serve.query_seconds")
-        registry.gauge("serve.cache_size").set(0)
-        self._cache_gauge = registry.gauge("serve.cache_size")
+        self._queries = registry.counter("serve.queries", _SERVE_LOCK)
+        self._hits = registry.counter("serve.cache_hits", _SERVE_LOCK)
+        self._misses = registry.counter("serve.cache_misses", _SERVE_LOCK)
+        self._errors = registry.counter("serve.errors", _SERVE_LOCK)
+        self._latency = registry.histogram("serve.query_seconds", _SERVE_LOCK)
+        self._cache_gauge = registry.gauge("serve.cache_size", _SERVE_LOCK)
+        self._cache_gauge.set(0)
         # Registry counters are process-global (shared across engines, by
         # design — 'repro stats' wants totals); cache_stats() reports
         # this engine alone, so it keeps its own tallies.
@@ -212,7 +219,7 @@ class QueryEngine:
 
     def cache_stats(self) -> dict:
         """Cache occupancy and hit counters (for /healthz and tests)."""
-        with self._lock:
+        with _SERVE_LOCK:
             return {
                 "entries": len(self._cache),
                 "capacity": self.cache_size,
@@ -236,39 +243,42 @@ class QueryEngine:
     # ------------------------------------------------------------------
 
     def _answer(self, key: tuple, compute):
-        """One cache-or-compute round with metrics, under the lock.
+        """One cache-or-compute round with metrics, under the serving lock.
 
-        One clock pair per query, observed on hits, misses and errors
-        alike.
+        The ``serve.*`` instruments are on that lock, so they are
+        written directly: one clock pair per query, recorded on hits,
+        misses and errors alike, and the cache-size gauge set only when
+        the size changes.
         """
         own = self._own
         cache = self._cache
-        with self._lock:
+        with _SERVE_LOCK:
             started = perf_counter()
-            self._queries.inc()
+            self._queries.value += 1
             own["queries"] += 1
             try:
                 cached = cache.get(key)
                 if cached is not None:
                     cache.move_to_end(key)
-                    self._hits.inc()
+                    self._hits.value += 1
                     own["hits"] += 1
                     return cached
-                self._misses.inc()
+                self._misses.value += 1
                 own["misses"] += 1
                 try:
                     answer = compute(key)
                 except QueryError:
-                    self._errors.inc()
+                    self._errors.value += 1
                     own["errors"] += 1
                     raise
                 cache[key] = answer
                 if len(cache) > self.cache_size:
                     cache.popitem(last=False)
-                self._cache_gauge.set(len(cache))
+                else:
+                    self._cache_gauge.value = float(len(cache))
                 return answer
             finally:
-                self._latency.observe(perf_counter() - started)
+                self._latency.record(perf_counter() - started)
 
     def _validate_pair(self, origin: int, observer: int) -> str:
         """The origin's canonical-prefix text, once the pair is answerable."""

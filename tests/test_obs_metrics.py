@@ -117,6 +117,23 @@ class TestHistogramReservoir:
             b.observe(value)
         assert a.summary() == b.summary()
 
+    def test_record_under_the_lock_summarises_as_observe_does(self):
+        """``record`` is ``observe``'s body: mixing the two, past the
+        reservoir bound, keeps the very reservoir ``observe`` alone keeps."""
+        values = [float((i * 7_919) % 10_007) for i in range(2_000)]
+        observed = Histogram("same-name", reservoir_size=256)
+        mixed = Histogram("same-name", reservoir_size=256)
+        for index, value in enumerate(values):
+            observed.observe(value)
+            if index < 300 or index % 3:
+                mixed.observe(value)
+            else:
+                with mixed._lock:
+                    mixed.record(value)
+        assert mixed.count == len(values) > mixed.reservoir_size
+        assert mixed._reservoir == observed._reservoir
+        assert mixed.summary() == observed.summary()
+
     def test_rejects_nonpositive_reservoir(self):
         with pytest.raises(ValueError):
             Histogram("h", reservoir_size=0)
@@ -245,6 +262,23 @@ class TestRegistry:
         assert registry.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {},
         }
+
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram"])
+    def test_an_instrument_is_bound_to_one_lock(self, kind):
+        registry = MetricsRegistry()
+        make = getattr(registry, kind)
+        lock = threading.Lock()
+        instrument = make("bound", lock)
+        assert instrument._lock is lock
+        assert make("bound", lock) is instrument
+        assert make("bound") is instrument
+        with pytest.raises(ValueError, match="'bound'"):
+            make("bound", threading.Lock())
+        # One created without a lock has its own, and keeps it.
+        own = make("own")
+        with pytest.raises(ValueError, match="'own'"):
+            make("own", lock)
+        assert own._lock is not lock
 
     def test_global_registry_swap_and_restore(self):
         fresh = MetricsRegistry()

@@ -1,6 +1,7 @@
 """Tests for the cached query engine over a hand-built artifact."""
 
 import pickle
+import sys
 import threading
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core.model import ASRoutingModel
 from repro.net.ip import IPv4Address, ip_to_string
 from repro.net.prefix import prefix_for_asn
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import get_registry, render_prometheus
 from repro.serve import QueryEngine, QueryError, build_artifact, compile_artifact
 from repro.serve.engine import (
     BAD_TARGET,
@@ -328,6 +329,112 @@ class TestAccounting:
             + registry.counter("serve.cache_misses").value
         )
         assert registry.counter("serve.errors").value == stats["errors"] == raises
+
+
+class TestSharedLock:
+    def test_two_engines_lose_no_update_while_the_registry_is_read(self):
+        """A reload's overlap: an old and a new engine answer from eight
+        threads, writing the same ``serve.*`` instruments, while a ninth
+        thread reads them as ``/metrics`` does."""
+        registry = get_registry()
+        engines = [QueryEngine(diamond_artifact(), cache_size=2) for _ in range(2)]
+        calls = [
+            ("paths", 4, 1),
+            ("diversity", 4, 2),
+            ("lookup", str(prefix_for_asn(1)), 2),
+            ("paths", 1, 2),
+            ("paths", 999, 1),                # unknown-origin
+            ("diversity", 7, 1),              # quarantined
+            ("lookup", "not-an-ip", 1),       # bad-target
+        ]
+        rounds, threads = 300, 8
+        raises = [0] * threads
+        failures: list[BaseException] = []
+        stop = threading.Event()
+
+        def client(index):
+            engine = engines[index % 2]
+            try:
+                for turn in range(rounds):
+                    kind, first, observer = calls[(index + turn) % len(calls)]
+                    try:
+                        getattr(engine, kind)(first, observer)
+                    except QueryError:
+                        raises[index] += 1
+            except BaseException as error:  # pragma: no cover
+                failures.append(error)
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    registry.snapshot()
+                    render_prometheus(registry)
+            except BaseException as error:  # pragma: no cover
+                failures.append(error)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            scraper = threading.Thread(target=reader, daemon=True)
+            clients = [
+                threading.Thread(target=client, args=(i,), daemon=True)
+                for i in range(threads)
+            ]
+            scraper.start()
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+            stop.set()
+            scraper.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in [scraper, *clients]), "deadlock"
+        assert not failures
+        counters = registry.snapshot()["counters"]
+        queries = counters["serve.queries"]
+        assert queries == rounds * threads
+        assert queries == counters["serve.cache_hits"] + counters["serve.cache_misses"]
+        assert queries == registry.histogram("serve.query_seconds").count
+        assert counters["serve.errors"] == sum(raises)
+        # Each engine's own tallies add up to the shared instruments.
+        stats = [engine.cache_stats() for engine in engines]
+        for own, shared in (
+            ("queries", "serve.queries"),
+            ("hits", "serve.cache_hits"),
+            ("misses", "serve.cache_misses"),
+            ("errors", "serve.errors"),
+        ):
+            assert sum(s[own] for s in stats) == counters[shared]
+
+    def test_every_engine_answers_under_the_instruments_lock(self):
+        registry = get_registry()
+        QueryEngine(diamond_artifact())
+        second = QueryEngine(diamond_artifact())
+        lock = registry.histogram("serve.query_seconds")._lock
+        for name in (
+            "serve.queries", "serve.cache_hits", "serve.cache_misses",
+            "serve.errors",
+        ):
+            assert registry.counter(name)._lock is lock
+        assert registry.gauge("serve.cache_size")._lock is lock
+        answered = threading.Event()
+
+        def query():
+            second.paths(4, 1)
+            answered.set()
+
+        with lock:
+            threading.Thread(target=query, daemon=True).start()
+            assert not answered.wait(0.2)
+        assert answered.wait(10)
+
+    def test_a_serving_instrument_on_another_lock_is_refused(self):
+        """A ``serve.*`` instrument made first without the lock is refused,
+        naming it, rather than written under two locks."""
+        get_registry().counter("serve.queries")
+        with pytest.raises(ValueError, match="serve.queries"):
+            QueryEngine(diamond_artifact())
 
 
 class TestAnswersUnchanged:
