@@ -18,12 +18,8 @@ from repro.core import (
     predict_paths,
     split_by_observation_points,
 )
-from repro.data import (
-    SyntheticConfig,
-    collect_dataset,
-    select_observation_points,
-    synthesize_internet,
-)
+from repro.data.observation import collect_dataset, select_observation_points
+from repro.data.synthesis import SyntheticConfig, synthesize_internet
 
 
 def main() -> None:

@@ -15,16 +15,11 @@ import argparse
 import io
 
 from repro.bgp import simulate
-from repro.data import (
-    SyntheticConfig,
-    collect_dataset,
-    read_table_dump,
-    select_observation_points,
-    synthesize_internet,
-    write_table_dump,
-)
-from repro.topology import prepare_dataset, route_diversity_report
-from repro.topology.diversity import TABLE1_PERCENTILES
+from repro.data.dumps import read_table_dump, write_table_dump
+from repro.data.observation import collect_dataset, select_observation_points
+from repro.data.synthesis import SyntheticConfig, synthesize_internet
+from repro.topology.diversity import TABLE1_PERCENTILES, route_diversity_report
+from repro.topology.prune import prepare_dataset
 
 
 def build_synthetic_dump() -> tuple[str, list[int]]:

@@ -17,49 +17,8 @@ dependency-tracked :class:`CertificateStore`, so a policy change
 re-certifies only the prefixes whose footprint it touches.
 :mod:`repro.analysis.diffing` statically diffs two reports (``repro lint
 --diff BASE``) into new / resolved / unchanged findings.
+
+The package re-exports nothing: each caller imports the submodule it
+runs, so certifying a compile loads neither the whole-model analyzer,
+the Gao-Rexford and topology passes nor the report differ.
 """
-
-from repro.analysis.analyzer import (
-    ALL_PASSES,
-    analyze_model,
-    analyze_network,
-)
-from repro.analysis.certify import (
-    GLOBAL_KEY,
-    CertificateStore,
-    CertifyStats,
-    SafetyCertificate,
-    certify_network,
-)
-from repro.analysis.diffing import ReportDiff, diff_reports
-from repro.analysis.findings import AnalysisReport, Finding, Severity
-from repro.analysis.gaorexford import analyze_gao_rexford
-from repro.analysis.safety import (
-    PreferenceEdge,
-    analyze_safety,
-    collect_preference_edges,
-    unsafe_prefixes,
-)
-from repro.analysis.topology_lint import provider_customer_cycles
-
-__all__ = [
-    "ALL_PASSES",
-    "GLOBAL_KEY",
-    "AnalysisReport",
-    "CertificateStore",
-    "CertifyStats",
-    "Finding",
-    "PreferenceEdge",
-    "ReportDiff",
-    "SafetyCertificate",
-    "Severity",
-    "analyze_gao_rexford",
-    "analyze_model",
-    "analyze_network",
-    "analyze_safety",
-    "certify_network",
-    "collect_preference_edges",
-    "diff_reports",
-    "provider_customer_cycles",
-    "unsafe_prefixes",
-]

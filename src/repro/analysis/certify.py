@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.findings import AnalysisReport, Finding
-from repro.analysis.gaorexford import analyze_gao_rexford
 from repro.analysis.policy_lint import lint_map
 from repro.analysis.safety import (
     PreferenceEdge,
@@ -537,6 +536,8 @@ class CertificateStore:
                         if f.prefix is None
                     )
             if self.relationships is not None:
+                from repro.analysis.gaorexford import analyze_gao_rexford
+
                 findings.extend(
                     analyze_gao_rexford(network, self.relationships)
                 )

@@ -70,7 +70,6 @@ from repro.errors import (
     ShutdownRequested,
     SimulationError,
 )
-from repro.obs.logs import held_records
 from repro.obs.metrics import get_registry
 from repro.obs.trace import EVENT_SCENARIO, get_tracer
 from repro.parallel.worker import converge_ahead
@@ -296,7 +295,17 @@ def plan_campaign(
     Nothing is converged ahead when the stable state is not unique: a
     resumed answer could then be another stable state than the engine's
     own from scratch.
+
+    ``origins`` becomes the model's own prefix objects wherever they equal
+    the baseline's: the scenarios key the network's tables with them, and
+    a lookup that finds the very key it was given never calls
+    ``Prefix.__eq__``.
     """
+    own = model.prefix_by_origin
+    context = dataclasses.replace(context, origins={
+        origin: own[origin] if own.get(origin) == prefix else prefix
+        for origin, prefix in context.origins.items()
+    })
     scenarios = list(scenarios)
     catchments = [s for s in scenarios if isinstance(s, CatchmentScenario)]
     if catchments:
@@ -372,6 +381,8 @@ def whatif(model: ASRoutingModel, asn_a: int, asn_b: int) -> WhatIf:
     unique the scenario resumes its crossing origins from the RIBs the
     compile left.  The model comes back as the compile left it.
     """
+    from repro.obs.logs import held_records
+
     validate_session_endpoints(model.network, [(asn_a, asn_b)])
     with held_records():  # moot once the baseline is refused
         artifact, compiled = compile_artifact(model)

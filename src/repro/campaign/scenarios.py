@@ -70,7 +70,8 @@ class CampaignContext:
 
     Pickled once and shipped to each pool worker at spawn.  ``origins``
     is the model's origin -> canonical prefix table, as the baseline
-    recorded it.  ``excluded`` origins were quarantined
+    recorded it; the plan swaps in the model's own (equal) prefix
+    objects.  ``excluded`` origins were quarantined
     when the baseline artifact was compiled;
     scenarios ignore their pairs instead of reporting spurious diffs.
     The last three fields are the campaign's plan, which ``run_campaign``

@@ -6,9 +6,7 @@ serialises a :class:`~repro.bgp.Network` into a C-BGP-flavoured script
 filter rules) and parses the same dialect back, so models built here can
 be inspected, diffed, version-controlled, and — modulo dialect details —
 replayed against the real C-BGP.
+
+The package re-exports nothing: callers import
+:mod:`repro.cbgp.export` or :mod:`repro.cbgp.parse`.
 """
-
-from repro.cbgp.export import export_network, export_model
-from repro.cbgp.parse import parse_script
-
-__all__ = ["export_network", "export_model", "parse_script"]

@@ -16,7 +16,7 @@ import argparse
 import sys
 import time
 
-from repro.analysis import analyze_model
+from repro.analysis.analyzer import analyze_model
 from repro.cbgp.export import export_network
 from repro.command import (
     Command,

@@ -50,12 +50,6 @@ from repro.obs.trace import (
     EVENT_ROUTER_DUPLICATE,
     get_tracer,
 )
-from repro.resilience.checkpoint import (
-    certificate_store_path,
-    load_checkpoint,
-    save_checkpoint,
-    training_fingerprint,
-)
 from repro.resilience.retry import PrefixOutcome, simulate_prefix_bounded
 from repro.topology.dataset import PathDataset
 
@@ -231,16 +225,10 @@ class Refiner:
                 # a rerun with the same checkpoint resumes instead of
                 # restarting, then let the caller finish shutting down.
                 if checkpoint_path is not None:
-                    save_checkpoint(
-                        checkpoint_path,
-                        self.model.network,
-                        start_iteration,
-                        best_matched,
-                        stale_iterations,
-                        [asdict(s) for s in restored],
-                        fingerprint=training_fingerprint(self.targets),
+                    self._save_checkpoint(
+                        checkpoint_path, start_iteration, best_matched,
+                        stale_iterations, restored,
                     )
-                    self._save_certificates(checkpoint_path)
                 raise
         result = RefinementResult(model=self.model, converged=False)
         result.iterations.extend(restored)
@@ -265,16 +253,10 @@ class Refiner:
             if checkpoint_path is not None and (
                 stopping or iteration % self.config.checkpoint_every == 0
             ):
-                save_checkpoint(
-                    checkpoint_path,
-                    self.model.network,
-                    iteration,
-                    best_matched,
-                    stale_iterations,
-                    [asdict(s) for s in result.iterations],
-                    fingerprint=training_fingerprint(self.targets),
+                self._save_checkpoint(
+                    checkpoint_path, iteration, best_matched, stale_iterations,
+                    result.iterations,
                 )
-                self._save_certificates(checkpoint_path)
             if converged:
                 result.converged = True
                 break
@@ -292,6 +274,8 @@ class Refiner:
         self, path: Path
     ) -> tuple[int, int, int, list[IterationStats]]:
         """Swap in a checkpointed model and return the saved loop state."""
+        from repro.resilience.checkpoint import load_checkpoint, training_fingerprint
+
         saved = load_checkpoint(path, training_fingerprint(self.targets))
         model = saved.restore_model()
         missing = [o for o in self.targets if o not in model.prefix_by_origin]
@@ -310,11 +294,32 @@ class Refiner:
         self._restore_certificates(path)
         return saved.iteration, saved.best_matched, saved.stale_iterations, iterations
 
-    def _save_certificates(self, checkpoint_path: Path) -> None:
-        """Persist the certificate store next to the checkpoint."""
-        if self.certificates is None:
-            return
-        self.certificates.save(certificate_store_path(checkpoint_path))
+    def _save_checkpoint(
+        self,
+        path: Path,
+        iteration: int,
+        best_matched: int,
+        stale_iterations: int,
+        iterations: list[IterationStats],
+    ) -> None:
+        """Snapshot the model and loop state, the certificate store beside it."""
+        from repro.resilience.checkpoint import (
+            certificate_store_path,
+            save_checkpoint,
+            training_fingerprint,
+        )
+
+        save_checkpoint(
+            path,
+            self.model.network,
+            iteration,
+            best_matched,
+            stale_iterations,
+            [asdict(s) for s in iterations],
+            fingerprint=training_fingerprint(self.targets),
+        )
+        if self.certificates is not None:
+            self.certificates.save(certificate_store_path(path))
 
     def _restore_certificates(self, checkpoint_path: Path) -> None:
         """Reload the persisted certificate store alongside a checkpoint.
@@ -329,6 +334,7 @@ class Refiner:
             return
         from repro.analysis.certify import CertificateStore
         from repro.errors import CertificateError
+        from repro.resilience.checkpoint import certificate_store_path
 
         store_path = certificate_store_path(checkpoint_path)
         if store_path.exists():

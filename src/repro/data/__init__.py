@@ -8,50 +8,9 @@ observation points biased towards the core, and bgpdump-style table dumps.
 
 Everything downstream of :func:`collect_dataset` sees only observed
 AS-paths, exactly as the paper's pipeline sees only BGP feeds.
+
+The package re-exports nothing: each caller imports the submodule it
+runs, so synthesising and reading a dump loads neither the CAIDA reader
+nor the hardened ingestion path (:mod:`repro.data.ingest`,
+:mod:`repro.data.sanitize`).
 """
-
-from repro.data.synthesis import (
-    SyntheticConfig,
-    SyntheticInternet,
-    synthesize_internet,
-)
-from repro.data.observation import (
-    ObservationPoint,
-    collect_dataset,
-    select_observation_points,
-)
-from repro.data.dumps import (
-    RecordResult,
-    iter_table_dump,
-    read_table_dump,
-    write_table_dump,
-    SNAPSHOT_TIME,
-)
-from repro.data.caida import CaidaReadResult, iter_as_rel, read_as_rel
-from repro.data.ingest import IngestConfig, IngestResult, ingest_table_dump
-from repro.data.quality import IngestReport, Rejection
-from repro.data.sanitize import SanitizeConfig, sanitize_route
-
-__all__ = [
-    "SyntheticConfig",
-    "SyntheticInternet",
-    "synthesize_internet",
-    "ObservationPoint",
-    "select_observation_points",
-    "collect_dataset",
-    "CaidaReadResult",
-    "IngestConfig",
-    "IngestReport",
-    "IngestResult",
-    "RecordResult",
-    "Rejection",
-    "SanitizeConfig",
-    "ingest_table_dump",
-    "iter_as_rel",
-    "iter_table_dump",
-    "read_as_rel",
-    "read_table_dump",
-    "sanitize_route",
-    "write_table_dump",
-    "SNAPSHOT_TIME",
-]

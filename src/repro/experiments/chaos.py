@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field, replace
 
-from repro.analysis import analyze_network
+from repro.analysis.analyzer import analyze_network
 from repro.core.build import build_initial_model
 from repro.core.refine import RefinementConfig, Refiner
 from repro.data.dumps import read_table_dump, write_table_dump

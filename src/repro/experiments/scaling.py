@@ -71,11 +71,11 @@ def run_lint(
     The point of the analyzer is to be cheap relative to simulation: one
     pass over sessions and clauses (plus Tarjan over the preference
     digraph) versus thousands of simulated messages per prefix.  This
-    experiment runs every pass of :func:`repro.analysis.analyze_network`
+    experiment runs every pass of :func:`repro.analysis.analyzer.analyze_network`
     over the ground-truth network at several scales so the trend — and
     the gap to :func:`run`'s simulation numbers — is visible.
     """
-    from repro.analysis import analyze_network
+    from repro.analysis.analyzer import analyze_network
 
     result = ExperimentResult(
         experiment_id="LINT",

@@ -26,75 +26,8 @@ package makes simulated BGP outcomes auditable:
 * :mod:`repro.obs.sampling` — a stdlib statistical stack sampler
   emitting collapsed-stack ``.folded`` files for flamegraphs (beside
   ``PROFILE.json`` under ``repro --profile``).
+
+The package re-exports nothing: each caller imports the submodule it
+runs, so recording a metric loads neither the logging setup, the run
+metadata (and with it ``platform``) nor the sampler.
 """
-
-from repro.obs.logs import configure_logging
-from repro.obs.meta import run_metadata
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    labelled,
-    render_prometheus,
-    set_registry,
-)
-from repro.obs.profile import (
-    NullProfiler,
-    PhaseProfiler,
-    build_profile_document,
-    get_profiler,
-    profiling,
-    set_profiler,
-)
-from repro.obs.sampling import StackSampler
-from repro.obs.trace import (
-    JsonlTracer,
-    NullTracer,
-    RecordingTracer,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    tracing,
-)
-
-def __getattr__(name: str):
-    # Lazy: explain pulls in core.model -> bgp.engine, and the engine
-    # itself imports repro.obs.trace.  Deferring breaks the cycle while
-    # keeping ``from repro.obs import explain_prefix`` working.
-    if name in ("explain_prefix", "PrefixExplanation"):
-        from repro.obs import explain
-
-        return getattr(explain, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "JsonlTracer",
-    "MetricsRegistry",
-    "NullProfiler",
-    "NullTracer",
-    "PhaseProfiler",
-    "PrefixExplanation",
-    "RecordingTracer",
-    "StackSampler",
-    "Tracer",
-    "build_profile_document",
-    "configure_logging",
-    "explain_prefix",
-    "get_profiler",
-    "get_registry",
-    "get_tracer",
-    "labelled",
-    "profiling",
-    "render_prometheus",
-    "run_metadata",
-    "set_profiler",
-    "set_registry",
-    "set_tracer",
-    "tracing",
-]

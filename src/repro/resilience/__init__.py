@@ -12,70 +12,8 @@ divergence, noisy dumps, and crashes:
   refiner, reusing the C-BGP config persistence;
 * :mod:`repro.resilience.health` — the structured :class:`RunHealth`
   report and the CLI exit-code vocabulary.
+
+The package re-exports nothing: each caller imports the submodule it
+runs, so a bounded simulation loads neither the fault injector, the
+health report nor the checkpoint format (and with it :mod:`repro.cbgp`).
 """
-
-from repro.resilience.faults import (
-    FaultConfig,
-    FaultReport,
-    apply_faults,
-    corrupt_dump_lines,
-    find_wheel_candidates,
-    inject_dispute_wheel,
-)
-from repro.resilience.retry import (
-    CONVERGED,
-    DIVERGED,
-    PrefixOutcome,
-    ResilienceStats,
-    simulate_network_bounded,
-    simulate_prefix_bounded,
-)
-from repro.resilience.health import (
-    EXIT_DATA,
-    EXIT_DIVERGED,
-    EXIT_OK,
-    EXIT_UNCONVERGED,
-    EXIT_USAGE,
-    RunHealth,
-)
-from repro.resilience.checkpoint import (
-    CHECKPOINT_FORMAT,
-    INGEST_CHECKPOINT_FORMAT,
-    IngestCheckpoint,
-    RefinerCheckpoint,
-    ingest_fingerprint,
-    load_checkpoint,
-    load_ingest_checkpoint,
-    save_checkpoint,
-    save_ingest_checkpoint,
-)
-
-__all__ = [
-    "CHECKPOINT_FORMAT",
-    "INGEST_CHECKPOINT_FORMAT",
-    "IngestCheckpoint",
-    "ingest_fingerprint",
-    "load_ingest_checkpoint",
-    "save_ingest_checkpoint",
-    "CONVERGED",
-    "DIVERGED",
-    "EXIT_DATA",
-    "EXIT_DIVERGED",
-    "EXIT_OK",
-    "EXIT_UNCONVERGED",
-    "EXIT_USAGE",
-    "FaultConfig",
-    "FaultReport",
-    "PrefixOutcome",
-    "RefinerCheckpoint",
-    "ResilienceStats",
-    "RunHealth",
-    "apply_faults",
-    "corrupt_dump_lines",
-    "find_wheel_candidates",
-    "inject_dispute_wheel",
-    "load_checkpoint",
-    "save_checkpoint",
-    "simulate_network_bounded",
-    "simulate_prefix_bounded",
-]

@@ -23,7 +23,6 @@ from repro.core.model import ASRoutingModel
 from repro.core.predict import collect_path_map
 from repro.errors import ModelError
 from repro.net.prefix import Prefix
-from repro.obs.meta import run_metadata
 from repro.obs.metrics import get_registry
 from repro.obs.profile import get_profiler
 from repro.relationships.types import RelationshipMap
@@ -140,12 +139,16 @@ def compile_artifact(
         report.simulate_seconds + report.collect_seconds
     )
 
+    if meta is None:
+        from repro.obs.meta import run_metadata
+
+        meta = run_metadata()
     artifact = build_artifact(
         origins=dict(model.prefix_by_origin),
         observers=observer_list,
         paths=paths,
         quarantined=quarantined,
-        meta=meta if meta is not None else run_metadata(),
+        meta=meta,
         model_stats=model.stats(),
         certificates=certificates,
     )

@@ -5,19 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.bgp import Network, simulate
-from repro.data import (
-    SyntheticConfig,
-    collect_dataset,
-    select_observation_points,
-    synthesize_internet,
-)
+from repro.data.observation import collect_dataset, select_observation_points
+from repro.data.synthesis import SyntheticConfig, synthesize_internet
 from repro.net.prefix import Prefix
-from repro.topology import (
-    ASGraph,
-    classify_ases,
-    infer_level1_clique,
-    prune_single_homed_stubs,
-)
+from repro.topology.classify import classify_ases
+from repro.topology.clique import infer_level1_clique
+from repro.topology.graph import ASGraph
+from repro.topology.prune import prune_single_homed_stubs
 
 
 @pytest.fixture

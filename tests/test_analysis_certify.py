@@ -12,12 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    GLOBAL_KEY,
-    CertificateStore,
-    analyze_network,
-    certify_network,
-)
+from repro.analysis.analyzer import analyze_network
+from repro.analysis.certify import GLOBAL_KEY, CertificateStore, certify_network
 from repro.analysis.findings import Finding, Severity
 from repro.bgp.policy import Action, Clause, Match
 from repro.core.build import build_initial_model

@@ -1,6 +1,7 @@
 """Tests for the static Gao-Rexford compliance pass and provider cycles."""
 
-from repro.analysis import analyze_network, provider_customer_cycles
+from repro.analysis.analyzer import analyze_network
+from repro.analysis.topology_lint import provider_customer_cycles
 from repro.analysis.gaorexford import RULE_VALLEY_EXPORT, analyze_gao_rexford
 from repro.analysis.findings import Severity
 from repro.analysis.topology_lint import (

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis import analyze_network
+from repro.analysis.analyzer import analyze_network
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.analysis.policy_lint import (
     RULE_BLOCKING_FILTER,

@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.analysis import analyze_model, analyze_safety, collect_preference_edges
+from repro.analysis.analyzer import analyze_model
+from repro.analysis.safety import analyze_safety, collect_preference_edges
 from repro.analysis.safety import (
     RULE_DISPUTE_WHEEL,
     RULE_MED_CYCLE,

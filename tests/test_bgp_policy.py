@@ -199,7 +199,8 @@ class TestPathRegex:
         import io
 
         from repro.bgp.network import Network
-        from repro.cbgp import export_network, parse_script
+        from repro.cbgp.export import export_network
+        from repro.cbgp.parse import parse_script
 
         net = Network()
         a, b = net.add_router(1), net.add_router(2)

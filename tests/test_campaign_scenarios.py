@@ -51,7 +51,7 @@ from repro.resilience.retry import (
     simulate_network_bounded,
     simulate_prefix_bounded,
 )
-from repro.serve import compile_artifact
+from repro.serve import PredictionArtifact, compile_artifact
 from repro.topology.dataset import ObservedRoute, PathDataset
 from tests.oracle import depeered_world, from_scratch, seeded_world, structure
 
@@ -905,6 +905,29 @@ class TestCatchmentPlan:
         # The base once; a failed site once more, unless the base degraded.
         assert simulated == 1 + (0 if degraded else len(scenarios) - 1)
         assert not world.model.network._touched
+
+
+class TestPlannedOrigins:
+    """The plan hands the scenarios the model's own prefix objects, not
+    the equal ones a baseline read from disk parsed."""
+
+    @pytest.mark.parametrize("kind", ["depeer", "catchment"])
+    def test_planned_origins_are_the_models_prefixes(self, tmp_path, kind):
+        model = line_model()
+        compile_artifact(model)[0].save(tmp_path / "base.artifact")
+        model.network.clear_routing()
+        loaded = context_from_artifact(PredictionArtifact.load(tmp_path / "base.artifact"))
+        own = model.prefix_by_origin
+        assert loaded.origins == own
+        assert all(loaded.origins[o] is not own[o] for o in own)
+        scenarios = (
+            generate_depeer(model) if kind == "depeer"
+            else generate_catchment(model, [1, 4])
+        )
+        planned = plan_campaign(model, scenarios, loaded)
+        assert planned.origins.keys() == own.keys()
+        for origin in own:
+            assert planned.origins[origin] is own[origin]
 
 
 class TestModelRoundTrip:

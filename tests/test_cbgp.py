@@ -7,7 +7,8 @@ import pytest
 
 from repro.bgp import Network, simulate
 from repro.bgp.policy import Action, Clause, Match
-from repro.cbgp import export_model, export_network, parse_script
+from repro.cbgp.export import export_model, export_network
+from repro.cbgp.parse import parse_script
 from repro.cbgp.parse import parse_file
 from repro.core.build import build_initial_model
 from repro.core.model import MODEL_DECISION_CONFIG

@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.cbgp import export_model, parse_script
+from repro.cbgp.export import export_model
+from repro.cbgp.parse import parse_script
 from repro.core.build import build_initial_model
 from repro.core.model import ASRoutingModel
 from repro.core.predict import evaluate_model

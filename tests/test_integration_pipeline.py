@@ -19,7 +19,7 @@ from repro.core import (
     split_by_observation_points,
 )
 from repro.core.metrics import AgreementCategory, evaluate_agreement
-from repro.data import read_table_dump, write_table_dump
+from repro.data.dumps import read_table_dump, write_table_dump
 from repro.relationships import (
     apply_relationship_policies,
     infer_valley_free_relationships,

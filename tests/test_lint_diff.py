@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analysis import diff_reports
+from repro.analysis.diffing import diff_reports
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.cli import main
 from repro.core.build import build_initial_model

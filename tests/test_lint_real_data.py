@@ -9,7 +9,7 @@ relationship map, and certificate-store persistence.
 import json
 from pathlib import Path
 
-from repro.analysis import CertificateStore, certify_network
+from repro.analysis.certify import CertificateStore, certify_network
 from repro.cbgp.export import export_network
 from repro.cli import main
 from repro.core.build import build_relationship_model

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cbgp import parse_script
+from repro.cbgp.parse import parse_script
 from repro.cli import main
 from repro.resilience.health import EXIT_DATA
 

@@ -9,7 +9,8 @@ import pytest
 
 from repro.bgp import Network
 from repro.bgp.policy import Action, Clause, Match
-from repro.cbgp import export_network, parse_script
+from repro.cbgp.export import export_network
+from repro.cbgp.parse import parse_script
 from repro.errors import DatasetError
 from repro.net.prefix import Prefix
 from repro.obs.logs import JsonFormatter, configure_logging, held_records

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cbgp import export_model
+from repro.cbgp.export import export_model
 from repro.core.build import build_initial_model
 from repro.core.predict import evaluate_model
 from repro.core.refine import RefinementConfig, Refiner
