@@ -16,8 +16,9 @@ that make BGP diverge (e.g. local-pref dispute wheels, Section 4.6's
 motivation for avoiding local-pref in the refined model); exceeding it
 raises :class:`~repro.errors.ConvergenceError` (a
 :class:`~repro.errors.SimulationError`) carrying the prefix and the
-exhausted budget, so callers can quarantine the prefix (see
-:mod:`repro.resilience`).
+exhausted budget; :func:`simulate` with ``on_divergence="quarantine"`` is
+the one place it is caught, and :class:`EngineStats` the one record of
+what a simulation did, quarantines included.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.bgp.attributes import DEFAULT_LOCAL_PREF, DEFAULT_MED, RouteSource
 from repro.bgp.decision import (
@@ -58,6 +59,7 @@ from repro.obs.profile import (
 from repro.obs.trace import (
     EVENT_BUDGET_EXHAUSTED,
     EVENT_DECISION,
+    EVENT_QUARANTINE,
     Tracer,
     get_tracer,
 )
@@ -68,9 +70,34 @@ _EBGP = RouteSource.EBGP
 _IBGP = RouteSource.IBGP
 
 
+CONVERGED = "converged"
+DIVERGED, UNSAFE, POISON, TIMEOUT = "diverged", "unsafe", "poison", "timeout"
+QUARANTINE_REASONS = (DIVERGED, UNSAFE, POISON, TIMEOUT)
+"""Why a prefix carries no routes: it exhausted its message budget, the
+static lint gate quarantined it before any simulation, or every
+supervised dispatch of it crashed its worker (``poison``) or hit the
+per-task watchdog (``timeout``) — see :mod:`repro.parallel`."""
+
+
+class Quarantine(NamedTuple):
+    """One quarantined prefix: why, and what it cost.
+
+    ``messages`` and ``budget`` are the diverged run's (``budget + 1``
+    messages); a gated or supervised prefix spent none.  ``resubmits``
+    counts the fresh workers the pool gave a ``poison`` / ``timeout``
+    prefix after its first dispatch.
+    """
+
+    prefix: Prefix
+    reason: str
+    messages: int = 0
+    budget: int = 0
+    resubmits: int = 0
+
+
 @dataclass
 class EngineStats:
-    """Counters accumulated while simulating."""
+    """Counters accumulated while simulating, and what was quarantined."""
 
     prefixes: int = 0
     resumes: int = 0
@@ -95,7 +122,18 @@ class EngineStats:
     rather than silently truncated.
     """
     per_prefix_messages: dict[Prefix, int] = field(default_factory=dict)
-    diverged: list[Prefix] = field(default_factory=list)
+    quarantined: list[Quarantine] = field(default_factory=list)
+    """Every prefix left without routes, in the order it was quarantined:
+    by :func:`simulate` (``diverged``), or by a caller that records the
+    lint gate's (``unsafe``) or the pool's (``poison`` / ``timeout``)."""
+    supervision: dict | None = None
+    """The pool's supervision summary (spawns, crashes, resubmits, ...)
+    when the prefixes were fanned out to one; None otherwise."""
+
+    @property
+    def diverged(self) -> list[Prefix]:
+        """Prefixes quarantined for exhausting their message budget."""
+        return [q.prefix for q in self.quarantined if q.reason == DIVERGED]
 
     def merge(self, other: "EngineStats") -> None:
         """Fold ``other`` into this stats object."""
@@ -108,7 +146,9 @@ class EngineStats:
         self.clauses_matched += other.clauses_matched
         self.budget_exhaustions += other.budget_exhaustions
         self.per_prefix_messages.update(other.per_prefix_messages)
-        self.diverged.extend(other.diverged)
+        self.quarantined.extend(other.quarantined)
+        if other.supervision is not None:
+            self.supervision = other.supervision
 
 
 def default_message_budget(network: Network) -> int:
@@ -118,6 +158,18 @@ def default_message_budget(network: Network) -> int:
     more room before a simulation is declared divergent.
     """
     return 2000 + 400 * max(1, len(network.sessions))
+
+
+def bounded_message_budget(network: Network, max_messages: int | None = None) -> int:
+    """``max_messages``, or the budget of a run that must survive divergence.
+
+    ``None`` means sixteen times :func:`default_message_budget`, capped at
+    two million: room enough that exhausting it means a dispute wheel,
+    not a big topology.
+    """
+    if max_messages is not None:
+        return max_messages
+    return min(16 * default_message_budget(network), 2_000_000)
 
 
 def simulate(
@@ -136,7 +188,17 @@ def simulate(
     :class:`~repro.errors.ConvergenceError` (discarding nothing the caller
     already holds, but ending the run), while ``"quarantine"`` clears the
     prefix's partial routing state, records it in the returned stats'
-    ``diverged`` list, and keeps simulating the remaining prefixes.
+    ``quarantined`` list (reason ``diverged``), counts it under
+    ``retry.quarantined``, sends a ``quarantine`` trace event and keeps
+    simulating the remaining prefixes.
+
+    Quarantining is the one bounded front door for everything above the
+    engine that must survive divergence: each prefix runs once, at one
+    budget (``None``: :func:`default_message_budget`; the callers above
+    the engine pass :func:`bounded_message_budget`).  Re-running from
+    message 0 with more room would buy nothing: the engine is a
+    deterministic FIFO fixed point, so an attempt at budget ``B`` is the
+    first ``B`` messages of any bigger one.
 
     ``dropped`` and ``reoriginated`` name what changed in the network
     since the state its routers hold converged (see :func:`resume_prefix`,
@@ -162,11 +224,22 @@ def simulate(
                 raise
             network.clear_prefix(prefix)
             stats.merge(error.stats)
-            stats.diverged.append(prefix)
+            stats.quarantined.append(
+                Quarantine(prefix, DIVERGED, error.messages_used, error.budget)
+            )
             logger.warning(
                 "quarantined %s after %d messages (budget %d)",
                 prefix, error.messages_used, error.budget,
             )
+            get_registry().counter("retry.quarantined").inc()
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event(
+                    EVENT_QUARANTINE,
+                    prefix=str(prefix),
+                    messages=error.messages_used,
+                    final_budget=error.budget,
+                )
     return stats
 
 

@@ -112,7 +112,10 @@ class Match:
 
     def matches(self, route: Route) -> bool:
         """True if ``route`` satisfies every condition of this match."""
-        if self.prefix is not None and route.prefix != self.prefix:
+        prefix = self.prefix
+        # Per-prefix clauses almost always see the very object they name:
+        # the identity test spares the Python-level Prefix.__eq__.
+        if prefix is not None and route.prefix is not prefix and route.prefix != prefix:
             return False
         if self.path_len_lt is not None and not len(route.as_path) < self.path_len_lt:
             return False

@@ -50,7 +50,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.bgp.engine import stable_state_is_unique
+from repro.bgp.engine import POISON, stable_state_is_unique
 from repro.campaign.report import STATUS_OK, CampaignReport, ScenarioOutcome
 from repro.campaign.scenarios import (
     CampaignContext,
@@ -73,7 +73,6 @@ from repro.errors import (
 from repro.obs.metrics import get_registry
 from repro.obs.trace import EVENT_SCENARIO, get_tracer
 from repro.parallel.worker import converge_ahead
-from repro.resilience.retry import CONVERGED, POISON
 from repro.runstate import drain_signals, read_state, write_state
 from repro.serve.artifact import PredictionArtifact
 from repro.serve.compile import compile_artifact
@@ -386,11 +385,11 @@ def whatif(model: ASRoutingModel, asn_a: int, asn_b: int) -> WhatIf:
     validate_session_endpoints(model.network, [(asn_a, asn_b)])
     with held_records():  # moot once the baseline is refused
         artifact, compiled = compile_artifact(model)
-        for run in compiled.stats.outcomes:  # in prefix order
-            if run.status != CONVERGED:
-                raise ConvergenceError(
-                    run.prefix, run.messages, run.final_budget, compiled.stats.engine
-                )
+        if compiled.stats.quarantined:
+            first = min(compiled.stats.quarantined)
+            raise ConvergenceError(
+                first.prefix, first.messages, first.budget, compiled.stats
+            )
     context = plan_campaign(model, [], context_from_artifact(artifact))
     if context.unique_state:
         context = dataclasses.replace(

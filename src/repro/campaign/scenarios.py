@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
+from repro.bgp.engine import CONVERGED, DIVERGED, bounded_message_budget, simulate
 from repro.bgp.network import Network
 from repro.bgp.session import Session
 from repro.campaign.diffing import Pair, diff_path_maps
@@ -50,7 +51,6 @@ from repro.core.model import ASRoutingModel
 from repro.core.predict import collect_path_map, selected_paths
 from repro.errors import TopologyError
 from repro.net.prefix import Prefix
-from repro.resilience.retry import CONVERGED, simulate_prefix_bounded
 
 KIND_DEPEER = "depeer"
 KIND_LINK_FAILURE = "link-failure"
@@ -206,11 +206,12 @@ class EdgeFailureScenario:
         degraded_origins = set()
         for origin in sorted(crossing, key=context.origins.__getitem__):
             prefix = context.origins[origin]
-            _, outcome = simulate_prefix_bounded(
-                network, prefix, config, max_messages,
+            budget = bounded_message_budget(network, max_messages)
+            stats = simulate(
+                network, (prefix,), config, budget, on_divergence="quarantine",
                 dropped=dropped if prefix in warm else (),
             )
-            if outcome.status != CONVERGED:
+            if stats.quarantined:
                 degraded_origins.add(origin)
         degraded = sorted(str(context.origins[origin]) for origin in degraded_origins)
         # A settled origin answers as the baseline does: its pairs are
@@ -275,17 +276,18 @@ class HijackScenario:
             )
         for router in attacker_routers:
             network.originate(router, prefix)
-        _, outcome = simulate_prefix_bounded(
-            network, prefix, config, max_messages,
+        budget = bounded_message_budget(network, max_messages)
+        stats = simulate(
+            network, (prefix,), config, budget, on_divergence="quarantine",
             reoriginated=attacker_routers if prefix in context.converged_ahead else (),
         )
         result = {
             "kind": KIND_HIJACK,
             "key": self.key,
             "params": {"victim": self.victim, "attacker": self.attacker},
-            "status": outcome.status,
+            "status": DIVERGED if stats.quarantined else CONVERGED,
         }
-        if outcome.status != CONVERGED:
+        if stats.quarantined:
             # The perturbed simulation itself was quarantined: no capture
             # claims can be made, the scenario reports itself degraded.
             result.update(
@@ -427,17 +429,18 @@ def simulate_catchment(
         if site != failed_site:
             for router in network.as_routers(site):
                 network.originate(router, prefix)
-    _, outcome = simulate_prefix_bounded(network, prefix, config, max_messages)
+    budget = bounded_message_budget(network, max_messages)
+    stats = simulate(network, (prefix,), config, budget, on_divergence="quarantine")
     attraction: dict[int, list[int]] = {}
-    if outcome.status != CONVERGED:
-        return outcome.status, attraction
+    if stats.quarantined:
+        return DIVERGED, attraction
     for observer in observers:
         if observer in sites:
             continue
         reached = sorted({path[-1] for path in selected_paths(network, prefix, observer)})
         if reached:
             attraction[observer] = reached
-    return outcome.status, attraction
+    return CONVERGED, attraction
 
 
 def free_anycast_prefix(network) -> Prefix:

@@ -36,7 +36,6 @@ from repro.errors import (
     ShutdownRequested,
 )
 from repro.resilience.health import RunHealth
-from repro.resilience.retry import ResilienceStats
 from repro.topology.prune import prepare_dataset
 
 
@@ -113,12 +112,9 @@ def _refine_into(health: RunHealth, args: argparse.Namespace) -> None:
         with health.phase("refine"):
             result = refiner.run(checkpoint=args.checkpoint)
     finally:
-        # Also on the way out of a drain: the partial outcomes are the report.
-        simulation = ResilienceStats(
-            outcomes=refiner.outcomes, supervision=refiner.supervision
-        )
-        if refiner.outcomes:
-            health.record_simulation(simulation)
+        # Also on the way out of a drain: the partial stats are the report.
+        if refiner.stats.prefixes or refiner.stats.quarantined:
+            health.record_simulation(refiner.stats)
     model = result.model  # a resumed run swaps in the checkpointed model
     print(
         f"refinement: {result.iteration_count} iterations, "
@@ -134,7 +130,7 @@ def _refine_into(health: RunHealth, args: argparse.Namespace) -> None:
               file=sys.stderr)
     # A quarantined prefix carries no routes and would diverge again if
     # the evaluation re-simulated it: grade the origins that have a model.
-    skipped = {model.origin_by_prefix.get(p) for p in simulation.quarantined}
+    skipped = {model.origin_by_prefix.get(q.prefix) for q in refiner.stats.quarantined}
     with health.phase("evaluate"):
         for label, dataset in (("training", training), ("validation", validation)):
             if skipped:

@@ -14,12 +14,17 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.bgp.decision import DecisionConfig
-from repro.bgp.engine import EngineStats, simulate, simulate_prefix
+from repro.bgp.engine import (
+    EngineStats,
+    Quarantine,
+    bounded_message_budget,
+    simulate,
+    simulate_prefix,
+)
 from repro.bgp.network import Network
 from repro.bgp.router import Router
-from repro.errors import TopologyError
+from repro.errors import ShutdownRequested, TopologyError
 from repro.net.prefix import Prefix, prefix_for_asn
-from repro.resilience.retry import ResilienceStats, simulate_network_bounded
 
 MODEL_DECISION_CONFIG = DecisionConfig(med_always_compare=True, use_igp_cost=False)
 """Decision process used by the model: always-compare MED, no IGP step."""
@@ -109,54 +114,25 @@ class ASRoutingModel:
                 total += len(session.export_map)
         return total
 
-    def simulate_all(
-        self,
-        max_messages: int | None = None,
-        tolerate_divergence: bool = False,
-        prefixes: Iterable[Prefix] | None = None,
-    ) -> EngineStats:
-        """Simulate every canonical prefix (or the given subset) to convergence.
+    def simulate_all(self, tolerate_divergence: bool = False) -> EngineStats:
+        """Simulate every canonical prefix to convergence.
 
         With ``tolerate_divergence`` a prefix whose simulation exceeds the
         message budget (a policy dispute wheel, possible for inferred
         relationship policies) has its state cleared and is recorded in
         the returned stats' ``diverged`` list instead of raising — the
-        engine's ``on_divergence="quarantine"`` mode.  ``prefixes``
-        restricts the run (the lint gate uses this to skip statically
-        unsafe prefixes entirely).
+        engine's ``on_divergence="quarantine"`` mode, at the engine's
+        default budget.
         """
         on_divergence = "quarantine" if tolerate_divergence else "raise"
-        return simulate(self.network, prefixes=prefixes,
-                        config=MODEL_DECISION_CONFIG,
-                        max_messages=max_messages, on_divergence=on_divergence)
-
-    def simulate_all_resilient(
-        self,
-        max_messages: int | None = None,
-        prefixes: Iterable[Prefix] | None = None,
-        parallel=None,
-    ) -> ResilienceStats:
-        """Simulate every canonical prefix (or a subset) once, quarantining.
-
-        A prefix that exhausts ``max_messages`` (default: see
-        :func:`~repro.resilience.retry.simulate_prefix_bounded`) is
-        quarantined (state cleared, listed in the outcomes) rather than
-        aborting the run.  ``parallel`` (a
-        :class:`repro.parallel.ParallelConfig` with ``workers`` > 1) fans
-        the prefixes out to the supervised worker pool instead of looping
-        in-process.
-        """
-        return simulate_network_bounded(
-            self.network, prefixes=prefixes, config=MODEL_DECISION_CONFIG,
-            max_messages=max_messages, parallel=parallel
+        return simulate(
+            self.network, config=MODEL_DECISION_CONFIG, on_divergence=on_divergence
         )
 
-    def simulate_origin(self, origin_asn: int,
-                        max_messages: int | None = None) -> EngineStats:
+    def simulate_origin(self, origin_asn: int) -> EngineStats:
         """(Re-)simulate the canonical prefix of one origin AS."""
         prefix = self.canonical_prefix(origin_asn)
-        return simulate_prefix(self.network, prefix, MODEL_DECISION_CONFIG,
-                               max_messages)
+        return simulate_prefix(self.network, prefix, MODEL_DECISION_CONFIG)
 
     def stats(self) -> dict[str, int]:
         """Model size summary."""
@@ -171,3 +147,89 @@ class ASRoutingModel:
             f"ASRoutingModel(ases={stats['ases']}, quasi_routers={stats['routers']}, "
             f"sessions={stats['sessions']}, clauses={stats['policy_clauses']})"
         )
+
+
+@dataclass(frozen=True)
+class _PrefixTask:
+    """One prefix's quarantining simulation, as a task of the supervised
+    pool: its stats come home with the routing state it left on the
+    worker's copy, for the caller's network."""
+
+    prefix: Prefix
+
+    @property
+    def key(self) -> str:
+        return str(self.prefix)
+
+    def run(self, network: Network, context, config, max_messages):
+        stats = simulate(
+            network, (self.prefix,), config, max_messages, on_divergence="quarantine"
+        )
+        return stats, network.capture_prefix(self.prefix)
+
+
+def simulate_pooled(
+    network: Network,
+    prefixes: Iterable[Prefix] | None = None,
+    config: DecisionConfig = MODEL_DECISION_CONFIG,
+    max_messages: int | None = None,
+    parallel=None,
+) -> EngineStats:
+    """Simulate every prefix once, quarantining; divergence never aborts.
+
+    The engine's own ``simulate(on_divergence="quarantine")``, at
+    :func:`~repro.bgp.engine.bounded_message_budget` — unless
+    ``parallel`` (a :class:`repro.parallel.ParallelConfig`) is enabled:
+    then each prefix is one task of a supervised worker pool
+    (:meth:`~repro.parallel.supervisor.SupervisedPool.run_tasks`), submitted
+    and folded in prefix order.  A completed prefix's routing state is
+    installed on ``network`` (:meth:`~repro.bgp.network.Network.install_prefix`)
+    and its stats merged exactly as the sequential loop would have; one
+    the pool gave up on (crash, hang, poison input) is cleared and
+    recorded as a ``poison`` / ``timeout`` quarantine instead of failing
+    the run; and a SIGINT/SIGTERM drains gracefully, raising
+    :class:`~repro.errors.ShutdownRequested` with the partial stats and
+    the unfinished prefixes, sorted.
+    """
+    max_messages = bounded_message_budget(network, max_messages)
+    if parallel is None or not parallel.enabled:
+        # One run per prefix, all folded after the last, as the pool's are.
+        # Holding each run's stats until the fold also keeps what a pass
+        # allocates per prefix, and with it where the collector's passes
+        # fall in the pipeline benchmark (DESIGN §5n, constraint 3).
+        runs = [
+            simulate(network, (prefix,), config, max_messages, on_divergence="quarantine")
+            for prefix in (prefixes if prefixes is not None else network.prefixes())
+        ]
+        stats = EngineStats()
+        for run in runs:
+            stats.merge(run)
+        return stats
+    from repro.parallel.supervisor import SupervisedPool
+
+    targets = sorted(prefixes if prefixes is not None else network.prefixes())
+    drained = None
+    with SupervisedPool(network, config, max_messages, parallel) as pool:
+        try:
+            run = pool.run_tasks([_PrefixTask(prefix) for prefix in targets])
+        except ShutdownRequested as shutdown:
+            drained, run = shutdown, shutdown.stats
+    stats = EngineStats(supervision=run.supervision)
+    unfinished = []
+    for prefix in targets:
+        key = str(prefix)
+        if key in run.results:
+            prefix_stats, state = run.results[key]
+            network.install_prefix(state)
+            stats.merge(prefix_stats)
+        elif key in run.failed:
+            failure = run.failed[key]
+            network.clear_prefix(prefix)
+            stats.quarantined.append(Quarantine(
+                prefix, failure.status, resubmits=failure.resubmits
+            ))
+        else:
+            unfinished.append(prefix)
+    if drained is not None:
+        raise ShutdownRequested(drained.signum, stats, unfinished)
+    return stats

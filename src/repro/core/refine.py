@@ -36,9 +36,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.analysis.certify import CertificateStore
     from repro.parallel.protocol import ParallelConfig
 
+from repro.bgp.engine import (
+    UNSAFE,
+    EngineStats,
+    Quarantine,
+    bounded_message_budget,
+    simulate,
+)
 from repro.bgp.policy import Action, Clause, Match
 from repro.bgp.router import Router
-from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
+from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel, simulate_pooled
 from repro.errors import CheckpointError, RefinementError, ShutdownRequested
 from repro.net.prefix import Prefix
 from repro.obs.metrics import get_registry
@@ -50,13 +57,14 @@ from repro.obs.trace import (
     EVENT_ROUTER_DUPLICATE,
     get_tracer,
 )
-from repro.resilience.retry import PrefixOutcome, simulate_prefix_bounded
 from repro.topology.dataset import PathDataset
 
 FILTER_TAG = "refine-filter"
 RANK_TAG = "refine-rank"
 MED_PREFERRED = 0
 MED_OTHER = 50
+PATIENCE = 5
+"""Iterations without a better match count before a run stops stalled."""
 
 logger = logging.getLogger(__name__)
 
@@ -71,10 +79,11 @@ class RefinementConfig:
     used; without ``filter_deletion`` stale egress filters are never
     removed.
 
-    Every (re-)simulation is one bounded attempt through
-    :mod:`repro.resilience.retry`: a prefix that exhausts ``max_messages``
-    (``None``: that module's default) is quarantined instead of aborting
-    the run.  ``checkpoint_every``
+    Every (re-)simulation is one bounded attempt through the engine's
+    ``simulate(on_divergence="quarantine")``: a prefix that exhausts
+    ``max_messages`` (``None``: the engine's
+    :func:`~repro.bgp.engine.bounded_message_budget`) is quarantined
+    instead of aborting the run.  ``checkpoint_every``
     sets how many iterations pass between snapshots when
     :meth:`Refiner.run` is given a checkpoint path.
 
@@ -82,7 +91,7 @@ class RefinementConfig:
     :class:`~repro.analysis.certify.CertificateStore` before the first
     simulation and quarantines statically-unsafe prefixes *without
     spending any simulation attempts on them* — each gets a
-    zero-attempt ``unsafe`` outcome instead of burning the full message
+    zero-attempt ``unsafe`` quarantine instead of burning the full message
     budget the way a divergence quarantine would.
 
     ``parallel`` (a :class:`repro.parallel.ParallelConfig` with
@@ -97,7 +106,6 @@ class RefinementConfig:
     """
 
     max_iterations: int = 60
-    patience: int = 5
     allow_duplication: bool = True
     allow_policies: bool = True
     filter_deletion: bool = True
@@ -164,8 +172,8 @@ class Refiner:
     ):
         self.model = model
         self.config = config
-        self.outcomes: list[PrefixOutcome] = []
-        self.supervision: dict | None = None
+        self.stats = EngineStats()
+        """Every simulation of the run, merged, and every quarantine."""
         self.gated_prefixes: list[Prefix] = []
         self._gate_applied = False
         # With the lint gate on, safety is tracked through an incremental
@@ -195,7 +203,7 @@ class Refiner:
         """Iterate until every training path has a RIB-Out match.
 
         Stops early (``converged=False``) when ``max_iterations`` is
-        exhausted or the match count has not improved for ``patience``
+        exhausted or the match count has not improved for :data:`PATIENCE`
         iterations.
 
         With ``checkpoint`` set, the model plus loop state is atomically
@@ -247,7 +255,7 @@ class Refiner:
             stopping = (
                 converged
                 or not stats.changed
-                or stale_iterations >= self.config.patience
+                or stale_iterations >= PATIENCE
                 or iteration == self.config.max_iterations
             )
             if checkpoint_path is not None and (
@@ -260,7 +268,7 @@ class Refiner:
             if converged:
                 result.converged = True
                 break
-            if not stats.changed or stale_iterations >= self.config.patience:
+            if not stats.changed or stale_iterations >= PATIENCE:
                 break
         logger.info(
             "refinement %s after %d iteration(s), final match rate %.1f%%",
@@ -353,7 +361,7 @@ class Refiner:
     def _apply_lint_gate(self) -> None:
         """Statically quarantine unsafe prefixes before any simulation.
 
-        Each gated prefix gets a zero-attempt ``unsafe`` outcome, its
+        Each gated prefix gets a zero-attempt ``unsafe`` quarantine, its
         routing state is cleared, its training origin is dropped from the
         refinement targets and all later simulation passes skip it — so a
         dispute wheel costs no simulation attempts at all, versus the full
@@ -375,7 +383,7 @@ class Refiner:
                 continue
             self.model.network.clear_prefix(prefix)
             self.gated_prefixes.append(prefix)
-            self.outcomes.append(PrefixOutcome.gated(prefix))
+            self.stats.quarantined.append(Quarantine(prefix, UNSAFE))
             origin = self.model.origin_by_prefix.get(prefix)
             if origin is not None and origin in self.targets:
                 self.targets.pop(origin, None)
@@ -399,28 +407,26 @@ class Refiner:
                 if prefix not in gated
             ]
         try:
-            stats = self.model.simulate_all_resilient(
-                self.config.max_messages,
-                prefixes=prefixes,
-                parallel=self.config.parallel,
+            stats = simulate_pooled(
+                self.model.network, prefixes, MODEL_DECISION_CONFIG,
+                self.config.max_messages, self.config.parallel,
             )
         except ShutdownRequested as shutdown:
             if shutdown.stats is not None:
-                self.outcomes.extend(shutdown.stats.outcomes)
-                self.supervision = shutdown.stats.supervision
+                self.stats.merge(shutdown.stats)
             raise
-        self.outcomes.extend(stats.outcomes)
-        self.supervision = stats.supervision
+        self.stats.merge(stats)
 
     def _simulate_origin(self, origin: int) -> None:
         """(Re-)simulate one origin's prefix, quarantining on divergence."""
-        _, outcome = simulate_prefix_bounded(
-            self.model.network,
-            self.model.canonical_prefix(origin),
+        network = self.model.network
+        self.stats.merge(simulate(
+            network,
+            (self.model.canonical_prefix(origin),),
             MODEL_DECISION_CONFIG,
-            self.config.max_messages,
-        )
-        self.outcomes.append(outcome)
+            bounded_message_budget(network, self.config.max_messages),
+            on_divergence="quarantine",
+        ))
 
     def run_incremental(self) -> RefinementResult:
         """Extend an already-refined model for this refiner's origins (§4.7).

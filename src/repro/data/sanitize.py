@@ -38,15 +38,14 @@ PREPEND_COLLAPSE = "prepend-collapse"
 
 @dataclass(frozen=True)
 class SanitizeConfig:
-    """Which sanitization passes run (all on by default).
+    """Which of the optional sanitization passes run (both by default).
 
+    Prepend collapse and the path-loop drop always run.
     ``drop_bogon_asns`` / ``drop_martian_prefixes`` should be disabled
     for synthetic round-trip data, whose ASNs and prefixes are drawn
     from compact ranges that overlap reserved space by construction.
     """
 
-    collapse_prepends: bool = True
-    drop_loops: bool = True
     drop_bogon_asns: bool = True
     drop_martian_prefixes: bool = True
 
@@ -78,13 +77,9 @@ def sanitize_route(
     """
     config = config or SanitizeConfig()
     raw = str(route.path)[:64]
-    path = route.path
-    collapsed = 0
-    if config.collapse_prepends:
-        deduped = path.without_prepending()
-        collapsed = len(path) - len(deduped)
-        path = deduped
-    if config.drop_loops and path.has_loop():
+    path = route.path.without_prepending()
+    collapsed = len(route.path) - len(path)
+    if path.has_loop():
         return SanitizeOutcome(
             None,
             Rejection(

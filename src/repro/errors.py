@@ -133,13 +133,13 @@ class ShutdownRequested(ReproError):
         stats: what finished before the drain, in the raiser's own result
             type — :meth:`~repro.parallel.supervisor.SupervisedPool.run_tasks`
             attaches a partial ``GenericRunStats``,
-            :func:`~repro.resilience.retry.simulate_network_bounded` a
-            partial :class:`~repro.resilience.retry.ResilienceStats`; None
+            :func:`~repro.core.model.simulate_pooled` a partial
+            :class:`~repro.bgp.engine.EngineStats`; None
             where the loop keeps its results elsewhere (a checkpoint).
         pending: the units of work still queued or in flight, in the
             order they would have run — task keys from the pool, sorted
             :class:`~repro.net.prefix.Prefix` objects from
-            ``simulate_network_bounded`` — the work a resumed run must redo.
+            ``simulate_pooled`` — the work a resumed run must redo.
 
     The message — the one interrupt line ``repro.cli.main`` prints —
     counts ``pending`` as units of work: true of all three.

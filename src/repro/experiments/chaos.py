@@ -16,7 +16,10 @@ import io
 from dataclasses import dataclass, field, replace
 
 from repro.analysis.analyzer import analyze_network
+from repro.bgp.decision import DecisionConfig
+from repro.bgp.engine import UNSAFE, Quarantine
 from repro.core.build import build_initial_model
+from repro.core.model import simulate_pooled
 from repro.core.refine import RefinementConfig, Refiner
 from repro.data.dumps import read_table_dump, write_table_dump
 from repro.data.observation import collect_dataset, select_observation_points
@@ -26,7 +29,6 @@ from repro.net.prefix import Prefix
 from repro.parallel.protocol import ParallelConfig, WorkerFaults
 from repro.resilience.faults import FaultConfig, apply_faults, corrupt_dump_lines
 from repro.resilience.health import RunHealth
-from repro.resilience.retry import PrefixOutcome, simulate_network_bounded
 from repro.topology.prune import prepare_dataset
 
 
@@ -51,7 +53,7 @@ class ChaosConfig:
 
     With the gate on, the safety analyzer runs over the fault-injected
     network and every statically-unsafe prefix gets a zero-attempt
-    ``unsafe`` outcome instead of burning the full message budget in the
+    ``unsafe`` quarantine instead of burning the full message budget in the
     simulate phase; the lint report lands in the health report.
     """
     parallel: ParallelConfig | None = None
@@ -104,9 +106,8 @@ def run_chaos(config: ChaosConfig = ChaosConfig()) -> RunHealth:
             skip = set(gated)
             targets = [p for p in internet.network.prefixes() if p not in skip]
         try:
-            stats = simulate_network_bounded(
-                internet.network, prefixes=targets, max_messages=max_messages,
-                parallel=parallel,
+            stats = simulate_pooled(
+                internet.network, targets, DecisionConfig(), max_messages, parallel
             )
         except ShutdownRequested as shutdown:
             health.interrupted = True
@@ -114,8 +115,7 @@ def run_chaos(config: ChaosConfig = ChaosConfig()) -> RunHealth:
                 health.record_simulation(shutdown.stats)
             health.faults = report.to_dict()
             return health
-        for prefix in gated:
-            stats.outcomes.append(PrefixOutcome.gated(prefix))
+        stats.quarantined.extend(Quarantine(prefix, UNSAFE) for prefix in gated)
     health.record_simulation(stats)
 
     with health.phase("dump"):

@@ -16,14 +16,10 @@ from repro.forwarding.trace import (
     forward_as_path,
     traceroute,
 )
-from repro.forwarding.fib import Fib, build_fibs, traceroute_address
 
 __all__ = [
     "ForwardingStatus",
     "ForwardingTrace",
     "forward_as_path",
     "traceroute",
-    "Fib",
-    "build_fibs",
-    "traceroute_address",
 ]

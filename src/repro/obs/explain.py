@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 
 from repro.bgp.attributes import RouteSource
 from repro.bgp.decision import DecisionOutcome, run_decision, step_name
+from repro.bgp.engine import CONVERGED, DIVERGED, bounded_message_budget, simulate
 from repro.bgp.route import Route
 from repro.bgp.router import Router
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
 from repro.net.prefix import Prefix
-from repro.resilience.retry import simulate_prefix_bounded
 
 
 @dataclass
@@ -203,16 +203,17 @@ def explain_prefix(
     originate.
     """
     origin = model.origin_of(prefix)
-    stats, outcome = simulate_prefix_bounded(
-        model.network, prefix, MODEL_DECISION_CONFIG
+    stats = simulate(
+        model.network, (prefix,), MODEL_DECISION_CONFIG,
+        bounded_message_budget(model.network), on_divergence="quarantine",
     )
     explanation = PrefixExplanation(
         prefix=prefix,
         origin=origin,
         observer=observer_asn,
-        status=outcome.status,
-        attempts=outcome.attempts,
-        messages=outcome.messages,
+        status=DIVERGED if stats.quarantined else CONVERGED,
+        attempts=1,
+        messages=stats.messages,
         decisions=stats.decisions,
     )
     if observer_asn is not None:

@@ -7,7 +7,7 @@ with a ``key`` and a ``run(network, context, config, max_messages)``
 method — through
 :meth:`~repro.parallel.supervisor.SupervisedPool.run_tasks`, for two
 clients: the campaign engine fans whole perturbed-scenario simulations
-out, and :func:`repro.resilience.retry.simulate_network_bounded` one task
+out, and :func:`repro.core.model.simulate_pooled` one task
 per prefix (Section 4.2 of the paper: routing decisions are made
 independently per prefix, so a prefix's simulation needs nothing of
 another's).  ``workers=1`` keeps the sequential path.

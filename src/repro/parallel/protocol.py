@@ -11,8 +11,9 @@ method, sent as ``(MSG_TASK, task_id, task)`` and answered with
 worker dedicated to the task — or ``(MSG_ERROR, task_id, repr)``.  What a
 value means is between the task and whoever submitted it: a campaign
 scenario returns its outcome dict, a prefix simulation
-(:func:`repro.resilience.retry.simulate_network_bounded`) its stats,
-outcome and captured :class:`~repro.bgp.network.PrefixState`.
+(:func:`repro.core.model.simulate_pooled`) its
+:class:`~repro.bgp.engine.EngineStats` and captured
+:class:`~repro.bgp.network.PrefixState`.
 
 :class:`TaskFailure` is what the supervisor reports for a task it gave
 up on, :class:`WorkerFaults` the crash-injection hook the chaos suite
@@ -119,11 +120,10 @@ class TaskFailure:
 
     ``status`` is ``poison`` or ``timeout``, ``resubmits`` how many fresh
     workers it was given after the first, ``failures`` the per-dispatch
-    failure reasons, ``elapsed`` wall-clock since the first dispatch.
+    failure reasons.
     """
 
     key: str
     status: str
     resubmits: int
-    elapsed: float
     failures: tuple[str, ...] = ()

@@ -29,7 +29,7 @@ Every supervision event (spawn, death, restart, timeout, resubmit,
 poison classification, drain) emits through the tracer and the metrics
 registry.  The pool has two clients: campaign scenarios
 (:mod:`repro.campaign.engine`) and the per-prefix fan-out of
-:func:`repro.resilience.retry.simulate_network_bounded`.
+:func:`repro.core.model.simulate_pooled`.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from multiprocessing import connection as mp_connection
 from typing import Callable, Iterable
 
 from repro.bgp.decision import DecisionConfig
+from repro.bgp.engine import POISON, TIMEOUT
 from repro.bgp.network import Network
 from repro.errors import ShutdownRequested
 from repro.obs.metrics import get_registry
@@ -69,7 +70,6 @@ from repro.parallel.protocol import (
     dump_network,
 )
 from repro.parallel.worker import worker_main
-from repro.resilience.retry import POISON, TIMEOUT
 from repro.runstate import drain_signals
 
 logger = logging.getLogger(__name__)
@@ -313,7 +313,6 @@ class _Task:
     key: str
     payload: object
     failures: list[str] = field(default_factory=list)
-    first_dispatched: float | None = None
 
 
 @dataclass
@@ -535,13 +534,8 @@ class SupervisedPool:
             if all(r == FAIL_TIMEOUT for r in task.failures)
             else POISON
         )
-        elapsed = (
-            time.monotonic() - task.first_dispatched
-            if task.first_dispatched is not None
-            else 0.0
-        )
         self._failed[task.task_id] = TaskFailure(
-            task.key, status, resubmits_used, elapsed, tuple(task.failures)
+            task.key, status, resubmits_used, tuple(task.failures)
         )
         registry.counter(f"parallel.{status}_prefixes").inc()
         if tracer.enabled:
@@ -572,8 +566,6 @@ class SupervisedPool:
             task = self._tasks[task_id]
             worker.task_id = task_id
             worker.dispatched_at = time.monotonic()
-            if task.first_dispatched is None:
-                task.first_dispatched = worker.dispatched_at
             try:
                 worker.conn.send((MSG_TASK, task_id, task.payload))
             except (BrokenPipeError, OSError):

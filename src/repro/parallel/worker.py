@@ -44,6 +44,7 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from repro.bgp.decision import DecisionConfig
+from repro.bgp.engine import bounded_message_budget, simulate
 from repro.bgp.network import Network
 from repro.net.prefix import Prefix
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
@@ -58,7 +59,6 @@ from repro.parallel.protocol import (
     MSG_TASK,
     WorkerFaults,
 )
-from repro.resilience.retry import simulate_prefix_bounded
 
 HEARTBEAT_INTERVAL = 0.2
 """Seconds between a worker's heartbeats while its main thread simulates."""
@@ -75,11 +75,12 @@ def converge_ahead(
     What a lender does before the first borrower.  State the network came
     with is not trusted as converged, and every scenario that cleared it
     would set it aside and put it back: it goes.  Each prefix is then
-    simulated once, counted under ``engine.converged_ahead``.
+    simulated once, quarantining, counted under ``engine.converged_ahead``.
     """
     network.clear_routing()
+    budget = bounded_message_budget(network, max_messages)
     for prefix in prefixes:
-        simulate_prefix_bounded(network, prefix, config, max_messages)
+        simulate(network, (prefix,), config, budget, on_divergence="quarantine")
         get_registry().counter("engine.converged_ahead").inc()
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
+from repro.bgp.engine import DIVERGED, QUARANTINE_REASONS, UNSAFE
 from repro.obs.profile import get_profiler
-from repro.resilience.retry import QUARANTINED_STATUSES
 
 EXIT_OK = 0
 """Everything converged and parsed."""
@@ -88,8 +88,45 @@ class RunHealth:
         }
 
     def record_simulation(self, stats) -> None:
-        """Fold a :class:`~repro.resilience.retry.ResilienceStats` in."""
-        self.simulation = stats.to_dict()
+        """Fold an :class:`~repro.bgp.engine.EngineStats` in.
+
+        ``prefixes``, ``attempts`` and ``converged`` count simulations (a
+        refinement simulates a prefix again each time it changes it);
+        ``converged`` leaves the diverged ones out, and ``prefixes`` adds
+        each gated or pool-quarantined prefix once: a gated one costs no
+        attempt, a pool-quarantined one a dispatch per worker it was
+        given.  Every prefix list and the per-quarantine detail are
+        sorted by prefix, so reports diff cleanly across runs.
+        """
+        simulations = stats.prefixes + stats.resumes
+        quarantined = sorted(stats.quarantined)
+        supervised = [q for q in quarantined if q.reason not in (DIVERGED, UNSAFE)]
+        self.simulation = {
+            "prefixes": simulations + sum(q.reason != DIVERGED for q in quarantined),
+            "messages": stats.messages,
+            "budget_exhaustions": stats.budget_exhaustions,
+            "attempts": simulations + sum(q.resubmits + 1 for q in supervised),
+            "resubmits": sum(q.resubmits for q in supervised),
+            "converged": simulations - len(stats.diverged),
+            **{
+                reason: [
+                    str(q.prefix) for q in quarantined if q.reason == reason
+                ]
+                for reason in QUARANTINE_REASONS
+            },
+            "outcomes": [
+                {
+                    "prefix": str(q.prefix),
+                    "status": q.reason,
+                    "attempts": 0 if q.reason == UNSAFE else q.resubmits + 1,
+                    "messages": q.messages,
+                    "final_budget": q.budget,
+                    "resubmits": q.resubmits,
+                }
+                for q in quarantined
+            ],
+            "supervision": stats.supervision,
+        }
 
     def record_lint(self, report) -> None:
         """Fold an :class:`~repro.analysis.findings.AnalysisReport` in.
@@ -164,7 +201,7 @@ class RunHealth:
         if self.simulation is None:
             return []
         prefixes: list[str] = []
-        for status in QUARANTINED_STATUSES:
+        for status in QUARANTINE_REASONS:
             prefixes.extend(self.simulation.get(status) or [])
         return sorted(prefixes)
 

@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.analysis.certify import certify_network
-from repro.core.model import ASRoutingModel
+from repro.bgp.engine import EngineStats
+from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel, simulate_pooled
 from repro.core.predict import collect_path_map
 from repro.errors import ModelError
 from repro.net.prefix import Prefix
 from repro.obs.metrics import get_registry
 from repro.obs.profile import get_profiler
 from repro.relationships.types import RelationshipMap
-from repro.resilience.retry import ResilienceStats
 from repro.serve.artifact import PredictionArtifact, build_artifact
 
 logger = logging.getLogger(__name__)
@@ -44,7 +44,7 @@ class CompileReport:
     collect_seconds: float = 0.0
     certify_seconds: float = 0.0
     certified_findings: int = 0
-    stats: ResilienceStats | None = None
+    stats: EngineStats | None = None
 
     def to_dict(self) -> dict:
         """JSON-serialisable summary."""
@@ -110,10 +110,12 @@ def compile_artifact(
 
     started = time.perf_counter()
     with profiler.phase("compile.simulate"):
-        stats = model.simulate_all_resilient(max_messages, parallel=parallel)
+        stats = simulate_pooled(
+            model.network, None, MODEL_DECISION_CONFIG, max_messages, parallel
+        )
     report.simulate_seconds = time.perf_counter() - started
     report.stats = stats
-    quarantined: set[Prefix] = set(stats.quarantined)
+    quarantined: set[Prefix] = {q.prefix for q in stats.quarantined}
     report.quarantined = sorted(str(prefix) for prefix in quarantined)
     report.converged = report.prefixes - len(quarantined)
     registry.counter("serve.compile.prefixes").inc(report.prefixes)

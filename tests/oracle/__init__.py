@@ -29,7 +29,7 @@ from repro.campaign import context_from_artifact, plan_campaign
 from repro.campaign.diffing import ScenarioDiff, diff_path_maps
 from repro.campaign.scenarios import crossing_origins, remove_adjacency
 from repro.core.build import build_initial_model
-from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
+from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel, simulate_pooled
 from repro.core.predict import collect_path_map
 from repro.core.refine import RefinementConfig, Refiner
 from repro.data.observation import collect_dataset, select_observation_points
@@ -37,7 +37,6 @@ from repro.data.synthesis import SyntheticConfig, synthesize_internet
 from repro.net.prefix import Prefix
 from repro.obs.trace import EVENT_DECISION, RecordingTracer, tracing
 from repro.parallel.protocol import dump_network
-from repro.resilience.retry import ResilienceStats, simulate_network_bounded
 from repro.serve import compile_artifact
 from repro.topology.graph import ASGraph
 from tests.test_bgp_engine_golden import _route_fields, canonical_dump
@@ -239,13 +238,13 @@ def judge(make_network, config: DecisionConfig, act):
 
 def depeer_from_scratch(
     blob: bytes, context, asn_a: int, asn_b: int, config=MODEL_DECISION_CONFIG
-) -> tuple[Network, ResilienceStats, int, ScenarioDiff]:
+) -> tuple[Network, EngineStats, int, ScenarioDiff]:
     """The plain recipe: fresh copy, adjacency removed, every prefix
     re-simulated; the network as the engine left it, its statistics, the
     sessions removed and the diff against ``context``'s baseline."""
     network = pickle.loads(blob)
     removed = len(remove_adjacency(network, asn_a, asn_b))
-    stats = simulate_network_bounded(network, config=config)
+    stats = simulate_pooled(network, config=config)
     assert not stats.quarantined
     current = collect_path_map(network, context.origins, context.observers)
     diff = diff_path_maps(context.baseline_paths, current, context.excluded)
@@ -307,7 +306,7 @@ def depeered_world(seed: int, asn_a: int, asn_b: int) -> Depeered:
     return Depeered(
         removed,
         diff,
-        {outcome.prefix: outcome.messages for outcome in stats.outcomes},
+        dict(stats.per_prefix_messages),
         {
             prefix: zlib.compress(repr(rib_contents(network, prefix)).encode(), 1)
             for prefix in (world.model.prefix_by_origin[o] for o in crossing)

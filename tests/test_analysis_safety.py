@@ -13,7 +13,7 @@ from repro.analysis.safety import (
     strongly_connected_components,
     unsafe_prefixes,
 )
-from repro.bgp.engine import simulate, simulate_prefix
+from repro.bgp.engine import UNSAFE, Quarantine, simulate, simulate_prefix
 from repro.bgp.network import Network
 from repro.bgp.policy import Action, Clause, Match
 from repro.cbgp.export import export_network
@@ -26,7 +26,6 @@ from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix, prefix_for_asn
 from repro.resilience.faults import FaultConfig, apply_faults, inject_dispute_wheel
 from repro.resilience.health import EXIT_DIVERGED, RunHealth
-from repro.resilience.retry import ResilienceStats
 from repro.topology.dataset import ObservedRoute, PathDataset
 
 
@@ -251,24 +250,26 @@ class TestLintGateVsQuarantine:
             RefinementConfig(max_messages=8000, lint_gate=lint_gate),
         )
         refiner.run()
-        return wheel_prefix, ResilienceStats(outcomes=refiner.outcomes)
+        health = RunHealth()
+        health.record_simulation(refiner.stats)
+        return wheel_prefix, refiner.stats, health.simulation
 
     def test_gate_spends_strictly_fewer_attempts(self):
-        wheel, plain = self._refined(lint_gate=False)
-        _, gated = self._refined(lint_gate=True)
+        wheel, plain, plain_sim = self._refined(lint_gate=False)
+        _, gated, gated_sim = self._refined(lint_gate=True)
         assert wheel in plain.diverged
-        assert plain.unsafe == []
-        assert gated.unsafe == [wheel]
+        assert plain_sim["unsafe"] == []
+        assert gated.quarantined == [Quarantine(wheel, UNSAFE)]
         assert gated.diverged == []
         # the gated outcome spent nothing on the wheel prefix
-        gated_outcome = next(o for o in gated.outcomes if o.prefix == wheel)
-        assert gated_outcome.attempts == 0
-        assert gated_outcome.messages == 0
-        assert gated.attempts < plain.attempts
+        (gated_outcome,) = gated_sim["outcomes"]
+        assert gated_outcome["attempts"] == 0
+        assert gated_outcome["messages"] == 0
+        assert gated_sim["attempts"] < plain_sim["attempts"]
 
     def test_run_health_shows_the_saving(self):
-        _, plain = self._refined(lint_gate=False)
-        wheel, gated = self._refined(lint_gate=True)
+        _, plain, _ = self._refined(lint_gate=False)
+        wheel, gated, _ = self._refined(lint_gate=True)
         health_plain, health_gated = RunHealth(), RunHealth()
         health_plain.record_simulation(plain)
         health_gated.record_simulation(gated)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.bgp.engine import POISON
 from repro.campaign import (
     CampaignReport,
     ScenarioOutcome,
@@ -34,7 +35,6 @@ from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import EVENT_SCENARIO, RecordingTracer, tracing
 from repro.parallel import ParallelConfig, WorkerFaults
 from repro.parallel.worker import WorkingCopy
-from repro.resilience.retry import POISON
 from repro.serve import compile_artifact
 from tests.oracle import structure
 from tests.test_campaign_scenarios import line_model, seeded_world

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.bgp import Network, simulate
+from repro.bgp.engine import POISON
 from repro.bgp.policy import Clause, Match
 from repro.campaign import (
     CatchmentScenario,
@@ -46,11 +47,6 @@ from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.parallel import ParallelConfig
 from repro.parallel.protocol import dump_network
 from repro.parallel.worker import WorkingCopy
-from repro.resilience.retry import (
-    POISON,
-    simulate_network_bounded,
-    simulate_prefix_bounded,
-)
 from repro.serve import PredictionArtifact, compile_artifact
 from repro.topology.dataset import ObservedRoute, PathDataset
 from tests.oracle import depeered_world, from_scratch, seeded_world, structure
@@ -583,7 +579,7 @@ class HalfwayScenario:
         session = next(iter(network.sessions.values()))
         network.disconnect(session.src, session.dst)
         network.originate(session.src, Prefix("240.0.0.0/24"))
-        simulate_network_bounded(network, config=config)
+        simulate(network, config=config, on_divergence="quarantine")
         raise TopologyError("failed halfway through")
 
 
@@ -612,7 +608,9 @@ class StopsAfter:
             lambda: network.disconnect(a, b),
             lambda: network.originate(a, anycast),
             lambda: network.originate(b, anycast),
-            lambda: simulate_prefix_bounded(network, anycast, config, max_messages),
+            lambda: simulate(
+                network, [anycast], config, max_messages, on_divergence="quarantine"
+            ),
             lambda: network.withdraw(a, anycast),
             lambda: network.withdraw(origin, own),
             lambda: network.clear_prefix(own),      # set aside, if it was held

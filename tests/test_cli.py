@@ -105,6 +105,24 @@ class TestRefineAndWhatIf:
         assert "validation" in captured
         assert model_path.exists()
 
+    def test_refine_health_report_shows_the_messages_it_sent(
+        self, dump_file, tmp_path, capsys
+    ):
+        """The ``simulation`` section is the refiner's merged engine
+        stats, not a count of outcomes: what it sent is reported, and no
+        more than the engine counted in all (evaluation simulates too)."""
+        import json
+
+        report = tmp_path / "health.json"
+        assert main(["refine", str(dump_file), "--health-report", str(report)]) == 0
+        capsys.readouterr()
+        document = json.loads(report.read_text())
+        simulation = document["simulation"]
+        counted = document["metrics"]["counters"]["engine.messages"]
+        assert 0 < simulation["messages"] <= counted
+        assert simulation["attempts"] == simulation["prefixes"]
+        assert simulation["converged"] == simulation["prefixes"]
+
     def test_whatif_on_saved_model(self, dump_file, tmp_path, capsys):
         model_path = tmp_path / "model.cbgp"
         assert main(["refine", str(dump_file), "--out", str(model_path)]) == 0

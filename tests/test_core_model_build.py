@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.bgp.engine import CONVERGED
 from repro.campaign import HijackScenario, context_from_artifact, whatif
 from repro.core.build import build_initial_model, build_relationship_model
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
@@ -11,7 +12,6 @@ from repro.errors import TopologyError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix, prefix_for_asn
 from repro.relationships.types import Relationship, RelationshipMap
-from repro.resilience.retry import CONVERGED
 from repro.serve import compile_artifact
 from repro.topology.dataset import ObservedRoute, PathDataset
 from repro.topology.graph import ASGraph

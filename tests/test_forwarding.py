@@ -152,72 +152,3 @@ class TestGroundTruthConsistency:
                 trace = traceroute(net, router, prefix)
                 assert trace.status is not ForwardingStatus.LOOP
 
-
-class TestFibForwarding:
-    def test_lpm_resolves_inside_prefix(self, line):
-        from repro.forwarding import Fib, traceroute_address
-
-        net, routers, prefix = line
-        simulate(net)
-        address = prefix.network | 7  # a host inside 10.0.0.0/24
-        trace = traceroute_address(net, routers[1], address)
-        assert trace.delivered
-        assert net.routers[trace.hops[-1]].asn == 3
-
-    def test_unrouted_address_unreachable(self, line):
-        from repro.forwarding import traceroute_address
-        from repro.net.ip import ip_from_string
-
-        net, routers, prefix = line
-        simulate(net)
-        trace = traceroute_address(net, routers[1], ip_from_string("99.9.9.9"))
-        assert trace.status is ForwardingStatus.UNREACHABLE
-
-    def test_more_specific_prefix_wins(self):
-        """A /25 originated elsewhere attracts the traffic (hijack shape)."""
-        from repro.forwarding import traceroute_address
-
-        net = Network()
-        observer = net.add_router(1)
-        legit = net.add_router(2)
-        hijacker = net.add_router(3)
-        net.connect(observer, legit)
-        net.connect(observer, hijacker)
-        covering = Prefix("10.0.0.0/24")
-        specific = Prefix("10.0.0.0/25")
-        net.originate(legit, covering)
-        net.originate(hijacker, specific)
-        simulate(net)
-        inside = covering.network | 5       # falls in the /25
-        outside = covering.network | 200    # only the /24 covers it
-        assert (
-            net.routers[
-                traceroute_address(net, observer, inside).hops[-1]
-            ].asn
-            == 3
-        )
-        assert (
-            net.routers[
-                traceroute_address(net, observer, outside).hops[-1]
-            ].asn
-            == 2
-        )
-
-    def test_prebuilt_fibs_match_on_the_fly(self, diamond):
-        from repro.forwarding import build_fibs, traceroute_address
-
-        net, routers, prefix = diamond
-        simulate(net)
-        fibs = build_fibs(net)
-        address = prefix.network | 1
-        a = traceroute_address(net, routers[1], address)
-        b = traceroute_address(net, routers[1], address, fibs)
-        assert a.hops == b.hops and a.status == b.status
-
-    def test_fib_size_counts_entries(self, line):
-        from repro.forwarding import Fib
-
-        net, routers, prefix = line
-        simulate(net)
-        assert len(Fib(routers[1])) == 1
-        assert len(Fib(routers[3])) == 1  # its own local route

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bgp.engine import EngineStats
+from repro.bgp.engine import DIVERGED, EngineStats, Quarantine
 from repro.bgp.network import Network
 from repro.data.synthesis import SyntheticConfig
 from repro.errors import (
@@ -61,12 +61,14 @@ class TestEngineStats:
         a = EngineStats(prefixes=1, messages=10, decisions=5)
         a.per_prefix_messages[Prefix("10.0.0.0/24")] = 10
         b = EngineStats(prefixes=2, messages=20, decisions=7)
-        b.diverged.append(Prefix("10.0.1.0/24"))
+        b.quarantined.append(Quarantine(Prefix("10.0.1.0/24"), DIVERGED, 21, 20))
+        b.supervision = {"spawns": 2}
         a.merge(b)
         assert a.prefixes == 3
         assert a.messages == 30
         assert a.decisions == 12
-        assert len(a.diverged) == 1
+        assert a.diverged == [Prefix("10.0.1.0/24")]
+        assert a.supervision == {"spawns": 2}
         assert len(a.per_prefix_messages) == 1
 
 

@@ -10,7 +10,14 @@ import pickle
 
 import pytest
 
-from repro.bgp.engine import EngineStats, resume_prefix, simulate, simulate_prefix
+from repro.bgp.engine import (
+    DIVERGED,
+    EngineStats,
+    Quarantine,
+    resume_prefix,
+    simulate,
+    simulate_prefix,
+)
 from repro.bgp.network import Network
 from repro.core.build import build_initial_model
 from repro.core.refine import RefinementConfig, Refiner
@@ -27,12 +34,9 @@ from repro.obs.trace import (
     tracing,
 )
 from repro.resilience.faults import inject_dispute_wheel
-from repro.resilience.retry import (
-    simulate_network_bounded,
-    simulate_prefix_bounded,
-)
+from repro.resilience.health import RunHealth
 from repro.topology.dataset import ObservedRoute, PathDataset
-from tests.test_resilience_retry import gadget_network
+from tests.test_bgp_engine import gadget_network
 
 
 @pytest.fixture
@@ -89,9 +93,11 @@ class TestBudgetExhaustionVisibility:
         inject_dispute_wheel(net, prefix, (1, 2, 3))
         tracer = RecordingTracer()
         with tracing(tracer):
-            stats, outcome = simulate_prefix_bounded(net, prefix, max_messages=100)
-        assert outcome.status == "diverged"
-        assert stats.budget_exhaustions == outcome.attempts == 1
+            stats = simulate(
+                net, [prefix], max_messages=100, on_divergence="quarantine"
+            )
+        assert stats.quarantined == [Quarantine(prefix, DIVERGED, 101, 100)]
+        assert stats.budget_exhaustions == 1
         assert registry.counter("retry.quarantined").value == 1
         (event,) = tracer.events(EVENT_QUARANTINE)
         assert event["prefix"] == str(prefix)
@@ -139,9 +145,11 @@ class TestBudgetExhaustionVisibility:
 
     def test_budget_exhaustions_surface_in_resilience_to_dict(self, registry):
         net, prefix = line_network()
-        result = simulate_network_bounded(net, max_messages=1)
-        document = result.to_dict()
-        assert document["budget_exhaustions"] == result.engine.budget_exhaustions
+        stats = simulate(net, max_messages=1, on_divergence="quarantine")
+        health = RunHealth()
+        health.record_simulation(stats)
+        document = health.simulation
+        assert document["budget_exhaustions"] == stats.budget_exhaustions
         assert document["budget_exhaustions"] == 1
         assert document["diverged"] == [str(prefix)]
 

@@ -211,25 +211,16 @@ class TestIterationProvenanceRoundTrip:
 
 class TestSupervisionStats:
     def _parallel_report(self):
+        from repro.bgp.engine import POISON, TIMEOUT, EngineStats, Quarantine
         from repro.net.prefix import Prefix
-        from repro.resilience.retry import (
-            POISON,
-            TIMEOUT,
-            PrefixOutcome,
-            ResilienceStats,
-        )
 
         health = RunHealth()
-        stats = ResilienceStats(supervision={
+        stats = EngineStats(supervision={
             "workers": 2, "spawned": 5, "deaths": 3, "restarts": 3,
             "task_timeouts": 1, "resubmits": 2, "drained": False,
         })
-        stats.outcomes.append(
-            PrefixOutcome.supervised_failure(Prefix("10.0.0.0/24"), POISON, 2, 1.0)
-        )
-        stats.outcomes.append(
-            PrefixOutcome.supervised_failure(Prefix("10.1.0.0/24"), TIMEOUT, 2, 1.0)
-        )
+        stats.quarantined.append(Quarantine(Prefix("10.0.0.0/24"), POISON, resubmits=2))
+        stats.quarantined.append(Quarantine(Prefix("10.1.0.0/24"), TIMEOUT, resubmits=2))
         health.record_simulation(stats)
         return health.to_dict()
 

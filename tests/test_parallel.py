@@ -6,9 +6,10 @@ import threading
 
 import pytest
 
+from repro.bgp.engine import DIVERGED, POISON, TIMEOUT, EngineStats, Quarantine
 from repro.bgp.network import Network
 from repro.bgp.route import Route
-from repro.core.model import MODEL_DECISION_CONFIG
+from repro.core.model import simulate_pooled
 from repro.errors import ShutdownRequested
 from repro.net.prefix import Prefix
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -24,14 +25,7 @@ from repro.obs.trace import (
 )
 from repro.parallel import ParallelConfig, WorkerFaults
 from repro.parallel.supervisor import SupervisedPool
-from repro.resilience.retry import (
-    CONVERGED,
-    DIVERGED,
-    POISON,
-    TIMEOUT,
-    ResilienceStats,
-    simulate_network_bounded,
-)
+from repro.resilience.health import RunHealth
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -48,6 +42,17 @@ def star_network(prefix_count=8, spokes=4):
         net.originate(hub, prefix)
         prefixes.append(prefix)
     return net, prefixes
+
+
+def report(stats):
+    """The ``simulation`` section a health report makes of ``stats``."""
+    health = RunHealth()
+    health.record_simulation(stats)
+    return health.simulation
+
+
+def quarantined(stats, reason):
+    return [str(q.prefix) for q in stats.quarantined if q.reason == reason]
 
 
 def fresh_registry():
@@ -80,7 +85,7 @@ def rib_rows(net, prefix):
 def sequential_twin(prefix_count=8):
     """The same star, simulated in-process: the oracle for the pool."""
     net, _ = star_network(prefix_count)
-    simulate_network_bounded(net, config=MODEL_DECISION_CONFIG)
+    simulate_pooled(net)
     return net
 
 
@@ -88,15 +93,11 @@ class TestEquivalence:
     def test_parallel_matches_sequential(self):
         net_seq, prefixes = star_network()
         net_par, _ = star_network()
-        seq = simulate_network_bounded(net_seq, config=MODEL_DECISION_CONFIG)
-        par = simulate_network_bounded(
-            net_par, config=MODEL_DECISION_CONFIG,
-            parallel=ParallelConfig(workers=2),
-        )
-        assert [(str(o.prefix), o.status) for o in par.outcomes] == sorted(
-            (str(o.prefix), o.status) for o in seq.outcomes
-        )
-        assert par.engine.messages == seq.engine.messages
+        seq = simulate_pooled(net_seq)
+        par = simulate_pooled(net_par, parallel=ParallelConfig(workers=2))
+        assert par.prefixes == seq.prefixes == len(prefixes)
+        assert par.quarantined == seq.quarantined == []
+        assert par.messages == seq.messages
         for router_id, router in net_seq.routers.items():
             other = net_par.routers[router_id]
             assert set(router.loc_rib) == set(other.loc_rib)
@@ -107,10 +108,8 @@ class TestEquivalence:
 
     def test_workers_1_falls_back_to_sequential(self):
         net, _ = star_network(prefix_count=3)
-        stats = simulate_network_bounded(
-            net, config=MODEL_DECISION_CONFIG, parallel=ParallelConfig(workers=1)
-        )
-        assert all(o.status == CONVERGED for o in stats.outcomes)
+        stats = simulate_pooled(net, parallel=ParallelConfig(workers=1))
+        assert stats.prefixes == 3 and not stats.quarantined
         assert stats.supervision is None  # no pool ran
 
     def test_pool_rejects_single_worker(self):
@@ -126,9 +125,7 @@ class TestEquivalence:
         def engine_instruments(**kwargs):
             net, _ = star_network(prefix_count=12)
             registry = fresh_registry()
-            simulate_network_bounded(
-                net, config=MODEL_DECISION_CONFIG, **kwargs
-            )
+            simulate_pooled(net, **kwargs)
             set_registry(None)
             snapshot = registry.snapshot()
             return {
@@ -161,25 +158,24 @@ class TestEquivalence:
             return net, prefixes
 
         net, prefixes = star_with_tail()
-        roomy = simulate_network_bounded(net, config=MODEL_DECISION_CONFIG)
-        budget = roomy.engine.per_prefix_messages[far] - 1
+        roomy = simulate_pooled(net)
+        budget = roomy.per_prefix_messages[far] - 1
         assert budget >= max(
-            roomy.engine.per_prefix_messages[prefix] for prefix in prefixes
+            roomy.per_prefix_messages[prefix] for prefix in prefixes
         )
         seq_net, _ = star_with_tail()
         par_net, _ = star_with_tail()
-        seq = simulate_network_bounded(
-            seq_net, config=MODEL_DECISION_CONFIG, max_messages=budget
-        )
-        par = simulate_network_bounded(
-            par_net, config=MODEL_DECISION_CONFIG, max_messages=budget,
-            parallel=ParallelConfig(workers=2),
+        seq = simulate_pooled(seq_net, max_messages=budget)
+        par = simulate_pooled(
+            par_net, max_messages=budget, parallel=ParallelConfig(workers=2)
         )
         assert seq.diverged == par.diverged == [far]
-        assert par.to_dict()["outcomes"][0]["status"] == DIVERGED
+        assert par.quarantined == seq.quarantined == [
+            Quarantine(far, DIVERGED, budget + 1, budget)
+        ]
         assert not par_net.holds_state(far)
-        assert par.engine.budget_exhaustions == seq.engine.budget_exhaustions == 1
-        assert par.engine.per_prefix_messages == seq.engine.per_prefix_messages
+        assert par.budget_exhaustions == seq.budget_exhaustions == 1
+        assert par.per_prefix_messages == seq.per_prefix_messages
         for prefix in (*prefixes, far):
             assert rib_rows(par_net, prefix) == rib_rows(seq_net, prefix)
 
@@ -190,22 +186,19 @@ class TestCrashIsolation:
         victim = str(prefixes[3])
         registry = fresh_registry()
         with tracing(RecordingTracer()) as tracer:
-            stats = simulate_network_bounded(
-                net, config=MODEL_DECISION_CONFIG,
+            stats = simulate_pooled(
+                net,
                 parallel=ParallelConfig(
                     workers=2, max_resubmits=1,
                     faults=WorkerFaults(crash_prefixes=(victim,)),
                 ),
             )
         set_registry(None)
-        assert [str(p) for p in stats.poison] == [victim]
-        outcome = next(o for o in stats.outcomes if str(o.prefix) == victim)
-        assert outcome.status == POISON
-        assert outcome.resubmits == 1
-        assert outcome.attempts == 2  # initial dispatch + one resubmit
+        assert stats.quarantined == [Quarantine(prefixes[3], POISON, resubmits=1)]
+        (outcome,) = report(stats)["outcomes"]
+        assert outcome["attempts"] == 2  # initial dispatch + one resubmit
         # every healthy prefix still converged
-        healthy = [o for o in stats.outcomes if str(o.prefix) != victim]
-        assert all(o.status == CONVERGED for o in healthy)
+        assert stats.prefixes == len(prefixes) - 1 and not stats.diverged
         # the poison prefix carries no routes (quarantined); the others
         # hold what the sequential loop leaves
         assert not net.holds_state(prefixes[3])
@@ -232,8 +225,8 @@ class TestCrashIsolation:
         victim = str(prefixes[5])
         registry = fresh_registry()
         with tracing(RecordingTracer()) as tracer:
-            stats = simulate_network_bounded(
-                net, config=MODEL_DECISION_CONFIG,
+            stats = simulate_pooled(
+                net,
                 parallel=ParallelConfig(
                     workers=2, task_timeout=0.5, max_resubmits=1,
                     faults=WorkerFaults(
@@ -242,9 +235,8 @@ class TestCrashIsolation:
                 ),
             )
         set_registry(None)
-        assert [str(p) for p in stats.timed_out] == [victim]
-        outcome = next(o for o in stats.outcomes if str(o.prefix) == victim)
-        assert outcome.status == TIMEOUT
+        assert quarantined(stats, TIMEOUT) == [victim]
+        assert report(stats)["timeout"] == [victim]
         assert stats.supervision["task_timeouts"] == 2
         assert registry.snapshot()["counters"]["parallel.task_timeouts"] == 2
         events = {record["type"] for record in tracer.events()}
@@ -258,23 +250,23 @@ class TestCrashIsolation:
         # triggers only after max_resubmits + 1 dispatches.
         net, prefixes = star_network(prefix_count=4)
         victim = str(prefixes[0])
-        stats = simulate_network_bounded(
-            net, config=MODEL_DECISION_CONFIG,
+        stats = simulate_pooled(
+            net,
             parallel=ParallelConfig(
                 workers=2, max_resubmits=3,
                 faults=WorkerFaults(crash_prefixes=(victim,)),
             ),
         )
-        outcome = next(o for o in stats.outcomes if str(o.prefix) == victim)
-        assert outcome.status == POISON
-        assert outcome.attempts == 4
+        (outcome,) = report(stats)["outcomes"]
+        assert outcome["status"] == POISON
+        assert outcome["attempts"] == 4
         assert stats.supervision["deaths"] == 4
 
     def test_mixed_faults_whole_run_survives(self):
         net, prefixes = star_network(prefix_count=10)
         crash, hang = str(prefixes[1]), str(prefixes[8])
-        stats = simulate_network_bounded(
-            net, config=MODEL_DECISION_CONFIG,
+        stats = simulate_pooled(
+            net,
             parallel=ParallelConfig(
                 workers=3, task_timeout=0.5, max_resubmits=1,
                 faults=WorkerFaults(
@@ -283,9 +275,9 @@ class TestCrashIsolation:
                 ),
             ),
         )
-        assert [str(p) for p in stats.poison] == [crash]
-        assert [str(p) for p in stats.timed_out] == [hang]
-        assert sum(1 for o in stats.outcomes if o.status == CONVERGED) == 8
+        assert quarantined(stats, POISON) == [crash]
+        assert quarantined(stats, TIMEOUT) == [hang]
+        assert report(stats)["converged"] == 8
 
 
 class TestGracefulShutdown:
@@ -299,8 +291,8 @@ class TestGracefulShutdown:
         with tracing(RecordingTracer()) as tracer:
             try:
                 with pytest.raises(ShutdownRequested) as excinfo:
-                    simulate_network_bounded(
-                        net, config=MODEL_DECISION_CONFIG,
+                    simulate_pooled(
+                        net,
                         parallel=ParallelConfig(
                             workers=2, drain_grace=1.0,
                             faults=WorkerFaults(
@@ -313,12 +305,12 @@ class TestGracefulShutdown:
         shutdown = excinfo.value
         assert shutdown.signum == signal.SIGTERM
         # the contract Refiner._simulate_all, run_chaos and cli.main consume
-        assert isinstance(shutdown.stats, ResilienceStats)
+        assert isinstance(shutdown.stats, EngineStats)
         assert shutdown.stats.supervision["drained"] is True
         assert shutdown.pending and shutdown.pending == sorted(shutdown.pending)
         assert all(isinstance(prefix, Prefix) for prefix in shutdown.pending)
         # partial results + pending cover every prefix except the hung one
-        done = {str(o.prefix) for o in shutdown.stats.outcomes}
+        done = {str(p) for p in shutdown.stats.per_prefix_messages}
         left = {str(p) for p in shutdown.pending}
         assert victim not in done
         assert done | left | {victim} == {str(p) for p in prefixes}
@@ -338,9 +330,7 @@ class TestGracefulShutdown:
             signal.getsignal(signal.SIGTERM),
         )
         net, _ = star_network(prefix_count=3)
-        simulate_network_bounded(
-            net, config=MODEL_DECISION_CONFIG, parallel=ParallelConfig(workers=2)
-        )
+        simulate_pooled(net, parallel=ParallelConfig(workers=2))
         assert (
             signal.getsignal(signal.SIGINT),
             signal.getsignal(signal.SIGTERM),
@@ -350,7 +340,7 @@ class TestGracefulShutdown:
 class TestPrefixState:
     def test_capture_apply_round_trip(self):
         net, prefixes = star_network(prefix_count=2)
-        simulate_network_bounded(net, config=MODEL_DECISION_CONFIG)
+        simulate_pooled(net)
         target = prefixes[0]
         state = net.capture_prefix(target)
         assert state.routers  # someone touched it
@@ -368,7 +358,7 @@ class TestPrefixState:
 
     def test_apply_clears_stale_state_first(self):
         net, prefixes = star_network(prefix_count=1)
-        simulate_network_bounded(net, config=MODEL_DECISION_CONFIG)
+        simulate_pooled(net)
         target = prefixes[0]
         state = net.capture_prefix(target)
         before = rib_rows(net, target)
@@ -396,16 +386,14 @@ class TestPrefixState:
         perturbation captures before its first change is the one
         ``close_perturbation`` installs."""
         net, prefixes = star_network(prefix_count=2)
-        simulate_network_bounded(net, config=MODEL_DECISION_CONFIG)
+        simulate_pooled(net)
         target, other = prefixes
         before = net.capture_prefix(target)
         untouched = rib_rows(net, other)
         hub, spoke = net.routers[min(net.routers)], net.routers[max(net.routers)]
         net.open_perturbation()
         net.disconnect(hub, spoke)
-        simulate_network_bounded(
-            net, prefixes=[target], config=MODEL_DECISION_CONFIG
-        )
+        simulate_pooled(net, [target])
         assert net.capture_prefix(target) != before
         net.close_perturbation()
         assert net.capture_prefix(target) == before
@@ -414,36 +402,24 @@ class TestPrefixState:
 
 class TestDeterministicSerialization:
     def test_stats_to_dict_sorted_regardless_of_outcome_order(self):
-        from repro.resilience.retry import PrefixOutcome, ResilienceStats
-
         prefixes = [Prefix(f"10.{i}.0.0/24") for i in (3, 1, 2)]
-        stats_a = ResilienceStats()
-        stats_b = ResilienceStats()
+        stats_a = EngineStats()
+        stats_b = EngineStats()
         for prefix in prefixes:
-            stats_a.outcomes.append(
-                PrefixOutcome.supervised_failure(prefix, POISON, 2, 0.0)
-            )
+            stats_a.quarantined.append(Quarantine(prefix, POISON, resubmits=2))
         for prefix in reversed(prefixes):
-            stats_b.outcomes.append(
-                PrefixOutcome.supervised_failure(prefix, POISON, 2, 0.0)
-            )
-        assert stats_a.to_dict() == stats_b.to_dict()
-        assert stats_a.to_dict()["poison"] == sorted(str(p) for p in prefixes)
-        assert stats_b.quarantined == sorted(prefixes)
-        assert stats_a.to_dict()["resubmits"] == 6
+            stats_b.quarantined.append(Quarantine(prefix, POISON, resubmits=2))
+        assert report(stats_a) == report(stats_b)
+        assert report(stats_a)["poison"] == [str(p) for p in sorted(prefixes)]
+        assert report(stats_a)["resubmits"] == 6
 
     def test_health_exit_codes_for_poison_and_interrupted(self):
-        from repro.resilience.health import (
-            EXIT_DIVERGED,
-            EXIT_INTERRUPTED,
-            RunHealth,
-        )
-        from repro.resilience.retry import PrefixOutcome, ResilienceStats
+        from repro.resilience.health import EXIT_DIVERGED, EXIT_INTERRUPTED
 
         health = RunHealth()
-        stats = ResilienceStats()
-        stats.outcomes.append(
-            PrefixOutcome.supervised_failure(Prefix("10.0.0.0/24"), POISON, 2, 0.0)
+        stats = EngineStats()
+        stats.quarantined.append(
+            Quarantine(Prefix("10.0.0.0/24"), POISON, resubmits=2)
         )
         health.record_simulation(stats)
         assert health.diverged_prefixes == ["10.0.0.0/24"]

@@ -7,12 +7,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.build import build_initial_model
-from repro.core.model import MODEL_DECISION_CONFIG
+from repro.core.model import simulate_pooled
 from repro.core.refine import RefinementConfig, Refiner
 from repro.data.observation import collect_dataset, select_observation_points
 from repro.data.synthesis import SyntheticConfig, synthesize_internet
 from repro.parallel import ParallelConfig
-from repro.resilience.retry import simulate_network_bounded
 from repro.topology.graph import ASGraph
 
 pytestmark = pytest.mark.timeout(300)
@@ -47,21 +46,14 @@ def test_parallel_simulation_equals_sequential(seed):
     sequential = synthesize_internet(config).network
     parallel = synthesize_internet(config).network
 
-    seq_stats = simulate_network_bounded(sequential, config=MODEL_DECISION_CONFIG)
-    par_stats = simulate_network_bounded(
-        parallel, config=MODEL_DECISION_CONFIG,
-        parallel=ParallelConfig(workers=4),
-    )
+    seq_stats = simulate_pooled(sequential)
+    par_stats = simulate_pooled(parallel, parallel=ParallelConfig(workers=4))
 
     assert loc_rib_fingerprint(parallel) == loc_rib_fingerprint(sequential)
-    seq_sorted = sorted(seq_stats.outcomes, key=lambda o: o.prefix)
-    assert [
-        (str(o.prefix), o.status, o.attempts) for o in seq_sorted
-    ] == [(str(o.prefix), o.status, o.attempts) for o in par_stats.outcomes]
-    assert par_stats.engine.messages == seq_stats.engine.messages
-    assert par_stats.engine.per_prefix_messages == (
-        seq_stats.engine.per_prefix_messages
-    )
+    assert par_stats.prefixes == seq_stats.prefixes
+    assert sorted(par_stats.quarantined) == sorted(seq_stats.quarantined)
+    assert par_stats.messages == seq_stats.messages
+    assert par_stats.per_prefix_messages == seq_stats.per_prefix_messages
 
 
 def test_parallel_refinement_equals_sequential():
@@ -88,6 +80,7 @@ def test_parallel_refinement_equals_sequential():
     assert loc_rib_fingerprint(par_result.model.network) == loc_rib_fingerprint(
         seq_result.model.network
     )
-    assert sorted(
-        (str(o.prefix), o.status) for o in seq_refiner.outcomes
-    ) == sorted((str(o.prefix), o.status) for o in par_refiner.outcomes)
+    assert par_refiner.stats.prefixes == seq_refiner.stats.prefixes
+    assert sorted(par_refiner.stats.quarantined) == sorted(
+        seq_refiner.stats.quarantined
+    )

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.bgp.engine import POISON
 from repro.bgp.network import Network
 from repro.core.model import MODEL_DECISION_CONFIG
 from repro.net.prefix import Prefix
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.parallel import ParallelConfig, TaskFailure, WorkerFaults
 from repro.parallel.supervisor import GenericRunStats, SupervisedPool
-from repro.resilience.retry import POISON
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -161,14 +161,14 @@ class TestConvergedAheadAtStartup:
 
         from repro.parallel import supervisor, worker
 
-        simulate = worker.simulate_prefix_bounded
+        simulate = worker.simulate
 
         def slowly(*args, **kwargs):
             time.sleep(2.5)
             return simulate(*args, **kwargs)
 
         monkeypatch.setattr(supervisor, "HEARTBEAT_GRACE", 1.0)
-        monkeypatch.setattr(worker, "simulate_prefix_bounded", slowly)
+        monkeypatch.setattr(worker, "simulate", slowly)
         stats = run_pool(
             [ProbeTask("a"), ProbeTask("b")], context=Ahead((self.PREFIX,))
         )

@@ -3,6 +3,7 @@
 import json
 from types import SimpleNamespace
 
+from repro.bgp.engine import DIVERGED, UNSAFE, EngineStats, Quarantine
 from repro.cli import main
 from repro.experiments.chaos import ChaosConfig, run_chaos
 from repro.net.prefix import Prefix
@@ -15,7 +16,6 @@ from repro.resilience.health import (
     UNMATCHED_LIMIT,
     RunHealth,
 )
-from repro.resilience.retry import DIVERGED, PrefixOutcome, ResilienceStats
 
 FAST_CHAOS = ChaosConfig(
     seed=0,
@@ -33,9 +33,11 @@ FAST_CHAOS = ChaosConfig(
 )
 
 
-def diverged_stats(prefix: Prefix) -> ResilienceStats:
-    outcome = PrefixOutcome(prefix, DIVERGED, 1, 2001, 2000, 0.1)
-    return ResilienceStats(outcomes=[outcome])
+def diverged_stats(prefix: Prefix) -> EngineStats:
+    return EngineStats(
+        prefixes=1, messages=2001, budget_exhaustions=1,
+        quarantined=[Quarantine(prefix, DIVERGED, 2001, 2000)],
+    )
 
 
 def refinement_result(converged: bool) -> SimpleNamespace:
@@ -115,8 +117,8 @@ class TestExitCodeEdgeCases:
 
     def test_unsafe_only_prefixes_map_to_diverged(self):
         health = RunHealth()
-        outcome = PrefixOutcome.gated(Prefix("10.0.0.0/24"))
-        health.record_simulation(ResilienceStats(outcomes=[outcome]))
+        stats = EngineStats(quarantined=[Quarantine(Prefix("10.0.0.0/24"), UNSAFE)])
+        health.record_simulation(stats)
         assert health.diverged_prefixes == ["10.0.0.0/24"]
         assert health.exit_code == EXIT_DIVERGED
 
@@ -128,7 +130,7 @@ class TestExitCodeEdgeCases:
 
     def test_clean_simulation_keeps_exit_ok(self):
         health = RunHealth()
-        health.record_simulation(ResilienceStats())
+        health.record_simulation(EngineStats())
         assert health.exit_code == EXIT_OK
 
     def test_error_outranks_divergence_even_recorded_later(self):

@@ -1090,30 +1090,30 @@ class TestEachMechanismExistsOnce:
         ] == ["run_tasks"]
         assert call_sites("run_tasks") == {
             "campaign/engine.py",   # one task per scenario
-            "resilience/retry.py",  # one task per prefix
+            "core/model.py",        # one task per prefix
         }
 
     def test_what_a_prefix_result_means_is_its_clients_business(self):
-        """The pool hands values back; turning one into a ``PrefixOutcome``
-        or a ``ResilienceStats`` is ``simulate_network_bounded``'s."""
+        """The pool hands values back; folding one into an ``EngineStats``
+        or recording a ``Quarantine`` is ``simulate_pooled``'s."""
         assert not [
             (source, alias.name)
             for source, tree in source_trees() if source.startswith("parallel/")
             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
             for alias in node.names
-            if alias.name in ("PrefixOutcome", "ResilienceStats")
+            if alias.name in ("EngineStats", "Quarantine")
         ]
 
     def test_the_rib_layout_is_known_to_the_bgp_package_alone(self):
-        """A prefix's slice is captured and installed by ``Network``; the
-        one reader outside ``bgp/`` is the FIB builder."""
+        """A prefix's slice is captured and installed by ``Network``; no
+        module outside ``bgp/`` names a RIB."""
         root = Path(repro.__file__).parent
-        assert {
+        assert not {
             source.relative_to(root).as_posix()
             for source in root.rglob("*.py")
             if not source.relative_to(root).as_posix().startswith("bgp/")
             and re.search(r"adj_rib_in|adj_rib_out|loc_rib", source.read_text())
-        } == {"forwarding/fib.py"}
+        }
 
     def test_the_engine_has_one_message_loop(self):
         """``simulate_prefix`` and ``resume_prefix`` seed the queue; only
