@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Collection, Iterable
 
 from repro.analysis.findings import AnalysisReport, Finding
 from repro.analysis.policy_lint import lint_map
@@ -62,19 +63,26 @@ GLOBAL_KEY = "*"
 policy lint and the Gao-Rexford compliance pass."""
 
 
-def _edge_token(edge: PreferenceEdge) -> bytes:
-    """Deterministic byte encoding of one dispute-digraph edge."""
+def _edge_token(edge: PreferenceEdge, prefix_text: str) -> bytes:
+    """Deterministic byte encoding of one dispute-digraph edge.
+
+    ``prefix_text`` is ``str(edge.prefix)``, rendered once by the caller.
+    """
     return (
-        f"{edge.prefix}|{edge.router_id}|{edge.asn}|{edge.neighbor_router_id}"
+        f"{prefix_text}|{edge.router_id}|{edge.asn}|{edge.neighbor_router_id}"
         f"|{edge.neighbor_asn}|{edge.kind}|{edge.clause}\n"
     ).encode()
 
 
-def _clause_token(position: int, clause: Clause) -> bytes:
-    """Deterministic byte encoding of one route-map clause at a position."""
+def _clause_token(position: int, clause: Clause, prefix_text: str) -> bytes:
+    """Deterministic byte encoding of one route-map clause at a position.
+
+    ``prefix_text`` is ``str(clause.match.prefix)``, rendered once by the
+    caller.
+    """
     match = clause.match
     return (
-        f"{position}|{match.prefix}|{match.path_len_lt}|{match.path_len_gt}"
+        f"{position}|{prefix_text}|{match.path_len_lt}|{match.path_len_gt}"
         f"|{match.from_asn}|{match.from_router}|{match.path_contains}"
         f"|{match.path_regex}|{match.community}|{clause.action.value}"
         f"|{clause.set_local_pref}|{clause.set_med}|{clause.prepend}"
@@ -144,7 +152,9 @@ class CertificateStore:
         self.relationships = relationships
         self.certificates: dict[str, SafetyCertificate] = {}
         self.last_stats = CertifyStats(0, 0, 0, 0, 0)
+        # Key text <-> prefix, each prefix rendered once.
         self._prefix_obj: dict[str, Prefix] = {}
+        self._key_text: dict[Prefix, str] = {}
         # Per-router dispute-digraph contributions.
         self._router_lp: dict[int, dict[str, list[PreferenceEdge]]] = {}
         self._router_lp_global: dict[int, list[PreferenceEdge]] = {}
@@ -212,13 +222,15 @@ class CertificateStore:
         """
         registry = get_registry()
         with registry.histogram("certify.seconds").time():
-            stats = self._certify(network)
+            stats = self._certify(network, {})
         self.last_stats = stats
         registry.counter("certify.hits").inc(stats.hits + stats.reused)
         registry.counter("certify.misses").inc(stats.misses)
         return self.report()
 
-    def _certify(self, network: Network) -> CertifyStats:
+    def _certify(self, network: Network, tokens: dict[int, bytes]) -> CertifyStats:
+        """One certification pass; ``tokens`` holds this call's clause
+        tokens (see :meth:`_token`) and dies with it."""
         revalidate_all = self._dirty_all
         if revalidate_all:
             self._reset_indexes()
@@ -234,7 +246,7 @@ class CertificateStore:
             router = network.routers.get(router_id)
             candidates |= self._refresh_router(router_id, router)
             changed_keys, generic_changed = self._refresh_router_sessions(
-                network, router_id, router, seen_sessions
+                network, router_id, router, seen_sessions, tokens
             )
             candidates |= changed_keys
             global_dirty |= generic_changed
@@ -262,26 +274,29 @@ class CertificateStore:
         candidates |= universe - set(self.certificates)
         candidates &= universe
 
-        hits = misses = 0
+        stale: dict[str, str] = {}
         for key in sorted(candidates):
-            fingerprint = self._fingerprint(network, key)
+            fingerprint = self._fingerprint(network, key, tokens)
             existing = self.certificates.get(key)
-            if existing is not None and existing.fingerprint == fingerprint:
-                hits += 1
-                continue
-            findings = self._compute(network, key)
+            if existing is None or existing.fingerprint != fingerprint:
+                stale[key] = fingerprint
+        lint = self._lint(network, stale)
+        for key, fingerprint in stale.items():
             self.certificates[key] = SafetyCertificate(
-                key=key, fingerprint=fingerprint, findings=tuple(findings)
+                key=key,
+                fingerprint=fingerprint,
+                findings=tuple(
+                    self._compute(network, key, lint.get(key, ()))
+                ),
             )
-            misses += 1
 
         self._dirty_routers.clear()
         self._dirty_keys.clear()
         self._dirty_all = False
         return CertifyStats(
             candidates=len(candidates),
-            hits=hits,
-            misses=misses,
+            hits=len(candidates) - len(stale),
+            misses=len(stale),
             reused=len(universe) - len(candidates),
             total=len(universe),
         )
@@ -290,12 +305,33 @@ class CertificateStore:
     # dependency extraction
 
     def _key(self, prefix: Prefix) -> str:
-        key = str(prefix)
-        self._prefix_obj.setdefault(key, prefix)
+        key = self._key_text.get(prefix)
+        if key is None:
+            key = self._key_text[prefix] = str(prefix)
+            self._prefix_obj[key] = prefix
         return key
+
+    def _token(
+        self, tokens: dict[int, bytes], position: int, clause: Clause
+    ) -> bytes:
+        """``_clause_token`` of one (position, clause), rendered once per call.
+
+        Keyed on the clause's identity and its position folded into one
+        int (ids fit in 64 bits): a clause shared between maps is one
+        token wherever it sits at the same position.  Valid only while no
+        map is edited, which holds within one :meth:`certify` call.
+        """
+        slot = id(clause) + (position << 64)
+        token = tokens.get(slot)
+        if token is None:
+            prefix = clause.match.prefix
+            text = "None" if prefix is None else self._key(prefix)
+            token = tokens[slot] = _clause_token(position, clause, text)
+        return token
 
     def _reset_indexes(self) -> None:
         self._prefix_obj.clear()
+        self._key_text.clear()
         self._router_lp.clear()
         self._router_lp_global.clear()
         self._router_med.clear()
@@ -354,6 +390,7 @@ class CertificateStore:
         router_id: int,
         router: Router | None,
         seen_sessions: set[int],
+        tokens: dict[int, bytes],
     ) -> tuple[set[str], bool]:
         """Re-index the maps of every session attached to one router."""
         changed: set[str] = set()
@@ -366,7 +403,7 @@ class CertificateStore:
                 if session.session_id in seen_sessions:
                     continue
                 seen_sessions.add(session.session_id)
-                keys, sig_changed = self._refresh_session(session)
+                keys, sig_changed = self._refresh_session(session, tokens)
                 changed |= keys
                 generic_changed |= sig_changed
             self._router_sessions[router_id] = current
@@ -378,7 +415,9 @@ class CertificateStore:
                 generic_changed = True
         return changed, generic_changed
 
-    def _refresh_session(self, session: Session) -> tuple[set[str], bool]:
+    def _refresh_session(
+        self, session: Session, tokens: dict[int, bytes]
+    ) -> tuple[set[str], bool]:
         """Re-scan one session's maps; returns (changed keys, sig changed)."""
         session_id = session.session_id
         old_keys = self._session_prefixes.get(session_id, {})
@@ -399,10 +438,11 @@ class CertificateStore:
             digest.update(
                 f"{direction} default {route_map.default_action.value}\n".encode()
             )
+            label = direction.encode()
             for position, clause in route_map.entries():
                 if clause.match.prefix is None:
-                    digest.update(direction.encode())
-                    digest.update(_clause_token(position, clause))
+                    digest.update(label)
+                    digest.update(self._token(tokens, position, clause))
                 else:
                     # Per-prefix clauses get a per-key digest: editing or
                     # removing one while *another* clause for the same
@@ -412,8 +452,8 @@ class CertificateStore:
                     key_digest = key_digests.get(key)
                     if key_digest is None:
                         key_digest = key_digests[key] = hashlib.sha256()
-                    key_digest.update(direction.encode())
-                    key_digest.update(_clause_token(position, clause))
+                    key_digest.update(label)
+                    key_digest.update(self._token(tokens, position, clause))
         new_sig = digest.hexdigest()
         keys = {key: d.hexdigest() for key, d in key_digests.items()}
         for key in old_keys.keys() - keys.keys():
@@ -489,7 +529,9 @@ class CertificateStore:
                     maps.append((session, direction, route_map))
         return maps
 
-    def _fingerprint(self, network: Network, key: str) -> str:
+    def _fingerprint(
+        self, network: Network, key: str, tokens: dict[int, bytes]
+    ) -> str:
         digest = hashlib.sha256()
         if key == GLOBAL_KEY:
             digest.update(b"global\n")
@@ -503,38 +545,71 @@ class CertificateStore:
         digest.update(f"prefix {key}\n".encode())
         digest.update(b"local-pref\n")
         for edge in self._lp_edges_for(key):
-            digest.update(_edge_token(edge))
+            digest.update(
+                _edge_token(edge, "None" if edge.prefix is None else key)
+            )
         digest.update(b"med\n")
         for edge in self._med_edges_for(key):
-            digest.update(_edge_token(edge))
+            digest.update(_edge_token(edge, key))
         digest.update(b"maps\n")
         for session, direction, route_map in self._key_maps(network, key):
             digest.update(
                 f"{session.session_id} {direction}"
                 f" default {route_map.default_action.value}\n".encode()
             )
-            for position, clause in route_map.entries_for_prefix(prefix):
-                digest.update(_clause_token(position, clause))
+            for position, clause in route_map.resolve(prefix):
+                digest.update(self._token(tokens, position, clause))
         return digest.hexdigest()
 
-    def _compute(self, network: Network, key: str) -> list[Finding]:
-        if key == GLOBAL_KEY:
-            findings: list[Finding] = []
-            for session_id in sorted(self._session_sig):
-                session = network.sessions.get(session_id)
-                if session is None:
+    def _lint(
+        self, network: Network, keys: Collection[str]
+    ) -> dict[str, list[Finding]]:
+        """Lint every map ``keys``' certificates read, each map once.
+
+        Returns the findings of each key that has any, in the order a
+        per-key pass produces them: sessions by id, import before export,
+        map position within a map.  The model-wide certificate reads
+        every map's generic findings, a prefix certificate its own maps'
+        findings naming the prefix.
+        """
+        if GLOBAL_KEY in keys:
+            session_ids = sorted(self._session_sig)
+        else:
+            session_ids = sorted(
+                {
+                    session_id
+                    for key in keys
+                    for session_id in self._sessions_by_key.get(key, ())
+                }
+            )
+        by_key: dict[str, list[Finding]] = {}
+        for session_id in session_ids:
+            session = network.sessions.get(session_id)
+            if session is None:
+                continue
+            for direction, route_map in (
+                ("import", session.import_map),
+                ("export", session.export_map),
+            ):
+                if route_map is None:
                     continue
-                for direction, route_map in (
-                    ("import", session.import_map),
-                    ("export", session.export_map),
-                ):
-                    if route_map is None:
-                        continue
-                    findings.extend(
-                        f
-                        for f in lint_map(session, direction, route_map)
-                        if f.prefix is None
-                    )
+                for finding in lint_map(session, direction, route_map):
+                    if finding.prefix is None:
+                        key = GLOBAL_KEY
+                    else:
+                        key = self._key(finding.prefix)
+                        if session_id not in self._sessions_by_key.get(key, ()):
+                            continue
+                    if key in keys:
+                        by_key.setdefault(key, []).append(finding)
+        return by_key
+
+    def _compute(
+        self, network: Network, key: str, lint: Iterable[Finding]
+    ) -> list[Finding]:
+        """A certificate's findings; ``lint`` is its share of :meth:`_lint`."""
+        if key == GLOBAL_KEY:
+            findings = list(lint)
             if self.relationships is not None:
                 from repro.analysis.gaorexford import analyze_gao_rexford
 
@@ -549,12 +624,7 @@ class CertificateStore:
         findings.extend(
             med_findings_for_prefix(prefix, self._med_edges_for(key))
         )
-        for session, direction, route_map in self._key_maps(network, key):
-            findings.extend(
-                f
-                for f in lint_map(session, direction, route_map)
-                if f.prefix == prefix
-            )
+        findings.extend(lint)
         return findings
 
     # ------------------------------------------------------------------
@@ -582,10 +652,6 @@ class CertificateStore:
         for key in self._ordered_keys():
             result.findings.extend(self.certificates[key].findings)
         return result
-
-    def unsafe_prefixes(self) -> list[Prefix]:
-        """Prefixes with an error-level safety certificate (lint-gate set)."""
-        return self.report().unsafe_prefixes()
 
     def store_fingerprint(self) -> str:
         """Content hash over every certificate's (key, fingerprint) pair."""

@@ -13,7 +13,7 @@ import argparse
 from functools import partial
 
 from repro.analysis.analyzer import ALL_PASSES, analyze_model
-from repro.analysis.certify import CertificateStore, certify_network
+from repro.analysis.certify import CertificateStore
 from repro.analysis.diffing import ReportDiff, diff_reports
 from repro.analysis.findings import AnalysisReport
 from repro.command import Command, Output, load_model
@@ -83,7 +83,7 @@ def _lint_report(
         return CertificateStore.from_dict(artifact.certificates).report()
     model = load_model(path)
     if certified:
-        return certify_network(model.network, relationships=relationships).report()
+        return CertificateStore(relationships).certify(model.network)
     return analyze_model(
         model, dataset=dataset, passes=passes, relationships=relationships
     )

@@ -21,10 +21,10 @@ Four rules over the installed route-maps:
   a prefix no dataset origin maps to (left behind by an earlier run over
   different data).
 
-The shadowing helper consults :meth:`RouteMap.entries_for_prefix`, which
-merges the exact-prefix clause index with the *generic* clauses — an
-earlier ``Match()`` (or any non-exact-prefix match) shadows later
-per-prefix clauses even though it never appears in their index bucket.
+The shadowing helper walks :meth:`RouteMap.resolve`, which merges the
+exact-prefix clause index with the *generic* clauses — an earlier
+``Match()`` (or any non-exact-prefix match) shadows later per-prefix
+clauses even though it never appears in their index bucket.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def shadower_of(
     for a generic clause the whole map in order.
     """
     if clause.match.prefix is not None:
-        candidates = route_map.entries_for_prefix(clause.match.prefix)
+        candidates = route_map.resolve(clause.match.prefix)
     else:
         candidates = route_map.entries()
     for earlier_position, earlier in candidates:

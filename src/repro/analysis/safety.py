@@ -139,7 +139,9 @@ def _med_edges(router: Router) -> list[PreferenceEdge]:
     neighbour preference the digraph could use.  Sessions without a MED
     clause for the prefix compete at the announced default MED.
     """
-    by_prefix: dict[Prefix, dict[int, tuple[int, str]]] = {}
+    # prefix -> session id -> (position, clause) of its first MED clause;
+    # only the winning clause is ever described.
+    by_prefix: dict[Prefix, dict[int, tuple[int, Clause]]] = {}
     ranked_sessions = []
     for session in router.sessions_in:
         if not session.is_ebgp or session.import_map is None:
@@ -155,15 +157,15 @@ def _med_edges(router: Router) -> list[PreferenceEdge]:
             per_session = by_prefix.setdefault(clause.match.prefix, {})
             if session.session_id in per_session:
                 continue  # first matching clause wins
-            per_session[session.session_id] = (
-                clause.set_med,
-                _describe_clause(session.src.asn, router.asn, position, clause),
-            )
+            per_session[session.session_id] = (position, clause)
     edges: list[PreferenceEdge] = []
     session_by_id = {s.session_id: s for s in ranked_sessions}
     for prefix, per_session in by_prefix.items():
         meds = {
-            session_id: per_session.get(session_id, (DEFAULT_MED, ""))[0]
+            session_id: (
+                per_session[session_id][1].set_med
+                if session_id in per_session else DEFAULT_MED
+            )
             for session_id in session_by_id
         }
         best = min(meds.values())
@@ -171,10 +173,15 @@ def _med_edges(router: Router) -> list[PreferenceEdge]:
         if len(winners) != 1:
             continue
         winner = session_by_id[winners[0]]
-        description = per_session.get(winners[0], (0, ""))[1] or (
-            f"AS{winner.src.asn}->AS{router.asn} import"
-            f" [prefix is {prefix}] -> med {best} (announced default)"
-        )
+        if winners[0] in per_session:
+            description = _describe_clause(
+                winner.src.asn, router.asn, *per_session[winners[0]]
+            )
+        else:
+            description = (
+                f"AS{winner.src.asn}->AS{router.asn} import"
+                f" [prefix is {prefix}] -> med {best} (announced default)"
+            )
         edges.append(
             PreferenceEdge(
                 prefix=prefix,

@@ -362,7 +362,11 @@ class RouteMap:
         """The (position, clause) pairs :meth:`apply` walks for ``prefix``.
 
         The prefix-indexed and the generic clauses merged in evaluation
-        order.  When only one kind exists the live bucket itself is
+        order.  The generic clauses (those whose match names no exact
+        prefix) are included: a shadowing check that consulted only the
+        exact-prefix bucket would miss a broad earlier clause — e.g.
+        ``Match()`` — that makes every later per-prefix clause
+        unreachable.  When only one kind exists the live bucket itself is
         returned, not a copy: callers must not mutate it, and may hold it
         only while the map is not edited.  Nothing is memoised here, where
         it would be pickled with every network copy.
@@ -373,17 +377,6 @@ class RouteMap:
         if not self._generic:
             return indexed
         return sorted(indexed + self._generic, key=lambda entry: entry[0])
-
-    def entries_for_prefix(self, prefix: Prefix) -> list[tuple[int, Clause]]:
-        """The (position, clause) pairs that could match ``prefix``, in order.
-
-        Includes the *generic* clauses (those whose match names no exact
-        prefix) alongside the prefix-indexed ones: a shadowing check that
-        consulted only the exact-prefix bucket would miss a broad earlier
-        clause — e.g. ``Match()`` — that makes every later per-prefix
-        clause unreachable.
-        """
-        return list(self.resolve(prefix))
 
     def clauses_for_prefix(self, prefix: Prefix) -> Iterator[Clause]:
         """Iterate, in evaluation order, over clauses that could match ``prefix``."""

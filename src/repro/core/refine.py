@@ -174,7 +174,6 @@ class Refiner:
         self.config = config
         self.stats = EngineStats()
         """Every simulation of the run, merged, and every quarantine."""
-        self.gated_prefixes: list[Prefix] = []
         self._gate_applied = False
         # With the lint gate on, safety is tracked through an incremental
         # certificate store: policy installs/deletes invalidate only the
@@ -371,18 +370,19 @@ class Refiner:
         if self.certificates is None or self._gate_applied:
             return
         self._gate_applied = True
-        self.certificates.certify(self.model.network)
-        self._quarantine_unsafe(self.certificates.unsafe_prefixes())
+        report = self.certificates.certify(self.model.network)
+        self._quarantine_unsafe(report.unsafe_prefixes())
 
     def _quarantine_unsafe(self, prefixes: list[Prefix]) -> list[int]:
         """Gate statically-unsafe prefixes; returns the dropped origins."""
         tracer = get_tracer()
         dropped: list[int] = []
+        gated = self._gated()
         for prefix in prefixes:
-            if prefix in self.gated_prefixes:
+            if prefix in gated:
                 continue
             self.model.network.clear_prefix(prefix)
-            self.gated_prefixes.append(prefix)
+            gated.add(prefix)
             self.stats.quarantined.append(Quarantine(prefix, UNSAFE))
             origin = self.model.origin_by_prefix.get(prefix)
             if origin is not None and origin in self.targets:
@@ -396,11 +396,15 @@ class Refiner:
             logger.warning("lint gate quarantined %s (origin AS%s)", prefix, origin)
         return dropped
 
+    def _gated(self) -> set[Prefix]:
+        """The prefixes the lint gate quarantined: its ``unsafe`` records."""
+        return {q.prefix for q in self.stats.quarantined if q.reason == UNSAFE}
+
     def _simulate_all(self) -> None:
         """Simulate every non-gated prefix, through the pool when enabled."""
         prefixes = None
-        if self.gated_prefixes:
-            gated = set(self.gated_prefixes)
+        gated = self._gated()
+        if gated:
             prefixes = [
                 prefix
                 for prefix in self.model.network.prefixes()
@@ -472,10 +476,8 @@ class Refiner:
                 # statically unsafe is quarantined before any simulation
                 # budget is spent on it.
                 with profiler.phase("refine.certify"):
-                    self.certificates.certify(self.model.network)
-                    dropped = self._quarantine_unsafe(
-                        self.certificates.unsafe_prefixes()
-                    )
+                    report = self.certificates.certify(self.model.network)
+                    dropped = self._quarantine_unsafe(report.unsafe_prefixes())
                 dirty -= set(dropped)
             with profiler.phase("refine.resimulate"):
                 for origin in sorted(dirty):

@@ -140,7 +140,6 @@ class PrefixExplanation:
     origin: int
     observer: int | None
     status: str
-    attempts: int
     messages: int
     decisions: int
     hops: list[HopExplanation] = field(default_factory=list)
@@ -153,7 +152,6 @@ class PrefixExplanation:
             "observer": self.observer,
             "replay": {
                 "status": self.status,
-                "attempts": self.attempts,
                 "messages": self.messages,
                 "decisions": self.decisions,
             },
@@ -165,8 +163,8 @@ class PrefixExplanation:
         where = f" observed from AS{self.observer}" if self.observer is not None else ""
         lines = [
             f"explain {self.prefix} (origin AS{self.origin}){where}",
-            f"replay: {self.status}, {self.attempts} attempt(s), "
-            f"{self.messages} messages, {self.decisions} decisions",
+            f"replay: {self.status}, {self.messages} messages,"
+            f" {self.decisions} decisions",
         ]
         for number, hop in enumerate(self.hops, start=1):
             lines.append(f"hop {number}: AS{hop.asn} quasi-router {hop.router}")
@@ -212,7 +210,6 @@ def explain_prefix(
         origin=origin,
         observer=observer_asn,
         status=DIVERGED if stats.quarantined else CONVERGED,
-        attempts=1,
         messages=stats.messages,
         decisions=stats.decisions,
     )
@@ -309,7 +306,7 @@ def _consulted_policies(prefix: Prefix, router: Router) -> list[PolicyProvenance
         ):
             if route_map is None:
                 continue
-            for position, clause in route_map.entries_for_prefix(prefix):
+            for position, clause in route_map.resolve(prefix):
                 policies.append(
                     PolicyProvenance(
                         direction=direction,

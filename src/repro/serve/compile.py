@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.analysis.certify import certify_network
+from repro.analysis.certify import CertificateStore
 from repro.bgp.engine import EngineStats
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel, simulate_pooled
 from repro.core.predict import collect_path_map
@@ -100,10 +100,11 @@ def compile_artifact(
     # later `repro lint` of the same model would report.
     started = time.perf_counter()
     with profiler.phase("compile.certify"):
-        store = certify_network(model.network, relationships=relationships)
+        store = CertificateStore(relationships)
+        certified = store.certify(model.network)
         certificates = store.to_dict()
     report.certify_seconds = time.perf_counter() - started
-    report.certified_findings = len(store.report().findings)
+    report.certified_findings = len(certified.findings)
     registry.counter("serve.compile.certified_findings").inc(
         report.certified_findings
     )

@@ -12,9 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import certify as certify_module
 from repro.analysis.analyzer import analyze_network
-from repro.analysis.certify import GLOBAL_KEY, CertificateStore, certify_network
+from repro.analysis.certify import (
+    GLOBAL_KEY,
+    CertificateStore,
+    _clause_token,
+    certify_network,
+)
 from repro.analysis.findings import Finding, Severity
+from repro.analysis.policy_lint import lint_map
+from repro.bgp.engine import UNSAFE
 from repro.bgp.policy import Action, Clause, Match
 from repro.core.build import build_initial_model
 from repro.core.refine import Refiner, RefinementConfig
@@ -25,6 +33,7 @@ from repro.obs.metrics import get_registry
 from repro.resilience.checkpoint import certificate_store_path
 from repro.resilience.faults import inject_dispute_wheel
 from repro.topology.dataset import ObservedRoute, PathDataset
+from tests.oracle import seeded_world
 
 
 def small_internet():
@@ -84,6 +93,99 @@ class TestFullCertification:
         assert {str(p) for p in network.prefixes()} <= keys
 
 
+class TestWorkPerCall:
+    """One fresh certification does each piece of work once."""
+
+    # store_fingerprint() of the three oracle worlds' refined models; any
+    # drift in the hashed bytes (clause or edge tokens, key text, map
+    # headers) changes these.
+    GOLDEN = {
+        1: "59c3077b806a00c51c0e385a367a4c0d475a1e39c06575ee318f9615ee17a8eb",
+        2: "5500dc67f9dfdf2faf6623ec45032e734f645b29db6e0115f46e23ed75fab97b",
+        3: "dd1447aed062240e8c8835b83e2609acb67e6686dcceb6d8dfbc10191222e2ca",
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_each_installed_map_is_linted_once(self, seed, monkeypatch):
+        network = seeded_world(seed).model.network
+        linted = []
+
+        def counting_lint(session, direction, route_map):
+            linted.append(id(route_map))
+            return lint_map(session, direction, route_map)
+
+        monkeypatch.setattr(certify_module, "lint_map", counting_lint)
+        certify_network(network)
+        installed = [
+            id(route_map)
+            for session in network.sessions.values()
+            for route_map in (session.import_map, session.export_map)
+            if route_map is not None
+        ]
+        assert sorted(linted) == sorted(installed)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_each_clause_is_tokenised_once(self, seed, monkeypatch):
+        tokenised = []
+
+        def counting_token(position, clause, *rest):
+            tokenised.append((position, id(clause)))
+            return _clause_token(position, clause, *rest)
+
+        monkeypatch.setattr(certify_module, "_clause_token", counting_token)
+        certify_network(seeded_world(seed).model.network)
+        assert tokenised and len(tokenised) == len(set(tokenised))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_store_fingerprint_is_pinned(self, seed):
+        store = certify_network(seeded_world(seed).model.network)
+        assert store.store_fingerprint() == self.GOLDEN[seed]
+
+    def test_lint_findings_keep_the_per_key_order(self):
+        network = small_internet()
+        prefixes = network.prefixes()[:2]
+        sessions = sorted(network.sessions.values(), key=lambda s: s.session_id)
+        for session in sessions[:6]:
+            for prefix in prefixes:
+                # A per-prefix clause shadowed by an earlier one.
+                route_map = session.ensure_import_map()
+                route_map.append(Clause(Match(prefix=prefix), Action.PERMIT,
+                                        set_med=5))
+                route_map.append(Clause(Match(prefix=prefix, path_len_lt=3),
+                                        Action.PERMIT, set_med=7))
+            # A generic clause that can never match.
+            session.ensure_export_map().append(
+                Clause(Match(path_len_lt=2, path_len_gt=4), Action.DENY)
+            )
+        store = certify_network(network)
+
+        def linted(key):
+            return [
+                finding
+                for finding in store.certificates[key].findings
+                if finding.rule.startswith("policy-")
+            ]
+
+        def per_map(prefix):
+            return [
+                finding
+                for session in sessions
+                for direction, route_map in (
+                    ("import", session.import_map),
+                    ("export", session.export_map),
+                )
+                if route_map is not None
+                for finding in lint_map(session, direction, route_map)
+                if finding.prefix == prefix
+            ]
+
+        for prefix in prefixes:
+            assert len(per_map(prefix)) == 6
+            assert linted(str(prefix)) == per_map(prefix)
+        assert len(per_map(None)) > 6
+        assert linted(GLOBAL_KEY) == per_map(None)
+
+
 class TestIncrementalInvalidation:
     def test_one_install_recertifies_only_the_touched_prefix(self):
         network = small_internet()
@@ -139,7 +241,7 @@ class TestIncrementalInvalidation:
         model = build_initial_model(PathDataset(routes))
         network = model.network
         store = certify_network(network)
-        assert store.unsafe_prefixes() == []
+        assert store.report().unsafe_prefixes() == []
         wheel_prefix = model.canonical_prefix(4)
         inject_dispute_wheel(network, wheel_prefix, (1, 2, 3))
         # the injection touches the import maps of the wheel ASes
@@ -147,7 +249,7 @@ class TestIncrementalInvalidation:
             for router in network.as_routers(asn):
                 store.invalidate_policy(router.router_id, wheel_prefix)
         store.certify(network)
-        assert store.unsafe_prefixes() == [wheel_prefix]
+        assert store.report().unsafe_prefixes() == [wheel_prefix]
         fresh = certify_network(network)
         assert store.report().to_json() == fresh.report().to_json()
 
@@ -308,7 +410,9 @@ class TestRefinerIntegration:
         )
         result = refiner.run(checkpoint=checkpoint)
         assert result.converged
-        assert refiner.gated_prefixes == [wheel]
+        assert [
+            q.prefix for q in refiner.stats.quarantined if q.reason == UNSAFE
+        ] == [wheel]
         store_path = certificate_store_path(checkpoint)
         assert store_path.exists()
         saved_fingerprint = CertificateStore.load(

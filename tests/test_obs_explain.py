@@ -45,7 +45,6 @@ class TestExplainPrefix:
         assert explanation.origin == 4
         assert explanation.observer == 1
         assert explanation.status == "converged"
-        assert explanation.attempts == 1
         assert explanation.messages > 0
         assert explanation.decisions > 0
 
