@@ -162,9 +162,10 @@ class CertificateStore:
         # Reverse indexes: key -> router ids contributing edges.
         self._lp_by_key: dict[str, set[int]] = {}
         self._med_by_key: dict[str, set[int]] = {}
-        # Per-session map state: endpoint+generic signature, per-prefix keys.
+        # Per-session map state: endpoint+generic signature, and per prefix
+        # key the bytes of its clauses (compared between calls, never hashed).
         self._session_sig: dict[int, str] = {}
-        self._session_prefixes: dict[int, dict[str, str]] = {}
+        self._session_prefixes: dict[int, dict[str, bytes]] = {}
         self._sessions_by_key: dict[str, set[int]] = {}
         self._router_sessions: dict[int, set[int]] = {}
         self._rel_fingerprint: str | None = None
@@ -422,7 +423,7 @@ class CertificateStore:
         session_id = session.session_id
         old_keys = self._session_prefixes.get(session_id, {})
         old_sig = self._session_sig.get(session_id)
-        key_digests: dict[str, "hashlib._Hash"] = {}
+        key_parts: dict[str, list[bytes]] = {}
         digest = hashlib.sha256()
         digest.update(
             f"session {session_id} {session.src.router_id}"
@@ -444,18 +445,15 @@ class CertificateStore:
                     digest.update(label)
                     digest.update(self._token(tokens, position, clause))
                 else:
-                    # Per-prefix clauses get a per-key digest: editing or
+                    # Per-prefix clauses are kept per key: editing or
                     # removing one while *another* clause for the same
                     # prefix survives must still flag the key — a bare
                     # key-set diff would miss the content change.
-                    key = self._key(clause.match.prefix)
-                    key_digest = key_digests.get(key)
-                    if key_digest is None:
-                        key_digest = key_digests[key] = hashlib.sha256()
-                    key_digest.update(label)
-                    key_digest.update(self._token(tokens, position, clause))
+                    parts = key_parts.setdefault(self._key(clause.match.prefix), [])
+                    parts.append(label)
+                    parts.append(self._token(tokens, position, clause))
         new_sig = digest.hexdigest()
-        keys = {key: d.hexdigest() for key, d in key_digests.items()}
+        keys = {key: b"".join(parts) for key, parts in key_parts.items()}
         for key in old_keys.keys() - keys.keys():
             self._sessions_by_key.get(key, set()).discard(session_id)
         for key in keys.keys() - old_keys.keys():

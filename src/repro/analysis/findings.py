@@ -14,6 +14,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 
+from repro.diffutil import truncate_ranked
 from repro.net.prefix import Prefix
 
 
@@ -170,10 +171,7 @@ class AnalysisReport:
         ordered = sorted(
             self.findings, key=lambda f: (-int(f.severity), f.rule, str(f.prefix))
         )
-        shown = ordered if max_findings is None else ordered[:max_findings]
-        lines = [finding.render() for finding in shown]
-        if max_findings is not None and len(ordered) > max_findings:
-            lines.append(f"... {len(ordered) - max_findings} more findings omitted")
+        lines = truncate_ranked([finding.render() for finding in ordered], max_findings)
         counts = self.counts()
         lines.append(
             f"lint: {counts['error']} errors, {counts['warning']} warnings, "

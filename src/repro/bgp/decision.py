@@ -17,9 +17,10 @@ remains:
    reflected (the final tie-break; Section 4.5 assigns router ids so this
    step is deterministic)
 
-:func:`run_decision` also reports, for every eliminated candidate, the step
-that eliminated it.  The "potential RIB-Out match" metric of Section 4.2
-is exactly "eliminated at :data:`Step.ROUTER_ID`".
+Why a route lost is :func:`deciding_step` of the winner's :func:`rank` key
+against its own; the "potential RIB-Out match" metric of Section 4.2 is
+exactly "eliminated at :data:`Step.ROUTER_ID`".  :func:`run_decision`
+replays the steps one by one, the reference the tests judge both against.
 """
 
 from __future__ import annotations
@@ -230,6 +231,18 @@ def rank(route: Route, igp_cost: float = 0.0) -> tuple:
     )
 
 
+def deciding_step(winner_key: tuple, other_key: tuple) -> Step | None:
+    """The first field where two :func:`rank` keys differ, as a step (fields
+    0-6 are steps 1-7, fields 7-9 the router-id tie-break; None if equal).
+
+    Against the runner-up's key it is the step that made the winner unique.
+    """
+    for field_index, (won, lost) in enumerate(zip(winner_key, other_key)):
+        if won != lost:
+            return Step(min(field_index + 1, Step.ROUTER_ID))
+    return None
+
+
 def select_best(
     candidates: Sequence[Route],
     config: DecisionConfig = DecisionConfig(),
@@ -238,8 +251,8 @@ def select_best(
     """Fast path: the winning route only, without elimination bookkeeping.
 
     Behaviourally identical to ``run_decision(...).best``; the propagation
-    engine calls this in its inner loop, while the metrics layer uses
-    :func:`run_decision` when it needs to know *why* a route lost.
+    engine calls this in its inner loop, while *why* a route lost is read
+    off :func:`rank` keys by :func:`deciding_step`.
 
     Consecutive steps that each keep the minimum of one attribute are one
     lexicographic minimum, so steps 1-3 are a single pass and so are steps

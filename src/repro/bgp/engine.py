@@ -32,7 +32,7 @@ from repro.bgp.attributes import DEFAULT_LOCAL_PREF, DEFAULT_MED, RouteSource
 from repro.bgp.decision import (
     DecisionConfig,
     IgpCostFn,
-    Step,
+    deciding_step,
     rank,
     run_decision,
     select_best,
@@ -770,12 +770,10 @@ def _trace_decision(
 
     ``ranked`` is what the decision compared: a scan's candidates, or the
     standing best alone (a withdrawal) or with the arrival.  Wherever
-    ``rank`` is the decision the step is the first field where the two
-    least keys differ — the runner-up shares the longest prefix with the
-    winner, so that field removed the last loser (fields 0-6 are steps
-    1-7, fields 7-9 the router-id tie-break).  Under per-neighbour MED at
-    a router holding a non-default MED it is not, and ``run_decision``
-    replays the steps.
+    ``rank`` is the decision the step is ``deciding_step`` of the two
+    least keys, the winner's and the runner-up's.  Under per-neighbour
+    MED at a router holding a non-default MED it is not, and
+    ``run_decision`` replays the steps.
     """
     step = None
     meds = run.meds
@@ -783,11 +781,9 @@ def _trace_decision(
         step = run_decision(ranked, run.config, _igp_cost(run, router)).decisive_step
     elif len(ranked) > 1:
         rank_at = run.rank_at
-        winner, runner_up = sorted(
+        step = deciding_step(*sorted(
             rank_at(run, router, route) if rank_at else rank(route) for route in ranked
-        )[:2]
-        field = next(i for i, (a, b) in enumerate(zip(winner, runner_up)) if a != b)
-        step = Step(min(field + 1, Step.ROUTER_ID))
+        )[:2])
     run.tracer.event(
         EVENT_DECISION,
         router=router.name,

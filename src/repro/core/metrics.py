@@ -14,6 +14,9 @@ model is graded:
 
 Table 2 uses a different, single-router notion of *agreement* (the unique
 best route equals the observed path) with a disagreement breakdown.
+
+Both grade a route that lost by the step its ``rank`` key parts from the
+least (:func:`~repro.bgp.decision.deciding_step`).
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.bgp.decision import Step, run_decision
-from repro.core.model import ASRoutingModel, MODEL_DECISION_CONFIG
+from repro.bgp.decision import Step, deciding_step, rank
+from repro.bgp.route import Route
+from repro.core.model import ASRoutingModel
 from repro.topology.dataset import PathDataset
 
 
@@ -63,14 +67,10 @@ def classify_route_match(
         best = router.best(prefix)
         if best is not None and best.as_path == target:
             return MatchKind.RIB_OUT
-        candidates = router.candidates(prefix)
-        targets = [route for route in candidates if route.as_path == target]
-        if not targets:
+        steps = _losing_steps(router.candidates(prefix), target)
+        if not steps:
             continue
-        outcome = run_decision(candidates, MODEL_DECISION_CONFIG)
-        if any(
-            outcome.elimination_step(route) is Step.ROUTER_ID for route in targets
-        ):
+        if Step.ROUTER_ID in steps:
             best_match = MatchKind.POTENTIAL_RIB_OUT
         elif best_match is not MatchKind.POTENTIAL_RIB_OUT:
             best_match = MatchKind.RIB_IN
@@ -96,17 +96,24 @@ def classify_agreement(
     best = router.best(prefix)
     if best is not None and best.as_path == target:
         return AgreementCategory.AGREE
-    candidates = router.candidates(prefix)
-    targets = [route for route in candidates if route.as_path == target]
-    if not targets:
+    steps = _losing_steps(router.candidates(prefix), target)
+    if not steps:
         return AgreementCategory.NOT_AVAILABLE
-    outcome = run_decision(candidates, MODEL_DECISION_CONFIG)
-    steps = {outcome.elimination_step(route) for route in targets}
     if Step.ROUTER_ID in steps:
         return AgreementCategory.TIE_BREAK
     if Step.PATH_LENGTH in steps:
         return AgreementCategory.SHORTER_EXISTS
     return AgreementCategory.OTHER
+
+
+def _losing_steps(candidates: list[Route], target: tuple[int, ...]) -> set[Step | None]:
+    """Where each candidate with AS-path ``target`` loses to the least key
+    (None: it is the least, which a divergent run's Loc-RIB need not be)."""
+    targets = [route for route in candidates if route.as_path == target]
+    if not targets:
+        return set()
+    winner = min(map(rank, candidates))
+    return {deciding_step(winner, rank(route)) for route in targets}
 
 
 @dataclass

@@ -18,6 +18,9 @@ model selects with the observed (training) AS-paths, and repairs the AS
   previously-installed egress filter that blocks the propagation
   (Figure 7); otherwise wait for a later iteration.
 
+One walk, :meth:`Refiner._divergence`, finds that AS; the three moves
+apply there, and the stall diagnostic reads the same walk.
+
 All changes of one iteration are computed against the pre-iteration
 simulation state, then the affected prefixes are re-simulated — exactly
 the "apply heuristic, compute changes / restart simulations" cycle of
@@ -513,32 +516,36 @@ class Refiner:
             prefix = self.model.canonical_prefix(origin)
             reserved: dict[int, tuple[int, ...]] = {}
             for path in self.targets[origin]:
-                if not self._path_selected(prefix, path, reserved):
+                if self._divergence(prefix, path, reserved) is not None:
                     unmatched.append((origin, path))
         return unmatched
 
-    def _path_selected(
+    def _divergence(
         self,
         prefix: Prefix,
         path: tuple[int, ...],
         reserved: dict[int, tuple[int, ...]],
-    ) -> bool:
-        """RIB-Out walk of :meth:`_process_path`, without applying fixes."""
+    ) -> int | None:
+        """Walk ``path`` origin-first; the position of the first divergent AS.
+
+        Each AS reserves its lowest-id quasi-router selecting the observed
+        suffix in ``reserved`` (router id -> the suffix it serves, for any
+        number of paths); None when every AS has one (a RIB-Out match).
+        """
         for position in range(len(path) - 1, -1, -1):
-            asn = path[position]
             target = path[position + 1 :]
             available = [
                 router
-                for router in self.model.quasi_routers(asn)
+                for router in self.model.quasi_routers(path[position])
                 if (best := router.best(prefix)) is not None
                 and best.as_path == target
                 and reserved.get(router.router_id, target) == target
             ]
             if not available:
-                return False
+                return position
             chosen = min(available, key=lambda router: router.router_id)
             reserved[chosen.router_id] = target
-        return True
+        return None
 
     # ------------------------------------------------------------------
     # Per-path processing
@@ -551,90 +558,64 @@ class Refiner:
         reserved: dict[int, tuple[int, ...]],
         stats: IterationStats,
     ) -> tuple[bool, bool]:
-        """Walk ``path`` origin-first; fix the first divergent AS.
+        """Fix the first divergent AS of ``path`` (:meth:`_divergence`).
 
-        Returns (fully-matched, model-changed).  ``reserved`` maps
-        quasi-router ids to the route suffix they are responsible for; a
-        quasi-router can serve any number of paths that share its suffix.
+        Returns (fully-matched, model-changed).
         """
-        for position in range(len(path) - 1, -1, -1):
-            asn = path[position]
-            target = path[position + 1 :]
-            routers = self.model.quasi_routers(asn)
-
-            selecting = [
-                router
-                for router in routers
-                if (best := router.best(prefix)) is not None
-                and best.as_path == target
-            ]
-            available = [
-                router
-                for router in selecting
-                if reserved.get(router.router_id, target) == target
-            ]
-            if available:
-                chosen = min(available, key=lambda router: router.router_id)
-                reserved[chosen.router_id] = target
-                continue
-
-            learning = [
-                router
-                for router in routers
-                if any(
-                    route.as_path == target
-                    for route in router.candidates(prefix)
-                )
-            ]
-            free = [
-                router
-                for router in learning
-                if reserved.get(router.router_id, target) == target
-            ]
-            if free:
-                if not self.config.allow_policies:
-                    return False, False
-                chosen = min(free, key=lambda router: router.router_id)
-                changed = self._install_policies(
-                    chosen, prefix, target, reserved, stats
-                )
-                reserved[chosen.router_id] = target
-                return False, changed
-            if learning:
-                if not self.config.allow_duplication:
-                    return False, False
-                source = min(learning, key=lambda router: router.router_id)
-                clone = self.model.network.duplicate_router(source)
-                stats.routers_added += 1
-                if self.certificates is not None:
-                    # The clone's sessions change its neighbours' MED
-                    # rankings too; invalidate_router dirties the peers.
-                    self.certificates.invalidate_router(clone)
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        EVENT_ROUTER_DUPLICATE,
-                        asn=asn,
-                        source=source.name,
-                        clone=clone.name,
-                        prefix=str(prefix),
-                        target=list(target),
-                        iteration=stats.iteration,
-                    )
-                if self.config.allow_policies:
-                    self._install_policies(clone, prefix, target, reserved, stats)
-                else:
-                    self._clear_refine_clauses(clone, prefix)
-                reserved[clone.router_id] = target
-                return False, True
-
-            # No RIB-In anywhere in this AS: the suffix has not propagated.
-            changed = False
-            if self.config.filter_deletion and target:
-                changed = self._delete_blocking_filters(asn, prefix, target, stats)
+        position = self._divergence(prefix, path, reserved)
+        if position is None:
+            return True, False
+        asn = path[position]
+        target = path[position + 1 :]
+        learning = [
+            router
+            for router in self.model.quasi_routers(asn)
+            if any(route.as_path == target for route in router.candidates(prefix))
+        ]
+        free = [
+            router
+            for router in learning
+            if reserved.get(router.router_id, target) == target
+        ]
+        if free:
+            if not self.config.allow_policies:
+                return False, False
+            chosen = min(free, key=lambda router: router.router_id)
+            changed = self._install_policies(chosen, prefix, target, reserved, stats)
+            reserved[chosen.router_id] = target
             return False, changed
+        if learning:
+            if not self.config.allow_duplication:
+                return False, False
+            source = min(learning, key=lambda router: router.router_id)
+            clone = self.model.network.duplicate_router(source)
+            stats.routers_added += 1
+            if self.certificates is not None:
+                # The clone's sessions change its neighbours' MED
+                # rankings too; invalidate_router dirties the peers.
+                self.certificates.invalidate_router(clone)
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event(
+                    EVENT_ROUTER_DUPLICATE,
+                    asn=asn,
+                    source=source.name,
+                    clone=clone.name,
+                    prefix=str(prefix),
+                    target=list(target),
+                    iteration=stats.iteration,
+                )
+            if self.config.allow_policies:
+                self._install_policies(clone, prefix, target, reserved, stats)
+            else:
+                self._clear_refine_clauses(clone, prefix)
+            reserved[clone.router_id] = target
+            return False, True
 
-        return True, False
+        # No RIB-In anywhere in this AS: the suffix has not propagated.
+        if self.config.filter_deletion and target:
+            return False, self._delete_blocking_filters(asn, prefix, target, stats)
+        return False, False
 
     # ------------------------------------------------------------------
     # Policy manipulation

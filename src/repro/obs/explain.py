@@ -5,8 +5,10 @@ converged state hop by hop and reports, at each AS on the way from an
 observer to the origin:
 
 * the candidate routes the deciding quasi-router chose among (with the
-  decision-process step that eliminated each loser),
-* the step that made the winner unique (:attr:`DecisionOutcome.decisive_step`),
+  decision-process step that eliminated each loser: ``deciding_step`` of
+  the winner's ``rank`` key against the loser's),
+* the step that made the winner unique (the winner's key against the
+  runner-up's),
 * every policy clause consulted for the prefix on the sessions feeding
   that quasi-router — with the refinement iteration and clause tag that
   installed it, so a MED ranking or egress filter is attributable to the
@@ -23,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bgp.attributes import RouteSource
-from repro.bgp.decision import DecisionOutcome, run_decision, step_name
+from repro.bgp.decision import deciding_step, rank, step_name
 from repro.bgp.engine import CONVERGED, DIVERGED, bounded_message_budget, simulate
-from repro.bgp.route import Route
 from repro.bgp.router import Router
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
 from repro.net.prefix import Prefix
@@ -258,23 +259,23 @@ def _walk_winning_chain(
 def _explain_router(
     model: ASRoutingModel, prefix: Prefix, router: Router
 ) -> HopExplanation:
-    """Explain the converged decision at one quasi-router."""
+    """Explain the converged decision at one quasi-router, off ``rank`` keys."""
     candidates = router.candidates(prefix)
-    outcome: DecisionOutcome = run_decision(candidates, MODEL_DECISION_CONFIG)
+    ranked = sorted(candidates, key=rank)
+    winner = rank(ranked[0]) if ranked else ()
     hop = HopExplanation(
         asn=router.asn,
         router=router.name,
         originates=prefix in router.local_routes,
     )
-    if outcome.best is not None:
-        hop.best_path = outcome.best.as_path
-        if len(candidates) <= 1:
-            hop.decisive_step = step_name(None)
-        else:
-            hop.decisive_step = step_name(outcome.decisive_step)
+    if ranked:
+        hop.best_path = ranked[0].as_path
+        hop.decisive_step = step_name(
+            deciding_step(winner, rank(ranked[1])) if len(ranked) > 1 else None
+        )
     names = {r.router_id: r.name for r in model.network.routers.values()}
     for route in candidates:
-        step = outcome.elimination_step(route)
+        step = deciding_step(winner, rank(route))
         hop.candidates.append(
             CandidateView(
                 as_path=route.as_path,

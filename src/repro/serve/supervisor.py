@@ -22,7 +22,7 @@ between them), and then does nothing but watch:
   ``serve.worker_restarts``).
 * **Boot-loop protection** — a worker that keeps dying before it ever
   reports ready (bad artifact, port stolen) stops the whole supervisor
-  after ``max_boot_failures`` consecutive failures instead of forking
+  after ``_MAX_BOOT_FAILURES`` consecutive failures instead of forking
   forever.
 * **Signal fan-out** — SIGTERM/SIGINT drain every worker gracefully
   (each worker runs the full single-process drain contract) and the
@@ -64,6 +64,18 @@ BOOT_FAILURE_EXIT = 1
 
 _HEARTBEAT_SECONDS = 0.5
 """How often a serve worker tells the supervisor it is alive."""
+
+_HEARTBEAT_GRACE = 10.0
+"""Seconds of silence after which a worker is killed and replaced."""
+
+_DRAIN_GRACE = 10.0
+"""Seconds the workers get to drain on shutdown before they are killed."""
+
+_MAX_BOOT_FAILURES = 3
+"""Consecutive workers dying before ready that stop the supervisor."""
+
+_RESTART_BACKOFF = 0.05
+"""Seconds slept per consecutive boot failure before the next restart."""
 
 
 @dataclass(frozen=True)
@@ -181,10 +193,6 @@ class ServeSupervisor:
         host: str = "127.0.0.1",
         port: int = 0,
         options: ServeOptions | None = None,
-        heartbeat_grace: float = 10.0,
-        drain_grace: float = 10.0,
-        max_boot_failures: int = 3,
-        restart_backoff: float = 0.05,
     ) -> None:
         if workers < 2:
             raise ValueError(
@@ -200,10 +208,6 @@ class ServeSupervisor:
         self.host = host
         self.requested_port = port
         self.options = options or ServeOptions()
-        self.heartbeat_grace = heartbeat_grace
-        self.drain_grace = drain_grace
-        self.max_boot_failures = max_boot_failures
-        self.restart_backoff = restart_backoff
         self._ledger = SupervisionLedger("serve", workers)
         self._slots = WorkerSlots(
             self._ledger,
@@ -212,7 +216,7 @@ class ServeSupervisor:
                 conn, self.artifact_path, self.host, self.port, self.options
             ),
             "repro-serve-worker",
-            heartbeat_grace,
+            _HEARTBEAT_GRACE,
             self._handle_message,
             self._replace,
             record=_ServeWorker,
@@ -251,7 +255,7 @@ class ServeSupervisor:
                         self._hup_pending = False
                         self._forward_hup()
                     self._slots.pump(_TICK_SECONDS)
-                    if self._boot_failures >= self.max_boot_failures:
+                    if self._boot_failures >= _MAX_BOOT_FAILURES:
                         logger.error(
                             "giving up after %d consecutive worker boot "
                             "failures; check the artifact and port",
@@ -260,10 +264,10 @@ class ServeSupervisor:
                         return BOOT_FAILURE_EXIT
                     self._slots.sweep()
         finally:
-            # Drain every worker, bounded by ``drain_grace``, then kill.
+            # Drain every worker, bounded by ``_DRAIN_GRACE``, then kill.
             self._slots.stop(
                 lambda worker: self._signal(worker, signal.SIGTERM),
-                self.drain_grace,
+                _DRAIN_GRACE,
             )
             if self._placeholder is not None:
                 self._placeholder.close()
@@ -312,10 +316,10 @@ class ServeSupervisor:
         self._slots.discard(worker)
         if self._drain.signum is not None:
             return
-        if self._boot_failures >= self.max_boot_failures:
+        if self._boot_failures >= _MAX_BOOT_FAILURES:
             return  # the run loop turns this into BOOT_FAILURE_EXIT
         if self._boot_failures:
-            time.sleep(self.restart_backoff * self._boot_failures)
+            time.sleep(_RESTART_BACKOFF * self._boot_failures)
         self._slots.spawn(worker.index)
 
     def _handle_message(self, worker: _ServeWorker, message: tuple) -> None:

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.bgp.attributes import Origin, RouteSource
-from repro.bgp.decision import DecisionConfig, Step, run_decision, select_best
+from repro.bgp.decision import (
+    DecisionConfig,
+    Step,
+    deciding_step,
+    rank,
+    run_decision,
+    select_best,
+)
 from repro.bgp.route import Route
 from repro.net.prefix import Prefix
 
@@ -262,6 +269,14 @@ class TestConformanceTable:
             assert outcome.decisive_step is step
             assert outcome.elimination_step(loser) is step
             assert select_best(candidates, config, *extra) is winner
+        if not config.med_always_compare and winner.peer_asn != loser.peer_asn:
+            return  # MEDs from two neighbour ASes: rank is not the process
+        winner_key, loser_key = (
+            rank(route, 0.0 if igp_cost is None else igp_cost(route))
+            for route in (winner, loser)
+        )
+        assert deciding_step(winner_key, loser_key) is step
+        assert deciding_step(winner_key, winner_key) is None
 
     def test_every_step_has_a_case(self):
         assert {row[0] for row in CONFORMANCE} == set(Step)

@@ -1,7 +1,10 @@
 """Unit tests for the Section 4.2 match metrics and Table 2 agreement."""
 
+import pickle
+
 import pytest
 
+from repro.bgp.decision import Step, run_decision
 from repro.bgp.policy import Action, Clause, Match
 from repro.core.build import build_initial_model
 from repro.core.metrics import (
@@ -14,9 +17,11 @@ from repro.core.metrics import (
     evaluate_dataset,
     unique_cases,
 )
+from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.topology.dataset import ObservedRoute, PathDataset
+from tests.oracle import seeded_world
 
 P = Prefix("10.0.0.0/24")
 
@@ -197,3 +202,69 @@ class TestMatchReportHelpers:
         report = self.report()
         report.coverage_by_origin = {4: (0, 0)}
         assert report.prefixes_with_coverage(0.0) == 0
+
+
+def reference_steps(router, prefix, target):
+    """``run_decision``'s elimination step of every candidate with ``target``."""
+    candidates = router.candidates(prefix)
+    outcome = run_decision(candidates, MODEL_DECISION_CONFIG)
+    return {
+        outcome.elimination_step(route)
+        for route in candidates
+        if route.as_path == target
+    }
+
+
+def reference_grades(model, observer, path):
+    """Both classifiers' grades, with each step replayed by ``run_decision``."""
+    prefix = model.canonical_prefix(path[-1])
+    target = path[1:]
+    match = MatchKind.NONE
+    agreement = None
+    for router in model.quasi_routers(observer):
+        best = router.best(prefix)
+        steps = reference_steps(router, prefix, target)
+        if best is not None and best.as_path == target:
+            grade, category = MatchKind.RIB_OUT, AgreementCategory.AGREE
+        elif not steps:
+            grade, category = MatchKind.NONE, AgreementCategory.NOT_AVAILABLE
+        elif Step.ROUTER_ID in steps:
+            grade, category = MatchKind.POTENTIAL_RIB_OUT, AgreementCategory.TIE_BREAK
+        elif Step.PATH_LENGTH in steps:
+            grade, category = MatchKind.RIB_IN, AgreementCategory.SHORTER_EXISTS
+        else:
+            grade, category = MatchKind.RIB_IN, AgreementCategory.OTHER
+        if agreement is None:
+            agreement = category
+        if grade is MatchKind.RIB_OUT:
+            return grade, agreement
+        if grade is not MatchKind.NONE and match is not MatchKind.POTENTIAL_RIB_OUT:
+            match = grade
+    return match, agreement or AgreementCategory.NOT_AVAILABLE
+
+
+class TestGradingAgainstTheReference:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_case_grades_as_run_decision_does(self, seed):
+        network = pickle.loads(seeded_world(seed).blob)
+        model = ASRoutingModel.from_network(network)
+        model.simulate_all()
+        # Every path some quasi-router learned, seen from its AS: each
+        # grade but "none" occurs, and each decision step that lost.
+        cases = {
+            (router.asn, (router.asn, *route.as_path))
+            for prefix in network.prefixes()
+            for router in network.routers.values()
+            for route in router.candidates(prefix)
+        }
+        seen = set()
+        for observer, path in sorted(cases):
+            match, agreement = reference_grades(model, observer, path)
+            assert classify_route_match(model, observer, path) is match, path
+            assert classify_agreement(model, observer, path) is agreement, path
+            seen |= {match, agreement}
+        assert seen >= {
+            MatchKind.POTENTIAL_RIB_OUT, MatchKind.RIB_IN,
+            AgreementCategory.TIE_BREAK, AgreementCategory.SHORTER_EXISTS,
+            AgreementCategory.OTHER,
+        }

@@ -34,6 +34,37 @@ def refine(*paths, config=RefinementConfig(), extra_paths=()):
     return model, result
 
 
+UNMATCHED_AFTER_ONE_ITERATION = [
+    (10, (10000, 1003, 103, 10)), (13, (10000, 1003, 103, 13)),
+    (100, (1001, 11, 10, 100)), (1000, (1001, 11, 103, 1000)),
+    (1000, (1002, 11, 100, 1000)), (1001, (10000, 1003, 103, 11, 1001)),
+    (1002, (10000, 1003, 103, 11, 1002)), (1006, (1002, 11, 100, 1006)),
+    (1008, (1002, 11, 104, 1008)), (1009, (10, 11, 104, 1009)),
+    (1009, (104, 11, 103, 1009)), (1009, (1001, 11, 103, 1009)),
+    (1009, (1002, 11, 103, 1009)), (1009, (105, 10, 11, 104, 1009)),
+    (10000, (1001, 11, 103, 1000, 10000)), (10000, (1002, 11, 100, 1000, 10000)),
+    (10001, (104, 102, 101, 1004, 10001)), (10001, (1001, 11, 101, 1004, 10001)),
+    (10001, (1002, 11, 101, 1004, 10001)),
+    (10001, (10000, 1000, 100, 11, 1002, 10001)),
+    (10001, (10000, 1003, 103, 11, 1002, 10001)),
+    (10001, (10007, 1004, 101, 11, 1002, 10001)),
+    (10002, (101, 10, 103, 10002)), (10002, (1001, 11, 103, 10002)),
+    (10003, (1001, 11, 103, 1006, 10003)), (10003, (1002, 11, 100, 1006, 10003)),
+    (10003, (10000, 1003, 102, 1005, 10003)),
+    (10004, (1002, 11, 104, 1007, 10004)), (10005, (1002, 11, 100, 10005)),
+    (10006, (104, 102, 101, 1004, 10006)), (10006, (1001, 11, 101, 1004, 10006)),
+    (10006, (10000, 1000, 103, 1004, 10006)),
+    (10007, (1002, 11, 104, 1005, 10007)), (10008, (1001, 11, 101, 1004, 10008)),
+    (10008, (1002, 11, 100, 1000, 10008)), (10010, (1001, 11, 101, 1004, 10010)),
+    (10010, (1002, 11, 100, 1000, 10010)), (10011, (1002, 11, 100, 10011)),
+    (10013, (10, 102, 1005, 10013)), (10013, (101, 102, 1005, 10013)),
+    (10013, (105, 101, 102, 1003, 10013)), (10013, (105, 101, 102, 1005, 10013)),
+    (10013, (1002, 11, 104, 1005, 10013)), (10013, (10000, 1000, 102, 1005, 10013)),
+]
+"""``Refiner.unmatched_paths`` on the mini pipeline's seed-3 training half
+after one iteration."""
+
+
 class TestTrivialCases:
     def test_already_matching_model_converges_immediately(self):
         model, result = refine((1, 2, 3))
@@ -185,6 +216,18 @@ class TestEndToEnd:
         result = Refiner(model, training).run()
         max_len = max(len(r.path) for r in training)
         assert result.iteration_count <= 4 * max_len
+
+    def test_unmatched_paths_after_one_iteration_are_pinned(self, mini_pipeline):
+        # The stall diagnostic reads the walk the refiner fixes paths by:
+        # after one iteration it names exactly these training paths.
+        from repro.core.split import split_by_observation_points
+
+        pruned = mini_pipeline["pruned"]
+        training, _ = split_by_observation_points(pruned.dataset, 0.5, seed=3)
+        model = build_initial_model(pruned.dataset, pruned.graph.copy())
+        refiner = Refiner(model, training, RefinementConfig(max_iterations=1))
+        assert not refiner.run().converged
+        assert refiner.unmatched_paths() == UNMATCHED_AFTER_ONE_ITERATION
 
     def test_refined_model_satisfies_diversity_lower_bound(self, mini_pipeline):
         from repro.core.split import split_by_observation_points

@@ -1,15 +1,20 @@
 """Tests for decision provenance (repro.obs.explain / ``repro explain``)."""
 
+import pickle
+
 import pytest
 
+from repro.bgp.decision import run_decision, step_name
 from repro.core.build import build_initial_model
 from repro.core.metrics import unique_cases
+from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
 from repro.core.refine import FILTER_TAG, RANK_TAG, RefinementConfig, Refiner
 from repro.errors import TopologyError
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.obs.explain import explain_prefix
 from repro.topology.dataset import ObservedRoute, PathDataset
+from tests.oracle import seeded_world
 
 P = Prefix("10.0.0.0/24")
 
@@ -129,3 +134,30 @@ class TestExplainPrefix:
         document = explanation.to_dict()
         assert document["replay"]["status"] == "converged"
         assert document["hops"][0]["asn"] == 1
+
+
+class TestReadingAgainstTheReference:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_hop_reads_as_run_decision_decides(self, seed):
+        network = pickle.loads(seeded_world(seed).blob)
+        model = ASRoutingModel.from_network(network)
+        routers = {router.name: router for router in network.routers.values()}
+        steps = set()
+        for _, prefix in sorted(model.prefix_by_origin.items()):
+            for observer in (None, min(network.ases), max(network.ases)):
+                for hop in explain_prefix(model, prefix, observer).hops:
+                    candidates = routers[hop.router].candidates(prefix)
+                    outcome = run_decision(candidates, MODEL_DECISION_CONFIG)
+                    assert [view.eliminated_by for view in hop.candidates] == [
+                        None if step is None else step_name(step)
+                        for step in map(outcome.elimination_step, candidates)
+                    ], (prefix, hop.router)
+                    if len(candidates) > 1:
+                        assert hop.decisive_step == step_name(outcome.decisive_step)
+                        steps.add(hop.decisive_step)
+                    elif candidates:
+                        assert hop.decisive_step == "only-candidate"
+                    assert hop.best_path == (
+                        None if outcome.best is None else outcome.best.as_path
+                    )
+        assert {"path-length", "router-id"} <= steps
