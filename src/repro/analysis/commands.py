@@ -16,7 +16,7 @@ from repro.analysis.analyzer import ALL_PASSES, analyze_model
 from repro.analysis.certify import CertificateStore
 from repro.analysis.diffing import ReportDiff, diff_reports
 from repro.analysis.findings import AnalysisReport
-from repro.command import Command, Output, load_model
+from repro.command import Command, Output, load_model, non_negative_int
 from repro.data.caida import read_as_rel
 from repro.data.dumps import read_table_dump
 from repro.errors import CertificateError, ParseError, UsageError
@@ -44,7 +44,7 @@ def _lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "unchanged findings; exits 1 only on new errors")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the full report as JSON instead of text")
-    parser.add_argument("--max-findings", type=int, default=50,
+    parser.add_argument("--max-findings", type=non_negative_int, default=50,
                         help="findings shown in text mode (JSON is never cut)")
 
 

@@ -64,6 +64,22 @@ def open_unit_fraction(text: str) -> float:
     return value
 
 
+def unit_fraction(text: str) -> float:
+    """argparse ``type=``: a float from 0 to 1, both included."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+def positive_unit_fraction(text: str) -> float:
+    """argparse ``type=``: a float above 0 and at most 1."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 def positive_float(text: str) -> float:
     """argparse ``type=``: a float a population can be scaled by."""
     value = float(text)

@@ -23,6 +23,7 @@ from repro.command import (
     add_parallel_arguments,
     open_unit_fraction,
     parallel_config,
+    positive_int,
 )
 from repro.core.build import build_initial_model
 from repro.core.metrics import MatchKind
@@ -49,7 +50,7 @@ def _refine_arguments(parser: argparse.ArgumentParser) -> None:
                         help="write a JSON RunHealth report to this path")
     parser.add_argument("--checkpoint",
                         help="snapshot the run here; resumes if the file exists")
-    parser.add_argument("--checkpoint-every", type=int, default=5,
+    parser.add_argument("--checkpoint-every", type=positive_int, default=5,
                         help="iterations between checkpoint snapshots")
     parser.add_argument("--lint-gate", action="store_true",
                         help="statically quarantine dispute-wheel prefixes "

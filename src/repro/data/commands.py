@@ -24,7 +24,14 @@ import time
 
 from repro.bgp.engine import simulate
 from repro.cbgp.export import export_network
-from repro.command import Command, positive_float, positive_int
+from repro.command import (
+    Command,
+    non_negative_int,
+    positive_float,
+    positive_int,
+    positive_unit_fraction,
+    unit_fraction,
+)
 from repro.data.caida import read_as_rel
 from repro.data.dumps import read_table_dump, write_table_dump
 from repro.data.ingest import IngestConfig, ingest_table_dump
@@ -87,18 +94,20 @@ def _ingest_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resume", action="store_true",
                         help="continue from an existing checkpoint "
                              "instead of starting over")
-    parser.add_argument("--checkpoint-every", type=int, default=20000,
+    parser.add_argument("--checkpoint-every", type=positive_int, default=20000,
                         help="source lines between checkpoint snapshots")
     parser.add_argument("--strict", action="store_true",
                         help="raise on the first damaged record "
                              "(with its 1-based line number)")
-    parser.add_argument("--max-malformed-fraction", type=float, default=0.5,
+    parser.add_argument("--max-malformed-fraction", type=unit_fraction,
+                        default=0.5,
                         help="whole-file damage fraction that fails the "
                              "quality gate (AS_SET skips excluded)")
-    parser.add_argument("--burst-window", type=int, default=500,
+    parser.add_argument("--burst-window", type=non_negative_int, default=500,
                         help="sliding window (record lines) of the "
                              "malformed-burst circuit breaker (0 disables)")
-    parser.add_argument("--burst-threshold", type=float, default=0.95,
+    parser.add_argument("--burst-threshold", type=positive_unit_fraction,
+                        default=0.95,
                         help="damaged fraction of the window that trips "
                              "the breaker")
     parser.add_argument("--no-quality-gate", action="store_true",
@@ -146,7 +155,7 @@ def _ingest(args: argparse.Namespace) -> IngestReport:
         ),
         burst_window=0 if args.no_quality_gate else args.burst_window,
         burst_threshold=args.burst_threshold,
-        checkpoint_every=max(1, args.checkpoint_every),
+        checkpoint_every=args.checkpoint_every,
     )
     try:
         with drain_signals() as drain:

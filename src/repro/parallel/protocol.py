@@ -98,14 +98,13 @@ class ParallelConfig:
     per-dispatch wall-clock watchdog (None disables it; the message
     budget still bounds every simulation).
     ``max_resubmits`` is how many *fresh* workers a failing task gets
-    before being classified poison.  ``drain_grace`` bounds how long a
-    graceful shutdown waits for in-flight tasks.
+    before being classified poison.  A graceful shutdown waits
+    :data:`~repro.parallel.supervisor.DRAIN_GRACE` for in-flight tasks.
     """
 
     workers: int = 1
     task_timeout: float | None = 60.0
     max_resubmits: int = 2
-    drain_grace: float = 5.0
     faults: WorkerFaults | None = None
 
     @property

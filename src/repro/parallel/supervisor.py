@@ -86,6 +86,10 @@ HEARTBEAT_GRACE = 15.0
 """A pool worker silent this long (it beats every
 :data:`~repro.parallel.worker.HEARTBEAT_INTERVAL`) is killed and replaced."""
 
+DRAIN_GRACE = 5.0
+"""How long a graceful shutdown waits for in-flight tasks before it kills
+their workers."""
+
 
 class SupervisionLedger:
     """Spawn/death/restart accounting shared by every supervisor.
@@ -463,7 +467,7 @@ class SupervisedPool:
                     now = time.monotonic()
                     draining = self._drain.signum is not None
                     if draining and drain_deadline is None:
-                        drain_deadline = now + self.parallel.drain_grace
+                        drain_deadline = now + DRAIN_GRACE
                         self._emit_drain(len(self._pending))
                     inflight = [
                         w for w in self._slots.live() if w.task_id is not None
@@ -643,10 +647,10 @@ class SupervisedPool:
                 EVENT_DRAIN,
                 signal=self._drain.signum,
                 queued=queued,
-                grace=self.parallel.drain_grace,
+                grace=DRAIN_GRACE,
             )
         logger.warning(
             "draining on signal %s: %d task(s) still queued, %.1fs grace "
             "for in-flight work",
-            self._drain.signum, queued, self.parallel.drain_grace,
+            self._drain.signum, queued, DRAIN_GRACE,
         )

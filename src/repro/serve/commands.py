@@ -26,7 +26,10 @@ from repro.command import (
     add_parallel_arguments,
     json_text,
     load_model,
+    non_negative_float,
+    non_negative_int,
     parallel_config,
+    positive_float,
     positive_int,
 )
 from repro.data.caida import read_as_rel
@@ -154,29 +157,29 @@ def _serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-size", type=positive_int,
                         default=defaults.cache_size,
                         help="bounded LRU entries in the query cache")
-    parser.add_argument("--request-timeout", type=float,
+    parser.add_argument("--request-timeout", type=positive_float,
                         default=defaults.request_timeout,
                         help="per-connection socket timeout in seconds")
     parser.add_argument("--workers", type=positive_int, default=1,
                         help="serve from N supervised SO_REUSEPORT "
                              "processes; a killed worker is replaced "
                              "automatically (default: 1, in-process)")
-    parser.add_argument("--max-inflight", type=int,
+    parser.add_argument("--max-inflight", type=non_negative_int,
                         default=defaults.max_inflight,
                         help="bounded admission: concurrent requests "
                              "before load-shedding 503s (0 disables "
                              "admission control)")
-    parser.add_argument("--deadline", type=float,
+    parser.add_argument("--deadline", type=positive_float,
                         default=defaults.deadline_seconds,
                         help="per-request deadline in seconds (metered; "
                              "late finishes count serve.deadline_exceeded)")
-    parser.add_argument("--watch-artifact", type=float,
+    parser.add_argument("--watch-artifact", type=positive_float,
                         default=defaults.watch_interval,
                         metavar="SECONDS",
                         help="poll the artifact file at this interval and "
                              "hot-reload when it changes (SIGHUP and "
                              "POST /-/reload always work)")
-    parser.add_argument("--chaos-delay-ms", type=float,
+    parser.add_argument("--chaos-delay-ms", type=non_negative_float,
                         default=defaults.handler_delay * 1000.0,
                         help="artificial per-query handler delay for "
                              "overload/chaos testing (milliseconds)")
@@ -189,10 +192,10 @@ def _serve(args: argparse.Namespace) -> Output:
     options = ServeOptions(
         cache_size=args.cache_size,
         request_timeout=args.request_timeout,
-        max_inflight=max(0, args.max_inflight),
+        max_inflight=args.max_inflight,
         deadline_seconds=args.deadline,
         watch_interval=args.watch_artifact,
-        handler_delay=max(0.0, args.chaos_delay_ms) / 1000.0,
+        handler_delay=args.chaos_delay_ms / 1000.0,
     )
     engine = options.load_engine(args.artifact)
     try:

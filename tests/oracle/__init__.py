@@ -1,18 +1,36 @@
 """The from-scratch references that fast paths are judged against.
 
-ROADMAP item 5's oracle, first step: the seeded refined worlds and the
-plain recipes — a fresh unpickle, the edit applied, every prefix simulated
-from scratch by the sequential engine — live here once, and the suites that
-compare a fast path with it (``TestCrossingOrigins``, ``TestWorkingCopy``,
-``TestResumeOracle``, ...) read the same cached answers instead of each
-re-simulating the same (seed, adjacency) world.  ``structure`` is what
-"the network came back" means wherever one is lent and undone.
+ROADMAP item 5's oracle.  Every test module reads these from here and no
+test module reads another's helpers; nothing here imports a test module.
 
-The engine's decisions are judged one at a time by the step-by-step
-reference ``run_decision``: ``DecisionOracle`` is a tracer that checks
-every ``decision`` event against it while the run goes on, and ``judge``
-runs the same work untraced and under that tracer and holds the two to
-the same RIBs and counters.
+*Reading state.*  ``canonical_dump`` is every RIB entry and counter of a
+network as lines (the golden digests hash it), ``rib_contents`` what the
+routers hold for one prefix by value, and ``structure`` what "the network
+came back" means wherever one is lent and undone.
+
+*Small worlds.*  The hand-built networks several suites share:
+``line_model`` (the refined line AS1 - AS2 - AS3 - AS4),
+``disagree_gadget`` (two stable states), ``gadget_network`` (a
+hub-and-spoke triangle a dispute wheel is injected into), and
+``engine_counts``, which reads what a call simulated off the engine's own
+counters.  ``seeded_world`` is the cached 23-AS refined world the
+differential suites run on.
+
+*Decisions.*  The engine's decisions are judged one at a time by the
+step-by-step reference ``run_decision``: ``DecisionOracle`` is a tracer
+that checks every ``decision`` event against it while the run goes on,
+and ``judge`` runs the same work untraced and under that tracer and holds
+the two to the same RIBs and counters.
+
+*The one cut-and-resimulate recipe.*  ``depeer_from_scratch``: a fresh
+unpickle, the adjacency removed, every prefix simulated from scratch by
+the sequential engine, the path map diffed against a baseline.
+``depeered_world`` caches its answer per (seed, adjacency) of a seeded
+world, so ``TestCrossingOrigins``, ``TestWhatIfResumes``,
+``TestResumeOracle`` and the rest read one simulation instead of each
+re-simulating the same world.  ``whatif_changes`` reads ``repro
+whatif``'s answer off such a diff, and ``two_pass_changes`` is the same
+recipe on an unseeded network, its baseline simulated from scratch too.
 """
 
 import functools
@@ -24,73 +42,61 @@ from repro.bgp import Network, simulate
 from repro.bgp.attributes import RouteSource
 from repro.bgp.decision import DecisionConfig, DecisionOutcome, run_decision, step_name
 from repro.bgp.engine import EngineStats
+from repro.bgp.policy import Clause, Match
+from repro.bgp.route import Route
 from repro.bgp.router import Router
 from repro.campaign import context_from_artifact, plan_campaign
 from repro.campaign.diffing import ScenarioDiff, diff_path_maps
-from repro.campaign.scenarios import crossing_origins, remove_adjacency
+from repro.campaign.scenarios import CampaignContext, crossing_origins, remove_adjacency
 from repro.core.build import build_initial_model
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel, simulate_pooled
 from repro.core.predict import collect_path_map
 from repro.core.refine import RefinementConfig, Refiner
 from repro.data.observation import collect_dataset, select_observation_points
 from repro.data.synthesis import SyntheticConfig, synthesize_internet
-from repro.net.prefix import Prefix
+from repro.net.aspath import ASPath
+from repro.net.prefix import Prefix, prefix_for_asn
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import EVENT_DECISION, RecordingTracer, tracing
 from repro.parallel.protocol import dump_network
 from repro.serve import compile_artifact
+from repro.topology.dataset import ObservedRoute, PathDataset
 from repro.topology.graph import ASGraph
-from tests.test_bgp_engine_golden import _route_fields, canonical_dump
 
 
-@dataclass(frozen=True)
-class World:
-    """A seeded refined model, its baseline and its pickled network."""
-
-    model: ASRoutingModel
-    context: object
-    blob: bytes
+# ----------------------------------------------------------------------
+# Reading state
+# ----------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def seeded_world(seed: int) -> World:
-    """Synthesize, observe and refine a 23-AS world (read-only, cached)."""
-    internet = synthesize_internet(
-        SyntheticConfig(seed=seed, n_level1=3, n_level2=4, n_other=6, n_stub=10)
+def _route_fields(route: Route) -> tuple:
+    return (
+        str(route.prefix), route.as_path, route.next_hop, route.local_pref,
+        route.med, int(route.origin), sorted(route.communities),
+        int(route.source), route.peer_router, route.peer_asn,
+        route.originator_id, route.cluster_list,
     )
-    simulate(internet.network)
-    points = select_observation_points(internet, 8, seed=seed)
-    dataset = collect_dataset(internet.network, points).cleaned()
-    model = build_initial_model(dataset, ASGraph.from_dataset(dataset))
-    assert Refiner(model, dataset, RefinementConfig(max_iterations=12)).run().converged
-    artifact, _ = compile_artifact(model)
-    model.network.clear_routing()
-    context = plan_campaign(model, [], context_from_artifact(artifact))
-    assert context.unique_state and not context.converged_ahead
-    return World(model, context, dump_network(model.network))
 
 
-def structure(network: Network) -> dict:
-    """Everything a simulation's message order can depend on, plus the RIBs.
-
-    A snapshot: one taken before a network is lent compares with one taken
-    after it came back.
-    """
-    routers = network.routers.values()
-    return {
-        "sessions": list(network.sessions),
-        "endpoints": [
-            (key, session.session_id)
-            for key, session in network._session_by_endpoints.items()
-        ],
-        "next_session_id": network._next_session_id,
-        "sessions_out": [[s.session_id for s in r.sessions_out] for r in routers],
-        "sessions_in": [[s.session_id for s in r.sessions_in] for r in routers],
-        "originations": [(p, list(o)) for p, o in network.originations.items()],
-        "local_routes": [list(r.local_routes) for r in routers],
-        "ribs": canonical_dump(network, EngineStats())[:-1],  # by value
-        "touched": {prefix: set(ids) for prefix, ids in network._touched.items()},
-        "open": (network._undo, network._held),
-    }
+def canonical_dump(network: Network, stats: EngineStats) -> list[str]:
+    """Every RIB entry and counter as one line, in a fixed order."""
+    lines = []
+    for router_id in sorted(network.routers):
+        router = network.routers[router_id]
+        for name, rib in (("in", router.adj_rib_in), ("out", router.adj_rib_out)):
+            for prefix in sorted(rib):
+                for session_id in sorted(rib[prefix]):
+                    fields = _route_fields(rib[prefix][session_id])
+                    lines.append(f"{name} {router_id} {session_id} {fields}")
+        for prefix in sorted(router.loc_rib):
+            lines.append(f"loc {router_id} {_route_fields(router.loc_rib[prefix])}")
+    lines.append(
+        f"stats {stats.prefixes} {stats.messages} {stats.decisions} "
+        f"{stats.clauses_evaluated} {stats.clauses_matched}"
+    )
+    for prefix in sorted(stats.per_prefix_messages):
+        lines.append(f"messages {prefix} {stats.per_prefix_messages[prefix]}")
+    return lines
 
 
 def rib_contents(network: Network, prefix: Prefix) -> list:
@@ -123,6 +129,138 @@ def rib_contents(network: Network, prefix: Prefix) -> list:
             ),
         ))
     return contents
+
+
+def structure(network: Network) -> dict:
+    """Everything a simulation's message order can depend on, plus the RIBs.
+
+    A snapshot: one taken before a network is lent compares with one taken
+    after it came back.
+    """
+    routers = network.routers.values()
+    return {
+        "sessions": list(network.sessions),
+        "endpoints": [
+            (key, session.session_id)
+            for key, session in network._session_by_endpoints.items()
+        ],
+        "next_session_id": network._next_session_id,
+        "sessions_out": [[s.session_id for s in r.sessions_out] for r in routers],
+        "sessions_in": [[s.session_id for s in r.sessions_in] for r in routers],
+        "originations": [(p, list(o)) for p, o in network.originations.items()],
+        "local_routes": [list(r.local_routes) for r in routers],
+        "ribs": canonical_dump(network, EngineStats())[:-1],  # by value
+        "touched": {prefix: set(ids) for prefix, ids in network._touched.items()},
+        "open": (network._undo, network._held),
+    }
+
+
+# ----------------------------------------------------------------------
+# Small worlds
+# ----------------------------------------------------------------------
+
+
+def line_model() -> ASRoutingModel:
+    """The refined line AS1 - AS2 - AS3 - AS4, observed from both ends."""
+    prefix = Prefix("10.0.0.0/24")
+    ds = PathDataset()
+    paths = [(1, 2, 3, 4), (4, 3, 2, 1), (2, 3, 4), (3, 2, 1), (1, 2), (4, 3)]
+    for index, path in enumerate(paths):
+        ds.add(ObservedRoute(f"p{index}", path[0], prefix, ASPath(path)))
+    model = build_initial_model(ds)
+    Refiner(model, ds).run()
+    return model
+
+
+def disagree_gadget() -> Network:
+    """Five ASes, AS1 originating, with two stable states (local-pref).
+
+    AS2 and AS3 each prefer the other's route (a DISAGREE pair), AS2
+    also prefers AS4's.  With every session up the engine settles on
+    "AS2 via AS4, AS3 via AS2"; AS1-AS2 carries no selected route, and
+    that state stays stable without it — yet from scratch the engine
+    reaches the other stable state, "AS3 via AS5, AS2 via AS3".
+    """
+    network = Network("disagree")
+    routers = {asn: network.add_router(asn) for asn in range(1, 6)}
+    for a, b in ((1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)):
+        network.connect(routers[a], routers[b])
+    for sender, receiver in ((2, 3), (3, 2), (4, 2), (5, 4)):
+        network.get_session(
+            routers[sender], routers[receiver]
+        ).ensure_import_map().append(Clause(Match(), set_local_pref=200))
+    network.originate(routers[1], prefix_for_asn(1))
+    return network
+
+
+def gadget_network(wheel_asns=(1, 2, 3), extra_spokes=0, origin_asn=4):
+    """Hub-and-spoke network with the wheel ASes forming a triangle."""
+    net = Network("gadget")
+    spokes = {asn: net.add_router(asn) for asn in wheel_asns}
+    hub = net.add_router(origin_asn)
+    prefix = Prefix("10.0.0.0/24")
+    net.originate(hub, prefix)
+    for router in spokes.values():
+        net.connect(router, hub)
+    ring = list(wheel_asns)
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        net.connect(spokes[a], spokes[b])
+    for index in range(extra_spokes):
+        net.connect(net.add_router(1000 + index), hub)
+    return net, prefix
+
+
+def engine_counts(call, *args, **kwargs):
+    """``call``'s result, prefixes simulated from scratch, prefixes resumed."""
+    registry = MetricsRegistry()
+    set_registry(registry)
+    try:
+        result = call(*args, **kwargs)
+        counters = registry.snapshot()["counters"]
+        return (
+            result,
+            counters.get("engine.prefixes", 0),
+            counters.get("engine.resumes", 0),
+        )
+    finally:
+        set_registry(MetricsRegistry())
+
+
+# ----------------------------------------------------------------------
+# Seeded refined worlds
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class World:
+    """A seeded refined model, its baseline and its pickled network."""
+
+    model: ASRoutingModel
+    context: object
+    blob: bytes
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_world(seed: int) -> World:
+    """Synthesize, observe and refine a 23-AS world (read-only, cached)."""
+    internet = synthesize_internet(
+        SyntheticConfig(seed=seed, n_level1=3, n_level2=4, n_other=6, n_stub=10)
+    )
+    simulate(internet.network)
+    points = select_observation_points(internet, 8, seed=seed)
+    dataset = collect_dataset(internet.network, points).cleaned()
+    model = build_initial_model(dataset, ASGraph.from_dataset(dataset))
+    assert Refiner(model, dataset, RefinementConfig(max_iterations=12)).run().converged
+    artifact, _ = compile_artifact(model)
+    model.network.clear_routing()
+    context = plan_campaign(model, [], context_from_artifact(artifact))
+    assert context.unique_state and not context.converged_ahead
+    return World(model, context, dump_network(model.network))
+
+
+# ----------------------------------------------------------------------
+# Decisions
+# ----------------------------------------------------------------------
 
 
 def reference_decision(
@@ -236,47 +374,64 @@ def judge(make_network, config: DecisionConfig, act):
     return plain, plain_stats, events
 
 
+# ----------------------------------------------------------------------
+# The one cut-and-resimulate recipe
+# ----------------------------------------------------------------------
+
+
 def depeer_from_scratch(
     blob: bytes, context, asn_a: int, asn_b: int, config=MODEL_DECISION_CONFIG
-) -> tuple[Network, EngineStats, int, ScenarioDiff]:
+) -> tuple[Network, EngineStats, int, ScenarioDiff, dict]:
     """The plain recipe: fresh copy, adjacency removed, every prefix
     re-simulated; the network as the engine left it, its statistics, the
-    sessions removed and the diff against ``context``'s baseline."""
+    sessions removed, the diff against ``context``'s baseline and the path
+    set after the cut of every pair that diff names."""
     network = pickle.loads(blob)
     removed = len(remove_adjacency(network, asn_a, asn_b))
     stats = simulate_pooled(network, config=config)
     assert not stats.quarantined
     current = collect_path_map(network, context.origins, context.observers)
     diff = diff_path_maps(context.baseline_paths, current, context.excluded)
-    return network, stats, removed, diff
+    after = {
+        pair: frozenset(current.get(pair, ()))
+        for pair in diff.changed + diff.lost + diff.gained
+    }
+    return network, stats, removed, diff, after
 
 
 def from_scratch(blob: bytes, context, asn_a: int, asn_b: int, config=MODEL_DECISION_CONFIG):
     """The oracle's answer to a depeer scenario: sessions removed, diff."""
-    return depeer_from_scratch(blob, context, asn_a, asn_b, config)[2:]
+    return depeer_from_scratch(blob, context, asn_a, asn_b, config)[2:4]
 
 
-def two_pass_changes(network: Network, origins: dict, as_edges) -> list:
-    """The plain what-if: simulate all, cut, simulate all again, compare.
+def whatif_changes(baseline_paths: dict, after: dict) -> list:
+    """``(observer, origin, before, after)`` for every pair ``after`` names,
+    in (observer, origin) order — ``repro whatif``'s answer.
 
-    ``origins`` is the model's origin -> prefix table.  ``(observer,
-    origin, before, after)`` for every pair whose path set changed, in
-    (observer, origin) order — ``repro whatif``'s answer.
+    ``after`` is :func:`depeer_from_scratch`'s: the pairs its diff names,
+    keyed ``(origin, observer)``.
     """
-    observers = sorted(network.ases)
-    simulate(network, config=MODEL_DECISION_CONFIG)
-    before = collect_path_map(network, origins, observers)
-    for asn_a, asn_b in as_edges:
-        remove_adjacency(network, asn_a, asn_b)
-    simulate(network, config=MODEL_DECISION_CONFIG)
-    after = collect_path_map(network, origins, observers)
     return [
-        (observer, origin, frozenset(before.get(pair, ())), frozenset(after.get(pair, ())))
-        for observer in observers
-        for origin in sorted(origins)
-        for pair in [(origin, observer)]
-        if before.get(pair) != after.get(pair)
+        (observer, origin, frozenset(baseline_paths.get((origin, observer), ())),
+         after[(origin, observer)])
+        for observer, origin in sorted((observer, origin) for origin, observer in after)
     ]
+
+
+def two_pass_changes(network: Network, origins: dict, asn_a: int, asn_b: int) -> list:
+    """The plain what-if on an unseeded network: simulate all from scratch
+    for the baseline, then :func:`depeer_from_scratch` against it.
+
+    ``origins`` is the model's origin -> prefix table; every AS observes.
+    """
+    observers = tuple(sorted(network.ases))
+    simulate(network, config=MODEL_DECISION_CONFIG)
+    context = CampaignContext(
+        collect_path_map(network, origins, observers), observers, origins
+    )
+    network.clear_routing()
+    after = depeer_from_scratch(dump_network(network), context, asn_a, asn_b)[4]
+    return whatif_changes(context.baseline_paths, after)
 
 
 @dataclass(frozen=True)
@@ -285,6 +440,9 @@ class Depeered:
 
     removed: int
     diff: ScenarioDiff
+    after: dict
+    """(origin, observer) -> the path set after the cut, for every pair
+    ``diff`` names (changed, lost, gained)."""
     messages: dict
     """Prefix -> the messages its from-scratch simulation took."""
     ribs: dict
@@ -299,13 +457,14 @@ class Depeered:
 def depeered_world(seed: int, asn_a: int, asn_b: int) -> Depeered:
     """``depeer_from_scratch`` on ``seeded_world(seed)`` (read-only, cached)."""
     world = seeded_world(seed)
-    network, stats, removed, diff = depeer_from_scratch(
+    network, stats, removed, diff, after = depeer_from_scratch(
         world.blob, world.context, asn_a, asn_b
     )
     crossing = crossing_origins(world.context, asn_a, asn_b)
     return Depeered(
         removed,
         diff,
+        after,
         dict(stats.per_prefix_messages),
         {
             prefix: zlib.compress(repr(rib_contents(network, prefix)).encode(), 1)

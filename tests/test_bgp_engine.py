@@ -15,7 +15,7 @@ from repro.net.community import NO_ADVERTISE, NO_EXPORT
 from repro.net.prefix import Prefix
 from repro.resilience.faults import FaultConfig, apply_faults, inject_dispute_wheel
 from repro.resilience.health import RunHealth
-from tests.test_bgp_engine_golden import canonical_dump
+from tests.oracle import canonical_dump, gadget_network
 
 PREFIX = Prefix("10.0.0.0/24")
 
@@ -215,23 +215,6 @@ class TestDivergenceGuard:
         assert stats.prefixes == 1
         assert stats.messages > 0
         assert stats.per_prefix_messages[prefix] == stats.messages
-
-
-def gadget_network(wheel_asns=(1, 2, 3), extra_spokes=0, origin_asn=4):
-    """Hub-and-spoke network with the wheel ASes forming a triangle."""
-    net = Network("gadget")
-    spokes = {asn: net.add_router(asn) for asn in wheel_asns}
-    hub = net.add_router(origin_asn)
-    prefix = Prefix("10.0.0.0/24")
-    net.originate(hub, prefix)
-    for router in spokes.values():
-        net.connect(router, hub)
-    ring = list(wheel_asns)
-    for a, b in zip(ring, ring[1:] + ring[:1]):
-        net.connect(spokes[a], spokes[b])
-    for index in range(extra_spokes):
-        net.connect(net.add_router(1000 + index), hub)
-    return net, prefix
 
 
 def quarantining(net, prefixes=None, max_messages=None):

@@ -37,6 +37,7 @@ from repro.topology.classify import classify_ases
 from repro.topology.clique import infer_level1_clique
 from repro.topology.graph import ASGraph
 from repro.topology.prune import prune_single_homed_stubs
+from tests.oracle import canonical_dump
 
 ROUTER_LEVEL = SyntheticConfig(
     seed=7, n_level1=3, n_level2=4, n_other=6, n_stub=12,
@@ -102,36 +103,6 @@ GOLDEN = {
     "refined-model": ("497c83d2056184e79e09037b2aeb01b331bd23812b6a060851ff71b2fbed1187", 43900),
 }
 """World name -> (SHA-256 of the canonical dump, live ``Route`` objects)."""
-
-
-def _route_fields(route: Route) -> tuple:
-    return (
-        str(route.prefix), route.as_path, route.next_hop, route.local_pref,
-        route.med, int(route.origin), sorted(route.communities),
-        int(route.source), route.peer_router, route.peer_asn,
-        route.originator_id, route.cluster_list,
-    )
-
-
-def canonical_dump(network: Network, stats: EngineStats) -> list[str]:
-    """Every RIB entry and counter as one line, in a fixed order."""
-    lines = []
-    for router_id in sorted(network.routers):
-        router = network.routers[router_id]
-        for name, rib in (("in", router.adj_rib_in), ("out", router.adj_rib_out)):
-            for prefix in sorted(rib):
-                for session_id in sorted(rib[prefix]):
-                    fields = _route_fields(rib[prefix][session_id])
-                    lines.append(f"{name} {router_id} {session_id} {fields}")
-        for prefix in sorted(router.loc_rib):
-            lines.append(f"loc {router_id} {_route_fields(router.loc_rib[prefix])}")
-    lines.append(
-        f"stats {stats.prefixes} {stats.messages} {stats.decisions} "
-        f"{stats.clauses_evaluated} {stats.clauses_matched}"
-    )
-    for prefix in sorted(stats.per_prefix_messages):
-        lines.append(f"messages {prefix} {stats.per_prefix_messages[prefix]}")
-    return lines
 
 
 def digest(network: Network, stats: EngineStats) -> str:

@@ -18,7 +18,7 @@ from repro.bgp.router import (
 from repro.core.model import MODEL_DECISION_CONFIG
 from repro.errors import ConvergenceError, TopologyError
 from repro.net.prefix import Prefix
-from tests.oracle import seeded_world, structure
+from tests.oracle import canonical_dump, seeded_world, structure
 
 PREFIX = Prefix("10.0.0.0/24")
 
@@ -204,8 +204,6 @@ class TestHeldStateUndo:
     def square(self):
         """AS1 - AS2 - AS3 - AS4 - AS1; AS1 originates HELD and COLD, AS3
         OTHER; HELD and OTHER are converged, COLD holds nothing."""
-        from tests.test_bgp_engine_golden import canonical_dump
-
         net = Network("square")
         routers = [net.add_router(asn) for asn in (1, 2, 3, 4)]
         for a, b in zip(routers, routers[1:] + routers[:1]):

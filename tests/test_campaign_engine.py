@@ -36,8 +36,7 @@ from repro.obs.trace import EVENT_SCENARIO, RecordingTracer, tracing
 from repro.parallel import ParallelConfig, WorkerFaults
 from repro.parallel.worker import WorkingCopy
 from repro.serve import compile_artifact
-from tests.oracle import structure
-from tests.test_campaign_scenarios import line_model, seeded_world
+from tests.oracle import line_model, seeded_world, structure
 
 pytestmark = pytest.mark.timeout(300)
 

@@ -36,33 +36,24 @@ from repro.campaign import (
 )
 from repro.campaign.diffing import diff_path_maps
 from repro.campaign.scenarios import KIND_LINK_FAILURE, crossing_origins, remove_adjacency
-from repro.core.build import build_initial_model
 from repro.core.model import MODEL_DECISION_CONFIG, ASRoutingModel
 from repro.core.predict import collect_path_map, selected_paths
-from repro.core.refine import Refiner
 from repro.errors import TopologyError
-from repro.net.aspath import ASPath
-from repro.net.prefix import Prefix, prefix_for_asn
+from repro.net.prefix import Prefix
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.parallel import ParallelConfig
 from repro.parallel.protocol import dump_network
 from repro.parallel.worker import WorkingCopy
 from repro.serve import PredictionArtifact, compile_artifact
-from repro.topology.dataset import ObservedRoute, PathDataset
-from tests.oracle import depeered_world, from_scratch, seeded_world, structure
-
-P = Prefix("10.0.0.0/24")
-
-
-def line_model():
-    """The refined line AS1 - AS2 - AS3 - AS4, observed from both ends."""
-    ds = PathDataset()
-    paths = [(1, 2, 3, 4), (4, 3, 2, 1), (2, 3, 4), (3, 2, 1), (1, 2), (4, 3)]
-    for index, path in enumerate(paths):
-        ds.add(ObservedRoute(f"p{index}", path[0], P, ASPath(path)))
-    model = build_initial_model(ds)
-    Refiner(model, ds).run()
-    return model
+from tests.oracle import (
+    depeered_world,
+    disagree_gadget,
+    engine_counts,
+    from_scratch,
+    line_model,
+    seeded_world,
+    structure,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,43 +72,6 @@ def run_scenario(model, scenario, context):
     """Execute one scenario on a fresh copy of the model's network."""
     network = pickle.loads(pickle.dumps(model.network))
     return scenario.run(network, context, MODEL_DECISION_CONFIG, None)
-
-
-def disagree_gadget() -> Network:
-    """Five ASes, AS1 originating, with two stable states (local-pref).
-
-    AS2 and AS3 each prefer the other's route (a DISAGREE pair), AS2
-    also prefers AS4's.  With every session up the engine settles on
-    "AS2 via AS4, AS3 via AS2"; AS1-AS2 carries no selected route, and
-    that state stays stable without it — yet from scratch the engine
-    reaches the other stable state, "AS3 via AS5, AS2 via AS3".
-    """
-    network = Network("disagree")
-    routers = {asn: network.add_router(asn) for asn in range(1, 6)}
-    for a, b in ((1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)):
-        network.connect(routers[a], routers[b])
-    for sender, receiver in ((2, 3), (3, 2), (4, 2), (5, 4)):
-        network.get_session(
-            routers[sender], routers[receiver]
-        ).ensure_import_map().append(Clause(Match(), set_local_pref=200))
-    network.originate(routers[1], prefix_for_asn(1))
-    return network
-
-
-def engine_counts(call, *args, **kwargs):
-    """``call``'s result, prefixes simulated from scratch, prefixes resumed."""
-    registry = MetricsRegistry()
-    set_registry(registry)
-    try:
-        result = call(*args, **kwargs)
-        counters = registry.snapshot()["counters"]
-        return (
-            result,
-            counters.get("engine.prefixes", 0),
-            counters.get("engine.resumes", 0),
-        )
-    finally:
-        set_registry(MetricsRegistry())
 
 
 def engine_prefixes(scenario, network, context, config=MODEL_DECISION_CONFIG):

@@ -225,9 +225,11 @@ class TestParser:
         It was first taken at c0365e9, when ``cli.py`` held all 15
         ``add_parser`` sites, so the move beside the subsystems changed
         nothing a user sees.  Regenerated since only on purpose: parse-time
-        validators on ten values, ``repro profile``'s nine settable values
-        replaced by the one global ``--profile PATH``, and the PROFILE.json
-        comparator command deleted (``compare.py`` judges performance)."""
+        validators on ten values, then on eleven more (``serve``, ``lint``,
+        ``ingest`` and ``refine`` numbers), ``repro profile``'s nine
+        settable values replaced by the one global ``--profile PATH``, and
+        the PROFILE.json comparator command deleted (``compare.py`` judges
+        performance)."""
         expected = json.loads(
             (Path(__file__).parent / "fixtures" / "cli_surface.json").read_text()
         )
@@ -289,6 +291,38 @@ class TestParser:
         assert refused.value.code == 2
         error = capsys.readouterr().err
         assert f"error: argument {argv[-2]}: must be" in error
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "absent.artifact", "--request-timeout", "-1"],
+            ["serve", "absent.artifact", "--deadline", "0"],
+            ["serve", "absent.artifact", "--watch-artifact", "0"],
+            ["serve", "absent.artifact", "--max-inflight", "-1"],
+            ["serve", "absent.artifact", "--chaos-delay-ms", "-1"],
+            ["lint", "absent.cfg", "--max-findings", "-1"],
+            ["ingest", "absent.feed", "--burst-window", "-1"],
+            ["ingest", "absent.feed", "--out", "unwritten.dump",
+             "--checkpoint", "unwritten.ckpt", "--checkpoint-every", "0"],
+            ["ingest", "absent.feed", "--synthetic", "--burst-threshold", "0"],
+            ["ingest", "absent.feed", "--max-malformed-fraction", "1.5"],
+            ["refine", "absent.txt", "--checkpoint", "unwritten.json",
+             "--checkpoint-every", "0"],
+        ],
+        ids=lambda argv: " ".join([argv[0], *argv[-2:]]),
+    )
+    def test_a_set_number_out_of_its_range_exits_2_before_any_read(
+        self, argv, capsys
+    ):
+        """Each value used to be read as given: a traceback or exit 1 deep
+        in the run, a server that drops every connection, or a clamp that
+        hid it.  The inputs do not exist, so the refusal comes first."""
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        out, error = capsys.readouterr()
+        assert f"error: argument {argv[-2]}: must be" in error
+        assert out == ""
 
 
 class TestParallelFlags:

@@ -125,7 +125,7 @@ class TestFourByteASNs:
         answer = whatif(model, 3356, 131073)
         assert answer.changes
         assert list(answer.changes) == two_pass_changes(
-            fresh, model.prefix_by_origin, [(3356, 131073)]
+            fresh, model.prefix_by_origin, 3356, 131073
         )
 
     def test_hijack_converges(self):

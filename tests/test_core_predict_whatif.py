@@ -26,11 +26,16 @@ from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix, prefix_for_asn
 from repro.serve import compile_artifact
 from repro.topology.dataset import ObservedRoute, PathDataset
-from tests.oracle import seeded_world, two_pass_changes
-from tests.test_campaign_scenarios import disagree_gadget, engine_counts
+from tests.oracle import (
+    depeered_world,
+    disagree_gadget,
+    engine_counts,
+    seeded_world,
+    two_pass_changes,
+    whatif_changes,
+)
 
 P = Prefix("10.0.0.0/24")
-DIFF_KEYS = ("changed", "lost", "gained")
 
 
 def dataset_from_paths(*paths):
@@ -165,39 +170,26 @@ class TestWhatIf:
 
 class TestWhatIfResumes:
     """The "after" pass resumes from the compile's RIBs, where it may, and
-    answers what the from-scratch two-pass recipe and the campaign do."""
-
-    @staticmethod
-    def campaign_diffs(network, edges, context=None):
-        """Scenario key -> the depeer campaign's changed / lost / gained."""
-        model = ASRoutingModel.from_network(network)
-        if context is None:
-            context = context_from_artifact(compile_artifact(model)[0])
-        scenarios = [EdgeFailureScenario(asn_a, asn_b) for asn_a, asn_b in edges]
-        report = run_campaign(model, "depeer", scenarios, context)
-        return {
-            outcome.key: tuple(outcome.detail["diff"][k] for k in DIFF_KEYS)
-            for outcome in report.outcomes
-        }
+    answers what the from-scratch recipe of ``tests/oracle`` answers."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_seeded_worlds_equal_the_two_pass_answer(self, seed):
+        """Each adjacency's answer is ``depeered_world``'s: the same pairs
+        with the baseline's and the from-scratch after sets, the same diff."""
         world = seeded_world(seed)
-        edges = sorted(world.model.network.as_adjacencies())
         origins = len(world.model.prefix_by_origin)
-        campaign = self.campaign_diffs(pickle.loads(world.blob), edges, world.context)
-        for asn_a, asn_b in edges:
+        for asn_a, asn_b in sorted(world.model.network.as_adjacencies()):
             answer, simulated, resumed = engine_counts(
                 whatif,
                 ASRoutingModel.from_network(pickle.loads(world.blob)), asn_a, asn_b,
             )
             crossing = crossing_origins(world.context, asn_a, asn_b)
             assert (simulated, resumed) == (origins, len(crossing))
-            assert list(answer.changes) == two_pass_changes(
-                pickle.loads(world.blob), world.context.origins, [(asn_a, asn_b)]
+            oracle = depeered_world(seed, asn_a, asn_b)
+            assert list(answer.changes) == whatif_changes(
+                world.context.baseline_paths, oracle.after
             )
-            diff = answer.outcome["diff"]
-            assert tuple(diff[k] for k in DIFF_KEYS) == campaign[answer.outcome["key"]]
+            assert answer.outcome["diff"] == oracle.diff.to_dict()
 
     def test_a_model_with_several_stable_states_is_simulated_twice(self):
         answer, simulated, resumed = engine_counts(
@@ -205,13 +197,15 @@ class TestWhatIfResumes:
         )
         assert (simulated, resumed) == (2, 0)
         assert list(answer.changes) == two_pass_changes(
-            disagree_gadget(), {1: prefix_for_asn(1)}, [(1, 2)]
+            disagree_gadget(), {1: prefix_for_asn(1)}, 1, 2
         )
         assert {observer for observer, *_ in answer.changes} == {2, 3}
-        diff = answer.outcome["diff"]
-        assert self.campaign_diffs(disagree_gadget(), [(1, 2)]) == {
-            answer.outcome["key"]: tuple(diff[k] for k in DIFF_KEYS)
-        }
+        model = ASRoutingModel.from_network(disagree_gadget())
+        context = context_from_artifact(compile_artifact(model)[0])
+        report = run_campaign(model, "depeer", [EdgeFailureScenario(1, 2)], context)
+        (outcome,) = report.outcomes
+        assert outcome.key == answer.outcome["key"]
+        assert outcome.detail["diff"] == answer.outcome["diff"]
 
 
 class TestUpFrontValidation:

@@ -45,12 +45,12 @@ from repro.campaign.scenarios import crossing_origins, remove_adjacency
 from tests.oracle import (
     assert_locally_stable,
     depeered_world,
+    disagree_gadget,
     judge,
     reference_best,
     rib_contents,
     seeded_world,
 )
-from tests.test_campaign_scenarios import disagree_gadget
 
 BASE = SyntheticConfig(seed=0, n_level1=3, n_level2=5, n_other=8, n_stub=14)
 

@@ -36,7 +36,7 @@ from repro.obs.trace import (
 from repro.resilience.faults import inject_dispute_wheel
 from repro.resilience.health import RunHealth
 from repro.topology.dataset import ObservedRoute, PathDataset
-from tests.test_bgp_engine import gadget_network
+from tests.oracle import gadget_network
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from repro.obs.trace import (
     tracing,
 )
 from repro.parallel import ParallelConfig, WorkerFaults
+from repro.parallel import supervisor
 from repro.parallel.supervisor import SupervisedPool
 from repro.resilience.health import RunHealth
 
@@ -281,7 +282,8 @@ class TestCrashIsolation:
 
 
 class TestGracefulShutdown:
-    def test_sigterm_drains_and_raises(self):
+    def test_sigterm_drains_and_raises(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "DRAIN_GRACE", 1.0)
         net, prefixes = star_network(prefix_count=12)
         victim = str(prefixes[0])
         timer = threading.Timer(
@@ -294,7 +296,7 @@ class TestGracefulShutdown:
                     simulate_pooled(
                         net,
                         parallel=ParallelConfig(
-                            workers=2, drain_grace=1.0,
+                            workers=2,
                             faults=WorkerFaults(
                                 hang_prefixes=(victim,), hang_seconds=60.0
                             ),

@@ -1,6 +1,7 @@
 """Property test: the supervised pool is observationally identical to the
-sequential path on healthy inputs — same RIBs, same outcome classification,
-same message counts — for arbitrary synthetic topologies."""
+sequential path on healthy inputs — same RIBs, all three tables of every
+router by value (``tests/oracle``'s ``rib_contents``), same outcome
+classification, same message counts — for arbitrary synthetic topologies."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,26 +14,17 @@ from repro.data.observation import collect_dataset, select_observation_points
 from repro.data.synthesis import SyntheticConfig, synthesize_internet
 from repro.parallel import ParallelConfig
 from repro.topology.graph import ASGraph
+from tests.oracle import rib_contents
 
 pytestmark = pytest.mark.timeout(300)
 
 TINY = dict(n_level1=3, n_level2=4, n_other=6, n_stub=10)
 
 
-def loc_rib_fingerprint(network):
-    """Every router's best route per prefix, as comparable attributes."""
-    table = {}
-    for router_id in sorted(network.routers):
-        router = network.routers[router_id]
-        for prefix in sorted(router.loc_rib):
-            route = router.loc_rib[prefix]
-            table[(router_id, str(prefix))] = (
-                route.as_path,
-                route.next_hop,
-                route.local_pref,
-                route.med,
-            )
-    return table
+def ribs(network):
+    """Prefix -> :func:`~tests.oracle.rib_contents`: every router's
+    Adj-RIB-In, Loc-RIB and Adj-RIB-Out, by value."""
+    return {prefix: rib_contents(network, prefix) for prefix in network.prefixes()}
 
 
 @settings(
@@ -49,7 +41,7 @@ def test_parallel_simulation_equals_sequential(seed):
     seq_stats = simulate_pooled(sequential)
     par_stats = simulate_pooled(parallel, parallel=ParallelConfig(workers=4))
 
-    assert loc_rib_fingerprint(parallel) == loc_rib_fingerprint(sequential)
+    assert ribs(parallel) == ribs(sequential)
     assert par_stats.prefixes == seq_stats.prefixes
     assert sorted(par_stats.quarantined) == sorted(seq_stats.quarantined)
     assert par_stats.messages == seq_stats.messages
@@ -77,9 +69,7 @@ def test_parallel_refinement_equals_sequential():
     assert par_result.converged == seq_result.converged
     assert par_result.iteration_count == seq_result.iteration_count
     assert par_result.final_match_rate == seq_result.final_match_rate
-    assert loc_rib_fingerprint(par_result.model.network) == loc_rib_fingerprint(
-        seq_result.model.network
-    )
+    assert ribs(par_result.model.network) == ribs(seq_result.model.network)
     assert par_refiner.stats.prefixes == seq_refiner.stats.prefixes
     assert sorted(par_refiner.stats.quarantined) == sorted(
         seq_refiner.stats.quarantined
